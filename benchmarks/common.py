@@ -1,7 +1,7 @@
 """Shared setup for the benchmark harness.
 
 Every benchmark regenerates one table or figure of the paper at a reduced,
-NumPy-trainable scale (see DESIGN.md §4 "Scaling policy").  This module
+NumPy-trainable scale (see docs/architecture.md).  This module
 fixes the two workloads — a CIFAR-10-like task with a VGG backbone and a
 Caltech-256-like task with a ResNet backbone — plus the device pools and
 the method registry, so that all benches share one consistent universe.

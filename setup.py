@@ -13,5 +13,5 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.9",
-    install_requires=["numpy>=1.22", "scipy>=1.8"],
+    install_requires=["numpy>=1.22"],
 )

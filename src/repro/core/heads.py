@@ -15,6 +15,7 @@ from typing import Tuple
 
 import numpy as np
 
+from repro.nn.functional import channel_last
 from repro.nn.linear import Linear
 from repro.nn.module import Module
 
@@ -62,7 +63,7 @@ class AuxHead(Module):
             if z.ndim != 4:
                 raise ValueError(f"expected 4-D conv feature, got shape {z.shape}")
             self._spatial = z.shape[2:]
-            pooled = z.mean(axis=(2, 3))
+            pooled = channel_last(z).mean(axis=(1, 2))
         else:
             pooled = z.reshape(z.shape[0], -1)
             self._flat_shape = z.shape

@@ -14,7 +14,7 @@ granularity, keyed by ``(client key, prefix length)``, so cache hits
 survive the data loader's per-epoch reshuffling (batch composition
 changes every epoch; sample identity does not).  Lookups return
 bit-identical features to a fresh forward because every per-sample
-computation in the substrate (im2col, batched matmul, eval-mode BN) is
+computation in the substrate (the conv's per-sample GEMM, eval-mode BN) is
 independent of batch composition.
 
 Invalidation is **version-keyed**.  The cache carries a prefix-version

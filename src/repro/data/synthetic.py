@@ -21,19 +21,32 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy import ndimage
 
 from repro.data.dataset import ArrayDataset
 from repro.nn.dtype import compute_dtype
 
 
+def _linear_taps(n_in: int, n_out: int):
+    """Source indices and weights of an ``n_in -> n_out`` linear resampling."""
+    coord = np.arange(n_out) * ((n_in - 1) / (n_out - 1)) if n_out > 1 else np.zeros(1)
+    lo = np.floor(coord).astype(np.intp)
+    w_lo = 1.0 - (coord - lo)
+    return lo, np.minimum(lo + 1, n_in - 1), w_lo, 1.0 - w_lo
+
+
 def _smooth_field(shape: Tuple[int, int, int], coarse: int, rng: np.random.Generator) -> np.ndarray:
-    """Smooth random image: coarse Gaussian grid upsampled to full size."""
+    """Smooth random image: coarse Gaussian grid upsampled to full size.
+
+    Bilinear, corner-aligned: the weights and accumulation order are those of
+    ``scipy.ndimage.zoom(low, (1, h / coarse, w / coarse), order=1)``, bit for bit.
+    """
     c, h, w = shape
     coarse = max(2, min(coarse, h, w))
     low = rng.normal(size=(c, coarse, coarse))
-    zoom = (1, h / coarse, w / coarse)
-    return ndimage.zoom(low, zoom, order=1)
+    y0, y1, wy0, wy1 = _linear_taps(coarse, h)
+    x0, x1, wx0, wx1 = _linear_taps(coarse, w)
+    top, bot = low[:, y0] * wy0[:, None], low[:, y1] * wy1[:, None]
+    return top[:, :, x0] * wx0 + top[:, :, x1] * wx1 + bot[:, :, x0] * wx0 + bot[:, :, x1] * wx1
 
 
 @dataclass

@@ -11,8 +11,8 @@ backends:
 * ``thread``  — a **persistent** pool of worker threads, spun up lazily on
   first use and reused across every round and evaluation (pool
   construction is pure overhead on short rounds).  NumPy's BLAS releases
-  the GIL inside the matmuls that dominate this workload (im2col
-  convolutions, batched attacks), so threads yield real speedups without
+  the GIL inside the matmuls that dominate this workload (convolution
+  GEMMs, batched attacks), so threads yield real speedups without
   any pickling;
 * ``process`` — ``fork()``-based workers.  Each child inherits a
   copy-on-write snapshot of the experiment (global model, shards, prefix

@@ -27,7 +27,6 @@ import json
 import os
 import threading
 from collections import deque
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional
 
 #: Event kinds that become JSONL metrics rows (the streaming surface);
@@ -185,7 +184,10 @@ class StatusServer:
     """Read-only JSON status endpoint on a daemon thread (loopback only)."""
 
     def __init__(self, service: MetricsService, port: int):
-        handler = _make_handler(service)
+        # Imported here: ~20 ms that only a run with a status port should pay.
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+        handler = _make_handler(service, BaseHTTPRequestHandler)
         self._httpd = ThreadingHTTPServer(("127.0.0.1", port), handler)
         self._httpd.daemon_threads = True
         self.port = self._httpd.server_address[1]
@@ -202,8 +204,8 @@ class StatusServer:
         self._thread.join(timeout=5.0)
 
 
-def _make_handler(service: MetricsService):
-    class Handler(BaseHTTPRequestHandler):
+def _make_handler(service: MetricsService, base: type):
+    class Handler(base):
         def log_message(self, *args):  # silence per-request stderr noise
             pass
 

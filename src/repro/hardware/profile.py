@@ -78,7 +78,7 @@ def profile_module(module: Module, in_shape: Tuple[int, ...]) -> ModuleProfile:
     if isinstance(module, (ReLU, LeakyReLU, Tanh)):
         # Activations count 0: ReLU-family ops run in place in practice, and
         # the paper's MemReq figures are only reproducible under in-place
-        # accounting (see DESIGN.md).
+        # accounting (see docs/architecture.md).
         return ModuleProfile(0, 0, _numel(in_shape), in_shape)
     if isinstance(module, (MaxPool2d, AvgPool2d)):
         c, h, w = in_shape

@@ -6,7 +6,7 @@ paper's experiments need:
 
 * layers with explicit ``forward(x)`` / ``backward(grad_out) -> grad_in``
   passes (the returned input gradient is what PGD-style attacks consume),
-* convolution via im2col, batch normalization with running statistics,
+* channel-last convolution, batch normalization with running statistics,
   residual blocks, pooling, linear heads,
 * cross-entropy and the paper's strong-convexity-regularized early-exit
   loss (Eq. 9),

@@ -10,11 +10,11 @@ from repro.nn.module import Module
 class ReLU(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        return np.maximum(x, 0)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         mask, self._mask = self._mask, None  # single-shot cache
-        return np.where(mask, grad_out, 0.0)
+        return grad_out * mask
 
 
 class LeakyReLU(Module):

@@ -4,13 +4,12 @@ The ``batched`` executor backend fuses K homogeneous clients into one
 stacked forward/backward: activations carry the clients stacked on the
 batch axis — a ``(K·B, ...)`` layout — while every trainable parameter
 carries a ``(K, *shape)`` **slab** holding the K clients' values.  The
-cohort-aware layers (Linear, Conv2d, BatchNorm2d) detect an installed slab
-and switch to stacked kernels whose per-client slices are bit-identical to
-the serial path: the GEMMs batch over the leading client axis (same BLAS
-kernel over the same contiguous per-slice layout), and every multi-axis
-*reduction* (weight/bias gradients, batch statistics) runs per client on a
-contiguous slice view so the summation order matches a serial client
-exactly.
+parameterised layers (Linear, Conv2d, BatchNorm2d) have one kernel each,
+written over ``Parameter.stacked()``: the slabs here, K=1 views of
+``data``/``grad`` when serial.  Per-client slices are therefore
+bit-identical to the serial path: the GEMMs batch over the leading client
+axis (same BLAS call per slice) and every *reduction* (weight/bias
+gradients, batch statistics) stays inside one client's rows.
 
 This module owns the slab lifecycle:
 
@@ -55,8 +54,7 @@ def install_cohort(model: Module, states: Sequence[StateDict]) -> int:
         owner._slab_buffers[local] = np.stack(
             [np.asarray(s[name], dtype=dtype) for s in states]
         )
-    for m in model.modules():
-        m._cohort_k = k
+    model._cohort_k = k
     return k
 
 
@@ -89,7 +87,7 @@ def clear_cohort(model: Module) -> None:
         p.slab_grad = None
     for m in model.modules():
         m._slab_buffers.clear()
-        m._cohort_k = 0
+    model._cohort_k = 0
 
 
 class CohortCrossEntropyLoss:

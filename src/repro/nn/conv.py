@@ -1,22 +1,91 @@
-"""2-D convolution implemented via im2col."""
+"""2-D convolution: channel-last unfold, per-sample forward GEMMs."""
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from repro.nn.dtype import compute_dtype
-from repro.nn.functional import col2im, im2col
+from repro.nn.functional import channel_last, col2im, conv_output_size, im2col
 from repro.nn.grad_mode import param_grads_enabled
 from repro.nn.init import kaiming_normal
 from repro.nn.module import Module, Parameter
 
 
+def _axis(size: int, lo: int, step: int, out: int, k: int, s: int):
+    """One spatial axis of an unfold: which taps live, where the data lands.
+
+    Data row ``m`` sits at padded position ``lo + step*m``; window ``a``
+    reads positions ``i + s*a`` for kernel offset ``i``.  An offset none of
+    whose positions holds data is *dead*; the bounding range ``[i0, i1)`` of
+    the live ones is kept and the buffer holds just the ``span`` positions
+    they read.  Returns data slice, buffer slice, ``(i0, i1)`` and ``span``.
+    """
+    data = range(lo, lo + step * size, step)
+    live = [i for i in range(k) if any(i + s * a in data for a in range(out))] or [0]
+    i0, i1 = live[0], live[-1] + 1
+    span, lo = i1 - i0 + s * (out - 1), lo - i0
+    m0 = max(0, -(lo // step))
+    m1 = max(m0, min(size, (span - 1 - lo) // step + 1))
+    start = lo + step * m0
+    return slice(m0, m1), slice(start, start + step * (m1 - m0), step), (i0, i1), span
+
+
+class _Unfold:
+    """Sliding windows of an NCHW tensor as channel-last ``(N, L, taps·C)`` rows.
+
+    The tensor is written into a reusable zero-bordered ``(N, span_h,
+    span_w, C)`` buffer (at ``lo``, every ``step``-th row and column) and
+    each live kernel *row* of every window — ``taps_w·C`` contiguous
+    elements — is copied into freshly allocated columns, so no copy has an
+    inner run shorter than ``C``.
+    """
+
+    def __init__(self, shape, dtype, lo, step, k, stride, out_hw):
+        n, c, h, w = shape
+        oh, ow = self.out_hw = out_hw
+        src_h, dst_h, (i0, i1), span_h = _axis(h, lo, step, oh, k, stride)
+        src_w, dst_w, (j0, j1), span_w = _axis(w, lo, step, ow, k, stride)
+        self.taps = (i0, i1, j0, j1)
+        buf = np.zeros((n, span_h, span_w, c), dtype=dtype)
+        self._src = (slice(None), src_h, src_w)
+        self._dst = buf[:, dst_h, dst_w]
+        run = (j1 - j0) * c
+        self._cols_shape = (n, oh, ow, i1 - i0, run)
+        sn, sh, sw, sc = buf.strides
+        win, strides = (n, oh, ow, run), (sn, stride * sh, stride * sw, sc)
+        self._rows = [as_strided(buf[:, i:], win, strides, writeable=False) for i in range(i1 - i0)]
+
+    def __call__(self, x: np.ndarray, clients: int) -> np.ndarray:
+        """Columns of ``x`` as a ``(K, N/K, L, taps·C)`` stack (K clients share the batch axis)."""
+        self._dst[...] = x.transpose(0, 2, 3, 1)[self._src]
+        cols = np.empty(self._cols_shape, dtype=self._dst.dtype)
+        for i, row in enumerate(self._rows):
+            cols[:, :, :, i] = row
+        n, oh, ow, rows, run = self._cols_shape
+        return cols.reshape(clients, n // clients, oh * ow, rows * run)
+
+
 class Conv2d(Module):
     """NCHW convolution with square kernels.
 
-    Forward unfolds the input with :func:`im2col` and reduces the kernel to a
-    single matmul per batch; backward reuses the cached columns for the
-    weight gradient and folds the input gradient back with ``col2im``.
+    Internally channel-last.  Forward unfolds the zero-padded input into
+    ``(N, L, taps·C)`` columns (:class:`_Unfold`) and multiplies them **per
+    sample** by the ``(taps·C, C_out)`` weights — a GEMM whose shape does
+    not depend on the batch, which is what makes the layer batch-invariant
+    (see docs/architecture.md).  The weight gradient contracts columns and
+    output gradient over the whole batch in one GEMM per client.  The input
+    gradient *gathers*: the same unfold-and-GEMM applied to the output
+    gradient (dilated by the stride) with the flipped kernel, so nothing is
+    folded back by strided accumulation.  Kernel taps that only ever see
+    padding are skipped.  The image layer — a kernel row shorter than the
+    map is wide (:meth:`_narrow`), far fewer input than output channels —
+    unfolds with the channel-first ``im2col`` and scatters its input
+    gradient with ``col2im`` instead.  Results are NCHW-shaped *views* of
+    channel-last memory.
+
+    With a cohort installed (:mod:`repro.nn.cohort`) the same code reads the
+    ``(K, ...)`` parameter slabs; the serial layer is the K=1 slab.
     """
 
     def __init__(
@@ -36,17 +105,39 @@ class Conv2d(Module):
         self.kernel_size = kernel_size
         self.stride = stride
         self.padding = padding
-        fan_in = in_channels * kernel_size * kernel_size
-        self.weight = Parameter(
-            kaiming_normal(
-                (out_channels, in_channels, kernel_size, kernel_size),
-                fan_in=fan_in,
-                rng=rng,
-            )
-        )
+        shape = (out_channels, in_channels, kernel_size, kernel_size)
+        self.weight = Parameter(kaiming_normal(shape, fan_in=in_channels * kernel_size**2, rng=rng))
         self.use_bias = bias
         if bias:
             self.bias = Parameter(np.zeros(out_channels, dtype=compute_dtype()))
+
+    def __getstate__(self):
+        # Scratch buffers and single-shot caches are not state: copies and
+        # pickles (process backend) rebuild them on their first forward.
+        return {k: v for k, v in self.__dict__.items() if k not in ("_unfolds", "_cols")}
+
+    def _unfold(self, x_shape: tuple, dtype: np.dtype, backward: bool = False) -> _Unfold:
+        """The (lazily built) unfold of the input, or of its output gradient."""
+        unfolds = self.__dict__.setdefault("_unfolds", {})
+        key = (x_shape, dtype, backward)
+        unfold = unfolds.get(key)
+        if unfold is None:
+            n, c, h, w = x_shape
+            k, s, p = self.kernel_size, self.stride, self.padding
+            out_hw = (conv_output_size(h, k, s, p), conv_output_size(w, k, s, p))
+            if backward:  # the output gradient, dilated by the stride, swept at stride 1
+                g_shape = (n, self.out_channels) + out_hw
+                unfold = _Unfold(g_shape, dtype, k - 1 - p, s, k, 1, (h, w))
+            else:
+                unfold = _Unfold(x_shape, dtype, p, 1, k, s, out_hw)
+            unfolds[key] = unfold
+        return unfold
+
+    def _narrow(self, out_w: int) -> bool:
+        # A kernel row of k·C elements is shorter than the map is wide (the
+        # image layer): im2col unfolds in runs of out_w, in the weight's own
+        # (c, row, column) order.
+        return self.kernel_size * self.in_channels < out_w
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4 or x.shape[1] != self.in_channels:
@@ -54,92 +145,68 @@ class Conv2d(Module):
                 f"Conv2d({self.in_channels}->{self.out_channels}) got input "
                 f"shape {x.shape}"
             )
+        w = self.weight.stacked()[0]
+        kk, n, c_out = w.shape[0], x.shape[0], self.out_channels
         k, s, p = self.kernel_size, self.stride, self.padding
-        cols, out_h, out_w = im2col(x, k, k, s, p)
+        if self._narrow(conv_output_size(x.shape[3], k, s, p)):
+            cols, *out_hw = im2col(x, k, k, s, p)
+            cols = cols.reshape(kk, n // kk, cols.shape[1], cols.shape[2]).transpose(0, 1, 3, 2)
+            taps, w2d = None, w.reshape(kk, c_out, -1)
+        else:
+            unfold = self._unfold(x.shape, x.dtype)
+            cols, out_hw, taps = unfold(x, kk), unfold.out_hw, unfold.taps
+            i0, i1, j0, j1 = taps
+            # (K, C_out, taps·C) in the columns' (row, column, channel) order.
+            w2d = np.ascontiguousarray(
+                w[:, :, :, i0:i1, j0:j1].transpose(0, 1, 3, 4, 2), dtype=np.result_type(cols, w)
+            ).reshape(kk, c_out, -1)
         # The columns are only needed for the weight gradient; under an
-        # input-grad-only scope (attacks, frozen-prefix forwards) don't
-        # retain them — they dominate activation memory.
-        self._cols = cols if param_grads_enabled() else None
+        # input-grad-only scope (attacks, frozen-prefix forwards) they are
+        # not handed to backward.
+        self._cols = (cols, taps) if param_grads_enabled() else None
         self._x_shape = x.shape
-        if self._cohort_k and self.weight.slab is not None:
-            return self._forward_cohort(cols, x.shape[0], out_h, out_w)
-        w2d = self.weight.data.reshape(self.out_channels, -1)
-        # (N, C_out, L) = (C_out, CKK) @ (N, CKK, L), batched over N
-        out = np.matmul(w2d, cols)
+        # (K, B, L, taps·C) @ (K, 1, taps·C, C_out) -> (K, B, L, C_out): one GEMM per sample.
+        out = np.matmul(cols, w2d.transpose(0, 2, 1)[:, None])
         if self.use_bias:
-            out = out + self.bias.data[None, :, None]
-        return out.reshape(x.shape[0], self.out_channels, out_h, out_w)
+            out += self.bias.stacked()[0][:, None, None, :]
+        return out.reshape(n, *out_hw, c_out).transpose(0, 3, 1, 2)
 
     def backward(self, grad_out: np.ndarray, param_grads: bool = True) -> np.ndarray:
-        if self._cohort_k and self.weight.slab is not None:
-            return self._backward_cohort(grad_out, self._cohort_k, param_grads)
-        n = grad_out.shape[0]
-        g2d = grad_out.reshape(n, self.out_channels, -1)
-        w2d = self.weight.data.reshape(self.out_channels, -1)
+        w, w_grad = self.weight.stacked()
+        n, c, h, w_in = self._x_shape
+        kk, c_out = w.shape[0], self.out_channels
         if param_grads and param_grads_enabled():
             if self._cols is None:
                 raise RuntimeError(
                     "Conv2d.backward needs parameter gradients but the "
                     "forward pass ran input-grad-only (no column cache)"
                 )
-            # (C_out, CKK): contract batch and spatial axes in one shot
-            grad_w = np.tensordot(g2d, self._cols, axes=([0, 2], [0, 2]))
-            self.weight.grad += grad_w.reshape(self.weight.data.shape)
+            cols, taps = self._cols
+            g2d = channel_last(grad_out).reshape(kk, -1, c_out)  # (K, B·L, C_out)
+            # (K, C_out, taps·C): one GEMM per client over its B·L rows.
+            grad_w = np.matmul(g2d.transpose(0, 2, 1), cols.reshape(kk, -1, cols.shape[3]))
+            if taps is None:
+                w_grad += grad_w.reshape(w.shape)
+            else:
+                i0, i1, j0, j1 = taps
+                w_grad[:, :, :, i0:i1, j0:j1] += grad_w.reshape(
+                    kk, c_out, i1 - i0, j1 - j0, c
+                ).transpose(0, 1, 4, 2, 3)
             if self.use_bias:
-                self.bias.grad += g2d.sum(axis=(0, 2))
+                b_grad = self.bias.stacked()[1]
+                b_grad += g2d.sum(axis=1)
         self._cols = None  # single-shot cache: release once consumed
-        grad_cols = np.matmul(w2d.T, g2d)
-        k, s, p = self.kernel_size, self.stride, self.padding
-        return col2im(grad_cols, self._x_shape, k, k, s, p)
-
-    # -- client-batched (cohort) path -------------------------------------
-    # The (K·B, CKK, L) columns regroup to (K, B, CKK, L); one broadcast
-    # GEMM per direction applies each client's (C_out, CKK) weight slab to
-    # its own B samples — bit-identical per slice to the serial broadcast-
-    # over-N matmul.  The weight/bias reductions (tensordot / axis sums)
-    # run per client on contiguous slice views so the summation order is
-    # exactly the serial client's.
-    def _forward_cohort(
-        self, cols: np.ndarray, n: int, out_h: int, out_w: int
-    ) -> np.ndarray:
-        kk = self._cohort_k
-        b = n // kk
-        ckk = cols.shape[1]
-        colsv = cols.reshape(kk, b, ckk, cols.shape[2])
-        wslab = self.weight.slab.reshape(kk, self.out_channels, ckk)
-        # (K, B, C_out, L) = (K, 1, C_out, CKK) @ (K, B, CKK, L)
-        out = np.matmul(wslab[:, None], colsv)
-        if self.use_bias:
-            out = out + self.bias.slab[:, None, :, None]
-        return out.reshape(n, self.out_channels, out_h, out_w)
-
-    def _backward_cohort(
-        self, grad_out: np.ndarray, kk: int, param_grads: bool
-    ) -> np.ndarray:
-        n = grad_out.shape[0]
-        b = n // kk
-        g2d = np.ascontiguousarray(grad_out).reshape(n, self.out_channels, -1)
-        g2v = g2d.reshape(kk, b, self.out_channels, g2d.shape[2])
-        ckk = self.in_channels * self.kernel_size * self.kernel_size
-        wslab = self.weight.slab.reshape(kk, self.out_channels, ckk)
-        if param_grads and param_grads_enabled():
-            if self._cols is None:
-                raise RuntimeError(
-                    "Conv2d.backward needs parameter gradients but the "
-                    "forward pass ran input-grad-only (no column cache)"
-                )
-            colsv = self._cols.reshape(kk, b, ckk, self._cols.shape[2])
-            w_grad = self.weight.slab_grad
-            b_grad = self.bias.slab_grad if self.use_bias else None
-            w_shape = self.weight.data.shape
-            for i in range(kk):
-                grad_w = np.tensordot(g2v[i], colsv[i], axes=([0, 2], [0, 2]))
-                w_grad[i] += grad_w.reshape(w_shape)
-                if b_grad is not None:
-                    b_grad[i] += g2v[i].sum(axis=(0, 2))
-        self._cols = None  # single-shot cache: release once consumed
-        # (K, B, CKK, L) = (K, 1, CKK, C_out) @ (K, B, C_out, L)
-        grad_cols = np.matmul(wslab.transpose(0, 2, 1)[:, None], g2v)
-        grad_cols = grad_cols.reshape(n, ckk, grad_cols.shape[3])
-        k, s, p = self.kernel_size, self.stride, self.padding
-        return col2im(grad_cols, self._x_shape, k, k, s, p)
+        if c_out > 4 * c:
+            # Few channels under many (the image layer): gathering would move
+            # k²·C_out values per pixel where col2im scatters k²·C.
+            k, s, p = self.kernel_size, self.stride, self.padding
+            g = grad_out.reshape(kk, n // kk, c_out, grad_out.shape[2] * grad_out.shape[3])
+            grad_cols = np.matmul(w.reshape(kk, 1, c_out, -1).transpose(0, 1, 3, 2), g)
+            return col2im(grad_cols.reshape(n, c * k * k, g.shape[3]), self._x_shape, k, k, s, p)
+        unfold = self._unfold(self._x_shape, grad_out.dtype, backward=True)
+        i0, i1, j0, j1 = unfold.taps
+        # (K, taps·C_out, C): the kernel flipped, in the columns' order.
+        flipped = w[:, :, :, ::-1, ::-1][:, :, :, i0:i1, j0:j1].transpose(0, 3, 4, 1, 2)
+        w2d = np.ascontiguousarray(flipped, dtype=np.result_type(grad_out, w)).reshape(kk, -1, c)
+        grad_in = np.matmul(unfold(grad_out, kk), w2d[:, None])  # per sample, as forward
+        return grad_in.reshape(n, h, w_in, c).transpose(0, 3, 1, 2)

@@ -20,6 +20,17 @@ def conv_output_size(size: int, kernel: int, stride: int, pad: int) -> int:
     return out
 
 
+def channel_last(x: np.ndarray) -> np.ndarray:
+    """An NCHW tensor as a C-contiguous ``(N, H, W, C)`` array.
+
+    Free for an NCHW *view* of channel-last memory, which is what the conv,
+    batch-norm, ReLU and pooling layers return.  Layers that reduce over
+    several axes go through this so their summation order does not depend
+    on the layout their input arrives in.
+    """
+    return np.ascontiguousarray(x.transpose(0, 2, 3, 1))
+
+
 def im2col(
     x: np.ndarray, kh: int, kw: int, stride: int, pad: int
 ) -> Tuple[np.ndarray, int, int]:

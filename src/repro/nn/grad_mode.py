@@ -4,8 +4,8 @@ Adversarial attacks (PGD, FGSM, APGD) only ever consume the gradient of
 the loss w.r.t. the *input*; the parameter gradients the layers accumulate
 along the way are discarded by every caller (training loops ``zero_grad``
 right after the attack).  Those parameter gradients are expensive — the
-``tensordot`` weight-gradient contraction in ``Conv2d`` costs about as
-much as the whole forward pass — so the attack hot path runs inside
+weight-gradient GEMM in ``Conv2d`` costs about as much as the whole
+forward pass — so the attack hot path runs inside
 :func:`no_param_grads`, under which
 
 * ``Conv2d`` / ``Linear`` / ``BatchNorm2d`` skip their weight/bias

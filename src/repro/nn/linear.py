@@ -34,67 +34,34 @@ class Linear(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 2:
             raise ValueError(f"Linear expects 2-D input, got shape {x.shape}")
-        if self._cohort_k and self.weight.slab is not None:
-            return self._forward_cohort(x, self._cohort_k)
         # The input is only needed for the weight gradient.
         self._x = x if param_grads_enabled() else None
-        out = x @ self.weight.data.T
+        w = self.weight.stacked()[0]
+        # Activations carry K clients stacked on the batch axis, (K·B, in);
+        # the GEMM batches over K (serial: K=1), one client per slice.
+        out = np.matmul(x.reshape(w.shape[0], -1, self.in_features), w.transpose(0, 2, 1))
         if self.use_bias:
-            out = out + self.bias.data
-        return out
+            out += self.bias.stacked()[0][:, None, :]
+        return out.reshape(x.shape[0], self.out_features)
 
     def backward(self, grad_out: np.ndarray, param_grads: bool = True) -> np.ndarray:
-        if self._cohort_k and self.weight.slab is not None:
-            return self._backward_cohort(grad_out, self._cohort_k, param_grads)
+        w, w_grad = self.weight.stacked()
+        g = np.ascontiguousarray(grad_out).reshape(w.shape[0], -1, self.out_features)
         if param_grads and param_grads_enabled():
             if self._x is None:
                 raise RuntimeError(
                     "Linear.backward needs parameter gradients but the "
                     "forward pass ran input-grad-only (no input cache)"
                 )
-            self.weight.grad += grad_out.T @ self._x
+            # Reductions stay inside one client's rows, so a cohort slice
+            # sums in the serial order.
+            xv = self._x.reshape(g.shape[0], -1, self.in_features)
+            w_grad += np.matmul(g.transpose(0, 2, 1), xv)
             if self.use_bias:
-                self.bias.grad += grad_out.sum(axis=0)
+                b_grad = self.bias.stacked()[1]
+                b_grad += g.sum(axis=1)
         self._x = None
-        return grad_out @ self.weight.data
-
-    # -- client-batched (cohort) path -------------------------------------
-    # Activations carry K clients stacked on the batch axis: (K·B, in).
-    # The stacked GEMMs below are bit-identical per client slice to the
-    # serial 2-D matmuls (same BLAS kernel over the same contiguous
-    # per-slice layout); the weight/bias *reductions* run per client on
-    # contiguous slice views so the summation order matches serial exactly.
-    def _forward_cohort(self, x: np.ndarray, k: int) -> np.ndarray:
-        n = x.shape[0]
-        b = n // k
-        self._x = x if param_grads_enabled() else None
-        xv = x.reshape(k, b, self.in_features)
-        out = np.matmul(xv, self.weight.slab.transpose(0, 2, 1))
-        if self.use_bias:
-            out = out + self.bias.slab[:, None, :]
-        return out.reshape(n, self.out_features)
-
-    def _backward_cohort(
-        self, grad_out: np.ndarray, k: int, param_grads: bool
-    ) -> np.ndarray:
-        n = grad_out.shape[0]
-        b = n // k
-        gv = np.ascontiguousarray(grad_out).reshape(k, b, self.out_features)
-        if param_grads and param_grads_enabled():
-            if self._x is None:
-                raise RuntimeError(
-                    "Linear.backward needs parameter gradients but the "
-                    "forward pass ran input-grad-only (no input cache)"
-                )
-            xv = self._x.reshape(k, b, self.in_features)
-            w_grad = self.weight.slab_grad
-            b_grad = self.bias.slab_grad if self.use_bias else None
-            for i in range(k):
-                w_grad[i] += gv[i].T @ xv[i]
-                if b_grad is not None:
-                    b_grad[i] += gv[i].sum(axis=0)
-        self._x = None
-        return np.matmul(gv, self.weight.slab).reshape(n, self.in_features)
+        return np.matmul(g, w).reshape(grad_out.shape[0], self.in_features)
 
 
 class Flatten(Module):

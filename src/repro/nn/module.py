@@ -28,8 +28,9 @@ class Parameter:
     ``slab``/``slab_grad`` hold the client-batched state of the ``batched``
     executor backend: a ``(K, *data.shape)`` stack of K clients' values for
     this parameter (see :mod:`repro.nn.cohort`).  While a slab is installed
-    the cohort-aware layers ignore ``data``/``grad`` and operate on the
-    slab; ``data`` keeps the last serial value untouched.
+    the layers ignore ``data``/``grad`` and operate on the slab (they read
+    both through :meth:`stacked`); ``data`` keeps the last serial value
+    untouched.
     """
 
     __slots__ = ("data", "grad", "slab", "slab_grad")
@@ -47,6 +48,13 @@ class Parameter:
     @property
     def size(self) -> int:
         return int(self.data.size)
+
+    def stacked(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(values, gradients)`` as ``(K, *shape)`` stacks: the cohort slabs, else
+        K=1 views of ``data``/``grad`` — one kernel per layer, serial its K=1 case."""
+        if self.slab is not None:
+            return self.slab, self.slab_grad
+        return self.data[None], self.grad[None]
 
     def zero_grad(self) -> None:
         self.grad[...] = 0.0
@@ -73,10 +81,9 @@ class Module:
     single-slot), which is all the training loops in this repo need.
     """
 
-    # Cohort width of the ``batched`` executor backend: 0 = serial layout,
-    # K > 0 = a (K·B, ...) activation layout with per-client parameter slabs
-    # installed (see repro.nn.cohort).  Class-level default so every module
-    # has the attribute without touching __init__ cost.
+    # Cohort width, set on the model a cohort is installed on (repro.nn.cohort):
+    # 0 = serial, K > 0 = (K·B, ...) activations over per-client parameter
+    # slabs.  A class-level default, so it costs no instance anything.
     _cohort_k: int = 0
 
     def __init__(self) -> None:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.dtype import compute_dtype
+from repro.nn.functional import channel_last
 from repro.nn.grad_mode import param_grads_enabled
 from repro.nn.module import Module, Parameter
 
@@ -16,7 +17,16 @@ class BatchNorm2d(Module):
     exponential running averages; in eval mode it uses the running averages.
     The backward pass in eval mode treats the statistics as constants (which
     is what PGD attacks against a frozen model require).
+
+    Internally the activations are a channel-last ``(K, B·H·W, C)`` stack —
+    K clients of a cohort (:mod:`repro.nn.cohort`), K=1 when serial — and
+    every reduction runs over axis 1, one client's rows in order.  The
+    result therefore does not depend on the memory layout the input arrives
+    in, and a cohort slice is bit-identical to the serial layer.
     """
+
+    # The running-statistics bank in use; DualBatchNorm2d switches it.
+    _bank = ("running_mean", "running_var")
 
     def __init__(self, num_features: int, momentum: float = 0.1, eps: float = 1e-5):
         super().__init__()
@@ -28,165 +38,82 @@ class BatchNorm2d(Module):
         self.register_buffer("running_mean", np.zeros(num_features, dtype=compute_dtype()))
         self.register_buffer("running_var", np.ones(num_features, dtype=compute_dtype()))
 
-    # Subclasses (DualBatchNorm2d) redirect these to one of two stat banks.
-    def _get_running(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.running_mean, self.running_var
+    def _running(self) -> list[np.ndarray]:
+        """The active bank's ``(K, C)`` mean and variance."""
+        if self.weight.slab is not None:
+            return [self._slab_buffers[name] for name in self._bank]
+        return [self._buffers[name][None] for name in self._bank]
 
-    def _set_running(self, mean: np.ndarray, var: np.ndarray) -> None:
-        self.set_buffer("running_mean", mean)
-        self.set_buffer("running_var", var)
-
-    # Cohort variants of the bank switch: per-client (K, C) stat slabs live
-    # in ``_slab_buffers`` while a cohort is installed (repro.nn.cohort).
-    def _get_running_slab(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._slab_buffers["running_mean"], self._slab_buffers["running_var"]
-
-    def _set_running_slab(self, mean: np.ndarray, var: np.ndarray) -> None:
-        dtype = self._buffers["running_mean"].dtype
-        self._slab_buffers["running_mean"] = np.asarray(mean, dtype=dtype)
-        self._slab_buffers["running_var"] = np.asarray(var, dtype=dtype)
+    def _set_running(self, *stats: np.ndarray) -> None:
+        for name, value in zip(self._bank, stats):
+            if self.weight.slab is not None:
+                self._slab_buffers[name] = np.asarray(value, dtype=self._buffers[name].dtype)
+            else:
+                self.set_buffer(name, value[0])
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4 or x.shape[1] != self.num_features:
             raise ValueError(f"BatchNorm2d({self.num_features}) got shape {x.shape}")
-        if self._cohort_k and self.weight.slab is not None:
-            return self._forward_cohort(x, self._cohort_k)
+        n, c, h, w = x.shape
+        weight, bias = self.weight.stacked()[0], self.bias.stacked()[0]
+        xv = channel_last(x).reshape(weight.shape[0], -1, c)
+        mean, var = self._running()
+        self._batch_stats = self.training
         if self.training:
-            mean = x.mean(axis=(0, 2, 3))
-            var = x.var(axis=(0, 2, 3))
-            r_mean, r_var = self._get_running()
+            batch_mean = xv.mean(axis=1)
+            centered = xv - batch_mean[:, None]
+            batch_var = np.mean(centered * centered, axis=1)
             m = self.momentum
-            self._set_running(
-                (1 - m) * r_mean + m * mean,
-                (1 - m) * r_var + m * var,
-            )
-            self._batch_stats = True
-        else:
-            mean, var = self._get_running()
-            self._batch_stats = False
-        self._inv_std = 1.0 / np.sqrt(var + self.eps)
-        if not (self._batch_stats or param_grads_enabled()):
+            self._set_running((1 - m) * mean + m * batch_mean, (1 - m) * var + m * batch_var)
+            var = batch_var
+        self._inv_std = 1.0 / np.sqrt(var + self.eps)  # (K, C)
+        if not (self.training or param_grads_enabled()):
             # Input-grad-only eval forward (attacks on a frozen model, the
             # frozen-prefix cascade): nothing downstream needs x_hat, so
             # fold the affine transform into one scale-and-shift.
             self._x_hat = None
-            scale = self.weight.data * self._inv_std
-            shift = self.bias.data - mean * scale
-            return x * scale[None, :, None, None] + shift[None, :, None, None]
-        # x_hat is needed for the weight gradient and the train-mode input
-        # gradient.
-        x_hat = (x - mean[None, :, None, None]) * self._inv_std[None, :, None, None]
-        self._x_hat = x_hat
-        return (
-            self.weight.data[None, :, None, None] * x_hat
-            + self.bias.data[None, :, None, None]
-        )
+            scale = weight * self._inv_std
+            out = xv * scale[:, None]
+            out += (bias - mean * scale)[:, None]
+        else:
+            # x_hat: for the weight gradient and the train-mode input gradient.
+            if not self.training:
+                centered = xv - mean[:, None]
+            centered *= self._inv_std[:, None]
+            self._x_hat = centered
+            out = centered * weight[:, None]
+            out += bias[:, None]
+        return out.reshape(n, h, w, c).transpose(0, 3, 1, 2)
 
     def backward(self, grad_out: np.ndarray, param_grads: bool = True) -> np.ndarray:
-        if self._cohort_k and self.weight.slab is not None:
-            return self._backward_cohort(grad_out, self._cohort_k, param_grads)
-        n, _, h, w = grad_out.shape
-        count = n * h * w
-        if param_grads and param_grads_enabled():
-            if self._x_hat is None:
-                raise RuntimeError(
-                    "BatchNorm2d.backward needs parameter gradients but the "
-                    "forward pass ran input-grad-only (no x_hat cache)"
-                )
-            self.weight.grad += (grad_out * self._x_hat).sum(axis=(0, 2, 3))
-            self.bias.grad += grad_out.sum(axis=(0, 2, 3))
-        g_xhat = grad_out * self.weight.data[None, :, None, None]
-        inv_std = self._inv_std[None, :, None, None]
-        if not self._batch_stats:
-            # Eval mode: statistics are constants.
-            self._x_hat = None
-            return g_xhat * inv_std
-        x_hat = self._x_hat
-        self._x_hat = None
-        sum_g = g_xhat.sum(axis=(0, 2, 3), keepdims=True)
-        sum_gx = (g_xhat * x_hat).sum(axis=(0, 2, 3), keepdims=True)
-        return (inv_std / count) * (
-            count * g_xhat - sum_g - x_hat * sum_gx
-        )
-
-    # -- client-batched (cohort) path -------------------------------------
-    # The (K·B, C, H, W) activations regroup to (K, B, C, H, W); batch
-    # statistics and every gradient reduction are computed per client on
-    # contiguous slice views (identical layout to a standalone (B, C, H, W)
-    # batch, so the summation order matches serial exactly), while the
-    # normalisation itself is one elementwise broadcast over the slab.
-    def _forward_cohort(self, x: np.ndarray, k: int) -> np.ndarray:
-        n, c, h, w = x.shape
-        b = n // k
-        xv = x.reshape(k, b, c, h, w)
-        if self.training:
-            mean = np.empty((k, c), dtype=x.dtype)
-            var = np.empty((k, c), dtype=x.dtype)
-            for i in range(k):
-                mean[i] = xv[i].mean(axis=(0, 2, 3))
-                var[i] = xv[i].var(axis=(0, 2, 3))
-            r_mean, r_var = self._get_running_slab()
-            m = self.momentum
-            self._set_running_slab(
-                (1 - m) * r_mean + m * mean,
-                (1 - m) * r_var + m * var,
-            )
-            self._batch_stats = True
-        else:
-            mean, var = self._get_running_slab()
-            self._batch_stats = False
-        self._inv_std = 1.0 / np.sqrt(var + self.eps)  # (K, C)
-        if not (self._batch_stats or param_grads_enabled()):
-            self._x_hat = None
-            scale = self.weight.slab * self._inv_std
-            shift = self.bias.slab - mean * scale
-            out = (
-                xv * scale[:, None, :, None, None]
-                + shift[:, None, :, None, None]
-            )
-            return out.reshape(n, c, h, w)
-        x_hat = (
-            xv - mean[:, None, :, None, None]
-        ) * self._inv_std[:, None, :, None, None]
-        self._x_hat = x_hat  # (K, B, C, H, W)
-        out = (
-            self.weight.slab[:, None, :, None, None] * x_hat
-            + self.bias.slab[:, None, :, None, None]
-        )
-        return out.reshape(n, c, h, w)
-
-    def _backward_cohort(
-        self, grad_out: np.ndarray, k: int, param_grads: bool
-    ) -> np.ndarray:
         n, c, h, w = grad_out.shape
-        b = n // k
-        count = b * h * w  # per-client reduction count, as in serial
-        gv = np.ascontiguousarray(grad_out).reshape(k, b, c, h, w)
-        if param_grads and param_grads_enabled():
-            if self._x_hat is None:
-                raise RuntimeError(
-                    "BatchNorm2d.backward needs parameter gradients but the "
-                    "forward pass ran input-grad-only (no x_hat cache)"
-                )
-            w_grad, b_grad = self.weight.slab_grad, self.bias.slab_grad
-            for i in range(k):
-                w_grad[i] += (gv[i] * self._x_hat[i]).sum(axis=(0, 2, 3))
-                b_grad[i] += gv[i].sum(axis=(0, 2, 3))
-        g_xhat = gv * self.weight.slab[:, None, :, None, None]
-        inv_std = self._inv_std[:, None, :, None, None]
+        weight, w_grad = self.weight.stacked()
+        g = channel_last(grad_out).reshape(weight.shape[0], -1, c)
+        x_hat, self._x_hat = self._x_hat, None
+        param_grads = param_grads and param_grads_enabled()
+        if param_grads and x_hat is None:
+            raise RuntimeError(
+                "BatchNorm2d.backward needs parameter gradients but the "
+                "forward pass ran input-grad-only (no x_hat cache)"
+            )
+        if param_grads or self._batch_stats:
+            sum_g, sum_gx = g.sum(axis=1), (g * x_hat).sum(axis=1)  # (K, C): the bias/weight grads
+        if param_grads:
+            w_grad += sum_gx
+            b_grad = self.bias.stacked()[1]
+            b_grad += sum_g
         if not self._batch_stats:
             # Eval mode: statistics are constants.
-            self._x_hat = None
-            return (g_xhat * inv_std).reshape(n, c, h, w)
-        x_hat = self._x_hat
-        self._x_hat = None
-        sum_g = np.empty((k, 1, c, 1, 1), dtype=g_xhat.dtype)
-        sum_gx = np.empty((k, 1, c, 1, 1), dtype=g_xhat.dtype)
-        for i in range(k):
-            sum_g[i, 0, :, 0, 0] = g_xhat[i].sum(axis=(0, 2, 3))
-            sum_gx[i, 0, :, 0, 0] = (g_xhat[i] * x_hat[i]).sum(axis=(0, 2, 3))
-        out = (inv_std / count) * (count * g_xhat - sum_g - x_hat * sum_gx)
-        return out.reshape(n, c, h, w)
+            out = g * (weight * self._inv_std)[:, None]
+        else:
+            # weight*inv_std * (g - mean(g) - x_hat * mean(g * x_hat)), over one
+            # client's rows; the consumed x_hat is ours to overwrite.
+            count = g.shape[1]
+            x_hat *= (sum_gx / count)[:, None]
+            x_hat += (sum_g / count)[:, None]
+            out = g - x_hat
+            out *= (weight * self._inv_std)[:, None]
+        return out.reshape(n, h, w, c).transpose(0, 3, 1, 2)
 
 
 class DualBatchNorm2d(BatchNorm2d):
@@ -208,34 +135,11 @@ class DualBatchNorm2d(BatchNorm2d):
     def set_mode(self, adversarial: bool) -> None:
         object.__setattr__(self, "adversarial_mode", bool(adversarial))
 
-    def _get_running(self) -> tuple[np.ndarray, np.ndarray]:
+    @property
+    def _bank(self) -> tuple[str, str]:
         if self.adversarial_mode:
-            return self.running_mean_adv, self.running_var_adv
-        return self.running_mean, self.running_var
-
-    def _set_running(self, mean: np.ndarray, var: np.ndarray) -> None:
-        if self.adversarial_mode:
-            self.set_buffer("running_mean_adv", mean)
-            self.set_buffer("running_var_adv", var)
-        else:
-            self.set_buffer("running_mean", mean)
-            self.set_buffer("running_var", var)
-
-    def _get_running_slab(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.adversarial_mode:
-            return (
-                self._slab_buffers["running_mean_adv"],
-                self._slab_buffers["running_var_adv"],
-            )
-        return super()._get_running_slab()
-
-    def _set_running_slab(self, mean: np.ndarray, var: np.ndarray) -> None:
-        if self.adversarial_mode:
-            dtype = self._buffers["running_mean_adv"].dtype
-            self._slab_buffers["running_mean_adv"] = np.asarray(mean, dtype=dtype)
-            self._slab_buffers["running_var_adv"] = np.asarray(var, dtype=dtype)
-        else:
-            super()._set_running_slab(mean, var)
+            return ("running_mean_adv", "running_var_adv")
+        return ("running_mean", "running_var")
 
 
 def set_dual_bn_mode(model: Module, adversarial: bool) -> None:

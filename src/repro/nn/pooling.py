@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.functional import col2im, im2col
+from repro.nn.functional import channel_last, col2im, im2col
 from repro.nn.module import Module
 
 
@@ -18,17 +18,26 @@ class MaxPool2d(Module):
         self.padding = padding
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        n, c, _, _ = x.shape
+        n, c, h, w = x.shape
         k, s, p = self.kernel_size, self.stride, self.padding
+        self._x_shape = x.shape
+        if (k, s, p) == (2, 2, 0) and h % 2 == 0 and w % 2 == 0:
+            # No unfold needed: the four window positions are four strided
+            # views of x, reduced in argmax order.
+            q = _quads(x)
+            self._x, self._out = x, np.maximum(np.maximum(q[0], q[1]), np.maximum(q[2], q[3]))
+            return self._out
+        self._x = None
         cols, out_h, out_w = im2col(x, k, k, s, p)
         cols = cols.reshape(n, c, k * k, out_h * out_w)
         self._argmax = cols.argmax(axis=2)
-        self._x_shape = x.shape
         self._out_hw = (out_h, out_w)
         out = np.take_along_axis(cols, self._argmax[:, :, None, :], axis=2)
         return out.reshape(n, c, out_h, out_w)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        if self._x is not None:
+            return self._route_2x2(grad_out)
         n, c, _, _ = self._x_shape
         k, s, p = self.kernel_size, self.stride, self.padding
         out_h, out_w = self._out_hw
@@ -38,6 +47,23 @@ class MaxPool2d(Module):
         self._argmax = None  # single-shot cache: release once consumed
         grad_cols = grad_cols.reshape(n, c * k * k, out_h * out_w)
         return col2im(grad_cols, self._x_shape, k, k, s, p)
+
+    def _route_2x2(self, grad_out: np.ndarray) -> np.ndarray:
+        # Each window's gradient goes to its first maximum, as argmax picks it.
+        x, out = self._x, self._out
+        self._x = self._out = None  # single-shot cache: release once consumed
+        grad_in = np.empty_like(x, dtype=grad_out.dtype)
+        taken = np.zeros_like(out, dtype=bool)  # in out's memory layout
+        for q, dst in zip(_quads(x), _quads(grad_in)):
+            hit = np.greater(q == out, taken)  # a maximum, and none before it
+            taken |= hit
+            np.multiply(grad_out, hit, out=dst)
+        return grad_in
+
+
+def _quads(x: np.ndarray) -> list:
+    """The four positions of every 2x2/stride-2 window, in argmax order."""
+    return [x[:, :, i::2, j::2] for i in (0, 1) for j in (0, 1)]
 
 
 class AvgPool2d(Module):
@@ -73,7 +99,7 @@ class GlobalAvgPool2d(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._x_shape = x.shape
-        return x.mean(axis=(2, 3))
+        return channel_last(x).mean(axis=(1, 2))
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         n, c, h, w = self._x_shape

@@ -102,6 +102,12 @@ class TestSlabKernels:
             lambda rng: Conv2d(3, 4, kernel_size=3, stride=2, rng=rng), (3, 7, 7)
         )
 
+    def test_conv2d_image_layer(self):
+        # im2col forward (k·C < out_w) and col2im input gradient (C_out > 4·C)
+        _layer_case(
+            lambda rng: Conv2d(1, 6, kernel_size=3, padding=1, rng=rng), (1, 6, 6)
+        )
+
     def test_batchnorm_train(self):
         _layer_case(lambda rng: BatchNorm2d(3), (3, 5, 5))
 

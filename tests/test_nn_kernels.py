@@ -1,0 +1,363 @@
+"""The conv / pool / ReLU kernels and the contracts they carry.
+
+* the channel-last convolution against the im2col-matmul formula it
+  replaced (inlined here as the oracle),
+* **batch invariance** — a sample's forward result does not depend on
+  which other samples share its batch (``PrefixCache``, ``fetch_stacked``
+  and sharded evaluation rest on this),
+* dead-tap elimination, the im2col-free 2x2 max-pool, the ``where``-free
+  ReLU, and scratch buffers that are not state,
+* the SciPy-free ``_smooth_field`` and a cold start that stays light.
+"""
+
+import copy
+import hashlib
+import itertools
+import os
+import pickle
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+from repro.data.synthetic import _smooth_field, make_caltech256_like, make_cifar10_like
+from repro.models import build_cnn, build_vgg
+from repro.nn import (
+    BatchNorm2d,
+    Conv2d,
+    MaxPool2d,
+    ReLU,
+    Sequential,
+    attack_grad_scope,
+    dtype_scope,
+)
+from repro.nn.functional import channel_last, col2im, im2col
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the formulas the kernels replaced
+# ---------------------------------------------------------------------------
+
+
+def _conv_reference(conv, x, g):
+    """Forward, weight/bias gradient and input gradient via im2col + matmul."""
+    k, s, p = conv.kernel_size, conv.stride, conv.padding
+    n, c_out = x.shape[0], conv.out_channels
+    cols, oh, ow = im2col(x, k, k, s, p)
+    w2d = conv.weight.data.reshape(c_out, -1)
+    out = np.matmul(w2d, cols)
+    if conv.use_bias:
+        out = out + conv.bias.data[None, :, None]
+    g2d = g.reshape(n, c_out, -1)
+    grad_w = np.tensordot(g2d, cols, axes=([0, 2], [0, 2])).reshape(conv.weight.data.shape)
+    grad_x = col2im(np.matmul(w2d.T, g2d), x.shape, k, k, s, p)
+    return out.reshape(n, c_out, oh, ow), grad_w, g2d.sum(axis=(0, 2)), grad_x
+
+
+def _pool_reference(x, g, k=2, s=2, p=0):
+    """Max-pool forward/backward through im2col + argmax (first maximum wins)."""
+    n, c = x.shape[:2]
+    cols, oh, ow = im2col(x, k, k, s, p)
+    cols = cols.reshape(n, c, k * k, oh * ow)
+    arg = cols.argmax(axis=2)[:, :, None, :]
+    out = np.take_along_axis(cols, arg, axis=2).reshape(n, c, oh, ow)
+    grad_cols = np.zeros_like(cols)
+    np.put_along_axis(grad_cols, arg, g.reshape(n, c, 1, oh * ow), axis=2)
+    return out, col2im(grad_cols.reshape(n, c * k * k, oh * ow), x.shape, k, k, s, p)
+
+
+# ---------------------------------------------------------------------------
+# Convolution against the oracle
+# ---------------------------------------------------------------------------
+
+MAPS = [(1, 1), (2, 2), (3, 3), (4, 5), (9, 7), (6, 12)]  # the last is "narrow" for k=3, C=3
+GEOMETRIES = [
+    (k, s, p, hw)
+    for k, s, p, hw in itertools.product((1, 3), (1, 2), (0, 1), MAPS)
+    if min(hw) + 2 * p >= k
+]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("c_in", [3, 1])  # 1 -> 5 channels scatters its input gradient (col2im)
+@pytest.mark.parametrize("k,s,p,hw", GEOMETRIES)
+def test_conv_matches_im2col_reference(k, s, p, hw, c_in, dtype):
+    rng = np.random.default_rng(hash((k, s, p, hw)) % 2**32)
+    with dtype_scope(dtype):
+        conv = Conv2d(c_in, 5, k, stride=s, padding=p, rng=rng)
+    conv.bias.data[...] = rng.normal(size=5)
+    x = rng.normal(size=(4, c_in) + hw).astype(dtype)
+    out = conv.forward(x)
+    g = rng.normal(size=out.shape).astype(dtype)
+    grad_x = conv.backward(g)
+    want_out, want_w, want_b, want_x = _conv_reference(conv, x, g)
+    tol = dict(rtol=1e-4, atol=1e-5) if dtype == np.float32 else dict(rtol=1e-10, atol=1e-12)
+    assert out.dtype == dtype and grad_x.dtype == dtype
+    np.testing.assert_allclose(out, want_out, **tol)
+    np.testing.assert_allclose(grad_x, want_x, **tol)
+    np.testing.assert_allclose(conv.weight.grad, want_w, **tol)
+    np.testing.assert_allclose(conv.bias.grad, want_b, **tol)
+
+    # Under the attack scope: same forward bits, same input gradient, no
+    # parameter gradients, no columns kept.
+    conv.zero_grad()
+    with attack_grad_scope():
+        np.testing.assert_array_equal(conv.forward(x), out)
+        assert conv._cols is None
+        np.testing.assert_array_equal(conv.backward(g), grad_x)
+    assert not conv.weight.grad.any() and not conv.bias.grad.any()
+
+
+@pytest.mark.parametrize("c_in", [2, 8])  # the narrow (im2col) and the channel-last unfold
+def test_conv_padding_wider_than_kernel_and_empty_batch(c_in):
+    rng = np.random.default_rng(0)
+    conv = Conv2d(c_in, 3, 1, padding=1, rng=rng)  # every border window is dead
+    x = rng.normal(size=(2, c_in, 3, 3)).astype(np.float32)
+    out = conv.forward(x)
+    g = rng.normal(size=out.shape).astype(np.float32)
+    want_out, _, _, want_x = _conv_reference(conv, x, g)
+    np.testing.assert_allclose(out, want_out, rtol=1e-5, atol=1e-6)
+    np.testing.assert_allclose(conv.backward(g), want_x, rtol=1e-5, atol=1e-6)
+    empty = conv.forward(x[:0])
+    assert conv._narrow(5) == (c_in == 2)
+    assert empty.shape == (0, 3, 5, 5)
+    assert conv.backward(np.zeros_like(empty)).shape == (0, c_in, 3, 3)
+
+
+def test_conv_mixed_precision_input_keeps_working():
+    """float64 activations through float32 weights (perfbench/micro.py does this)."""
+    rng = np.random.default_rng(1)
+    conv = Conv2d(3, 4, 3, padding=1, rng=rng)
+    x = rng.standard_normal((2, 3, 4, 4))
+    out = conv.forward(x)
+    assert out.dtype == np.float64
+    assert conv.backward(np.ones_like(out)).dtype == np.float64
+    out32 = conv.forward(x.astype(np.float32))  # a second workspace, keyed by dtype
+    assert out32.dtype == np.float32
+    np.testing.assert_allclose(out32, out, rtol=1e-4, atol=1e-5)
+
+
+# ---------------------------------------------------------------------------
+# Batch invariance
+# ---------------------------------------------------------------------------
+
+
+def _model_layer_shapes(monkeypatch):
+    """(label, conv, input shape) for every conv of the benchmark's models."""
+    seen = []
+    forward = Conv2d.forward
+    monkeypatch.setattr(
+        Conv2d, "forward", lambda conv, x: seen.append((conv, x.shape[1:])) or forward(conv, x)
+    )
+    rng = np.random.default_rng(0)
+    cases = []
+    for label, build, shape in [
+        ("vgg11@8", lambda: build_vgg("vgg11", 10, (3, 8, 8), width_mult=0.25, rng=rng), (3, 8, 8)),
+        ("vgg11@16", lambda: build_vgg("vgg11", 10, (3, 16, 16), width_mult=0.25, rng=rng), (3, 16, 16)),
+        ("cnn@8", lambda: build_cnn(2, 10, (3, 8, 8), base_channels=8, rng=rng), (3, 8, 8)),
+    ]:
+        del seen[:]
+        build()  # the builder's shape-inference pass visits every conv once
+        cases += [(label, conv, in_shape) for conv, in_shape in seen]
+    monkeypatch.undo()
+    return cases
+
+
+def test_conv_forward_is_batch_invariant_on_every_model_layer_shape(monkeypatch):
+    rng = np.random.default_rng(2)
+    cases = _model_layer_shapes(monkeypatch)
+    assert len(cases) == 8 + 8 + 2
+    assert {s[1:] for _, _, s in cases} >= {(1, 1), (2, 2)}  # the shapes a batch-wide GEMM breaks
+    for label, conv, shape in cases:
+        x = rng.normal(size=(32,) + shape).astype(np.float32)
+        with attack_grad_scope():
+            full = conv.forward(x).copy()
+            for a, b in [(0, 1), (5, 6), (3, 11), (16, 32), (31, 32)]:
+                np.testing.assert_array_equal(
+                    conv.forward(x[a:b]), full[a:b], err_msg=f"{label} {shape} rows {a}:{b}"
+                )
+            # and independent of the memory layout the rows arrive in
+            np.testing.assert_array_equal(
+                conv.forward(channel_last(x).transpose(0, 3, 1, 2)), full
+            )
+
+
+def test_eval_chain_is_batch_invariant():
+    rng = np.random.default_rng(3)
+    chain = Sequential(
+        Conv2d(3, 8, 3, padding=1, bias=False, rng=rng), BatchNorm2d(8), ReLU(), MaxPool2d(2),
+        Conv2d(8, 16, 3, padding=1, bias=False, rng=rng), BatchNorm2d(16), ReLU(), MaxPool2d(2),
+    )
+    for m in chain.modules():
+        if isinstance(m, BatchNorm2d):
+            m.set_buffer("running_mean", rng.normal(size=m.num_features))
+            m.set_buffer("running_var", rng.uniform(0.5, 2.0, size=m.num_features))
+    chain.eval()
+    x = rng.normal(size=(24, 3, 4, 4)).astype(np.float32)  # ends on a 1x1 map
+    with attack_grad_scope():
+        full = chain(x).copy()
+        for a, b in [(0, 1), (7, 9), (12, 24)]:
+            np.testing.assert_array_equal(chain(x[a:b]), full[a:b])
+    full_pg = chain(x).copy()  # the x_hat-keeping eval branch
+    np.testing.assert_array_equal(chain(x[7:9]), full_pg[7:9])
+
+
+def test_batchnorm_result_does_not_depend_on_input_layout():
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(6, 5, 4, 3)).astype(np.float32)
+    g = rng.normal(size=x.shape).astype(np.float32)
+    results = []
+    for relayout in (np.ascontiguousarray, lambda a: channel_last(a).transpose(0, 3, 1, 2)):
+        bn = BatchNorm2d(5)
+        bn.train()
+        out = bn.forward(relayout(x))
+        results.append((out.copy(), bn.backward(relayout(g)).copy(), bn.weight.grad.copy(),
+                        bn.running_var.copy()))
+    for a, b in zip(*results):
+        np.testing.assert_array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# Dead taps
+# ---------------------------------------------------------------------------
+
+
+def test_dead_taps_get_exactly_zero_weight_gradient():
+    rng = np.random.default_rng(5)
+    conv = Conv2d(4, 6, 3, padding=1, rng=rng)
+    x = rng.normal(size=(8, 4, 1, 1)).astype(np.float32)
+    out = conv.forward(x)
+    conv.backward(rng.normal(size=out.shape).astype(np.float32))
+    live = np.zeros((3, 3), dtype=bool)
+    live[1, 1] = True  # on a 1x1 map only the centre tap ever sees data
+    assert conv.weight.grad[:, :, live].any()
+    assert not conv.weight.grad[:, :, ~live].any()
+    (unfold,) = [u for (_, _, backward), u in conv._unfolds.items() if not backward]
+    assert unfold.taps == (1, 2, 1, 2)
+
+    # A 2-wide map under stride 2 never reaches the last kernel column.
+    conv = Conv2d(2, 3, 3, stride=2, padding=1, rng=rng)
+    x = rng.normal(size=(3, 2, 2, 2)).astype(np.float32)
+    out = conv.forward(x)
+    g = rng.normal(size=out.shape).astype(np.float32)
+    conv.backward(g)
+    _, want_w, _, _ = _conv_reference(conv, x, g)
+    np.testing.assert_allclose(conv.weight.grad, want_w, rtol=1e-5, atol=1e-6)
+    assert not conv.weight.grad[:, :, 0, :].any() and not conv.weight.grad[:, :, :, 0].any()
+
+
+# ---------------------------------------------------------------------------
+# Max-pool and ReLU
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("shape", [(3, 4, 2, 2), (2, 5, 8, 6), (4, 16, 16, 16)])
+@pytest.mark.parametrize("layout", ["nchw", "channel_last"])
+def test_maxpool_2x2_equals_argmax_path_on_ties(shape, layout):
+    rng = np.random.default_rng(6)
+    x = np.maximum(rng.normal(size=shape).round(), 0).astype(np.float32)  # post-ReLU: many ties
+    assert (x == 0).mean() > 0.4
+    if layout == "channel_last":
+        x = channel_last(x).transpose(0, 3, 1, 2)
+    pool = MaxPool2d(2)
+    out = pool.forward(x)
+    g = rng.normal(size=out.shape).astype(np.float32)
+    want_out, want_grad = _pool_reference(np.ascontiguousarray(x), g)
+    np.testing.assert_array_equal(out, want_out)
+    np.testing.assert_array_equal(pool.backward(g), want_grad)
+    assert pool._x is None  # single-shot cache released
+
+
+@pytest.mark.parametrize("k,s,p,hw", [(2, 2, 0, (5, 4)), (2, 2, 0, (4, 7)), (3, 2, 1, (6, 6)), (2, 1, 0, (4, 4))])
+def test_maxpool_other_geometries_fall_back_to_the_generic_path(k, s, p, hw):
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(2, 3) + hw).astype(np.float32)
+    pool = MaxPool2d(k, stride=s, padding=p)
+    out = pool.forward(x)
+    assert pool._x is None  # not the fast path
+    g = rng.normal(size=out.shape).astype(np.float32)
+    want_out, want_grad = _pool_reference(x, g, k, s, p)
+    np.testing.assert_array_equal(out, want_out)
+    np.testing.assert_array_equal(pool.backward(g), want_grad)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_relu_propagates_nan_and_keeps_dtype(dtype):
+    relu = ReLU()
+    x = np.array([[-1.0, 0.0, 2.5, np.nan, -np.inf, np.inf]], dtype=dtype)
+    out = relu.forward(x)
+    assert out.dtype == dtype
+    np.testing.assert_array_equal(out, np.array([[0.0, 0.0, 2.5, np.nan, 0.0, np.inf]], dtype=dtype))
+    grad = relu.backward(np.full_like(x, 3.0))
+    assert grad.dtype == dtype
+    np.testing.assert_array_equal(grad, np.array([[0, 0, 3, 0, 0, 3]], dtype=dtype))
+
+
+# ---------------------------------------------------------------------------
+# Scratch buffers are not state
+# ---------------------------------------------------------------------------
+
+
+def test_workspaces_are_lazy_and_not_state():
+    rng = np.random.default_rng(8)
+    conv = Conv2d(3, 4, 3, padding=1, rng=rng)
+    assert "_unfolds" not in conv.__dict__  # nothing allocated at construction
+    x = rng.normal(size=(2, 3, 5, 5)).astype(np.float32)
+    out = conv.forward(x).copy()
+    conv.backward(np.ones_like(out))
+    assert {key[2] for key in conv._unfolds} == {False, True}
+    assert set(conv.state_dict()) == {"weight", "bias"}
+
+    for clone in (copy.deepcopy(conv), pickle.loads(pickle.dumps(conv))):
+        assert "_unfolds" not in clone.__dict__ and "_cols" not in clone.__dict__
+        np.testing.assert_array_equal(clone.forward(x), out)
+        assert all(
+            not np.shares_memory(mine._dst, theirs._dst)
+            for mine in clone._unfolds.values()
+            for theirs in conv._unfolds.values()
+        )
+    # a result never aliases the reusable buffer: a second call leaves it intact
+    first = conv.forward(x)
+    conv.forward(2 * x)
+    np.testing.assert_array_equal(first, out)
+
+
+# ---------------------------------------------------------------------------
+# Cold start: no SciPy, and nothing heavy imported on the way in
+# ---------------------------------------------------------------------------
+
+
+def test_smooth_field_is_bit_identical_to_scipy_zoom():
+    ndimage = pytest.importorskip("scipy.ndimage")
+    for seed, coarse, (h, w) in itertools.product(
+        range(6), (2, 3, 4, 7), [(2, 2), (5, 8), (8, 8), (16, 16), (33, 12)]
+    ):
+        got = _smooth_field((3, h, w), coarse, np.random.default_rng(seed))
+        c = max(2, min(coarse, h, w))
+        low = np.random.default_rng(seed).normal(size=(3, c, c))
+        np.testing.assert_array_equal(got, ndimage.zoom(low, (1, h / c, w / c), order=1))
+
+
+def test_synthetic_datasets_are_pinned():
+    """sha256 of the default tasks, recorded while SciPy still built them."""
+    pinned = {
+        make_cifar10_like: "7941910c8e1f0660ae2c842161031dde1223000c2c2564f0320daf3276bf8537",
+        make_caltech256_like: "9b0aa18c6fdba0d12d86c69564b3333f48cb03a2b13ab35f811ec285f3812565",
+    }
+    for make, want in pinned.items():
+        task = make()
+        blob = b"".join(a.tobytes() for a in (task.train.x, task.train.y, task.test.x, task.test.y))
+        assert hashlib.sha256(blob).hexdigest() == want, make.__name__
+
+
+def test_import_does_not_pull_in_scipy_http_server_or_unittest():
+    code = (
+        "import sys, repro, repro.baselines\n"
+        "print([m for m in ('scipy', 'http.server', 'unittest') if m in sys.modules])"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert done.stdout.strip() == "[]", done.stdout
