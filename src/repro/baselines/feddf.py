@@ -18,9 +18,7 @@ from repro.data.partition import public_private_split
 from repro.flsim.base import FederatedExperiment, FLClient, FLConfig
 from repro.flsim.local import adversarial_local_train
 from repro.hardware.devices import DeviceSampler, DeviceState
-from repro.hardware.flops import training_flops_per_iteration
 from repro.hardware.latency import LatencyModel, LocalTrainingCost
-from repro.hardware.memory import MemoryModel
 from repro.models.atoms import CascadeModel
 
 
@@ -53,22 +51,15 @@ class FedDFAT(FederatedExperiment):
         self.family = list(model_builders)
         global_builder = model_builders[self.family[-1]]
         super().__init__(task, global_builder, config, device_sampler, latency_model)
-        self.mem = MemoryModel(batch_size=config.batch_size)
         rng = np.random.default_rng(config.seed + 3)
         self.prototypes: Dict[str, CascadeModel] = {
             name: builder(rng) for name, builder in model_builders.items()
         }
         # The largest prototype shares weights with the global model.
         self.prototypes[self.family[-1]] = self.global_model
-        self.mem_req = {
-            n: self.mem.bytes_for(m, m.in_shape) for n, m in self.prototypes.items()
-        }
-        self.flops_iter = {
-            n: training_flops_per_iteration(
-                m, m.in_shape, config.batch_size, config.train_pgd_steps
-            )
-            for n, m in self.prototypes.items()
-        }
+        self.mem_req, self._arch_cost = {}, {}
+        for n, m in self.prototypes.items():
+            _, self.mem_req[n], self._arch_cost[n] = self._model_costs(m)
         pub_idx, _ = public_private_split(
             task.train.y, public_frac, rng=np.random.default_rng(config.seed + 5)
         )
@@ -94,7 +85,6 @@ class FedDFAT(FederatedExperiment):
         cfg = self.config
         snapshots = {n: m.state_dict() for n, m in self.prototypes.items()}
         per_arch: Dict[str, List] = {n: [] for n in self.family}
-        costs = []
         pgd = PGDConfig(eps=cfg.eps0, steps=cfg.train_pgd_steps, norm="linf")
         for client, dev in zip(clients, states):
             arch = self.pick_architecture(dev)
@@ -115,7 +105,6 @@ class FedDFAT(FederatedExperiment):
                 round_idx, client.cid, model.state_dict(), snapshots[arch]
             )
             per_arch[arch].append((update, client.num_samples))
-            costs.append(self._cost(dev, arch))
 
         for arch, updates in per_arch.items():
             if updates:
@@ -141,15 +130,12 @@ class FedDFAT(FederatedExperiment):
             confidence_weighted=self.confidence_weighted,
             rng=np.random.default_rng(cfg.seed + 17 + round_idx),
         )
-        return costs
+        return self.async_client_costs(round_idx, clients, states)
 
-    def _cost(self, state: Optional[DeviceState], arch: str) -> LocalTrainingCost:
-        if state is None:
-            return LocalTrainingCost(0.0, 0.0)
-        return self.latency_model.local_training_cost(
-            state,
-            training_flops=self.flops_iter[arch],
-            mem_req_bytes=self.mem_req[arch],
-            iterations=self.config.local_iters,
-            pgd_steps=self.config.train_pgd_steps,
-        )
+    def async_client_costs(self, round_idx, clients, states) -> List[LocalTrainingCost]:
+        """Pre-training latency: each device's largest affordable prototype.
+
+        Pure arithmetic over the device states, so ``client_timeout`` can
+        drop on it before anybody trains.
+        """
+        return [self._arch_cost[self.pick_architecture(dev)](dev) for dev in states]

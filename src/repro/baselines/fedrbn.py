@@ -17,8 +17,10 @@ FedAsync factor as the weights, but clean and adversarial batch-norm
 statistics blend *separately* — clean stats toward the event average of
 every member, adversarial stats toward the event average of the members
 that actually ran adversarial training (weighted against the round's
-total AT data).  At ``s=0`` with a single event both rates are exactly 1
-and the rule collapses to the synchronous propagation bit for bit.
+total AT data).  The synchronous round *is* that rule with a single
+``s=0`` event (the base class's default ``run_round``): both rates are
+exactly 1, so clean statistics become the cohort average and adversarial
+statistics the AT clients' average — or stay put when nobody ran AT.
 """
 
 from __future__ import annotations
@@ -47,9 +49,7 @@ from repro.nn.cohort import (
     install_cohort,
 )
 from repro.hardware.devices import DeviceSampler, DeviceState
-from repro.hardware.flops import training_flops_per_iteration
 from repro.hardware.latency import LatencyModel, LocalTrainingCost
-from repro.hardware.memory import MemoryModel
 from repro.models.atoms import CascadeModel
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.normalization import DualBatchNorm2d, set_dual_bn_mode
@@ -81,15 +81,8 @@ class FedRBN(FederatedExperiment):
                 "FedRBN requires a model with DualBatchNorm2d layers; build it "
                 "with bn_cls=DualBatchNorm2d"
             )
-        mem = MemoryModel(batch_size=config.batch_size)
-        self.mem_req = mem.bytes_for(self.global_model, self.global_model.in_shape)
-        self.at_flops_iter = training_flops_per_iteration(
-            self.global_model, self.global_model.in_shape,
-            config.batch_size, config.train_pgd_steps,
-        )
-        self.st_flops_iter = training_flops_per_iteration(
-            self.global_model, self.global_model.in_shape, config.batch_size, 0
-        )
+        _, self.mem_req, self._at_cost = self._model_costs(self.global_model)
+        self._st_cost = self._model_costs(self.global_model, pgd_steps=0)[2]
         self._adv_stat_keys = [
             name
             for name, _ in self.global_model.named_buffers()
@@ -241,15 +234,12 @@ class FedRBN(FederatedExperiment):
         dev: Optional[DeviceState],
         lr_t: float,
         rng: np.random.Generator,
-    ) -> bool:
-        """Train one client on ``model`` in place; returns whether it ran AT.
+    ) -> None:
+        """Train one client on ``model`` in place (AT if its device affords it).
 
-        Pure function of (model state, client shard, device state, rng):
-        shared verbatim by the sync round and the async pipeline so both
-        modes train bit-identically from the same base weights.
+        Pure function of (model state, client shard, device state, rng).
         """
-        is_at = self.can_afford_at(dev)
-        if is_at:
+        if self.can_afford_at(dev):
             self._dual_adversarial_train(model, client, lr_t, rng)
         else:
             cfg = self.config
@@ -264,82 +254,8 @@ class FedRBN(FederatedExperiment):
                 weight_decay=cfg.weight_decay,
                 rng=rng,
             )
-        return is_at
 
-    def run_round(
-        self,
-        round_idx: int,
-        clients: List[FLClient],
-        states: List[Optional[DeviceState]],
-    ) -> List[LocalTrainingCost]:
-        self._assert_sync_round()
-        num_atoms = len(self.global_model.atoms)
-        # Every client trains the full model: the round snapshot spans all
-        # atoms and each work unit restores it in place on its slot model.
-        global_snap = snapshot_segment(self.global_model, 0, num_atoms)
-        lr_t = self.lr_at(round_idx)
-
-        def train_client(item, slot):
-            client, dev = item
-            model = self._slot_model(slot)
-            restore_segment(model, global_snap, 0, num_atoms)
-            rng = self._client_rng(round_idx, client.cid)
-            is_at = self._train_one(model, client, dev, lr_t, rng)
-            return snapshot_segment(model, 0, num_atoms), is_at, self._cost(dev, is_at)
-
-        def train_cohort(items, slot):
-            model = self._slot_model(slot)
-            trained = self._cohort_train_many(
-                model, items, global_snap, lr_t, round_idx
-            )
-            out = []
-            for state, (_client, dev) in zip(trained, items):
-                is_at = self.can_afford_at(dev)
-                out.append((state, is_at, self._cost(dev, is_at)))
-            return out
-
-        results = self.scheduler.run_group(
-            "train",
-            self._threat_wrap(
-                round_idx,
-                CohortFn(train_client, train_cohort, group_key=self._fuse_key),
-                global_snap,
-            ),
-            list(zip(clients, states)),
-        )
-        all_states = [r[0] for r in results]
-        sizes = [client.num_samples for client in clients]
-        costs = [r[2] for r in results]
-        at_states = [state for state, is_at, _ in results if is_at]
-        at_sizes = [
-            client.num_samples
-            for client, (_, is_at, _) in zip(clients, results)
-            if is_at
-        ]
-
-        # The robust rule covers weights + clean statistics (the same key
-        # set the async merge rule robustifies, so ms=0 stays bit-equal);
-        # adversarial BN statistics follow the propagation rule below.
-        adv_keys = set(self._adv_stat_keys)
-        plain_keys = [k for k in global_snap if k not in adv_keys]
-        merged = self.robust_aggregate(
-            all_states, [float(n) for n in sizes], keys=plain_keys, base=global_snap
-        )
-        # Robustness propagation: adversarial BN statistics come only from
-        # the clients that actually ran adversarial training.
-        if at_states:
-            adv_merged = weighted_average_states(
-                at_states, [float(n) for n in at_sizes], keys=self._adv_stat_keys
-            )
-            for key in self._adv_stat_keys:
-                merged[key] = adv_merged[key]
-        else:
-            for key in self._adv_stat_keys:
-                merged[key] = global_snap[key]
-        self.global_model.load_state_dict(merged)
-        return costs
-
-    # -- asynchronous aggregation hooks ------------------------------------
+    # -- aggregation hooks ---------------------------------------------------
     def async_client_fn(self, round_idx: int, base_state) -> Callable:
         num_atoms = len(self.global_model.atoms)
         lr_t = self.lr_at(round_idx)
@@ -387,8 +303,7 @@ class FedRBN(FederatedExperiment):
         (1+s)`` — robustness still propagates only from AT clients, and a
         stale event moves the shared adversarial statistics no faster
         than it moves the weights.  Events without AT members leave the
-        adversarial statistics untouched.  A single staleness-0 event
-        reproduces the synchronous propagation bit for bit.
+        adversarial statistics untouched.
         """
         weights = [ctx.weights[i] for i in members]
         adv_keys = set(self._adv_stat_keys)
@@ -418,15 +333,7 @@ class FedRBN(FederatedExperiment):
         return alpha
 
     def _cost(self, state: Optional[DeviceState], is_at: bool) -> LocalTrainingCost:
-        if state is None:
-            return LocalTrainingCost(0.0, 0.0)
-        return self.latency_model.local_training_cost(
-            state,
-            training_flops=self.at_flops_iter if is_at else self.st_flops_iter,
-            mem_req_bytes=self.mem_req,
-            iterations=self.config.local_iters,
-            pgd_steps=self.config.train_pgd_steps if is_at else 0,
-        )
+        return (self._at_cost if is_at else self._st_cost)(state)
 
     # Test-time robustness uses the propagated adversarial statistics.  The
     # dual-BN switch is a module *attribute*, not part of the state dict, so

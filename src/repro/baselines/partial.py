@@ -9,9 +9,9 @@ Asynchronous aggregation (``aggregation_mode="async"``): each merge
 event masked-partial-averages its members' scattered slices against the
 current server state and blends the result in with the FedAsync
 ``(event weight / round weight) / (1 + staleness)`` rate — entries no
-event member trained keep their server values, exactly as in the
-synchronous rule, and a single staleness-0 event reproduces it bit for
-bit.
+event member trained keep their server values.  The synchronous round is
+the same rule with the whole cohort as one staleness-0 event (rate
+exactly 1: the base class's default ``run_round``).
 """
 
 from __future__ import annotations
@@ -23,14 +23,12 @@ import numpy as np
 from repro.attacks.pgd import PGDConfig
 from repro.baselines.subnet import extract_submodel, scatter_submodel_state
 from repro.core.aggregator import blend_into, restore_segment
-from repro.flsim.base import FederatedExperiment, FLClient, FLConfig
+from repro.flsim.base import FederatedExperiment, FLConfig
 from repro.flsim.executor import CohortFn
 from repro.flsim.local import adversarial_local_train, cohort_adversarial_local_train
 from repro.nn.cohort import clear_cohort, extract_cohort, install_cohort
 from repro.hardware.devices import DeviceSampler, DeviceState
-from repro.hardware.flops import training_flops_per_iteration
 from repro.hardware.latency import LatencyModel, LocalTrainingCost
-from repro.hardware.memory import MemoryModel
 from repro.models.atoms import CascadeModel
 
 
@@ -56,7 +54,6 @@ class PartialTrainingFAT(FederatedExperiment):
                 f"updates (use median, trimmed_mean or norm_clip)"
             )
         super().__init__(task, model_builder, config, device_sampler, latency_model)
-        self.mem = MemoryModel(batch_size=config.batch_size)
         self.r_max = self.mem.bytes_for(self.global_model, self.global_model.in_shape)
 
     def client_ratio(self, state: Optional[DeviceState]) -> float:
@@ -112,81 +109,7 @@ class PartialTrainingFAT(FederatedExperiment):
         finally:
             clear_cohort(piece.model)
 
-    def run_round(
-        self,
-        round_idx: int,
-        clients: List[FLClient],
-        states: List[Optional[DeviceState]],
-    ) -> List[LocalTrainingCost]:
-        self._assert_sync_round()
-        cfg = self.config
-        global_state = self.global_model.state_dict()
-        pgd = PGDConfig(eps=cfg.eps0, steps=cfg.train_pgd_steps, norm="linf")
-        lr_t = self.lr_at(round_idx)
-
-        # Work units never touch the shared global model: each extracts its
-        # own width-sliced copy (a read of the global parameters) and trains
-        # that, so every backend runs them without replica syncing.
-        def train_client(item, _slot):
-            client, dev = item
-            ratio = self.client_ratio(dev)
-            rng = self._client_rng(round_idx, client.cid)
-            piece = extract_submodel(
-                self.global_model, ratio, self.strategy, round_idx=round_idx, rng=rng
-            )
-            adversarial_local_train(
-                piece.model,
-                client.dataset,
-                iterations=cfg.local_iters,
-                batch_size=cfg.batch_size,
-                lr=lr_t,
-                pgd=pgd,
-                momentum=cfg.momentum,
-                weight_decay=cfg.weight_decay,
-                rng=rng,
-            )
-            scattered, mask = scatter_submodel_state(
-                piece.model.state_dict(), piece.index_map, global_state
-            )
-            update = (scattered, mask, float(client.num_samples))
-            return update, self._cost(dev, piece.model)
-
-        def train_cohort(items, slot):
-            first_client, first_dev = items[0]
-            piece = extract_submodel(
-                self.global_model,
-                self.client_ratio(first_dev),
-                self.strategy,
-                round_idx=round_idx,
-                rng=self._client_rng(round_idx, first_client.cid),
-            )
-            trained = self._train_cohort_piece(piece, items, lr_t, round_idx, pgd)
-            out = []
-            for state, (client, dev) in zip(trained, items):
-                scattered, mask = scatter_submodel_state(
-                    state, piece.index_map, global_state
-                )
-                update = (scattered, mask, float(client.num_samples))
-                out.append((update, self._cost(dev, piece.model)))
-            return out
-
-        results = self.scheduler.run_group(
-            "train",
-            self._threat_wrap(
-                round_idx,
-                CohortFn(train_client, train_cohort, group_key=self._fuse_key),
-                global_state,
-            ),
-            list(zip(clients, states)),
-        )
-        updates = [r[0] for r in results]
-        costs = [r[1] for r in results]
-        self.global_model.load_state_dict(
-            self.robust_masked_average(global_state, updates)
-        )
-        return costs
-
-    # -- asynchronous aggregation hooks ------------------------------------
+    # -- aggregation hooks ---------------------------------------------------
     def async_client_fn(self, round_idx: int, base_state) -> Callable:
         cfg = self.config
         pgd = PGDConfig(eps=cfg.eps0, steps=cfg.train_pgd_steps, norm="linf")
@@ -249,6 +172,9 @@ class PartialTrainingFAT(FederatedExperiment):
         """
         costs = []
         for client, dev in zip(clients, states):
+            if dev is None:  # no device sampler: nothing to slice or cost
+                costs.append(LocalTrainingCost(0.0, 0.0))
+                continue
             rng = self._client_rng(round_idx, client.cid)
             piece = extract_submodel(
                 self.global_model, self.client_ratio(dev), self.strategy,
@@ -271,17 +197,4 @@ class PartialTrainingFAT(FederatedExperiment):
         return blend_into(server, merged, alpha)
 
     def _cost(self, state: Optional[DeviceState], submodel: CascadeModel) -> LocalTrainingCost:
-        if state is None:
-            return LocalTrainingCost(0.0, 0.0)
-        cfg = self.config
-        flops = training_flops_per_iteration(
-            submodel, submodel.in_shape, batch_size=cfg.batch_size, pgd_steps=cfg.train_pgd_steps
-        )
-        mem_req = self.mem.bytes_for(submodel, submodel.in_shape)
-        return self.latency_model.local_training_cost(
-            state,
-            training_flops=flops,
-            mem_req_bytes=mem_req,
-            iterations=cfg.local_iters,
-            pgd_steps=cfg.train_pgd_steps,
-        )
+        return self._model_costs(submodel)[2](state)

@@ -45,7 +45,6 @@ from repro.flsim.eval_executor import EvalTarget
 from repro.hardware.devices import DeviceSampler, DeviceState
 from repro.hardware.flops import BACKWARD_MULTIPLIER
 from repro.hardware.latency import LatencyModel, LocalTrainingCost
-from repro.hardware.memory import MemoryModel
 from repro.hardware.profile import profile_module
 from repro.metrics.evaluation import AttackSpec, EvalPlan, EvalResult
 from repro.models.atoms import CascadeModel
@@ -100,7 +99,6 @@ class FedProphet(FederatedExperiment):
     ):
         super().__init__(task, model_builder, config, device_sampler, latency_model)
         self.config: FedProphetConfig = config
-        self.mem = MemoryModel(batch_size=config.batch_size)
         self.r_max = full_model_mem_bytes(self.global_model, self.mem)
         self.r_min = (
             config.r_min_bytes
@@ -563,6 +561,22 @@ class FedProphet(FederatedExperiment):
             if head is not None and state is not None:
                 head.load_state_dict(state)
         return costs
+
+    def async_client_costs(self, round_idx, clients, states):
+        """Pre-training latency of the current stage under DMA's assignment.
+
+        Pure arithmetic over the device states (``assign_modules`` +
+        :meth:`_client_cost`), which is what lets ``client_timeout`` drop
+        on it.  For the timeout estimate DMA plans over the *sampled*
+        cohort — the server cannot know who will drop.
+        """
+        m = self.current_module
+        assignments = assign_modules(
+            self.cost_table, m, states, enabled=self.config.use_dma
+        )
+        return [
+            self._client_cost(dev, m, mk) for dev, mk in zip(states, assignments)
+        ]
 
     def _client_cost(
         self, state: Optional[DeviceState], module_a: int, module_b: int

@@ -12,7 +12,6 @@ from __future__ import annotations
 import os
 import threading
 import warnings
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -36,7 +35,9 @@ from repro.flsim.robust_agg import AGGREGATION_RULES, RobustAggregator, masked_r
 from repro.flsim.scheduler import FLScheduler
 from repro.flsim.threats import RoundThreats, ThreatPlan
 from repro.hardware.devices import DeviceSampler, DeviceState
+from repro.hardware.flops import training_flops_per_iteration
 from repro.hardware.latency import LatencyModel, LocalTrainingCost
+from repro.hardware.memory import MemoryModel
 from repro.metrics.evaluation import EvalPlan, EvalResult
 from repro.models.atoms import CascadeModel
 
@@ -68,7 +69,9 @@ class FLConfig:
 
     ``aggregation_mode`` selects how client updates reach the server:
     ``"sync"`` (default) is the classic round barrier — bit-identical to
-    the pre-scheduler engine on every backend and worker count;
+    the pre-scheduler engine on every backend and worker count; for the
+    hook-stated baselines it *is* the async rule with the whole cohort as
+    one staleness-0 merge event (:meth:`FederatedExperiment.run_round`);
     ``"async"`` (experiments that declare ``supports_async_aggregation``
     — jFAT, FedRBN, the partial-training family, and FedProphet) merges
     updates as they land, in simulated-arrival order, with FedAsync
@@ -86,7 +89,7 @@ class FLConfig:
     (the merge-event count at its simulated dispatch time), and merges
     still replay in simulated-arrival order, so any depth is bit-identical
     across backends and worker counts; ``pipeline_depth=1`` with
-    ``max_staleness=0`` reproduces synchronous FedAvg exactly.
+    ``max_staleness=0`` is synchronous FedAvg (the same single event).
     FedProphet pins depth to 1: its per-round ``cascade_eval`` feeds APA
     and early-stop, putting a hard evaluation point on every round
     boundary (its async mode instead merges per-module within the round).
@@ -113,7 +116,9 @@ class FLConfig:
     FedProphet's cascade loop refuses).  ``fault_plan`` injects seeded,
     deterministic client faults (dropout / straggler / flaky-with-retry);
     ``client_timeout`` bounds how long the synchronous server waits
-    (timed-out clients are dropped), ``max_client_retries`` bounds flaky
+    (timed-out clients are dropped — judged on each method's pre-training
+    cost model, which every shipped method has; an experiment without
+    one refuses the field at construction), ``max_client_retries`` bounds flaky
     retries, and a round whose surviving cohort falls below
     ``min_clients_per_round`` aborts deterministically (no training, an
     ``aborted`` history record).
@@ -398,8 +403,19 @@ class AsyncRoundContext:
     extra: Dict[str, Any] = field(default_factory=dict)
 
 
-class FederatedExperiment(ABC):
-    """Base class running the communication-round loop on a simulated clock."""
+class FederatedExperiment:
+    """Base class running the communication-round loop on a simulated clock.
+
+    An algorithm is stated **once**, as the ``async_*`` hook surface
+    (work unit, pre-training costs, weights, merge rule).  The
+    cross-round pipeline replays those hooks event by event; the
+    synchronous round (:meth:`run_round`) is the same statement with a
+    single staleness-0 merge event over the whole cohort, whose mixing
+    rate is exactly 1 — so ``max_staleness=0, pipeline_depth=1 ≡ sync`` is
+    an identity, not a coincidence.  Experiments whose server step is not
+    a per-update merge (FedDF/FedET distillation, FedProphet's cascade)
+    override :meth:`run_round` instead.
+    """
 
     name = "base"
     #: Whether this algorithm's aggregation rule has an asynchronous,
@@ -440,6 +456,7 @@ class FederatedExperiment(ABC):
         self.global_model = model_builder(np.random.default_rng(config.seed + 7))
         self.device_sampler = device_sampler
         self.latency_model = latency_model if latency_model is not None else LatencyModel()
+        self.mem = MemoryModel(batch_size=config.batch_size)
 
         # seed + 13 is the historical partition stream: the "partition"
         # scheme reproduces the pre-engine eager shards bit for bit.
@@ -463,6 +480,25 @@ class FederatedExperiment(ABC):
         self.total_access_s = 0.0
         self.history: List[RoundRecord] = []
 
+        cls, base = type(self), FederatedExperiment
+        if cls.run_round is base.run_round and cls.async_client_fn is base.async_client_fn:
+            raise TypeError(
+                f"{cls.__name__} states no algorithm: implement the async_* "
+                f"hooks (async_client_fn, async_client_costs; the default "
+                f"run_round derives the synchronous round from them) or "
+                f"override run_round"
+            )
+        if (
+            config.client_timeout is not None
+            and cls.fault_client_costs is base.fault_client_costs
+            and cls.async_client_costs is base.async_client_costs
+        ):
+            raise ValueError(
+                f"{cls.__name__} has no pre-training cost model "
+                f"(async_client_costs / fault_client_costs), so client_timeout="
+                f"{config.client_timeout!r} could never drop a client; set "
+                f"client_timeout=None"
+            )
         if config.aggregation_mode == "async" and not self.supports_async_aggregation:
             raise ValueError(
                 f"{type(self).__name__} does not support "
@@ -591,23 +627,6 @@ class FederatedExperiment(ABC):
             return model
 
     # -- per-round helpers ---------------------------------------------------
-    def _assert_sync_round(self) -> None:
-        """Guard for synchronous ``run_round`` implementations.
-
-        Under ``aggregation_mode="async"`` rounds are dispatched by
-        :meth:`run` through the cross-round pipeline; calling a
-        barrier-style ``run_round`` directly would silently perform
-        synchronous aggregation with the async config ignored, so it
-        fails loudly instead.  (FedProphet's ``run_round`` handles async
-        itself and does not use this guard.)
-        """
-        if self.config.aggregation_mode == "async":
-            raise RuntimeError(
-                f"{type(self).__name__}.run_round is the synchronous path; "
-                f"aggregation_mode='async' rounds are driven by run() "
-                f"through the cross-round pipeline"
-            )
-
     def lr_at(self, round_idx: int) -> float:
         return self.config.lr * (self.config.lr_decay**round_idx)
 
@@ -728,20 +747,15 @@ class FederatedExperiment(ABC):
         round_idx: int,
         clients: List[FLClient],
         states: List[Optional[DeviceState]],
-    ) -> Optional[List[Optional[float]]]:
-        """Best-effort per-client latency estimate for ``client_timeout``.
+    ) -> List[float]:
+        """Per-client latency estimate (total seconds) for ``client_timeout``.
 
-        Total simulated seconds per sampled client, *before* training
-        (the timeout decision must be pure).  Defaults to
-        :meth:`async_client_costs` when the experiment implements it;
-        experiments without a pre-training cost model return None and the
-        timeout check is skipped.
+        Computed for the *sampled* cohort before anybody trains or drops
+        (the timeout decision must be pure); defaults to
+        :meth:`async_client_costs`.  An experiment with neither is refused
+        at construction when ``client_timeout`` is set.
         """
-        try:
-            costs = self.async_client_costs(round_idx, clients, states)
-        except NotImplementedError:
-            return None
-        return [c.total_s for c in costs]
+        return [c.total_s for c in self.async_client_costs(round_idx, clients, states)]
 
     def _fault_aborted(self) -> bool:
         """Whether the fault plan aborted the round just sampled."""
@@ -937,26 +951,107 @@ class FederatedExperiment(ABC):
             return None
 
     # -- main loop -------------------------------------------------------------
-    @abstractmethod
+    def _round_context(
+        self,
+        round_idx: int,
+        clients: List[FLClient],
+        states: List[Optional[DeviceState]],
+        costs: List[LocalTrainingCost],
+    ) -> AsyncRoundContext:
+        """What the merge rule may read about a round, fixed before training."""
+        weights = self.async_client_weights(clients, states)
+        return AsyncRoundContext(
+            round_idx=round_idx,
+            clients=clients,
+            states=states,
+            costs=costs,
+            weights=weights,
+            round_weight=float(sum(weights)),
+            extra=self.async_round_extra(round_idx, clients, states),
+        )
+
     def run_round(
         self,
         round_idx: int,
         clients: List[FLClient],
         states: List[Optional[DeviceState]],
     ) -> List[LocalTrainingCost]:
-        """Run one communication round; return per-client latency costs."""
+        """Run one synchronous round; return per-client latency costs.
 
-    # -- asynchronous aggregation hooks ----------------------------------------
-    # Experiments that set ``supports_async_aggregation`` and use the
-    # generic run loop implement this surface; the cross-round pipeline in
-    # :meth:`_run_async` drives it.  Every hook must be a pure function of
-    # its inputs (plus counter-derived RNGs) so the merge replay stays
-    # bit-identical across backends and worker counts.
+        The default is the ``async_*`` hook surface with the whole cohort
+        as **one** staleness-0 merge event: its mixing rate is
+        ``round weight / round weight = 1.0``, so ``blend_into`` replaces
+        and the merge rule is exactly its synchronous form (FedAvg, dual-BN
+        propagation, masked partial average).  Under
+        ``aggregation_mode="async"`` rounds are dispatched by :meth:`run`
+        through the cross-round pipeline; a direct call would silently
+        aggregate synchronously, so it fails loudly instead.
+        """
+        if self.config.aggregation_mode == "async":
+            raise RuntimeError(
+                f"{type(self).__name__}.run_round is the synchronous path; "
+                f"aggregation_mode='async' rounds are driven by run() "
+                f"through the cross-round pipeline"
+            )
+        costs = self.async_client_costs(round_idx, clients, states)
+        ctx = self._round_context(round_idx, clients, states, costs)
+        server = self.async_server_state()
+        updates = self.scheduler.run_group(
+            "train",
+            self._threat_wrap(
+                round_idx, self.async_client_fn(round_idx, server), server
+            ),
+            list(zip(clients, states)),
+        )
+        self.async_merge_event(
+            server, ctx, list(range(len(clients))), updates, staleness=0
+        )
+        self.async_finalize(server)
+        return costs
+
+    def _model_costs(
+        self, model: CascadeModel, pgd_steps: Optional[int] = None
+    ) -> Tuple[float, float, Callable[[Optional[DeviceState]], LocalTrainingCost]]:
+        """``(flops_per_iter, mem_req_bytes, cost_fn)`` for clients training ``model``.
+
+        ``cost_fn(device_state)`` is the simulated latency of
+        ``local_iters`` PGD-``pgd_steps`` iterations (default: the
+        config's ``train_pgd_steps``) of ``model`` on that device — pure
+        arithmetic over the device state; without a device sampler
+        (``None`` state) a client costs nothing.
+        """
+        cfg = self.config
+        steps = cfg.train_pgd_steps if pgd_steps is None else pgd_steps
+        mem_req = self.mem.bytes_for(model, model.in_shape)
+        flops = training_flops_per_iteration(
+            model, model.in_shape, batch_size=cfg.batch_size, pgd_steps=steps
+        )
+
+        def cost(state: Optional[DeviceState]) -> LocalTrainingCost:
+            if state is None:
+                return LocalTrainingCost(0.0, 0.0)
+            return self.latency_model.local_training_cost(
+                state,
+                training_flops=flops,
+                mem_req_bytes=mem_req,
+                iterations=cfg.local_iters,
+                pgd_steps=steps,
+            )
+
+        return flops, mem_req, cost
+
+    # -- aggregation hooks: the one statement of an algorithm -------------------
+    # Experiments on the generic run loop implement this surface; the
+    # default :meth:`run_round` drives it with one staleness-0 event and
+    # the cross-round pipeline in :meth:`_run_async` event by event.  Every
+    # hook must be a pure function of its inputs (plus counter-derived
+    # RNGs) so the merge replay stays bit-identical across backends and
+    # worker counts.
 
     def async_client_fn(
         self, round_idx: int, base_state: Dict[str, np.ndarray]
     ) -> Callable:
-        """The slot-aware work unit for one async round's clients.
+        """The slot-aware work unit for one round's clients (sync and async).
 
         ``base_state`` is a private copy of the server state at the
         round's base version; the returned ``fn(item, slot)`` must
@@ -965,8 +1060,7 @@ class FederatedExperiment(ABC):
         and return the client's update.
         """
         raise NotImplementedError(
-            f"{type(self).__name__} declares supports_async_aggregation but "
-            f"implements no async_client_fn"
+            f"{type(self).__name__} implements no async_client_fn"
         )
 
     def async_client_costs(
@@ -979,11 +1073,11 @@ class FederatedExperiment(ABC):
 
         Pure arithmetic over the device states: the pipeline needs the
         costs up front to fix arrival order, merge schedule, and dispatch
-        times.
+        times; the synchronous round clocks its barrier with them and
+        ``client_timeout`` drops on them (:meth:`fault_client_costs`).
         """
         raise NotImplementedError(
-            f"{type(self).__name__} declares supports_async_aggregation but "
-            f"implements no async_client_costs"
+            f"{type(self).__name__} implements no async_client_costs"
         )
 
     def async_client_weights(
@@ -1177,34 +1271,15 @@ class FederatedExperiment(ABC):
             compute, access = cumulative_cost(t)
             self.total_compute_s = max(self.total_compute_s, compute)
             self.total_access_s = max(self.total_access_s, access)
-            record = RoundRecord(
-                round=t,
-                sim_time_s=drain,
-                compute_s=compute,
-                access_s=access,
-            )
-            if cfg.eval_every and (t + 1) % cfg.eval_every == 0:
-                if self.overlap_active:
-                    self._drain_overlapped_eval(verbose)
-                    # round_complete only runs from inside pipeline calls,
-                    # so the late-bound `pipeline` is always constructed.
-                    self._submit_overlapped_eval(
-                        record, state=server, version=pipeline.version
-                    )
-                else:
-                    self.global_model.load_state_dict(server)
-                    record.eval = self.evaluate()
-                    self._journal_eval(record)
-                    if verbose:  # pragma: no cover - console reporting
-                        self._print_eval(record)
-            self.history.append(record)
-            self._jlog(
-                "round",
-                round=t,
-                sim_time_s=record.sim_time_s,
-                compute_s=record.compute_s,
-                access_s=record.access_s,
-                aborted=False,
+            # round_complete only runs from inside pipeline calls, so the
+            # late-bound `pipeline` is always constructed.
+            self._complete_round(
+                RoundRecord(
+                    round=t, sim_time_s=drain, compute_s=compute, access_s=access
+                ),
+                verbose,
+                server=server,
+                version=pipeline.version,
             )
             if self._metrics is not None:
                 self._metrics.update_pipeline(pipeline.stats())
@@ -1231,16 +1306,7 @@ class FederatedExperiment(ABC):
                 costs = self.async_client_costs(t, clients, states)
                 if faults is not None:
                     costs = faults.scale_costs(costs)
-                weights = self.async_client_weights(clients, states)
-                ctx = AsyncRoundContext(
-                    round_idx=t,
-                    clients=clients,
-                    states=states,
-                    costs=costs,
-                    weights=weights,
-                    round_weight=float(sum(weights)),
-                    extra=self.async_round_extra(t, clients, states),
-                )
+                ctx = self._round_context(t, clients, states, costs)
                 bottlenecks[t] = (
                     max(costs, key=lambda c: c.total_s) if costs else None
                 )
@@ -1761,6 +1827,44 @@ class FederatedExperiment(ABC):
         self._jlog("run_end", rounds=rounds, clock_s=self.clock_s)
         return records
 
+    def _complete_round(
+        self,
+        record: RoundRecord,
+        verbose: bool,
+        server: Optional[Dict[str, np.ndarray]] = None,
+        version: Optional[int] = None,
+    ) -> None:
+        """Evaluate (or overlap) a finished round, then record and journal it.
+
+        The one round-completion of both run loops.  ``server`` is the
+        async pipeline's merged state (it never lives in the global model
+        until an eval or the end of the run needs it there) and
+        ``version`` its merge-event count, naming the published snapshot.
+        """
+        cfg = self.config
+        if cfg.eval_every and (record.round + 1) % cfg.eval_every == 0:
+            if self.overlap_active:
+                # Double buffer: at most one eval in flight — resolve
+                # round r-k's shards before publishing round r's.
+                self._drain_overlapped_eval(verbose)
+                self._submit_overlapped_eval(record, state=server, version=version)
+            else:
+                if server is not None:
+                    self.global_model.load_state_dict(server)
+                record.eval = self.evaluate()
+                self._journal_eval(record)
+                if verbose:  # pragma: no cover - console reporting
+                    self._print_eval(record)
+        self.history.append(record)
+        self._jlog(
+            "round",
+            round=record.round,
+            sim_time_s=record.sim_time_s,
+            compute_s=record.compute_s,
+            access_s=record.access_s,
+            aborted=False,
+        )
+
     def _run_sync(self, rounds: int, verbose: bool = False) -> List[RoundRecord]:
         cfg = self.config
         start = self._resume_round
@@ -1777,31 +1881,14 @@ class FederatedExperiment(ABC):
             else:
                 self.advance_clock(costs)
                 self._jlog_agg(t)
-                record = RoundRecord(
-                    round=t,
-                    sim_time_s=self.clock_s,
-                    compute_s=self.total_compute_s,
-                    access_s=self.total_access_s,
-                )
-                if cfg.eval_every and (t + 1) % cfg.eval_every == 0:
-                    if self.overlap_active:
-                        # Double buffer: at most one eval in flight — resolve
-                        # round r-k's shards before publishing round r's.
-                        self._drain_overlapped_eval(verbose)
-                        self._submit_overlapped_eval(record)
-                    else:
-                        record.eval = self.evaluate()
-                        self._journal_eval(record)
-                        if verbose:  # pragma: no cover - console reporting
-                            self._print_eval(record)
-                self.history.append(record)
-                self._jlog(
-                    "round",
-                    round=t,
-                    sim_time_s=record.sim_time_s,
-                    compute_s=record.compute_s,
-                    access_s=record.access_s,
-                    aborted=False,
+                self._complete_round(
+                    RoundRecord(
+                        round=t,
+                        sim_time_s=self.clock_s,
+                        compute_s=self.total_compute_s,
+                        access_s=self.total_access_s,
+                    ),
+                    verbose,
                 )
             if cfg.checkpoint_every and (t + 1) % cfg.checkpoint_every == 0:
                 self._write_checkpoint(t + 1)

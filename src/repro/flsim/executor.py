@@ -4,7 +4,7 @@ Clients within a federated round are embarrassingly parallel — each one's
 local training is a pure function of (round-start global state, its local
 shard, its own counter-derived RNG) — yet the seed ran them strictly
 sequentially.  :class:`RoundExecutor` turns the per-client loop of every
-``run_round`` into independent work units executed by one of three
+``run_round`` into independent work units executed by one of four
 backends:
 
 * ``serial``  — the reference path: a plain loop in the caller's thread;
@@ -252,13 +252,15 @@ class RoundExecutor:
         Items are striped over workers (worker ``w`` handles items
         ``w, w + W, ...``), so the assignment of items to slots is a pure
         function of the item index and the worker count.  Any work-unit
-        exception propagates to the caller.
+        exception propagates to the caller.  ``map`` never fuses: a
+        :class:`CohortFn` runs per item here — cohort dispatch lives in
+        :class:`~repro.flsim.scheduler.FLScheduler`, which every training
+        round goes through (``map`` serves the fork regions and the
+        barrier eval path, both with plain functions).
         """
         items = list(items)
         if not items:
             return []
-        if self.backend == "batched" and isinstance(fn, CohortFn):
-            return self._map_batched(fn, items)
         if self.backend == "serial" or self.workers_for(len(items)) == 1:
             return [fn(item, 0) for item in items]
         if self.backend in ("thread", "batched"):
@@ -273,32 +275,6 @@ class RoundExecutor:
         def run_stripe(w: int) -> None:
             for i in range(w, len(items), num_workers):
                 results[i] = fn(items[i], w)
-
-        futures = [self.thread_pool.submit(run_stripe, w) for w in range(num_workers)]
-        for future in futures:
-            future.result()
-        return results
-
-    def _map_batched(self, fn: CohortFn, items: List[Any]) -> List[Any]:
-        cohorts = self.plan_cohorts(fn, items)
-        results: List[Any] = [None] * len(items)
-
-        def run_cohort(idxs: List[int], slot: int) -> None:
-            if len(idxs) == 1:
-                results[idxs[0]] = fn(items[idxs[0]], slot)
-                return
-            for i, result in zip(idxs, fn.run_cohort([items[i] for i in idxs], slot)):
-                results[i] = result
-
-        num_workers = self.workers_for(len(cohorts))
-        if num_workers == 1:
-            for idxs in cohorts:
-                run_cohort(idxs, 0)
-            return results
-
-        def run_stripe(w: int) -> None:
-            for j in range(w, len(cohorts), num_workers):
-                run_cohort(cohorts[j], w)
 
         futures = [self.thread_pool.submit(run_stripe, w) for w in range(num_workers)]
         for future in futures:

@@ -30,13 +30,16 @@ snapshot, so the slot only selects a private model workspace, never an
 input.  Groups with different tags may run concurrently; callers back
 them with disjoint workspaces (train replicas vs. eval replicas).
 
-Backend mapping:
+Backend mapping — one launch path: every group is a list of *cohorts*
+(a plain function is a group of width-1 cohorts; a
+:class:`~repro.flsim.executor.CohortFn` on ``batched`` fuses per
+``plan_cohorts``), and a cohort is the unit handed to a worker:
 
-* ``thread``  — tasks go to the executor's persistent
-  :class:`~concurrent.futures.ThreadPoolExecutor`; true streaming and
-  cross-phase overlap.
-* ``serial``  — tasks run eagerly, inline, at launch; streaming
-  degenerates to input order.
+* ``thread`` / ``batched`` — one task per cohort on the executor's
+  persistent :class:`~concurrent.futures.ThreadPoolExecutor`; true
+  streaming and cross-phase overlap.
+* ``serial`` (and any one-worker pool) — cohorts run eagerly, inline, at
+  launch; streaming degenerates to input order.
 * ``process`` — the group executes as one ``RoundExecutor.map`` fork
   region at launch (the fork is the snapshot; children cannot outlive the
   phase), completing atomically.  Cross-phase overlap needs the thread
@@ -270,27 +273,21 @@ class FLScheduler:
         items: List[Any],
         slot_pool: Optional[SlotPool] = None,
     ) -> None:
-        if self.executor.backend == "batched" and isinstance(fn, CohortFn):
-            self._launch_batched(group, fn, items, slot_pool)
-            return
-        if (
-            self.executor.backend in ("thread", "batched")
-            and self.executor.max_workers > 1
-        ):
-            slots = (
-                slot_pool
-                if slot_pool is not None
-                else SlotPool(self.executor.workers_for(len(items)))
-            )
-            pool = self.executor.thread_pool
-            for i, item in enumerate(items):
-                pool.submit(self._run_task, group, fn, i, item, slots)
-            return
-        if self.executor.backend == "process" and self.executor.forks_for(len(items)):
+        """Run a group as cohorts: the one launch path of every backend.
+
+        A plain function is a group of width-1 cohorts; a
+        :class:`CohortFn` on the ``batched`` backend fuses per
+        :meth:`RoundExecutor.plan_cohorts` (planned per group, so the
+        async pipeline's per-round groups never fuse clients across base
+        versions).  Cohorts go to the persistent pool — one task and one
+        leased slot per cohort — or run inline, failing fast.
+        """
+        executor = self.executor
+        if executor.forks_for(len(items)):
             # One fork region per group: barrier within the group (children
             # must not outlive the phase), deps still honoured at launch.
             try:
-                results = self.executor.map(fn, items)
+                results = executor.map(fn, items)
             except BaseException as error:  # propagate through the group
                 for i in range(len(items)):
                     group._complete(i, None, error)
@@ -298,55 +295,29 @@ class FLScheduler:
             for i, result in enumerate(results):
                 group._complete(i, result, None)
             return
-        for i, item in enumerate(items):  # serial (and 1-worker fallbacks)
-            try:
-                result = fn(item, 0)
-            except BaseException as error:
-                group._complete(i, None, error)
-                # eager inline dispatch: a failure aborts the rest of the
-                # group, mirroring the serial map's fail-fast behaviour
-                for j in range(i + 1, len(items)):
-                    group._complete(j, None, error)
-                return
-            group._complete(i, result, None)
-
-    def _launch_batched(
-        self,
-        group: TaskGroup,
-        fn: CohortFn,
-        items: List[Any],
-        slot_pool: Optional[SlotPool] = None,
-    ) -> None:
-        """Dispatch a group as fusion cohorts (the ``batched`` backend).
-
-        One pool task per cohort: the cohort leases a single slot, runs the
-        stacked forward/backward, and completes every member index —
-        cohorts are planned per group, so the async pipeline's per-round
-        groups never fuse clients across base versions.
-        """
-        cohorts = self.executor.plan_cohorts(fn, items)
-        if self.executor.max_workers > 1:
+        if executor.backend == "batched" and isinstance(fn, CohortFn):
+            cohorts = executor.plan_cohorts(fn, items)
+        else:
+            cohorts = [[i] for i in range(len(items))]
+        if executor.pooled:
             slots = (
                 slot_pool
                 if slot_pool is not None
-                else SlotPool(self.executor.workers_for(len(items)))
+                else SlotPool(executor.workers_for(len(items)))
             )
-            pool = self.executor.thread_pool
             for idxs in cohorts:
-                pool.submit(
-                    self._run_cohort_task,
-                    group,
-                    fn,
-                    idxs,
-                    [items[i] for i in idxs],
-                    slots,
+                executor.thread_pool.submit(
+                    self._run_cohort_task, group, fn, idxs,
+                    [items[i] for i in idxs], slots,
                 )
             return
-        done = [False] * len(items)  # inline 1-worker path, fail fast
+        done = [False] * len(items)  # serial (and 1-worker fallbacks)
         for idxs in cohorts:
             try:
                 results = self._cohort_results(fn, idxs, [items[i] for i in idxs], 0)
             except BaseException as error:
+                # eager inline dispatch: a failure aborts the rest of the
+                # group, mirroring the serial map's fail-fast behaviour
                 for i in range(len(items)):
                     if not done[i]:
                         group._complete(i, None, error)
@@ -357,7 +328,7 @@ class FLScheduler:
 
     @staticmethod
     def _cohort_results(
-        fn: CohortFn, idxs: List[int], cohort_items: List[Any], slot: int
+        fn, idxs: List[int], cohort_items: List[Any], slot: int
     ) -> List[Any]:
         if len(idxs) == 1:
             return [fn(cohort_items[0], slot)]
@@ -372,7 +343,7 @@ class FLScheduler:
     @staticmethod
     def _run_cohort_task(
         group: TaskGroup,
-        fn: CohortFn,
+        fn,
         idxs: List[int],
         cohort_items: List[Any],
         slots: SlotPool,
@@ -387,18 +358,6 @@ class FLScheduler:
                 return
             for i, result in zip(idxs, results):
                 group._complete(i, result, None)
-        finally:
-            slots.release(slot)
-
-    @staticmethod
-    def _run_task(group: TaskGroup, fn, index: int, item: Any, slots: SlotPool) -> None:
-        slot = slots.acquire()
-        try:
-            result = fn(item, slot)
-        except BaseException as error:
-            group._complete(index, None, error)
-        else:
-            group._complete(index, result, None)
         finally:
             slots.release(slot)
 

@@ -295,11 +295,6 @@ class ThreatPlan:
                             item, base, round_idx, cid
                         )
                         break
-                    if isinstance(item, (tuple, list)):
-                        items[i] = self.poison_update(
-                            item, base, round_idx, cid
-                        )
-                        break
             return type(update)(items) if isinstance(update, tuple) else items
         return update
 

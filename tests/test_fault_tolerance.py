@@ -26,7 +26,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.baselines import JointFAT
+from repro.baselines import FedDFAT, FedETAT, JointFAT
 from repro.core import FedProphet, FedProphetConfig
 from repro.data import make_cifar10_like
 from repro.flsim import (
@@ -38,6 +38,7 @@ from repro.flsim import (
     RunJournal,
     read_checkpoint,
 )
+from repro.flsim.base import FederatedExperiment
 from repro.hardware import DeviceSampler, device_pool
 from repro.models import build_cnn
 
@@ -504,6 +505,52 @@ class TestFaultInjection:
         assert all(rec.aborted for rec in history)
         # The synchronous server waits out client_timeout per aborted round.
         assert exp.clock_s == pytest.approx(1e-4 * len(history))
+
+    @pytest.mark.parametrize("method", ["fedprophet", "feddf-at", "fedet-at"])
+    def test_every_cost_model_honours_client_timeout(self, method):
+        # Before PR 15 these methods reported "no estimate", so the timeout
+        # check was skipped and every round trained straight through it.
+        kw = dict(
+            fault_plan=FaultPlan(seed=0, straggler_prob=1.0),
+            client_timeout=1e-9, rounds=2,
+        )
+        if method == "fedprophet":
+            exp = FedProphet(
+                _task(), _builder, _cfg(FedProphetConfig, **kw),
+                device_sampler=_sampler(),
+            )
+        else:
+            family = {
+                "small": lambda rng: build_cnn(3, 10, (3, 8, 8), base_channels=2, rng=rng),
+                "large": _builder,
+            }
+            cls = FedDFAT if method == "feddf-at" else FedETAT
+            exp = cls(
+                _task(), family, _cfg(**kw),
+                device_sampler=_sampler(), distill_iters=2,
+            )
+        before = _state(exp)
+        history = exp.run()
+        exp.close()
+        assert [rec.aborted for rec in history] == [True, True]
+        assert exp.clock_s == pytest.approx(2e-9)
+        _assert_states_equal(before, _state(exp))
+
+    def test_client_timeout_without_cost_model_refused(self):
+        class NoCostModel(FederatedExperiment):
+            def run_round(self, round_idx, clients, states):
+                return []
+
+        NoCostModel(_task(), _builder, _cfg())  # fine without a timeout
+        with pytest.raises(ValueError, match="no pre-training cost model"):
+            NoCostModel(_task(), _builder, _cfg(client_timeout=1.0))
+
+    def test_experiment_without_an_algorithm_refused(self):
+        class Nothing(FederatedExperiment):
+            pass
+
+        with pytest.raises(TypeError, match="run_round.*async_client_fn|async_client_fn.*run_round"):
+            Nothing(_task(), _builder, _cfg())
 
     def test_faults_compose_with_resume(self, tmp_path):
         mode = dict(aggregation_mode="async", max_staleness=2, pipeline_depth=2)

@@ -25,6 +25,7 @@ from repro.data import make_cifar10_like
 from repro.flsim import FLConfig
 from repro.flsim.executor import CohortFn, RoundExecutor
 from repro.flsim.faults import FaultPlan
+from repro.flsim.scheduler import FLScheduler
 from repro.flsim.threats import ThreatPlan
 from repro.hardware import DEVICE_POOL_CIFAR10, DeviceSampler
 from repro.models import build_cnn, build_vgg
@@ -219,13 +220,15 @@ class TestCohortPlanning:
         assert ex.map(lambda i, s: i * i, list(range(5))) == [0, 1, 4, 9, 16]
 
     def test_map_preserves_item_order(self):
+        # Cohort dispatch lives in the scheduler (RoundExecutor.map never
+        # fuses), so the barrier view is FLScheduler.run_group.
         ex = RoundExecutor("batched", max_workers=1, fusion_width=3)
         fn = CohortFn(
             lambda i, s: ("item", i),
             lambda items, s: [("cohort", i) for i in items],
             group_key=lambda i: None if i in (1, 4) else "g",
         )
-        out = ex.map(fn, list(range(6)))
+        out = FLScheduler(ex).run_group("t", fn, list(range(6)))
         assert [v[1] for v in out] == list(range(6))
         assert out[1][0] == "item" and out[4][0] == "item"
         assert out[0][0] == "cohort"

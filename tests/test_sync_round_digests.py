@@ -1,0 +1,165 @@
+"""Synchronous rounds pinned against digests recorded *before* PR 15.
+
+PR 15 deleted the barrier ``run_round`` of jFAT, FedRBN and the
+partial-training family: their synchronous round is now the base class's
+default — one staleness-0 merge event driven through the ``async_*``
+hooks.  ``tests/data/sync_round_digests.json`` holds what the hand-written
+barrier rounds produced at the parent commit (8c9150b) for the 40
+configurations spelled out below; every case must keep reproducing it bit
+for bit (weights, simulated clock, cumulative compute, abort pattern).
+
+``tests/data/sync_jfat_faults_median.jsonl`` is a journal the parent's
+sync jFAT loop wrote (faults + median aggregation); it must still verify
+under :func:`repro.flsim.replay.replay_run`.
+
+Re-record (only from a commit whose behaviour is the reference) with
+``PYTHONPATH=src python tests/test_sync_round_digests.py``.
+"""
+
+import hashlib
+import json
+import os
+
+import numpy as np
+import pytest
+
+from repro.baselines import FedDropAT, FedRBN, FedRolexAT, HeteroFLAT, JointFAT
+from repro.data import make_cifar10_like
+from repro.flsim import FLConfig
+from repro.flsim.faults import FaultPlan
+from repro.flsim.replay import replay_run
+from repro.flsim.threats import ThreatPlan
+from repro.hardware import Device, DeviceSampler
+from repro.hardware.memory import MemoryModel
+from repro.models import build_cnn, build_vgg
+from repro.nn import DualBatchNorm2d
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+DIGESTS = os.path.join(DATA, "sync_round_digests.json")
+JOURNAL = os.path.join(DATA, "sync_jfat_faults_median.jsonl")
+
+
+def _vgg(rng, **kw):
+    return build_vgg("vgg11", 10, (3, 8, 8), width_mult=0.25, rng=rng, **kw)
+
+
+def _cnn(rng):
+    return build_cnn(3, 10, (3, 8, 8), base_channels=4, rng=rng)
+
+
+METHODS = {
+    "jfat": (JointFAT, _vgg),
+    "fedrbn": (FedRBN, lambda rng: _vgg(rng, bn_cls=DualBatchNorm2d)),
+    "heterofl": (HeteroFLAT, _cnn),
+    "feddrop": (FedDropAT, _cnn),
+    "fedrolex": (FedRolexAT, _cnn),
+}
+HETEROGENEITY = ("balanced", "unbalanced")
+ENGINES = {
+    "serial": dict(executor_backend="serial"),
+    "batched": dict(executor_backend="batched", fusion_width=4, round_parallelism=2),
+}
+FAULTS = FaultPlan(seed=10, dropout_prob=0.2, straggler_prob=0.2)
+SCENARIOS = {
+    "fedavg_faults": dict(fault_plan=FAULTS),
+    "median_faults_signflip": dict(
+        fault_plan=FAULTS,
+        aggregation_rule="median",
+        threat_plan=ThreatPlan(seed=7, byzantine_prob=0.3, attack="sign_flip"),
+    ),
+}
+CASES = [
+    (method, het, engine, scenario)
+    for method in METHODS
+    for het in HETEROGENEITY
+    for engine in ENGINES
+    for scenario in SCENARIOS
+]
+
+
+def _pool(builder):
+    """Devices whose memory brackets the model's training footprint.
+
+    Available memory is ``mem * U(0, 0.2)``, so this pool spreads clients
+    over the whole regime the baselines branch on: jFAT swaps, FedRBN mixes
+    AT and standard-training clients, the partial family slices at widths
+    from ``min_ratio`` to 1.
+    """
+    model = builder(np.random.default_rng(0))
+    r_max_gb = MemoryModel(batch_size=8).bytes_for(model, model.in_shape) / 1024**3
+    return [
+        Device("small", 0.5, 2 * r_max_gb, 2),
+        Device("mid", 1.0, 5 * r_max_gb, 4),
+        Device("large", 3.0, 12 * r_max_gb, 16),
+    ]
+
+
+def _experiment(method, het, engine, scenario, **overrides):
+    cls, builder = METHODS[method]
+    cfg = FLConfig(
+        num_clients=6, clients_per_round=5, local_iters=2, batch_size=8,
+        lr=0.02, rounds=3, train_pgd_steps=2, eval_every=0, eval_pgd_steps=2,
+        seed=0, min_clients_per_round=4,
+        **ENGINES[engine], **SCENARIOS[scenario], **overrides,
+    )
+    task = make_cifar10_like(
+        image_size=8, train_per_class=20, test_per_class=5, seed=0
+    )
+    return cls(task, builder, cfg, device_sampler=DeviceSampler(_pool(builder), het))
+
+
+def _digest(method, het, engine, scenario):
+    with _experiment(method, het, engine, scenario) as exp:
+        history = exp.run()
+        sha = hashlib.sha256()
+        for key, value in sorted(exp.global_model.state_dict().items()):
+            sha.update(key.encode())
+            sha.update(np.ascontiguousarray(value).tobytes())
+        return {
+            "weights_sha256": sha.hexdigest(),
+            "clock_s": exp.clock_s.hex(),
+            "total_compute_s": exp.total_compute_s.hex(),
+            "aborted": [r.aborted for r in history],
+        }
+
+
+def _case_id(case):
+    return "-".join(case)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        pytest.param(
+            case,
+            id=_case_id(case),
+            marks=[pytest.mark.slow] if case[2] == "batched" else [],
+        )
+        for case in CASES
+    ],
+)
+def test_sync_round_matches_parent_digest(case):
+    with open(DIGESTS, encoding="utf-8") as fh:
+        recorded = json.load(fh)
+    assert _digest(*case) == recorded[_case_id(case)]
+
+
+def _journal_experiment(journal_path=None):
+    return _experiment(
+        "jfat", "unbalanced", "serial", "median_faults_signflip",
+        journal_path=journal_path,
+    )
+
+
+def test_parent_sync_journal_still_replays():
+    report = replay_run(JOURNAL, _journal_experiment)
+    assert report.rounds == 3
+    assert report.merges == 0  # a sync journal: agg events, no merge events
+
+
+if __name__ == "__main__":
+    with open(DIGESTS, "w", encoding="utf-8") as fh:
+        json.dump({_case_id(c): _digest(*c) for c in CASES}, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    with _journal_experiment(JOURNAL) as exp:
+        exp.run()
