@@ -254,13 +254,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-per-class", type=int, default=80)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--executor", default="serial",
-                   choices=["serial", "thread", "process", "batched"],
+                   choices=["serial", "thread", "process"],
                    help="round execution backend (bit-identical results); "
-                        "batched additionally fuses homogeneous clients "
-                        "into stacked cohorts (see --fusion-width)")
-    p.add_argument("--fusion-width", type=int, default=4,
-                   help="batched executor: max clients fused into one "
-                        "stacked cohort (default 4; 1 disables fusion)")
+                        "every backend fuses homogeneous clients into "
+                        "stacked cohorts (see --fusion-width)")
+    p.add_argument("--fusion-width", type=int, default=8,
+                   help="every backend: max clients fused into one "
+                        "stacked cohort (default 8; 1 disables fusion)")
     p.add_argument("--round-parallelism", "--parallelism", dest="round_parallelism",
                    type=int, default=None,
                    help="worker cap for the round execution engine "

@@ -203,7 +203,7 @@ class PrefixCache:
         forward_fn: Callable[[np.ndarray], np.ndarray],
         num_samples_list,
     ):
-        """K clients' prefix features with one fused forward (batched backend).
+        """K clients' prefix features with one fused forward (fusion cohorts).
 
         The client-batched executor concatenates K per-client batches into
         a single ``(K·B, ...)`` stack; this fetch mirrors that: it collects

@@ -21,7 +21,12 @@ from repro.attacks import ModelWithLoss
 from repro.data.dataset import ArrayDataset
 from repro.data.synthetic import SyntheticImageTask
 from repro.flsim.eval_executor import EvalExecutor, EvalTarget, PendingEval
-from repro.flsim.executor import BACKENDS, CohortFn, RoundExecutor
+from repro.flsim.executor import (
+    BACKENDS,
+    DEFAULT_FUSION_WIDTH,
+    CohortFn,
+    RoundExecutor,
+)
 from repro.flsim.aggregation import AggregationError
 from repro.flsim.faults import FaultPlan, RoundFaults
 from repro.flsim.journal import JournalError, RunJournal
@@ -52,14 +57,13 @@ class FLConfig:
     ``executor_backend`` / ``round_parallelism`` select the round execution
     engine (:class:`repro.flsim.executor.RoundExecutor`): clients within a
     round train as independent work units on ``serial`` (default),
-    ``thread``, ``process``, or ``batched`` workers, with bit-identical
-    results across backends.  ``round_parallelism`` caps the worker count
-    (None: one per CPU core).  The ``batched`` backend fuses homogeneous
-    clients into stacked cohorts of at most ``fusion_width`` (per-client
-    weight slabs against a ``(K·B, ...)`` activation layout — see
-    :mod:`repro.nn.cohort`); heterogeneous clients fall back to the
-    thread path per group, and cohorts still spread over the persistent
-    thread pool.
+    ``thread``, or ``process`` workers, with bit-identical results across
+    backends.  ``round_parallelism`` caps the worker count (None: one per
+    CPU core).  On every backend homogeneous clients fuse into stacked
+    cohorts of at most ``fusion_width`` (per-client weight slabs against
+    a ``(K·B, ...)`` activation layout — see :mod:`repro.nn.cohort`);
+    heterogeneous clients run per item, and ``fusion_width=1`` disables
+    fusion (the bit-identical per-item reference path).
 
     ``eval_backend`` / ``eval_parallelism`` configure the sharded
     evaluation engine (:class:`repro.flsim.eval_executor.EvalExecutor`)
@@ -184,7 +188,7 @@ class FLConfig:
     seed: int = 0
     executor_backend: str = "serial"
     round_parallelism: Optional[int] = None
-    fusion_width: int = 4
+    fusion_width: int = DEFAULT_FUSION_WIDTH
     eval_backend: Optional[str] = None
     eval_parallelism: Optional[int] = None
     aggregation_mode: str = "sync"
@@ -229,6 +233,11 @@ class FLConfig:
             raise ValueError(
                 f"executor_backend must be one of {BACKENDS}, "
                 f"got {self.executor_backend!r}"
+                + (
+                    " (fusion runs on every backend now: use `fusion_width`)"
+                    if self.executor_backend == "batched"
+                    else ""
+                )
             )
         if self.round_parallelism is not None and self.round_parallelism < 1:
             raise ValueError("round_parallelism must be >= 1")
@@ -1515,8 +1524,8 @@ class FederatedExperiment:
 
         Overlap streams eval shards through the *round* executor's
         persistent pool (that is the point: idle round workers absorb
-        them), so it only buys concurrency on a multi-worker pooled
-        backend (``thread`` or ``batched``).  Otherwise — serial,
+        them), so it only buys concurrency on a multi-worker
+        ``thread`` backend.  Otherwise — serial,
         process, or a one-worker pool — the run loop falls back to the
         barrier path, which honours ``eval_backend``/``eval_parallelism``.
         """
@@ -1532,12 +1541,11 @@ class FederatedExperiment:
             overlap = "requested (inactive: needs a pooled round backend)"
         else:
             overlap = "off"
-        engine = f"round engine: {ex.backend} x{ex.max_workers}"
-        if ex.backend == "batched":
-            engine += (
-                f" (fusion width {ex.fusion_width}; homogeneous clients "
-                f"fuse into stacked cohorts, others fall back per item)"
-            )
+        engine = (
+            f"round engine: {ex.backend} x{ex.max_workers} (fusion width "
+            f"{ex.fusion_width}: equal-key clients train as stacked cohorts, "
+            f"others per item; 1 disables fusion)"
+        )
         pop = self.clients
         cap = pop.cache_capacity
         stats = pop.stats()

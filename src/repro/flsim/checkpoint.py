@@ -38,7 +38,7 @@ class CheckpointError(RuntimeError):
 CHECKPOINT_FORMAT = 1
 
 #: Config fields that cannot affect results (the bit-identity contract):
-#: execution backends/worker counts, eval overlap, the journal /
+#: execution backends/worker counts/fusion width, eval overlap, the journal /
 #: checkpoint plumbing itself, the streaming-metrics surface (a pure
 #: observer of journal events), and the client-population materialisation
 #: knobs (lazy vs eager and the LRU capacity are pure caching — every
@@ -54,6 +54,7 @@ NONSEMANTIC_FIELDS = frozenset(
         "checkpoint_every",
         "executor_backend",
         "round_parallelism",
+        "fusion_width",
         "eval_backend",
         "eval_parallelism",
         "overlap_eval",

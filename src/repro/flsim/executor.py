@@ -4,10 +4,10 @@ Clients within a federated round are embarrassingly parallel — each one's
 local training is a pure function of (round-start global state, its local
 shard, its own counter-derived RNG) — yet the seed ran them strictly
 sequentially.  :class:`RoundExecutor` turns the per-client loop of every
-``run_round`` into independent work units executed by one of four
+``run_round`` into independent work units executed by one of three
 backends:
 
-* ``serial``  — the reference path: a plain loop in the caller's thread;
+* ``serial``  — the default: work runs inline in the caller's thread;
 * ``thread``  — a **persistent** pool of worker threads, spun up lazily on
   first use and reused across every round and evaluation (pool
   construction is pure overhead on short rounds).  NumPy's BLAS releases
@@ -16,21 +16,25 @@ backends:
   any pickling;
 * ``process`` — ``fork()``-based workers.  Each child inherits a
   copy-on-write snapshot of the experiment (global model, shards, prefix
-  cache) at round start, trains its stripe of clients, and ships the
+  cache) at round start, trains its stripe of the work, and ships the
   resulting segment states back through a pipe.  Sidesteps the GIL
-  entirely; POSIX only;
-* ``batched`` — client fusion: homogeneous clients are grouped into
-  **fusion cohorts** of width ``fusion_width`` and each cohort runs as
-  *one* stacked forward/backward (per-client weight slabs against a
-  ``(K·B, ...)`` activation layout — see :mod:`repro.nn.cohort`).  Work
-  functions opt in by being a :class:`CohortFn` (plain functions fall
-  back to the thread path); cohorts only form among items with equal
-  ``group_key`` (same architecture/segment/mask *and* the same local
-  batch schedule), everything else stays a singleton.  Cohorts are still
-  spread over the persistent thread pool, so fusion composes with
-  thread-level parallelism.
+  entirely; POSIX only.
 
-Determinism contract: **parallel output is bit-identical to serial**.
+**Client fusion** is how a worker runs its share on *every* backend, not
+a backend of its own: homogeneous clients are grouped into **fusion
+cohorts** of width ``fusion_width`` and each cohort runs as *one* stacked
+forward/backward (per-client weight slabs against a ``(K·B, ...)``
+activation layout — see :mod:`repro.nn.cohort`).  Work functions opt in
+by being a :class:`CohortFn` (plain functions run per item); cohorts only
+form among items with equal ``group_key`` (same architecture/segment/mask
+*and* the same local batch schedule), everything else stays a singleton,
+and ``fusion_width=1`` is the per-item reference path.  The cohort is the
+unit :class:`~repro.flsim.scheduler.FLScheduler` hands to a worker: run
+inline (``serial``), one pool task each (``thread``), or striped over one
+fork region (``process``).
+
+Determinism contract: **parallel and fused output is bit-identical to
+the serial per-item path**.
 Work items are striped over workers deterministically, results are
 returned in the order of the input list (which fixes the aggregation
 order), and per-client RNGs are derived from ``(seed, round, cid)`` — so
@@ -49,26 +53,26 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-BACKENDS = ("serial", "thread", "process", "batched")
+BACKENDS = ("serial", "thread", "process")
 
-#: Default fusion-cohort width for the ``batched`` backend.
-DEFAULT_FUSION_WIDTH = 4
+#: Default fusion-cohort width (the measured knee; see docs/benchmarks.md).
+DEFAULT_FUSION_WIDTH = 8
 
 
 class CohortFn:
     """A slot-aware work function that also knows how to run fused cohorts.
 
-    The ``batched`` backend needs three things from a round's work
-    function; everything else treats a ``CohortFn`` as the plain per-item
-    callable, so experiments can hand the same object to any backend:
+    Cohort dispatch (:class:`~repro.flsim.scheduler.FLScheduler`) needs
+    three things from a round's work function; everything else treats a
+    ``CohortFn`` as the plain per-item callable:
 
-    * ``fn(item, slot)`` — the serial per-item path (also the fallback for
-      singleton cohorts and non-batched backends);
+    * ``fn(item, slot)`` — the per-item path (singleton cohorts,
+      ``fusion_width=1``, and :meth:`RoundExecutor.map`);
     * ``cohort_fn(items, slot)`` — run K homogeneous items as one fused
       cohort, returning their results in item order, bit-identical to K
       ``fn`` calls;
     * ``group_key(item)`` — hashable fusion key.  Items may be fused only
-      when their keys are equal; ``None`` pins an item to the serial path
+      when their keys are equal; ``None`` pins an item to the per-item path
       (heterogeneous segment/mask shapes, ragged batch schedules).
     """
 
@@ -111,13 +115,13 @@ class RoundExecutor:
     Parameters
     ----------
     backend:
-        One of ``"serial"``, ``"thread"``, ``"process"``, ``"batched"``.
+        One of ``"serial"``, ``"thread"``, ``"process"``.
     max_workers:
         Parallelism cap; defaults to ``os.cpu_count()``.  The effective
         worker count for a round is ``min(max_workers, len(items))``.
     fusion_width:
-        Maximum fusion-cohort width K for the ``batched`` backend
-        (default :data:`DEFAULT_FUSION_WIDTH`); ignored elsewhere.
+        Maximum fusion-cohort width K on every backend (default
+        :data:`DEFAULT_FUSION_WIDTH`); ``1`` disables fusion.
     """
 
     def __init__(
@@ -199,22 +203,20 @@ class RoundExecutor:
         """Whether this backend runs work through the persistent thread pool.
 
         The scheduler, the async pipeline, and eval overlap all key their
-        concurrency structure on this (the ``batched`` backend is the
-        thread backend plus client fusion — same pool, same slot model).
+        concurrency structure on this.
         """
-        return self.backend in ("thread", "batched") and self.max_workers > 1
+        return self.backend == "thread" and self.max_workers > 1
 
     def slots_for(self, num_items: int) -> List[int]:
         """The worker-slot ids :meth:`map` will hand to the work function.
 
         Experiments pre-sync one model workspace per slot before launching
         the round, so this must exactly cover what ``map`` uses: all stripe
-        ids for the pooled backends (``batched`` cohorts occupy a subset of
-        the thread backend's stripes), slot 0 otherwise (the serial loop
-        runs in the caller's workspace; forked children own private
-        copies).
+        ids for the thread backend (fused cohorts occupy a subset of its
+        stripes), slot 0 otherwise (the serial loop runs in the caller's
+        workspace; forked children own private copies).
         """
-        if self.backend in ("thread", "batched"):
+        if self.backend == "thread":
             return list(range(self.workers_for(num_items)))
         return [0]
 
@@ -263,7 +265,7 @@ class RoundExecutor:
             return []
         if self.backend == "serial" or self.workers_for(len(items)) == 1:
             return [fn(item, 0) for item in items]
-        if self.backend in ("thread", "batched"):
+        if self.backend == "thread":
             return self._map_thread(fn, items)
         return self._map_process(fn, items)
 

@@ -32,17 +32,18 @@ them with disjoint workspaces (train replicas vs. eval replicas).
 
 Backend mapping — one launch path: every group is a list of *cohorts*
 (a plain function is a group of width-1 cohorts; a
-:class:`~repro.flsim.executor.CohortFn` on ``batched`` fuses per
-``plan_cohorts``), and a cohort is the unit handed to a worker:
+:class:`~repro.flsim.executor.CohortFn` fuses per ``plan_cohorts`` on
+every backend), and a cohort is the unit handed to a worker:
 
-* ``thread`` / ``batched`` — one task per cohort on the executor's
-  persistent :class:`~concurrent.futures.ThreadPoolExecutor`; true
-  streaming and cross-phase overlap.
 * ``serial`` (and any one-worker pool) — cohorts run eagerly, inline, at
   launch; streaming degenerates to input order.
+* ``thread`` — one task per cohort on the executor's persistent
+  :class:`~concurrent.futures.ThreadPoolExecutor`; true streaming and
+  cross-phase overlap.
 * ``process`` — the group executes as one ``RoundExecutor.map`` fork
-  region at launch (the fork is the snapshot; children cannot outlive the
-  phase), completing atomically.  Cross-phase overlap needs the thread
+  region striped over its cohorts at launch (the fork is the snapshot;
+  children cannot outlive the phase), completing atomically; a
+  one-cohort group runs inline.  Cross-phase overlap needs the thread
   backend.
 
 On top of the task groups sits the **cross-round async pipeline**
@@ -92,10 +93,6 @@ class SlotPool:
             self._free.append(slot)
             self._free.sort()
             self._cond.notify()
-
-
-#: Historical (private) name, kept for callers of the PR 4 surface.
-_SlotPool = SlotPool
 
 
 class TaskGroup:
@@ -206,9 +203,7 @@ class FLScheduler:
         Callers pre-sync one workspace per listed slot before submitting,
         exactly as they do for ``RoundExecutor.map``.
         """
-        if self.executor.backend in ("thread", "batched"):
-            return list(range(self.executor.workers_for(num_items)))
-        return [0]
+        return self.executor.slots_for(num_items)
 
     def submit_group(
         self,
@@ -276,90 +271,79 @@ class FLScheduler:
         """Run a group as cohorts: the one launch path of every backend.
 
         A plain function is a group of width-1 cohorts; a
-        :class:`CohortFn` on the ``batched`` backend fuses per
-        :meth:`RoundExecutor.plan_cohorts` (planned per group, so the
-        async pipeline's per-round groups never fuse clients across base
-        versions).  Cohorts go to the persistent pool — one task and one
-        leased slot per cohort — or run inline, failing fast.
+        :class:`CohortFn` fuses per :meth:`RoundExecutor.plan_cohorts`
+        (planned per group, so the async pipeline's per-round groups never
+        fuse clients across base versions).  Cohorts then run inline,
+        failing fast (``serial``), as one task and one leased slot each on
+        the persistent pool (``thread``), or striped over one fork region
+        (``process``).
         """
         executor = self.executor
-        if executor.forks_for(len(items)):
-            # One fork region per group: barrier within the group (children
-            # must not outlive the phase), deps still honoured at launch.
-            try:
-                results = executor.map(fn, items)
-            except BaseException as error:  # propagate through the group
-                for i in range(len(items)):
-                    group._complete(i, None, error)
-                return
-            for i, result in enumerate(results):
-                group._complete(i, result, None)
-            return
-        if executor.backend == "batched" and isinstance(fn, CohortFn):
+        if isinstance(fn, CohortFn):
             cohorts = executor.plan_cohorts(fn, items)
         else:
             cohorts = [[i] for i in range(len(items))]
+
+        def run(idxs: List[int], slot: int) -> List[Any]:
+            if len(idxs) == 1:
+                return [fn(items[idxs[0]], slot)]
+            results = fn.run_cohort([items[i] for i in idxs], slot)
+            if len(results) != len(idxs):
+                raise RuntimeError(
+                    f"cohort fn returned {len(results)} results for "
+                    f"{len(idxs)} items"
+                )
+            return results
+
+        def fail(idxs, error: BaseException) -> None:
+            for i in idxs:
+                group._complete(i, None, error)
+
+        def finish(idxs: List[int], results: List[Any]) -> None:
+            for i, result in zip(idxs, results):
+                group._complete(i, result, None)
+
         if executor.pooled:
             slots = (
                 slot_pool
                 if slot_pool is not None
                 else SlotPool(executor.workers_for(len(items)))
             )
+
+            def task(idxs: List[int]) -> None:
+                slot = slots.acquire()
+                try:
+                    results = run(idxs, slot)
+                except BaseException as error:
+                    fail(idxs, error)
+                else:
+                    finish(idxs, results)
+                finally:
+                    slots.release(slot)
+
             for idxs in cohorts:
-                executor.thread_pool.submit(
-                    self._run_cohort_task, group, fn, idxs,
-                    [items[i] for i in idxs], slots,
-                )
+                executor.thread_pool.submit(task, idxs)
             return
-        done = [False] * len(items)  # serial (and 1-worker fallbacks)
-        for idxs in cohorts:
+        if executor.forks_for(len(cohorts)):
+            # One fork region per group: barrier within the group (children
+            # must not outlive the phase), deps still honoured at launch.
             try:
-                results = self._cohort_results(fn, idxs, [items[i] for i in idxs], 0)
+                striped = executor.map(run, cohorts)
+            except BaseException as error:  # propagate through the group
+                fail(range(len(items)), error)
+                return
+            for idxs, results in zip(cohorts, striped):
+                finish(idxs, results)
+            return
+        for n, idxs in enumerate(cohorts):  # serial (and 1-worker fallbacks)
+            try:
+                results = run(idxs, 0)
             except BaseException as error:
                 # eager inline dispatch: a failure aborts the rest of the
                 # group, mirroring the serial map's fail-fast behaviour
-                for i in range(len(items)):
-                    if not done[i]:
-                        group._complete(i, None, error)
+                fail([i for later in cohorts[n:] for i in later], error)
                 return
-            for i, result in zip(idxs, results):
-                group._complete(i, result, None)
-                done[i] = True
-
-    @staticmethod
-    def _cohort_results(
-        fn, idxs: List[int], cohort_items: List[Any], slot: int
-    ) -> List[Any]:
-        if len(idxs) == 1:
-            return [fn(cohort_items[0], slot)]
-        results = fn.run_cohort(cohort_items, slot)
-        if len(results) != len(idxs):
-            raise RuntimeError(
-                f"cohort fn returned {len(results)} results for "
-                f"{len(idxs)} items"
-            )
-        return results
-
-    @staticmethod
-    def _run_cohort_task(
-        group: TaskGroup,
-        fn,
-        idxs: List[int],
-        cohort_items: List[Any],
-        slots: SlotPool,
-    ) -> None:
-        slot = slots.acquire()
-        try:
-            try:
-                results = FLScheduler._cohort_results(fn, idxs, cohort_items, slot)
-            except BaseException as error:
-                for i in idxs:
-                    group._complete(i, None, error)
-                return
-            for i, result in zip(idxs, results):
-                group._complete(i, result, None)
-        finally:
-            slots.release(slot)
+            finish(idxs, results)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
-"""Client-batched ("fusion cohort") parameter slabs for the batched backend.
+"""Client-batched ("fusion cohort") parameter slabs.
 
-The ``batched`` executor backend fuses K homogeneous clients into one
-stacked forward/backward: activations carry the clients stacked on the
-batch axis — a ``(K·B, ...)`` layout — while every trainable parameter
-carries a ``(K, *shape)`` **slab** holding the K clients' values.  The
+Every executor backend fuses K homogeneous clients into one stacked
+forward/backward (``fusion_width``; see :mod:`repro.flsim.executor`):
+activations carry the clients stacked on the batch axis — a ``(K·B, ...)``
+layout — while every trainable parameter carries a ``(K, *shape)``
+**slab** holding the K clients' values.  The
 parameterised layers (Linear, Conv2d, BatchNorm2d) have one kernel each,
 written over ``Parameter.stacked()``: the slabs here, K=1 views of
 ``data``/``grad`` when serial.  Per-client slices are therefore

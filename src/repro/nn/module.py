@@ -25,8 +25,8 @@ class Parameter:
     :mod:`repro.nn.dtype`) at construction, so the dtype policy is enforced
     no matter which code path creates the parameter.
 
-    ``slab``/``slab_grad`` hold the client-batched state of the ``batched``
-    executor backend: a ``(K, *data.shape)`` stack of K clients' values for
+    ``slab``/``slab_grad`` hold the client-batched state of a fusion
+    cohort: a ``(K, *data.shape)`` stack of K clients' values for
     this parameter (see :mod:`repro.nn.cohort`).  While a slab is installed
     the layers ignore ``data``/``grad`` and operate on the slab (they read
     both through :meth:`stacked`); ``data`` keeps the last serial value

@@ -37,7 +37,7 @@ class SGD:
         self.lr = lr
         self.momentum = momentum
         self.weight_decay = weight_decay
-        # Slab-aware: under the batched backend a parameter carries a
+        # Slab-aware: inside a fusion cohort a parameter carries a
         # (K, *shape) per-client slab; the velocity matches it and every
         # update below is elementwise, so each client's slice evolves
         # bit-identically to a serial optimizer on that client alone.

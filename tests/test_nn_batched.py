@@ -1,4 +1,4 @@
-"""Client-batched execution backend: slab kernels and cohort fusion.
+"""Client fusion: slab kernels and cohort dispatch on every backend.
 
 Two layers of guarantees, both **bit-exact** (``np.array_equal``, not
 allclose — determinism is the contract, not a tolerance):
@@ -9,11 +9,12 @@ allclose — determinism is the contract, not a tolerance):
   slabs — because the stacked GEMMs run the same BLAS kernel over the
   same contiguous per-client layout and every multi-axis reduction runs
   per client slice;
-* round level: a federated run on ``executor_backend="batched"`` must be
-  bit-identical to the serial reference at any fusion width, for sync
-  and cross-round-pipelined async aggregation, with fault and threat
-  plans active, across homogeneous (jFAT, FedRBN) and
-  identical-mask-grouped heterogeneous (HeteroFL) baselines.
+* round level: a federated run fused at any width on any backend must be
+  bit-identical to the per-item reference (``serial``,
+  ``fusion_width=1`` — always the reference side, since ``serial`` fuses
+  by default), for sync and cross-round-pipelined async aggregation,
+  with fault and threat plans active, across homogeneous (jFAT, FedRBN)
+  and identical-mask-grouped heterogeneous (HeteroFL) baselines.
 """
 
 import numpy as np
@@ -190,12 +191,12 @@ class TestCohortCrossEntropy:
 
 class TestCohortPlanning:
     def test_groups_chunked_to_fusion_width(self):
-        ex = RoundExecutor("batched", max_workers=1, fusion_width=4)
+        ex = RoundExecutor("serial", max_workers=1, fusion_width=4)
         fn = CohortFn(lambda i, s: i, lambda it, s: it, group_key=lambda i: "g")
         assert ex.plan_cohorts(fn, list(range(6))) == [[0, 1, 2, 3], [4, 5]]
 
     def test_none_keys_stay_singletons(self):
-        ex = RoundExecutor("batched", max_workers=1, fusion_width=4)
+        ex = RoundExecutor("serial", max_workers=1, fusion_width=4)
         fn = CohortFn(
             lambda i, s: i, lambda it, s: it,
             group_key=lambda i: None if i % 2 else "g",
@@ -205,24 +206,24 @@ class TestCohortPlanning:
         assert [1] in plan and [3] in plan
 
     def test_distinct_keys_never_fuse(self):
-        ex = RoundExecutor("batched", max_workers=1, fusion_width=4)
+        ex = RoundExecutor("serial", max_workers=1, fusion_width=4)
         fn = CohortFn(lambda i, s: i, lambda it, s: it, group_key=lambda i: i % 2)
         assert sorted(ex.plan_cohorts(fn, list(range(4)))) == [[0, 2], [1, 3]]
 
     def test_fusion_width_one_disables_fusion(self):
-        ex = RoundExecutor("batched", max_workers=1, fusion_width=1)
+        ex = RoundExecutor("serial", max_workers=1, fusion_width=1)
         fn = CohortFn(lambda i, s: i, lambda it, s: it, group_key=lambda i: "g")
         assert ex.plan_cohorts(fn, list(range(3))) == [[0], [1], [2]]
 
-    def test_plain_fn_on_batched_backend(self):
+    def test_plain_fn_runs_per_item(self):
         # A baseline without a cohort path still runs (per item).
-        ex = RoundExecutor("batched", max_workers=1, fusion_width=4)
+        ex = RoundExecutor("serial", max_workers=1, fusion_width=4)
         assert ex.map(lambda i, s: i * i, list(range(5))) == [0, 1, 4, 9, 16]
 
     def test_map_preserves_item_order(self):
         # Cohort dispatch lives in the scheduler (RoundExecutor.map never
         # fuses), so the barrier view is FLScheduler.run_group.
-        ex = RoundExecutor("batched", max_workers=1, fusion_width=3)
+        ex = RoundExecutor("serial", max_workers=1, fusion_width=3)
         fn = CohortFn(
             lambda i, s: ("item", i),
             lambda items, s: [("cohort", i) for i in items],
@@ -237,7 +238,11 @@ class TestCohortPlanning:
         with pytest.raises(ValueError):
             FLConfig(fusion_width=0)
         with pytest.raises(ValueError):
-            RoundExecutor("batched", fusion_width=0)
+            RoundExecutor("serial", fusion_width=0)
+        with pytest.raises(ValueError, match="unknown executor backend"):
+            RoundExecutor("batched")
+        with pytest.raises(ValueError, match="use `fusion_width`"):
+            FLConfig(executor_backend="batched")
 
 
 class TestPrefixCacheStacked:
@@ -284,7 +289,7 @@ class TestPrefixCacheStacked:
 
 
 # ---------------------------------------------------------------------------
-# Round-level bit-identity: batched == serial across baselines and modes
+# Round-level bit-identity: fused == per-item across baselines and modes
 # ---------------------------------------------------------------------------
 
 
@@ -330,26 +335,63 @@ def _run(name, backend, fusion_width=1, heterogeneity="balanced", **overrides):
     return state, history, log
 
 
+ASYNC_DEPTH2 = dict(
+    rounds=3, aggregation_mode="async", max_staleness=2,
+    pipeline_depth=2, heterogeneity="unbalanced",
+)
+# Nine clients a round: tail chunks at every width (2+2+2+2+1, 4+4+1, 8+1).
+MATRIX_MODES = {
+    "sync": dict(num_clients=10, clients_per_round=9),
+    "async2": dict(num_clients=10, clients_per_round=9, **ASYNC_DEPTH2),
+}
+_matrix_refs = {}
+
+
+def _matrix_reference(name, mode):
+    """The per-item path (serial, fusion_width=1), run once per cell."""
+    if (name, mode) not in _matrix_refs:
+        _matrix_refs[name, mode] = _run(name, "serial", **MATRIX_MODES[mode])
+    return _matrix_refs[name, mode]
+
+
 class TestBatchedBackendDeterminism:
+    """Fused cohorts vs the per-item reference (``_run``'s default
+    ``fusion_width=1`` on ``serial``) — never serial-default vs itself."""
+
     # clients_per_round=5 with equal shards gives one ragged cohort at
     # width 2 (2+2+1) and width 4 (4+1) — the planner's tail chunks.
     @pytest.mark.parametrize("name", sorted(BASELINES))
     @pytest.mark.parametrize("width", [1, 2, 4])
     def test_sync_matches_serial(self, name, width):
         ref = _run(name, "serial")
-        got = _run(name, "batched", fusion_width=width)
+        got = _run(name, "thread", fusion_width=width)
         _assert_states_equal(ref[0], got[0], f"{name} w{width}: ")
         assert ref[1] == got[1]
 
     @pytest.mark.parametrize("name", sorted(BASELINES))
     def test_async_pipeline_depth2_matches_serial(self, name):
-        kw = dict(
-            rounds=3, aggregation_mode="async", max_staleness=2,
-            pipeline_depth=2, heterogeneity="unbalanced",
-        )
-        ref = _run(name, "serial", **kw)
-        got = _run(name, "batched", fusion_width=4, **kw)
+        ref = _run(name, "serial", **ASYNC_DEPTH2)
+        got = _run(name, "thread", fusion_width=4, **ASYNC_DEPTH2)
         _assert_states_equal(ref[0], got[0], f"{name} async: ")
+        assert ref[2] == got[2]
+
+    # The cheap CNN covers every cell; the VGG baselines the default width.
+    @pytest.mark.parametrize(
+        "name,backend,width,mode",
+        [
+            (name, backend, width, mode)
+            for name in sorted(BASELINES)
+            for backend in ("serial", "thread", "process")
+            for width in (2, 4, 8)
+            for mode in sorted(MATRIX_MODES)
+            if name == "heterofl" or width == 8
+        ],
+    )
+    def test_fused_matches_per_item_on_every_backend(self, name, backend, width, mode):
+        ref = _matrix_reference(name, mode)
+        got = _run(name, backend, fusion_width=width, **MATRIX_MODES[mode])
+        _assert_states_equal(ref[0], got[0], f"{name} {backend} w{width} {mode}: ")
+        assert ref[1] == got[1]
         assert ref[2] == got[2]
 
     def test_sync_with_fault_and_threat_plans(self):
@@ -360,15 +402,16 @@ class TestBatchedBackendDeterminism:
             aggregation_rule="trimmed_mean", trim_ratio=0.2,
         )
         ref = _run("jfat", "serial", **kw)
-        got = _run("jfat", "batched", fusion_width=4, **kw)
-        _assert_states_equal(ref[0], got[0], "faults+threats: ")
-        assert ref[1] == got[1]
+        for backend in ("serial", "thread"):
+            got = _run("jfat", backend, fusion_width=4, **kw)
+            _assert_states_equal(ref[0], got[0], f"faults+threats {backend}: ")
+            assert ref[1] == got[1]
 
     def test_unbalanced_fedrbn_mixes_cohort_kinds(self):
         # Unbalanced devices split FedRBN clients between the AT and
         # standard-training branches; the fusion key separates them.
         ref = _run("fedrbn", "serial", heterogeneity="unbalanced")
-        got = _run("fedrbn", "batched", fusion_width=4, heterogeneity="unbalanced")
+        got = _run("fedrbn", "thread", fusion_width=4, heterogeneity="unbalanced")
         _assert_states_equal(ref[0], got[0], "fedrbn unbalanced: ")
 
 
@@ -385,16 +428,18 @@ class TestDescribeParallelism:
 
     def test_reports_backend_workers_and_fusion(self):
         exp = self._exp(
-            executor_backend="batched", round_parallelism=2, fusion_width=3
+            executor_backend="thread", round_parallelism=2, fusion_width=3
         )
         text = exp.describe_parallelism()
         exp.close()
-        assert "batched x2" in text
+        assert "thread x2" in text
         assert "fusion width 3" in text
 
-    def test_non_batched_backend_omits_fusion(self):
-        exp = self._exp(executor_backend="thread", round_parallelism=2)
+    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    def test_every_backend_reports_fusion_width(self, backend):
+        exp = self._exp(executor_backend=backend, round_parallelism=2)
         text = exp.describe_parallelism()
         exp.close()
-        assert "thread x2" in text
-        assert "fusion width" not in text
+        assert f"{backend} x2" in text
+        assert "fusion width 8" in text  # the default
+        assert "1 disables fusion" in text

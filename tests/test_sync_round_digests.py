@@ -10,7 +10,15 @@ for bit (weights, simulated clock, cumulative compute, abort pattern).
 
 ``tests/data/sync_jfat_faults_median.jsonl`` is a journal the parent's
 sync jFAT loop wrote (faults + median aggregation); it must still verify
-under :func:`repro.flsim.replay.replay_run`.
+under :func:`repro.flsim.replay.replay_run`.  PR 16 made ``fusion_width``
+non-semantic, which changed every config fingerprint: the journal's
+``run_start.fingerprint`` value was rewritten and nothing else
+(``test_golden_journal_is_the_parents_but_for_the_fingerprint``).
+
+Since PR 16 every backend fuses, so the two engine rows are the per-item
+reference (``serial``, ``fusion_width=1``) and fused cohorts on the
+thread pool (what ``executor_backend="batched"`` selected when the
+digests were recorded — the row keeps that name as its digest key).
 
 Re-record (only from a commit whose behaviour is the reference) with
 ``PYTHONPATH=src python tests/test_sync_round_digests.py``.
@@ -56,8 +64,8 @@ METHODS = {
 }
 HETEROGENEITY = ("balanced", "unbalanced")
 ENGINES = {
-    "serial": dict(executor_backend="serial"),
-    "batched": dict(executor_backend="batched", fusion_width=4, round_parallelism=2),
+    "serial": dict(executor_backend="serial", fusion_width=1),
+    "batched": dict(executor_backend="thread", fusion_width=4, round_parallelism=2),
 }
 FAULTS = FaultPlan(seed=10, dropout_prob=0.2, straggler_prob=0.2)
 SCENARIOS = {
@@ -155,6 +163,19 @@ def test_parent_sync_journal_still_replays():
     report = replay_run(JOURNAL, _journal_experiment)
     assert report.rounds == 3
     assert report.merges == 0  # a sync journal: agg events, no merge events
+
+
+def test_golden_journal_is_the_parents_but_for_the_fingerprint():
+    with open(JOURNAL, "rb") as fh:
+        raw = fh.read()
+    with _journal_experiment() as exp:
+        value = f'"fingerprint": "{exp._fingerprint()}"'.encode()
+    assert raw.count(value) == 1 and raw.index(value) < raw.index(b"\n")
+    masked = raw.replace(value, b'"fingerprint": ""')
+    # sha256 of the parent commit's (3e8024a) file with the same masking
+    assert hashlib.sha256(masked).hexdigest() == (
+        "c2daaa4969a705d15053dc16d4e6e2be0a55ccbc9a7a3bed68f267ae04556880"
+    )
 
 
 if __name__ == "__main__":
