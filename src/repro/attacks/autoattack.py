@@ -29,6 +29,7 @@ def _checkpoints(steps: int) -> List[int]:
     return sorted({min(steps - 1, int(np.ceil(p * steps))) for p in points})
 
 
+@attack_grad_scope()  # the model is frozen for the whole attack: one scope, one weight layout
 def apgd_attack(
     mwl: ModelWithLoss,
     x: np.ndarray,
@@ -63,10 +64,14 @@ def apgd_attack(
         improved_since_check = np.zeros(n, dtype=int)
         steps_since_check = 0
         loss_at_last_check = best_loss.copy()
+        # The forward that scores x + delta is the one the next step
+        # backpropagates; only a start or a reset moves delta off it.
+        forwarded = False
 
         for step in range(steps):
-            with attack_grad_scope():
-                _, grad = mwl.loss_and_input_grad(x + delta, y)
+            if not forwarded:
+                mwl.forward_losses(x + delta, y)
+            grad = mwl.input_grad()
             # momentum: z = delta + step, new = delta + 0.75*(z-delta)+0.25*(delta-prev)
             z = delta + gradient_step(grad, alpha, norm)
             z = project(z, eps, norm)
@@ -78,7 +83,8 @@ def apgd_attack(
                 new_delta = np.clip(x + new_delta, clip[0], clip[1]) - x
             prev_delta, delta = delta, new_delta
 
-            losses = mwl.per_sample_losses(x + delta, y)
+            losses = mwl.forward_losses(x + delta, y)
+            forwarded = True
             better = losses > best_loss
             improved_since_check += better.astype(int)
             best_loss = np.where(better, losses, best_loss)
@@ -95,12 +101,14 @@ def apgd_attack(
                 ):
                     alpha /= 2.0
                     delta = best_adv - x  # restart from the best-so-far point
+                    forwarded = False
                 improved_since_check[...] = 0
                 steps_since_check = 0
                 loss_at_last_check = best_loss.copy()
     return best_adv
 
 
+@attack_grad_scope()
 def auto_attack_lite(
     mwl: ModelWithLoss,
     x: np.ndarray,
@@ -114,34 +122,33 @@ def auto_attack_lite(
 ) -> np.ndarray:
     """Worst-case ensemble: a sample is robust only if it survives them all.
 
-    Runs FGSM, PGD, and APGD-CE; for each sample keeps the first adversarial
-    example that flips the prediction (falling back to the APGD iterate).
+    Runs FGSM, PGD, and APGD-CE — each only while a sample still survives —
+    and for each sample keeps the first adversarial example that flips the
+    prediction (falling back to the APGD iterate).
     Returns inputs whose induced accuracy is the ensemble robust accuracy.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
     y = np.asarray(y)
-    n = x.shape[0]
     result = x.copy()
-    remaining = np.ones(n, dtype=bool)
-
-    candidates = [
-        fgsm_attack(mwl, x, y, eps, clip=clip),
-        pgd_attack(
-            mwl, x, y,
-            PGDConfig(eps=eps, steps=steps, norm=norm, clip=clip),
-            rng=rng,
+    remaining = np.ones(x.shape[0], dtype=bool)
+    attacks = (
+        lambda: fgsm_attack(mwl, x, y, eps, clip=clip),
+        lambda: pgd_attack(
+            mwl, x, y, PGDConfig(eps=eps, steps=steps, norm=norm, clip=clip), rng=rng
         ),
-        apgd_attack(
+        lambda: apgd_attack(
             mwl, x, y, eps, steps=steps, norm=norm, restarts=restarts, clip=clip, rng=rng
         ),
-    ]
-    for adv in candidates:
+    )
+    adv = x
+    for attack in attacks:
         if not remaining.any():
             break
+        adv = attack()
         preds = mwl.logits(adv).argmax(axis=1)
         flipped = (preds != y) & remaining
         result[flipped] = adv[flipped]
         remaining &= ~flipped
     # for still-robust samples keep the strongest (APGD) attempt
-    result[remaining] = candidates[-1][remaining]
+    result[remaining] = adv[remaining]
     return result

@@ -7,7 +7,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.nn.grad_mode import attack_grad_scope
-from repro.nn.losses import CrossEntropyLoss
+from repro.nn.linear import Linear
+from repro.nn.losses import CrossEntropyLoss, log_softmax
 from repro.nn.module import Module
 
 
@@ -26,46 +27,49 @@ class ModelWithLoss:
         self.head = head
         self._ce = CrossEntropyLoss()
 
-    def _apply_head(self, out: np.ndarray) -> Tuple[np.ndarray, Optional[Tuple[int, ...]]]:
-        """Run the head, flattening conv features for plain Linear heads.
+    def _forward(self, x: np.ndarray) -> np.ndarray:
+        """Model then head, flattening conv features for plain Linear heads.
 
         Structured heads (e.g. :class:`repro.core.heads.AuxHead`) accept the
         body output directly and handle their own shaping.
         """
-        from repro.nn.linear import Linear
-
+        out = self.model(x)
+        self._flat_shape = None
         if isinstance(self.head, Linear) and out.ndim > 2:
-            return self.head(out.reshape(out.shape[0], -1)), out.shape
-        return self.head(out), None
+            self._flat_shape = out.shape
+            out = out.reshape(out.shape[0], -1)
+        return out if self.head is None else self.head(out)
 
     def logits(self, x: np.ndarray) -> np.ndarray:
         # Forward-only: never followed by a backward pass, so skip the
         # weight-gradient caches entirely.
         with attack_grad_scope():
-            out = self.model(x)
-            if self.head is not None:
-                out, _ = self._apply_head(out)
-        return out
+            return self._forward(x)
 
-    def loss_and_input_grad(self, x: np.ndarray, y: np.ndarray) -> Tuple[float, np.ndarray]:
-        out = self.model(x)
-        flat_shape = None
-        if self.head is not None:
-            out, flat_shape = self._apply_head(out)
-        loss = self._ce(out, y)
+    def input_grad(self) -> np.ndarray:
+        """d loss / d input of the latest :meth:`forward_losses` /
+        :meth:`loss_and_input_grad` forward (at most once per forward)."""
         g = self._ce.backward()
         if self.head is not None:
             g = self.head.backward(g)
-            if flat_shape is not None:
-                g = g.reshape(flat_shape)
-        return loss, self.model.backward(g)
+            if self._flat_shape is not None:
+                g = g.reshape(self._flat_shape)
+        return self.model.backward(g)
+
+    def loss_and_input_grad(self, x: np.ndarray, y: np.ndarray) -> Tuple[float, np.ndarray]:
+        loss = self._ce(self._forward(x), y)
+        return loss, self.input_grad()
+
+    def forward_losses(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Per-sample CE losses of a forward that :meth:`input_grad` can still
+        backpropagate — APGD scores an iterate and steps from it in one pass."""
+        out = self._forward(x)
+        self._ce(out, y)
+        return -log_softmax(out)[np.arange(len(y)), np.asarray(y)]
 
     def per_sample_losses(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Per-sample CE losses (used by APGD's step-size controller)."""
-        from repro.nn.losses import log_softmax
-
-        logits = self.logits(x)
-        return -log_softmax(logits)[np.arange(len(y)), np.asarray(y)]
+        """Per-sample CE losses of a forward-only pass."""
+        return -log_softmax(self.logits(x))[np.arange(len(y)), np.asarray(y)]
 
 
 class CohortModelWithLoss(ModelWithLoss):

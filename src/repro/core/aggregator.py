@@ -38,6 +38,7 @@ import numpy as np
 from repro.core.partitioner import Partition
 from repro.flsim.aggregation import weighted_average_states
 from repro.models.atoms import CascadeModel
+from repro.nn.grad_mode import require_unfrozen
 from repro.nn.module import Module
 
 StateDict = Dict[str, np.ndarray]
@@ -86,6 +87,7 @@ def restore_segment(
     ``segment_state`` may cover a superset of the range (e.g. a round-level
     snapshot of the whole trainable suffix restored before each client).
     """
+    require_unfrozen("restore_segment")
     if not (0 <= start <= stop <= len(model.atoms)):
         raise IndexError(f"invalid atom range [{start}, {stop})")
     for i in range(start, stop):

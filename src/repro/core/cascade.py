@@ -208,10 +208,9 @@ def measure_output_perturbation(
     n = min(batch_size, len(dataset))
     idx = rng.choice(len(dataset), size=n, replace=False)
     x, y = dataset.x[idx], dataset.y[idx]
-    with attack_grad_scope():
+    with attack_grad_scope():  # one scope: the model is frozen for the whole probe
         z_in = x if is_first else model.forward_until(x, start_atom)
-    z_adv_in = pgd_attack(loss_model, z_in, y, pgd, rng=rng)
-    with attack_grad_scope():
+        z_adv_in = pgd_attack(loss_model, z_in, y, pgd, rng=rng)
         z = segment(z_in)
         z_adv = segment(z_adv_in)
     diff = (z_adv - z).reshape(n, -1)

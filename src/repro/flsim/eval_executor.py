@@ -43,6 +43,7 @@ from repro.attacks import ModelWithLoss
 from repro.data.dataset import ArrayDataset
 from repro.flsim.executor import RoundExecutor
 from repro.metrics.evaluation import EvalPlan, EvalResult, seed_entropy, shard_rng
+from repro.nn.grad_mode import no_param_grads
 
 
 @dataclass(frozen=True)
@@ -153,6 +154,10 @@ class EvalExecutor:
     ) -> Callable[[EvalShard, int], tuple]:
         """The slot-aware work function one evaluation's shards run."""
 
+        # The target's weights are fixed for the whole shard: one scope, so
+        # its attack, prediction pass and prefix fill share one set of
+        # laid-out, BatchNorm-folded weights (repro.nn.grad_mode).
+        @no_param_grads()
         def run_shard(shard: EvalShard, slot: int):
             target = targets[slot]
             attack = plan.attacks[shard.attack_idx]

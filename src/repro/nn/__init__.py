@@ -25,10 +25,9 @@ from repro.nn.dtype import (
 )
 from repro.nn.grad_mode import (
     attack_grad_scope,
-    fast_path_enabled,
+    frozen_cache,
     no_param_grads,
     param_grads_enabled,
-    set_fast_path,
 )
 from repro.nn.module import Module, Parameter, Sequential, Identity
 from repro.nn.linear import Linear, Flatten
@@ -50,10 +49,9 @@ __all__ = [
     "dtype_scope",
     "set_compute_dtype",
     "attack_grad_scope",
-    "fast_path_enabled",
+    "frozen_cache",
     "no_param_grads",
     "param_grads_enabled",
-    "set_fast_path",
     "Module",
     "Parameter",
     "Sequential",

@@ -3,6 +3,11 @@
 These are the "atoms" of the paper's model partitioner (Algorithm 1): a
 VGG atom is a single (conv, activation) layer, a ResNet atom is a whole
 ``BasicBlock`` because the skip connection cannot be cut.
+
+Inside an input-grad-only scope an eval-mode BatchNorm is an affine map of
+constants, so each conv→BN pair here runs as *one* convolution with the
+BatchNorm folded into its weights (:meth:`BatchNorm2d.fold`); train mode,
+``Identity`` norms and everything outside a scope take the unfolded path.
 """
 
 from __future__ import annotations
@@ -13,6 +18,16 @@ from repro.nn.activations import ReLU
 from repro.nn.conv import Conv2d
 from repro.nn.module import Identity, Module, Sequential
 from repro.nn.normalization import BatchNorm2d
+
+
+def _conv_bn(conv: Conv2d, bn: Module, x: np.ndarray) -> np.ndarray:
+    fold = bn.fold() if isinstance(bn, BatchNorm2d) else None
+    return bn(conv(x)) if fold is None else conv.forward(x, fold)
+
+
+def _conv_bn_backward(conv: Conv2d, bn: Module, g: np.ndarray) -> np.ndarray:
+    # conv._fold: how the forward being backpropagated ran.
+    return conv.backward(bn.backward(g) if conv._fold is None else g)
 
 
 class ConvBNReLU(Module):
@@ -43,10 +58,10 @@ class ConvBNReLU(Module):
         self.act = ReLU()
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        return self.act(self.bn(self.conv(x)))
+        return self.act(_conv_bn(self.conv, self.bn, x))
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        return self.conv.backward(self.bn.backward(self.act.backward(grad_out)))
+        return _conv_bn_backward(self.conv, self.bn, self.act.backward(grad_out))
 
 
 class BasicBlock(Module):
@@ -78,14 +93,16 @@ class BasicBlock(Module):
             self.downsample = Identity()
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        main = self.bn2(self.conv2(self.act1(self.bn1(self.conv1(x)))))
-        skip = self.downsample(x)
-        return self.act2(main + skip)
+        main = _conv_bn(self.conv2, self.bn2, self.act1(_conv_bn(self.conv1, self.bn1, x)))
+        if isinstance(self.downsample, Identity):
+            return self.act2(main + x)
+        return self.act2(main + _conv_bn(*self.downsample.layers, x))
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         g = self.act2.backward(grad_out)
-        g_main = self.conv1.backward(
-            self.bn1.backward(self.act1.backward(self.conv2.backward(self.bn2.backward(g))))
+        g_main = _conv_bn_backward(
+            self.conv1, self.bn1, self.act1.backward(_conv_bn_backward(self.conv2, self.bn2, g))
         )
-        g_skip = self.downsample.backward(g)
-        return g_main + g_skip
+        if isinstance(self.downsample, Identity):
+            return g_main + g
+        return g_main + _conv_bn_backward(*self.downsample.layers, g)

@@ -29,6 +29,7 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
+from repro.nn.grad_mode import require_unfrozen
 from repro.nn.losses import log_softmax, softmax
 from repro.nn.module import Module
 
@@ -42,6 +43,7 @@ def install_cohort(model: Module, states: Sequence[StateDict]) -> int:
     While installed, the cohort-aware layers ignore the serial
     ``Parameter.data`` values (which are left untouched).  Returns K.
     """
+    require_unfrozen("install_cohort")
     k = len(states)
     if k == 0:
         raise ValueError("install_cohort needs at least one state dict")
@@ -83,6 +85,7 @@ def extract_cohort(model: Module) -> List[StateDict]:
 
 def clear_cohort(model: Module) -> None:
     """Drop all slabs and return ``model`` to the serial layout."""
+    require_unfrozen("clear_cohort")
     for _, p in model.named_parameters():
         p.slab = None
         p.slab_grad = None

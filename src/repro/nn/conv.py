@@ -7,7 +7,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from repro.nn.dtype import compute_dtype
 from repro.nn.functional import channel_last, col2im, conv_output_size, im2col
-from repro.nn.grad_mode import param_grads_enabled
+from repro.nn.grad_mode import param_grads_enabled, scope_cached
 from repro.nn.init import kaiming_normal
 from repro.nn.module import Module, Parameter
 
@@ -114,7 +114,7 @@ class Conv2d(Module):
     def __getstate__(self):
         # Scratch buffers and single-shot caches are not state: copies and
         # pickles (process backend) rebuild them on their first forward.
-        return {k: v for k, v in self.__dict__.items() if k not in ("_unfolds", "_cols")}
+        return {k: v for k, v in self.__dict__.items() if k not in ("_unfolds", "_cols", "_fold")}
 
     def _unfold(self, x_shape: tuple, dtype: np.dtype, backward: bool = False) -> _Unfold:
         """The (lazily built) unfold of the input, or of its output gradient."""
@@ -139,13 +139,26 @@ class Conv2d(Module):
         # (c, row, column) order.
         return self.kernel_size * self.in_channels < out_w
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def _weights(self, fold):
+        """``(K, ...)`` weights and bias.  A frozen BatchNorm's ``fold = (bank, scale,
+        shift)`` (:meth:`BatchNorm2d.fold`) makes ``scale·(w∗x + b) + shift``
+        one convolution: weights ``w·scale``, bias ``b·scale + shift``."""
+        w = self.weight.stacked()[0]
+        b = self.bias.stacked()[0] if self.use_bias else None
+        if fold is None:
+            return w, b
+        bank, scale, shift = fold
+        return scope_cached((self, bank), lambda: (
+            w * scale[:, :, None, None, None], shift if b is None else b * scale + shift
+        ))
+
+    def forward(self, x: np.ndarray, fold=None) -> np.ndarray:
         if x.ndim != 4 or x.shape[1] != self.in_channels:
             raise ValueError(
                 f"Conv2d({self.in_channels}->{self.out_channels}) got input "
                 f"shape {x.shape}"
             )
-        w = self.weight.stacked()[0]
+        w, bias = self._weights(fold)
         kk, n, c_out = w.shape[0], x.shape[0], self.out_channels
         k, s, p = self.kernel_size, self.stride, self.padding
         if self._narrow(conv_output_size(x.shape[3], k, s, p)):
@@ -156,23 +169,27 @@ class Conv2d(Module):
             unfold = self._unfold(x.shape, x.dtype)
             cols, out_hw, taps = unfold(x, kk), unfold.out_hw, unfold.taps
             i0, i1, j0, j1 = taps
-            # (K, C_out, taps·C) in the columns' (row, column, channel) order.
-            w2d = np.ascontiguousarray(
-                w[:, :, :, i0:i1, j0:j1].transpose(0, 1, 3, 4, 2), dtype=np.result_type(cols, w)
-            ).reshape(kk, c_out, -1)
+            dtype = np.result_type(cols, w)
+            # (K, C_out, taps·C) in the columns' (row, column, channel) order;
+            # laid out once per input-grad-only scope, where no weight can change.
+            key = (self, fold and fold[0], False, taps, dtype)
+            w2d = scope_cached(key, lambda: np.ascontiguousarray(
+                w[:, :, :, i0:i1, j0:j1].transpose(0, 1, 3, 4, 2), dtype=dtype
+            ).reshape(kk, c_out, -1))
         # The columns are only needed for the weight gradient; under an
         # input-grad-only scope (attacks, frozen-prefix forwards) they are
         # not handed to backward.
         self._cols = (cols, taps) if param_grads_enabled() else None
-        self._x_shape = x.shape
+        self._x_shape, self._fold = x.shape, fold  # backward runs the way forward did
         # (K, B, L, taps·C) @ (K, 1, taps·C, C_out) -> (K, B, L, C_out): one GEMM per sample.
         out = np.matmul(cols, w2d.transpose(0, 2, 1)[:, None])
-        if self.use_bias:
-            out += self.bias.stacked()[0][:, None, None, :]
+        if bias is not None:
+            out += bias[:, None, None, :]
         return out.reshape(n, *out_hw, c_out).transpose(0, 3, 1, 2)
 
     def backward(self, grad_out: np.ndarray, param_grads: bool = True) -> np.ndarray:
-        w, w_grad = self.weight.stacked()
+        fold = self._fold
+        w = self._weights(fold)[0]
         n, c, h, w_in = self._x_shape
         kk, c_out = w.shape[0], self.out_channels
         if param_grads and param_grads_enabled():
@@ -182,6 +199,7 @@ class Conv2d(Module):
                     "forward pass ran input-grad-only (no column cache)"
                 )
             cols, taps = self._cols
+            w_grad = self.weight.stacked()[1]
             g2d = channel_last(grad_out).reshape(kk, -1, c_out)  # (K, B·L, C_out)
             # (K, C_out, taps·C): one GEMM per client over its B·L rows.
             grad_w = np.matmul(g2d.transpose(0, 2, 1), cols.reshape(kk, -1, cols.shape[3]))
@@ -204,9 +222,12 @@ class Conv2d(Module):
             grad_cols = np.matmul(w.reshape(kk, 1, c_out, -1).transpose(0, 1, 3, 2), g)
             return col2im(grad_cols.reshape(n, c * k * k, g.shape[3]), self._x_shape, k, k, s, p)
         unfold = self._unfold(self._x_shape, grad_out.dtype, backward=True)
-        i0, i1, j0, j1 = unfold.taps
+        i0, i1, j0, j1 = taps = unfold.taps
+        dtype = np.result_type(grad_out, w)
         # (K, taps·C_out, C): the kernel flipped, in the columns' order.
-        flipped = w[:, :, :, ::-1, ::-1][:, :, :, i0:i1, j0:j1].transpose(0, 3, 4, 1, 2)
-        w2d = np.ascontiguousarray(flipped, dtype=np.result_type(grad_out, w)).reshape(kk, -1, c)
+        key = (self, fold and fold[0], True, taps, dtype)
+        w2d = scope_cached(key, lambda: np.ascontiguousarray(
+            w[:, :, :, ::-1, ::-1][:, :, :, i0:i1, j0:j1].transpose(0, 3, 4, 1, 2), dtype=dtype
+        ).reshape(kk, -1, c))
         grad_in = np.matmul(unfold(grad_out, kk), w2d[:, None])  # per sample, as forward
         return grad_in.reshape(n, h, w_in, c).transpose(0, 3, 1, 2)

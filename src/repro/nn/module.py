@@ -16,6 +16,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.nn.dtype import as_compute
+from repro.nn.grad_mode import require_unfrozen
 
 
 class Parameter:
@@ -175,6 +176,7 @@ class Module:
         return out
 
     def load_state_dict(self, state: Dict[str, np.ndarray], strict: bool = True) -> None:
+        require_unfrozen("load_state_dict")
         param_index = dict(self.named_parameters())
         missing = []
         for name, p in param_index.items():

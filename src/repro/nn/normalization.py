@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.nn.dtype import compute_dtype
 from repro.nn.functional import channel_last
-from repro.nn.grad_mode import param_grads_enabled
+from repro.nn.grad_mode import frozen_cache, param_grads_enabled, scope_cached
 from repro.nn.module import Module, Parameter
 
 
@@ -50,6 +50,20 @@ class BatchNorm2d(Module):
                 self._slab_buffers[name] = np.asarray(value, dtype=self._buffers[name].dtype)
             else:
                 self.set_buffer(name, value[0])
+
+    def fold(self):
+        """``(bank, scale, shift)`` with ``self(z) == z·scale + shift`` (``(K, C)`` stacks), or
+        ``None``: only a frozen layer folds — eval mode, inside a scope, whose cache holds
+        the pair per statistics bank (so both of a ``DualBatchNorm2d``)."""
+        if self.training or frozen_cache() is None:
+            return None
+
+        def build():
+            mean, var = self._running()
+            scale = self.weight.stacked()[0] * (1.0 / np.sqrt(var + self.eps))
+            return (self, self._bank), scale, self.bias.stacked()[0] - mean * scale
+
+        return scope_cached((self, self._bank), build)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4 or x.shape[1] != self.num_features:

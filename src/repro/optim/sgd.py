@@ -6,6 +6,7 @@ from typing import Iterable, List
 
 import numpy as np
 
+from repro.nn.grad_mode import require_unfrozen
 from repro.nn.module import Parameter
 
 
@@ -51,6 +52,7 @@ class SGD:
             p.zero_grad()
 
     def step(self) -> None:
+        require_unfrozen("SGD.step")
         for p, v in zip(self.params, self._velocity):
             if p.slab is not None:
                 data, g = p.slab, p.slab_grad

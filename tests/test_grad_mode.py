@@ -16,10 +16,8 @@ from repro.nn import (
     Linear,
     Sequential,
     attack_grad_scope,
-    fast_path_enabled,
     no_param_grads,
     param_grads_enabled,
-    set_fast_path,
 )
 
 
@@ -91,18 +89,8 @@ def test_scope_nests_and_restores():
     assert param_grads_enabled()
 
 
-def test_fast_path_switch_gates_attack_scope():
-    assert fast_path_enabled()
-    try:
-        set_fast_path(False)
-        with attack_grad_scope():
-            # disabled fast path: attacks behave like the seed (full grads)
-            assert param_grads_enabled()
-        set_fast_path(True)
-        with attack_grad_scope():
-            assert not param_grads_enabled()
-    finally:
-        set_fast_path(True)
+def test_attack_scope_is_the_scope():
+    assert attack_grad_scope is no_param_grads
 
 
 def test_composite_under_scope_matches_full_input_grad():
