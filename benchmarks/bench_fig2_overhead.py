@@ -15,7 +15,6 @@ full-scale models* are used directly.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.hardware import (
@@ -33,12 +32,11 @@ ITERATIONS = 30
 
 
 def _workloads():
-    rng = np.random.default_rng(0)
     return [
-        ("VGG16/CIFAR-10", build_vgg("vgg16", 10, (3, 32, 32), rng=rng), (3, 32, 32), 64),
+        ("VGG16/CIFAR-10", build_vgg("vgg16", 10, (3, 32, 32)), (3, 32, 32), 64),
         (
             "ResNet34/Caltech-256",
-            build_resnet("resnet34", 256, (3, 224, 224), rng=rng),
+            build_resnet("resnet34", 256, (3, 224, 224)),
             (3, 224, 224),
             32,
         ),

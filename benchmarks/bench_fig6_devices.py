@@ -45,9 +45,8 @@ def memory_consumption(model, shape, batch):
 
 
 def compute_figure6():
-    rng = np.random.default_rng(0)
-    vgg = build_vgg("vgg16", 10, (3, 32, 32), rng=rng)
-    r34 = build_resnet("resnet34", 256, (3, 224, 224), rng=rng)
+    vgg = build_vgg("vgg16", 10, (3, 32, 32))
+    r34 = build_resnet("resnet34", 256, (3, 224, 224))
     return {
         "cifar10": (sample_distributions("cifar10"), memory_consumption(vgg, (3, 32, 32), 64)),
         "caltech256": (

@@ -9,7 +9,6 @@ multi-atom module under R_min.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core.partitioner import partition_model, partition_summary, segment_mem_bytes
@@ -21,12 +20,11 @@ MB = 1024**2
 
 
 def compute_partitions():
-    rng = np.random.default_rng(0)
-    vgg = build_vgg("vgg16", 10, (3, 32, 32), rng=rng)
+    vgg = build_vgg("vgg16", 10, (3, 32, 32))
     mem_v = MemoryModel(batch_size=64)
     part_v = partition_model(vgg, 60 * MB, mem_v)
 
-    r34 = build_resnet("resnet34", 256, (3, 224, 224), rng=rng)
+    r34 = build_resnet("resnet34", 256, (3, 224, 224))
     mem_r = MemoryModel(batch_size=32)
     part_r = partition_model(r34, 224 * MB, mem_r)
     return (vgg, mem_v, part_v), (r34, mem_r, part_r)

@@ -26,14 +26,14 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.hardware.profile import profile_module
 from repro.models.atoms import Atom, CascadeModel
 from repro.nn.activations import LeakyReLU, ReLU, Tanh
 from repro.nn.dtype import accum_dtype
 from repro.nn.blocks import BasicBlock, ConvBNReLU
 from repro.nn.conv import Conv2d
-from repro.nn.functional import conv_output_size
 from repro.nn.linear import Flatten, Linear
-from repro.nn.module import Identity, Module, Sequential
+from repro.nn.module import Identity, Module, Parameter, Sequential
 from repro.nn.normalization import BatchNorm2d
 from repro.nn.pooling import AvgPool2d, GlobalAvgPool2d, MaxPool2d
 
@@ -103,10 +103,11 @@ def _slice_conv(
         padding=conv.padding,
         bias=conv.use_bias,
     )
-    new.weight.data[...] = conv.weight.data[np.ix_(out_idx, in_idx)]
+    # A fresh Parameter of the slice: the layer's own (deferred) draw is never made.
+    new.weight = Parameter(conv.weight.data[np.ix_(out_idx, in_idx)])
     ctx.index_map[name + ".weight"] = (out_idx, in_idx)
     if conv.use_bias:
-        new.bias.data[...] = conv.bias.data[out_idx]
+        new.bias = Parameter(conv.bias.data[out_idx])
         ctx.index_map[name + ".bias"] = (out_idx,)
     return new
 
@@ -131,10 +132,10 @@ def _slice_linear(
     else:
         out_idx = ctx.select(linear.out_features)
     new = Linear(len(in_idx), len(out_idx), bias=linear.use_bias)
-    new.weight.data[...] = linear.weight.data[np.ix_(out_idx, in_idx)]
+    new.weight = Parameter(linear.weight.data[np.ix_(out_idx, in_idx)])
     ctx.index_map[name + ".weight"] = (out_idx, in_idx)
     if linear.use_bias:
-        new.bias.data[...] = linear.bias.data[out_idx]
+        new.bias = Parameter(linear.bias.data[out_idx])
         ctx.index_map[name + ".bias"] = (out_idx,)
     return new, out_idx
 
@@ -148,27 +149,21 @@ def _slice(
 ) -> Tuple[Module, Tuple[int, ...], np.ndarray]:
     """Recursively slice ``module``; returns (sub, global_out_shape, out_idx).
 
-    ``in_shape`` tracks the *global* tensor shape (spatial dims are shared
-    between global and sub model); ``in_idx`` are the kept global channel
-    (or feature) indices of the module's input.
+    ``in_shape`` tracks the *global* tensor shape, read off the one shape
+    walker (spatial dims are shared between global and sub model); ``in_idx``
+    are the kept global channel (or feature) indices of the module's input.
     """
     if isinstance(module, Conv2d):
         out_idx = ctx.select(module.out_channels)
         new = _slice_conv(module, in_idx, out_idx, name, ctx)
-        _, h, w = in_shape
-        k, s, p = module.kernel_size, module.stride, module.padding
-        out_shape = (module.out_channels, conv_output_size(h, k, s, p), conv_output_size(w, k, s, p))
-        return new, out_shape, out_idx
+        return new, profile_module(module, in_shape).out_shape, out_idx
     if isinstance(module, BatchNorm2d):
         return _slice_bn(module, in_idx, name, ctx), in_shape, in_idx
     if isinstance(module, (ReLU, LeakyReLU, Tanh, Identity)):
         return type(module)(), in_shape, in_idx
     if isinstance(module, (MaxPool2d, AvgPool2d)):
         new = type(module)(module.kernel_size, stride=module.stride, padding=module.padding)
-        c, h, w = in_shape
-        k, s, p = module.kernel_size, module.stride, module.padding
-        out_shape = (c, conv_output_size(h, k, s, p), conv_output_size(w, k, s, p))
-        return new, out_shape, in_idx
+        return new, profile_module(module, in_shape).out_shape, in_idx
     if isinstance(module, GlobalAvgPool2d):
         return GlobalAvgPool2d(), (in_shape[0],), in_idx
     if isinstance(module, Flatten):
@@ -190,16 +185,9 @@ def _slice(
         new = ConvBNReLU(1, 1, batch_norm=not isinstance(module.bn, Identity))
         conv_out_idx = ctx.select(module.conv.out_channels)
         new.conv = _slice_conv(module.conv, in_idx, conv_out_idx, f"{name}.conv", ctx)
-        _, h, w = in_shape
-        k, s, p = module.conv.kernel_size, module.conv.stride, module.conv.padding
-        out_shape = (
-            module.conv.out_channels,
-            conv_output_size(h, k, s, p),
-            conv_output_size(w, k, s, p),
-        )
         if isinstance(module.bn, BatchNorm2d):
             new.bn = _slice_bn(module.bn, conv_out_idx, f"{name}.bn", ctx)
-        return new, out_shape, conv_out_idx
+        return new, profile_module(module, in_shape).out_shape, conv_out_idx
     if isinstance(module, BasicBlock):
         identity_skip = isinstance(module.downsample, Identity)
         if identity_skip:
@@ -221,14 +209,7 @@ def _slice(
                 _slice_conv(ds_conv, in_idx, out_idx, f"{name}.downsample.layer0", ctx),
                 _slice_bn(ds_bn, out_idx, f"{name}.downsample.layer1", ctx),
             )
-        _, h, w = in_shape
-        s = module.conv1.stride
-        out_shape = (
-            module.conv2.out_channels,
-            conv_output_size(h, 3, s, 1),
-            conv_output_size(w, 3, s, 1),
-        )
-        return new, out_shape, out_idx
+        return new, profile_module(module, in_shape).out_shape, out_idx
     raise TypeError(f"cannot slice module of type {type(module).__name__}")
 
 

@@ -11,7 +11,9 @@ per-sample shape and returns
 
 Composite modules (Sequential, ConvBNReLU, BasicBlock, CascadeModel) are
 traversed structurally, so the profiler works on any model this repo
-builds without executing any arithmetic.
+builds without executing any arithmetic or reading any parameter *value*:
+a model built without a generator is profiled before a weight is drawn.  It is
+the repo's one shape walker — ``CascadeModel.infer_shapes`` reads it too.
 """
 
 from __future__ import annotations
@@ -53,11 +55,18 @@ def _numel(shape: Tuple[int, ...]) -> int:
     return int(np.prod(shape))
 
 
+def _require_fit(module: Module, fits: bool, in_shape: Tuple[int, ...]) -> None:
+    # What a dry-run forward would have tripped over, caught while walking.
+    if not fits:
+        raise ValueError(f"{type(module).__name__} does not fit a per-sample input {in_shape}")
+
+
 def profile_module(module: Module, in_shape: Tuple[int, ...]) -> ModuleProfile:
     """Profile ``module`` on a single sample of shape ``in_shape``."""
     # --- primitives -------------------------------------------------------
     if isinstance(module, Conv2d):
         c, h, w = in_shape
+        _require_fit(module, c == module.in_channels, in_shape)
         k, s, p = module.kernel_size, module.stride, module.padding
         oh = conv_output_size(h, k, s, p)
         ow = conv_output_size(w, k, s, p)
@@ -66,12 +75,14 @@ def profile_module(module: Module, in_shape: Tuple[int, ...]) -> ModuleProfile:
         flops = 2 * macs + (_numel(out_shape) if module.use_bias else 0)
         return ModuleProfile(module.num_parameters(), _numel(out_shape), flops, out_shape)
     if isinstance(module, Linear):
+        _require_fit(module, in_shape == (module.in_features,), in_shape)
         out_shape = (module.out_features,)
         flops = 2 * module.in_features * module.out_features
         if module.use_bias:
             flops += module.out_features
         return ModuleProfile(module.num_parameters(), module.out_features, flops, out_shape)
     if isinstance(module, BatchNorm2d):  # includes DualBatchNorm2d
+        _require_fit(module, in_shape[0] == module.num_features, in_shape)
         return ModuleProfile(
             module.num_parameters(), _numel(in_shape), 4 * _numel(in_shape), in_shape
         )

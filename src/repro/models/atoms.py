@@ -4,6 +4,8 @@ The paper partitions a backbone into cascaded modules whose unit of
 granularity is the "atom": *"a layer or a block such that the backbone model
 is constructed as a plain cascade of multiple atoms"* (§6.1).  This module
 defines that abstraction and the full-model container built from it.
+Constructing one runs nothing: shapes come from the static shape walker, weights no
+caller seeded stay undrawn until read (docs/architecture.md § "Shape-first construction").
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.hardware.profile import profile_module
 from repro.nn.module import Module, Sequential
 
 
@@ -74,17 +77,11 @@ class CascadeModel(Module):
         return len(self.atoms)
 
     def infer_shapes(self) -> None:
-        """Dry-run a single zero sample to record each atom's output shape."""
-        from repro.nn.dtype import compute_dtype
-
-        x = np.zeros((1,) + self.in_shape, dtype=compute_dtype())
-        was_training = self.training
-        self.eval()
+        """Each atom's output shape, read off the static shape walker: nothing is
+        executed, and an atom ``profile_module`` does not know is a ``TypeError`` here."""
+        shape = self.in_shape
         for atom in self.atoms:
-            x = atom.module(x)
-            atom.out_shape = tuple(x.shape[1:])
-        if was_training:
-            self.train()
+            shape = atom.out_shape = profile_module(atom.module, shape).out_shape
 
     def segment(self, start: int, stop: int) -> Sequential:
         """A view over atoms ``[start, stop)`` sharing the same parameters."""

@@ -12,6 +12,7 @@ import numpy as np
 
 from repro.models.atoms import Atom, CascadeModel
 from repro.nn.blocks import ConvBNReLU
+from repro.nn.init import PrivateRng
 from repro.nn.linear import Flatten, Linear
 from repro.nn.module import Sequential
 from repro.nn.normalization import BatchNorm2d
@@ -34,7 +35,7 @@ def build_cnn(
     """
     if num_conv < 1:
         raise ValueError("num_conv must be >= 1")
-    rng = rng if rng is not None else np.random.default_rng(0)
+    rng = rng if rng is not None else PrivateRng()
     atoms: List[Atom] = []
     in_ch, h, w = in_shape
     ch = max(1, int(round(base_channels * width_mult)))

@@ -13,6 +13,7 @@ import numpy as np
 
 from repro.models.atoms import Atom, CascadeModel
 from repro.nn.blocks import BasicBlock, ConvBNReLU
+from repro.nn.init import PrivateRng
 from repro.nn.linear import Flatten, Linear
 from repro.nn.module import Sequential
 from repro.nn.normalization import BatchNorm2d
@@ -48,7 +49,7 @@ def build_resnet(
     """
     if arch not in RESNET_CONFIGS:
         raise ValueError(f"unknown ResNet arch {arch!r}; options: {sorted(RESNET_CONFIGS)}")
-    rng = rng if rng is not None else np.random.default_rng(0)
+    rng = rng if rng is not None else PrivateRng()
     blocks_per_stage = RESNET_CONFIGS[arch]
 
     atoms: List[Atom] = []

@@ -17,6 +17,7 @@ import numpy as np
 from repro.models.atoms import Atom, CascadeModel
 from repro.nn.activations import ReLU
 from repro.nn.blocks import ConvBNReLU
+from repro.nn.init import PrivateRng
 from repro.nn.linear import Flatten, Linear
 from repro.nn.module import Module, Sequential
 from repro.nn.normalization import BatchNorm2d
@@ -57,7 +58,7 @@ def build_vgg(
     """
     if arch not in VGG_CONFIGS:
         raise ValueError(f"unknown VGG arch {arch!r}; options: {sorted(VGG_CONFIGS)}")
-    rng = rng if rng is not None else np.random.default_rng(0)
+    rng = rng if rng is not None else PrivateRng()
     cfg = VGG_CONFIGS[arch]
 
     atoms: List[Atom] = []

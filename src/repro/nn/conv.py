@@ -8,7 +8,7 @@ from numpy.lib.stride_tricks import as_strided
 from repro.nn.dtype import compute_dtype
 from repro.nn.functional import channel_last, col2im, conv_output_size, im2col
 from repro.nn.grad_mode import param_grads_enabled, scope_cached
-from repro.nn.init import kaiming_normal
+from repro.nn.init import PrivateRng, kaiming_normal
 from repro.nn.module import Module, Parameter
 
 
@@ -99,7 +99,7 @@ class Conv2d(Module):
         rng: np.random.Generator | None = None,
     ):
         super().__init__()
-        rng = rng if rng is not None else np.random.default_rng(0)
+        rng = rng if rng is not None else PrivateRng()
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = kernel_size

@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.nn.dtype import compute_dtype
 from repro.nn.grad_mode import param_grads_enabled
-from repro.nn.init import kaiming_normal
+from repro.nn.init import PrivateRng, kaiming_normal
 from repro.nn.module import Module, Parameter
 
 
@@ -21,7 +21,7 @@ class Linear(Module):
         rng: np.random.Generator | None = None,
     ):
         super().__init__()
-        rng = rng if rng is not None else np.random.default_rng(0)
+        rng = rng if rng is not None else PrivateRng()
         self.in_features = in_features
         self.out_features = out_features
         self.weight = Parameter(

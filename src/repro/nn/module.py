@@ -11,12 +11,14 @@ input, accumulating parameter gradients along the way.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.nn.dtype import as_compute
 from repro.nn.grad_mode import require_unfrozen
+from repro.nn.init import PendingDraw
 
 
 class Parameter:
@@ -24,7 +26,9 @@ class Parameter:
 
     Floating-point data is cast to the active compute dtype (see
     :mod:`repro.nn.dtype`) at construction, so the dtype policy is enforced
-    no matter which code path creates the parameter.
+    no matter which code path creates the parameter.  Built from a ``PendingDraw``
+    (a layer's *private* generator) the value is not drawn yet: ``data``/``grad``
+    are unset slots until first read, and ``shape``/``size``/``repr`` never draw.
 
     ``slab``/``slab_grad`` hold the client-batched state of a fusion
     cohort: a ``(K, *data.shape)`` stack of K clients' values for
@@ -34,21 +38,45 @@ class Parameter:
     untouched.
     """
 
-    __slots__ = ("data", "grad", "slab", "slab_grad")
+    __slots__ = ("data", "grad", "slab", "slab_grad", "_pending")
 
-    def __init__(self, data: np.ndarray):
-        self.data = as_compute(np.asarray(data))
-        self.grad = np.zeros_like(self.data)
+    def __init__(self, data: np.ndarray | PendingDraw):
         self.slab: Optional[np.ndarray] = None
         self.slab_grad: Optional[np.ndarray] = None
+        self._pending = data if isinstance(data, PendingDraw) else None
+        if self._pending is None:
+            self.data = as_compute(np.asarray(data))
+            self.grad = np.zeros_like(self.data)
+        else:  # ``data``/``grad`` stay unset slots until the private generator's flush
+            data.rng.queue(self._fill)
+
+    def _fill(self, rng: np.random.Generator) -> None:
+        self.data = self._pending.draw(rng)
+        self.grad = np.zeros_like(self.data)
+        self._pending = None  # last: a concurrent reader sees either this or set slots
+
+    def __getattr__(self, name: str):
+        # Reached only when a slot is unset — the first read of a pending
+        # parameter; a set slot never comes here (unlike a property's getter).
+        if name not in ("data", "grad"):
+            raise AttributeError(name)
+        pending = self._pending  # read once: a concurrent flush clears it
+        if pending is not None:
+            pending.rng.flush()
+        return object.__getattribute__(self, name)
+
+    def __getstate__(self):
+        # Copies and pickles carry values, never a pending draw: ``data`` is read
+        # first, which makes every queued draw and leaves ``_pending`` None.
+        return None, {slot: getattr(self, slot) for slot in self.__slots__}
 
     @property
     def shape(self) -> Tuple[int, ...]:
-        return self.data.shape
+        return (self._pending or self.data).shape
 
     @property
     def size(self) -> int:
-        return int(self.data.size)
+        return math.prod(self.shape)
 
     def stacked(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(values, gradients)`` as ``(K, *shape)`` stacks: the cohort slabs, else
@@ -62,8 +90,15 @@ class Parameter:
         if self.slab_grad is not None:
             self.slab_grad[...] = 0.0
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Parameter(shape={self.data.shape}, dtype={self.data.dtype})"
+    def __repr__(self) -> str:
+        described = self._pending or self.data
+        return f"Parameter(shape={described.shape}, dtype={described.dtype})"
+
+
+def _require_shape(key: str, got: Tuple[int, ...], want: Tuple[int, ...]) -> None:
+    # An in-place or replacing write would broadcast (or silently resize) otherwise.
+    if got != want:
+        raise ValueError(f"shape mismatch for {key!r}: got {got}, expected {want}")
 
 
 class Module:
@@ -110,8 +145,11 @@ class Module:
     def set_buffer(self, name: str, value: np.ndarray) -> None:
         if name not in self._buffers:
             raise KeyError(f"no buffer named {name!r}")
-        self._buffers[name] = np.asarray(value, dtype=self._buffers[name].dtype)
-        object.__setattr__(self, name, self._buffers[name])
+        old = self._buffers[name]
+        value = np.asarray(value, dtype=old.dtype)
+        _require_shape(name, value.shape, old.shape)
+        self._buffers[name] = value
+        object.__setattr__(self, name, value)
 
     # -- interface ---------------------------------------------------------
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -181,6 +219,7 @@ class Module:
         missing = []
         for name, p in param_index.items():
             if name in state:
+                _require_shape(name, np.shape(state[name]), p.shape)
                 p.data[...] = state[name]
             elif strict:
                 missing.append(name)

@@ -8,7 +8,7 @@ from repro.attacks import ModelWithLoss, PGDConfig, pgd_attack
 from repro.data import ArrayDataset
 from repro.flsim.aggregation import weighted_average_states
 from repro.models import build_cnn
-from repro.nn import CrossEntropyLoss, Linear, Sequential, ReLU
+from repro.nn import BatchNorm2d, CrossEntropyLoss, Linear, Sequential, ReLU
 
 RNG = np.random.default_rng(0)
 
@@ -19,6 +19,23 @@ class TestShapeMismatches:
         bad = {k: np.zeros((9, 9)) for k in m.state_dict()}
         with pytest.raises(ValueError):
             m.load_state_dict(bad)
+        # Shapes that *would* broadcast into a (3, 4) weight are refused too,
+        # naming the key and both shapes, and leave the weights untouched.
+        good = m.state_dict()
+        for wrong in (np.ones(4), np.float32(1.0)):
+            with pytest.raises(ValueError, match=r"layer0\.weight.*\(3, 4\)"):
+                m.load_state_dict({**good, "layer0.weight": wrong})
+        np.testing.assert_array_equal(m.state_dict()["layer0.weight"], good["layer0.weight"])
+        m.load_state_dict(good)
+        # ... and a buffer is never silently resized, directly or through a load.
+        bn = BatchNorm2d(4)
+        with pytest.raises(ValueError, match=r"running_mean.*\(7,\).*\(4,\)"):
+            bn.set_buffer("running_mean", np.zeros(7))
+        state = bn.state_dict()
+        with pytest.raises(ValueError, match="running_var"):
+            bn.load_state_dict({**state, "running_var": np.ones(7)})
+        assert bn.running_mean.shape == (4,)
+        bn.set_buffer("running_mean", np.arange(4.0))
 
     def test_aggregating_mismatched_states_raises(self):
         s1 = {"w": np.zeros(3)}

@@ -590,7 +590,7 @@ def test_standard_plan_calls_no_batchnorm_and_lays_out_once_per_shard(bn_calls, 
     plan = EvalPlan.standard(8 / 255, 20, with_autoattack=True, max_samples=64)
     shards = EvalExecutor().shards_for(plan, 64)
     assert len(shards) == 3  # clean, PGD-20, AutoAttack
-    bn_calls.clear(), layout_builds.clear()  # the builder's shape-inference pass
+    assert not bn_calls and not layout_builds  # building the model ran nothing
     result = EvalExecutor().run(plan, _test_set(), lambda slot: EvalTarget(ModelWithLoss(model)))
     assert None not in (result.clean_acc, result.pgd_acc, result.aa_acc)
     assert not bn_calls

@@ -19,7 +19,7 @@ RNG = np.random.default_rng(0)
 class TestVGG:
     def test_vgg16_atom_count_matches_paper(self):
         """Paper Table 7: VGG16 = 13 conv atoms + 3 linear atoms."""
-        m = build_vgg("vgg16", 10, (3, 32, 32), rng=RNG)
+        m = build_vgg("vgg16", 10, (3, 32, 32))  # described only: no generator, nothing drawn
         assert len(m.atoms) == 16
         names = m.atom_names()
         assert names[0] == "conv1" and names[12] == "conv13"
@@ -31,8 +31,8 @@ class TestVGG:
         assert out.shape == (2, 10)
 
     def test_width_mult_scales_channels(self):
-        full = build_vgg("vgg11", 10, (3, 32, 32), rng=RNG)
-        half = build_vgg("vgg11", 10, (3, 32, 32), width_mult=0.5, rng=RNG)
+        full = build_vgg("vgg11", 10, (3, 32, 32))
+        half = build_vgg("vgg11", 10, (3, 32, 32), width_mult=0.5)
         assert half.num_parameters() < 0.5 * full.num_parameters()
 
     def test_small_input_skips_pools(self):

@@ -158,7 +158,7 @@ def _model_layer_shapes(monkeypatch):
         ("cnn@8", lambda: build_cnn(2, 10, (3, 8, 8), base_channels=8, rng=rng), (3, 8, 8)),
     ]:
         del seen[:]
-        build()  # the builder's shape-inference pass visits every conv once
+        build().eval()(np.zeros((1,) + shape, np.float32))  # one sample visits every conv once
         cases += [(label, conv, in_shape) for conv, in_shape in seen]
     monkeypatch.undo()
     return cases
