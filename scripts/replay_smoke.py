@@ -13,8 +13,13 @@ The end-to-end exercise of the PR-10 replay contract, in CI's
    **serial** backend and again on the **thread** backend, asserting
    every event re-emits bit-for-bit with zero divergences.
 
-Usage: ``python scripts/replay_smoke.py`` (also ``--child <journal>`` as
-the subprocess entry point).
+Both run loops go through it: ``jfat`` on the cross-round pipeline, then
+``fedprophet`` on the round-barrier loop (within-round async merges,
+two-round stages, the same faults + median) — its checkpoints carry
+Algorithm 2's stage state, so the kill lands just past a stage boundary.
+
+Usage: ``python scripts/replay_smoke.py`` (also ``--child <journal>
+[method]`` as the subprocess entry point).
 """
 
 import os
@@ -27,65 +32,59 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 import numpy as np  # noqa: E402
 
-from repro.baselines import JointFAT  # noqa: E402
-from repro.data import make_cifar10_like  # noqa: E402
-from repro.flsim import FaultPlan, FLConfig, RunJournal  # noqa: E402
+from repro.flsim import FaultPlan, RunJournal  # noqa: E402
 from repro.flsim.replay import replay_run  # noqa: E402
-from repro.models import build_cnn  # noqa: E402
 
-import resume_smoke  # noqa: E402 - reuse the kill/poll orchestration
+import resume_smoke  # noqa: E402 - reuse the config and the kill/poll orchestration
 
-ROUNDS = 8
+ROUNDS = resume_smoke.ROUNDS
 
 
 def build_experiment(journal_path=None, checkpoint_every=0,
-                     executor_backend="thread", round_parallelism=2):
-    """Hard mode: depth-2 async + faults + median aggregation."""
-    task = make_cifar10_like(
-        image_size=8, train_per_class=40, test_per_class=10, seed=0
-    )
-    cfg = FLConfig(
-        num_clients=6, clients_per_round=3, local_iters=4, batch_size=8,
-        lr=0.02, rounds=ROUNDS, train_pgd_steps=2, eval_pgd_steps=2,
-        eval_every=0, eval_max_samples=24, seed=0,
+                     executor_backend="thread", round_parallelism=2,
+                     method="jfat"):
+    """Hard mode: resume_smoke's async config + faults + median aggregation."""
+    return resume_smoke.build_experiment(
+        journal_path, checkpoint_every, method,
         executor_backend=executor_backend, round_parallelism=round_parallelism,
-        aggregation_mode="async", max_staleness=2, pipeline_depth=2,
         aggregation_rule="median",
         fault_plan=FaultPlan(seed=7, dropout_prob=0.3, straggler_prob=0.2),
-        journal_path=journal_path, checkpoint_every=checkpoint_every,
     )
-    builder = lambda rng: build_cnn(3, 10, (3, 8, 8), base_channels=4, rng=rng)
-    return JointFAT(task, builder, cfg)
 
 
-def _child(journal_path: str) -> int:
-    exp = build_experiment(journal_path, checkpoint_every=1)
+def _child(journal_path: str, method: str) -> int:
+    exp = build_experiment(journal_path, checkpoint_every=1, method=method)
     exp.run()
     exp.close()
     return 0
 
 
 def main() -> int:
-    if len(sys.argv) == 3 and sys.argv[1] == "--child":
-        return _child(sys.argv[2])
+    if len(sys.argv) >= 3 and sys.argv[1] == "--child":
+        return _child(sys.argv[2], sys.argv[3] if len(sys.argv) > 3 else "jfat")
+    return max(smoke(method) for method in ("jfat", "fedprophet"))
 
-    print(f"reference: uninterrupted {ROUNDS}-round hard-mode run")
-    ref = build_experiment()
+
+def smoke(method: str) -> int:
+    print(f"[{method}] reference: uninterrupted hard-mode run, {ROUNDS}-round budget")
+    ref = build_experiment(method=method)
     ref.run()
     ref_state = {k: v.copy() for k, v in ref.global_model.state_dict().items()}
     ref_alphas = [e.alpha for e in ref.async_log]
+    ref_stage = resume_smoke.stage_state(ref)
+    rounds = len(ref.history)
     ref.close()
 
     journal = os.path.join(tempfile.mkdtemp(prefix="replay-smoke-"), "run.jsonl")
     print("child: journalled hard-mode run, checkpoint every round")
-    killed = _spawn_and_kill(journal)
+    killed = resume_smoke.spawn_and_kill(journal, method, script=__file__)
     if killed:
         print(f"SIGKILLed child after "
               f"{resume_smoke.checkpoints_logged(journal)} checkpoints")
     else:
         print("note: child finished before the kill; replay still exercised")
 
-    resumed = build_experiment(journal, checkpoint_every=1)
+    resumed = build_experiment(journal, checkpoint_every=1, method=method)
     resumed.resume(journal)
     final = resumed.global_model.state_dict()
     mismatched = [
@@ -94,23 +93,26 @@ def main() -> int:
     if mismatched:
         print(f"FAIL: resumed weights differ from reference: {mismatched}")
         return 1
-    if len(resumed.history) != ROUNDS:
+    if len(resumed.history) != rounds:
         print(f"FAIL: resumed history has {len(resumed.history)} records")
         return 1
     if [e.alpha for e in resumed.async_log] != ref_alphas:
         print("FAIL: resumed merge log differs from reference")
         return 1
+    if resume_smoke.stage_state(resumed) != ref_stage:
+        print("FAIL: resumed stage state (eps*, stages, pert log, heads) differs")
+        return 1
     resumed.close()
-    print("resume ok: bit-identical weights, history, merge log")
+    print("resume ok: bit-identical weights, history, merge log, stage state")
 
     for backend, workers in (("serial", 1), ("thread", 2)):
         report = replay_run(
             journal,
             lambda: build_experiment(
-                executor_backend=backend, round_parallelism=workers
+                executor_backend=backend, round_parallelism=workers, method=method
             ),
         )
-        if report.rounds != ROUNDS:
+        if report.rounds != rounds:
             print(f"FAIL: replay on {backend} verified {report.rounds} rounds")
             return 1
         print(f"replay on {backend} x{workers}: {report.summary()}")
@@ -120,37 +122,8 @@ def main() -> int:
     if kinds[-1] != "run_end":
         print(f"FAIL: journal lifecycle malformed: {kinds}")
         return 1
-    print("replay smoke ok: zero divergent events on both backends")
+    print(f"[{method}] replay smoke ok: zero divergent events on both backends")
     return 0
-
-
-def _spawn_and_kill(journal_path: str) -> bool:
-    """resume_smoke's kill orchestration, but spawning *this* script."""
-    import signal
-    import subprocess
-    import time
-
-    env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
-    child = subprocess.Popen(
-        [sys.executable, os.path.abspath(__file__), "--child", journal_path],
-        env=env,
-    )
-    deadline = time.monotonic() + resume_smoke.KILL_DEADLINE_S
-    while time.monotonic() < deadline:
-        if child.poll() is not None:
-            return False
-        if resume_smoke.checkpoints_logged(journal_path) >= \
-                resume_smoke.KILL_AFTER_CHECKPOINTS:
-            child.send_signal(signal.SIGKILL)
-            child.wait()
-            return True
-        time.sleep(0.05)
-    child.kill()
-    child.wait()
-    raise RuntimeError(
-        f"no checkpoint appeared in {journal_path} within "
-        f"{resume_smoke.KILL_DEADLINE_S}s"
-    )
 
 
 if __name__ == "__main__":

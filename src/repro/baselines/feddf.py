@@ -132,6 +132,14 @@ class FedDFAT(FederatedExperiment):
         )
         return self.async_client_costs(round_idx, clients, states)
 
+    def checkpoint_state(self) -> Dict[str, Dict[str, np.ndarray]]:
+        """The smaller prototypes (the checkpoint's global state is the largest)."""
+        return {n: self.prototypes[n].state_dict() for n in self.family[:-1]}
+
+    def load_checkpoint_state(self, state) -> None:
+        for name, proto_state in state.items():
+            self.prototypes[name].load_state_dict(proto_state)
+
     def async_client_costs(self, round_idx, clients, states) -> List[LocalTrainingCost]:
         """Pre-training latency: each device's largest affordable prototype.
 

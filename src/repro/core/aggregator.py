@@ -252,6 +252,17 @@ def async_merge_schedule(num_updates: int, max_staleness: int) -> List[List[int]
     return events
 
 
+def arrival_merge_events(costs_s: Sequence[float], max_staleness: int) -> List[List[int]]:
+    """:func:`async_merge_schedule` over clients in simulated-arrival order
+    (cost, then index — never wall clock); each event lists its members in
+    ascending client index, which fixes its averages' reduction order."""
+    order = sorted(range(len(costs_s)), key=lambda i: (costs_s[i], i))
+    return [
+        sorted(order[pos] for pos in event)
+        for event in async_merge_schedule(len(costs_s), max_staleness)
+    ]
+
+
 def blend_into(server: StateDict, merged: StateDict, alpha: float) -> float:
     """Mix ``merged`` into ``server`` in place with rate ``alpha``.
 

@@ -14,19 +14,14 @@ seeds ε_m for the next module's training stage.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
 from repro.attacks import ModelWithLoss
 from repro.core.aggregator import (
-    aggregate_heads,
-    aggregate_modules,
-    async_merge_schedule,
     merge_async_partial,
-    publish_snapshot,
     restore_segment,
     snapshot_segment,
 )
@@ -40,7 +35,7 @@ from repro.core.config import FedProphetConfig
 from repro.core.dma import SegmentCostTable, assign_modules
 from repro.core.partitioner import full_model_mem_bytes, partition_model
 from repro.core.prefix_cache import PrefixCache
-from repro.flsim.base import AsyncMergeEvent, FederatedExperiment, FLClient, RoundRecord
+from repro.flsim.base import AsyncRoundContext, FederatedExperiment, RoundRecord
 from repro.flsim.eval_executor import EvalTarget
 from repro.hardware.devices import DeviceSampler, DeviceState
 from repro.hardware.flops import BACKWARD_MULTIPLIER
@@ -74,7 +69,14 @@ class ModuleStageResult:
 
 
 class FedProphet(FederatedExperiment):
-    """Memory-efficient FAT via robust and consistent cascade learning."""
+    """Memory-efficient FAT via robust and consistent cascade learning.
+
+    A round is the ``async_*`` hook surface (DMA plan, cascade work unit,
+    Eq. 16/17 partial-average merge); Algorithm 2's outer loop is the
+    stage state below, advanced by the engine's round-barrier loop — no
+    run loop, barrier round or merge replay of its own, so it checkpoints,
+    resumes and replays like every other method.
+    """
 
     name = "fedprophet"
     # cascade_eval feeds APA's epsilon schedule and the per-module
@@ -83,11 +85,19 @@ class FedProphet(FederatedExperiment):
     supports_overlap_eval = False
     # Asynchronous aggregation is *within-round*: client updates merge
     # per module span (Eq. 16 partial averages, staleness-attenuated) in
-    # simulated-arrival order as they land.  Rounds themselves cannot
-    # overlap — cascade_eval gates every boundary — so the cross-round
-    # pipeline (pipeline_depth > 1) is rejected at construction.
+    # simulated-arrival order as they land — run_round's event schedule.
+    # Rounds themselves cannot overlap — cascade_eval gates every
+    # boundary — so the cross-round pipeline (pipeline_depth > 1,
+    # eval_every_merge) is rejected at construction.
     supports_async_aggregation = True
     supports_cross_round_pipeline = False
+    #: Algorithm 2's outer-loop state: plain picklable attributes, the
+    #: checkpoint's ``experiment`` entry (plus the head weights).
+    _STAGE_STATE = (
+        "current_module", "_stage_rounds", "_best_metric", "_stale", "_last_eval",
+        "apa", "eps_feature", "eps_star", "stage_results", "pert_log",
+        "_val_eval_calls",
+    )
 
     def __init__(
         self,
@@ -108,15 +118,7 @@ class FedProphet(FederatedExperiment):
         self.partition = partition_model(self.global_model, self.r_min, self.mem)
         self.cost_table = SegmentCostTable(self.global_model, self.partition, self.mem)
 
-        head_rng = np.random.default_rng(config.seed + 21)
-        num_atoms = len(self.global_model.atoms)
-        self.heads: List[Optional[AuxHead]] = []
-        for start, stop in self.partition.ranges:
-            if stop < num_atoms:
-                shape = self.global_model.feature_shape(stop - 1)
-                self.heads.append(AuxHead(shape, task.num_classes, rng=head_rng))
-            else:
-                self.heads.append(None)
+        self.heads = self._build_heads()
 
         self.apa = AdaptivePerturbationAdjustment(
             gamma=config.gamma,
@@ -126,7 +128,8 @@ class FedProphet(FederatedExperiment):
             alpha_max=config.alpha_max,
             enabled=config.use_apa,
         )
-        self.current_module = 0
+        self.current_module = 0  # == len(partition) once every module is fixed
+        self._begin_stage()
         self.prefix_cache = PrefixCache() if config.use_prefix_cache else None
         if (
             self.prefix_cache is not None
@@ -154,11 +157,10 @@ class FedProphet(FederatedExperiment):
         self.eps_feature = 0.0  # ε_{m-1}; unused for module 0 (raw-input ℓ∞)
         self.eps_star: List[float] = []  # fixed ε*_{m-1} per completed module
         self.stage_results: List[ModuleStageResult] = []
-        # Stage-end ε* probe, overlapped with the next stage's planning on
-        # a pooled executor: (module, group-or-value, stage_rounds, eval).
-        self._pending_probe = None
-        self._probe_model: Optional[CascadeModel] = None
         self.pert_log: List[PerturbationLogEntry] = []
+        # The one round in flight (round-gated): DMA spans + Eq. 16/17
+        # denominators, fixed by async_round_extra before anybody trains.
+        self._round_plan: Dict[str, Any] = {}
 
         # Cumulative forward FLOPs of the fixed prefix before each atom.
         self._prefix_flops = [0]
@@ -264,23 +266,24 @@ class FedProphet(FederatedExperiment):
             if self.prefix_cache is not None:
                 self.prefix_cache.bump_version()
 
+    def _build_heads(self) -> List[Optional[AuxHead]]:
+        """One auxiliary head per module but the last (the backbone's output)."""
+        rng = np.random.default_rng(self.config.seed + 21)
+        num_atoms = len(self.global_model.atoms)
+        return [
+            AuxHead(self.global_model.feature_shape(stop - 1), self.task.num_classes, rng=rng)
+            if stop < num_atoms
+            else None
+            for _start, stop in self.partition.ranges
+        ]
+
     def _slot_heads(self, slot: int) -> List[Optional[AuxHead]]:
         """Per-slot auxiliary-head workspaces (slot 0: the global heads)."""
         if slot == 0:
             return self.heads
-        heads = self._slot_head_lists.get(slot)
-        if heads is None:
-            rng = np.random.default_rng(self.config.seed + 21)
-            num_atoms = len(self.global_model.atoms)
-            heads = []
-            for start, stop in self.partition.ranges:
-                if stop < num_atoms:
-                    shape = self.global_model.feature_shape(stop - 1)
-                    heads.append(AuxHead(shape, self.task.num_classes, rng=rng))
-                else:
-                    heads.append(None)
-            self._slot_head_lists[slot] = heads
-        return heads
+        if slot not in self._slot_head_lists:
+            self._slot_head_lists[slot] = self._build_heads()
+        return self._slot_head_lists[slot]
 
     def _sync_workspaces(self, num_items: int) -> None:
         """Bring thread-worker model replicas up to the current prefix.
@@ -300,45 +303,85 @@ class FedProphet(FederatedExperiment):
             self._slot_model(slot).load_state_dict(full_state)
             self._replica_synced[slot] = self._prefix_version
 
-    # -- one communication round -----------------------------------------------
-    def _stage_train_fn(
-        self,
-        round_idx: int,
-        m: int,
-        seg_snapshot,
-        head_states,
-        forked: bool,
-        export_cache: bool,
-    ) -> Callable:
-        """The slot-aware cascade work unit shared by sync and async rounds.
+    # -- one communication round: the async_* hooks ----------------------------
+    def async_client_weights(self, clients, states):
+        """Each client's share of the population's data (q_k of Eq. 16/17)."""
+        return [client.num_samples / self.total_samples for client in clients]
 
-        A pure function of (round snapshot, head states, the client's
-        shard and module span, a counter-derived RNG): restores the
-        trainable suffix onto the slot workspace, runs adversarial
-        cascade training on the assigned span, and returns the trained
-        segment + head states (plus prefix-cache exports on forked
-        backends).  Bit-identical on every backend and worker count.
+    def async_round_extra(self, round_idx, clients, states):
+        """The round plan: DMA spans (``M_k`` per client) and the round trainer
+        weight of every module (Eq. 16, ``M_k >= n``) and head (Eq. 17,
+        ``M_k == n``) — the mixing rates' denominators, pure arithmetic."""
+        assignments = assign_modules(
+            self.cost_table, self.current_module, states, enabled=self.config.use_dma
+        )
+        weights = self.async_client_weights(clients, states)
+        spans = range(len(self.partition))
+        self._round_plan = {
+            "span_of": {c.cid: mk for c, mk in zip(clients, assignments)},
+            "module_weights": [
+                float(sum(w for w, mk in zip(weights, assignments) if mk >= n))
+                for n in spans
+            ],
+            "head_weights": [
+                float(sum(w for w, mk in zip(weights, assignments) if mk == n))
+                for n in spans
+            ],
+        }
+        return self._round_plan
+
+    def async_server_state(self):
+        """What a round can train: the suffix from module m on (the frozen
+        prefix is never copied) and, under ``"heads"``, the per-head states —
+        so base, merged state and an aborted round's restore are one dict each."""
+        start_atom = self.partition[self.current_module][0]
+        server = snapshot_segment(
+            self.global_model, start_atom, len(self.global_model.atoms)
+        )
+        server["heads"] = [h.state_dict() if h is not None else None for h in self.heads]
+        return server
+
+    def async_client_fn(self, round_idx: int, base) -> Callable:
+        """The slot-aware cascade work unit.
+
+        A pure function of (round base, the client's shard and module
+        span, a counter-derived RNG): restores the trainable suffix onto
+        the slot workspace, runs adversarial cascade training on the
+        assigned span, and returns the trained segment + head states
+        (plus prefix-cache exports on forked backends).  Stays on
+        ``_slot_model`` (slot 0 is the live model, which
+        :meth:`async_finalize` returns to a server state): rounds never
+        overlap, so ``_async_slot_model`` would only add a model replica.
         """
         cfg = self.config
+        m = self.current_module
+        self._enter_stage(m)
         start_atom = self.partition[m][0]
         num_atoms = len(self.global_model.atoms)
         lr_t = self.lr_at(round_idx)
+        span_of = self._round_plan["span_of"]
+        head_states = base["heads"]
+        # Forked workers fill private copies of the activation cache; ship
+        # their entries (and hit/miss counter deltas) back so next round's
+        # forks inherit a warm cache and stats() covers child-side lookups.
+        forked = self.executor.forks_for(len(span_of)) and self.prefix_cache is not None
+        export_cache = forked and start_atom > 0
+        self._sync_workspaces(len(span_of))
 
         def train_client(item, slot):
-            client, dev_state, mk = item
+            client, _dev = item
+            mk = span_of[client.cid]
             if forked:
                 hits0, misses0 = self.prefix_cache.hits, self.prefix_cache.misses
             model = self._slot_model(slot)
-            heads = self._slot_heads(slot)
-            restore_segment(model, seg_snapshot, start_atom, num_atoms)
-            head = heads[mk]
+            restore_segment(model, base, start_atom, num_atoms)
+            head = self._slot_heads(slot)[mk]
             if head is not None:
                 head.load_state_dict(head_states[mk])
             stop_atom = self.partition[mk][1]
             spec = CascadeBatchSpec(
                 start_atom=start_atom, stop_atom=stop_atom, head=head
             )
-            client_rng = self._client_rng(round_idx, client.cid)
             cascade_local_train(
                 model,
                 spec,
@@ -352,10 +395,12 @@ class FedProphet(FederatedExperiment):
                 attack_steps=cfg.attack_steps_features if m > 0 else cfg.train_pgd_steps,
                 momentum=cfg.momentum,
                 weight_decay=cfg.weight_decay,
-                rng=client_rng,
+                rng=self._client_rng(round_idx, client.cid),
                 prefix_cache=self.prefix_cache,
                 cache_key=client.cid,
             )
+            # The segment state stays first: update poisoning walks the
+            # tuple structurally and lies about its first state dict.
             seg_state = snapshot_segment(model, start_atom, stop_atom)
             head_state = head.state_dict() if head is not None else None
             cache_key = (client.cid, start_atom)
@@ -367,200 +412,70 @@ class FedProphet(FederatedExperiment):
                 if forked
                 else None
             )
-            cost = self._client_cost(dev_state, m, mk)
-            return seg_state, head_state, cost, cache_key, cache_entry, counters
+            return seg_state, head_state, cache_key, cache_entry, counters
 
         return train_client
 
-    def run_round(
-        self,
-        round_idx: int,
-        clients: List[FLClient],
-        states: List[Optional[DeviceState]],
-    ) -> List[LocalTrainingCost]:
-        m = self.current_module
-        cfg = self.config
-        self._enter_stage(m)
-        assignments = assign_modules(self.cost_table, m, states, enabled=cfg.use_dma)
-        start_atom = self.partition[m][0]
-        num_atoms = len(self.global_model.atoms)
+    def async_merge_event(
+        self, server, ctx: AsyncRoundContext, members, updates, staleness
+    ) -> float:
+        """Partial-average one event into the server state (Eq. 16/17).
 
-        # Segment-scoped round snapshot: only atoms of modules >= m and the
-        # heads can be trained, so the frozen prefix is never copied and
-        # each work unit restores just the trainable suffix.
-        seg_snapshot = snapshot_segment(self.global_model, start_atom, num_atoms)
-        head_states = [h.state_dict() if h is not None else None for h in self.heads]
-        # Forked workers fill private copies of the activation cache; ship
-        # their entries (and hit/miss counter deltas) back so next round's
-        # forks inherit a warm cache and stats() covers child-side lookups.
-        forked = self.executor.forks_for(len(clients)) and self.prefix_cache is not None
-        export_cache = forked and start_atom > 0
-        self._sync_workspaces(len(clients))
-        train_client = self._threat_wrap(
-            round_idx,
-            self._stage_train_fn(
-                round_idx, m, seg_snapshot, head_states, forked, export_cache
-            ),
-            seg_snapshot,
+        Each module span averages over the event members that trained it
+        and blends in at its own staleness-attenuated rate; one staleness-0
+        event carrying the whole round applies every rate at exactly 1 —
+        the synchronous Eq. 16/17 aggregation.
+        """
+        plan = ctx.extra
+        # Fresh head dicts per event: the shallow round base shares the old ones.
+        heads = server["heads"] = [
+            dict(h) if h is not None else None for h in server["heads"]
+        ]
+        alpha = merge_async_partial(
+            self.global_model,
+            self.partition,
+            self.current_module,
+            server,
+            heads,
+            [u[0] for u in updates],
+            [u[1] for u in updates],
+            [plan["span_of"][ctx.clients[i].cid] for i in members],
+            [ctx.weights[i] for i in members],
+            plan["module_weights"],
+            plan["head_weights"],
+            staleness=staleness,
+            average_fn=self._module_average_fn(),
         )
-        if cfg.aggregation_mode == "async":
-            return self._run_round_async(
-                round_idx, clients, states, assignments, seg_snapshot,
-                head_states, train_client,
-            )
-
-        results = self.scheduler.run_group(
-            "train", train_client, list(zip(clients, states, assignments))
-        )
-        seg_states = [r[0] for r in results]
-        client_head_states = [r[1] for r in results]
-        costs = [r[2] for r in results]
-        weights = [client.num_samples / self.total_samples for client in clients]
-        for _, _, _, cache_key, cache_entry, counters in results:
+        for _, _, cache_key, cache_entry, counters in updates:
             if cache_entry is not None:
                 self.prefix_cache.adopt_entry(cache_key, *cache_entry)
             if counters is not None:
                 self.prefix_cache.adopt_counters(*counters)
+        return alpha
 
-        # Return the model to the round-start state, then apply aggregation.
-        restore_segment(self.global_model, seg_snapshot, start_atom, num_atoms)
-        for h, s in zip(self.heads, head_states):
-            if h is not None and s is not None:
-                h.load_state_dict(s)
-        merged = aggregate_modules(
-            self.global_model, self.partition, m, seg_states, assignments, weights,
-            average_fn=self._module_average_fn(),
+    def async_finalize(self, server) -> None:
+        """Install a round server state (the merged one, or an aborted round's
+        base); untrained spans and heads kept their round-start values in it."""
+        start_atom = self.partition[self.current_module][0]
+        restore_segment(
+            self.global_model, server, start_atom, len(self.global_model.atoms)
         )
-        if merged:
-            self.global_model.load_state_dict(merged, strict=False)
-        aggregate_heads(self.heads, client_head_states, assignments, weights)
-        return costs
+        for head, state in zip(self.heads, server["heads"]):
+            if head is not None:
+                head.load_state_dict(state)
 
     def _module_average_fn(self) -> Optional[Callable]:
         """The per-module robust-aggregation hook (None = plain average).
 
-        Routes every Eq. 16 module merge through
-        :meth:`robust_aggregate` when a non-default ``aggregation_rule``
-        is configured; heads keep the plain Eq. 17 average (their
-        ``M_k == n`` trainer cohorts are too small for robust
-        statistics).
+        Routes every Eq. 16 module merge through :meth:`robust_aggregate`
+        under a non-default ``aggregation_rule``; heads keep the plain Eq. 17
+        average (``M_k == n`` cohorts are too small for robust statistics).
         """
         if self.config.aggregation_rule == "fedavg":
             return None
         return lambda states, weights, keys, base: self.robust_aggregate(
             states, weights, keys=keys, base=base
         )
-
-    def _run_round_async(
-        self,
-        round_idx: int,
-        clients: List[FLClient],
-        states: List[Optional[DeviceState]],
-        assignments: List[int],
-        seg_snapshot,
-        head_states,
-        train_client: Callable,
-    ) -> List[LocalTrainingCost]:
-        """Within-round asynchronous partial averaging (per-module merges).
-
-        Clients still train from the round-start weights, but their
-        updates merge into a *server* copy of the trainable segment (and
-        head states) one event at a time, in simulated-arrival order,
-        streamed through the scheduler: each event partial-averages
-        per module span (Eq. 16) and per head (Eq. 17) over its members
-        and blends in with the per-module ``1/(1+s)`` attenuation
-        (:func:`repro.core.aggregator.merge_async_partial`).  The merge
-        schedule bounds staleness exactly as in the generic engine;
-        ``max_staleness=0`` coalesces the round into one event whose
-        rates are all exactly 1 — bit-identical to the synchronous
-        Eq. 16/17 aggregation.  Deterministic at any backend and worker
-        count (arrival order is the latency model's, never wall clock).
-        """
-        cfg = self.config
-        m = self.current_module
-        start_atom = self.partition[m][0]
-        num_atoms = len(self.global_model.atoms)
-        num_modules = len(self.partition)
-
-        costs = [
-            self._client_cost(dev, m, mk) for dev, mk in zip(states, assignments)
-        ]
-        weights = [client.num_samples / self.total_samples for client in clients]
-        # Denominators of the per-module (and per-head) mixing rates: the
-        # whole round's trainer weight for each span, known before training.
-        module_weights = [
-            float(sum(w for w, mk in zip(weights, assignments) if mk >= n))
-            for n in range(num_modules)
-        ]
-        head_weights = [
-            float(sum(w for w, mk in zip(weights, assignments) if mk == n))
-            for n in range(num_modules)
-        ]
-        order = sorted(range(len(clients)), key=lambda i: (costs[i].total_s, i))
-        events = [
-            sorted(order[pos] for pos in event)
-            for event in async_merge_schedule(len(clients), cfg.max_staleness)
-        ]
-        server_seg = {k: v.copy() for k, v in seg_snapshot.items()}
-        server_heads = [
-            {k: v.copy() for k, v in hs.items()} if hs is not None else None
-            for hs in head_states
-        ]
-
-        group = self.scheduler.submit_group(
-            "train", train_client, list(zip(clients, states, assignments))
-        )
-        landed = [False] * len(clients)
-        results: List[Optional[tuple]] = [None] * len(clients)
-        next_event = 0
-        for idx, result in group.stream():
-            results[idx] = result
-            landed[idx] = True
-            while next_event < len(events) and all(
-                landed[i] for i in events[next_event]
-            ):
-                members = events[next_event]
-                alpha = merge_async_partial(
-                    self.global_model,
-                    self.partition,
-                    m,
-                    server_seg,
-                    server_heads,
-                    [results[i][0] for i in members],
-                    [results[i][1] for i in members],
-                    [assignments[i] for i in members],
-                    [weights[i] for i in members],
-                    module_weights,
-                    head_weights,
-                    staleness=next_event,
-                    average_fn=self._module_average_fn(),
-                )
-                self.async_log.append(
-                    AsyncMergeEvent(
-                        round=round_idx,
-                        event=next_event,
-                        staleness=next_event,
-                        client_ids=tuple(clients[i].cid for i in members),
-                        alpha=alpha,
-                        base_version=0,
-                        sim_time_s=self.clock_s
-                        + max(costs[i].total_s for i in members),
-                    )
-                )
-                next_event += 1
-        assert next_event == len(events), "async merge schedule did not drain"
-        for _, _, _, cache_key, cache_entry, counters in results:
-            if cache_entry is not None:
-                self.prefix_cache.adopt_entry(cache_key, *cache_entry)
-            if counters is not None:
-                self.prefix_cache.adopt_counters(*counters)
-        # Install the merged server segment and heads (untrained spans kept
-        # their round-start values inside the server copies).
-        restore_segment(self.global_model, server_seg, start_atom, num_atoms)
-        for head, state in zip(self.heads, server_heads):
-            if head is not None and state is not None:
-                head.load_state_dict(state)
-        return costs
 
     def async_client_costs(self, round_idx, clients, states):
         """Pre-training latency of the current stage under DMA's assignment.
@@ -600,221 +515,127 @@ class FedProphet(FederatedExperiment):
             pgd_steps=n_attack,
         )
 
-    # -- the Algorithm 2 outer loop ----------------------------------------------
-    def run(self, rounds: Optional[int] = None, verbose: bool = False) -> List[RoundRecord]:
-        """Journal-wrapped Algorithm 2 (checkpoint/resume is refused at init:
-        the cascade loop's module/APA state is not generically resumable)."""
-        self._open_journal()
-        try:
-            records = self._run_cascade(rounds, verbose)
-        except BaseException:
-            self._abort_cleanup()
-            raise
-        self._jlog("run_end", rounds=len(records), clock_s=self.clock_s)
-        return records
+    # -- Algorithm 2's outer loop: stage state the barrier loop advances -------
+    def _begin_stage(self) -> None:
+        self._stage_rounds = 0
+        self._best_metric = -np.inf
+        self._stale = 0
+        self._last_eval = EvalResult(clean_acc=0.0, pgd_acc=0.0)
 
-    def _run_cascade(
-        self, rounds: Optional[int] = None, verbose: bool = False
-    ) -> List[RoundRecord]:
+    def round_eval(self, record: RoundRecord, verbose, server=None, version=None):
+        """Validate the cascaded prefix — every round: it drives APA and patience."""
         cfg = self.config
-        budget = rounds if rounds is not None else cfg.rounds
-        t = 0
-        num_modules = len(self.partition)
-        prev_clean, prev_adv = 1.0, 1.0  # ratio 1 before any module is fixed
-
-        for m in range(num_modules):
-            if t >= budget:
-                break
-            self.current_module = m
-            apa_started = m == 0
-            best_metric = -np.inf
-            stale = 0
-            last_eval = EvalResult(clean_acc=0.0, pgd_acc=0.0)
-            stage_rounds = 0
-
-            while stage_rounds < cfg.rounds_per_module and t < budget:
-                clients, states = self.sample_round(t)
-                if not apa_started:
-                    # Resolve the previous stage's in-flight ε* probe here
-                    # — after this round's sampling/fault/threat planning,
-                    # which the probe overlaps with on a pooled executor —
-                    # then seed the APA for this module.  start_module is
-                    # pure APA arithmetic and sample_round never reads the
-                    # APA state, so the reordering is bit-identical.
-                    self._resolve_eps_star()
-                    self.apa.start_module(self.eps_star[-1], prev_clean, prev_adv)
-                    self.eps_feature = self.apa.epsilon
-                    apa_started = True
-                if self._fault_aborted():
-                    # No training, no module progress metric: the aborted
-                    # round burns budget but not the staleness counter.
-                    self._finish_aborted_round(t)
-                    stage_rounds += 1
-                    t += 1
-                    continue
-                round_costs = self.run_round(t, clients, states)
-                self.advance_clock(round_costs)
-                self._jlog_agg(t)
-
-                last_eval = self.cascade_eval(m)
-                if m > 0 and cfg.use_apa:
-                    self.eps_feature = self.apa.update(
-                        last_eval.clean_acc, last_eval.pgd_acc
-                    )
-                dim = self.global_model.feature_size(self.partition[m][0] - 1)
-                self.pert_log.append(
-                    PerturbationLogEntry(
-                        round=t,
-                        module=m,
-                        eps=self.eps_feature if m > 0 else cfg.eps0,
-                        eps_per_dim=(
-                            self.eps_feature / np.sqrt(dim) if m > 0 else cfg.eps0
-                        ),
-                    )
-                )
-                self.history.append(
-                    RoundRecord(
-                        round=t,
-                        sim_time_s=self.clock_s,
-                        compute_s=self.total_compute_s,
-                        access_s=self.total_access_s,
-                        eval=last_eval,
-                    )
-                )
-                self._jlog(
-                    "round",
-                    round=t,
-                    module=m,
-                    sim_time_s=self.clock_s,
-                    compute_s=self.total_compute_s,
-                    access_s=self.total_access_s,
-                    aborted=False,
-                )
-                self._journal_eval(self.history[-1])
-                if verbose:  # pragma: no cover - console reporting
-                    print(
-                        f"[fedprophet] module {m + 1}/{num_modules} round {t}: "
-                        f"clean={last_eval.clean_acc:.3f} adv={last_eval.pgd_acc:.3f} "
-                        f"eps={self.eps_feature:.3f}"
-                    )
-
-                metric = 0.5 * (last_eval.clean_acc + (last_eval.pgd_acc or 0.0))
-                if metric > best_metric + 1e-6:
-                    best_metric = metric
-                    stale = 0
-                else:
-                    stale += 1
-                stage_rounds += 1
-                t += 1
-                if stale >= cfg.patience:
-                    break
-
-            # Fix module m: record ε*, C*, A*; measure base magnitude for m+1.
-            prev_clean, prev_adv = last_eval.clean_acc, max(last_eval.pgd_acc or 0.0, 1e-3)
-            self._submit_eps_probe(m, stage_rounds, last_eval)
-        self._resolve_eps_star()
-        return self.history
-
-    def _submit_eps_probe(self, module_idx: int, stage_rounds: int, last_eval) -> None:
-        """Launch the stage-end ε* probe without blocking the round loop.
-
-        The probe reads only *fixed* state — the just-completed module's
-        weights (frozen from here on), its aux head, and the stage-end
-        ``eps_feature`` — and draws from a self-contained RNG stream
-        (``seed + 41 + module``), so it is a pure function of the
-        published snapshot: its result cannot depend on when or where it
-        runs.  On a pooled executor it is submitted as a single-task
-        scheduler group over a :func:`publish_snapshot` of the stage
-        weights and a private head copy, running on an idle worker while
-        the main thread plans the next stage; elsewhere it runs inline.
-        :meth:`_resolve_eps_star` gathers it at the next consumption
-        point (APA seeding, or the end of the cascade).
-        """
-        if not self.executor.pooled:
-            self._pending_probe = (
-                module_idx,
-                self._collect_output_perturbation(module_idx),
-                stage_rounds,
-                last_eval,
+        m = self.current_module
+        record.eval = self._last_eval = self.cascade_eval(m)
+        if m > 0 and cfg.use_apa:
+            self.eps_feature = self.apa.update(
+                record.eval.clean_acc, record.eval.pgd_acc
             )
-            return
-        published = publish_snapshot(self.global_model, version=module_idx)
-        head = copy.deepcopy(self.heads[module_idx])
-        eps_feature = self.eps_feature
-
-        def probe(_item, _slot):
-            model = self._probe_model
-            if model is None:
-                model = self.model_builder(np.random.default_rng(self.config.seed + 7))
-                self._probe_model = model
-            model.load_state_dict(dict(published.state))
-            return self._collect_output_perturbation(
-                module_idx, model=model, head=head, eps_feature=eps_feature
+        dim = self.global_model.feature_size(self.partition[m][0] - 1)
+        self.pert_log.append(
+            PerturbationLogEntry(
+                round=record.round,
+                module=m,
+                eps=self.eps_feature if m > 0 else cfg.eps0,
+                eps_per_dim=self.eps_feature / np.sqrt(dim) if m > 0 else cfg.eps0,
             )
+        )
+        self._journal_eval(record)
+        if verbose:  # pragma: no cover - console reporting
+            print(
+                f"[fedprophet] module {m + 1}/{len(self.partition)} round "
+                f"{record.round}: clean={record.eval.clean_acc:.3f} "
+                f"adv={record.eval.pgd_acc:.3f} eps={self.eps_feature:.3f}"
+            )
+        return {"module": m}
 
-        group = self.scheduler.submit_group("eps_probe", probe, [module_idx])
-        self._pending_probe = (module_idx, group, stage_rounds, last_eval)
-
-    def _resolve_eps_star(self) -> None:
-        """Gather the in-flight stage-end probe (if any): record ε* + stage."""
-        pending = self._pending_probe
-        if pending is None:
+    def after_round(self, record: RoundRecord) -> None:
+        """Count the round against the stage; fix the module when it converged."""
+        cfg = self.config
+        self._stage_rounds += 1
+        if not record.aborted:
+            # (An aborted round burns budget but not the staleness counter.)
+            last = self._last_eval
+            metric = 0.5 * (last.clean_acc + (last.pgd_acc or 0.0))
+            if metric > self._best_metric + 1e-6:
+                self._best_metric, self._stale = metric, 0
+            else:
+                self._stale += 1
+        if self._stale < cfg.patience and self._stage_rounds < cfg.rounds_per_module:
             return
-        self._pending_probe = None
-        module_idx, value, stage_rounds, last_eval = pending
-        eps_star = float(value if isinstance(value, float) else value.results()[0])
-        self.eps_star.append(eps_star)
+        # Fix module m: record ε*, C*, A*; the measured magnitude seeds APA
+        # for module m+1.
+        last = self._last_eval
+        self._record_stage()
+        self.current_module += 1
+        self._begin_stage()
+        if not self.run_finished():
+            self.apa.start_module(
+                self.eps_star[-1], last.clean_acc, max(last.pgd_acc or 0.0, 1e-3)
+            )
+            self.eps_feature = self.apa.epsilon
+
+    def run_finished(self) -> bool:
+        return self.current_module >= len(self.partition)
+
+    def finish_run(self) -> None:
+        """A budget that ends mid-stage still reports that stage's ε* — after
+        the last checkpoint, so a resume continues the stage, not a closed one."""
+        if self._stage_rounds:
+            self._record_stage()
+
+    def _record_stage(self) -> None:
+        m, last = self.current_module, self._last_eval
+        self.eps_star.append(self._collect_output_perturbation(m))
         self.stage_results.append(
             ModuleStageResult(
-                module=module_idx,
-                rounds=stage_rounds,
-                final_clean_acc=last_eval.clean_acc,
-                final_adv_acc=last_eval.pgd_acc or 0.0,
-                eps_star=eps_star,
+                module=m,
+                rounds=self._stage_rounds,
+                final_clean_acc=last.clean_acc,
+                final_adv_acc=last.pgd_acc or 0.0,
+                eps_star=self.eps_star[-1],
             )
         )
 
-    def _collect_output_perturbation(
-        self,
-        module_idx: int,
-        model: Optional[CascadeModel] = None,
-        head: Optional[AuxHead] = None,
-        eps_feature: Optional[float] = None,
-    ) -> float:
+    def checkpoint_state(self) -> Dict[str, Any]:
+        state = {name: getattr(self, name) for name in self._STAGE_STATE}
+        state["heads"] = [h.state_dict() if h is not None else None for h in self.heads]
+        return state
+
+    def load_checkpoint_state(self, state: Dict[str, Any]) -> None:
+        for name in self._STAGE_STATE:
+            setattr(self, name, state[name])
+        for head, head_state in zip(self.heads, state["heads"]):
+            if head is not None:
+                head.load_state_dict(head_state)
+
+    def _collect_output_perturbation(self, module_idx: int) -> float:
         """Average over sampled clients of max ‖Δz_m‖ (seeds ε_m, Eq. 11).
 
-        ``model``/``head``/``eps_feature`` let the overlapped probe run
-        against a frozen snapshot replica instead of the live objects;
-        the RNG stream is derived from (seed, module) alone either way,
-        so the value is independent of which copy it reads.
+        Reads only the just-trained module's weights, its aux head and the
+        stage-end ``eps_feature``, and draws from a self-contained RNG
+        stream derived from (seed, module) alone.
         """
         cfg = self.config
-        if model is None:
-            model = self.global_model
-        if head is None:
-            head = self.heads[module_idx]
-        if eps_feature is None:
-            eps_feature = self.eps_feature
         start, stop = self.partition[module_idx]
         rng = np.random.default_rng(cfg.seed + 41 + module_idx)
         ids = rng.choice(
             cfg.num_clients, size=min(cfg.clients_per_round, cfg.num_clients), replace=False
         )
-        values = []
-        for cid in ids:
-            values.append(
-                measure_output_perturbation(
-                    model,
-                    start,
-                    stop,
-                    head,
-                    self.clients[cid].dataset,
-                    mu=cfg.mu,
-                    eps0=cfg.eps0,
-                    eps_feature=eps_feature,
-                    attack_steps=max(1, cfg.attack_steps_features // 2),
-                    batch_size=cfg.batch_size,
-                    rng=rng,
-                )
+        values = [
+            measure_output_perturbation(
+                self.global_model,
+                start,
+                stop,
+                self.heads[module_idx],
+                self.clients[cid].dataset,
+                mu=cfg.mu,
+                eps0=cfg.eps0,
+                eps_feature=self.eps_feature,
+                attack_steps=max(1, cfg.attack_steps_features // 2),
+                batch_size=cfg.batch_size,
+                rng=rng,
             )
+            for cid in ids
+        ]
         return float(np.mean(values))

@@ -116,8 +116,8 @@ class FLConfig:
     ``checkpoint_every`` atomically snapshots the full run state every K
     rounds next to the journal (``<journal>.ckpt``), and
     :meth:`FederatedExperiment.resume` restarts from the last checkpoint
-    **bit-identically** to an uninterrupted run (generic run loop only —
-    FedProphet's cascade loop refuses).  ``fault_plan`` injects seeded,
+    **bit-identically** to an uninterrupted run (every method; state kept
+    outside the global model rides along).  ``fault_plan`` injects seeded,
     deterministic client faults (dropout / straggler / flaky-with-retry);
     ``client_timeout`` bounds how long the synchronous server waits
     (timed-out clients are dropped — judged on each method's pre-training
@@ -153,8 +153,8 @@ class FLConfig:
     fault/threat/cache counters) on a loopback daemon thread — port 0
     binds an ephemeral port, exposed as ``experiment.status_address``.
     Both are pure observability and non-semantic (they cannot affect
-    results).  ``eval_every_merge`` (async mode, generic run loop only)
-    evaluates the merged server state every K merge *events* — the
+    results).  ``eval_every_merge`` (async mode on the cross-round
+    pipeline) evaluates the merged server state every K merge *events* — the
     accuracy-vs-server-version staleness curves — recorded in
     ``experiment.merge_evals`` and journalled as ``merge_eval`` events;
     it is semantic (it changes the journal and the merge-eval record).
@@ -416,27 +416,31 @@ class FederatedExperiment:
     """Base class running the communication-round loop on a simulated clock.
 
     An algorithm is stated **once**, as the ``async_*`` hook surface
-    (work unit, pre-training costs, weights, merge rule).  The
-    cross-round pipeline replays those hooks event by event; the
-    synchronous round (:meth:`run_round`) is the same statement with a
-    single staleness-0 merge event over the whole cohort, whose mixing
-    rate is exactly 1 — so ``max_staleness=0, pipeline_depth=1 ≡ sync`` is
-    an identity, not a coincidence.  Experiments whose server step is not
-    a per-update merge (FedDF/FedET distillation, FedProphet's cascade)
-    override :meth:`run_round` instead.
+    (work unit, pre-training costs, weights, merge rule), and :meth:`run`
+    owns both loops that drive it.  The cross-round pipeline
+    (:meth:`_run_async`) replays the hooks event by event across rounds;
+    the round-barrier loop (:meth:`_run_sync`) runs one :meth:`run_round`
+    at a time — the same statement over the round's own event schedule,
+    in synchronous mode a single staleness-0 event over the whole cohort
+    whose mixing rate is exactly 1, so ``max_staleness=0, pipeline_depth=1
+    ≡ sync`` is an identity, not a coincidence.  A round-gated method
+    (FedProphet) stays on the barrier loop in async mode too and advances
+    its own state through :meth:`round_eval` / :meth:`after_round`.  Only
+    experiments whose server step is not a per-update merge (FedDF/FedET
+    distillation) override :meth:`run_round`.
     """
 
     name = "base"
     #: Whether this algorithm's aggregation rule has an asynchronous,
     #: staleness-bounded formulation (``aggregation_mode="async"``).
     #: Experiments opt in by implementing the ``async_*`` hook surface
-    #: (jFAT, FedRBN, the partial-training family) or their own in-round
-    #: merge replay (FedProphet); distillation-based baselines whose
-    #: server step is inherently sequential opt out.
+    #: (jFAT, FedRBN, the partial-training family, FedProphet);
+    #: distillation-based baselines whose server step is inherently
+    #: sequential opt out.
     supports_async_aggregation = False
-    #: Whether async mode may pipeline across round boundaries
-    #: (``pipeline_depth > 1``).  FedProphet turns this off: cascade_eval
-    #: gates every round, so rounds cannot overlap.
+    #: Whether async mode runs on the cross-round pipeline (and may set
+    #: ``pipeline_depth > 1`` / ``eval_every_merge``).  FedProphet turns this
+    #: off: cascade_eval gates every round; its async mode is within-round.
     supports_cross_round_pipeline = True
     #: Whether periodic evaluation is purely observational (history only),
     #: and may therefore be overlapped with the next round's training.
@@ -514,30 +518,21 @@ class FederatedExperiment:
                 f"aggregation_mode='async'; its aggregation rule has no "
                 f"staleness-bounded formulation"
             )
-        if config.pipeline_depth > 1 and not self.supports_cross_round_pipeline:
+        if (
+            config.pipeline_depth > 1 or config.eval_every_merge
+        ) and not self.supports_cross_round_pipeline:
             raise ValueError(
-                f"{type(self).__name__} does not support pipeline_depth > 1: "
-                f"its per-round evaluation gates the next round (e.g. "
-                f"cascade_eval feeding APA), so rounds cannot overlap"
+                f"{type(self).__name__} does not support pipeline_depth > 1 or "
+                f"eval_every_merge: its per-round evaluation gates the next "
+                f"round (e.g. cascade_eval feeding APA), so rounds cannot "
+                f"overlap and its async mode merges within a round — there "
+                f"is no cross-round pipeline merge to sample"
             )
         if config.overlap_eval and not self.supports_overlap_eval:
             raise ValueError(
                 f"{type(self).__name__} does not support overlap_eval: its "
                 f"evaluation feeds back into training (e.g. APA/early-stop), "
                 f"so evaluation is on the algorithmic critical path"
-            )
-        if config.checkpoint_every and type(self).run is not FederatedExperiment.run:
-            raise ValueError(
-                f"{type(self).__name__} overrides run() with a custom loop; "
-                f"checkpoint/resume supports the generic run loop only "
-                f"(set checkpoint_every=0; journalling and fault injection "
-                f"still work)"
-            )
-        if config.eval_every_merge and type(self).run is not FederatedExperiment.run:
-            raise ValueError(
-                f"{type(self).__name__} overrides run() with a custom loop; "
-                f"eval_every_merge hooks the generic cross-round pipeline's "
-                f"merge events only (set eval_every_merge=0)"
             )
         self.executor = RoundExecutor(
             config.executor_backend,
@@ -985,18 +980,27 @@ class FederatedExperiment:
         clients: List[FLClient],
         states: List[Optional[DeviceState]],
     ) -> List[LocalTrainingCost]:
-        """Run one synchronous round; return per-client latency costs.
+        """Run one barrier round; return per-client latency costs.
 
-        The default is the ``async_*`` hook surface with the whole cohort
-        as **one** staleness-0 merge event: its mixing rate is
-        ``round weight / round weight = 1.0``, so ``blend_into`` replaces
-        and the merge rule is exactly its synchronous form (FedAvg, dual-BN
-        propagation, masked partial average).  Under
-        ``aggregation_mode="async"`` rounds are dispatched by :meth:`run`
-        through the cross-round pipeline; a direct call would silently
-        aggregate synchronously, so it fails loudly instead.
+        The one statement of a round for every hook-surface method: the
+        cohort trains from the round-start server state and its streamed
+        updates merge event by event in simulated-arrival order.  In
+        synchronous mode that is **one** staleness-0 event over the whole
+        cohort, whose mixing rate is ``round weight / round weight = 1.0``
+        — ``blend_into`` replaces and the merge rule is exactly its
+        synchronous form (FedAvg, dual-BN propagation, masked partial
+        average, Eq. 16/17); a round-gated experiment in async mode
+        (FedProphet) gets up to ``max_staleness + 1`` attenuated events,
+        each logged as an :class:`AsyncMergeEvent`.  A cross-round-pipeline
+        experiment's async rounds are dispatched by :meth:`run`; a direct
+        call would silently aggregate synchronously, so it fails loudly.
+        A round that raises leaves the model as it found it.
         """
-        if self.config.aggregation_mode == "async":
+        from repro.core.aggregator import arrival_merge_events  # local: core imports flsim
+
+        cfg = self.config
+        within_round = cfg.aggregation_mode == "async"
+        if within_round and self.supports_cross_round_pipeline:
             raise RuntimeError(
                 f"{type(self).__name__}.run_round is the synchronous path; "
                 f"aggregation_mode='async' rounds are driven by run() "
@@ -1005,16 +1009,44 @@ class FederatedExperiment:
         costs = self.async_client_costs(round_idx, clients, states)
         ctx = self._round_context(round_idx, clients, states, costs)
         server = self.async_server_state()
-        updates = self.scheduler.run_group(
+        # Merges run on this thread while pool workers still read the
+        # training base.  A shallow copy keeps it immutable: ``blend_into``
+        # rebinds the server's entries and never writes into the arrays.
+        base = dict(server)
+        events = arrival_merge_events(
+            [c.total_s for c in costs], cfg.max_staleness if within_round else 0
+        ) or [[]]  # an empty cohort still reaches the merge rule's typed refusal
+        group = self.scheduler.submit_group(
             "train",
-            self._threat_wrap(
-                round_idx, self.async_client_fn(round_idx, server), server
-            ),
+            self._threat_wrap(round_idx, self.async_client_fn(round_idx, base), base),
             list(zip(clients, states)),
         )
-        self.async_merge_event(
-            server, ctx, list(range(len(clients))), updates, staleness=0
-        )
+        stream = group.stream()
+        updates: Dict[int, Any] = {}
+        try:
+            for staleness, members in enumerate(events):
+                while not all(i in updates for i in members):
+                    idx, update = next(stream)
+                    updates[idx] = update
+                alpha = self.async_merge_event(
+                    server, ctx, members, [updates[i] for i in members], staleness
+                )
+                if within_round:
+                    self.async_log.append(
+                        AsyncMergeEvent(
+                            round=round_idx,
+                            event=staleness,
+                            staleness=staleness,
+                            client_ids=tuple(clients[i].cid for i in members),
+                            alpha=alpha,
+                            sim_time_s=self.clock_s
+                            + max((costs[i].total_s for i in members), default=0.0),
+                        )
+                    )
+        except BaseException:
+            group.wait()  # no worker outlives the round it trains for
+            self.async_finalize(base)
+            raise
         self.async_finalize(server)
         return costs
 
@@ -1050,9 +1082,9 @@ class FederatedExperiment:
         return flops, mem_req, cost
 
     # -- aggregation hooks: the one statement of an algorithm -------------------
-    # Experiments on the generic run loop implement this surface; the
-    # default :meth:`run_round` drives it with one staleness-0 event and
-    # the cross-round pipeline in :meth:`_run_async` event by event.  Every
+    # Every experiment but FedDF/FedET implements this surface;
+    # :meth:`run_round` drives it over one round's event schedule and the
+    # cross-round pipeline in :meth:`_run_async` event by event.  Every
     # hook must be a pure function of its inputs (plus counter-derived
     # RNGs) so the merge replay stays bit-identical across backends and
     # worker counts.
@@ -1183,9 +1215,7 @@ class FederatedExperiment:
             aa_acc=result.aa_acc,
         )
 
-    def _run_async(
-        self, rounds: int, verbose: bool = False
-    ) -> List[RoundRecord]:
+    def _run_async(self, rounds: int, verbose: bool = False) -> int:
         """The cross-round asynchronous run loop (``aggregation_mode="async"``).
 
         Drives a :class:`repro.flsim.scheduler.CrossRoundPipeline`: up to
@@ -1368,7 +1398,7 @@ class FederatedExperiment:
         self._drain_overlapped_eval(verbose)
         tail = sorted(self.history[history_start:], key=lambda r: r.round)
         self.history[history_start:] = tail
-        return self.history
+        return rounds
 
     # -- evaluation engine -----------------------------------------------------
     def eval_plan(
@@ -1689,7 +1719,7 @@ class FederatedExperiment:
         Overlapped eval is drained first (its record is already in the
         history, so the snapshot must carry the resolved result — eval
         results are data, not replayable bookkeeping).  ``async_state``
-        carries the async loop's extra bookkeeping; the sync loop
+        carries the async loop's extra bookkeeping; the barrier loop
         snapshots the global model directly.
         """
         from repro.flsim.checkpoint import CHECKPOINT_FORMAT, write_checkpoint
@@ -1713,6 +1743,7 @@ class FederatedExperiment:
                 else None
             ),
             "async": async_state,
+            "experiment": self.checkpoint_state(),
         }
         path = self._checkpoint_path()
         write_checkpoint(path, payload)
@@ -1735,6 +1766,17 @@ class FederatedExperiment:
         else:
             self._resume_async = payload["async"]
         self._resume_round = payload["next_round"]
+        # Additive field (absent before PR 21, None for most methods).
+        if payload.get("experiment") is not None:
+            self.load_checkpoint_state(payload["experiment"])
+
+    def checkpoint_state(self) -> Optional[Dict[str, Any]]:
+        """Picklable run state kept outside the global model: the checkpoint's
+        ``experiment`` entry (FedProphet's stage and heads, FedDF's prototypes)."""
+        return None
+
+    def load_checkpoint_state(self, state: Dict[str, Any]) -> None:
+        """Inverse of :meth:`checkpoint_state`, on a freshly built experiment."""
 
     def _export_async_meta(self, ctx: AsyncRoundContext) -> Dict[str, Any]:
         """Flatten a round context for pickling (clients/states by id).
@@ -1781,11 +1823,6 @@ class FederatedExperiment:
         """
         from repro.flsim.checkpoint import read_checkpoint
 
-        if type(self).run is not FederatedExperiment.run:
-            raise RuntimeError(
-                f"{type(self).__name__} overrides run(); resume supports the "
-                f"generic run loop only"
-            )
         path = journal_path if journal_path is not None else self.config.journal_path
         if path is None:
             raise ValueError("resume needs a journal path (argument or config)")
@@ -1818,36 +1855,53 @@ class FederatedExperiment:
             )
         self._restore_from_checkpoint(payload)
         self._journal = RunJournal.resume_open(path)
-        self._jlog("resume", next_round=payload["next_round"])
+        next_round = payload["next_round"]
+        if next_round != ckpt_event["next_round"]:
+            # Killed between the checkpoint's rename and its journal event:
+            # log it now, so the resume anchors on it and the journal folds.
+            self._jlog("checkpoint", next_round=next_round, path=ckpt_event["path"])
+        self._jlog("resume", next_round=next_round)
         return self.run(rounds, verbose)
 
     def run(self, rounds: Optional[int] = None, verbose: bool = False) -> List[RoundRecord]:
+        """Run up to ``rounds`` rounds (default: the config's).
+
+        Async mode goes to the cross-round pipeline only when rounds may
+        overlap; a round-gated experiment stays on the barrier loop — the
+        pipeline at depth 1 is not equivalent under faults (an aborted
+        round costs it no clock; the barrier waits out the timeout).
+        """
         rounds = rounds if rounds is not None else self.config.rounds
         self._open_journal()
         try:
-            if self.config.aggregation_mode == "async":
-                records = self._run_async(rounds, verbose)
+            if (
+                self.config.aggregation_mode == "async"
+                and self.supports_cross_round_pipeline
+            ):
+                rounds_run = self._run_async(rounds, verbose)
             else:
-                records = self._run_sync(rounds, verbose)
+                rounds_run = self._run_sync(rounds, verbose)
         except BaseException:
             self._abort_cleanup()
             raise
-        self._jlog("run_end", rounds=rounds, clock_s=self.clock_s)
-        return records
+        self._jlog("run_end", rounds=rounds_run, clock_s=self.clock_s)
+        return self.history
 
-    def _complete_round(
+    # -- barrier-loop hooks: how a round-gated method advances its own state ----
+    def round_eval(
         self,
         record: RoundRecord,
         verbose: bool,
         server: Optional[Dict[str, np.ndarray]] = None,
         version: Optional[int] = None,
-    ) -> None:
-        """Evaluate (or overlap) a finished round, then record and journal it.
+    ) -> Dict[str, Any]:
+        """Evaluate (or overlap) a finished round into ``record.eval``.
 
-        The one round-completion of both run loops.  ``server`` is the
-        async pipeline's merged state (it never lives in the global model
-        until an eval or the end of the run needs it there) and
+        Default: the periodic ``eval_every`` evaluation.  ``server`` is
+        the async pipeline's merged state (it never lives in the global
+        model until an eval or the end of the run needs it there) and
         ``version`` its merge-event count, naming the published snapshot.
+        Returns extra fields for the round's journal event.
         """
         cfg = self.config
         if cfg.eval_every and (record.round + 1) % cfg.eval_every == 0:
@@ -1863,33 +1917,56 @@ class FederatedExperiment:
                 self._journal_eval(record)
                 if verbose:  # pragma: no cover - console reporting
                     self._print_eval(record)
+        return {}
+
+    def after_round(self, record: RoundRecord) -> None:
+        """Barrier loop: a round was recorded (trained *or* aborted) — before
+        its checkpoint, so what this advances :meth:`checkpoint_state` snapshots."""
+
+    def run_finished(self) -> bool:
+        """Barrier loop: stop before the budget is spent (asked per round)."""
+        return False
+
+    def finish_run(self) -> None:
+        """Barrier loop: the run ended; report what a resume must *not* see."""
+
+    def _complete_round(
+        self, record: RoundRecord, verbose: bool, **pipeline_state
+    ) -> RoundRecord:
+        """Evaluate a finished round, record and journal it (both run loops;
+        ``pipeline_state``: the async loop's ``server`` / ``version``)."""
+        extra = self.round_eval(record, verbose, **pipeline_state)
         self.history.append(record)
         self._jlog(
             "round",
             round=record.round,
+            **extra,
             sim_time_s=record.sim_time_s,
             compute_s=record.compute_s,
             access_s=record.access_s,
             aborted=False,
         )
+        return record
 
-    def _run_sync(self, rounds: int, verbose: bool = False) -> List[RoundRecord]:
+    def _run_sync(self, rounds: int, verbose: bool = False) -> int:
+        """The round-barrier loop (every method in sync mode, a round-gated
+        one in async mode too); returns the number of rounds run."""
         cfg = self.config
-        start = self._resume_round
+        t = self._resume_round
         self._resume_round = 0
-        for t in range(start, rounds):
+        while t < rounds and not self.run_finished():
             clients, states = self.sample_round(t)
-            if self._fault_aborted():
-                self._finish_aborted_round(t)
-            elif (costs := self._try_run_round(t, clients, states)) is None:
-                # A round with nothing to aggregate (AggregationError:
-                # every update rejected or dropped) aborts like a
-                # fault-aborted round: model unchanged, run continues.
-                self._finish_aborted_round(t)
+            if (
+                self._fault_aborted()
+                or (costs := self._try_run_round(t, clients, states)) is None
+            ):
+                # Fault-aborted, or nothing to aggregate (AggregationError:
+                # every update rejected or dropped): model unchanged, run on.
+                record = self._finish_aborted_round(t)
             else:
                 self.advance_clock(costs)
                 self._jlog_agg(t)
-                self._complete_round(
+                record = self._complete_round(
                     RoundRecord(
                         round=t,
                         sim_time_s=self.clock_s,
@@ -1898,10 +1975,13 @@ class FederatedExperiment:
                     ),
                     verbose,
                 )
-            if cfg.checkpoint_every and (t + 1) % cfg.checkpoint_every == 0:
-                self._write_checkpoint(t + 1)
+            self.after_round(record)
+            t += 1
+            if cfg.checkpoint_every and t % cfg.checkpoint_every == 0:
+                self._write_checkpoint(t)
+        self.finish_run()
         self._drain_overlapped_eval(verbose)
-        return self.history
+        return t
 
     def final_eval(self, max_samples: Optional[int] = None) -> EvalResult:
         """Full evaluation (with AutoAttack) of the final model."""

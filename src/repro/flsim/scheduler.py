@@ -499,7 +499,7 @@ class CrossRoundPipeline:
         snapshot.  Rounds must be dispatched in increasing simulated
         order (the run loop's natural order).
         """
-        from repro.core.aggregator import async_merge_schedule  # local: core imports flsim
+        from repro.core.aggregator import arrival_merge_events  # local: core imports flsim
 
         items = list(items)
         costs_s = [float(c) for c in costs_s]
@@ -509,11 +509,7 @@ class CrossRoundPipeline:
         if self._dispatched >= self.depth:
             t = max(t, self._drain_watermarks[self._dispatched - self.depth])
         self.advance_to(t)
-        order = sorted(range(len(items)), key=lambda i: (costs_s[i], i))
-        events = [
-            sorted(order[pos] for pos in event)
-            for event in async_merge_schedule(len(items), self.max_staleness)
-        ]
+        events = arrival_merge_events(costs_s, self.max_staleness)
         event_times = [
             t + max(costs_s[i] for i in event) for event in events
         ]

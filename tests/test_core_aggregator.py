@@ -8,6 +8,8 @@ from repro.core.aggregator import (
     aggregate_modules,
     atom_param_names,
     extract_segment_state,
+    merge_async_partial,
+    snapshot_segment,
 )
 from repro.core.partitioner import Partition
 from repro.models import build_cnn
@@ -116,3 +118,72 @@ class TestAggregateHeads:
 
     def test_none_heads_skipped(self):
         aggregate_heads([None], [None], [0], [1.0])  # must not raise
+
+
+class TestOneSyncEventIsTheBarrierAggregation:
+    """One staleness-0 ``merge_async_partial`` event == Eq. 16 + Eq. 17.
+
+    FedProphet's synchronous round *is* that single event since PR 21, so
+    ``aggregate_modules`` / ``aggregate_heads`` — the barrier statement of
+    the two equations — are the independent reference it is held to.
+    """
+
+    @pytest.mark.parametrize("rule", ["fedavg", "median"])
+    @pytest.mark.parametrize("current", [0, 1])
+    def test_bit_identical_on_mixed_dma_spans(self, rule, current):
+        from repro.flsim.robust_agg import coordinate_median
+
+        rng = np.random.default_rng(7)
+        model, part = _model(), _partition()
+        num_atoms = len(model.atoms)
+        heads = [Linear(4, 2, rng=rng), Linear(4, 2, rng=rng), None]
+        assignments = [m for m in (0, 2, 1, 1, 2, 0, 1) if m >= current]
+        weights = [float(w) for w in rng.uniform(0.05, 0.3, size=len(assignments))]
+        start = part[current][0]
+
+        def noisy(state):
+            return {
+                k: v + rng.normal(size=v.shape).astype(v.dtype)
+                if np.issubdtype(v.dtype, np.floating) else v
+                for k, v in state.items()
+            }
+
+        seg_states = [
+            noisy(snapshot_segment(model, start, part[mk][1])) for mk in assignments
+        ]
+        head_states = [
+            noisy(heads[mk].state_dict()) if heads[mk] is not None else None
+            for mk in assignments
+        ]
+        average_fn = None
+        if rule == "median":
+            def average_fn(states, ws, keys, base):
+                return coordinate_median(states, keys)
+
+        # the event: server copies of the trainable suffix and the heads
+        server = snapshot_segment(model, start, num_atoms)
+        server_heads = [h.state_dict() if h is not None else None for h in heads]
+        spans = range(len(part))
+        alpha = merge_async_partial(
+            model, part, current, server, server_heads, seg_states, head_states,
+            assignments, weights,
+            [float(sum(w for w, mk in zip(weights, assignments) if mk >= n)) for n in spans],
+            [float(sum(w for w, mk in zip(weights, assignments) if mk == n)) for n in spans],
+            staleness=0, average_fn=average_fn,
+        )
+        assert alpha == 1.0
+
+        # the reference: the barrier aggregation, in place on model and heads
+        merged = aggregate_modules(
+            model, part, current, seg_states, assignments, weights, average_fn=average_fn
+        )
+        model.load_state_dict(merged, strict=False)
+        aggregate_heads(heads, head_states, assignments, weights)
+        reference = snapshot_segment(model, start, num_atoms)
+        assert set(server) == set(reference)
+        for key, value in reference.items():
+            np.testing.assert_array_equal(server[key], value, err_msg=key)
+        for head, state in zip(heads, server_heads):
+            if head is not None:
+                for key, value in head.state_dict().items():
+                    np.testing.assert_array_equal(state[key], value, err_msg=key)

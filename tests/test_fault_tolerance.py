@@ -331,17 +331,116 @@ class TestCheckpointResume:
             exp.resume(path)
         exp.close()
 
-    def test_fedprophet_refuses_resume_and_checkpointing(self, tmp_path):
+    def test_fedprophet_checkpoints_and_resumes(self, tmp_path):
+        """Algorithm 2's stage is checkpoint state, not a second run loop."""
+        ref = FedProphet(_task(), _builder, _cfg(FedProphetConfig))
+        ref.run()
+        ref.close()
+
         path = str(tmp_path / "run.jsonl")
-        with pytest.raises(ValueError, match="checkpoint"):
-            FedProphet(
-                _task(), _builder,
-                _cfg(FedProphetConfig, journal_path=path, checkpoint_every=1),
-            )
-        exp = FedProphet(_task(), _builder, _cfg(FedProphetConfig))
-        with pytest.raises(RuntimeError, match="resume"):
-            exp.resume(path)
+        kw = dict(journal_path=path, checkpoint_every=1)
+        interrupted = FedProphet(_task(), _builder, _cfg(FedProphetConfig, **kw))
+        interrupted.run(rounds=3)
+        interrupted.close()
+        stage = read_checkpoint(path + ".ckpt")["experiment"]
+        # rounds_per_module=2: module 0 fixed after two rounds, one round into 1
+        assert (stage["current_module"], stage["_stage_rounds"]) == (1, 1)
+        assert len(stage["eps_star"]) == 1 and len(stage["pert_log"]) == 3
+
+        resumed = FedProphet(
+            _task(), _builder,
+            _cfg(FedProphetConfig, executor_backend="thread",
+                 round_parallelism=2, **kw),
+        )
+        resumed.resume(path)
+        resumed.close()
+        _assert_runs_equal(ref, resumed)
+        for a, b in zip(ref.heads, resumed.heads):
+            if a is not None:
+                _assert_states_equal(a.state_dict(), b.state_dict(), "head ")
+        assert ref.eps_star == resumed.eps_star
+        assert ref.stage_results == resumed.stage_results
+        assert ref.pert_log == resumed.pert_log
+
+    def test_resume_repairs_a_checkpoint_event_the_kill_swallowed(self, tmp_path):
+        """Killed between the checkpoint's rename and its journal event.
+
+        The file is then one checkpoint ahead of the log; resume must log
+        the missing event, or the resumed journal never folds under replay
+        (found by the FedProphet kill/resume smoke, whose rounds are short
+        enough for SIGKILL to land in that window).
+        """
+        from repro.flsim.replay import replay_run
+
+        path = str(tmp_path / "run.jsonl")
+        kw = dict(journal_path=path, checkpoint_every=1)
+        exp = JointFAT(_task(), _builder, _cfg(**kw))
+        exp.run(rounds=3)
         exp.close()
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        last = max(i for i, line in enumerate(lines) if '"kind": "checkpoint"' in line)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines[:last]) + "\n")
+
+        resumed = JointFAT(_task(), _builder, _cfg(**kw))
+        resumed.resume(path)
+        resumed.close()
+        kinds = [(e["kind"], e.get("next_round")) for e in RunJournal.read(path)]
+        assert kinds[last:last + 2] == [("checkpoint", 3), ("resume", 3)]
+        report = replay_run(path, lambda: JointFAT(_task(), _builder, _cfg()))
+        assert report.resumes_folded == 1 and report.rounds == 5
+
+    def test_experiment_entry_is_none_without_extra_state(self, tmp_path):
+        path = str(tmp_path / "run.jsonl")
+        exp = JointFAT(_task(), _builder,
+                       _cfg(rounds=1, journal_path=path, checkpoint_every=1))
+        exp.run()
+        exp.close()
+        assert read_checkpoint(path + ".ckpt")["experiment"] is None
+
+    @pytest.mark.parametrize("cls", [FedDFAT, FedETAT])
+    def test_distillation_resume_restores_the_small_prototypes(self, tmp_path, cls):
+        """The checkpoint's global state is only the *largest* prototype.
+
+        On the stock pools every client affords ``"large"``, so a resume
+        that restarted the smaller prototypes from their initialisation
+        went unnoticed; this pool puts most clients on ``"small"``.
+        """
+        from repro.hardware import Device
+        from repro.hardware.memory import MemoryModel
+
+        family = {
+            "small": lambda rng: build_cnn(3, 10, (3, 8, 8), base_channels=2, rng=rng),
+            "large": _builder,
+        }
+        large = _builder(np.random.default_rng(0))
+        req_gb = MemoryModel(batch_size=8).bytes_for(large, large.in_shape) / 1024**3
+
+        def build(**kw):
+            # available memory is mem * U(0, 0.2): ~0.6x the large MemReq
+            return cls(
+                _task(), family, _cfg(rounds=4, clients_per_round=4, **kw),
+                device_sampler=DeviceSampler([Device("edge", 1.0, 6 * req_gb, 4)], "balanced"),
+                distill_iters=2,
+            )
+
+        ref = build()
+        initial = {k: v.copy() for k, v in ref.prototypes["small"].state_dict().items()}
+        ref.run()
+        ref.close()
+        trained = ref.prototypes["small"].state_dict()
+        assert any(not np.array_equal(initial[k], trained[k]) for k in initial)
+
+        path = str(tmp_path / "run.jsonl")
+        interrupted = build(journal_path=path, checkpoint_every=2)
+        interrupted.run(rounds=2)
+        interrupted.close()
+        resumed = build(journal_path=path, checkpoint_every=2)
+        resumed.resume(path)
+        resumed.close()
+        _assert_runs_equal(ref, resumed)
+        _assert_states_equal(trained, resumed.prototypes["small"].state_dict(), "small ")
 
     def test_checkpoint_every_requires_journal(self):
         with pytest.raises(ValueError, match="journal_path"):
@@ -356,6 +455,23 @@ class TestCheckpointResume:
         kinds = [e["kind"] for e in RunJournal.read(path)]
         assert kinds[0] == "run_start" and kinds[-1] == "run_end"
         assert kinds.count("round") == 2
+
+    def test_run_end_counts_the_rounds_run(self, tmp_path):
+        """FedProphet stops when its last module is fixed, not at the budget."""
+        path = str(tmp_path / "prophet.jsonl")
+        exp = FedProphet(_task(), _builder,
+                         _cfg(FedProphetConfig, rounds=50, journal_path=path))
+        history = exp.run()
+        exp.close()
+        stages = len(exp.partition)
+        assert len(history) == 2 * stages and exp.run_finished()
+        assert [s.rounds for s in exp.stage_results] == [2] * stages
+        events = RunJournal.read(path)
+        assert events[-1]["kind"] == "run_end"
+        assert events[-1]["rounds"] == 2 * stages
+        assert sum(e["kind"] == "sample" for e in events) == 2 * stages
+        rounds = [e for e in events if e["kind"] == "round"]
+        assert [e["module"] for e in rounds] == [m for m in range(stages) for _ in "ab"]
 
 
 # ---------------------------------------------------------------------------

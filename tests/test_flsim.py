@@ -162,3 +162,27 @@ class TestFederatedExperiment:
         assert cfg.clients_per_round == 2
         with pytest.raises(ValueError):
             FLConfig(lr_decay=0.0)
+
+
+def test_no_experiment_overrides_run():
+    """One engine: every method runs on ``FederatedExperiment.run``.
+
+    A method states its round as the ``async_*`` hooks; only FedDF-AT
+    (and FedET-AT through it), whose server step is a distillation rather
+    than a per-update merge, still overrides ``run_round``.
+    """
+    import repro.baselines  # noqa: F401 - registers every experiment class
+    import repro.core  # noqa: F401
+    from repro.baselines import FedDFAT
+    from repro.flsim.base import FederatedExperiment
+
+    def walk(cls):
+        for sub in cls.__subclasses__():
+            if sub.__module__.startswith("repro."):
+                yield sub
+                yield from walk(sub)
+
+    classes = set(walk(FederatedExperiment))
+    assert len(classes) >= 9
+    assert [c.__name__ for c in classes if "run" in vars(c)] == []
+    assert {c for c in classes if "run_round" in vars(c)} == {FedDFAT}

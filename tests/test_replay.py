@@ -446,17 +446,37 @@ class TestEvalEveryMerge:
         with pytest.raises(ValueError, match="status_port"):
             _cfg(status_port=70000)
 
-    def test_rejects_custom_run_override(self):
+    def test_run_wrapper_still_samples_merges_and_checkpoints(self, tmp_path):
+        """No refusal is keyed on "overrides run()" any more: a subclass
+        that wraps ``run`` keeps every engine feature."""
         class CustomRun(JointFAT):
-            def run(self, rounds=None, verbose=False):  # pragma: no cover
+            def run(self, rounds=None, verbose=False):
+                self.wrapped = True
                 return super().run(rounds, verbose)
 
-        with pytest.raises(ValueError, match="eval_every_merge"):
-            CustomRun(
-                _task(), _builder,
-                _cfg(eval_every_merge=2, aggregation_mode="async",
-                     max_staleness=2),
-            )
+        path = str(tmp_path / "run.jsonl")
+        exp = CustomRun(
+            _task(), _builder,
+            _cfg(eval_every_merge=2, aggregation_mode="async", max_staleness=2,
+                 journal_path=path, checkpoint_every=1),
+        )
+        exp.run()
+        exp.close()
+        kinds = [e["kind"] for e in RunJournal.read(path)]
+        assert exp.wrapped and exp.merge_evals
+        assert kinds.count("checkpoint") == 3 and "merge_eval" in kinds
+
+    def test_refused_where_async_is_within_round(self):
+        # FedProphet's async mode is run_round's event schedule: there is
+        # no cross-round pipeline merge to sample.
+        from repro.core import FedProphet, FedProphetConfig
+
+        cfg = FedProphetConfig(
+            num_clients=5, clients_per_round=3, rounds=2, eval_every=0,
+            aggregation_mode="async", max_staleness=2, eval_every_merge=2,
+        )
+        with pytest.raises(ValueError, match="eval_every_merge.*within a round"):
+            FedProphet(_task(), _builder, cfg)
 
     def test_samples_curve_at_merge_granularity(self, tmp_path):
         path = str(tmp_path / "run.jsonl")

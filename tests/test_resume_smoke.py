@@ -4,9 +4,11 @@ The orchestration lives in ``scripts/resume_smoke.py`` (which doubles as
 the ``--child`` subprocess entry point); this module owns the assertions
 so a CI failure produces pytest diffs instead of a bare script exit code.
 
-Marked ``slow``: one uninterrupted reference run plus a subprocess that
-is SIGKILLed mid-flight and resumed (~4 s total), heavier than the unit
-suites but still tier-1.
+Marked ``slow``: per method, one uninterrupted reference run plus a
+subprocess that is SIGKILLed mid-flight and resumed (~4 s), heavier than
+the unit suites but still tier-1.  Two methods, the two run loops: jFAT
+on the cross-round pipeline, FedProphet on the round-barrier loop (killed
+just past a stage boundary).
 """
 
 import os
@@ -25,18 +27,22 @@ from repro.flsim import RunJournal  # noqa: E402
 from repro.flsim.replay import replay_run  # noqa: E402
 
 
-@pytest.fixture(scope="module")
-def killed_run(tmp_path_factory):
+@pytest.fixture(scope="module", params=["jfat", "fedprophet"])
+def killed_run(request, tmp_path_factory):
     """Reference run + a SIGKILLed child journal + its resumed experiment."""
-    ref_state, ref_alphas = resume_smoke.run_reference()
+    method = request.param
+    ref_state, ref_alphas, ref_stage, ref_rounds = resume_smoke.run_reference(method)
     journal = str(tmp_path_factory.mktemp("resume-smoke") / "run.jsonl")
-    killed = resume_smoke.spawn_and_kill(journal)
-    resumed = resume_smoke.build_experiment(journal, checkpoint_every=1)
+    killed = resume_smoke.spawn_and_kill(journal, method)
+    resumed = resume_smoke.build_experiment(journal, checkpoint_every=1, method=method)
     resumed.resume(journal)
     resumed.close()
     yield {
+        "method": method,
         "ref_state": ref_state,
         "ref_alphas": ref_alphas,
+        "ref_stage": ref_stage,
+        "ref_rounds": ref_rounds,
         "journal": journal,
         "killed": killed,
         "resumed": resumed,
@@ -59,13 +65,19 @@ class TestKillResume:
 
     def test_resumed_history_complete_and_monotone(self, killed_run):
         history = killed_run["resumed"].history
-        assert [r.round for r in history] == list(range(resume_smoke.ROUNDS))
+        # (FedProphet stops once its last module is fixed: <= ROUNDS rounds.)
+        assert [r.round for r in history] == list(range(killed_run["ref_rounds"]))
         times = [r.sim_time_s for r in history]
         assert times == sorted(times)
 
     def test_resumed_merge_log_matches_reference(self, killed_run):
         alphas = [e.alpha for e in killed_run["resumed"].async_log]
         assert alphas == killed_run["ref_alphas"]
+
+    def test_resumed_stage_state_matches_reference(self, killed_run):
+        # Algorithm 2's outputs (eps*, stage results, pert log, heads):
+        # None == None for the methods that have no stage.
+        assert resume_smoke.stage_state(killed_run["resumed"]) == killed_run["ref_stage"]
 
     def test_journal_lifecycle(self, killed_run):
         kinds = [e["kind"] for e in RunJournal.read(killed_run["journal"])]
@@ -81,8 +93,8 @@ class TestKillResume:
         # scenario.
         report = replay_run(
             killed_run["journal"],
-            lambda: resume_smoke.build_experiment(),
+            lambda: resume_smoke.build_experiment(method=killed_run["method"]),
         )
         assert report.resumes_folded == (1 if killed_run["killed"] else 0)
-        assert report.rounds == resume_smoke.ROUNDS
+        assert report.rounds == killed_run["ref_rounds"]
         assert report.events_verified > 0

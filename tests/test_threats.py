@@ -591,6 +591,58 @@ class TestAggregationAbort:
         assert all(r.aborted for r in history)
         _assert_states_equal(before, _state(exp))
 
+    @pytest.mark.parametrize(
+        "mode,fail_at",
+        [({}, 1), (dict(aggregation_mode="async", max_staleness=2), 2)],
+        ids=["sync", "async-after-first-event"],
+    )
+    def test_fedprophet_agg_error_restores_round_start_state(
+        self, tmp_path, mode, fail_at
+    ):
+        """FedProphet trains on slot 0 — the live model — so a failed merge
+        must put the last client's trained suffix and head back."""
+        journal_path = str(tmp_path / "run.jsonl")
+        exp = FedProphet(
+            _task(), _builder,
+            _cfg(FedProphetConfig, rounds=4, aggregation_rule="median",
+                 journal_path=journal_path, **mode),
+        )
+
+        def live_state():
+            heads = [h.state_dict() for h in exp.heads if h is not None]
+            return [_state(exp)] + heads
+
+        seen = {}
+        sample = exp.sample_round
+
+        def sample_round(t):
+            seen[t] = live_state()  # the state round t starts from
+            return sample(t)
+
+        merge, calls = exp.robust_aggregate, []
+
+        def robust_aggregate(*args, **kwargs):
+            if len(exp.history) == 1:  # round 1 is in flight
+                calls.append(1)
+                if len(calls) == fail_at:
+                    raise AggregationError("synthetic rejection")
+            return merge(*args, **kwargs)
+
+        exp.sample_round, exp.robust_aggregate = sample_round, robust_aggregate
+        history = exp.run()
+        exp.close()
+        assert [r.aborted for r in history] == [False, True, False, False]
+        for before, after in zip(seen[1], seen[2]):
+            _assert_states_equal(before, after)
+        assert any(
+            not np.array_equal(seen[0][0][k], seen[1][0][k]) for k in seen[0][0]
+        )
+        # counted against the stage like a fault-aborted round
+        assert exp.stage_results[0].rounds == 2
+        events = RunJournal.read(journal_path)
+        assert [e["round"] for e in events if e["kind"] == "agg_abort"] == [1]
+        assert events[-1]["kind"] == "run_end"
+
     def test_min_clients_fault_abort_still_works_with_robust_rule(self):
         # Full dropout: the fault layer's min-clients abort fires before
         # aggregation ever sees an empty cohort, with any rule.
