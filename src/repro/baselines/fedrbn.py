@@ -274,7 +274,12 @@ class FedRBN(FederatedExperiment):
                 model, items, base_state, lr_t, round_idx
             )
 
-        return CohortFn(train_client, train_cohort, group_key=self._fuse_key)
+        return CohortFn(
+            train_client,
+            train_cohort,
+            group_key=self._fuse_key,
+            width=self.cohort_width,
+        )
 
     def async_client_costs(self, round_idx, clients, states):
         return [self._cost(dev, self.can_afford_at(dev)) for dev in states]

@@ -127,7 +127,9 @@ class JointFAT(FederatedExperiment):
             n = client.num_samples
             return (n, min(cfg.batch_size, n))
 
-        return CohortFn(train_client, train_cohort, group_key=fuse_key)
+        return CohortFn(
+            train_client, train_cohort, group_key=fuse_key, width=self.cohort_width
+        )
 
     def async_client_costs(self, round_idx, clients, states):
         return [self._cost(dev) for dev in states]

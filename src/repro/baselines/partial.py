@@ -159,7 +159,12 @@ class PartialTrainingFAT(FederatedExperiment):
                 for state, (client, _dev) in zip(trained, items)
             ]
 
-        return CohortFn(train_client, train_cohort, group_key=self._fuse_key)
+        return CohortFn(
+            train_client,
+            train_cohort,
+            group_key=self._fuse_key,
+            width=self.cohort_width,
+        )
 
     def async_client_costs(self, round_idx, clients, states):
         """Pre-training latency: slice each client's architecture and cost it.

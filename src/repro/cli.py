@@ -258,9 +258,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="round execution backend (bit-identical results); "
                         "every backend fuses homogeneous clients into "
                         "stacked cohorts (see --fusion-width)")
-    p.add_argument("--fusion-width", type=int, default=8,
+    p.add_argument("--fusion-width", type=int, default=None,
                    help="every backend: max clients fused into one "
-                        "stacked cohort (default 8; 1 disables fusion)")
+                        "stacked cohort (default auto: derived from the "
+                        "model's stacked activation footprint, at most 8; "
+                        "an integer is obeyed as given; 1 disables fusion)")
     p.add_argument("--round-parallelism", "--parallelism", dest="round_parallelism",
                    type=int, default=None,
                    help="worker cap for the round execution engine "

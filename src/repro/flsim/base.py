@@ -13,6 +13,7 @@ import os
 import threading
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -24,8 +25,10 @@ from repro.flsim.eval_executor import EvalExecutor, EvalTarget, PendingEval
 from repro.flsim.executor import (
     BACKENDS,
     DEFAULT_FUSION_WIDTH,
+    STACKED_ACTIVATION_BUDGET,
     CohortFn,
     RoundExecutor,
+    derived_fusion_width,
 )
 from repro.flsim.aggregation import AggregationError
 from repro.flsim.faults import FaultPlan, RoundFaults
@@ -42,7 +45,8 @@ from repro.flsim.threats import RoundThreats, ThreatPlan
 from repro.hardware.devices import DeviceSampler, DeviceState
 from repro.hardware.flops import training_flops_per_iteration
 from repro.hardware.latency import LatencyModel, LocalTrainingCost
-from repro.hardware.memory import MemoryModel
+from repro.hardware.memory import BYTES_PER_SCALAR, MemoryModel
+from repro.hardware.profile import profile_module
 from repro.metrics.evaluation import EvalPlan, EvalResult
 from repro.models.atoms import CascadeModel
 
@@ -60,10 +64,14 @@ class FLConfig:
     ``thread``, or ``process`` workers, with bit-identical results across
     backends.  ``round_parallelism`` caps the worker count (None: one per
     CPU core).  On every backend homogeneous clients fuse into stacked
-    cohorts of at most ``fusion_width`` (per-client weight slabs against
-    a ``(K·B, ...)`` activation layout — see :mod:`repro.nn.cohort`);
-    heterogeneous clients run per item, and ``fusion_width=1`` disables
-    fusion (the bit-identical per-item reference path).
+    cohorts (per-client weight slabs against a ``(K·B, ...)`` activation
+    layout — see :mod:`repro.nn.cohort`); heterogeneous clients run per
+    item.  ``fusion_width=None`` (default) derives the cohort width from
+    the model's stacked activation footprint — ``1 MiB // (4·B·A)``
+    clamped to ``[1, 8]``, so small tensors stack up to 8 wide and large
+    ones train per item (:func:`repro.flsim.executor.derived_fusion_width`)
+    — an explicit integer is obeyed as given, and ``fusion_width=1``
+    disables fusion (the bit-identical per-item reference path).
 
     ``eval_backend`` / ``eval_parallelism`` configure the sharded
     evaluation engine (:class:`repro.flsim.eval_executor.EvalExecutor`)
@@ -188,7 +196,7 @@ class FLConfig:
     seed: int = 0
     executor_backend: str = "serial"
     round_parallelism: Optional[int] = None
-    fusion_width: int = DEFAULT_FUSION_WIDTH
+    fusion_width: Optional[int] = None
     eval_backend: Optional[str] = None
     eval_parallelism: Optional[int] = None
     aggregation_mode: str = "sync"
@@ -241,8 +249,8 @@ class FLConfig:
             )
         if self.round_parallelism is not None and self.round_parallelism < 1:
             raise ValueError("round_parallelism must be >= 1")
-        if self.fusion_width < 1:
-            raise ValueError("fusion_width must be >= 1")
+        if self.fusion_width is not None and self.fusion_width < 1:
+            raise ValueError("fusion_width must be >= 1 (or None: derived)")
         if self.eval_backend is not None and self.eval_backend not in BACKENDS:
             raise ValueError(
                 f"eval_backend must be one of {BACKENDS} (or None to follow "
@@ -854,9 +862,10 @@ class FederatedExperiment:
         measured against); ``fn(item, slot)`` must take ``(client,
         device_state)`` items.  Honest rounds return ``fn`` unchanged, so
         an inactive plan costs nothing.  A :class:`~repro.flsim.executor.
-        CohortFn` stays a ``CohortFn`` (same ``group_key``) with *both*
-        paths wrapped — the poisoning applies to each client's extracted
-        update after training, so cohort composition is unaffected.
+        CohortFn` stays a ``CohortFn`` (same ``group_key`` and ``width``)
+        with *both* paths wrapped — the poisoning applies to each client's
+        extracted update after training, so cohort composition is
+        unaffected.
         """
         plan = self.config.threat_plan
         threats = threats if threats is not None else self._round_threats
@@ -886,7 +895,10 @@ class FederatedExperiment:
                 ]
 
             return CohortFn(
-                poisoned_item_fn, poisoned_cohort_fn, group_key=inner.group_key
+                poisoned_item_fn,
+                poisoned_cohort_fn,
+                group_key=inner.group_key,
+                width=inner.width,
             )
 
         def poisoned_fn(item, slot):
@@ -1049,6 +1061,30 @@ class FederatedExperiment:
             raise
         self.async_finalize(server)
         return costs
+
+    @cached_property
+    def client_activation_bytes(self) -> int:
+        """``4·B·A`` of one client training the global model (§6.1, Eq. 7).
+
+        What a fusion cohort stacks K of.  Read off the shape walker, so it
+        costs no forward; sub-model baselines stack smaller pieces, for
+        which the global model is the conservative stand-in.
+        """
+        model = self.global_model
+        activations = profile_module(model, model.in_shape).activations
+        return BYTES_PER_SCALAR * self.config.batch_size * activations
+
+    @property
+    def cohort_width(self) -> Optional[int]:
+        """The ``width`` this experiment's :class:`CohortFn` carries.
+
+        Derived from :attr:`client_activation_bytes` when ``fusion_width``
+        is left at ``None``; an explicit ``fusion_width`` already sits on
+        the executor and the work function adds no cap of its own.
+        """
+        if self.config.fusion_width is not None:
+            return None
+        return derived_fusion_width(self.client_activation_bytes)
 
     def _model_costs(
         self, model: CascadeModel, pgd_steps: Optional[int] = None
@@ -1571,10 +1607,19 @@ class FederatedExperiment:
             overlap = "requested (inactive: needs a pooled round backend)"
         else:
             overlap = "off"
+        if cfg.fusion_width is not None:
+            width, cause = ex.fusion_width, "configured"
+        else:
+            width = self.cohort_width  # <= the executor's default bound
+            cause = (
+                f"derived: 4·B·A = {self.client_activation_bytes / 2**10:.4g} KiB "
+                f"per client against a {STACKED_ACTIVATION_BUDGET >> 10} KiB "
+                f"stacked budget, at most {DEFAULT_FUSION_WIDTH}; configured: auto"
+            )
         engine = (
-            f"round engine: {ex.backend} x{ex.max_workers} (fusion width "
-            f"{ex.fusion_width}: equal-key clients train as stacked cohorts, "
-            f"others per item; 1 disables fusion)"
+            f"round engine: {ex.backend} x{ex.max_workers}, fusion width "
+            f"{width} ({cause}) for equal-key clients, others per item, "
+            f"1 disables fusion"
         )
         pop = self.clients
         cap = pop.cache_capacity

@@ -22,16 +22,22 @@ backends:
 
 **Client fusion** is how a worker runs its share on *every* backend, not
 a backend of its own: homogeneous clients are grouped into **fusion
-cohorts** of width ``fusion_width`` and each cohort runs as *one* stacked
-forward/backward (per-client weight slabs against a ``(K·B, ...)``
-activation layout — see :mod:`repro.nn.cohort`).  Work functions opt in
-by being a :class:`CohortFn` (plain functions run per item); cohorts only
-form among items with equal ``group_key`` (same architecture/segment/mask
-*and* the same local batch schedule), everything else stays a singleton,
-and ``fusion_width=1`` is the per-item reference path.  The cohort is the
-unit :class:`~repro.flsim.scheduler.FLScheduler` hands to a worker: run
-inline (``serial``), one pool task each (``thread``), or striped over one
-fork region (``process``).
+cohorts** and each cohort runs as *one* stacked forward/backward
+(per-client weight slabs against a ``(K·B, ...)`` activation layout — see
+:mod:`repro.nn.cohort`).  Work functions opt in by being a
+:class:`CohortFn` (plain functions run per item); cohorts only form among
+items with equal ``group_key`` (same architecture/segment/mask *and* the
+same local batch schedule), everything else stays a singleton.  The
+cohort width is ``min(executor fusion_width, CohortFn.width)``: stacking
+pays only while the stacked activations are small (per-call overhead is
+what it amortises; K weight/gradient/momentum slabs and a K× activation
+stack are what it costs), so an experiment left at ``fusion_width=None``
+derives its work function's width from the model's activation footprint
+(:func:`derived_fusion_width`), while an explicit ``fusion_width`` is
+obeyed as given and ``fusion_width=1`` is the per-item reference path.
+The cohort is the unit :class:`~repro.flsim.scheduler.FLScheduler` hands
+to a worker: run inline (``serial``), one pool task each (``thread``), or
+striped over one fork region (``process``).
 
 Determinism contract: **parallel and fused output is bit-identical to
 the serial per-item path**.
@@ -55,8 +61,29 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 BACKENDS = ("serial", "thread", "process")
 
-#: Default fusion-cohort width (the measured knee; see docs/benchmarks.md).
+#: Upper bound of a derived fusion-cohort width, and the executor's width
+#: when none is configured.  Past 8 the per-call overhead is already
+#: amortised on the smallest tensors measured (docs/benchmarks.md § PR 16).
 DEFAULT_FUSION_WIDTH = 8
+
+#: Bytes of stacked per-iteration activations (``K · 4·B·A``) a derived
+#: cohort may hold.  The measured regimes are 13× apart — 54 KiB per client
+#: (tiny CNN, fusion buys 2×) and 182 KiB (VGG11×0.25 at B=8, 1.5×)
+#: against ≥ 729 KiB (every VGG geometry at B=32, ≤ 1.1× for 1.3–2.5× peak
+#: RSS) — so any value in [730 KiB, 1,458 KiB) decides all seven measured
+#: points the same way (docs/benchmarks.md § PR 22).
+STACKED_ACTIVATION_BUDGET = 1 << 20
+
+
+def derived_fusion_width(per_client_bytes: int) -> int:
+    """Cohort width for clients whose activations take ``per_client_bytes``.
+
+    ``clamp(STACKED_ACTIVATION_BUDGET // (4·B·A), 1, DEFAULT_FUSION_WIDTH)``
+    with ``4·B·A`` the paper's activation term (§6.1, Eq. 7) of one client.
+    A pure function of shapes, so cohort composition stays reproducible.
+    """
+    fit = STACKED_ACTIVATION_BUDGET // max(1, per_client_bytes)
+    return max(1, min(DEFAULT_FUSION_WIDTH, fit))
 
 
 class CohortFn:
@@ -74,6 +101,10 @@ class CohortFn:
     * ``group_key(item)`` — hashable fusion key.  Items may be fused only
       when their keys are equal; ``None`` pins an item to the per-item path
       (heterogeneous segment/mask shapes, ragged batch schedules).
+
+    ``width`` caps this function's cohorts below the executor's
+    ``fusion_width`` (``None``: no cap of its own) — the width its
+    experiment derived from the tensors the cohort would stack.
     """
 
     def __init__(
@@ -81,10 +112,14 @@ class CohortFn:
         fn: Callable[[Any, int], Any],
         cohort_fn: Callable[[List[Any], int], List[Any]],
         group_key: Optional[Callable[[Any], Any]] = None,
+        width: Optional[int] = None,
     ):
+        if width is not None and width < 1:
+            raise ValueError("width must be >= 1")
         self.fn = fn
         self.cohort_fn = cohort_fn
         self._group_key = group_key
+        self.width = width
 
     def __call__(self, item: Any, slot: int) -> Any:
         return self.fn(item, slot)
@@ -120,8 +155,9 @@ class RoundExecutor:
         Parallelism cap; defaults to ``os.cpu_count()``.  The effective
         worker count for a round is ``min(max_workers, len(items))``.
     fusion_width:
-        Maximum fusion-cohort width K on every backend (default
-        :data:`DEFAULT_FUSION_WIDTH`); ``1`` disables fusion.
+        Upper bound of the fusion-cohort width K on every backend (default
+        :data:`DEFAULT_FUSION_WIDTH`); a :class:`CohortFn` carrying its own
+        ``width`` stacks ``min`` of the two, and ``1`` disables fusion.
     """
 
     def __init__(
@@ -224,10 +260,14 @@ class RoundExecutor:
         """Deterministic fusion plan: item indices grouped into cohorts.
 
         Items sharing a non-``None`` ``group_key`` coalesce (in input
-        order) into chunks of at most ``fusion_width``; everything else is
-        a singleton.  A pure function of ``(keys, fusion_width)`` — load,
-        scheduling, and worker count cannot leak into cohort composition.
+        order) into chunks of at most ``min(fusion_width, fn.width)``;
+        everything else is a singleton.  A pure function of ``(keys,
+        widths)`` — load, scheduling, and worker count cannot leak into
+        cohort composition.
         """
+        width = self.fusion_width
+        if fn.width is not None:
+            width = min(width, fn.width)
         groups: dict = {}
         singletons: List[List[int]] = []
         order: List[Any] = []
@@ -243,8 +283,8 @@ class RoundExecutor:
         cohorts: List[List[int]] = list(singletons)
         for key in order:
             idxs = groups[key]
-            for start in range(0, len(idxs), self.fusion_width):
-                cohorts.append(idxs[start : start + self.fusion_width])
+            for start in range(0, len(idxs), width):
+                cohorts.append(idxs[start : start + width])
         cohorts.sort(key=lambda c: c[0])
         return cohorts
 

@@ -1,4 +1,4 @@
-"""Shared test utilities: finite-difference gradient checking."""
+"""Shared test utilities: finite-difference gradient checking, cohort recording."""
 
 from __future__ import annotations
 
@@ -56,3 +56,22 @@ def check_layer_param_grads(layer, x: np.ndarray, rtol=1e-4, atol=1e-6) -> None:
         np.testing.assert_allclose(
             p.grad, numeric, rtol=rtol, atol=atol, err_msg=f"param {name}"
         )
+
+
+def record_cohort_widths(exp) -> list:
+    """Record the width of every cohort ``exp``'s round engine plans from now on.
+
+    A fused-vs-per-item comparison proves nothing if both sides ran per
+    item (a derived width of 1, a ragged key): assert on the returned list
+    — it fills as rounds run — that the fused side really stacked.
+    """
+    widths = []
+    plan = exp.executor.plan_cohorts
+
+    def recording_plan(fn, items):
+        cohorts = plan(fn, items)
+        widths.extend(len(cohort) for cohort in cohorts)
+        return cohorts
+
+    exp.executor.plan_cohorts = recording_plan
+    return widths

@@ -2,8 +2,9 @@
 
 What is observable about that, pinned here:
 
-* a default ``FLConfig`` fuses equal-key clients into one stacked trainer
-  call; ragged shards, ``None`` keys and plain work functions stay per
+* a default ``FLConfig`` fuses equal-key clients of a small-tensor model
+  (the width is derived; ``tests/test_fusion_width.py`` pins the rule) into
+  one stacked trainer call; ragged shards, ``None`` keys and plain work functions stay per
   item, and FedProphet (a plain work function) trains exactly as before;
 * the ``process`` backend forks over *cohorts*, and ``forks_for`` asked
   with the cohort count mirrors that dispatch;
@@ -29,6 +30,7 @@ from repro.flsim import FLConfig, RunJournal, replay_run
 from repro.flsim.executor import CohortFn, RoundExecutor
 from repro.flsim.scheduler import FLScheduler
 from repro.models import build_cnn
+from tests.helpers import record_cohort_widths
 
 
 def _task():
@@ -93,12 +95,13 @@ def trainer_calls(monkeypatch):
 
 
 class TestDefaultRoundPath:
-    def test_default_config_is_serial_width_8(self):
+    def test_default_config_is_serial_width_derived(self):
         cfg = FLConfig()
-        assert (cfg.executor_backend, cfg.fusion_width) == ("serial", 8)
-        assert RoundExecutor().fusion_width == 8
+        assert (cfg.executor_backend, cfg.fusion_width) == ("serial", None)
+        assert RoundExecutor().fusion_width == 8  # the derived width's bound
         args = build_parser().parse_args(["train"])
-        assert (args.executor, args.fusion_width) == ("serial", 8)
+        assert (args.executor, args.fusion_width) == ("serial", None)
+        assert build_parser().parse_args(["train", "--fusion-width", "4"]).fusion_width == 4
         with pytest.raises(SystemExit):
             build_parser().parse_args(["train", "--executor", "batched"])
 
@@ -215,8 +218,10 @@ def test_per_item_journal_resumes_and_replays_fused(tmp_path, mode):
         journal_path=path, fusion_width=8, executor_backend="thread",
         round_parallelism=2, **kw,
     ) as resumed:
+        widths = record_cohort_widths(resumed)
         resumed.resume(path)
         _assert_same_weights(_weights(resumed), want)
+        assert widths == [8]  # the one remaining round really ran fused
 
     for n, engine in enumerate(
         [dict(fusion_width=8), dict(fusion_width=4, executor_backend="process",
@@ -319,6 +324,7 @@ class TestHostileCohort:
     def test_nan_shard_in_a_cohort_matches_the_per_item_outcome(self, rule):
         def run(width):
             with _jfat(rounds=1, fusion_width=width, aggregation_rule=rule) as exp:
+                widths = record_cohort_widths(exp)
                 poisoned = exp.clients[3].dataset
                 poisoned.x = np.full_like(poisoned.x, np.inf)
                 updates = exp.scheduler.run_group(
@@ -328,6 +334,7 @@ class TestHostileCohort:
                 )
                 exp.run()
                 assert _serial_layout(exp._async_slot_model(0))
+                assert set(widths) == {width}  # per item vs really stacked
                 return updates, _weights(exp)
 
         (per_item, want), (fused, got) = run(1), run(8)

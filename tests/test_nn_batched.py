@@ -38,6 +38,7 @@ from repro.nn.cohort import (
     install_cohort,
 )
 from repro.nn.losses import CrossEntropyLoss
+from tests.helpers import record_cohort_widths
 
 
 def _assert_states_equal(a, b, label=""):
@@ -327,12 +328,13 @@ def _run(name, backend, fusion_width=1, heterogeneity="balanced", **overrides):
     defaults.update(overrides)
     sampler = DeviceSampler(DEVICE_POOL_CIFAR10, heterogeneity)
     exp = cls(_task(), builder, FLConfig(**defaults), device_sampler=sampler)
+    widths = record_cohort_widths(exp)
     exp.run()
     state = {k: v.copy() for k, v in exp.global_model.state_dict().items()}
     history = [(r.round, r.sim_time_s, r.compute_s, r.aborted) for r in exp.history]
     log = list(exp.async_log)
     exp.close()
-    return state, history, log
+    return state, history, log, max(widths)
 
 
 ASYNC_DEPTH2 = dict(
@@ -354,9 +356,17 @@ def _matrix_reference(name, mode):
     return _matrix_refs[name, mode]
 
 
+def _assert_realised(ref, got, width):
+    """The reference side ran per item; the fused side's widest cohort
+    was really ``width`` (``_run`` returns the widest planned cohort)."""
+    assert ref[3] == 1
+    assert got[3] == width
+
+
 class TestBatchedBackendDeterminism:
     """Fused cohorts vs the per-item reference (``_run``'s default
-    ``fusion_width=1`` on ``serial``) — never serial-default vs itself."""
+    ``fusion_width=1`` on ``serial``) — never serial-default vs itself,
+    and never per-item vs per-item: every test asserts the widths realised."""
 
     # clients_per_round=5 with equal shards gives one ragged cohort at
     # width 2 (2+2+1) and width 4 (4+1) — the planner's tail chunks.
@@ -367,6 +377,7 @@ class TestBatchedBackendDeterminism:
         got = _run(name, "thread", fusion_width=width)
         _assert_states_equal(ref[0], got[0], f"{name} w{width}: ")
         assert ref[1] == got[1]
+        _assert_realised(ref, got, width)
 
     @pytest.mark.parametrize("name", sorted(BASELINES))
     def test_async_pipeline_depth2_matches_serial(self, name):
@@ -374,6 +385,7 @@ class TestBatchedBackendDeterminism:
         got = _run(name, "thread", fusion_width=4, **ASYNC_DEPTH2)
         _assert_states_equal(ref[0], got[0], f"{name} async: ")
         assert ref[2] == got[2]
+        _assert_realised(ref, got, 4)
 
     # The cheap CNN covers every cell; the VGG baselines the default width.
     @pytest.mark.parametrize(
@@ -393,6 +405,7 @@ class TestBatchedBackendDeterminism:
         _assert_states_equal(ref[0], got[0], f"{name} {backend} w{width} {mode}: ")
         assert ref[1] == got[1]
         assert ref[2] == got[2]
+        _assert_realised(ref, got, width)
 
     def test_sync_with_fault_and_threat_plans(self):
         kw = dict(
@@ -406,6 +419,7 @@ class TestBatchedBackendDeterminism:
             got = _run("jfat", backend, fusion_width=4, **kw)
             _assert_states_equal(ref[0], got[0], f"faults+threats {backend}: ")
             assert ref[1] == got[1]
+            assert ref[3] == 1 and got[3] > 1  # dropouts thin the cohorts
 
     def test_unbalanced_fedrbn_mixes_cohort_kinds(self):
         # Unbalanced devices split FedRBN clients between the AT and
@@ -413,6 +427,7 @@ class TestBatchedBackendDeterminism:
         ref = _run("fedrbn", "serial", heterogeneity="unbalanced")
         got = _run("fedrbn", "thread", fusion_width=4, heterogeneity="unbalanced")
         _assert_states_equal(ref[0], got[0], "fedrbn unbalanced: ")
+        _assert_realised(ref, got, 4)
 
 
 class TestDescribeParallelism:
@@ -433,13 +448,21 @@ class TestDescribeParallelism:
         text = exp.describe_parallelism()
         exp.close()
         assert "thread x2" in text
-        assert "fusion width 3" in text
+        assert "fusion width 3 (configured)" in text
 
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-    def test_every_backend_reports_fusion_width(self, backend):
+    def test_every_backend_reports_the_effective_width_and_its_cause(self, backend):
+        # VGG11x0.25 8x8 at B=8: 182 KiB per client, so 5 fit the budget.
         exp = self._exp(executor_backend=backend, round_parallelism=2)
         text = exp.describe_parallelism()
         exp.close()
         assert f"{backend} x2" in text
-        assert "fusion width 8" in text  # the default
+        assert "fusion width 5 (derived: 4·B·A = 182.3 KiB per client" in text
+        assert "1024 KiB stacked budget, at most 8; configured: auto)" in text
         assert "1 disables fusion" in text
+
+    def test_reports_width_one_for_large_tensors(self):
+        exp = self._exp(batch_size=32)
+        text = exp.describe_parallelism()
+        exp.close()
+        assert "fusion width 1 (derived: 4·B·A = 729.2 KiB per client" in text

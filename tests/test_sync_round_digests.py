@@ -41,6 +41,7 @@ from repro.hardware import Device, DeviceSampler
 from repro.hardware.memory import MemoryModel
 from repro.models import build_cnn, build_vgg
 from repro.nn import DualBatchNorm2d
+from tests.helpers import record_cohort_widths
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 DIGESTS = os.path.join(DATA, "sync_round_digests.json")
@@ -66,6 +67,16 @@ HETEROGENEITY = ("balanced", "unbalanced")
 ENGINES = {
     "serial": dict(executor_backend="serial", fusion_width=1),
     "batched": dict(executor_backend="thread", fusion_width=4, round_parallelism=2),
+}
+# Widest cohort the "batched" row really stacks, per (method, heterogeneity):
+# the dropout plan and the partial family's per-device masks thin the
+# cohorts, and a row that realises 1 pins the per-item path twice.
+WIDEST_BATCHED = {
+    ("jfat", "balanced"): 4, ("jfat", "unbalanced"): 4,
+    ("fedrbn", "balanced"): 4, ("fedrbn", "unbalanced"): 4,
+    ("heterofl", "balanced"): 1, ("heterofl", "unbalanced"): 2,
+    ("feddrop", "balanced"): 1, ("feddrop", "unbalanced"): 1,
+    ("fedrolex", "balanced"): 1, ("fedrolex", "unbalanced"): 2,
 }
 FAULTS = FaultPlan(seed=10, dropout_prob=0.2, straggler_prob=0.2)
 SCENARIOS = {
@@ -117,7 +128,9 @@ def _experiment(method, het, engine, scenario, **overrides):
 
 
 def _digest(method, het, engine, scenario):
+    """``(digest, widest cohort the run planned)``."""
     with _experiment(method, het, engine, scenario) as exp:
+        widths = record_cohort_widths(exp)
         history = exp.run()
         sha = hashlib.sha256()
         for key, value in sorted(exp.global_model.state_dict().items()):
@@ -128,7 +141,7 @@ def _digest(method, het, engine, scenario):
             "clock_s": exp.clock_s.hex(),
             "total_compute_s": exp.total_compute_s.hex(),
             "aborted": [r.aborted for r in history],
-        }
+        }, max(widths)
 
 
 def _case_id(case):
@@ -149,7 +162,10 @@ def _case_id(case):
 def test_sync_round_matches_parent_digest(case):
     with open(DIGESTS, encoding="utf-8") as fh:
         recorded = json.load(fh)
-    assert _digest(*case) == recorded[_case_id(case)]
+    digest, widest = _digest(*case)
+    assert digest == recorded[_case_id(case)]
+    method, het, engine, _scenario = case
+    assert widest == (WIDEST_BATCHED[method, het] if engine == "batched" else 1)
 
 
 def _journal_experiment(journal_path=None):
@@ -180,7 +196,7 @@ def test_golden_journal_is_the_parents_but_for_the_fingerprint():
 
 if __name__ == "__main__":
     with open(DIGESTS, "w", encoding="utf-8") as fh:
-        json.dump({_case_id(c): _digest(*c) for c in CASES}, fh, indent=1, sort_keys=True)
+        json.dump({_case_id(c): _digest(*c)[0] for c in CASES}, fh, indent=1, sort_keys=True)
         fh.write("\n")
     with _journal_experiment(JOURNAL) as exp:
         exp.run()
