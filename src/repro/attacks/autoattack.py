@@ -122,33 +122,30 @@ def auto_attack_lite(
 ) -> np.ndarray:
     """Worst-case ensemble: a sample is robust only if it survives them all.
 
-    Runs FGSM, PGD, and APGD-CE — each only while a sample still survives —
-    and for each sample keeps the first adversarial example that flips the
-    prediction (falling back to the APGD iterate).
+    FGSM, PGD and APGD-CE run in turn, each on the points no earlier member
+    has flipped (as in Croce & Hein's AutoAttack), so the cost follows the
+    robust fraction; a member draws its random starts for the batch it is
+    given.  A flipped point keeps the first example that flipped it, a
+    survivor the last attempt made on it.
     Returns inputs whose induced accuracy is the ensemble robust accuracy.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
     y = np.asarray(y)
     result = x.copy()
-    remaining = np.ones(x.shape[0], dtype=bool)
+    remaining = np.arange(x.shape[0])
     attacks = (
-        lambda: fgsm_attack(mwl, x, y, eps, clip=clip),
-        lambda: pgd_attack(
-            mwl, x, y, PGDConfig(eps=eps, steps=steps, norm=norm, clip=clip), rng=rng
+        lambda xs, ys: fgsm_attack(mwl, xs, ys, eps, clip=clip, norm=norm),
+        lambda xs, ys: pgd_attack(
+            mwl, xs, ys, PGDConfig(eps=eps, steps=steps, norm=norm, clip=clip), rng=rng
         ),
-        lambda: apgd_attack(
-            mwl, x, y, eps, steps=steps, norm=norm, restarts=restarts, clip=clip, rng=rng
+        lambda xs, ys: apgd_attack(
+            mwl, xs, ys, eps, steps=steps, norm=norm, restarts=restarts, clip=clip, rng=rng
         ),
     )
-    adv = x
     for attack in attacks:
-        if not remaining.any():
+        if remaining.size == 0:
             break
-        adv = attack()
-        preds = mwl.logits(adv).argmax(axis=1)
-        flipped = (preds != y) & remaining
-        result[flipped] = adv[flipped]
-        remaining &= ~flipped
-    # for still-robust samples keep the strongest (APGD) attempt
-    result[remaining] = adv[remaining]
+        adv = attack(x[remaining], y[remaining])
+        result[remaining] = adv
+        remaining = remaining[mwl.logits(adv).argmax(axis=1) == y[remaining]]
     return result

@@ -135,7 +135,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         eval_parallelism=args.eval_parallelism,
         aggregation_mode=args.aggregation_mode, max_staleness=args.max_staleness,
         pipeline_depth=args.pipeline_depth,
-        overlap_eval=args.overlap_eval, split_autoattack=args.split_autoattack,
+        overlap_eval=args.overlap_eval,
         journal_path=args.journal, checkpoint_every=args.checkpoint_every,
         metrics_path=args.metrics, status_port=args.status_port,
         eval_every_merge=args.eval_every_merge,
@@ -290,9 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pipeline periodic evaluation with the next round's "
                         "training (thread backend; eval reads a published "
                         "weight snapshot, bit-identical to the barrier path)")
-    p.add_argument("--split-autoattack", action="store_true",
-                   help="shard AutoAttack into FGSM/PGD/APGD ensemble members "
-                        "to shorten the eval critical path")
     p.add_argument("--journal", default=None, metavar="PATH",
                    help="write an append-only JSONL run journal to PATH "
                         "(config fingerprint, rounds, merges, evals, "

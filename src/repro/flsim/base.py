@@ -114,11 +114,6 @@ class FLConfig:
     snapshot).  Wall-clock overlap needs the thread backend; serial and
     process degrade gracefully to the barrier behaviour.
 
-    ``split_autoattack`` decomposes AutoAttack evaluation into
-    independently scheduled FGSM/PGD/APGD ensemble-member shards (the
-    combined worst-case ``aa`` column is still reported), shortening the
-    eval critical path on wide machines.
-
     **Fault tolerance** (see ``docs/fault-tolerance.md``):
     ``journal_path`` writes an append-only JSONL event log of the run;
     ``checkpoint_every`` atomically snapshots the full run state every K
@@ -203,7 +198,6 @@ class FLConfig:
     max_staleness: int = 4
     pipeline_depth: int = 1
     overlap_eval: bool = False
-    split_autoattack: bool = False
     journal_path: Optional[str] = None
     checkpoint_every: int = 0
     metrics_path: Optional[str] = None
@@ -1453,7 +1447,6 @@ class FederatedExperiment:
             ),
             max_samples=max_samples,
             seed=cfg.seed + seed_offset,
-            split_autoattack=cfg.split_autoattack,
         )
 
     def _eval_target(self, slot: int) -> EvalTarget:
@@ -2029,7 +2022,8 @@ class FederatedExperiment:
         return t
 
     def final_eval(self, max_samples: Optional[int] = None) -> EvalResult:
-        """Full evaluation (with AutoAttack) of the final model."""
+        """Clean, PGD and AutoAttack accuracy of the final model (the ``aa``
+        column is one spec: its members each attack the survivors of the last)."""
         return self.run_eval(
             self.eval_plan(max_samples=max_samples, with_autoattack=True, seed_offset=999)
         )

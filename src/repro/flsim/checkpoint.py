@@ -71,6 +71,7 @@ def config_fingerprint(config: Any, experiment: str) -> str:
     payload = dataclasses.asdict(config)
     for name in NONSEMANTIC_FIELDS:
         payload.pop(name, None)
+    payload["split_autoattack"] = False  # field removed in PR 23; recorded ids stay valid
     payload["experiment"] = experiment
     text = json.dumps(payload, sort_keys=True, default=repr)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]

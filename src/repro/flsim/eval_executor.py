@@ -35,7 +35,7 @@ evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -192,53 +192,28 @@ class EvalExecutor:
                 rng = shard_rng(plan.seed, shard.attack_idx, shard.shard_idx)
                 adv = attack.perturb(target.mwl, xb, yb, rng)
                 preds = target.mwl.logits(adv).argmax(axis=1)
-            mask = preds == yb
-            # Ensemble members ship their per-sample mask (worst-case
-            # combination needs sample identity); plain attacks reduce to a
-            # count right here to keep the pipe narrow.
-            value = mask.copy() if attack.ensemble is not None else int(mask.sum())
+            correct = int((preds == yb).sum())  # reduce here: the pipe stays narrow
             counters = None
             if forked and prefix_cache is not None:
                 counters = (
                     prefix_cache.hits - hits0,
                     prefix_cache.misses - misses0,
                 )
-            return shard.attack_idx, shard.shard_idx, value, counters, export
+            return shard.attack_idx, shard.shard_idx, correct, counters, export
 
         return run_shard
 
     def _reduce(self, plan: EvalPlan, shard_results: List[tuple], n: int) -> EvalResult:
-        """Fold shard counts/masks into the plan's :class:`EvalResult`.
-
-        Plain attacks sum correct counts over shards in input order.  For
-        each ensemble group, members' per-sample masks are AND-combined
-        per sample range — a sample counts correct only if *every* member
-        left it correct, the worst-case semantics of ``auto_attack_lite``.
-        """
+        """Sum each attack's correct counts over shards, in input order."""
         correct_by_attack = [0] * len(plan.attacks)
-        masks: Dict[Tuple[int, int], np.ndarray] = {}
-        for attack_idx, shard_idx, value, _, _ in shard_results:
-            if plan.attacks[attack_idx].ensemble is not None:
-                masks[(attack_idx, shard_idx)] = value
-                correct_by_attack[attack_idx] += int(value.sum())
-            else:
-                correct_by_attack[attack_idx] += value
+        for attack_idx, _, correct, _, _ in shard_results:
+            correct_by_attack[attack_idx] += correct
         # An empty evaluation (empty dataset, max_samples=0) measured
         # nothing: report None, never a fake 0 % (to_result's contract).
-        accuracies = {
+        return plan.to_result({
             attack.name: (correct_by_attack[i] / n if n else None)
             for i, attack in enumerate(plan.attacks)
-        }
-        for group, members in plan.ensembles().items():
-            shard_ids = sorted(si for ai, si in masks if ai == members[0])
-            correct = 0
-            for si in shard_ids:
-                combined = masks[(members[0], si)].copy()
-                for member in members[1:]:
-                    combined &= masks[(member, si)]
-                correct += int(combined.sum())
-            accuracies[group] = correct / n if n else None
-        return plan.to_result(accuracies)
+        })
 
     @staticmethod
     def _release_targets(targets: Dict[int, EvalTarget]) -> None:

@@ -21,18 +21,11 @@ from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.attacks import (
-    ModelWithLoss,
-    PGDConfig,
-    apgd_attack,
-    auto_attack_lite,
-    fgsm_attack,
-    pgd_attack,
-)
+from repro.attacks import ModelWithLoss, PGDConfig, auto_attack_lite, pgd_attack
 from repro.data.dataset import ArrayDataset
 from repro.nn.module import Module
 
-ATTACK_KINDS = ("clean", "pgd", "autoattack", "fgsm", "apgd")
+ATTACK_KINDS = ("clean", "pgd", "autoattack")
 
 
 def seed_entropy(seed) -> list:
@@ -56,17 +49,11 @@ class AttackSpec:
     """One accuracy column of an evaluation: an attack and its budget.
 
     ``kind`` selects the perturbation: ``"clean"`` (identity), ``"pgd"``
-    (:func:`repro.attacks.pgd.pgd_attack`), ``"autoattack"``
-    (:func:`repro.attacks.autoattack.auto_attack_lite`), or the AutoAttack
-    ensemble *members* ``"fgsm"`` / ``"apgd"``.  ``name`` keys the
-    measured accuracy in the result.
-
-    ``ensemble`` tags the spec as a member of a per-sample worst-case
-    ensemble: the evaluation engine reports each member's own accuracy
-    *and* a combined column (keyed by the ensemble name) counting a
-    sample correct only when every member of the group leaves it correct.
-    Decomposing ``autoattack`` this way turns one long shard into three
-    independent ones, shortening the eval critical path on wide machines.
+    (:func:`repro.attacks.pgd.pgd_attack`) or ``"autoattack"``
+    (:func:`repro.attacks.autoattack.auto_attack_lite`, the FGSM → PGD →
+    APGD-CE worst-case ensemble, each member run on the points the one
+    before it left standing).  ``name`` keys the measured accuracy in the
+    result.
     """
 
     name: str
@@ -76,17 +63,13 @@ class AttackSpec:
     norm: str = "linf"
     restarts: int = 2
     clip: Optional[Tuple[float, float]] = (0.0, 1.0)
-    ensemble: Optional[str] = None
 
     def __post_init__(self):
         if self.kind not in ATTACK_KINDS:
             raise ValueError(
                 f"unknown attack kind {self.kind!r}; expected one of {ATTACK_KINDS}"
             )
-        if self.kind == "fgsm":
-            if self.eps <= 0:
-                raise ValueError(f"attack {self.name!r} needs eps > 0")
-        elif self.kind != "clean" and (self.eps <= 0 or self.steps < 1):
+        if self.kind != "clean" and (self.eps <= 0 or self.steps < 1):
             raise ValueError(f"attack {self.name!r} needs eps > 0 and steps >= 1")
 
     # -- canonical specs ----------------------------------------------------
@@ -105,31 +88,6 @@ class AttackSpec:
                    norm: str = "linf") -> "AttackSpec":
         return AttackSpec(name=name, kind="autoattack", eps=eps, steps=steps,
                           restarts=restarts, norm=norm)
-
-    @staticmethod
-    def autoattack_members(
-        eps: float, steps: int, group: str = "aa", restarts: int = 2,
-        norm: str = "linf",
-    ) -> Tuple["AttackSpec", ...]:
-        """The AutoAttack-lite ensemble decomposed into per-member specs.
-
-        Each member (FGSM, PGD, APGD-CE) becomes its own shardable attack
-        in ensemble ``group``; the engine AND-combines their per-sample
-        correctness into the ``group`` column — the same worst-case
-        semantics as the monolithic ``autoattack`` spec, but with three
-        independently schedulable shards per batch instead of one
-        sequential sweep.  (Member RNG streams are per-member shard RNGs,
-        so the combined number can differ from the monolithic spec in the
-        random restarts while remaining deterministic and backend-stable.)
-        """
-        return (
-            AttackSpec(name=f"{group}_fgsm", kind="fgsm", eps=eps, norm=norm,
-                       ensemble=group),
-            AttackSpec(name=f"{group}_pgd", kind="pgd", eps=eps, steps=steps,
-                       norm=norm, ensemble=group),
-            AttackSpec(name=f"{group}_apgd", kind="apgd", eps=eps, steps=steps,
-                       restarts=restarts, norm=norm, ensemble=group),
-        )
 
     @property
     def cacheable(self) -> bool:
@@ -150,19 +108,12 @@ class AttackSpec:
         """Adversarial inputs for one shard (identity for ``clean``)."""
         if self.kind == "clean":
             return x
-        if self.kind == "fgsm":
-            return fgsm_attack(mwl, x, y, self.eps, clip=self.clip)
         if self.kind == "pgd":
             return pgd_attack(
                 mwl, x, y,
                 PGDConfig(eps=self.eps, steps=self.steps, norm=self.norm,
                           clip=self.clip),
                 rng=rng,
-            )
-        if self.kind == "apgd":
-            return apgd_attack(
-                mwl, x, y, eps=self.eps, steps=self.steps, norm=self.norm,
-                restarts=self.restarts, clip=self.clip, rng=rng,
             )
         return auto_attack_lite(
             mwl, x, y, eps=self.eps, norm=self.norm, steps=self.steps,
@@ -193,19 +144,6 @@ class EvalPlan:
         names = [a.name for a in self.attacks]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate attack names in plan: {names}")
-        for group in self.ensembles():
-            if group in names:
-                raise ValueError(
-                    f"ensemble name {group!r} collides with an attack name"
-                )
-
-    def ensembles(self) -> Dict[str, Tuple[int, ...]]:
-        """Ensemble name -> indices of its member attacks, in plan order."""
-        groups: Dict[str, Tuple[int, ...]] = {}
-        for i, attack in enumerate(self.attacks):
-            if attack.ensemble is not None:
-                groups[attack.ensemble] = groups.get(attack.ensemble, ()) + (i,)
-        return groups
 
     @classmethod
     def standard(
@@ -216,22 +154,12 @@ class EvalPlan:
         max_samples: Optional[int] = None,
         batch_size: int = 128,
         seed: object = 0,
-        split_autoattack: bool = False,
     ) -> "EvalPlan":
-        """The paper's standard triple: clean, PGD-k, optional AutoAttack.
-
-        ``split_autoattack`` replaces the monolithic ``aa`` spec with the
-        decomposed FGSM/PGD/APGD member shards (ensemble group ``"aa"``,
-        see :meth:`AttackSpec.autoattack_members`) so the ensemble's legs
-        can run concurrently; the combined accuracy still lands in the
-        ``aa`` column.
-        """
+        """The paper's standard triple: clean, PGD-k, optional AutoAttack."""
         attacks = [AttackSpec.clean()]
         if eps > 0 and pgd_steps > 0:
             attacks.append(AttackSpec.pgd(eps, pgd_steps))
-            if with_autoattack and split_autoattack:
-                attacks.extend(AttackSpec.autoattack_members(eps, pgd_steps))
-            elif with_autoattack:
+            if with_autoattack:
                 attacks.append(AttackSpec.autoattack(eps, pgd_steps))
         return cls(attacks=tuple(attacks), batch_size=batch_size,
                    max_samples=max_samples, seed=seed)

@@ -79,6 +79,12 @@ class TestConfigurationTableComplete:
             f"CLI flags missing from docs/configuration.md: {sorted(missing)}"
         )
 
+    def test_the_split_autoattack_fork_is_gone(self):
+        # PR 23 deleted the eager ensemble fork: 46 -> 45 fields, one flag fewer.
+        assert len(dataclasses.fields(FLConfig)) == 45
+        assert "--split-autoattack" not in _cli_option_strings()
+        assert "split_autoattack" not in CONFIG_DOC.read_text()
+
     def test_detects_missing_entries(self):
         # The guard itself must bite: a field absent from the doc text
         # must be reported missing (i.e. the check is not vacuous).

@@ -15,9 +15,10 @@ import pytest
 from repro.core import FedProphet, FedProphetConfig
 from repro.data import ArrayDataset, make_cifar10_like
 from repro.flsim import EvalExecutor, EvalTarget, FLConfig, RoundExecutor
-from repro.attacks import ModelWithLoss
+from repro.attacks import ModelWithLoss, auto_attack_lite
 from repro.metrics import AttackSpec, EvalPlan, evaluate_model, shard_rng
 from repro.models import build_cnn, build_vgg
+from repro.nn import no_param_grads
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 BACKENDS = ["serial", "thread"] + (["process"] if HAS_FORK else [])
@@ -317,75 +318,52 @@ class TestEvalConfig:
 
 
 # ---------------------------------------------------------------------------
-# Split AutoAttack: per-member ensemble shards
+# AutoAttack shards: one spec, its members run on survivors inside the shard
 # ---------------------------------------------------------------------------
 
 
-class TestSplitAutoAttack:
+class TestAutoAttackShards:
     def _plan(self, **kw):
         defaults = dict(eps=0.01, pgd_steps=2, with_autoattack=True,
-                        split_autoattack=True, batch_size=8, seed=3)
+                        batch_size=8, seed=3)
         defaults.update(kw)
         return EvalPlan.standard(**defaults)
 
-    def test_members_decomposed(self):
+    def test_one_shard_per_batch(self):
         plan = self._plan()
-        assert [a.name for a in plan.attacks] == [
-            "clean", "pgd", "aa_fgsm", "aa_pgd", "aa_apgd"
-        ]
-        assert plan.ensembles() == {"aa": (2, 3, 4)}
-        # three member shards per batch instead of one sequential AA sweep
-        mono = EvalPlan.standard(eps=0.01, pgd_steps=2, with_autoattack=True,
-                                 batch_size=8, seed=3)
-        engine = EvalExecutor()
-        assert len(engine.shards_for(plan, 16)) == 5 * 2
-        assert len(engine.shards_for(mono, 16)) == 3 * 2
-
-    def test_ensemble_name_collision_rejected(self):
-        with pytest.raises(ValueError, match="collides"):
-            EvalPlan(attacks=(
-                AttackSpec.clean(name="aa"),
-                *AttackSpec.autoattack_members(0.05, 2),
-            ))
+        assert [a.name for a in plan.attacks] == ["clean", "pgd", "aa"]
+        assert len(EvalExecutor().shards_for(plan, 16)) == 3 * 2
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_bit_identical_across_backends(self, backend):
-        plan = self._plan()
+        plan = self._plan()  # batch_size 8 < n 40: five aa shards, last one short
         reference = EvalExecutor(RoundExecutor("serial")).run(
             plan, _dataset(), _replicated_targets()
         )
-        result = EvalExecutor(RoundExecutor(backend, max_workers=3)).run(
+        result = EvalExecutor(RoundExecutor(backend, max_workers=2)).run(
             plan, _dataset(), _replicated_targets()
         )
         _results_equal(reference, result)
-        assert set(result.attack_accs) == {
-            "clean", "pgd", "aa_fgsm", "aa_pgd", "aa_apgd", "aa"
-        }
+        assert set(result.attack_accs) == {"clean", "pgd", "aa"}
+        assert 0.0 < result.aa_acc <= result.clean_acc
 
-    def test_aa_column_is_worst_case_of_members(self):
-        result = EvalExecutor().run(self._plan(), _dataset(), _replicated_targets())
-        members = [result.attack_accs[k] for k in ("aa_fgsm", "aa_pgd", "aa_apgd")]
-        assert result.aa_acc is not None
-        assert result.aa_acc <= min(members) + 1e-12
-        assert result.aa_acc == result.attack_accs["aa"]
-
-    def test_aa_matches_manual_and_combination(self):
-        """One shard per member: the aa column equals the AND of the masks."""
+    def test_aa_matches_auto_attack_lite_per_shard(self):
+        """The aa column is auto_attack_lite on each shard with the shard's RNG."""
         ds = _dataset(24)
-        plan = self._plan(batch_size=24)
+        plan = self._plan()
         result = EvalExecutor().run(plan, ds, _replicated_targets())
         model = _model(seed=99)
         model.load_state_dict(_model().state_dict())
-        model.eval()
-        mwl = ModelWithLoss(model)
+        mwl = ModelWithLoss(model.eval())
         y = np.asarray(ds.y)
-        combined = np.ones(len(ds), dtype=bool)
-        for ai, spec in enumerate(plan.attacks):
-            if spec.ensemble != "aa":
-                continue
-            adv = spec.perturb(mwl, ds.x, y, shard_rng(plan.seed, ai, 0))
-            combined &= mwl.logits(adv).argmax(axis=1) == y
-        assert result.aa_acc == pytest.approx(combined.mean(), abs=1e-12)
+        correct = 0
+        for si, start in enumerate(range(0, 24, 8)):
+            xb, yb = ds.x[start:start + 8], y[start:start + 8]
+            with no_param_grads():
+                adv = auto_attack_lite(mwl, xb, yb, eps=0.01, steps=2,
+                                       rng=shard_rng(plan.seed, 2, si))
+                correct += int((mwl.logits(adv).argmax(axis=1) == yb).sum())
+        assert result.aa_acc == correct / 24
 
     def test_submit_path_matches_run(self):
         """The scheduler submit path reduces to the same EvalResult."""

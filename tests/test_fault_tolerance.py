@@ -22,6 +22,7 @@ Load-bearing properties (PR 6):
 import json
 import multiprocessing
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -320,6 +321,25 @@ class TestCheckpointResume:
         )
         resumed.resume(path)  # no JournalError: backend is non-semantic
         assert len(resumed.history) == 5
+        resumed.close()
+
+    def test_resume_from_a_checkpoint_written_before_pr23(self, tmp_path):
+        """``tests/data/parent_pr22_run.*``: ``_cfg()`` killed after round 3 by
+        the tree that still had ``FLConfig.split_autoattack`` (its fingerprint
+        payload is kept as a legacy entry, so the recorded id still matches)."""
+        data = os.path.join(os.path.dirname(__file__), "data")
+        path = str(tmp_path / "parent_pr22_run.jsonl")
+        for suffix in ("", ".ckpt"):
+            shutil.copy(os.path.join(data, "parent_pr22_run.jsonl" + suffix), path + suffix)
+        assert read_checkpoint(path + ".ckpt")["fingerprint"] == "3aff1b538fb6edf8"
+        assert not hasattr(_cfg(), "split_autoattack")
+
+        ref = JointFAT(_task(), _builder, _cfg())
+        ref.run()
+        ref.close()
+        resumed = JointFAT(_task(), _builder, _cfg(journal_path=path, checkpoint_every=2))
+        resumed.resume(path)
+        _assert_runs_equal(ref, resumed)
         resumed.close()
 
     def test_resume_requires_fresh_experiment(self, tmp_path):

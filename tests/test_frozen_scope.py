@@ -11,7 +11,7 @@ here:
   unfolded chain to rounding, zero ``BatchNorm2d`` calls in either direction;
 * ``apgd_attack`` runs one model forward per step and returns the array of
   the two-forwards-per-step loop it replaced (kept below as the reference),
-  and ``auto_attack_lite`` stops attacking once nothing survives;
+  and ``auto_attack_lite`` hands each member only the points still standing;
 * the contracts evaluation rests on (batch invariance, ``PrefixCache``
   on ≡ off, ``fetch_stacked``, sharded ≡ serial) still hold folded.
 """
@@ -496,67 +496,141 @@ def test_apgd_through_a_linear_head_matches_the_reference():
 
 
 # ---------------------------------------------------------------------------
-# AutoAttack's early exit
+# AutoAttack's active set: each member attacks the survivors of the last
 # ---------------------------------------------------------------------------
 
+AA_KWARGS = dict(eps=0.1, norm="linf", steps=4, restarts=2, clip=(0.0, 1.0))
+AA_SEEDS = [  # model seed -> points still standing after FGSM, PGD, APGD (of 16)
+    pytest.param(11, (0,), id="fgsm-flips-all"),
+    pytest.param(6, (1, 0), id="pgd-flips-the-rest"),
+    pytest.param(8, (14, 12, 10), id="survivors-shrink"),
+    pytest.param(12, (16, 16, 16), id="all-survive"),
+]
 
-def _auto_attack_reference(mwl, x, y, eps, norm, steps, restarts, clip, rng):
-    """The eager ensemble ``auto_attack_lite`` replaced: all three attacks, always."""
+
+def _aa_case(seed):
+    mwl = ModelWithLoss(_eval_cnn(seed))
+    x, _ = _images(16)
+    return mwl, x, mwl.logits(x).argmax(axis=1)  # every sample starts out correct
+
+
+def _survivor_reference(mwl, x, y, eps, norm, steps, restarts, clip, rng):
+    """The ensemble on survivors, from the public attacks, assembled a sample at a time.
+
+    Returns the result and, per member that ran, ``(attacked, adv, stood)``:
+    the mask of points it was given, its examples scattered to full size, and
+    the mask of points still classified correctly afterwards.
+    """
     y = np.asarray(y)
-    result = x.copy()
-    remaining = np.ones(x.shape[0], dtype=bool)
-    candidates = [
-        fgsm_attack(mwl, x, y, eps, clip=clip),
-        pgd_attack(mwl, x, y, PGDConfig(eps=eps, steps=steps, norm=norm, clip=clip), rng=rng),
-        apgd_attack(mwl, x, y, eps, steps=steps, norm=norm, restarts=restarts, clip=clip, rng=rng),
+    members = [
+        lambda xs, ys: fgsm_attack(mwl, xs, ys, eps, clip=clip, norm=norm),
+        lambda xs, ys: pgd_attack(
+            mwl, xs, ys, PGDConfig(eps=eps, steps=steps, norm=norm, clip=clip), rng=rng
+        ),
+        lambda xs, ys: apgd_attack(
+            mwl, xs, ys, eps, steps=steps, norm=norm, restarts=restarts, clip=clip, rng=rng
+        ),
     ]
-    for adv in candidates:
-        if not remaining.any():
+    alive = np.ones(len(x), dtype=bool)
+    attempts = []
+    for member in members:
+        if not alive.any():
             break
-        preds = mwl.logits(adv).argmax(axis=1)
-        flipped = (preds != y) & remaining
-        result[flipped] = adv[flipped]
-        remaining &= ~flipped
-    result[remaining] = candidates[-1][remaining]
-    return result
+        attacked = alive.copy()
+        adv = np.zeros_like(x)
+        adv[attacked] = member(x[attacked], y[attacked])
+        alive = attacked.copy()
+        alive[attacked] = mwl.logits(adv[attacked]).argmax(axis=1) == y[attacked]
+        attempts.append((attacked, adv, alive))
+    result = x.copy()
+    for i in range(len(x)):
+        for attacked, adv, stood in attempts:
+            if attacked[i]:
+                result[i] = adv[i]
+            if not stood[i]:
+                break
+    return result, attempts
 
 
 @pytest.fixture
-def attack_calls(monkeypatch):
-    calls = Counter()
-    for name in ("pgd_attack", "apgd_attack"):
-        original = getattr(autoattack, name)
+def member_rows(monkeypatch):
+    """Rows each ensemble member receives inside ``auto_attack_lite``, and what it returns."""
+    calls = []
+    for name in ("fgsm_attack", "pgd_attack", "apgd_attack"):
+        def recorded(mwl, x, y, *args, _name=name, _original=getattr(autoattack, name), **kwargs):
+            adv = _original(mwl, x, y, *args, **kwargs)
+            calls.append((_name, len(x), int((mwl.logits(adv).argmax(axis=1) == y).sum())))
+            return adv
 
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(autoattack, name, counted)
+        monkeypatch.setattr(autoattack, name, recorded)
     return calls
 
 
-@pytest.mark.parametrize("seed,all_flip", [(11, True), (8, False)], ids=["fgsm-flips-all", "survivors"])
-def test_auto_attack_only_runs_an_attack_while_a_sample_survives(attack_calls, seed, all_flip):
-    mwl = ModelWithLoss(_eval_cnn(seed))
-    x, _ = _images(16)
-    y = mwl.logits(x).argmax(axis=1)  # every sample starts out correct
-    kwargs = dict(eps=0.1, norm="linf", steps=4, restarts=2, clip=(0.0, 1.0))
-    fgsm_preds = mwl.logits(fgsm_attack(mwl, x, y, kwargs["eps"])).argmax(axis=1)
-    assert (fgsm_preds != y).all() == all_flip
-    want = _auto_attack_reference(mwl, x, y, rng=np.random.default_rng(13), **kwargs)
-    attack_calls.clear()
-    got = auto_attack_lite(mwl, x, y, rng=np.random.default_rng(13), **kwargs)
+@pytest.mark.parametrize("seed,standing", AA_SEEDS)
+def test_auto_attack_equals_the_survivor_only_reference(seed, standing):
+    mwl, x, y = _aa_case(seed)
+    want, attempts = _survivor_reference(mwl, x, y, rng=np.random.default_rng(13), **AA_KWARGS)
+    got = auto_attack_lite(mwl, x, y, rng=np.random.default_rng(13), **AA_KWARGS)
     np.testing.assert_array_equal(got, want)
-    assert attack_calls == ({} if all_flip else {"pgd_attack": 1, "apgd_attack": 1})
-    accuracy = (mwl.logits(got).argmax(axis=1) == y).mean()
-    assert accuracy == (mwl.logits(want).argmax(axis=1) == y).mean()
-    assert accuracy < 1.0 and (accuracy == 0) >= all_flip
+    np.testing.assert_array_equal(  # same seed => same array
+        got, auto_attack_lite(mwl, x, y, rng=np.random.default_rng(13), **AA_KWARGS)
+    )
+    assert tuple(int(stood.sum()) for _, _, stood in attempts) == standing
 
 
-def test_auto_attack_on_an_empty_batch():
+@pytest.mark.parametrize("seed,standing", AA_SEEDS)
+def test_each_member_is_called_with_the_survivors_of_the_one_before(member_rows, seed, standing):
+    mwl, x, y = _aa_case(seed)
+    got = auto_attack_lite(mwl, x, y, rng=np.random.default_rng(13), **AA_KWARGS)
+    names = ("fgsm_attack", "pgd_attack", "apgd_attack")
+    given = (len(x),) + standing[:-1]  # FGSM n, PGD FGSM's survivors, APGD PGD's
+    assert member_rows == list(zip(names, given, standing))  # and no call once none survive
+    assert (mwl.logits(got).argmax(axis=1) == y).sum() == standing[-1]
+
+
+@pytest.mark.parametrize("seed,standing", AA_SEEDS)
+def test_a_flipped_point_keeps_its_first_flip_and_a_survivor_stood_every_attempt(seed, standing):
+    mwl, x, y = _aa_case(seed)
+    got = auto_attack_lite(mwl, x, y, rng=np.random.default_rng(13), **AA_KWARGS)
+    _, attempts = _survivor_reference(mwl, x, y, rng=np.random.default_rng(13), **AA_KWARGS)
+    correct = mwl.logits(got).argmax(axis=1) == y
+    for i in range(len(x)):
+        faced = [(adv[i], stood[i]) for attacked, adv, stood in attempts if attacked[i]]
+        if correct[i]:
+            assert len(faced) == 3 and all(stood for _, stood in faced)
+        else:
+            assert [stood for _, stood in faced] == [True] * (len(faced) - 1) + [False]
+        np.testing.assert_array_equal(got[i], faced[-1][0])
+
+
+@pytest.mark.parametrize("norm,eps,clip", [("linf", 0.1, (0.0, 1.0)), ("l2", 0.5, (0.0, 1.0)), ("l2", 0.5, None)])
+def test_every_example_is_inside_the_eps_ball_of_its_norm(member_rows, norm, eps, clip):
+    mwl, x, y = _aa_case(8)
+    got = auto_attack_lite(mwl, x, y, eps=eps, norm=norm, steps=4, clip=clip, rng=np.random.default_rng(13))
+    delta = (got - x).reshape(len(x), -1).astype(np.float64)
+    size = np.abs(delta).max(axis=1) if norm == "linf" else np.sqrt((delta**2).sum(axis=1))
+    assert size.max() <= eps * (1 + 1e-5) and size.min() > 0
+    assert len(member_rows) == 3 and member_rows[1][1] > 0  # all three members contributed
+    # FGSM on its own: one step of exactly radius eps where the box does not bite
+    step = fgsm_attack(mwl, x, y, eps, clip=None, norm=norm) - x
+    flat = step.reshape(len(x), -1).astype(np.float64)
+    radius = np.abs(flat).max(axis=1) if norm == "linf" else np.sqrt((flat**2).sum(axis=1))
+    np.testing.assert_allclose(radius, eps, rtol=1e-5)
+
+
+def test_fgsm_linf_is_the_sign_step_bit_for_bit():
+    mwl, x, y = _aa_case(8)
+    with no_param_grads():
+        _, grad = mwl.loss_and_input_grad(x, y)
+    want = np.clip(x + 0.1 * np.sign(grad), 0.0, 1.0)
+    np.testing.assert_array_equal(fgsm_attack(mwl, x, y, 0.1), want)
+
+
+def test_auto_attack_on_an_empty_batch(member_rows):
     mwl = ModelWithLoss(_eval_cnn())
     x, y = _images(0)
     assert auto_attack_lite(mwl, x, y, eps=0.05, steps=2).shape == x.shape
+    assert member_rows == []
 
 
 # ---------------------------------------------------------------------------
