@@ -1174,8 +1174,8 @@ class FederatedExperiment:
         return {}
 
     def async_server_state(self) -> Dict[str, np.ndarray]:
-        """The initial async server state (a private full-state copy)."""
-        return {k: v.copy() for k, v in self.global_model.state_dict().items()}
+        """The initial async server state (a private full-state copy: ``state_dict`` copies)."""
+        return self.global_model.state_dict()
 
     def async_merge_event(
         self,

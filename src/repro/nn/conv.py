@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
@@ -31,14 +33,19 @@ def _axis(size: int, lo: int, step: int, out: int, k: int, s: int):
     return slice(m0, m1), slice(start, start + step * (m1 - m0), step), (i0, i1), span
 
 
+_workspaces = threading.local()  # .buffers: unfold geometry -> (buffer, {N: views}), per thread
+
+
 class _Unfold:
     """Sliding windows of an NCHW tensor as channel-last ``(N, L, taps·C)`` rows.
 
-    The tensor is written into a reusable zero-bordered ``(N, span_h,
-    span_w, C)`` buffer (at ``lo``, every ``step``-th row and column) and
-    each live kernel *row* of every window — ``taps_w·C`` contiguous
-    elements — is copied into freshly allocated columns, so no copy has an
-    inner run shorter than ``C``.
+    The tensor is written into a zero-bordered ``(N, span_h, span_w, C)``
+    buffer (at ``lo``, every ``step``-th row and column) and each live
+    kernel *row* of every window — ``taps_w·C`` contiguous elements — is
+    copied into freshly allocated columns, so no copy has an inner run
+    shorter than ``C``.  The object is geometry only: the buffer is the
+    thread's one for ``_key`` (all but N), sized to the largest N; every
+    caller of a key writes the same positions, so its zeros stay zero.
     """
 
     def __init__(self, shape, dtype, lo, step, k, stride, out_hw):
@@ -47,22 +54,26 @@ class _Unfold:
         src_h, dst_h, (i0, i1), span_h = _axis(h, lo, step, oh, k, stride)
         src_w, dst_w, (j0, j1), span_w = _axis(w, lo, step, ow, k, stride)
         self.taps = (i0, i1, j0, j1)
-        buf = np.zeros((n, span_h, span_w, c), dtype=dtype)
-        self._src = (slice(None), src_h, src_w)
-        self._dst = buf[:, dst_h, dst_w]
-        run = (j1 - j0) * c
-        self._cols_shape = (n, oh, ow, i1 - i0, run)
-        sn, sh, sw, sc = buf.strides
-        win, strides = (n, oh, ow, run), (sn, stride * sh, stride * sw, sc)
-        self._rows = [as_strided(buf[:, i:], win, strides, writeable=False) for i in range(i1 - i0)]
+        self._src, self._dst = (slice(None), src_h, src_w), (slice(n), dst_h, dst_w)
+        self._key = (h, w, c, dtype, lo, step, k, stride, out_hw)
+        self._buf_shape, self._stride = (n, span_h, span_w, c), stride
+        self._cols_shape = (n, oh, ow, i1 - i0, (j1 - j0) * c)
 
     def __call__(self, x: np.ndarray, clients: int) -> np.ndarray:
         """Columns of ``x`` as a ``(K, N/K, L, taps·C)`` stack (K clients share the batch axis)."""
-        self._dst[...] = x.transpose(0, 2, 3, 1)[self._src]
-        cols = np.empty(self._cols_shape, dtype=self._dst.dtype)
-        for i, row in enumerate(self._rows):
-            cols[:, :, :, i] = row
         n, oh, ow, rows, run = self._cols_shape
+        buffers = _workspaces.__dict__.setdefault("buffers", {})
+        buf, views = buffers.get(self._key, (None, None))
+        if buf is None or len(buf) < n:  # a larger N replaces the buffer; its views go with it
+            buf, views = buffers[self._key] = np.zeros(self._buf_shape, self._key[3]), {}
+        if n not in views:  # one window view per live kernel row
+            sn, sh, sw, sc = buf.strides
+            win, strides = (n, oh, ow, run), (sn, self._stride * sh, self._stride * sw, sc)
+            views[n] = [as_strided(buf[:n, i:], win, strides, writeable=False) for i in range(rows)]
+        buf[self._dst] = x.transpose(0, 2, 3, 1)[self._src]
+        cols = np.empty(self._cols_shape, dtype=buf.dtype)
+        for i, window in enumerate(views[n]):
+            cols[:, :, :, i] = window
         return cols.reshape(clients, n // clients, oh * ow, rows * run)
 
 
@@ -112,8 +123,8 @@ class Conv2d(Module):
             self.bias = Parameter(np.zeros(out_channels, dtype=compute_dtype()))
 
     def __getstate__(self):
-        # Scratch buffers and single-shot caches are not state: copies and
-        # pickles (process backend) rebuild them on their first forward.
+        # Geometry and single-shot caches are not state: copies and pickles
+        # (process backend) rebuild them on their first forward.
         return {k: v for k, v in self.__dict__.items() if k not in ("_unfolds", "_cols", "_fold")}
 
     def _unfold(self, x_shape: tuple, dtype: np.dtype, backward: bool = False) -> _Unfold:

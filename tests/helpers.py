@@ -1,8 +1,25 @@
-"""Shared test utilities: finite-difference gradient checking, cohort recording."""
+"""Shared test utilities: finite-difference gradient checking, cohort recording,
+the calling thread's unfold workspace."""
 
 from __future__ import annotations
 
 import numpy as np
+
+from repro.nn import conv
+
+
+def workspace_buffers() -> dict:
+    """The calling thread's zero-bordered unfold buffers, ``geometry key -> buffer``."""
+    return {key: buf for key, (buf, _) in vars(conv._workspaces).get("buffers", {}).items()}
+
+
+def empty_workspace() -> None:
+    """Drop the calling thread's unfold buffers.
+
+    They live as long as the thread, so a traced measurement that should
+    count them — whatever ran on the thread before — empties them first.
+    """
+    vars(conv._workspaces).pop("buffers", None)
 
 
 def numerical_grad(f, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:

@@ -108,6 +108,19 @@ class TestAsyncCapability:
         exp = cls(_task(), builder, _cfg(aggregation_mode="async"))
         assert exp.supports_async_aggregation
 
+    @pytest.mark.parametrize("cls,builder", [(JointFAT, _builder), (FedRBN, _dual_builder)])
+    def test_server_state_is_a_private_copy(self, cls, builder):
+        """One copy (``state_dict`` makes it), still sharing nothing with the live model."""
+        exp = cls(_task(), builder, _cfg())
+        server = exp.async_server_state()
+        model = exp.global_model
+        live = [p.data for _, p in model.named_parameters()] + [b for _, b in model.named_buffers()]
+        _assert_states_equal(server, model.state_dict())
+        assert not any(np.shares_memory(s, a) for s in server.values() for a in live)
+        for value in server.values():
+            value += 1
+        assert not any(np.array_equal(server[k], v) for k, v in model.state_dict().items())
+
     def test_distillation_rejects_async(self):
         with pytest.raises(ValueError, match="async"):
             FedDFAT(

@@ -11,9 +11,11 @@ clients; an explicit integer keeps its old meaning.  Pinned here:
   weights, clock and merge log, on a geometry that derives 8 and on one
   that derives 1 — each run asserting the widths it really stacked;
 * a default run on large tensors holds the per-item run's memory, not the
-  fused run's (traced peak; RSS is too allocator-dependent for tier-1).
+  fused run's (traced peak; RSS is too allocator-dependent for tier-1);
+* the unfold workspace such a run leaves is one buffer per geometry.
 """
 
+import math
 import tracemalloc
 
 import pytest
@@ -32,7 +34,8 @@ from repro.flsim.threats import ThreatPlan
 from repro.hardware.profile import profile_module
 from repro.models import build_cnn, build_vgg
 from repro.nn import DualBatchNorm2d
-from tests.helpers import record_cohort_widths
+from repro.nn.conv import _Unfold
+from tests.helpers import empty_workspace, record_cohort_widths, workspace_buffers
 
 
 def _cnn(base_channels, depth=2):
@@ -235,6 +238,7 @@ def _traced_peak(width):
     cfg = _cfg(num_clients=2, clients_per_round=2, batch_size=32, rounds=1,
                fusion_width=width)
     with JointFAT(_task(16), _vgg(16), cfg) as exp:
+        empty_workspace()  # count the unfold buffers whatever ran on this thread before
         tracemalloc.start()
         try:
             exp.run()
@@ -247,3 +251,32 @@ def test_default_round_holds_the_per_item_footprint():
     auto, per_item, fused = (_traced_peak(w) for w in (None, 1, 8))
     assert abs(auto - per_item) <= 0.05 * per_item
     assert auto <= 0.8 * fused
+
+
+def test_a_jfat_dense_round_and_eval_keep_one_buffer_per_geometry(monkeypatch):
+    """The unfold workspace after one round at jfat_dense's geometry (two
+    clients of 60 samples: batches 32 and 28; global model and training
+    replica) and a 64-sample robust evaluation (AutoAttack's survivors: any
+    batch up to 64) is the largest buffer of each geometry and nothing else —
+    under 3 MiB, where a buffer per layer x batch size x replica held ~10."""
+    largest = {}
+    unfold = _Unfold.__call__
+
+    def recording(self, x, clients):
+        shape = (max(len(x), largest.get(self._key, (0,))[0]),) + self._buf_shape[1:]
+        largest[self._key] = shape
+        return unfold(self, x, clients)
+
+    monkeypatch.setattr(_Unfold, "__call__", recording)
+    task = make_cifar10_like(image_size=16, train_per_class=120, test_per_class=24, seed=0)
+    cfg = _cfg(num_clients=20, clients_per_round=2, local_iters=5, batch_size=32,
+               train_pgd_steps=2, eval_pgd_steps=5, rounds=1)
+    empty_workspace()
+    with JointFAT(task, _vgg(16), cfg) as exp:
+        exp.run()
+        exp.final_eval(64)
+    buffers = workspace_buffers()
+    assert {key: buf.shape for key, buf in buffers.items()} == largest
+    assert len(largest) == 7 and {shape[0] for shape in largest.values()} == {64}
+    held = sum(buf.nbytes for buf in buffers.values())
+    assert held == sum(4 * math.prod(shape) for shape in largest.values()) <= 3 * 2**20

@@ -6,7 +6,8 @@
   which other samples share its batch (``PrefixCache``, ``fetch_stacked``
   and sharded evaluation rest on this),
 * dead-tap elimination, the im2col-free 2x2 max-pool, the ``where``-free
-  ReLU, and scratch buffers that are not state,
+  ReLU, and unfold buffers that belong to the geometry and the thread —
+  not to a layer, and not state,
 * the SciPy-free ``_smooth_field`` and a cold start that stays light.
 """
 
@@ -17,6 +18,8 @@ import os
 import pickle
 import subprocess
 import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -33,6 +36,7 @@ from repro.nn import (
     dtype_scope,
 )
 from repro.nn.functional import channel_last, col2im, im2col
+from tests.helpers import empty_workspace, workspace_buffers
 
 
 # ---------------------------------------------------------------------------
@@ -295,32 +299,145 @@ def test_relu_propagates_nan_and_keeps_dtype(dtype):
 
 
 # ---------------------------------------------------------------------------
-# Scratch buffers are not state
+# Scratch belongs to the geometry: one buffer per unfold geometry and thread
 # ---------------------------------------------------------------------------
+
+
+def _fwd_bwd(conv, x, g):
+    """Output, input gradient and weight gradient of one training step, as copies."""
+    conv.zero_grad()
+    out = conv.forward(x).copy()
+    grad_x = conv.backward(g).copy()
+    return out, grad_x, conv.weight.grad.copy()
+
+
+def _arena_layers(rng):
+    """Two 3x3/pad-1 layers of one geometry, a stride-2 layer (its backward
+    unfolds a gradient with dilation holes) on the same input, and a layer of
+    another geometry; all on the gathered channel-last path."""
+    return [
+        (Conv2d(8, 16, 3, padding=1, rng=rng), (8, 6, 6)),
+        (Conv2d(16, 8, 3, padding=1, rng=rng), (16, 4, 4)),
+        (Conv2d(8, 16, 3, stride=2, padding=1, rng=rng), (8, 6, 6)),
+        (Conv2d(8, 16, 3, padding=1, rng=rng), (8, 6, 6)),
+    ]
+
+
+def _arena_sequence(layers, rng, fresh):
+    """Batch sizes 3 -> 64 -> 28 -> 32 through every layer in turn; ``fresh``
+    empties the thread's workspace before every call (the reference)."""
+    results = []
+    for n in (3, 64, 28, 32):
+        for conv, shape in layers:
+            x = rng.normal(size=(n,) + shape).astype(np.float32)
+            g = rng.normal(size=conv.forward(x).shape).astype(np.float32)
+            if fresh:
+                empty_workspace()
+                conv.zero_grad()
+                out = conv.forward(x).copy()
+                empty_workspace()
+                results.append((out, conv.backward(g).copy(), conv.weight.grad.copy()))
+            else:
+                results.append(_fwd_bwd(conv, x, g))
+    return results
+
+
+def test_shared_workspace_is_bit_identical_to_fresh_buffers():
+    layers = _arena_layers(np.random.default_rng(8))
+    want = _arena_sequence(layers, np.random.default_rng(9), fresh=True)
+    empty_workspace()
+    got = _arena_sequence(layers, np.random.default_rng(9), fresh=False)
+    for a, b in zip(got, want):
+        for x, y in zip(a, b):
+            np.testing.assert_array_equal(x, y)
+    hole = next(u for (_, _, backward), u in layers[2][0]._unfolds.items() if backward)
+    assert hole._key[5] == 2  # the stride-2 gradient lands on every other position
+
+    # One buffer per geometry, sized to the largest batch; the layers that
+    # share a geometry share it, and each direction has its own.
+    keys = {u._key for conv, _ in layers for u in conv._unfolds.values()}
+    buffers = workspace_buffers()
+    assert set(buffers) == keys and len(keys) == 6
+    assert all(len(buf) == 64 for buf in buffers.values())
+
+
+def test_a_larger_batch_frees_the_smaller_buffer():
+    rng = np.random.default_rng(10)
+    conv = Conv2d(8, 16, 3, padding=1, rng=rng)
+    empty_workspace()
+    conv.backward(np.ones_like(conv.forward(rng.normal(size=(3, 8, 6, 6)).astype(np.float32))))
+    small = {key: weakref.ref(buf) for key, buf in workspace_buffers().items()}
+    conv.backward(np.ones_like(conv.forward(rng.normal(size=(64, 8, 6, 6)).astype(np.float32))))
+    assert set(workspace_buffers()) == set(small) and len(small) == 2
+    assert all(ref() is None for ref in small.values())
+    conv.forward(rng.normal(size=(28, 8, 6, 6)).astype(np.float32))  # a smaller one reuses it
+    assert {len(buf) for buf in workspace_buffers().values()} == {64}
+
+
+def test_threads_unfold_into_private_buffers():
+    """More threads than cores on one geometry at once, switching often: each
+    equals the serial run and owns its buffers."""
+    rng = np.random.default_rng(11)
+    conv = Conv2d(8, 16, 3, padding=1, rng=rng)
+    xs = [rng.normal(size=(n, 8, 6, 6)).astype(np.float32) for n in (32, 5, 32, 17) * 3]
+    gs = [np.full((len(x), 16, 6, 6), 0.5, np.float32) for x in xs]
+    serial = [_fwd_bwd(conv, x, g) for x, g in zip(xs, gs)]
+    workers = 2 * (os.cpu_count() or 1) + 1
+    barrier = threading.Barrier(workers)
+    results, buffers = {}, {}
+
+    def worker(tid):
+        clone = copy.deepcopy(conv)
+        barrier.wait(timeout=60)  # every thread unfolds the same geometry at once
+        results[tid] = [_fwd_bwd(clone, x, g) for x, g in zip(xs, gs)]
+        buffers[tid] = workspace_buffers()
+
+    threads = [threading.Thread(target=worker, args=(tid,)) for tid in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and len(results) == workers
+    for tid in range(workers):
+        for a, b in zip(results[tid], serial):
+            for x, y in zip(a, b):
+                np.testing.assert_array_equal(x, y)
+    assert all(set(buffers[tid]) == set(buffers[0]) for tid in range(workers))
+    assert len(buffers[0]) == 2
+    for key in buffers[0]:
+        for a, b in itertools.combinations(range(workers), 2):
+            assert not np.shares_memory(buffers[a][key], buffers[b][key])
 
 
 def test_workspaces_are_lazy_and_not_state():
     rng = np.random.default_rng(8)
+    empty_workspace()
     conv = Conv2d(3, 4, 3, padding=1, rng=rng)
-    assert "_unfolds" not in conv.__dict__  # nothing allocated at construction
+    assert "_unfolds" not in conv.__dict__ and not workspace_buffers()  # nothing at construction
     x = rng.normal(size=(2, 3, 5, 5)).astype(np.float32)
     out = conv.forward(x).copy()
     conv.backward(np.ones_like(out))
     assert {key[2] for key in conv._unfolds} == {False, True}
     assert set(conv.state_dict()) == {"weight", "bias"}
+    before = workspace_buffers()
 
+    # Clones on the same thread drop the layer's caches and unfold into the same buffers.
     for clone in (copy.deepcopy(conv), pickle.loads(pickle.dumps(conv))):
         assert "_unfolds" not in clone.__dict__ and "_cols" not in clone.__dict__
         np.testing.assert_array_equal(clone.forward(x), out)
-        assert all(
-            not np.shares_memory(mine._dst, theirs._dst)
-            for mine in clone._unfolds.values()
-            for theirs in conv._unfolds.values()
-        )
+        clone.backward(np.ones_like(out))
+        after = workspace_buffers()
+        assert set(after) == set(before) and all(after[k] is before[k] for k in before)
     # a result never aliases the reusable buffer: a second call leaves it intact
     first = conv.forward(x)
     conv.forward(2 * x)
     np.testing.assert_array_equal(first, out)
+    assert not any(np.shares_memory(first, buf) for buf in before.values())
 
 
 # ---------------------------------------------------------------------------

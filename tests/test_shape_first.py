@@ -37,6 +37,7 @@ from repro.nn import Conv2d, Linear, Module, Sequential, dtype_scope, no_param_g
 from repro.nn.cohort import clear_cohort, install_cohort
 from repro.nn.grad_mode import frozen_cache
 from repro.optim.sgd import SGD
+from tests.helpers import empty_workspace
 from tests.test_models_variants import VARIANTS
 
 MB = 1024**2
@@ -144,6 +145,7 @@ def _analytics(model, batch, r_min):
 
 
 def test_paper_scale_analytics_draw_nothing_run_nothing_allocate_nothing(counts):
+    empty_workspace()  # a forward would allocate its unfold buffers inside the window
     tracemalloc.start()
     try:
         vgg = build_vgg("vgg16", 10, (3, 32, 32))
