@@ -8,22 +8,44 @@ model on a public split.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
 from repro.attacks.pgd import PGDConfig
 from repro.baselines.distill import distill
 from repro.data.partition import public_private_split
-from repro.flsim.base import FederatedExperiment, FLClient, FLConfig
+from repro.flsim.base import FederatedExperiment, FLConfig
 from repro.flsim.local import adversarial_local_train
 from repro.hardware.devices import DeviceSampler, DeviceState
 from repro.hardware.latency import LatencyModel, LocalTrainingCost
 from repro.models.atoms import CascadeModel
 
+StateDict = Dict[str, np.ndarray]
+
+
+def _join(states: Dict[str, StateDict]) -> StateDict:
+    """``{arch: state dict}`` as one state keyed ``"<arch>/<key>"``."""
+    return {f"{a}/{k}": v for a, state in states.items() for k, v in state.items()}
+
+
+def _split(state: StateDict) -> Dict[str, StateDict]:
+    """Inverse of :func:`_join`, key order kept."""
+    out: Dict[str, StateDict] = {}
+    for key, value in state.items():
+        arch, _, name = key.rpartition("/")
+        out.setdefault(arch, {})[name] = value
+    return out
+
 
 class FedDFAT(FederatedExperiment):
-    """Knowledge-distillation FAT with a mean-softmax ensemble teacher."""
+    """Knowledge-distillation FAT with a mean-softmax ensemble teacher.
+
+    A round is the ``async_*`` hook surface over one server state that
+    holds every prototype, keyed ``"<arch>/<key>"``: each client trains
+    its architecture's prototype, and the merge rule averages per
+    architecture, then distils the ensemble into the global model.
+    """
 
     name = "feddf-at"
     confidence_weighted = False
@@ -49,6 +71,7 @@ class FedDFAT(FederatedExperiment):
         if not model_builders:
             raise ValueError("need a non-empty model family")
         self.family = list(model_builders)
+        self.model_builders = dict(model_builders)
         global_builder = model_builders[self.family[-1]]
         super().__init__(task, global_builder, config, device_sampler, latency_model)
         rng = np.random.default_rng(config.seed + 3)
@@ -76,61 +99,76 @@ class FedDFAT(FederatedExperiment):
                 chosen = name
         return chosen
 
-    def run_round(
-        self,
-        round_idx: int,
-        clients: List[FLClient],
-        states: List[Optional[DeviceState]],
-    ) -> List[LocalTrainingCost]:
+    # -- one round: the async_* hooks over the namespaced prototypes -----------
+    def async_server_state(self) -> StateDict:
+        """Every prototype's weights (copies), namespaced by architecture."""
+        return _join({arch: self.prototypes[arch].state_dict() for arch in self.family})
+
+    def async_client_fn(self, round_idx: int, base: StateDict) -> Callable:
+        """Train the client's architecture on a replica of its prototype.
+
+        The update is keyed in the server's namespace, so a Byzantine
+        client's delta is measured against its own prototype's round-start
+        weights.
+        """
         cfg = self.config
-        snapshots = {n: m.state_dict() for n, m in self.prototypes.items()}
-        per_arch: Dict[str, List] = {n: [] for n in self.family}
         pgd = PGDConfig(eps=cfg.eps0, steps=cfg.train_pgd_steps, norm="linf")
-        for client, dev in zip(clients, states):
+        lr_t = self.lr_at(round_idx)
+        bases = _split(base)
+
+        def train_client(item, slot):
+            client, dev = item
             arch = self.pick_architecture(dev)
-            model = self.prototypes[arch]
-            model.load_state_dict(snapshots[arch])
+            model = self._async_slot_model(slot, self.model_builders[arch])
+            model.load_state_dict(bases[arch])
             adversarial_local_train(
                 model,
                 client.dataset,
                 iterations=cfg.local_iters,
                 batch_size=cfg.batch_size,
-                lr=self.lr_at(round_idx),
+                lr=lr_t,
                 pgd=pgd,
                 momentum=cfg.momentum,
                 weight_decay=cfg.weight_decay,
                 rng=self._client_rng(round_idx, client.cid),
             )
-            update = self._maybe_poison_update(
-                round_idx, client.cid, model.state_dict(), snapshots[arch]
-            )
-            per_arch[arch].append((update, client.num_samples))
+            return _join({arch: model.state_dict()})
 
-        for arch, updates in per_arch.items():
-            if updates:
-                self.prototypes[arch].load_state_dict(
-                    self.robust_aggregate(
-                        [s for s, _ in updates],
-                        [float(n) for _, n in updates],
-                        base=snapshots[arch],
-                    )
-                )
-            else:
-                self.prototypes[arch].load_state_dict(snapshots[arch])
+        return train_client
 
-        teachers = [m for n, m in self.prototypes.items() if n != self.family[-1]]
-        teachers.append(self.global_model)
+    def async_merge_event(self, server, ctx, members, updates, staleness) -> float:
+        """Average each architecture's updates (family order, empty ones
+        skipped), install them, then distil the ensemble into the global model."""
+        cfg = self.config
+        per_arch = {arch: ([], []) for arch in self.family}
+        for i, update in zip(members, updates):
+            ((arch, state),) = _split(update).items()
+            per_arch[arch][0].append(state)
+            per_arch[arch][1].append(ctx.weights[i])
+        bases = _split(server)
+        for arch, (states, weights) in per_arch.items():
+            if states:
+                merged = self.robust_aggregate(states, weights, base=bases[arch])
+                server.update(_join({arch: merged}))
+        self.async_finalize(server)
+        teachers = [self.prototypes[n] for n in self.family[:-1]] + [self.global_model]
         distill(
             self.global_model,
             teachers,
             self.public,
             iterations=self.distill_iters,
             batch_size=cfg.batch_size,
-            lr=self.lr_at(round_idx),
+            lr=self.lr_at(ctx.round_idx),
             confidence_weighted=self.confidence_weighted,
-            rng=np.random.default_rng(cfg.seed + 17 + round_idx),
+            rng=np.random.default_rng(cfg.seed + 17 + ctx.round_idx),
         )
-        return self.async_client_costs(round_idx, clients, states)
+        server.update(_join({self.family[-1]: self.global_model.state_dict()}))
+        return 1.0
+
+    def async_finalize(self, server: StateDict) -> None:
+        """Install a server state (the merged one, or an aborted round's
+        base) into every prototype; the largest is the global model."""
+        self.load_checkpoint_state(_split(server))
 
     def checkpoint_state(self) -> Dict[str, Dict[str, np.ndarray]]:
         """The smaller prototypes (the checkpoint's global state is the largest)."""

@@ -65,7 +65,6 @@ class FedRBN(FederatedExperiment):
     """
 
     name = "fedrbn"
-    supports_async_aggregation = True
 
     def __init__(
         self,

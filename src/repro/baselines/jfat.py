@@ -45,7 +45,6 @@ class JointFAT(FederatedExperiment):
     """End-to-end FAT with FedAvg aggregation."""
 
     name = "jfat"
-    supports_async_aggregation = True
 
     def __init__(
         self,

@@ -37,7 +37,6 @@ class PartialTrainingFAT(FederatedExperiment):
 
     strategy = "static"
     min_ratio = 0.125
-    supports_async_aggregation = True
 
     def __init__(
         self,

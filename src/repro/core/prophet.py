@@ -79,18 +79,10 @@ class FedProphet(FederatedExperiment):
     """
 
     name = "fedprophet"
-    # cascade_eval feeds APA's epsilon schedule and the per-module
-    # early-stop each round, so evaluation sits on the algorithm's
-    # critical path and cannot be overlapped with the next round.
-    supports_overlap_eval = False
-    # Asynchronous aggregation is *within-round*: client updates merge
-    # per module span (Eq. 16 partial averages, staleness-attenuated) in
-    # simulated-arrival order as they land — run_round's event schedule.
-    # Rounds themselves cannot overlap — cascade_eval gates every
-    # boundary — so the cross-round pipeline (pipeline_depth > 1,
-    # eval_every_merge) is rejected at construction.
-    supports_async_aggregation = True
-    supports_cross_round_pipeline = False
+    # Round-gated (after_round reads each round's cascade_eval: APA's
+    # epsilon schedule, the per-module early-stop), so asynchronous
+    # aggregation is *within-round*: updates merge per module span (Eq. 16,
+    # staleness-attenuated) in simulated-arrival order — run_round's events.
     #: Algorithm 2's outer-loop state: plain picklable attributes, the
     #: checkpoint's ``experiment`` entry (plus the head weights).
     _STAGE_STATE = (

@@ -81,11 +81,11 @@ class FLConfig:
 
     ``aggregation_mode`` selects how client updates reach the server:
     ``"sync"`` (default) is the classic round barrier — bit-identical to
-    the pre-scheduler engine on every backend and worker count; for the
-    hook-stated baselines it *is* the async rule with the whole cohort as
-    one staleness-0 merge event (:meth:`FederatedExperiment.run_round`);
-    ``"async"`` (experiments that declare ``supports_async_aggregation``
-    — jFAT, FedRBN, the partial-training family, and FedProphet) merges
+    the pre-scheduler engine on every backend and worker count; for every
+    method it *is* the async rule with the whole cohort as one
+    staleness-0 merge event (:meth:`FederatedExperiment.run_round`);
+    ``"async"`` (every method but FedDF/FedET, whose distillation step
+    has no staleness-bounded form) merges
     updates as they land, in simulated-arrival order, with FedAsync
     staleness attenuation bounded by ``max_staleness`` merge events —
     deterministic and seed-reproducible at any worker count because
@@ -425,36 +425,20 @@ class FederatedExperiment:
     at a time — the same statement over the round's own event schedule,
     in synchronous mode a single staleness-0 event over the whole cohort
     whose mixing rate is exactly 1, so ``max_staleness=0, pipeline_depth=1
-    ≡ sync`` is an identity, not a coincidence.  A round-gated method
-    (FedProphet) stays on the barrier loop in async mode too and advances
-    its own state through :meth:`round_eval` / :meth:`after_round`.  Only
-    experiments whose server step is not a per-update merge (FedDF/FedET
-    distillation) override :meth:`run_round`.
+    ≡ sync`` is an identity, not a coincidence.  Every method, FedDF/FedET
+    distillation included, is such a statement; none overrides
+    :meth:`run_round`.  A round-gated method (one that overrides
+    :meth:`after_round`, i.e. FedProphet) stays on the barrier loop in
+    async mode too and advances its own state through :meth:`round_eval`
+    / :meth:`after_round`.
     """
 
     name = "base"
-    #: Whether this algorithm's aggregation rule has an asynchronous,
+    #: Whether this algorithm's merge rule has an asynchronous,
     #: staleness-bounded formulation (``aggregation_mode="async"``).
-    #: Experiments opt in by implementing the ``async_*`` hook surface
-    #: (jFAT, FedRBN, the partial-training family, FedProphet);
-    #: distillation-based baselines whose server step is inherently
-    #: sequential opt out.
-    supports_async_aggregation = False
-    #: Whether async mode runs on the cross-round pipeline (and may set
-    #: ``pipeline_depth > 1`` / ``eval_every_merge``).  FedProphet turns this
-    #: off: cascade_eval gates every round; its async mode is within-round.
-    supports_cross_round_pipeline = True
-    #: Whether periodic evaluation is purely observational (history only),
-    #: and may therefore be overlapped with the next round's training.
-    #: FedProphet turns this off: cascade_eval feeds APA and early-stop,
-    #: putting evaluation on the algorithm's critical path.
-    supports_overlap_eval = True
-    #: Whether every state merge routes through :meth:`robust_aggregate` /
-    #: :meth:`robust_masked_average`.  Experiments whose aggregation is
-    #: not a weighted average of client states (e.g. ensemble
-    #: distillation's logit averaging) set this False and refuse
-    #: non-default ``aggregation_rule`` at init rather than ignore it.
-    supports_robust_aggregation = True
+    #: FedDF/FedET opt out: their server step distils the whole round's
+    #: prototypes at once, so there is no per-update merge to stream.
+    supports_async_aggregation = True
 
     def __init__(
         self,
@@ -496,12 +480,11 @@ class FederatedExperiment:
         self.history: List[RoundRecord] = []
 
         cls, base = type(self), FederatedExperiment
-        if cls.run_round is base.run_round and cls.async_client_fn is base.async_client_fn:
+        if cls.async_client_fn is base.async_client_fn:
             raise TypeError(
                 f"{cls.__name__} states no algorithm: implement the async_* "
-                f"hooks (async_client_fn, async_client_costs; the default "
-                f"run_round derives the synchronous round from them) or "
-                f"override run_round"
+                f"hooks (async_client_fn, async_client_costs; run_round "
+                f"derives the synchronous round from them)"
             )
         if (
             config.client_timeout is not None
@@ -520,21 +503,14 @@ class FederatedExperiment:
                 f"aggregation_mode='async'; its aggregation rule has no "
                 f"staleness-bounded formulation"
             )
-        if (
-            config.pipeline_depth > 1 or config.eval_every_merge
-        ) and not self.supports_cross_round_pipeline:
+        if self.round_gated and (
+            config.pipeline_depth > 1 or config.eval_every_merge or config.overlap_eval
+        ):
             raise ValueError(
-                f"{type(self).__name__} does not support pipeline_depth > 1 or "
-                f"eval_every_merge: its per-round evaluation gates the next "
-                f"round (e.g. cascade_eval feeding APA), so rounds cannot "
-                f"overlap and its async mode merges within a round — there "
-                f"is no cross-round pipeline merge to sample"
-            )
-        if config.overlap_eval and not self.supports_overlap_eval:
-            raise ValueError(
-                f"{type(self).__name__} does not support overlap_eval: its "
-                f"evaluation feeds back into training (e.g. APA/early-stop), "
-                f"so evaluation is on the algorithmic critical path"
+                f"{cls.__name__} does not support pipeline_depth > 1, "
+                f"eval_every_merge or overlap_eval: its after_round reads each "
+                f"round's eval (e.g. cascade_eval feeding APA), so nothing may "
+                f"overlap the next round and its async mode merges within a round"
             )
         self.executor = RoundExecutor(
             config.executor_backend,
@@ -573,13 +549,6 @@ class FederatedExperiment:
         self._round_threats: Optional[RoundThreats] = None
         self._robust = RobustAggregator.from_config(config)
         self._agg_stats: List[Dict[str, Any]] = []
-        if config.aggregation_rule != "fedavg" and not self.supports_robust_aggregation:
-            raise ValueError(
-                f"{type(self).__name__} does not route its aggregation "
-                f"through the robust-aggregation hooks; "
-                f"aggregation_rule={config.aggregation_rule!r} would be "
-                f"silently ignored (use 'fedavg')"
-            )
         # Streaming observability: every _jlog event tees into the metrics
         # service (live JSONL + status endpoint).  Created at init so the
         # endpoint is reachable (state "init") before run() starts.
@@ -612,7 +581,9 @@ class FederatedExperiment:
             self._slot_models[slot] = model
         return model
 
-    def _async_slot_model(self, slot: int) -> CascadeModel:
+    def _async_slot_model(
+        self, slot: int, builder: Optional[Callable] = None
+    ) -> CascadeModel:
         """Model workspace for an async-pipeline work unit.
 
         Deliberately disjoint from the training slot models (slot 0 there
@@ -622,14 +593,17 @@ class FederatedExperiment:
         Every slot — including 0 — is a private replica; work units
         restore their full base snapshot before training, so a slot
         carries no state between tasks and which slot a task gets cannot
-        affect results.  Creation is lock-guarded because concurrent
-        groups lease slots on worker threads.
+        affect results.  ``builder`` (default: ``model_builder``) picks
+        the architecture: FedDF keeps one replica per family member and
+        slot.  Creation is lock-guarded because concurrent groups lease
+        slots on worker threads.
         """
+        builder = builder or self.model_builder
         with self._async_model_lock:
-            model = self._async_models.get(slot)
+            model = self._async_models.get((builder, slot))
             if model is None:
-                model = self.model_builder(np.random.default_rng(self.config.seed + 7))
-                self._async_models[slot] = model
+                model = builder(np.random.default_rng(self.config.seed + 7))
+                self._async_models[builder, slot] = model
             return model
 
     # -- per-round helpers ---------------------------------------------------
@@ -823,26 +797,6 @@ class FederatedExperiment:
         self.total_access_s += access
 
     # -- update-space threats + robust aggregation -----------------------------
-    def _maybe_poison_update(
-        self,
-        round_idx: int,
-        cid: int,
-        update: Any,
-        base: Dict[str, np.ndarray],
-        threats: Optional[RoundThreats] = None,
-    ) -> Any:
-        """Apply the active update attack to one client's reported update."""
-        plan = self.config.threat_plan
-        threats = threats if threats is not None else self._round_threats
-        if (
-            plan is None
-            or threats is None
-            or not plan.is_update_attack
-            or cid not in threats.byzantine_cids
-        ):
-            return update
-        return plan.poison_update(update, base, round_idx, cid)
-
     def _threat_wrap(
         self,
         round_idx: int,
@@ -872,9 +826,10 @@ class FederatedExperiment:
             return fn
 
         def poison(item, update):
-            return self._maybe_poison_update(
-                round_idx, item[0].cid, update, base, threats
-            )
+            cid = item[0].cid
+            if cid not in threats.byzantine_cids:
+                return update
+            return plan.poison_update(update, base, round_idx, cid)
 
         if isinstance(fn, CohortFn):
             inner = fn
@@ -935,31 +890,6 @@ class FederatedExperiment:
         stats, self._agg_stats = self._agg_stats, []
         return stats
 
-    def _jlog_agg(self, round_idx: int) -> None:
-        """Journal the round's queued robust-aggregation stats (if any)."""
-        stats = self._drain_agg_stats()
-        if stats:
-            self._jlog("agg", round=round_idx, events=stats)
-
-    def _try_run_round(
-        self,
-        round_idx: int,
-        clients: List[FLClient],
-        states: List[Optional[DeviceState]],
-    ) -> Optional[List[LocalTrainingCost]]:
-        """Run one round, catching :class:`AggregationError` (-> None).
-
-        The typed abort path for a fully-dropped cohort: the journal gets
-        an ``agg_abort`` event and the caller records an aborted round
-        instead of crashing the run on a bare ``ValueError``.
-        """
-        try:
-            return self.run_round(round_idx, clients, states)
-        except AggregationError as err:
-            self._jlog("agg_abort", round=round_idx, error=str(err))
-            self._drain_agg_stats()
-            return None
-
     # -- main loop -------------------------------------------------------------
     def _round_context(
         self,
@@ -1006,7 +936,7 @@ class FederatedExperiment:
 
         cfg = self.config
         within_round = cfg.aggregation_mode == "async"
-        if within_round and self.supports_cross_round_pipeline:
+        if within_round and not self.round_gated:
             raise RuntimeError(
                 f"{type(self).__name__}.run_round is the synchronous path; "
                 f"aggregation_mode='async' rounds are driven by run() "
@@ -1112,12 +1042,11 @@ class FederatedExperiment:
         return flops, mem_req, cost
 
     # -- aggregation hooks: the one statement of an algorithm -------------------
-    # Every experiment but FedDF/FedET implements this surface;
-    # :meth:`run_round` drives it over one round's event schedule and the
-    # cross-round pipeline in :meth:`_run_async` event by event.  Every
-    # hook must be a pure function of its inputs (plus counter-derived
-    # RNGs) so the merge replay stays bit-identical across backends and
-    # worker counts.
+    # Every experiment implements this surface; :meth:`run_round` drives
+    # it over one round's event schedule and the cross-round pipeline in
+    # :meth:`_run_async` event by event.  Every hook must be a pure
+    # function of its inputs (plus counter-derived RNGs) so the merge
+    # replay stays bit-identical across backends and worker counts.
 
     def async_client_fn(
         self, round_idx: int, base_state: Dict[str, np.ndarray]
@@ -1912,10 +1841,7 @@ class FederatedExperiment:
         rounds = rounds if rounds is not None else self.config.rounds
         self._open_journal()
         try:
-            if (
-                self.config.aggregation_mode == "async"
-                and self.supports_cross_round_pipeline
-            ):
+            if self.config.aggregation_mode == "async" and not self.round_gated:
                 rounds_run = self._run_async(rounds, verbose)
             else:
                 rounds_run = self._run_sync(rounds, verbose)
@@ -1961,6 +1887,12 @@ class FederatedExperiment:
         """Barrier loop: a round was recorded (trained *or* aborted) — before
         its checkpoint, so what this advances :meth:`checkpoint_state` snapshots."""
 
+    @property
+    def round_gated(self) -> bool:
+        """Whether :meth:`after_round` is overridden: it then reads each round's
+        eval, so neither the next round nor this round's eval may overlap it."""
+        return type(self).after_round is not FederatedExperiment.after_round
+
     def run_finished(self) -> bool:
         """Barrier loop: stop before the budget is spent (asked per round)."""
         return False
@@ -1994,16 +1926,21 @@ class FederatedExperiment:
         self._resume_round = 0
         while t < rounds and not self.run_finished():
             clients, states = self.sample_round(t)
-            if (
-                self._fault_aborted()
-                or (costs := self._try_run_round(t, clients, states)) is None
-            ):
-                # Fault-aborted, or nothing to aggregate (AggregationError:
-                # every update rejected or dropped): model unchanged, run on.
+            costs = None
+            if not self._fault_aborted():
+                try:
+                    costs = self.run_round(t, clients, states)
+                except AggregationError as err:
+                    # Nothing to aggregate (every update rejected or
+                    # dropped): a typed abort, not a crash on a ValueError.
+                    self._jlog("agg_abort", round=t, error=str(err))
+            agg_stats = self._drain_agg_stats()
+            if costs is None:  # fault- or aggregation-aborted: model unchanged
                 record = self._finish_aborted_round(t)
             else:
                 self.advance_clock(costs)
-                self._jlog_agg(t)
+                if agg_stats:
+                    self._jlog("agg", round=t, events=agg_stats)
                 record = self._complete_round(
                     RoundRecord(
                         round=t,

@@ -3,7 +3,8 @@
 A checkpoint is one pickle file written **atomically** (tmp file in the
 same directory + ``os.replace``), fsynced before the rename, so a crash
 at any instant leaves either the previous checkpoint or the new one —
-never a torn file.  The payload is assembled by
+never a torn file; a sha256 trailer turns a damaged one into a
+:class:`CheckpointError`, never a wrong resume.  The payload is assembled by
 :meth:`~repro.flsim.base.FederatedExperiment._write_checkpoint` and holds
 everything the generic run loop needs to continue bit-identically:
 server/model state, the experiment RNG's bit-generator state, the round
@@ -77,8 +78,15 @@ def config_fingerprint(config: Any, experiment: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
+#: Marks the sha256 trailer after the pickle.  Unpickling stops at the
+#: pickle's STOP opcode, so a reader that predates the trailer ignores it.
+TRAILER_MAGIC = b"\x00REPROSHA256"
+_TRAILER_LEN = len(TRAILER_MAGIC) + hashlib.sha256().digest_size
+
+
 def write_checkpoint(path: str, payload: Dict[str, Any]) -> None:
-    """Pickle ``payload`` to ``path`` atomically (tmp + fsync + rename)."""
+    """Pickle ``payload`` to ``path`` atomically (tmp + fsync + rename),
+    followed by a sha256 trailer over the pickle bytes."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(
@@ -86,7 +94,9 @@ def write_checkpoint(path: str, payload: Dict[str, Any]) -> None:
     )
     try:
         with os.fdopen(fd, "wb") as f:
-            pickle.dump(payload, f, protocol=pickle.HIGHEST_PROTOCOL)
+            data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+            f.write(data)
+            f.write(TRAILER_MAGIC + hashlib.sha256(data).digest())
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
@@ -99,13 +109,27 @@ def write_checkpoint(path: str, payload: Dict[str, Any]) -> None:
 
 
 def read_checkpoint(path: str) -> Dict[str, Any]:
-    """Load and validate a checkpoint payload."""
+    """Load and validate a checkpoint payload.
+
+    A file with a trailer must match its sha256 before anything is
+    unpickled; a file without one (written before the trailer existed)
+    loads as it is.  Any failure to unpickle is a :class:`CheckpointError`.
+    """
     if not os.path.exists(path):
         raise CheckpointError(f"checkpoint not found: {path}")
     try:
         with open(path, "rb") as f:
-            payload = pickle.load(f)
-    except (pickle.UnpicklingError, EOFError, OSError) as error:
+            data = memoryview(f.read())
+    except OSError as error:
+        raise CheckpointError(f"unreadable checkpoint {path}: {error}") from error
+    body, trailer = data[:-_TRAILER_LEN], bytes(data[-_TRAILER_LEN:])
+    if trailer.startswith(TRAILER_MAGIC):
+        if hashlib.sha256(body).digest() != trailer[len(TRAILER_MAGIC):]:
+            raise CheckpointError(f"corrupt checkpoint {path}: sha256 mismatch")
+        data = body
+    try:
+        payload = pickle.loads(data)
+    except Exception as error:  # a damaged pickle can raise almost anything
         raise CheckpointError(f"unreadable checkpoint {path}: {error}") from error
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(

@@ -22,6 +22,7 @@ Load-bearing properties (PR 6):
 import json
 import multiprocessing
 import os
+import pickle
 import shutil
 
 import numpy as np
@@ -40,6 +41,7 @@ from repro.flsim import (
     read_checkpoint,
 )
 from repro.flsim.base import FederatedExperiment
+from repro.flsim.checkpoint import TRAILER_MAGIC
 from repro.hardware import DeviceSampler, device_pool
 from repro.models import build_cnn
 
@@ -295,6 +297,42 @@ class TestCheckpointResume:
             f.write(b"garbage")
         with pytest.raises(CheckpointError):
             read_checkpoint(bad)
+
+    def test_every_flipped_or_truncated_byte_is_caught(self, tmp_path):
+        """A damaged checkpoint raises CheckpointError or loads unchanged.
+
+        Never a payload that differs, and never another exception type.
+        Only a flip in the trailer's marker or a cut inside the trailer
+        loads: the file then reads as one written before the trailer, and
+        its pickle is intact.
+        """
+        path = str(tmp_path / "run.jsonl")
+        exp = JointFAT(_task(), _builder,
+                       _cfg(rounds=1, journal_path=path, checkpoint_every=1))
+        exp.run()
+        exp.close()
+        with open(path + ".ckpt", "rb") as fh:
+            raw = fh.read()
+        reference = pickle.dumps(read_checkpoint(path + ".ckpt"))
+        damaged = str(tmp_path / "damaged.ckpt")
+
+        def loads_unchanged(data: bytes) -> bool:
+            with open(damaged, "wb") as fh:
+                fh.write(data)
+            try:
+                payload = read_checkpoint(damaged)
+            except CheckpointError:
+                return False
+            assert pickle.dumps(payload) == reference
+            return True
+
+        flips = sum(
+            loads_unchanged(raw[:i] + bytes([raw[i] ^ 0xFF]) + raw[i + 1:])
+            for i in range(len(raw))
+        )
+        cuts = sum(loads_unchanged(raw[:n]) for n in range(len(raw)))
+        trailer = len(TRAILER_MAGIC) + 32  # marker + sha256 digest
+        assert (flips, cuts) == (len(TRAILER_MAGIC), trailer)
 
     def test_fingerprint_mismatch_refused(self, tmp_path):
         path = str(tmp_path / "run.jsonl")
@@ -674,8 +712,8 @@ class TestFaultInjection:
 
     def test_client_timeout_without_cost_model_refused(self):
         class NoCostModel(FederatedExperiment):
-            def run_round(self, round_idx, clients, states):
-                return []
+            def async_client_fn(self, round_idx, base_state):
+                return lambda item, slot: base_state
 
         NoCostModel(_task(), _builder, _cfg())  # fine without a timeout
         with pytest.raises(ValueError, match="no pre-training cost model"):
@@ -685,7 +723,7 @@ class TestFaultInjection:
         class Nothing(FederatedExperiment):
             pass
 
-        with pytest.raises(TypeError, match="run_round.*async_client_fn|async_client_fn.*run_round"):
+        with pytest.raises(TypeError, match="states no algorithm.*async_client_fn"):
             Nothing(_task(), _builder, _cfg())
 
     def test_faults_compose_with_resume(self, tmp_path):
@@ -748,11 +786,6 @@ class TestLifecycleSatellites:
                 if round_idx == 1:
                     raise RuntimeError("boom")
                 return super().async_client_fn(round_idx, base_state)
-
-            def run_round(self, round_idx, clients, states):
-                if round_idx == 1:
-                    raise RuntimeError("boom")
-                return super().run_round(round_idx, clients, states)
 
         exp = Exploding(
             _task(), _builder,

@@ -100,7 +100,8 @@ class TestLocalTraining:
 
 
 class _CountingExperiment(FederatedExperiment):
-    """Minimal concrete experiment for exercising the base-class loop."""
+    """Minimal concrete experiment for exercising the base-class loop: every
+    client reports the round-start weights back untrained."""
 
     name = "counting"
 
@@ -108,8 +109,11 @@ class _CountingExperiment(FederatedExperiment):
         super().__init__(*args, **kwargs)
         self.rounds_seen = []
 
-    def run_round(self, round_idx, clients, states):
+    def async_client_fn(self, round_idx, base_state):
         self.rounds_seen.append(round_idx)
+        return lambda item, slot: base_state
+
+    def async_client_costs(self, round_idx, clients, states):
         return [LocalTrainingCost(compute_s=1.0, access_s=0.5) for _ in clients]
 
 
@@ -167,13 +171,11 @@ class TestFederatedExperiment:
 def test_no_experiment_overrides_run():
     """One engine: every method runs on ``FederatedExperiment.run``.
 
-    A method states its round as the ``async_*`` hooks; only FedDF-AT
-    (and FedET-AT through it), whose server step is a distillation rather
-    than a per-update merge, still overrides ``run_round``.
+    Every method states its round as the ``async_*`` hooks, FedDF-AT's
+    distillation included, so none overrides ``run_round`` either.
     """
     import repro.baselines  # noqa: F401 - registers every experiment class
     import repro.core  # noqa: F401
-    from repro.baselines import FedDFAT
     from repro.flsim.base import FederatedExperiment
 
     def walk(cls):
@@ -185,4 +187,10 @@ def test_no_experiment_overrides_run():
     classes = set(walk(FederatedExperiment))
     assert len(classes) >= 9
     assert [c.__name__ for c in classes if "run" in vars(c)] == []
-    assert {c for c in classes if "run_round" in vars(c)} == {FedDFAT}
+    assert {c for c in classes if "run_round" in vars(c)} == set()
+    # One capability flag is left, and only FedDF-AT turns it off.
+    flags = {name for name in dir(FederatedExperiment) if name.startswith("supports_")}
+    assert flags == {"supports_async_aggregation"}
+    assert {c.__name__ for c in classes if "supports_async_aggregation" in vars(c)} == {
+        "FedDFAT"
+    }

@@ -20,18 +20,40 @@ reference (``serial``, ``fusion_width=1``) and fused cohorts on the
 thread pool (what ``executor_backend="batched"`` selected when the
 digests were recorded — the row keeps that name as its digest key).
 
+The 16 ``feddf`` / ``fedet`` rows pin FedDF-AT and FedET-AT the same way.
+They were recorded while both still ran their own barrier round, a serial
+loop over the cohort that ignored the executor, before they moved onto
+the ``async_*`` hooks.  So one value per (method, heterogeneity,
+scenario) is the reference for the ``serial`` row, the ``batched`` row
+and a two-process run.  The two-member family and the memory-bracketing
+pool put clients on both architectures, and each row hashes every
+prototype.  ``tests/data/feddf_parent_run.jsonl{,.ckpt}`` is a FedDF
+journal and checkpoint from that tree: it must replay, and resume
+bit-identically on two threads or two processes.
+
 Re-record (only from a commit whose behaviour is the reference) with
 ``PYTHONPATH=src python tests/test_sync_round_digests.py``.
 """
 
+import functools
 import hashlib
 import json
+import multiprocessing
 import os
+import shutil
 
 import numpy as np
 import pytest
 
-from repro.baselines import FedDropAT, FedRBN, FedRolexAT, HeteroFLAT, JointFAT
+from repro.baselines import (
+    FedDFAT,
+    FedDropAT,
+    FedETAT,
+    FedRBN,
+    FedRolexAT,
+    HeteroFLAT,
+    JointFAT,
+)
 from repro.data import make_cifar10_like
 from repro.flsim import FLConfig
 from repro.flsim.faults import FaultPlan
@@ -46,6 +68,8 @@ from tests.helpers import record_cohort_widths
 DATA = os.path.join(os.path.dirname(__file__), "data")
 DIGESTS = os.path.join(DATA, "sync_round_digests.json")
 JOURNAL = os.path.join(DATA, "sync_jfat_faults_median.jsonl")
+DISTILLATION_JOURNAL = os.path.join(DATA, "feddf_parent_run.jsonl")
+HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
 def _vgg(rng, **kw):
@@ -56,13 +80,20 @@ def _cnn(rng):
     return build_cnn(3, 10, (3, 8, 8), base_channels=4, rng=rng)
 
 
+FAMILY = {
+    "small": lambda rng: build_cnn(3, 10, (3, 8, 8), base_channels=2, rng=rng),
+    "large": _cnn,
+}
 METHODS = {
     "jfat": (JointFAT, _vgg),
     "fedrbn": (FedRBN, lambda rng: _vgg(rng, bn_cls=DualBatchNorm2d)),
     "heterofl": (HeteroFLAT, _cnn),
     "feddrop": (FedDropAT, _cnn),
     "fedrolex": (FedRolexAT, _cnn),
+    "feddf": (functools.partial(FedDFAT, distill_iters=2), FAMILY),
+    "fedet": (functools.partial(FedETAT, distill_iters=2), FAMILY),
 }
+DISTILLATION = ("feddf", "fedet")
 HETEROGENEITY = ("balanced", "unbalanced")
 ENGINES = {
     "serial": dict(executor_backend="serial", fusion_width=1),
@@ -77,6 +108,9 @@ WIDEST_BATCHED = {
     ("heterofl", "balanced"): 1, ("heterofl", "unbalanced"): 2,
     ("feddrop", "balanced"): 1, ("feddrop", "unbalanced"): 1,
     ("fedrolex", "balanced"): 1, ("fedrolex", "unbalanced"): 2,
+    # Distillation clients train per item.
+    ("feddf", "balanced"): 1, ("feddf", "unbalanced"): 1,
+    ("fedet", "balanced"): 1, ("fedet", "unbalanced"): 1,
 }
 FAULTS = FaultPlan(seed=10, dropout_prob=0.2, straggler_prob=0.2)
 SCENARIOS = {
@@ -102,10 +136,15 @@ def _pool(builder):
     Available memory is ``mem * U(0, 0.2)``, so this pool spreads clients
     over the whole regime the baselines branch on: jFAT swaps, FedRBN mixes
     AT and standard-training clients, the partial family slices at widths
-    from ``min_ratio`` to 1.
+    from ``min_ratio`` to 1.  A distillation family brackets its largest
+    member at three times the memory, so that even the "unbalanced" draw,
+    mostly weak devices, puts clients on both members.
     """
+    scale = 1
+    if isinstance(builder, dict):
+        builder, scale = list(builder.values())[-1], 3
     model = builder(np.random.default_rng(0))
-    r_max_gb = MemoryModel(batch_size=8).bytes_for(model, model.in_shape) / 1024**3
+    r_max_gb = scale * MemoryModel(batch_size=8).bytes_for(model, model.in_shape) / 1024**3
     return [
         Device("small", 0.5, 2 * r_max_gb, 2),
         Device("mid", 1.0, 5 * r_max_gb, 4),
@@ -115,33 +154,58 @@ def _pool(builder):
 
 def _experiment(method, het, engine, scenario, **overrides):
     cls, builder = METHODS[method]
-    cfg = FLConfig(
-        num_clients=6, clients_per_round=5, local_iters=2, batch_size=8,
-        lr=0.02, rounds=3, train_pgd_steps=2, eval_every=0, eval_pgd_steps=2,
-        seed=0, min_clients_per_round=4,
+    cfg = FLConfig(**{
+        **dict(
+            num_clients=6, clients_per_round=5, local_iters=2, batch_size=8,
+            lr=0.02, rounds=3, train_pgd_steps=2, eval_every=0, eval_pgd_steps=2,
+            seed=0, min_clients_per_round=4,
+        ),
         **ENGINES[engine], **SCENARIOS[scenario], **overrides,
-    )
+    })
     task = make_cifar10_like(
         image_size=8, train_per_class=20, test_per_class=5, seed=0
     )
     return cls(task, builder, cfg, device_sampler=DeviceSampler(_pool(builder), het))
 
 
-def _digest(method, het, engine, scenario):
-    """``(digest, widest cohort the run planned)``."""
-    with _experiment(method, het, engine, scenario) as exp:
+def _models(exp):
+    """What a row hashes: the global model, or every prototype in family order."""
+    if hasattr(exp, "prototypes"):
+        return [exp.prototypes[name] for name in exp.family]
+    return [exp.global_model]
+
+
+def _record_architectures(exp) -> set:
+    """The family members ``exp`` assigns to clients from now on."""
+    picked = set()
+    pick = exp.pick_architecture
+
+    def recording_pick(state):
+        arch = pick(state)
+        picked.add(arch)
+        return arch
+
+    exp.pick_architecture = recording_pick
+    return picked
+
+
+def _digest(method, het, engine, scenario, **overrides):
+    """``(digest, widest cohort the run planned, architectures trained)``."""
+    with _experiment(method, het, engine, scenario, **overrides) as exp:
         widths = record_cohort_widths(exp)
+        picked = _record_architectures(exp) if method in DISTILLATION else None
         history = exp.run()
         sha = hashlib.sha256()
-        for key, value in sorted(exp.global_model.state_dict().items()):
-            sha.update(key.encode())
-            sha.update(np.ascontiguousarray(value).tobytes())
+        for model in _models(exp):
+            for key, value in sorted(model.state_dict().items()):
+                sha.update(key.encode())
+                sha.update(np.ascontiguousarray(value).tobytes())
         return {
             "weights_sha256": sha.hexdigest(),
             "clock_s": exp.clock_s.hex(),
             "total_compute_s": exp.total_compute_s.hex(),
             "aborted": [r.aborted for r in history],
-        }, max(widths)
+        }, max(widths, default=1), picked
 
 
 def _case_id(case):
@@ -160,12 +224,73 @@ def _case_id(case):
     ],
 )
 def test_sync_round_matches_parent_digest(case):
-    with open(DIGESTS, encoding="utf-8") as fh:
-        recorded = json.load(fh)
-    digest, widest = _digest(*case)
-    assert digest == recorded[_case_id(case)]
+    digest, widest, picked = _digest(*case)
+    assert digest == _recorded(case)
     method, het, engine, _scenario = case
     assert widest == (WIDEST_BATCHED[method, het] if engine == "batched" else 1)
+    if method in DISTILLATION:
+        assert picked == set(FAMILY)
+
+
+def _recorded(case):
+    with open(DIGESTS, encoding="utf-8") as fh:
+        return json.load(fh)[_case_id(case)]
+
+
+@pytest.mark.skipif(not HAS_FORK, reason="the process backend needs fork()")
+@pytest.mark.parametrize(
+    "case",
+    [
+        pytest.param(case, id=_case_id(case) + "-process2", marks=pytest.mark.slow)
+        for case in CASES
+        if case[0] in DISTILLATION and case[2] == "serial"
+    ],
+)
+def test_distillation_digest_on_two_processes(case):
+    digest, _, _ = _digest(*case, executor_backend="process", round_parallelism=2)
+    assert digest == _recorded(case)
+
+
+def _distillation_experiment(journal_path=None, **overrides):
+    return _experiment(
+        "feddf", "unbalanced", "serial", "median_faults_signflip",
+        rounds=4, journal_path=journal_path,
+        checkpoint_every=2 if journal_path else 0, **overrides,
+    )
+
+
+def test_parent_feddf_journal_still_replays():
+    report = replay_run(DISTILLATION_JOURNAL, _distillation_experiment)
+    assert (report.rounds, report.merges, report.skipped_checkpoints) == (3, 0, 1)
+
+
+@pytest.mark.parametrize(
+    "backend", ["thread", pytest.param("process", marks=pytest.mark.skipif(
+        not HAS_FORK, reason="the process backend needs fork()"))],
+)
+def test_parent_feddf_checkpoint_resumes_on_two_workers(tmp_path, backend):
+    path = str(tmp_path / os.path.basename(DISTILLATION_JOURNAL))
+    for suffix in ("", ".ckpt"):
+        shutil.copy(DISTILLATION_JOURNAL + suffix, path + suffix)
+    with _distillation_experiment() as ref:
+        ref.run()
+    with _distillation_experiment(
+        path, executor_backend=backend, round_parallelism=2
+    ) as resumed:
+        resumed.resume(path)
+    for name in ref.family:
+        a, b = ref.prototypes[name].state_dict(), resumed.prototypes[name].state_dict()
+        assert a.keys() == b.keys()
+        for key in a:
+            np.testing.assert_array_equal(a[key], b[key], err_msg=f"{name} {key}")
+    assert [
+        (r.round, r.sim_time_s, r.compute_s, r.access_s, r.aborted) for r in ref.history
+    ] == [
+        (r.round, r.sim_time_s, r.compute_s, r.access_s, r.aborted)
+        for r in resumed.history
+    ]
+    report = replay_run(path, _distillation_experiment)
+    assert (report.rounds, report.resumes_folded) == (4, 1)
 
 
 def _journal_experiment(journal_path=None):
@@ -200,3 +325,5 @@ if __name__ == "__main__":
         fh.write("\n")
     with _journal_experiment(JOURNAL) as exp:
         exp.run()
+    with _distillation_experiment(DISTILLATION_JOURNAL) as exp:
+        exp.run(rounds=3)  # killed after round 3: one checkpoint, at round 2

@@ -775,14 +775,6 @@ class TestBaselineComposition:
         threaded.run()
         _assert_states_equal(_state(serial), _state(threaded))
 
-    def test_capability_flag_gates_robust_rules(self):
-        class NoRobust(JointFAT):
-            supports_robust_aggregation = False
-
-        with pytest.raises(ValueError, match="robust"):
-            NoRobust(_task(), _builder, _cfg(aggregation_rule="median"))
-        NoRobust(_task(), _builder, _cfg())  # fedavg still fine
-
 
 class TestThreatsComposeWithEngine:
     def test_threats_compose_with_faults(self):
