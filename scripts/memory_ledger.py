@@ -31,13 +31,19 @@ the stage the round trains, aux head included).  The snapshot can sit
 below the traced peak: a transient inside one kernel call (a GEMM result
 not yet reduced) is not between two layer calls.
 
+``--whole-run`` watermarks the workload's whole timed phase instead, as
+perfbench runs it: every op, then (training workloads) the final
+evaluation; the heap is also checked at each op boundary.  The table's
+last row names the op that held the watermark.
+
 Usage: ``python scripts/memory_ledger.py [--workload W] [--seed N]
-[--smoke]`` prints one markdown table, MiB per category and workload.
-The bytes are exact for a given tree, seed and NumPy; tracemalloc slows the
-run, so no time is reported.
+[--smoke] [--whole-run]`` prints one markdown table, MiB per category and
+workload.  The bytes are exact for a given tree, seed and NumPy;
+tracemalloc slows the run, so no time is reported.
 """
 
 import argparse
+import contextlib
 import linecache
 import os
 import shutil
@@ -51,7 +57,9 @@ sys.path.insert(0, REPO_ROOT)
 
 import repro.baselines  # noqa: E402,F401  (every Module subclass gets imported)
 import repro.core  # noqa: E402,F401
-from perfbench.workloads import BUILDERS, sizes_for  # noqa: E402
+from perfbench.workloads import (  # noqa: E402
+    BUILDERS, run_eval_passes, run_training, sizes_for,
+)
 from repro.hardware.profile import profile_module  # noqa: E402
 from repro.metrics.evaluation import EvalPlan  # noqa: E402
 from repro.nn import Module, conv  # noqa: E402
@@ -94,20 +102,26 @@ def category(traceback) -> str:
 
 
 class Watermark:
-    """Snapshot the traced heap whenever it passes its highest level after a layer call."""
+    """Snapshot the traced heap whenever it passes its highest level after a layer call.
 
-    def __init__(self):
+    ``op`` names the operation running now; ``best_op`` is the one that
+    held the watermark.
+    """
+
+    def __init__(self, op: str):
         self.best, self.snapshot, self._patched = 0, None, []
+        self.op = self.best_op = op
 
-    def _check(self):
+    def check(self):
         current = tracemalloc.get_traced_memory()[0]
         if current > self.best * 1.005:  # a new high: keep the heap as it is now
             self.best, self.snapshot = current, tracemalloc.take_snapshot()
+            self.best_op = self.op
 
     def _wrap(self, fn):
         def watched(*args, **kwargs):
             out = fn(*args, **kwargs)
-            self._check()
+            self.check()
             return out
 
         return watched
@@ -139,8 +153,36 @@ def mem_req(exp, name: str):
     return total, params, total - params
 
 
-def ledger(name: str, seed: int, smoke: bool):
-    """One traced op of workload ``name``: bytes per category at its watermark."""
+def whole_run(exp, name: str, size, seed: int, mark: Watermark) -> None:
+    """perfbench's timed phase: every op, then (training) the final evaluation.
+
+    The heap is also checked at each op boundary, so what one op leaves
+    behind for the next (held updates, a merge) is charged to it.
+    """
+    def on_op(i):
+        mark.check()
+        stage = getattr(exp, "current_module", None)
+        mark.op = f"pass {i}" if name == "robust_eval" else (
+            f"round {i}" + ("" if stage is None else f" (stage {stage})"))
+
+    @contextlib.contextmanager
+    def on_phase(phase):
+        if phase == "bench.final_eval":
+            mark.check()
+            mark.op = "final eval"
+        yield
+
+    if name == "robust_eval":
+        run_eval_passes(exp, size, seed, on_op=on_op)
+    else:
+        run_training(exp, size, on_op=on_op, scaffold=on_phase)
+
+
+def ledger(name: str, seed: int, smoke: bool, whole: bool):
+    """Workload ``name`` traced: bytes per category at its watermark.
+
+    ``whole`` watermarks the whole timed phase, otherwise only its first op.
+    """
     size = sizes_for(name, smoke)
     workdir = tempfile.mkdtemp(prefix="memory-ledger-")
     # The unfold buffers live as long as the thread: empty them, or the last
@@ -150,8 +192,10 @@ def ledger(name: str, seed: int, smoke: bool):
     try:
         exp = BUILDERS[name](size, seed, workdir)
         tracemalloc.reset_peak()
-        with Watermark() as mark:
-            if name == "robust_eval":
+        with Watermark("pass 0" if name == "robust_eval" else "round 0") as mark:
+            if whole:
+                whole_run(exp, name, size, seed, mark)
+            elif name == "robust_eval":
                 exp.run_eval(EvalPlan.standard(
                     exp.config.eps0, pgd_steps=size["eval_pgd_steps"], with_autoattack=True,
                     max_samples=size["eval_samples"], seed=seed,
@@ -162,7 +206,7 @@ def ledger(name: str, seed: int, smoke: bool):
         rows = dict.fromkeys(CATEGORIES, 0)
         for stat in mark.snapshot.statistics("traceback"):
             rows[category(stat.traceback)] += stat.size
-        return rows, mark.best, peak, mem_req(exp, name)
+        return rows, mark.best, peak, mem_req(exp, name), mark.best_op
     finally:
         tracemalloc.stop()
         shutil.rmtree(workdir, ignore_errors=True)
@@ -173,9 +217,11 @@ def main() -> None:
     parser.add_argument("--workload", choices=sorted(BUILDERS), help="this workload only")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--smoke", action="store_true", help="perfbench's smoke sizes")
+    parser.add_argument("--whole-run", action="store_true",
+                        help="watermark every op and the final evaluation, not op 1 only")
     args = parser.parse_args()
     names = [args.workload] if args.workload else list(BUILDERS)
-    cols = {name: ledger(name, args.seed, args.smoke) for name in names}
+    cols = {name: ledger(name, args.seed, args.smoke, args.whole_run) for name in names}
     mib = lambda b: "–" if b is None else f"{b / MIB:.2f}"  # noqa: E731
     print("| MiB | " + " | ".join(f"`{name}`" for name in names) + " |")
     print("|---|" + "---|" * len(names))
@@ -189,6 +235,7 @@ def main() -> None:
         ("… of it 4·B·(A + I) (activations, input)", lambda c: c[3][2]),
     ):
         print(f"| {label} | " + " | ".join(mib(get(cols[n])) for n in names) + " |")
+    print("| watermark held by | " + " | ".join(cols[n][4] for n in names) + " |")
     sys.stdout.flush()
 
 

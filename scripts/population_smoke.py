@@ -11,11 +11,19 @@ load-bearing claims of the population engine (``docs/architecture.md``):
    bit-identical to the eager one, sync and pipelined-async
    (``pipeline_depth=2``), and the bounded cache reproduces the
    unbounded one exactly.
+
+``--heap`` checks O(cohort) *memory* instead: the same 1M-client config
+runs 24 rounds under ``tracemalloc``, and the traced heap at the entry to
+round 23 may exceed the one at the entry to round 2 by less than
+``HEAP_GROWTH_KIB``.  The LRU fills over those rounds, so the check fails
+as soon as a cached client holds more than its shard indices.
 """
 
+import argparse
 import os
 import sys
 import time
+import tracemalloc
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
@@ -55,17 +63,58 @@ def _identical(a, b):
     return set(a) == set(b) and all(np.array_equal(a[k], b[k]) for k in a)
 
 
-def main() -> int:
-    failures = []
-
-    # 1. Population scale: a million-client run must be O(cohort).
-    cfg = FLConfig(
+def _million(rounds):
+    return FLConfig(
         num_clients=1_000_000, clients_per_round=10, local_iters=2,
-        batch_size=8, lr=0.02, rounds=2, train_pgd_steps=2,
+        batch_size=8, lr=0.02, rounds=rounds, train_pgd_steps=2,
         eval_pgd_steps=2, eval_every=0, seed=0,
         population_scheme="virtual", client_materialisation="lazy",
         samples_per_client=32,
     )
+
+
+HEAP_GROWTH_KIB = 256
+HEAP_ROUNDS = (2, 23)
+
+
+def heap() -> int:
+    """The traced heap may not grow between the entries to two late rounds."""
+    tracemalloc.start()
+    try:
+        exp = JointFAT(TASK, _builder, _million(rounds=HEAP_ROUNDS[1] + 1))
+        at_entry = {}
+        sample_round = exp.sample_round
+
+        def traced_sample_round(round_idx):
+            at_entry[round_idx] = tracemalloc.get_traced_memory()[0]
+            return sample_round(round_idx)
+
+        exp.sample_round = traced_sample_round
+        exp.run()
+    finally:
+        tracemalloc.stop()
+    first, last = (at_entry[r] for r in HEAP_ROUNDS)
+    growth_kib = (last - first) / 1024
+    stats = exp.clients.stats()
+    print(
+        f"[population-smoke] 1M clients, traced heap at round {HEAP_ROUNDS[0]} "
+        f"{first / 1024:,.0f} KiB -> round {HEAP_ROUNDS[1]} {last / 1024:,.0f} KiB "
+        f"(+{growth_kib:,.0f} KiB; cache live {stats['live']} of "
+        f"{exp.clients.cache_capacity})"
+    )
+    if growth_kib >= HEAP_GROWTH_KIB:
+        print(f"[population-smoke] FAILED: heap grew {growth_kib:,.0f} KiB "
+              f">= {HEAP_GROWTH_KIB} KiB")
+        return 1
+    print("[population-smoke] heap OK")
+    return 0
+
+
+def main() -> int:
+    failures = []
+
+    # 1. Population scale: a million-client run must be O(cohort).
+    cfg = _million(rounds=2)
     t0 = time.perf_counter()
     exp = JointFAT(TASK, _builder, cfg)
     setup_s = time.perf_counter() - t0
@@ -118,4 +167,7 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--heap", action="store_true",
+                        help="run the O(cohort) memory check instead")
+    sys.exit(heap() if parser.parse_args().heap else main())

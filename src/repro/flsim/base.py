@@ -143,10 +143,10 @@ class FLConfig:
     ``"lazy"`` materialises on first touch into a bounded LRU of
     ``client_cache_size`` (None = O(cohort) default) — eviction cannot
     affect results, so lazy runs are bit-identical to eager ones.
-    ``samples_per_client`` fixes the virtual shard size (None = derived
-    from the dataset); ``availability_fraction`` / ``availability_period``
-    give every client a deterministic periodic duty cycle that cohort
-    sampling respects (see ``docs/fault-tolerance.md``).
+    ``samples_per_client`` fixes the virtual shard size (None = derived;
+    refused under ``partition``); ``availability_fraction`` /
+    ``availability_period`` give every client a deterministic periodic
+    duty cycle that cohort sampling respects (see ``docs/fault-tolerance.md``).
 
     **Observability** (see ``docs/fault-tolerance.md``):
     ``metrics_path`` streams per-round / per-merge-event / per-eval JSONL

@@ -25,8 +25,10 @@ Two independent axes:
 * **materialisation** — ``"eager"`` builds every ``FLClient`` at init
   (the legacy surface: ``population[i]``, iteration, ``len``);
   ``"lazy"`` builds clients on first touch and evicts least-recently-used
-  ones beyond ``cache_size``.  Either way shard *data* is only copied out
-  of the training arrays on first ``.dataset`` access.
+  ones beyond ``cache_size``.  Either way a cached client is its shard
+  *indices*: the rows are gathered out of the training arrays on every
+  ``.dataset`` access and held only by the work unit that asked, so the
+  cache bounds clients, not data.
 
 Cohort sampling is O(cohort) too: :func:`sample_cohort_ids` keeps numpy's
 ``Generator.choice`` for small populations (bit-compat with existing
@@ -89,14 +91,15 @@ def sample_cohort_ids(
 
 
 class FLClient:
-    """One client: an id and its (lazily materialised) local shard.
+    """One client: an id and its local shard.
 
     Built either from a concrete ``dataset`` (the historical surface,
-    used by tests and the threat plan's poisoned copies) or from
-    ``indices`` into a shared ``source`` dataset, in which case the
-    shard arrays are only copied out on first ``.dataset`` access —
-    clients that never participate never pay for their shard.
-    ``num_samples`` never materialises.
+    used by tests and the threat plan's poisoned copies), which
+    ``.dataset`` returns as is, or from ``indices`` into a shared
+    ``source`` dataset, in which case every ``.dataset`` access gathers
+    a fresh copy of the rows and the client keeps none: the shard lives
+    as long as the work unit training on it, and a cached client costs
+    its indices only.  ``num_samples`` never gathers.
     """
 
     __slots__ = ("cid", "_dataset", "_indices", "_source")
@@ -118,13 +121,9 @@ class FLClient:
 
     @property
     def dataset(self) -> ArrayDataset:
-        ds = self._dataset
-        if ds is None:
-            # Idempotent (subset is a pure read), so a concurrent first
-            # touch from two worker threads is benign.
-            ds = self._source.subset(self._indices)
-            self._dataset = ds
-        return ds
+        if self._dataset is not None:
+            return self._dataset
+        return self._source.subset(self._indices)
 
     @property
     def num_samples(self) -> int:
@@ -132,13 +131,8 @@ class FLClient:
             return len(self._dataset)
         return len(self._indices)
 
-    @property
-    def materialised(self) -> bool:
-        """Whether the shard data has been copied out yet."""
-        return self._dataset is not None
-
     def __getstate__(self):
-        # Pickling (the process backend) materialises the shard and drops
+        # Pickling (the process backend) ships a gathered shard and drops
         # the source reference: shipping the full training set per client
         # would defeat the point of lazy shards.
         return {"cid": self.cid, "dataset": self.dataset}
@@ -159,7 +153,9 @@ class ClientPopulation:
     Exposes the sequence surface the rest of the engine historically used
     (``population[cid]``, ``len``, iteration) plus :meth:`client` (the
     LRU-tracked accessor the run loop uses), :meth:`sample_ids`,
-    :meth:`available`, and cache :meth:`stats`.
+    :meth:`available`, and cache :meth:`stats`.  The LRU holds ``(cid,
+    indices)`` clients only, so lazy mode keeps O(cache) index arrays
+    alive and no shard data.
 
     Determinism contract: everything a client is derives from
     ``(seed, cid)`` (scheme ``virtual``) or from the one legacy partition
@@ -200,6 +196,13 @@ class ClientPopulation:
                 f"len(train) ({num_clients} > {len(train)}); use 'virtual' "
                 f"(per-cid derived shards, sampled with replacement)"
             )
+        if scheme == "partition" and samples_per_client is not None:
+            raise ValueError(
+                f"samples_per_client={samples_per_client} has no effect under "
+                f"population scheme 'partition' (also what 'auto' picks while "
+                f"num_clients <= len(train)): the global pass sizes every "
+                f"shard; use population_scheme='virtual'"
+            )
         self.train = train
         self.num_clients = num_clients
         self.seed = seed
@@ -211,7 +214,7 @@ class ClientPopulation:
         if scheme == "partition":
             # The legacy global pass, shard *indices* only: bit-identical
             # shards to the historical eager constructor, but no data is
-            # copied until a client's first .dataset touch.
+            # copied until a client's .dataset is read.
             self._shards: Optional[List[np.ndarray]] = pathological_partition(
                 train.y, num_clients, rng=np.random.default_rng(seed)
             )
@@ -223,8 +226,6 @@ class ClientPopulation:
                 samples_per_client = len(train) // num_clients
                 if samples_per_client < 1:
                     samples_per_client = min(64, len(train))
-            if samples_per_client < 1:
-                raise ValueError("samples_per_client must be >= 1")
             self._shards = None
             self._virtual = VirtualPartition(train.y, samples_per_client)
             self.samples_per_client = int(samples_per_client)

@@ -189,10 +189,9 @@ class ThreatPlan:
         ``backdoor`` copies it to stamp the trigger.  Which samples carry
         the backdoor is a dedicated-stream draw, so the poisoned shard is
         identical on every backend.  The copy lives in a fresh
-        per-round ``FLClient`` wrapper outside the population's LRU
-        (the honest client object is never mutated), so a lazily
-        materialised client that is evicted and re-touched later still
-        rematerialises its *clean* shard — poisoning is per-``(round,
+        per-round concrete-dataset ``FLClient`` outside the population's
+        LRU, and the honest client holds no shard to mutate (it gathers
+        its *clean* rows on every read), so poisoning is per-``(round,
         cid)``, never sticky.
         """
         if self.attack == "label_flip":

@@ -25,7 +25,7 @@ import repro.core.prophet as prophet_module
 from repro.baselines import JointFAT
 from repro.cli import build_parser
 from repro.core import FedProphet, FedProphetConfig
-from repro.data import make_cifar10_like
+from repro.data import ArrayDataset, make_cifar10_like
 from repro.flsim import FLConfig, RunJournal, replay_run
 from repro.flsim.executor import CohortFn, RoundExecutor
 from repro.flsim.scheduler import FLScheduler
@@ -325,8 +325,9 @@ class TestHostileCohort:
         def run(width):
             with _jfat(rounds=1, fusion_width=width, aggregation_rule=rule) as exp:
                 widths = record_cohort_widths(exp)
-                poisoned = exp.clients[3].dataset
-                poisoned.x = np.full_like(poisoned.x, np.inf)
+                client = exp.clients[3]  # a shard gathered per read: inject one
+                clean = client.dataset
+                client._dataset = ArrayDataset(np.full_like(clean.x, np.inf), clean.y)
                 updates = exp.scheduler.run_group(
                     "train",
                     exp.async_client_fn(0, exp.async_server_state()),

@@ -12,12 +12,17 @@ The load-bearing properties:
 * **O(cohort) everywhere** — cohort sampling, materialised-client count,
   and ``total_samples`` are independent of the population size, so a
   million-client population costs what a hundred-client one does;
+* **a cached client is its indices** — the shard is gathered on every
+  ``.dataset`` read and held by the reader, never by the population;
 * the legacy partition scheme reproduces the pre-engine eager shards and
   sampling stream **bit for bit**.
 """
 
+import gc
 import multiprocessing
 import os
+import types
+import weakref
 
 import numpy as np
 import pytest
@@ -147,42 +152,86 @@ class TestVirtualPartition:
 
 
 # ---------------------------------------------------------------------------
-# FLClient laziness (the eager-path bugfix)
+# FLClient: a cached client is its indices, the shard is gathered per use
 # ---------------------------------------------------------------------------
 
 
-class TestLazyFLClient:
-    def test_dataset_deferred_until_first_touch(self):
-        c = FLClient(cid=0, indices=np.array([1, 3, 5]), source=TASK.train)
-        assert not c.materialised
-        assert c.num_samples == 3  # no materialisation needed
-        assert not c.materialised
-        ds = c.dataset
-        assert c.materialised
-        assert ds is c.dataset  # cached
-        np.testing.assert_array_equal(ds.y, TASK.train.y[[1, 3, 5]])
+def _shards_held(pop):
+    """Every ``ArrayDataset`` reachable from ``pop``'s cache but ``pop.train``.
 
-    def test_concrete_dataset_constructor_still_works(self):
+    Walks object references from the LRU's entries; classes and modules
+    are not followed (an instance refers to its class, and a class to the
+    whole program).
+    """
+    held, seen, todo = [], set(), [pop._cache]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        if obj is pop.train:
+            continue
+        if isinstance(obj, ArrayDataset):
+            held.append(obj)
+        todo.extend(gc.get_referents(obj))
+    return held
+
+
+class TestLazyFLClient:
+    def test_every_read_gathers_a_fresh_shard(self):
+        c = FLClient(cid=0, indices=np.array([1, 3, 5]), source=TASK.train)
+        assert c.num_samples == 3  # no gather needed
+        a, b = c.dataset, c.dataset
+        assert a is not b
+        for ds in (a, b):
+            np.testing.assert_array_equal(ds.x, TASK.train.x[[1, 3, 5]])
+            np.testing.assert_array_equal(ds.y, TASK.train.y[[1, 3, 5]])
+
+    def test_the_client_retains_nothing_it_gathered(self):
+        c = FLClient(cid=0, indices=np.array([1, 3, 5]), source=TASK.train)
+        gathered = weakref.ref(c.dataset)
+        gc.collect()
+        assert gathered() is None  # the reader held the only reference
+        assert c._dataset is None
+
+    def test_concrete_dataset_constructor_returns_that_object(self):
         ds = TASK.train.subset([0, 1])
         c = FLClient(cid=3, dataset=ds)
-        assert c.materialised and c.dataset is ds and c.num_samples == 2
+        assert c.dataset is c.dataset is ds and c.num_samples == 2
 
-    def test_pickle_materialises_and_drops_source(self):
+    def test_pickle_ships_a_concrete_shard_and_drops_source(self):
         import pickle
 
         c = FLClient(cid=0, indices=np.array([2, 4]), source=TASK.train)
         c2 = pickle.loads(pickle.dumps(c))
-        assert c2.cid == 0 and c2.materialised
+        assert c2.cid == 0 and c2._source is None and c2._indices is None
+        assert c2.dataset is c2.dataset  # concrete on arrival
+        np.testing.assert_array_equal(c2.dataset.x, c.dataset.x)
         np.testing.assert_array_equal(c2.dataset.y, c.dataset.y)
 
     def test_rejects_missing_shard_spec(self):
         with pytest.raises(ValueError):
             FLClient(cid=0)
 
-    def test_eager_population_defers_shard_copies(self):
+    def test_eager_population_holds_no_shard(self):
         pop = ClientPopulation(TASK.train, num_clients=6, seed=13)
-        assert not any(pop.client(i).materialised for i in range(6))
+        for i in range(6):
+            assert len(pop.client(i).dataset) == pop.client(i).num_samples
+        assert _shards_held(pop) == []
         assert pop.total_samples == sum(pop.client(i).num_samples for i in range(6))
+
+    def test_no_shard_is_reachable_from_the_cache_after_a_lazy_run(self):
+        cfg = _config(
+            num_clients=10_000, clients_per_round=16, rounds=12, local_iters=1,
+            train_pgd_steps=1, population_scheme="virtual", samples_per_client=16,
+            client_materialisation="lazy", aggregation_mode="async",
+            max_staleness=2, pipeline_depth=2,
+        )
+        with JointFAT(TASK, _builder, cfg) as exp:
+            exp.run()
+            pop = exp.clients
+            assert pop.stats()["live"] >= 64  # 12 rounds of 16 went through it
+            assert _shards_held(pop) == []
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +259,22 @@ class TestClientPopulation:
                 TASK.train, num_clients=len(TASK.train) + 1, seed=13,
                 scheme="partition",
             )
+
+    def test_partition_scheme_refuses_samples_per_client(self):
+        # 10 clients fit 200 samples: auto resolves to partition, whose
+        # shards (20 each) the setting could never size.
+        for scheme in ("auto", "partition"):
+            with pytest.raises(
+                ValueError, match="samples_per_client=4 .*'partition'.*population_scheme='virtual'"
+            ):
+                ClientPopulation(
+                    TASK.train, num_clients=10, seed=0, scheme=scheme,
+                    samples_per_client=4,
+                )
+        pop = ClientPopulation(
+            TASK.train, num_clients=10, seed=0, scheme="virtual", samples_per_client=4,
+        )
+        assert pop.client(0).num_samples == 4
 
     def test_virtual_total_samples_is_analytic(self):
         pop = ClientPopulation(
