@@ -31,10 +31,12 @@ the stage the round trains, aux head included).  The snapshot can sit
 below the traced peak: a transient inside one kernel call (a GEMM result
 not yet reduced) is not between two layer calls.
 
-``--whole-run`` watermarks the workload's whole timed phase instead, as
-perfbench runs it: every op, then (training workloads) the final
-evaluation; the heap is also checked at each op boundary.  The table's
-last row names the op that held the watermark.
+``--whole-run`` watermarks the workload's build and its whole timed
+phase instead, as perfbench runs them: the build (for ``robust_eval``,
+the set-up rounds that train the model under evaluation, each named),
+every op, then (training workloads) the final evaluation; the heap is
+also checked at each op boundary.  The table's last row names the op
+that held the watermark.
 
 Usage: ``python scripts/memory_ledger.py [--workload W] [--seed N]
 [--smoke] [--whole-run]`` prints one markdown table, MiB per category and
@@ -60,6 +62,7 @@ import repro.core  # noqa: E402,F401
 from perfbench.workloads import (  # noqa: E402
     BUILDERS, run_eval_passes, run_training, sizes_for,
 )
+from repro.flsim.base import FederatedExperiment  # noqa: E402
 from repro.hardware.profile import profile_module  # noqa: E402
 from repro.metrics.evaluation import EvalPlan  # noqa: E402
 from repro.nn import Module, conv  # noqa: E402
@@ -127,7 +130,7 @@ class Watermark:
         return watched
 
     def __enter__(self):
-        todo = [Module]
+        self._patched, todo = [], [Module]
         while todo:
             cls = todo.pop()
             todo.extend(cls.__subclasses__())
@@ -151,6 +154,23 @@ def mem_req(exp, name: str):
     params = mem.bytes_per_scalar * prof.params * (2 + mem.optimizer_state_factor)
     total = mem.bytes_for(model, model.in_shape)
     return total, params, total - params
+
+
+@contextlib.contextmanager
+def naming_build_rounds(mark: Watermark):
+    """Name the op after each round the build runs (``robust_eval``'s set-up)."""
+    inner = FederatedExperiment.sample_round
+
+    def sample_round(self, round_idx):
+        mark.check()
+        mark.op = f"build round {round_idx}"
+        return inner(self, round_idx)
+
+    FederatedExperiment.sample_round = sample_round
+    try:
+        yield
+    finally:
+        FederatedExperiment.sample_round = inner
 
 
 def whole_run(exp, name: str, size, seed: int, mark: Watermark) -> None:
@@ -181,7 +201,8 @@ def whole_run(exp, name: str, size, seed: int, mark: Watermark) -> None:
 def ledger(name: str, seed: int, smoke: bool, whole: bool):
     """Workload ``name`` traced: bytes per category at its watermark.
 
-    ``whole`` watermarks the whole timed phase, otherwise only its first op.
+    ``whole`` watermarks the build and the whole timed phase, otherwise
+    only the timed phase's first op.
     """
     size = sizes_for(name, smoke)
     workdir = tempfile.mkdtemp(prefix="memory-ledger-")
@@ -189,10 +210,17 @@ def ledger(name: str, seed: int, smoke: bool, whole: bool):
     # workload's, allocated before this trace started, would go uncounted.
     vars(conv._workspaces).pop("buffers", None)
     tracemalloc.start(FRAMES)
+    mark = Watermark("build")
     try:
-        exp = BUILDERS[name](size, seed, workdir)
-        tracemalloc.reset_peak()
-        with Watermark("pass 0" if name == "robust_eval" else "round 0") as mark:
+        if whole:
+            with mark, naming_build_rounds(mark):
+                exp = BUILDERS[name](size, seed, workdir)
+                mark.check()
+        else:
+            exp = BUILDERS[name](size, seed, workdir)
+            tracemalloc.reset_peak()
+        mark.op = "pass 0" if name == "robust_eval" else "round 0"
+        with mark:
             if whole:
                 whole_run(exp, name, size, seed, mark)
             elif name == "robust_eval":

@@ -309,6 +309,7 @@ class FedRBN(FederatedExperiment):
         than it moves the weights.  Events without AT members leave the
         adversarial statistics untouched.
         """
+        updates = list(updates)
         weights = [ctx.weights[i] for i in members]
         adv_keys = set(self._adv_stat_keys)
         plain_keys = [k for k in server if k not in adv_keys]

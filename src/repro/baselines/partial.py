@@ -197,7 +197,7 @@ class PartialTrainingFAT(FederatedExperiment):
         """
         event_weight = float(sum(ctx.weights[i] for i in members))
         alpha = (event_weight / ctx.round_weight) / (1.0 + staleness)
-        merged = self.robust_masked_average(server, updates)
+        merged = self.robust_masked_average(server, list(updates))
         return blend_into(server, merged, alpha)
 
     def _cost(self, state: Optional[DeviceState], submodel: CascadeModel) -> LocalTrainingCost:

@@ -31,12 +31,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.partitioner import Partition
-from repro.flsim.aggregation import weighted_average_states
+from repro.flsim.aggregation import AggregationError, fold_state, weighted_average_states
 from repro.models.atoms import CascadeModel
 from repro.nn.grad_mode import require_unfrozen
 from repro.nn.module import Module
@@ -316,8 +316,7 @@ def merge_async_partial(
     current_module: int,
     server_seg: StateDict,
     server_heads: Sequence[Optional[StateDict]],
-    member_states: Sequence[StateDict],
-    member_head_states: Sequence[Optional[StateDict]],
+    member_updates: Iterable[Tuple[StateDict, Optional[StateDict]]],
     member_assignments: Sequence[int],
     member_weights: Sequence[float],
     module_round_weights: Sequence[float],
@@ -341,58 +340,66 @@ def merge_async_partial(
     count can change the result.  Returns the largest applied rate (0.0
     when the event touched nothing).
 
+    ``member_updates`` yields each member's ``(segment state, head
+    state)`` in member order and may be one-shot: each member folds into
+    every span and head it trained as it arrives (per key in member
+    order: the floats of averaging each span's trainers), so only the
+    running averages stay alive.
+
     ``average_fn(states, weights, keys, base)`` overrides the per-module
     merge rule (the robust-aggregation hook; ``base`` is the module
     span's current server state, so ``norm_clip`` bounds displacement
-    where the stale update actually lands).  Heads keep the plain
-    weighted average — they merge over ``M_k == n`` members only, a
-    cohort usually too small for a robust statistic to be meaningful.
+    where the stale update actually lands); it needs every trainer's
+    state at once, so the members are listed instead.  Heads keep the
+    plain weighted average — they merge over ``M_k == n`` members only,
+    a cohort usually too small for a robust statistic to be meaningful.
     """
-    if not (
-        len(member_states)
-        == len(member_head_states)
-        == len(member_assignments)
-        == len(member_weights)
-    ):
+    if len(member_assignments) != len(member_weights):
+        raise ValueError("member lists must have equal length")
+    plan = list(zip(member_assignments, member_weights))
+    # The event trainer weight of every span (Eq. 16: M_k >= n) and head
+    # (Eq. 17: M_k == n) this event merges into.
+    modules = {
+        n: float(sum(w for mk, w in plan if mk >= n))
+        for n in range(current_module, len(partition))
+        if module_round_weights[n] > 0 and any(mk >= n for mk, _ in plan)
+    }
+    heads = {
+        n: float(sum(w for mk, w in plan if mk == n))
+        for n, head in enumerate(server_heads)
+        if head is not None and head_round_weights[n] > 0 and n in member_assignments
+    }
+    if any(total <= 0 for total in [*modules.values(), *heads.values()]):
+        raise AggregationError("weights must sum to a positive value")
+    keys = {n: atom_param_names(model, *partition[n]) for n in modules}
+    if average_fn is not None:
+        member_updates = list(member_updates)
+    sums: Dict[int, StateDict] = {n: {} for n in modules}
+    head_sums: Dict[int, StateDict] = {n: {} for n in heads}
+    count = 0
+    for state, head_state in member_updates:
+        if count == len(plan):
+            raise ValueError("member lists must have equal length")
+        mk, w = plan[count]
+        for n in modules:
+            if n <= mk and average_fn is None:
+                fold_state(sums[n], state, w / modules[n], keys[n])
+        if mk in heads:
+            fold_state(head_sums[mk], head_state, w / heads[mk], head_state)
+        count += 1
+        del state, head_state  # not pinned while the next member is produced
+    if count != len(plan):
         raise ValueError("member lists must have equal length")
     applied = [0.0]
-    num_modules = len(partition)
-    for n in range(current_module, num_modules):
-        trainers = [
-            (state, w)
-            for state, mk, w in zip(member_states, member_assignments, member_weights)
-            if mk >= n
-        ]
-        if not trainers or module_round_weights[n] <= 0:
-            continue
-        start, stop = partition[n]
-        keys = atom_param_names(model, start, stop)
-        states = [state for state, _ in trainers]
-        weights = [w for _, w in trainers]
-        if average_fn is None:
-            merged = weighted_average_states(states, weights, keys=keys)
-        else:
-            base = {key: server_seg[key] for key in keys}
-            merged = average_fn(states, weights, keys, base)
-        event_weight = float(sum(weights))
+    for n, event_weight in modules.items():
+        merged = sums[n]
+        if average_fn is not None:
+            trainers = [(u[0], w) for u, (mk, w) in zip(member_updates, plan) if mk >= n]
+            base = {key: server_seg[key] for key in keys[n]}
+            merged = average_fn([s for s, _ in trainers], [w for _, w in trainers], keys[n], base)
         alpha = (event_weight / module_round_weights[n]) / (1.0 + staleness)
         applied.append(blend_into(server_seg, merged, alpha))
-    for n, head_state in enumerate(server_heads):
-        if head_state is None or head_round_weights[n] <= 0:
-            continue
-        trainers = [
-            (state, w)
-            for state, mk, w in zip(
-                member_head_states, member_assignments, member_weights
-            )
-            if mk == n and state is not None
-        ]
-        if not trainers:
-            continue
-        merged = weighted_average_states(
-            [state for state, _ in trainers], [w for _, w in trainers]
-        )
-        event_weight = float(sum(w for _, w in trainers))
+    for n, event_weight in heads.items():
         alpha = (event_weight / head_round_weights[n]) / (1.0 + staleness)
-        applied.append(blend_into(head_state, merged, alpha))
+        applied.append(blend_into(server_heads[n], head_sums[n], alpha))
     return max(applied)

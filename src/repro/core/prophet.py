@@ -423,14 +423,13 @@ class FedProphet(FederatedExperiment):
         heads = server["heads"] = [
             dict(h) if h is not None else None for h in server["heads"]
         ]
-        alpha = merge_async_partial(
+        return merge_async_partial(
             self.global_model,
             self.partition,
             self.current_module,
             server,
             heads,
-            [u[0] for u in updates],
-            [u[1] for u in updates],
+            map(self._adopt_cache_export, updates),
             [plan["span_of"][ctx.clients[i].cid] for i in members],
             [ctx.weights[i] for i in members],
             plan["module_weights"],
@@ -438,12 +437,15 @@ class FedProphet(FederatedExperiment):
             staleness=staleness,
             average_fn=self._module_average_fn(),
         )
-        for _, _, cache_key, cache_entry, counters in updates:
-            if cache_entry is not None:
-                self.prefix_cache.adopt_entry(cache_key, *cache_entry)
-            if counters is not None:
-                self.prefix_cache.adopt_counters(*counters)
-        return alpha
+
+    def _adopt_cache_export(self, update):
+        """Adopt a forked client's prefix-cache export; return its (segment, head) states."""
+        seg_state, head_state, cache_key, cache_entry, counters = update
+        if cache_entry is not None:
+            self.prefix_cache.adopt_entry(cache_key, *cache_entry)
+        if counters is not None:
+            self.prefix_cache.adopt_counters(*counters)
+        return seg_state, head_state
 
     def async_finalize(self, server) -> None:
         """Install a round server state (the merged one, or an aborted round's

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,37 +21,55 @@ class AggregationError(ValueError):
     """
 
 
+def fold_state(acc: StateDict, state: StateDict, scale: float, keys: Iterable[str]) -> None:
+    """``acc[key] += scale * state[key]``; a new accumulator takes ``accum_dtype``
+    of the first array, and a later one it would downcast raises ``ValueError``."""
+    for key in keys:
+        value = np.asarray(state[key])
+        total = acc.get(key)
+        if total is None:
+            total = acc[key] = np.zeros_like(value, dtype=accum_dtype(value))
+        elif np.result_type(total.dtype, value.dtype) != total.dtype:
+            raise ValueError(f"{key!r}: {value.dtype} would be downcast into {total.dtype}")
+        total += scale * value
+
+
 def weighted_average_states(
-    states: Sequence[StateDict],
+    states: Iterable[StateDict],
     weights: Sequence[float],
     keys: Optional[Sequence[str]] = None,
 ) -> StateDict:
     """Weighted elementwise average of state dicts with identical keys.
 
     ``keys`` restricts the average to a subset of keys (each state may then
-    hold a superset) — the partial-average aggregator passes each module's
-    key list directly so no intermediate per-trainer sub-dicts are built.
-    The accumulation is in place into one output array per key.
+    hold a superset; default: the first state's keys) — the partial-average
+    aggregator passes each module's key list directly so no intermediate
+    per-trainer sub-dicts are built.  ``states`` may be one-shot: each
+    state folds into one accumulator per key (:func:`fold_state`, in state
+    order) and is released before the next is pulled.
 
     Raises :class:`AggregationError` on an empty ``states`` (a fully
     dropped round) or non-positive total weight.
     """
-    if not states:
+    total = float(sum(weights))
+    out: StateDict = {}
+    count = 0
+    for state in states:
+        if count == len(weights):
+            raise ValueError("states and weights length mismatch")
+        if total <= 0:
+            raise AggregationError("weights must sum to a positive value")
+        keys = list(state) if keys is None else keys
+        fold_state(out, state, weights[count] / total, keys)
+        count += 1
+        del state  # not pinned while the caller produces the next one
+    if not count:
         raise AggregationError(
             "cannot aggregate an empty set of client updates "
             "(did every sampled client drop out?)"
         )
-    if len(states) != len(weights):
+    if count != len(weights):
         raise ValueError("states and weights length mismatch")
-    total = float(sum(weights))
-    if total <= 0:
-        raise AggregationError("weights must sum to a positive value")
-    out: StateDict = {}
-    for key in states[0] if keys is None else keys:
-        acc = np.zeros_like(states[0][key], dtype=accum_dtype(*(s[key] for s in states)))
-        for state, w in zip(states, weights):
-            acc += (w / total) * state[key]
-        out[key] = acc
     return out
 
 

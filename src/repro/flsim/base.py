@@ -927,7 +927,9 @@ class FederatedExperiment:
         synchronous form (FedAvg, dual-BN propagation, masked partial
         average, Eq. 16/17); a round-gated experiment in async mode
         (FedProphet) gets up to ``max_staleness + 1`` attenuated events,
-        each logged as an :class:`AsyncMergeEvent`.  A cross-round-pipeline
+        each logged as an :class:`AsyncMergeEvent`.  A hook gets its
+        event's updates one-shot, in member order; a serial client trains
+        when the merge pulls its update.  A cross-round-pipeline
         experiment's async rounds are dispatched by :meth:`run`; a direct
         call would silently aggregate synchronously, so it fails loudly.
         A round that raises leaves the model as it found it.
@@ -957,15 +959,18 @@ class FederatedExperiment:
             self._threat_wrap(round_idx, self.async_client_fn(round_idx, base), base),
             list(zip(clients, states)),
         )
-        stream = group.stream()
-        updates: Dict[int, Any] = {}
+        landed: Dict[int, Any] = {}
+
+        def member_updates(members):  # popped as yielded: nothing here pins a folded one
+            for i in members:
+                while i not in landed:
+                    landed.update([group.next_completion()])
+                yield landed.pop(i)
+
         try:
             for staleness, members in enumerate(events):
-                while not all(i in updates for i in members):
-                    idx, update = next(stream)
-                    updates[idx] = update
                 alpha = self.async_merge_event(
-                    server, ctx, members, [updates[i] for i in members], staleness
+                    server, ctx, members, member_updates(members), staleness
                 )
                 if within_round:
                     self.async_log.append(
@@ -1103,8 +1108,15 @@ class FederatedExperiment:
         return {}
 
     def async_server_state(self) -> Dict[str, np.ndarray]:
-        """The initial async server state (a private full-state copy: ``state_dict`` copies)."""
-        return self.global_model.state_dict()
+        """The initial async server state: the live model's arrays, uncopied.
+
+        Nothing writes into them before :meth:`async_finalize` copies the
+        merged state in — clients train on ``_async_slot_model`` replicas
+        and merges only rebind entries.  FedProphet (trains on the live
+        model) and FedDF (distils into it mid-merge) override with a copy.
+        """
+        model = self.global_model
+        return {**{n: p.data for n, p in model.named_parameters()}, **dict(model.named_buffers())}
 
     def async_merge_event(
         self,
@@ -1116,7 +1128,8 @@ class FederatedExperiment:
     ) -> float:
         """Merge one event's updates into ``server`` in place.
 
-        Default: full-model FedAsync (the event members' updates merged
+        ``updates`` is one-shot, in member order: fold it, or ``list()``
+        it.  Default: full-model FedAsync (the event members' updates merged
         under the configured ``aggregation_rule`` — plain weighted
         average for ``fedavg`` — then mixed in at ``(event weight /
         round weight) / (1 + staleness)``), which is exact FedAvg for a

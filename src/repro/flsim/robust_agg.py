@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -245,14 +245,15 @@ class RobustAggregator:
 
     def aggregate(
         self,
-        states: Sequence[StateDict],
+        states: Iterable[StateDict],
         weights: Sequence[float],
         keys: Optional[Sequence[str]] = None,
         base: Optional[StateDict] = None,
     ) -> Tuple[StateDict, Optional[Dict[str, Any]]]:
-        """Merge one cohort of full (or ``keys``-restricted) states."""
+        """Merge one cohort of full (or ``keys``-restricted) states (``fedavg`` folds them)."""
         if self.rule == "fedavg":
             return weighted_average_states(states, weights, keys=keys), None
+        states = list(states)
         _check(states, weights)
         n = len(states)
         if self.rule == "median":

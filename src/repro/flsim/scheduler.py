@@ -35,8 +35,9 @@ Backend mapping — one launch path: every group is a list of *cohorts*
 :class:`~repro.flsim.executor.CohortFn` fuses per ``plan_cohorts`` on
 every backend), and a cohort is the unit handed to a worker:
 
-* ``serial`` (and any one-worker pool) — cohorts run eagerly, inline, at
-  launch; streaming degenerates to input order.
+* ``serial`` (and any one-worker pool) — cohorts run inline, on demand
+  (``next_completion`` runs the next one when nothing is queued;
+  ``done``/``wait``/``results`` the rest); streaming is input order.
 * ``thread`` — one task per cohort on the executor's persistent
   :class:`~concurrent.futures.ThreadPoolExecutor`; true streaming and
   cross-phase overlap.
@@ -60,7 +61,7 @@ from __future__ import annotations
 import queue
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.flsim.executor import CohortFn, RoundExecutor
 
@@ -96,18 +97,19 @@ class SlotPool:
 
 
 class TaskGroup:
-    """One tagged phase of work: a list of items and their pending results."""
+    """One tagged phase of work; each completion is handed out once, not kept."""
 
     def __init__(self, tag: str, num_items: int):
         self.tag = tag
         self.num_items = num_items
         self._lock = threading.Lock()
-        self._results: List[Any] = [None] * num_items
-        self._errors: List[Optional[BaseException]] = [None] * num_items
-        self._remaining = num_items
+        self._remaining = num_items  # completions not yet produced
+        self._unclaimed = num_items  # completions not yet handed out
         self._completed: "queue.SimpleQueue[Tuple[int, Any, Optional[BaseException]]]" = (
             queue.SimpleQueue()
         )
+        # Inline cohorts not yet run, each a list of ``(index, result, error)``.
+        self._inline: Iterator[List[Tuple[int, Any, Optional[BaseException]]]] = iter(())
         self._done = threading.Event()
         self._on_done: List[Callable[[], None]] = []
         if num_items == 0:
@@ -117,8 +119,6 @@ class TaskGroup:
     def _complete(self, index: int, result: Any, error: Optional[BaseException]) -> None:
         callbacks: List[Callable[[], None]] = []
         with self._lock:
-            self._results[index] = result
-            self._errors[index] = error
             self._remaining -= 1
             if self._remaining == 0:
                 self._done.set()
@@ -126,6 +126,13 @@ class TaskGroup:
         self._completed.put((index, result, error))
         for callback in callbacks:
             callback()
+
+    def _step(self) -> bool:
+        """Run the next inline cohort; ``False`` once none is left."""
+        completions = next(self._inline, None)
+        for completion in completions or ():
+            self._complete(*completion)
+        return completions is not None
 
     def _add_done_callback(self, callback: Callable[[], None]) -> None:
         with self._lock:
@@ -136,24 +143,32 @@ class TaskGroup:
 
     # -- consumer side -----------------------------------------------------
     def done(self) -> bool:
-        """Whether every work unit has completed (successfully or not)."""
-        return self._done.is_set()
+        """Whether every work unit has completed (an inline group runs the rest)."""
+        return self.wait(0)
 
     def wait(self, timeout: Optional[float] = None) -> bool:
-        """Block until the group completes; returns ``done()``."""
+        """Block until the group completes (an inline group runs the rest); returns ``done()``."""
+        while self._step():
+            pass
         return self._done.wait(timeout)
 
     def next_completion(self) -> Tuple[int, Any]:
         """Block for the next completed work unit; single consumer.
 
         Returns ``(index, result)`` in completion order — the
-        wall-clock order, which is scheduling-dependent.  Consumers that
-        need determinism (the async merge replay) therefore buffer
-        completions and act on them in an order derived from *simulated*
-        time, never from the order this method yields.  A work-unit
-        exception is re-raised here.  Must be called at most
-        ``num_items`` times.
+        wall-clock order, which is scheduling-dependent (input order on
+        an inline group).  Consumers that need determinism (the async
+        merge replay) therefore buffer completions and act on them in an
+        order derived from *simulated* time, never from the order this
+        method yields.  A work-unit exception is re-raised here.  Past
+        the ``num_items``-th call nothing can arrive: raises
+        :class:`RuntimeError` instead of blocking forever.
         """
+        if not self._unclaimed:
+            raise RuntimeError(f"task group {self.tag!r} handed out all {self.num_items} completions")
+        self._unclaimed -= 1
+        while self._completed.empty() and self._step():
+            pass
         index, result, error = self._completed.get()
         if error is not None:
             raise error
@@ -165,16 +180,19 @@ class TaskGroup:
         A work-unit exception is re-raised at the point the failed unit
         would have been yielded.
         """
-        for _ in range(self.num_items):
+        while self._unclaimed:
             yield self.next_completion()
 
     def results(self) -> List[Any]:
-        """Barrier view: block until done, return results in input order."""
-        self._done.wait()
-        for error in self._errors:
-            if error is not None:
-                raise error
-        return list(self._results)
+        """Barrier view: block until done, return results in input order.
+
+        Hands out every completion, so it replaces :meth:`next_completion`
+        and never follows it; the first failure to complete is re-raised.
+        """
+        if self._unclaimed != self.num_items:
+            raise RuntimeError(f"task group {self.tag!r} already handed out a completion")
+        self.wait()
+        return [result for _, result in sorted(self.stream())]
 
 
 class FLScheduler:
@@ -273,8 +291,8 @@ class FLScheduler:
         A plain function is a group of width-1 cohorts; a
         :class:`CohortFn` fuses per :meth:`RoundExecutor.plan_cohorts`
         (planned per group, so the async pipeline's per-round groups never
-        fuse clients across base versions).  Cohorts then run inline,
-        failing fast (``serial``), as one task and one leased slot each on
+        fuse clients across base versions).  Cohorts then run inline on
+        demand, failing fast (``serial``), as one task and one leased slot each on
         the persistent pool (``thread``), or striped over one fork region
         (``process``).
         """
@@ -335,15 +353,20 @@ class FLScheduler:
             for idxs, results in zip(cohorts, striped):
                 finish(idxs, results)
             return
-        for n, idxs in enumerate(cohorts):  # serial (and 1-worker fallbacks)
-            try:
-                results = run(idxs, 0)
-            except BaseException as error:
-                # eager inline dispatch: a failure aborts the rest of the
-                # group, mirroring the serial map's fail-fast behaviour
-                fail([i for later in cohorts[n:] for i in later], error)
-                return
-            finish(idxs, results)
+
+        def inline():  # serial (and 1-worker fallbacks): one cohort per step
+            for n, idxs in enumerate(cohorts):
+                try:
+                    results = run(idxs, 0)
+                except BaseException as error:
+                    # a failure aborts the rest of the group, mirroring the
+                    # serial map's fail-fast behaviour
+                    yield [(i, None, error) for later in cohorts[n:] for i in later]
+                    return
+                yield [(i, result, None) for i, result in zip(idxs, results)]
+                del results  # the consumer owns them now: none pinned while the next runs
+
+        group._inline = inline()
 
 
 # ---------------------------------------------------------------------------
@@ -418,9 +441,9 @@ class CrossRoundPipeline:
     buffered result becomes available, never when it merges.  Results are
     therefore bit-identical on every backend at any worker count, and
     ``depth=1`` with ``max_staleness=0`` reproduces synchronous FedAvg
-    exactly.  Wall-clock overlap needs the thread backend (serial and
-    process launch groups eagerly at dispatch and degrade gracefully to
-    the same — bit-identical — results).
+    exactly.  Wall-clock overlap needs the thread backend (serial groups
+    train when the merge replay pulls them, process groups at dispatch;
+    both degrade gracefully to the same — bit-identical — results).
 
     Population-engine composition: tickets hold strong references to the
     dispatched :class:`~repro.flsim.population.FLClient` objects (via
@@ -560,21 +583,18 @@ class CrossRoundPipeline:
     def export_state(self, export_meta: Callable[[Any], Any]) -> Dict[str, Any]:
         """Snapshot the pipeline's bookkeeping for a checkpoint.
 
-        Barriers on every in-flight ticket's *results* (wall-clock only —
+        Lands every in-flight ticket's remaining updates (wall-clock only —
         the simulated merge schedule is fixed at dispatch, so waiting here
-        cannot change what merges when) and stores the landed updates with
-        each ticket.  The live pipeline keeps running afterwards: landed
-        tickets never touch their task group again
+        cannot change what merges when) beside the ones it already landed,
+        and stores them with each ticket.  The live pipeline keeps running
+        afterwards: landed tickets never touch their task group again
         (:meth:`_apply_event` only calls ``next_completion`` while a
         member is un-landed).  ``export_meta`` serialises each ticket's
         opaque ``meta`` (the experiment's round context).
         """
         tickets = []
         for ticket in self._inflight:
-            if ticket.group is not None and not all(ticket.landed):
-                results = ticket.group.results()
-                ticket.updates = list(results)
-                ticket.landed = [True] * len(results)
+            self._land(ticket, range(len(ticket.landed)))
             tickets.append(
                 {
                     "round_idx": ticket.round_idx,
@@ -646,12 +666,17 @@ class CrossRoundPipeline:
                 best, best_key = ticket, key
         return best
 
-    def _apply_event(self, ticket: AsyncRoundTicket) -> None:
-        members = ticket.events[ticket.next_event]
+    @staticmethod
+    def _land(ticket: AsyncRoundTicket, members) -> None:
+        """Take completions from the ticket's group until ``members`` landed."""
         while not all(ticket.landed[i] for i in members):
             index, result = ticket.group.next_completion()
             ticket.landed[index] = True
             ticket.updates[index] = result
+
+    def _apply_event(self, ticket: AsyncRoundTicket) -> None:
+        members = ticket.events[ticket.next_event]
+        self._land(ticket, members)
         staleness = self.version - ticket.base_version
         self.merge_event(ticket, members, staleness)
         self.version += 1

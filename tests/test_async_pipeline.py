@@ -28,6 +28,7 @@ from repro.baselines import FedDFAT, FedRBN, HeteroFLAT, JointFAT
 from repro.core import FedProphet, FedProphetConfig, merge_async_partial
 from repro.data import make_cifar10_like
 from repro.flsim import AsyncMergeEvent, CrossRoundPipeline, FLConfig
+from repro.flsim.aggregation import AggregationError
 from repro.flsim.base import AsyncRoundContext, FLClient
 from repro.hardware import DeviceSampler, device_pool
 from repro.models import build_cnn
@@ -64,6 +65,16 @@ def _cfg(cls=FLConfig, **overrides):
                         val_samples=16, val_pgd_steps=2)
     defaults.update(overrides)
     return cls(**defaults)
+
+
+def _hook_experiment(method):
+    """One synchronous experiment per server-state policy."""
+    if method == "fedprophet":
+        return FedProphet(_task(), _builder, _cfg(FedProphetConfig))
+    if method == "feddf":
+        return FedDFAT(_task(), {"cnn": _builder}, _cfg())
+    cls, builder = {"jfat": (JointFAT, _builder), "fedrbn": (FedRBN, _dual_builder)}[method]
+    return cls(_task(), builder, _cfg())
 
 
 def _assert_states_equal(a, b, label=""):
@@ -109,17 +120,51 @@ class TestAsyncCapability:
         assert exp.supports_async_aggregation
 
     @pytest.mark.parametrize("cls,builder", [(JointFAT, _builder), (FedRBN, _dual_builder)])
-    def test_server_state_is_a_private_copy(self, cls, builder):
-        """One copy (``state_dict`` makes it), still sharing nothing with the live model."""
+    def test_replica_trained_server_state_is_the_live_model(self, cls, builder):
+        """No copy: clients train on replicas and merges only rebind entries."""
         exp = cls(_task(), builder, _cfg())
         server = exp.async_server_state()
         model = exp.global_model
-        live = [p.data for _, p in model.named_parameters()] + [b for _, b in model.named_buffers()]
-        _assert_states_equal(server, model.state_dict())
-        assert not any(np.shares_memory(s, a) for s in server.values() for a in live)
-        for value in server.values():
-            value += 1
-        assert not any(np.array_equal(server[k], v) for k, v in model.state_dict().items())
+        assert list(server) == list(model.state_dict())
+        for name, p in model.named_parameters():
+            assert server[name] is p.data, name
+        for name, b in model.named_buffers():
+            assert server[name] is b, name
+
+    @pytest.mark.parametrize("method", ["fedprophet", "feddf"])
+    def test_live_model_writers_copy_their_server_state(self, method):
+        """FedProphet trains on the live model (slot 0) and FedDF distils into
+        it inside the merge: their server state shares no memory with it."""
+        exp = _hook_experiment(method)
+        live = [p.data for _, p in exp.global_model.named_parameters()]
+        live += [b for _, b in exp.global_model.named_buffers()]
+        server = exp.async_server_state()
+        values = list(server.values())
+        if method == "fedprophet":
+            values = [v for v in values if isinstance(v, np.ndarray)]
+            values += [a for h in server["heads"] if h is not None for a in h.values()]
+            live += [a for h in exp.heads if h is not None for a in h.state_dict().values()]
+        assert values
+        assert not any(np.shares_memory(s, a) for s in values for a in live)
+
+    @pytest.mark.parametrize("method", ["jfat", "fedrbn", "fedprophet", "feddf"])
+    def test_an_aborted_round_leaves_the_live_model_bit_identical(self, method, monkeypatch):
+        """The merge ran (and rebound the server's entries) before the round
+        raised: the live model is back to its round-start bytes."""
+        exp = _hook_experiment(method)
+        before = {k: v.tobytes() for k, v in exp.global_model.state_dict().items()}
+        real = type(exp).async_merge_event
+
+        def merge_then_fail(self, server, *args):
+            real(self, server, *args)
+            raise AggregationError("late refusal")
+
+        monkeypatch.setattr(type(exp), "async_merge_event", merge_then_fail)
+        clients, states = exp.sample_round(0)
+        with pytest.raises(AggregationError, match="late refusal"):
+            exp.run_round(0, clients, states)
+        after = {k: v.tobytes() for k, v in exp.global_model.state_dict().items()}
+        assert after == before
 
     def test_distillation_rejects_async(self):
         with pytest.raises(ValueError, match="async"):
@@ -496,11 +541,18 @@ class TestProphetAsync:
 
     def test_merge_async_partial_validates(self):
         exp = FedProphet(_task(), _builder, _cfg(FedProphetConfig))
-        with pytest.raises(ValueError):
-            merge_async_partial(
-                exp.global_model, exp.partition, 0, {}, [None], [{}], [],
-                [0], [1.0], [1.0], [1.0], staleness=0,
-            )
+        idle = [0.0] * len(exp.partition)  # no span merges: only the counts matter
+        for members, assignments, weights in (
+            (1, [0, 1], [1.0]),  # assignments vs weights
+            (2, [0], [1.0]),  # more updates than members ...
+            (1, [0, 0], [1.0, 1.0]),  # ... and fewer
+        ):
+            with pytest.raises(ValueError, match="equal length"):
+                merge_async_partial(
+                    exp.global_model, exp.partition, 0, {}, [None],
+                    iter([({}, None)] * members), assignments, weights, idle, [0.0],
+                    staleness=0,
+                )
 
 
 class TestAsyncMergeEventLog:

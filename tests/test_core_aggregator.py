@@ -164,14 +164,22 @@ class TestOneSyncEventIsTheBarrierAggregation:
         server = snapshot_segment(model, start, num_atoms)
         server_heads = [h.state_dict() if h is not None else None for h in heads]
         spans = range(len(part))
+        pulled = []
+
+        def one_shot():  # the run loop's iterator: member order, each update once
+            for pair in zip(seg_states, head_states):
+                pulled.append(len(pulled))
+                yield pair
+
         alpha = merge_async_partial(
-            model, part, current, server, server_heads, seg_states, head_states,
+            model, part, current, server, server_heads, one_shot(),
             assignments, weights,
             [float(sum(w for w, mk in zip(weights, assignments) if mk >= n)) for n in spans],
             [float(sum(w for w, mk in zip(weights, assignments) if mk == n)) for n in spans],
             staleness=0, average_fn=average_fn,
         )
         assert alpha == 1.0
+        assert pulled == list(range(len(assignments)))
 
         # the reference: the barrier aggregation, in place on model and heads
         merged = aggregate_modules(

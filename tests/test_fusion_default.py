@@ -285,13 +285,22 @@ class TestHostileCohort:
             return list(items)
 
         fn = CohortFn(lambda i, s: i, cohort_fn, group_key=lambda i: "g")
-        group = FLScheduler(RoundExecutor()).submit_group("t", fn, range(24))
+        scheduler = FLScheduler(RoundExecutor())
+        group = scheduler.submit_group("t", fn, range(24))
+        assert done == []  # inline cohorts run when pulled
+        assert [group.next_completion() for _ in range(8)] == [(i, i) for i in range(8)]
+        assert done == [tuple(range(8))]
+        for _ in range(8, 24):  # the second cohort's members and the third's
+            with pytest.raises(ValueError, match="second cohort"):
+                group.next_completion()
         assert group.done() and done == [tuple(range(8))]  # third never ran
-        assert group._results[:8] == list(range(8))
-        assert all(e is None for e in group._errors[:8])
-        assert all(isinstance(e, ValueError) for e in group._errors[8:])
+        with pytest.raises(RuntimeError, match="handed out all 24"):
+            group.next_completion()
+        # the barrier view raises the same error, with the same cohorts run
+        done.clear()
         with pytest.raises(ValueError, match="second cohort"):
-            group.results()
+            scheduler.submit_group("t", fn, range(24)).results()
+        assert done == [tuple(range(8))]
 
     def test_slot_model_trains_correctly_after_a_failed_cohort(
         self, tmp_path, monkeypatch

@@ -167,6 +167,19 @@ def test_aggregation_accumulates_in_policy_dtype():
     assert out64["w"].dtype == np.float64
 
 
+def test_aggregation_fold_never_downcasts_a_mixed_cohort():
+    """The fold's accumulator takes the first state's dtype: a float32 state
+    folds into a float64 accumulator exactly, a float64 state would be
+    downcast into a float32 one and is refused, naming the key."""
+    f32 = {"w": np.full(3, 1.0, dtype=np.float32), "b": np.zeros(1, dtype=np.float32)}
+    f64 = {"w": np.full(3, 2.0), "b": np.ones(1)}
+    out = fedavg(iter([f64, f32]), [1, 1])
+    assert out["w"].dtype == out["b"].dtype == np.float64
+    np.testing.assert_array_equal(out["w"], 1.5)
+    with pytest.raises(ValueError, match="'w'.*float64.*float32"):
+        fedavg(iter([f32, f64]), [1, 1])
+
+
 def test_head_aggregation_policy_dtype():
     heads = [Linear(4, 2, rng=RNG)]
     states = [heads[0].state_dict(), heads[0].state_dict()]

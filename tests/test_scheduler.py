@@ -29,7 +29,7 @@ from repro.baselines.jfat import AsyncMergeEvent
 from repro.core import FedProphet, FedProphetConfig, async_merge_schedule, publish_snapshot
 from repro.core.aggregator import merge_async_update
 from repro.data import make_cifar10_like
-from repro.flsim import FLConfig, FLScheduler, RoundExecutor
+from repro.flsim import CrossRoundPipeline, FLConfig, FLScheduler, RoundExecutor
 from repro.models import build_cnn
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -145,6 +145,19 @@ class TestFLScheduler:
             lambda i, s: i * 3, items
         )
 
+    @pytest.mark.parametrize("backend", BACKENDS + ["empty"])
+    def test_next_completion_past_the_end_raises(self, backend):
+        # Nothing can ever arrive: an inline group has no producer thread,
+        # so blocking on the queue would be a guaranteed deadlock.
+        n = 0 if backend == "empty" else 3
+        ex = RoundExecutor("serial" if backend == "empty" else backend, max_workers=2)
+        group = FLScheduler(ex).submit_group("t", lambda i, s: i, range(n))
+        assert sorted(group.next_completion() for _ in range(n)) == [(i, i) for i in range(n)]
+        with pytest.raises(RuntimeError, match=f"handed out all {n} completions"):
+            group.next_completion()
+        assert list(group.stream()) == []
+        ex.close()
+
     def test_persistent_pool_reused_across_groups(self):
         ex = RoundExecutor("thread", max_workers=2)
         ex.map(lambda i, s: i, range(4))
@@ -154,6 +167,70 @@ class TestFLScheduler:
         ex.close()
         assert ex._thread_pool is None
         ex.close()  # idempotent
+
+
+class TestInlineGroupsRunOnDemand:
+    """Serial groups train when the consumer pulls, and hand results over once."""
+
+    @staticmethod
+    def _group(n=5):
+        ran = []
+
+        def work(i, slot):
+            ran.append(i)
+            return 10 * i
+
+        return FLScheduler(RoundExecutor("serial")).submit_group("t", work, range(n)), ran
+
+    def test_nothing_trains_at_submit(self):
+        group, ran = self._group()
+        assert ran == []
+        assert group.next_completion() == (0, 0) and ran == [0]
+        assert group.next_completion() == (1, 10) and ran == [0, 1]
+
+    @pytest.mark.parametrize("barrier", ["done", "wait"])
+    def test_done_and_wait_run_the_rest(self, barrier):
+        group, ran = self._group()
+        group.next_completion()
+        assert getattr(group, barrier)() is True
+        assert ran == [0, 1, 2, 3, 4]
+        # the rest is queued, and each result is handed out exactly once
+        assert list(group.stream()) == [(i, 10 * i) for i in range(1, 5)] and ran == [0, 1, 2, 3, 4]
+
+    def test_results_runs_everything_once(self):
+        group, ran = self._group()
+        assert group.results() == [0, 10, 20, 30, 40] and ran == [0, 1, 2, 3, 4]
+        with pytest.raises(RuntimeError, match="handed out all 5"):
+            group.next_completion()
+
+    def test_results_refuses_after_a_partial_stream(self):
+        group, _ = self._group()
+        group.next_completion()
+        with pytest.raises(RuntimeError, match="already handed out a completion"):
+            group.results()
+
+    def test_export_state_after_a_partial_merge_keeps_landed_updates(self):
+        ran = []
+
+        def work(i, slot):
+            ran.append(i)
+            return 10 * i
+
+        merged = []
+        pipeline = CrossRoundPipeline(
+            FLScheduler(RoundExecutor("serial")), max_staleness=1, depth=2,
+            merge_event=lambda t, members, s: merged.append([t.updates[i] for i in members]),
+            round_complete=lambda t: None,
+        )
+        pipeline.dispatch(0, [0, 1, 2], [1.0, 2.0, 3.0], lambda ticket: work)
+        assert ran == []  # nothing trains at dispatch
+        pipeline.advance_to(1.0)  # event [0] pulls client 0 only
+        assert merged == [[0]] and ran == [0]
+        state = pipeline.export_state(lambda meta: meta)
+        assert state["tickets"][0]["updates"] == [0, 10, 20]
+        assert ran == [0, 1, 2]  # the landed update was kept, not retrained
+        pipeline.drain_all()
+        assert merged == [[0], [10, 20]] and ran == [0, 1, 2]
 
 
 # ---------------------------------------------------------------------------
