@@ -19,7 +19,9 @@ it:
                          training, per scope when frozen, BatchNorm folded in)
 * BatchNorm x_hat        the normalised input kept for BatchNorm's backward
 * ReLU masks             ``x > 0``, kept for ReLU's backward
-* params / grads / momentum   every model replica's values, gradients, SGD velocity
+* max-pool index         the 2×2 pool's one-byte first-maximum index, kept for backward
+* params / grads / momentum   every model replica's values, gradients (allocated
+                         by the first backward that writes one), SGD velocity
 * round snapshots and updates ``state_dict`` copies, aggregation results
 * attack δ and input gradients  what PGD / AutoAttack allocate themselves
 * layer outputs and temporaries  anything else allocated under ``repro/nn``
@@ -35,8 +37,11 @@ not yet reduced) is not between two layer calls.
 phase instead, as perfbench runs them: the build (for ``robust_eval``,
 the set-up rounds that train the model under evaluation, each named),
 every op, then (training workloads) the final evaluation; the heap is
-also checked at each op boundary.  The table's last row names the op
-that held the watermark.
+also checked at each op boundary.  The table's last rows give each
+phase's own watermark — build, ops, final evaluation — and name the op
+that held the overall one, whose heap the categories break down (it is
+re-snapshotted only on a 0.5 % rise, so a phase row can read up to
+0.5 % above it).
 
 Usage: ``python scripts/memory_ledger.py [--workload W] [--seed N]
 [--smoke] [--whole-run]`` prints one markdown table, MiB per category and
@@ -74,13 +79,14 @@ RULES = (
     ("unfold workspace", "repro/nn/conv.py", "np.zeros(self._buf_shape"),
     ("conv columns", "repro/nn/conv.py", "np.empty(self._cols_shape"),
     ("conv weight layouts", "repro/nn/conv.py", "np.ascontiguousarray("),
-    ("conv weight layouts", "repro/nn/conv.py", "w * scale["),  # BatchNorm folded in
+    ("conv weight layouts", "repro/nn/conv.py", "w * fold[1]["),  # BatchNorm folded in, per call
     ("conv columns", "repro/nn/functional.py", "windows.reshape("),  # the image layer's im2col
     ("BatchNorm x_hat", "repro/nn/normalization.py", "centered = xv - "),
     ("ReLU masks", "repro/nn/activations.py", "self._mask = x > 0"),
+    ("max-pool index", "repro/nn/pooling.py", "miss.astype(np.uint8)"),
     ("params / grads / momentum", "repro/nn/init.py", ""),
     ("params / grads / momentum", "repro/nn/dtype.py", ""),
-    ("params / grads / momentum", "repro/nn/module.py", "np.zeros_like(self.data)"),
+    ("params / grads / momentum", "repro/nn/module.py", "np.zeros_like(self.data)"),  # lazy grad
     ("params / grads / momentum", "repro/optim/sgd.py", "np.zeros_like"),
     ("round snapshots and updates", "repro/nn/module.py", ".copy()"),
     ("round snapshots and updates", "repro/flsim/aggregation.py", ""),
@@ -104,19 +110,29 @@ def category(traceback) -> str:
     return "other"
 
 
+PHASES = ("build", "ops", "final eval")
+
+
+def phase_of(op: str) -> str:
+    """The phase an op belongs to: the build (and its set-up rounds), the ops, the final eval."""
+    return op if op == "final eval" else "build" if op.startswith("build") else "ops"
+
+
 class Watermark:
     """Snapshot the traced heap whenever it passes its highest level after a layer call.
 
     ``op`` names the operation running now; ``best_op`` is the one that
-    held the watermark.
+    held the watermark, and ``peaks`` each phase's own watermark.
     """
 
     def __init__(self, op: str):
-        self.best, self.snapshot, self._patched = 0, None, []
+        self.best, self.snapshot, self._patched, self.peaks = 0, None, [], {}
         self.op = self.best_op = op
 
     def check(self):
         current = tracemalloc.get_traced_memory()[0]
+        phase = phase_of(self.op)
+        self.peaks[phase] = max(self.peaks.get(phase, 0), current)
         if current > self.best * 1.005:  # a new high: keep the heap as it is now
             self.best, self.snapshot = current, tracemalloc.take_snapshot()
             self.best_op = self.op
@@ -234,7 +250,7 @@ def ledger(name: str, seed: int, smoke: bool, whole: bool):
         rows = dict.fromkeys(CATEGORIES, 0)
         for stat in mark.snapshot.statistics("traceback"):
             rows[category(stat.traceback)] += stat.size
-        return rows, mark.best, peak, mem_req(exp, name), mark.best_op
+        return rows, mark.best, peak, mem_req(exp, name), mark.best_op, mark.peaks
     finally:
         tracemalloc.stop()
         shutil.rmtree(workdir, ignore_errors=True)
@@ -263,6 +279,10 @@ def main() -> None:
         ("… of it 4·B·(A + I) (activations, input)", lambda c: c[3][2]),
     ):
         print(f"| {label} | " + " | ".join(mib(get(cols[n])) for n in names) + " |")
+    if args.whole_run:
+        for phase in PHASES:
+            print(f"| live at the {phase} watermark | "
+                  + " | ".join(mib(cols[n][5].get(phase)) for n in names) + " |")
     print("| watermark held by | " + " | ".join(cols[n][4] for n in names) + " |")
     sys.stdout.flush()
 

@@ -150,18 +150,20 @@ class Conv2d(Module):
         # (c, row, column) order.
         return self.kernel_size * self.in_channels < out_w
 
-    def _weights(self, fold):
-        """``(K, ...)`` weights and bias.  A frozen BatchNorm's ``fold = (bank, scale,
-        shift)`` (:meth:`BatchNorm2d.fold`) makes ``scale·(w∗x + b) + shift``
-        one convolution: weights ``w·scale``, bias ``b·scale + shift``."""
-        w = self.weight.stacked()[0]
-        b = self.bias.stacked()[0] if self.use_bias else None
+    def _weight(self, fold) -> np.ndarray:
+        """``(K, ...)`` weights.  A frozen BatchNorm's ``fold = (bank, scale, shift)``
+        (:meth:`BatchNorm2d.fold`) makes ``scale·(w∗x + b) + shift`` one convolution:
+        weights ``w·scale`` — a per-call temporary; a scope keeps the layouts built
+        from it, not the copy — and bias ``b·scale + shift`` (:meth:`_bias`)."""
+        w = self.weight.stacked()
+        return w if fold is None else w * fold[1][:, :, None, None, None]
+
+    def _bias(self, fold):
+        b = self.bias.stacked() if self.use_bias else None
         if fold is None:
-            return w, b
+            return b
         bank, scale, shift = fold
-        return scope_cached((self, bank), lambda: (
-            w * scale[:, :, None, None, None], shift if b is None else b * scale + shift
-        ))
+        return scope_cached((self, bank), lambda: shift if b is None else b * scale + shift)
 
     def forward(self, x: np.ndarray, fold=None) -> np.ndarray:
         if x.ndim != 4 or x.shape[1] != self.in_channels:
@@ -169,23 +171,23 @@ class Conv2d(Module):
                 f"Conv2d({self.in_channels}->{self.out_channels}) got input "
                 f"shape {x.shape}"
             )
-        w, bias = self._weights(fold)
+        w, bias = self.weight.stacked(), self._bias(fold)
         kk, n, c_out = w.shape[0], x.shape[0], self.out_channels
         k, s, p = self.kernel_size, self.stride, self.padding
         if self._narrow(conv_output_size(x.shape[3], k, s, p)):
             cols, *out_hw = im2col(x, k, k, s, p)
             cols = cols.reshape(kk, n // kk, cols.shape[1], cols.shape[2]).transpose(0, 1, 3, 2)
-            taps, w2d = None, w.reshape(kk, c_out, -1)
+            taps, w2d = None, self._weight(fold).reshape(kk, c_out, -1)
         else:
             unfold = self._unfold(x.shape, x.dtype)
             cols, out_hw, taps = unfold(x, kk), unfold.out_hw, unfold.taps
             i0, i1, j0, j1 = taps
-            dtype = np.result_type(cols, w)
+            dtype = np.result_type(cols, w)  # a conv and the BatchNorm it folds share a dtype
             # (K, C_out, taps·C) in the columns' (row, column, channel) order;
             # laid out once per input-grad-only scope, where no weight can change.
             key = (self, fold and fold[0], False, taps, dtype)
             w2d = scope_cached(key, lambda: np.ascontiguousarray(
-                w[:, :, :, i0:i1, j0:j1].transpose(0, 1, 3, 4, 2), dtype=dtype
+                self._weight(fold)[:, :, :, i0:i1, j0:j1].transpose(0, 1, 3, 4, 2), dtype=dtype
             ).reshape(kk, c_out, -1))
         # The columns are only needed for the weight gradient; under an
         # input-grad-only scope (attacks, frozen-prefix forwards) they are
@@ -199,8 +201,7 @@ class Conv2d(Module):
         return out.reshape(n, *out_hw, c_out).transpose(0, 3, 1, 2)
 
     def backward(self, grad_out: np.ndarray, param_grads: bool = True) -> np.ndarray:
-        fold = self._fold
-        w = self._weights(fold)[0]
+        fold, w = self._fold, self.weight.stacked()
         n, c, h, w_in = self._x_shape
         kk, c_out = w.shape[0], self.out_channels
         if param_grads and param_grads_enabled():
@@ -210,7 +211,7 @@ class Conv2d(Module):
                     "forward pass ran input-grad-only (no column cache)"
                 )
             cols, taps = self._cols
-            w_grad = self.weight.stacked()[1]
+            w_grad = self.weight.stacked_grad()
             g2d = channel_last(grad_out).reshape(kk, -1, c_out)  # (K, B·L, C_out)
             # (K, C_out, taps·C): one GEMM per client over its B·L rows.
             grad_w = np.matmul(g2d.transpose(0, 2, 1), cols.reshape(kk, -1, cols.shape[3]))
@@ -222,7 +223,7 @@ class Conv2d(Module):
                     kk, c_out, i1 - i0, j1 - j0, c
                 ).transpose(0, 1, 4, 2, 3)
             if self.use_bias:
-                b_grad = self.bias.stacked()[1]
+                b_grad = self.bias.stacked_grad()
                 b_grad += g2d.sum(axis=1)
         self._cols = None  # single-shot cache: release once consumed
         if c_out > 4 * c:
@@ -230,7 +231,8 @@ class Conv2d(Module):
             # k²·C_out values per pixel where col2im scatters k²·C.
             k, s, p = self.kernel_size, self.stride, self.padding
             g = grad_out.reshape(kk, n // kk, c_out, grad_out.shape[2] * grad_out.shape[3])
-            grad_cols = np.matmul(w.reshape(kk, 1, c_out, -1).transpose(0, 1, 3, 2), g)
+            w_cols = self._weight(fold).reshape(kk, 1, c_out, -1).transpose(0, 1, 3, 2)
+            grad_cols = np.matmul(w_cols, g)
             return col2im(grad_cols.reshape(n, c * k * k, g.shape[3]), self._x_shape, k, k, s, p)
         unfold = self._unfold(self._x_shape, grad_out.dtype, backward=True)
         i0, i1, j0, j1 = taps = unfold.taps
@@ -238,7 +240,8 @@ class Conv2d(Module):
         # (K, taps·C_out, C): the kernel flipped, in the columns' order.
         key = (self, fold and fold[0], True, taps, dtype)
         w2d = scope_cached(key, lambda: np.ascontiguousarray(
-            w[:, :, :, ::-1, ::-1][:, :, :, i0:i1, j0:j1].transpose(0, 3, 4, 1, 2), dtype=dtype
+            self._weight(fold)[:, :, :, ::-1, ::-1][:, :, :, i0:i1, j0:j1].transpose(0, 3, 4, 1, 2),
+            dtype=dtype,
         ).reshape(kk, -1, c))
         grad_in = np.matmul(unfold(grad_out, kk), w2d[:, None])  # per sample, as forward
         return grad_in.reshape(n, h, w_in, c).transpose(0, 3, 1, 2)

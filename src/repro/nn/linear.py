@@ -36,16 +36,16 @@ class Linear(Module):
             raise ValueError(f"Linear expects 2-D input, got shape {x.shape}")
         # The input is only needed for the weight gradient.
         self._x = x if param_grads_enabled() else None
-        w = self.weight.stacked()[0]
+        w = self.weight.stacked()
         # Activations carry K clients stacked on the batch axis, (K·B, in);
         # the GEMM batches over K (serial: K=1), one client per slice.
         out = np.matmul(x.reshape(w.shape[0], -1, self.in_features), w.transpose(0, 2, 1))
         if self.use_bias:
-            out += self.bias.stacked()[0][:, None, :]
+            out += self.bias.stacked()[:, None, :]
         return out.reshape(x.shape[0], self.out_features)
 
     def backward(self, grad_out: np.ndarray, param_grads: bool = True) -> np.ndarray:
-        w, w_grad = self.weight.stacked()
+        w = self.weight.stacked()
         g = np.ascontiguousarray(grad_out).reshape(w.shape[0], -1, self.out_features)
         if param_grads and param_grads_enabled():
             if self._x is None:
@@ -56,9 +56,10 @@ class Linear(Module):
             # Reductions stay inside one client's rows, so a cohort slice
             # sums in the serial order.
             xv = self._x.reshape(g.shape[0], -1, self.in_features)
+            w_grad = self.weight.stacked_grad()
             w_grad += np.matmul(g.transpose(0, 2, 1), xv)
             if self.use_bias:
-                b_grad = self.bias.stacked()[1]
+                b_grad = self.bias.stacked_grad()
                 b_grad += g.sum(axis=1)
         self._x = None
         return np.matmul(g, w).reshape(grad_out.shape[0], self.in_features)

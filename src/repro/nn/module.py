@@ -12,6 +12,7 @@ input, accumulating parameter gradients along the way.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -27,15 +28,17 @@ class Parameter:
     Floating-point data is cast to the active compute dtype (see
     :mod:`repro.nn.dtype`) at construction, so the dtype policy is enforced
     no matter which code path creates the parameter.  Built from a ``PendingDraw``
-    (a layer's *private* generator) the value is not drawn yet: ``data``/``grad``
-    are unset slots until first read, and ``shape``/``size``/``repr`` never draw.
+    (a layer's *private* generator) the value is not drawn yet: ``data`` is an
+    unset slot until first read, and ``shape``/``size``/``repr`` never draw.
+    ``grad`` stays unset until a backward or an optimizer step first reads it
+    (as zeros): a model that never trains holds no gradient.
 
     ``slab``/``slab_grad`` hold the client-batched state of a fusion
     cohort: a ``(K, *data.shape)`` stack of K clients' values for
     this parameter (see :mod:`repro.nn.cohort`).  While a slab is installed
     the layers ignore ``data``/``grad`` and operate on the slab (they read
-    both through :meth:`stacked`); ``data`` keeps the last serial value
-    untouched.
+    them through :meth:`stacked` / :meth:`stacked_grad`); ``data`` keeps the
+    last serial value untouched.
     """
 
     __slots__ = ("data", "grad", "slab", "slab_grad", "_pending")
@@ -46,19 +49,20 @@ class Parameter:
         self._pending = data if isinstance(data, PendingDraw) else None
         if self._pending is None:
             self.data = as_compute(np.asarray(data))
-            self.grad = np.zeros_like(self.data)
-        else:  # ``data``/``grad`` stay unset slots until the private generator's flush
+        else:  # ``data`` stays an unset slot until the private generator's flush
             data.rng.queue(self._fill)
 
     def _fill(self, rng: np.random.Generator) -> None:
         self.data = self._pending.draw(rng)
-        self.grad = np.zeros_like(self.data)
-        self._pending = None  # last: a concurrent reader sees either this or set slots
+        self._pending = None  # last: a concurrent reader sees either this or a set slot
 
     def __getattr__(self, name: str):
-        # Reached only when a slot is unset — the first read of a pending
-        # parameter; a set slot never comes here (unlike a property's getter).
-        if name not in ("data", "grad"):
+        # Reached only when a slot is unset — the first read of a pending parameter
+        # or of a gradient; a set slot never comes here (unlike a property's getter).
+        if name == "grad":  # nothing has written one yet: zeros, kept from now on
+            self.grad = grad = np.zeros_like(self.data)
+            return grad
+        if name != "data":
             raise AttributeError(name)
         pending = self._pending  # read once: a concurrent flush clears it
         if pending is not None:
@@ -66,9 +70,9 @@ class Parameter:
         return object.__getattribute__(self, name)
 
     def __getstate__(self):
-        # Copies and pickles carry values, never a pending draw: ``data`` is read
-        # first, which makes every queued draw and leaves ``_pending`` None.
-        return None, {slot: getattr(self, slot) for slot in self.__slots__}
+        # Copies and pickles carry values, never a gradient or a pending draw: ``data``
+        # is read first, which makes every queued draw and leaves ``_pending`` None.
+        return None, {slot: getattr(self, slot) for slot in self.__slots__ if slot != "grad"}
 
     @property
     def shape(self) -> Tuple[int, ...]:
@@ -78,15 +82,18 @@ class Parameter:
     def size(self) -> int:
         return math.prod(self.shape)
 
-    def stacked(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(values, gradients)`` as ``(K, *shape)`` stacks: the cohort slabs, else
-        K=1 views of ``data``/``grad`` — one kernel per layer, serial its K=1 case."""
-        if self.slab is not None:
-            return self.slab, self.slab_grad
-        return self.data[None], self.grad[None]
+    def stacked(self) -> np.ndarray:
+        """The values as a ``(K, *shape)`` stack: the cohort slab, else a K=1 view
+        of ``data`` — one kernel per layer, serial its K=1 case."""
+        return self.data[None] if self.slab is None else self.slab
+
+    def stacked_grad(self) -> np.ndarray:
+        """The gradients, stacked as :meth:`stacked` (``grad`` allocated on first read)."""
+        return self.grad[None] if self.slab is None else self.slab_grad
 
     def zero_grad(self) -> None:
-        self.grad[...] = 0.0
+        with suppress(AttributeError):  # an unwritten gradient is zeros already: allocate none
+            object.__getattribute__(self, "grad")[...] = 0.0
         if self.slab_grad is not None:
             self.slab_grad[...] = 0.0
 

@@ -60,8 +60,8 @@ class BatchNorm2d(Module):
 
         def build():
             mean, var = self._running()
-            scale = self.weight.stacked()[0] * (1.0 / np.sqrt(var + self.eps))
-            return (self, self._bank), scale, self.bias.stacked()[0] - mean * scale
+            scale = self.weight.stacked() * (1.0 / np.sqrt(var + self.eps))
+            return (self, self._bank), scale, self.bias.stacked() - mean * scale
 
         return scope_cached((self, self._bank), build)
 
@@ -69,7 +69,7 @@ class BatchNorm2d(Module):
         if x.ndim != 4 or x.shape[1] != self.num_features:
             raise ValueError(f"BatchNorm2d({self.num_features}) got shape {x.shape}")
         n, c, h, w = x.shape
-        weight, bias = self.weight.stacked()[0], self.bias.stacked()[0]
+        weight, bias = self.weight.stacked(), self.bias.stacked()
         xv = channel_last(x).reshape(weight.shape[0], -1, c)
         mean, var = self._running()
         self._batch_stats = self.training
@@ -101,7 +101,7 @@ class BatchNorm2d(Module):
 
     def backward(self, grad_out: np.ndarray, param_grads: bool = True) -> np.ndarray:
         n, c, h, w = grad_out.shape
-        weight, w_grad = self.weight.stacked()
+        weight = self.weight.stacked()
         g = channel_last(grad_out).reshape(weight.shape[0], -1, c)
         x_hat, self._x_hat = self._x_hat, None
         param_grads = param_grads and param_grads_enabled()
@@ -113,8 +113,8 @@ class BatchNorm2d(Module):
         if param_grads or self._batch_stats:
             sum_g, sum_gx = g.sum(axis=1), (g * x_hat).sum(axis=1)  # (K, C): the bias/weight grads
         if param_grads:
+            w_grad, b_grad = self.weight.stacked_grad(), self.bias.stacked_grad()
             w_grad += sum_gx
-            b_grad = self.bias.stacked()[1]
             b_grad += sum_g
         if not self._batch_stats:
             # Eval mode: statistics are constants.

@@ -23,11 +23,19 @@ class MaxPool2d(Module):
         self._x_shape = x.shape
         if (k, s, p) == (2, 2, 0) and h % 2 == 0 and w % 2 == 0:
             # No unfold needed: the four window positions are four strided
-            # views of x, reduced in argmax order.
+            # views of x, reduced in argmax order.  Backward needs only which
+            # position held each window's first maximum — a one-byte index,
+            # 4 where none did (a NaN window) — and x's memory order.
+            self._x_order = sorted(range(4), key=lambda axis: -x.strides[axis])
             q = _quads(x)
-            self._x, self._out = x, np.maximum(np.maximum(q[0], q[1]), np.maximum(q[2], q[3]))
-            return self._out
-        self._x = None
+            out = np.maximum(np.maximum(q[0], q[1]), np.maximum(q[2], q[3]))
+            miss = q[0] != out
+            self._first = first = miss.astype(np.uint8)
+            for qi in q[1:]:
+                miss &= qi != out
+                first += miss
+            return out
+        self._first = None
         cols, out_h, out_w = im2col(x, k, k, s, p)
         cols = cols.reshape(n, c, k * k, out_h * out_w)
         self._argmax = cols.argmax(axis=2)
@@ -36,8 +44,15 @@ class MaxPool2d(Module):
         return out.reshape(n, c, out_h, out_w)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._x is not None:
-            return self._route_2x2(grad_out)
+        first, self._first = self._first, None  # single-shot cache: release once consumed
+        if first is not None:
+            # Each window's gradient goes to its first maximum, as argmax picks it.
+            order = self._x_order  # laid out like x (channel-last when x was)
+            grad_in = np.empty([self._x_shape[a] for a in order], grad_out.dtype)
+            grad_in = grad_in.transpose(np.argsort(order))
+            for i, dst in enumerate(_quads(grad_in)):
+                np.multiply(grad_out, first == i, out=dst)
+            return grad_in
         n, c, _, _ = self._x_shape
         k, s, p = self.kernel_size, self.stride, self.padding
         out_h, out_w = self._out_hw
@@ -47,18 +62,6 @@ class MaxPool2d(Module):
         self._argmax = None  # single-shot cache: release once consumed
         grad_cols = grad_cols.reshape(n, c * k * k, out_h * out_w)
         return col2im(grad_cols, self._x_shape, k, k, s, p)
-
-    def _route_2x2(self, grad_out: np.ndarray) -> np.ndarray:
-        # Each window's gradient goes to its first maximum, as argmax picks it.
-        x, out = self._x, self._out
-        self._x = self._out = None  # single-shot cache: release once consumed
-        grad_in = np.empty_like(x, dtype=grad_out.dtype)
-        taken = np.zeros_like(out, dtype=bool)  # in out's memory layout
-        for q, dst in zip(_quads(x), _quads(grad_in)):
-            hit = np.greater(q == out, taken)  # a maximum, and none before it
-            taken |= hit
-            np.multiply(grad_out, hit, out=dst)
-        return grad_in
 
 
 def _quads(x: np.ndarray) -> list:

@@ -41,9 +41,10 @@ class SGD:
         # Slab-aware: inside a fusion cohort a parameter carries a
         # (K, *shape) per-client slab; the velocity matches it and every
         # update below is elementwise, so each client's slice evolves
-        # bit-identically to a serial optimizer on that client alone.
+        # bit-identically to a serial optimizer on that client alone.  Plain
+        # SGD (``momentum=0``) keeps no velocity at all.
         self._velocity = [
-            np.zeros_like(p.slab if p.slab is not None else p.data)
+            np.zeros_like(p.slab if p.slab is not None else p.data) if momentum else None
             for p in self.params
         ]
 
@@ -68,4 +69,4 @@ class SGD:
 
     def state_size(self) -> int:
         """Number of scalars of optimizer state (for memory accounting)."""
-        return sum(v.size for v in self._velocity) if self.momentum else 0
+        return sum(v.size for v in self._velocity if v is not None)

@@ -88,7 +88,7 @@ def bn_calls(monkeypatch):
 
 @pytest.fixture
 def layout_builds(monkeypatch):
-    """Counts what ``Conv2d`` actually builds (layouts, folded weights), per cache key."""
+    """Counts what ``Conv2d`` actually builds (layouts, folded biases), per cache key."""
     builds = Counter()
 
     def counting(key, build):
@@ -671,7 +671,8 @@ def test_standard_plan_calls_no_batchnorm_and_lays_out_once_per_shard(bn_calls, 
     # One build per cache key per shard whose scope needs it: every conv
     # lays out forward in all three shards and — but for the image layer,
     # which scatters its input gradient through col2im — flipped in the two
-    # attack shards; w·scale is formed once per conv per shard.
+    # attack shards; the folded bias is formed once per conv per shard (the
+    # folded weight w·scale is a per-call temporary, never an entry).
     assert len(convs) == 8
     counts = lambda pick: sorted(n for key, n in layout_builds.items() if pick(key))  # noqa: E731
     assert counts(lambda key: len(key) == 5 and not key[2]) == [3] * 8

@@ -270,7 +270,7 @@ def test_maxpool_2x2_equals_argmax_path_on_ties(shape, layout):
     want_out, want_grad = _pool_reference(np.ascontiguousarray(x), g)
     np.testing.assert_array_equal(out, want_out)
     np.testing.assert_array_equal(pool.backward(g), want_grad)
-    assert pool._x is None  # single-shot cache released
+    assert pool._first is None  # single-shot cache released
 
 
 @pytest.mark.parametrize("k,s,p,hw", [(2, 2, 0, (5, 4)), (2, 2, 0, (4, 7)), (3, 2, 1, (6, 6)), (2, 1, 0, (4, 4))])
@@ -279,7 +279,7 @@ def test_maxpool_other_geometries_fall_back_to_the_generic_path(k, s, p, hw):
     x = rng.normal(size=(2, 3) + hw).astype(np.float32)
     pool = MaxPool2d(k, stride=s, padding=p)
     out = pool.forward(x)
-    assert pool._x is None  # not the fast path
+    assert pool._first is None  # not the fast path
     g = rng.normal(size=out.shape).astype(np.float32)
     want_out, want_grad = _pool_reference(x, g, k, s, p)
     np.testing.assert_array_equal(out, want_out)

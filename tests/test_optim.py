@@ -1,5 +1,7 @@
 """Tests for SGD and learning-rate schedules."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,24 @@ def test_sgd_state_size():
     without_m = SGD(layer.parameters(), lr=0.1, momentum=0.0)
     assert with_m.state_size() == layer.num_parameters()
     assert without_m.state_size() == 0
+
+
+def test_plain_sgd_keeps_no_velocity_and_steps_as_before():
+    rng = np.random.default_rng(0)
+    params = [Parameter(rng.normal(size=(64, 64)).astype(np.float32)) for _ in range(4)]
+    for p in params:
+        p.grad[...] = rng.normal(size=p.shape)
+    start = [(p.data.copy(), p.grad.copy()) for p in params]
+    tracemalloc.start()
+    try:
+        opt = SGD(params, lr=0.1, momentum=0.0, weight_decay=1e-3)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 1024  # no 16 KiB of zeros per parameter
+    opt.step()
+    for p, (w, g) in zip(params, start):
+        assert p.data.tobytes() == (w - 0.1 * (g + 1e-3 * w)).tobytes()
 
 
 @pytest.mark.parametrize(
