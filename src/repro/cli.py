@@ -108,12 +108,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
         **({"bn_cls": bn_cls} if bn_cls is not None else {}),
     )
     sampler = DeviceSampler(device_pool("cifar10"), args.heterogeneity)
-    # --overlap-eval pipelines *periodic* evaluation, so it implies one
-    # unless --eval-every says otherwise (the historical default skips
-    # periodic eval entirely and only measures at the end).
-    eval_every = args.eval_every
-    if eval_every is None:
-        eval_every = max(1, args.rounds // 4) if args.overlap_eval else 0
     if args.resume and not args.journal:
         print("error: --resume requires --journal", file=sys.stderr)
         return 2
@@ -128,14 +122,13 @@ def _cmd_train(args: argparse.Namespace) -> int:
     common = dict(
         num_clients=args.clients, clients_per_round=args.clients_per_round,
         local_iters=args.local_iters, batch_size=args.batch_size, lr=args.lr,
-        train_pgd_steps=args.pgd_steps, eval_pgd_steps=5, eval_every=eval_every,
+        train_pgd_steps=args.pgd_steps, eval_pgd_steps=5, eval_every=args.eval_every,
         eval_max_samples=150, seed=args.seed,
         executor_backend=args.executor, round_parallelism=args.round_parallelism,
         fusion_width=args.fusion_width,
         eval_parallelism=args.eval_parallelism,
         aggregation_mode=args.aggregation_mode, max_staleness=args.max_staleness,
         pipeline_depth=args.pipeline_depth,
-        overlap_eval=args.overlap_eval,
         journal_path=args.journal, checkpoint_every=args.checkpoint_every,
         metrics_path=args.metrics, status_port=args.status_port,
         eval_every_merge=args.eval_every_merge,
@@ -283,13 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "dispatches the next round's fast clients against "
                         "the latest merged server state while stragglers "
                         "finish (deterministic; 1 = classic round-drain)")
-    p.add_argument("--eval-every", type=int, default=None,
+    p.add_argument("--eval-every", type=int, default=0,
                    help="evaluate every K rounds during training (default: 0 "
-                        "= final eval only; --overlap-eval implies rounds/4)")
-    p.add_argument("--overlap-eval", action="store_true",
-                   help="pipeline periodic evaluation with the next round's "
-                        "training (thread backend; eval reads a published "
-                        "weight snapshot, bit-identical to the barrier path)")
+                        "= final eval only)")
     p.add_argument("--journal", default=None, metavar="PATH",
                    help="write an append-only JSONL run journal to PATH "
                         "(config fingerprint, rounds, merges, evals, "

@@ -23,8 +23,6 @@ from repro.core.aggregator import (
     blend_into,
     merge_async_partial,
     merge_async_update,
-    publish_snapshot,
-    PublishedWeights,
     snapshot_segment,
     restore_segment,
 )
@@ -50,8 +48,6 @@ __all__ = [
     "blend_into",
     "merge_async_partial",
     "merge_async_update",
-    "publish_snapshot",
-    "PublishedWeights",
     "snapshot_segment",
     "restore_segment",
     "FedProphet",

@@ -5,13 +5,9 @@ averaged over the clients who trained it (those with M_k ≥ n), weighted by
 local data size; head n is averaged over the clients whose *last* module
 was n (M_k = n), since only they trained that head.
 
-The module also owns the server-side weight-publication and asynchronous
-merge primitives of the unified task scheduler:
+The module also owns the server-side asynchronous merge primitives of
+the unified task scheduler:
 
-* :func:`publish_snapshot` — double-buffered global weights: an immutable
-  (read-only arrays), versioned copy of a model state — or of an async
-  server state dict — that concurrent evaluation shards read while the
-  live model trains the next round;
 * :func:`async_merge_schedule` / :func:`merge_async_update` /
   :func:`merge_async_partial` — staleness-bounded asynchronous
   aggregation: client updates merge into a server state dict in
@@ -29,9 +25,7 @@ produce bit-identical server states on any backend at any worker count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -174,51 +168,6 @@ def aggregate_heads(
             [state for state, _ in trainers], [w for _, w in trainers]
         )
         head.load_state_dict(merged)
-
-
-# ---------------------------------------------------------------------------
-# Double-buffered weight publication (eval/training overlap)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PublishedWeights:
-    """An immutable, versioned view of the global weights.
-
-    ``state`` maps every state-dict key to a **read-only** array copy, so
-    evaluation shards for round *r* can keep reading it while the live
-    model already trains round *r+1* — the double-buffer that makes
-    eval/training overlap race-free.  Loading it into a replica is
-    bit-identical to loading the live state dict at publication time.
-    ``version`` identifies *which* weights were published: the round index
-    for synchronous overlap, or the server merge-event count for the
-    cross-round async pipeline (every merge bumps the server version, so
-    two snapshots with equal versions hold bit-identical state).
-    """
-
-    version: int
-    state: Mapping[str, np.ndarray]
-
-
-def publish_snapshot(source, version: int = 0) -> PublishedWeights:
-    """Publish weights as an immutable, versioned snapshot.
-
-    ``source`` is either a :class:`~repro.nn.module.Module` (its
-    ``state_dict()`` is taken, which already copies) or a plain state
-    dict — e.g. the async pipeline's live server state, which keeps
-    mutating under later merge events and is therefore copied here.
-    Deterministic: the snapshot is a pure copy of the source at call
-    time; nothing about scheduling or backends can leak into it.
-    """
-    state: StateDict = {}
-    is_module = hasattr(source, "state_dict")
-    items = source.state_dict() if is_module else source
-    for key, value in dict(items).items():
-        # state_dict() already copies; a raw mapping must be copied here.
-        copy = value if is_module else np.array(value, copy=True)
-        copy.flags.writeable = False
-        state[key] = copy
-    return PublishedWeights(version=version, state=MappingProxyType(state))
 
 
 # ---------------------------------------------------------------------------

@@ -516,7 +516,7 @@ class FedProphet(FederatedExperiment):
         self._stale = 0
         self._last_eval = EvalResult(clean_acc=0.0, pgd_acc=0.0)
 
-    def round_eval(self, record: RoundRecord, verbose, server=None, version=None):
+    def round_eval(self, record: RoundRecord, verbose, server=None):
         """Validate the cascaded prefix — every round: it drives APA and patience."""
         cfg = self.config
         m = self.current_module

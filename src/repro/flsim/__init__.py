@@ -56,7 +56,7 @@ from repro.flsim.scheduler import (
     SlotPool,
     TaskGroup,
 )
-from repro.flsim.eval_executor import EvalExecutor, EvalShard, EvalTarget, PendingEval
+from repro.flsim.eval_executor import EvalExecutor, EvalShard, EvalTarget
 from repro.flsim.local import adversarial_local_train, standard_local_train
 from repro.flsim.history import (
     RunHistory,
@@ -98,7 +98,6 @@ __all__ = [
     "EvalExecutor",
     "EvalShard",
     "EvalTarget",
-    "PendingEval",
     "FLConfig",
     "FLClient",
     "ClientPopulation",

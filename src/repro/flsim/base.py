@@ -21,7 +21,7 @@ import numpy as np
 from repro.attacks import ModelWithLoss
 from repro.data.dataset import ArrayDataset
 from repro.data.synthetic import SyntheticImageTask
-from repro.flsim.eval_executor import EvalExecutor, EvalTarget, PendingEval
+from repro.flsim.eval_executor import EvalExecutor, EvalTarget
 from repro.flsim.executor import (
     BACKENDS,
     DEFAULT_FUSION_WIDTH,
@@ -106,14 +106,6 @@ class FLConfig:
     and early-stop, putting a hard evaluation point on every round
     boundary (its async mode instead merges per-module within the round).
 
-    ``overlap_eval`` (opt-in) pipelines periodic evaluation with the next
-    round's training: the run loop publishes an immutable weight snapshot
-    (:func:`repro.core.aggregator.publish_snapshot`) and streams the eval
-    shards through the unified scheduler while round *r+1* trains, with
-    results bit-identical to the barrier path (eval reads only the
-    snapshot).  Wall-clock overlap needs the thread backend; serial and
-    process degrade gracefully to the barrier behaviour.
-
     **Fault tolerance** (see ``docs/fault-tolerance.md``):
     ``journal_path`` writes an append-only JSONL event log of the run;
     ``checkpoint_every`` atomically snapshots the full run state every K
@@ -197,7 +189,6 @@ class FLConfig:
     aggregation_mode: str = "sync"
     max_staleness: int = 4
     pipeline_depth: int = 1
-    overlap_eval: bool = False
     journal_path: Optional[str] = None
     checkpoint_every: int = 0
     metrics_path: Optional[str] = None
@@ -252,6 +243,8 @@ class FLConfig:
             )
         if self.eval_parallelism is not None and self.eval_parallelism < 1:
             raise ValueError("eval_parallelism must be >= 1")
+        if self.eval_every < 0:
+            raise ValueError("eval_every must be >= 0 (0 = final eval only)")
         if self.aggregation_mode not in ("sync", "async"):
             raise ValueError(
                 f"aggregation_mode must be 'sync' or 'async', "
@@ -503,14 +496,12 @@ class FederatedExperiment:
                 f"aggregation_mode='async'; its aggregation rule has no "
                 f"staleness-bounded formulation"
             )
-        if self.round_gated and (
-            config.pipeline_depth > 1 or config.eval_every_merge or config.overlap_eval
-        ):
+        if self.round_gated and (config.pipeline_depth > 1 or config.eval_every_merge):
             raise ValueError(
-                f"{cls.__name__} does not support pipeline_depth > 1, "
-                f"eval_every_merge or overlap_eval: its after_round reads each "
-                f"round's eval (e.g. cascade_eval feeding APA), so nothing may "
-                f"overlap the next round and its async mode merges within a round"
+                f"{cls.__name__} does not support pipeline_depth > 1 or "
+                f"eval_every_merge: its after_round reads each round's eval "
+                f"(e.g. cascade_eval feeding APA), so nothing may overlap the "
+                f"next round and its async mode merges within a round"
             )
         self.executor = RoundExecutor(
             config.executor_backend,
@@ -527,11 +518,8 @@ class FederatedExperiment:
             )
         )
         self._slot_models: dict = {}
-        self._overlap_models: dict = {}
         self._async_models: dict = {}
         self._async_model_lock = threading.Lock()
-        self._pending_eval: Optional[Tuple[RoundRecord, PendingEval]] = None
-        self._published = None  # latest PublishedWeights (double buffer)
         #: Applied merge events of every asynchronous round, in merge order.
         self.async_log: List[AsyncMergeEvent] = []
         #: Merge-event-granularity eval samples (``eval_every_merge``).
@@ -1160,9 +1148,9 @@ class FederatedExperiment:
         Runs on the main thread between merges (merges replay serially),
         loading ``server`` into the global model — safe mid-run because
         async work units train on the disjoint ``_async_models``
-        workspaces and overlapped eval reads published snapshots.  Eval
-        RNG streams are plan-derived (never ``self.rng``), so sampling
-        the curve cannot perturb training results.
+        workspaces.  Eval RNG streams are plan-derived (never
+        ``self.rng``), so sampling the curve cannot perturb training
+        results.
         """
         self.global_model.load_state_dict(server)
         result = self.evaluate()
@@ -1290,7 +1278,6 @@ class FederatedExperiment:
                 ),
                 verbose,
                 server=server,
-                version=pipeline.version,
             )
             if self._metrics is not None:
                 self._metrics.update_pipeline(pipeline.stats())
@@ -1367,7 +1354,6 @@ class FederatedExperiment:
             "merge_events": pipeline.version,
         }
         self.async_finalize(server)
-        self._drain_overlapped_eval(verbose)
         tail = sorted(self.history[history_start:], key=lambda r: r.round)
         self.history[history_start:] = tail
         return rounds
@@ -1443,74 +1429,6 @@ class FederatedExperiment:
             )
         )
 
-    # -- eval/training overlap -------------------------------------------------
-    def _overlap_slot_model(self, slot: int) -> CascadeModel:
-        """Eval-only model workspaces for overlapped evaluation.
-
-        Deliberately disjoint from the training slot models (slot 0 there
-        *is* the live global model): overlapped eval shards run while the
-        next round trains, so every overlap slot — including 0 — is a
-        private replica loaded from the published snapshot.
-        """
-        model = self._overlap_models.get(slot)
-        if model is None:
-            model = self.model_builder(np.random.default_rng(self.config.seed + 7))
-            self._overlap_models[slot] = model
-        return model
-
-    def _submit_overlapped_eval(
-        self,
-        record: RoundRecord,
-        state: Optional[Dict[str, np.ndarray]] = None,
-        version: Optional[int] = None,
-    ) -> None:
-        """Publish the current weights and stream this round's eval shards.
-
-        The snapshot is immutable (read-only arrays), so round *r+1* can
-        mutate the live model underneath the in-flight shards; the result
-        is bit-identical to the barrier path because the shards see
-        exactly the weights the barrier eval would have seen.  ``state``
-        (the async pipeline's server dict) publishes a server state that
-        never lives in the global model; ``version`` defaults to the
-        round index (the async path passes the server's merge-event
-        count instead, so the snapshot names the exact merge frontier it
-        captured).
-        """
-        from repro.core.aggregator import publish_snapshot  # local: core imports flsim
-
-        self._published = publish_snapshot(
-            self.global_model if state is None else state,
-            version=record.round if version is None else version,
-        )
-        snapshot = self._published
-        setup = self._eval_slot_setup
-        plan = self.eval_plan(max_samples=self.config.eval_max_samples)
-
-        def prepare(slot: int) -> None:
-            model = self._overlap_slot_model(slot)
-            model.load_state_dict(snapshot.state)
-            if setup is not None:
-                setup(model)
-
-        def target(slot: int) -> EvalTarget:
-            return EvalTarget(ModelWithLoss(self._overlap_slot_model(slot)))
-
-        pending = self.eval_executor.submit(
-            plan, self.task.test, target, self.scheduler, prepare_slot=prepare
-        )
-        self._pending_eval = (record, pending)
-
-    def _drain_overlapped_eval(self, verbose: bool = False) -> None:
-        """Resolve the in-flight overlapped eval into its round record."""
-        if self._pending_eval is None:
-            return
-        record, pending = self._pending_eval
-        self._pending_eval = None
-        record.eval = pending.result()
-        self._journal_eval(record)
-        if verbose:  # pragma: no cover - console reporting
-            self._print_eval(record)
-
     def _print_eval(self, record: RoundRecord) -> None:  # pragma: no cover
         e = record.eval
         print(
@@ -1519,29 +1437,10 @@ class FederatedExperiment:
             f"time={record.sim_time_s:.1f}s"
         )
 
-    @property
-    def overlap_active(self) -> bool:
-        """Whether periodic evaluation actually pipelines with training.
-
-        Overlap streams eval shards through the *round* executor's
-        persistent pool (that is the point: idle round workers absorb
-        them), so it only buys concurrency on a multi-worker
-        ``thread`` backend.  Otherwise — serial,
-        process, or a one-worker pool — the run loop falls back to the
-        barrier path, which honours ``eval_backend``/``eval_parallelism``.
-        """
-        return self.config.overlap_eval and self.executor.pooled
-
     def describe_parallelism(self) -> str:
         """The resolved execution-engine settings, for verbose reporting."""
         cfg = self.config
         ex, ev = self.executor, self.eval_executor.executor
-        if self.overlap_active:
-            overlap = "on (eval shards share the round pool)"
-        elif cfg.overlap_eval:
-            overlap = "requested (inactive: needs a pooled round backend)"
-        else:
-            overlap = "off"
         if cfg.fusion_width is not None:
             width, cause = ex.fusion_width, "configured"
         else:
@@ -1577,13 +1476,11 @@ class FederatedExperiment:
                 if cfg.aggregation_mode == "async"
                 else ""
             ),
-            f"eval overlap: {overlap}",
         ]
         return f"[{self.name}] " + "; ".join(parts)
 
     def close(self) -> None:
-        """Drain in-flight work and release the persistent worker pools."""
-        self._drain_overlapped_eval()
+        """Release the persistent worker pools and close the sinks."""
         self.executor.close()
         self.eval_executor.executor.close()
         if self._journal is not None:
@@ -1663,25 +1560,21 @@ class FederatedExperiment:
         An aborted run must not leak the persistent worker pools (the
         executor context-manager contract), and the journal records the
         abort so a later read tells a crash (torn tail / no ``run_end``)
-        apart from a Python-level failure.
+        apart from a Python-level failure.  Each step runs under its own
+        guard, so a sink that raises (a full disk under the metrics tee)
+        cannot keep the other sink from recording the abort or closing.
         """
-        self._pending_eval = None
-        for closer in (self.executor.close, self.eval_executor.executor.close):
-            try:
-                closer()
-            except Exception:  # pragma: no cover - teardown best effort
-                pass
-        try:
-            self._jlog("run_abort")
-            if self._journal is not None:
-                self._journal.close()
-        except Exception:  # pragma: no cover - teardown best effort
-            pass
+        journal, metrics = self._journal, self._metrics
         self._journal = None
-        if self._metrics is not None:
+        steps = [self.executor.close, self.eval_executor.executor.close]
+        if journal is not None:
+            steps += [lambda: journal.append("run_abort"), journal.close]
+        if metrics is not None:
+            steps += [lambda: metrics.observe("run_abort", {}), metrics.close]
+        for step in steps:
             try:
-                self._metrics.close()
-            except Exception:  # pragma: no cover - teardown best effort
+                step()
+            except Exception:  # best effort: run() re-raises the run's own error
                 pass
 
     def _checkpoint_path(self) -> str:
@@ -1696,15 +1589,11 @@ class FederatedExperiment:
     ) -> None:
         """Atomically snapshot everything the run loop needs to continue.
 
-        Overlapped eval is drained first (its record is already in the
-        history, so the snapshot must carry the resolved result — eval
-        results are data, not replayable bookkeeping).  ``async_state``
-        carries the async loop's extra bookkeeping; the barrier loop
-        snapshots the global model directly.
+        ``async_state`` carries the async loop's extra bookkeeping; the
+        barrier loop snapshots the global model directly.
         """
         from repro.flsim.checkpoint import CHECKPOINT_FORMAT, write_checkpoint
 
-        self._drain_overlapped_eval()
         payload: Dict[str, Any] = {
             "format": CHECKPOINT_FORMAT,
             "fingerprint": self._fingerprint(),
@@ -1870,30 +1759,22 @@ class FederatedExperiment:
         record: RoundRecord,
         verbose: bool,
         server: Optional[Dict[str, np.ndarray]] = None,
-        version: Optional[int] = None,
     ) -> Dict[str, Any]:
-        """Evaluate (or overlap) a finished round into ``record.eval``.
+        """Evaluate a finished round into ``record.eval``.
 
         Default: the periodic ``eval_every`` evaluation.  ``server`` is
         the async pipeline's merged state (it never lives in the global
-        model until an eval or the end of the run needs it there) and
-        ``version`` its merge-event count, naming the published snapshot.
+        model until an eval or the end of the run needs it there).
         Returns extra fields for the round's journal event.
         """
         cfg = self.config
         if cfg.eval_every and (record.round + 1) % cfg.eval_every == 0:
-            if self.overlap_active:
-                # Double buffer: at most one eval in flight — resolve
-                # round r-k's shards before publishing round r's.
-                self._drain_overlapped_eval(verbose)
-                self._submit_overlapped_eval(record, state=server, version=version)
-            else:
-                if server is not None:
-                    self.global_model.load_state_dict(server)
-                record.eval = self.evaluate()
-                self._journal_eval(record)
-                if verbose:  # pragma: no cover - console reporting
-                    self._print_eval(record)
+            if server is not None:
+                self.global_model.load_state_dict(server)
+            record.eval = self.evaluate()
+            self._journal_eval(record)
+            if verbose:  # pragma: no cover - console reporting
+                self._print_eval(record)
         return {}
 
     def after_round(self, record: RoundRecord) -> None:
@@ -1903,7 +1784,7 @@ class FederatedExperiment:
     @property
     def round_gated(self) -> bool:
         """Whether :meth:`after_round` is overridden: it then reads each round's
-        eval, so neither the next round nor this round's eval may overlap it."""
+        eval, so the next round may not start before it."""
         return type(self).after_round is not FederatedExperiment.after_round
 
     def run_finished(self) -> bool:
@@ -1914,11 +1795,14 @@ class FederatedExperiment:
         """Barrier loop: the run ended; report what a resume must *not* see."""
 
     def _complete_round(
-        self, record: RoundRecord, verbose: bool, **pipeline_state
+        self,
+        record: RoundRecord,
+        verbose: bool,
+        server: Optional[Dict[str, np.ndarray]] = None,
     ) -> RoundRecord:
         """Evaluate a finished round, record and journal it (both run loops;
-        ``pipeline_state``: the async loop's ``server`` / ``version``)."""
-        extra = self.round_eval(record, verbose, **pipeline_state)
+        ``server``: the async loop's merged state)."""
+        extra = self.round_eval(record, verbose, server=server)
         self.history.append(record)
         self._jlog(
             "round",
@@ -1968,7 +1852,6 @@ class FederatedExperiment:
             if cfg.checkpoint_every and t % cfg.checkpoint_every == 0:
                 self._write_checkpoint(t)
         self.finish_run()
-        self._drain_overlapped_eval(verbose)
         return t
 
     def final_eval(self, max_samples: Optional[int] = None) -> EvalResult:

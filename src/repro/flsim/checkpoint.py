@@ -13,8 +13,8 @@ cross-round pipeline's full in-flight bookkeeping.
 
 The **config fingerprint** ties journals and checkpoints to the
 *semantics* of a run: a SHA-256 over the config dataclass with the
-non-semantic fields removed — execution backend, worker counts, eval
-overlap, journal/checkpoint paths — because the engine's determinism
+non-semantic fields removed — execution backend, worker counts,
+journal/checkpoint paths — because the engine's determinism
 contract guarantees those cannot change results.  Resuming on a
 different backend or worker count is therefore explicitly supported;
 resuming with a different learning rate is explicitly refused.
@@ -39,7 +39,7 @@ class CheckpointError(RuntimeError):
 CHECKPOINT_FORMAT = 1
 
 #: Config fields that cannot affect results (the bit-identity contract):
-#: execution backends/worker counts/fusion width, eval overlap, the journal /
+#: execution backends/worker counts/fusion width, the journal /
 #: checkpoint plumbing itself, the streaming-metrics surface (a pure
 #: observer of journal events), and the client-population materialisation
 #: knobs (lazy vs eager and the LRU capacity are pure caching — every
@@ -58,7 +58,6 @@ NONSEMANTIC_FIELDS = frozenset(
         "fusion_width",
         "eval_backend",
         "eval_parallelism",
-        "overlap_eval",
         "client_materialisation",
         "client_cache_size",
         "metrics_path",

@@ -112,8 +112,25 @@ class EvalExecutor:
                 )
         return shards
 
-    def _subsample(self, plan: EvalPlan, dataset: ArrayDataset):
-        """The plan's deterministic (rows, x, y) view of a dataset."""
+    def run(
+        self,
+        plan: EvalPlan,
+        dataset: ArrayDataset,
+        target_for_slot: Callable[[int], EvalTarget],
+        prepare_slot: Optional[Callable[[int], None]] = None,
+        prefix_cache=None,
+        cache_key=None,
+    ) -> EvalResult:
+        """Execute a plan and reduce shard counts into an :class:`EvalResult`.
+
+        ``prepare_slot`` runs once per executor slot *before* the parallel
+        region (sync a replica's weights, set eval-time modes);
+        ``target_for_slot`` then supplies the slot's :class:`EvalTarget`.
+        With a ``prefix_cache`` and ``cache_key``, clean shards whose
+        target carries a prefix/suffix split are served from (and fill)
+        the cache; rows are keyed by dataset index, so the ``max_samples``
+        subsample path caches the same rows it evaluates.
+        """
         x, y = dataset.x, np.asarray(dataset.y)
         num_total = len(x)
         rows = np.arange(num_total)
@@ -122,37 +139,20 @@ class EvalExecutor:
                 num_total, size=plan.max_samples, replace=False
             )
             x, y = x[rows], y[rows]
-        return x, y, rows, num_total
-
-    def _prepare_targets(
-        self,
-        slots: List[int],
-        target_for_slot: Callable[[int], EvalTarget],
-        prepare_slot: Optional[Callable[[int], None]],
-    ) -> Dict[int, EvalTarget]:
+        n = len(x)
+        shards = self.shards_for(plan, n)
+        # The process backend accrues cache hits/misses (and fresh entries)
+        # in forked children; detect an actual fork so the parent can merge
+        # the deltas back.  Mirrors RoundExecutor.map's fallback-to-serial.
+        forked = self.executor.forks_for(len(shards))
         targets: Dict[int, EvalTarget] = {}
-        for slot in slots:
+        for slot in self.executor.slots_for(len(shards)):
             if prepare_slot is not None:
                 prepare_slot(slot)
             target = targets[slot] = target_for_slot(slot)
             target.mwl.model.eval()
             if target.mwl.head is not None:
                 target.mwl.head.eval()
-        return targets
-
-    def _shard_runner(
-        self,
-        plan: EvalPlan,
-        x: np.ndarray,
-        y: np.ndarray,
-        rows: np.ndarray,
-        num_total: int,
-        targets: Dict[int, EvalTarget],
-        prefix_cache=None,
-        cache_key=None,
-        forked: bool = False,
-    ) -> Callable[[EvalShard, int], tuple]:
-        """The slot-aware work function one evaluation's shards run."""
 
         # The target's weights are fixed for the whole shard: one scope, so
         # its attack, prediction pass and prefix fill share one set of
@@ -199,66 +199,12 @@ class EvalExecutor:
                     prefix_cache.hits - hits0,
                     prefix_cache.misses - misses0,
                 )
-            return shard.attack_idx, shard.shard_idx, correct, counters, export
+            return shard.attack_idx, correct, counters, export
 
-        return run_shard
-
-    def _reduce(self, plan: EvalPlan, shard_results: List[tuple], n: int) -> EvalResult:
-        """Sum each attack's correct counts over shards, in input order."""
-        correct_by_attack = [0] * len(plan.attacks)
-        for attack_idx, _, correct, _, _ in shard_results:
-            correct_by_attack[attack_idx] += correct
-        # An empty evaluation (empty dataset, max_samples=0) measured
-        # nothing: report None, never a fake 0 % (to_result's contract).
-        return plan.to_result({
-            attack.name: (correct_by_attack[i] / n if n else None)
-            for i, attack in enumerate(plan.attacks)
-        })
-
-    @staticmethod
-    def _release_targets(targets: Dict[int, EvalTarget]) -> None:
-        for target in targets.values():
-            target.mwl.model.zero_grad()
-            if target.mwl.head is not None:
-                target.mwl.head.zero_grad()
-
-    def run(
-        self,
-        plan: EvalPlan,
-        dataset: ArrayDataset,
-        target_for_slot: Callable[[int], EvalTarget],
-        prepare_slot: Optional[Callable[[int], None]] = None,
-        prefix_cache=None,
-        cache_key=None,
-    ) -> EvalResult:
-        """Execute a plan and reduce shard counts into an :class:`EvalResult`.
-
-        ``prepare_slot`` runs once per executor slot *before* the parallel
-        region (sync a replica's weights, set eval-time modes);
-        ``target_for_slot`` then supplies the slot's :class:`EvalTarget`.
-        With a ``prefix_cache`` and ``cache_key``, clean shards whose
-        target carries a prefix/suffix split are served from (and fill)
-        the cache; rows are keyed by dataset index, so the ``max_samples``
-        subsample path caches the same rows it evaluates.
-        """
-        x, y, rows, num_total = self._subsample(plan, dataset)
-        n = len(x)
-        shards = self.shards_for(plan, n)
-        # The process backend accrues cache hits/misses (and fresh entries)
-        # in forked children; detect an actual fork so the parent can merge
-        # the deltas back.  Mirrors RoundExecutor.map's fallback-to-serial.
-        forked = self.executor.forks_for(len(shards))
-        targets = self._prepare_targets(
-            self.executor.slots_for(len(shards)), target_for_slot, prepare_slot
-        )
-        run_shard = self._shard_runner(
-            plan, x, y, rows, num_total, targets,
-            prefix_cache=prefix_cache, cache_key=cache_key, forked=forked,
-        )
         results = self.executor.map(run_shard, shards)
 
         if forked and prefix_cache is not None:
-            for _, _, _, counters, export in results:
+            for _, _, counters, export in results:
                 if counters is not None:
                     prefix_cache.adopt_counters(*counters)
                 if export is not None:
@@ -267,74 +213,17 @@ class EvalExecutor:
                         cache_key, version, shard_rows, feats, num_total
                     )
 
-        self._release_targets(targets)
-        return self._reduce(plan, results, n)
-
-    def submit(
-        self,
-        plan: EvalPlan,
-        dataset: ArrayDataset,
-        target_for_slot: Callable[[int], EvalTarget],
-        scheduler,
-        prepare_slot: Optional[Callable[[int], None]] = None,
-        tag: str = "eval-shard",
-    ) -> "PendingEval":
-        """Submit a plan as a task group on an :class:`FLScheduler`.
-
-        The overlapped counterpart of :meth:`run`: shards are tagged
-        ``tag`` and stream through the scheduler's persistent pool, so on
-        the thread backend they interleave with whatever other groups
-        (e.g. the next round's train clients) are in flight; the caller
-        collects the reduced :class:`EvalResult` later from the returned
-        handle.  ``prepare_slot`` runs here, in the caller's thread,
-        *before* submission — the targets it prepares must stay untouched
-        by the caller until the handle resolves (eval reads a published
-        snapshot precisely so training can keep mutating the live model).
-        The prefix cache is not threaded through this path: overlapped
-        evaluation reads frozen snapshot replicas, which the cache's
-        stage-scoped keys do not cover.
-        """
-        x, y, rows, num_total = self._subsample(plan, dataset)
-        n = len(x)
-        shards = self.shards_for(plan, n)
-        targets = self._prepare_targets(
-            scheduler.slots_for(len(shards)), target_for_slot, prepare_slot
-        )
-        run_shard = self._shard_runner(plan, x, y, rows, num_total, targets)
-        group = scheduler.submit_group(tag, run_shard, shards)
-        return PendingEval(group, plan, n, targets, self)
-
-
-class PendingEval:
-    """A handle on an in-flight sharded evaluation.
-
-    Shards may complete in any wall-clock order; :meth:`result` reduces
-    them in input order, so the resolved :class:`EvalResult` is
-    bit-identical to the barrier :meth:`EvalExecutor.run` over the same
-    published weights.
-    """
-
-    def __init__(self, group, plan: EvalPlan, n: int, targets, executor: EvalExecutor):
-        self.group = group
-        self.plan = plan
-        self.num_samples = n
-        self._targets = targets
-        self._executor = executor
-        self._result: Optional[EvalResult] = None
-
-    def done(self) -> bool:
-        return self.group.done()
-
-    def result(self) -> EvalResult:
-        """Block until every shard lands; reduce once (in input order) and cache."""
-        if self._result is None:
-            try:
-                shard_results = self.group.results()
-            finally:
-                # release even when a shard raised — otherwise the overlap
-                # replicas pin full-model gradient buffers indefinitely
-                self._executor._release_targets(self._targets)
-            self._result = self._executor._reduce(
-                self.plan, shard_results, self.num_samples
-            )
-        return self._result
+        for target in targets.values():
+            target.mwl.model.zero_grad()
+            if target.mwl.head is not None:
+                target.mwl.head.zero_grad()
+        # Sum each attack's correct counts over shards, in input order.
+        correct_by_attack = [0] * len(plan.attacks)
+        for attack_idx, correct, _, _ in results:
+            correct_by_attack[attack_idx] += correct
+        # An empty evaluation (empty dataset, max_samples=0) measured
+        # nothing: report None, never a fake 0 % (to_result's contract).
+        return plan.to_result({
+            attack.name: (correct_by_attack[i] / n if n else None)
+            for i, attack in enumerate(plan.attacks)
+        })

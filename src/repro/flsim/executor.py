@@ -238,8 +238,8 @@ class RoundExecutor:
     def pooled(self) -> bool:
         """Whether this backend runs work through the persistent thread pool.
 
-        The scheduler, the async pipeline, and eval overlap all key their
-        concurrency structure on this.
+        The scheduler and the async pipeline key their concurrency
+        structure on this.
         """
         return self.backend == "thread" and self.max_workers > 1
 

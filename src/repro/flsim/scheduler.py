@@ -1,18 +1,12 @@
-"""Unified task scheduler: dependency-aware phases on a persistent pool.
+"""Unified task scheduler: streaming phases on a persistent pool.
 
-PRs 1–3 parallelised the inside of each phase, but every phase still ended
-in a hard barrier: ``RoundExecutor.map`` blocks until the slowest work
-unit finishes, and the next phase (evaluation, the next round) cannot
-start on the cores that went idle in the meantime.  :class:`FLScheduler`
-replaces the one-shot barrier with **tagged task groups** submitted onto
-the executor's persistent worker pool:
+``RoundExecutor.map`` is a one-shot barrier: it blocks until the slowest
+work unit finishes.  :class:`FLScheduler` submits **tagged task groups**
+onto the executor's persistent worker pool instead:
 
-* ``submit_group(tag, fn, items, deps)`` registers one phase — e.g. the
-  train-client units of round *r*, or the eval shards of a published
-  snapshot — and returns a :class:`TaskGroup` immediately;
-* groups with ``deps`` launch only once every dependency group has
-  completed (dependency tracking is callback-driven, so waiting groups
-  never occupy a worker — no pool-starvation deadlocks);
+* ``submit_group(tag, fn, items)`` registers one phase — e.g. the
+  train-client units of round *r* — launches it and returns a
+  :class:`TaskGroup` immediately;
 * :meth:`TaskGroup.stream` yields ``(index, result)`` pairs in completion
   order, so a consumer (e.g. staleness-bounded async aggregation) can act
   on each work unit *as it lands* while its siblings are still running;
@@ -27,8 +21,8 @@ assignment of ``map``, *which* slot a task gets is scheduling-dependent.
 Callers therefore must (and all experiments do) make work units
 slot-independent: every unit restores the state it trains from a shared
 snapshot, so the slot only selects a private model workspace, never an
-input.  Groups with different tags may run concurrently; callers back
-them with disjoint workspaces (train replicas vs. eval replicas).
+input.  Concurrent groups (the cross-round pipeline's per-round train
+groups) share one :class:`SlotPool`, so they never share a workspace.
 
 Backend mapping — one launch path: every group is a list of *cohorts*
 (a plain function is a group of width-1 cohorts; a
@@ -39,13 +33,12 @@ every backend), and a cohort is the unit handed to a worker:
   (``next_completion`` runs the next one when nothing is queued;
   ``done``/``wait``/``results`` the rest); streaming is input order.
 * ``thread`` — one task per cohort on the executor's persistent
-  :class:`~concurrent.futures.ThreadPoolExecutor`; true streaming and
-  cross-phase overlap.
+  :class:`~concurrent.futures.ThreadPoolExecutor`; true streaming, and
+  concurrent groups interleave on the same workers.
 * ``process`` — the group executes as one ``RoundExecutor.map`` fork
   region striped over its cohorts at launch (the fork is the snapshot;
   children cannot outlive the phase), completing atomically; a
-  one-cohort group runs inline.  Cross-phase overlap needs the thread
-  backend.
+  one-cohort group runs inline.
 
 On top of the task groups sits the **cross-round async pipeline**
 (:class:`CrossRoundPipeline`): up to ``depth`` training rounds in flight
@@ -111,21 +104,16 @@ class TaskGroup:
         # Inline cohorts not yet run, each a list of ``(index, result, error)``.
         self._inline: Iterator[List[Tuple[int, Any, Optional[BaseException]]]] = iter(())
         self._done = threading.Event()
-        self._on_done: List[Callable[[], None]] = []
         if num_items == 0:
             self._done.set()
 
     # -- producer side (scheduler internals) -------------------------------
     def _complete(self, index: int, result: Any, error: Optional[BaseException]) -> None:
-        callbacks: List[Callable[[], None]] = []
         with self._lock:
             self._remaining -= 1
             if self._remaining == 0:
                 self._done.set()
-                callbacks, self._on_done = self._on_done, []
         self._completed.put((index, result, error))
-        for callback in callbacks:
-            callback()
 
     def _step(self) -> bool:
         """Run the next inline cohort; ``False`` once none is left."""
@@ -133,13 +121,6 @@ class TaskGroup:
         for completion in completions or ():
             self._complete(*completion)
         return completions is not None
-
-    def _add_done_callback(self, callback: Callable[[], None]) -> None:
-        with self._lock:
-            if not self._done.is_set():
-                self._on_done.append(callback)
-                return
-        callback()
 
     # -- consumer side -----------------------------------------------------
     def done(self) -> bool:
@@ -203,35 +184,22 @@ class FLScheduler:
     executor:
         The backing round executor.  Its backend decides the dispatch mode
         (see module docstring) and its **persistent** thread pool carries
-        every thread-backend group, so concurrent groups — eval shards of
-        round *r* next to train clients of round *r+1* — share one set of
-        workers and idle cores absorb whichever phase has work left.
+        every thread-backend group, so concurrent groups — the train
+        clients of rounds *r* and *r+1* in the cross-round pipeline —
+        share one set of workers.
     """
 
     def __init__(self, executor: RoundExecutor):
         self.executor = executor
-
-    @property
-    def backend(self) -> str:
-        return self.executor.backend
-
-    def slots_for(self, num_items: int) -> List[int]:
-        """Every slot id a group of ``num_items`` tasks may lease.
-
-        Callers pre-sync one workspace per listed slot before submitting,
-        exactly as they do for ``RoundExecutor.map``.
-        """
-        return self.executor.slots_for(num_items)
 
     def submit_group(
         self,
         tag: str,
         fn: Callable[[Any, int], Any],
         items: Sequence[Any],
-        deps: Sequence[TaskGroup] = (),
         slot_pool: Optional[SlotPool] = None,
     ) -> TaskGroup:
-        """Register one phase; launch it once every ``deps`` group is done.
+        """Register and launch one phase.
 
         Returns the :class:`TaskGroup` immediately — consume it via
         :meth:`TaskGroup.stream` or :meth:`TaskGroup.results`.
@@ -242,26 +210,8 @@ class FLScheduler:
         """
         items = list(items)
         group = TaskGroup(tag, len(items))
-        if not items:
-            return group
-        pending = [dep for dep in deps if not dep.done()]
-        if not pending:
+        if items:
             self._launch(group, fn, items, slot_pool)
-            return group
-        remaining = [len(pending)]
-        lock = threading.Lock()
-
-        def dep_done() -> None:
-            with lock:
-                remaining[0] -= 1
-                if remaining[0] != 0:
-                    return
-            # Launch in whichever thread finished the last dependency; the
-            # serial/process launch paths run the work right here.
-            self._launch(group, fn, items, slot_pool)
-
-        for dep in pending:
-            dep._add_done_callback(dep_done)
         return group
 
     def run_group(
@@ -269,14 +219,13 @@ class FLScheduler:
         tag: str,
         fn: Callable[[Any, int], Any],
         items: Sequence[Any],
-        deps: Sequence[TaskGroup] = (),
     ) -> List[Any]:
         """Submit a group and gather it: the ``map``-compatible barrier.
 
         Inherits the group determinism contract — results in input order,
         a pure function of the item list on every backend.
         """
-        return self.submit_group(tag, fn, items, deps).results()
+        return self.submit_group(tag, fn, items).results()
 
     # -- dispatch ----------------------------------------------------------
     def _launch(
@@ -344,7 +293,7 @@ class FLScheduler:
             return
         if executor.forks_for(len(cohorts)):
             # One fork region per group: barrier within the group (children
-            # must not outlive the phase), deps still honoured at launch.
+            # must not outlive the phase).
             try:
                 striped = executor.map(run, cohorts)
             except BaseException as error:  # propagate through the group

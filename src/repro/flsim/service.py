@@ -76,14 +76,27 @@ class MetricsService:
             "parallelism": parallelism,
         }
         self._file = None
-        if metrics_path:
-            directory = os.path.dirname(os.path.abspath(metrics_path))
-            os.makedirs(directory, exist_ok=True)
-            self._file = open(metrics_path, "w", encoding="utf-8")
         self.metrics_path = metrics_path
         self._server: Optional[StatusServer] = None
+        # Bind before truncating the metrics file: a taken port must leave
+        # the previous run's metrics untouched.
         if status_port is not None:
-            self._server = StatusServer(self, status_port)
+            try:
+                self._server = StatusServer(self, status_port)
+            except OSError as err:
+                raise OSError(
+                    err.errno,
+                    f"status_port={status_port}: cannot bind 127.0.0.1:"
+                    f"{status_port} ({err.strerror or err})",
+                ) from err
+        if metrics_path:
+            try:
+                directory = os.path.dirname(os.path.abspath(metrics_path))
+                os.makedirs(directory, exist_ok=True)
+                self._file = open(metrics_path, "w", encoding="utf-8")
+            except OSError:
+                self.close()  # release the port bound above
+                raise
 
     # -- observation (main run thread) ----------------------------------------
     def observe(self, kind: str, payload: Dict[str, Any]) -> None:

@@ -333,21 +333,6 @@ class TestCrossRoundPipeline:
         evals_b = [r.eval.as_dict() for r in hb if r.eval is not None]
         assert evals_a and evals_a == evals_b
 
-    def test_overlapped_eval_matches_barrier_in_async_mode(self):
-        barrier = _jfat_async(pipeline_depth=2, eval_every=2)
-        hb = barrier.run()
-        overlap = _jfat_async(
-            "thread", workers=4, pipeline_depth=2, eval_every=2, overlap_eval=True
-        )
-        ho = overlap.run()
-        evals_b = [(r.round, r.eval.as_dict()) for r in hb if r.eval is not None]
-        evals_o = [(r.round, r.eval.as_dict()) for r in ho if r.eval is not None]
-        assert evals_b == evals_o
-        _assert_states_equal(
-            barrier.global_model.state_dict(), overlap.global_model.state_dict()
-        )
-        overlap.close()
-
     def test_direct_run_round_refuses_async_config(self):
         # run_round is the synchronous path; calling it directly with an
         # async config must fail loudly, never silently FedAvg.

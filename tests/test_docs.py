@@ -80,10 +80,20 @@ class TestConfigurationTableComplete:
         )
 
     def test_the_split_autoattack_fork_is_gone(self):
-        # PR 23 deleted the eager ensemble fork: 46 -> 45 fields, one flag fewer.
-        assert len(dataclasses.fields(FLConfig)) == 45
+        # The eager ensemble fork was deleted: one field and one flag fewer.
+        assert "split_autoattack" not in {f.name for f in dataclasses.fields(FLConfig)}
         assert "--split-autoattack" not in _cli_option_strings()
         assert "split_autoattack" not in CONFIG_DOC.read_text()
+
+    def test_evaluation_has_one_path(self):
+        # The overlapped eval was deleted: 45 -> 44 fields, one flag fewer,
+        # and --eval-every no longer depends on another flag.
+        assert len(dataclasses.fields(FLConfig)) == 44
+        assert not [f.name for f in dataclasses.fields(FLConfig) if "overlap" in f.name]
+        assert not [flag for flag in _cli_option_strings() if "overlap" in flag]
+        assert "overlap" not in CONFIG_DOC.read_text().lower()
+        args = build_parser().parse_args(["train"])
+        assert args.eval_every == 0
 
     def test_detects_missing_entries(self):
         # The guard itself must bite: a field absent from the doc text

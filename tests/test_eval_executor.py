@@ -364,18 +364,3 @@ class TestAutoAttackShards:
                                        rng=shard_rng(plan.seed, 2, si))
                 correct += int((mwl.logits(adv).argmax(axis=1) == yb).sum())
         assert result.aa_acc == correct / 24
-
-    def test_submit_path_matches_run(self):
-        """The scheduler submit path reduces to the same EvalResult."""
-        from repro.flsim import FLScheduler
-
-        plan = self._plan()
-        engine = EvalExecutor(RoundExecutor("serial"))
-        direct = engine.run(plan, _dataset(), _replicated_targets())
-        for backend, workers in [("serial", 1), ("thread", 2)]:
-            scheduler = FLScheduler(RoundExecutor(backend, max_workers=workers))
-            pending = engine.submit(
-                plan, _dataset(), _replicated_targets(), scheduler
-            )
-            _results_equal(direct, pending.result())
-            assert pending.done()

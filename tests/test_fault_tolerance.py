@@ -19,11 +19,15 @@ Load-bearing properties (PR 6):
   deterministically without touching the model.
 """
 
+import errno
+import gc
 import json
 import multiprocessing
 import os
 import pickle
 import shutil
+import socket
+import warnings
 
 import numpy as np
 import pytest
@@ -805,3 +809,61 @@ class TestLifecycleSatellites:
         history = exp.run()
         exp.close()
         assert len(history) == 1
+
+
+class TestHostileInfrastructure:
+    """A failing sink or a busy port costs neither data nor handles."""
+
+    def test_taken_status_port_keeps_previous_metrics(self, tmp_path):
+        metrics = tmp_path / "metrics.jsonl"
+        previous = b'{"kind": "run_end", "rounds": 3}\n'
+        metrics.write_bytes(previous)
+        with socket.socket() as taken, warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            taken.bind(("127.0.0.1", 0))
+            taken.listen(1)
+            port = taken.getsockname()[1]
+            with pytest.raises(OSError, match=f"status_port={port}") as excinfo:
+                JointFAT(_task(), _builder, _cfg(metrics_path=str(metrics), status_port=port))
+            del excinfo  # drops the half-built service the traceback pins
+            gc.collect()
+        assert metrics.read_bytes() == previous
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+    def test_abort_closes_journal_when_metrics_tee_raises(self, tmp_path, monkeypatch):
+        from repro.flsim.service import MetricsService
+
+        journal = str(tmp_path / "run.jsonl")
+        exp = JointFAT(
+            _task(), _builder,
+            _cfg(journal_path=journal, metrics_path=str(tmp_path / "m.jsonl"),
+                 executor_backend="thread", round_parallelism=2),
+        )
+        pools = [exp.executor.thread_pool, exp.eval_executor.executor.thread_pool]
+        journals = []
+
+        def disk_full(self, kind, payload):  # full from the first round on
+            if kind == "round" or journals:
+                journals.append(exp._journal)
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(MetricsService, "observe", disk_full)
+        with pytest.raises(OSError, match="No space left on device"):
+            exp.run()
+        assert list(RunJournal.read(journal))[-1]["kind"] == "run_abort"
+        assert journals[0]._file.closed and exp._journal is None
+        assert exp._metrics._file.closed
+        assert exp.executor._thread_pool is None
+        assert exp.eval_executor.executor._thread_pool is None
+        assert all(pool._shutdown for pool in pools)
+
+    def test_unwritable_metrics_path_releases_the_status_port(self, tmp_path):
+        # The port is bound before the metrics file opens, so a failing
+        # open must give the port back.
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        with pytest.raises(IsADirectoryError):
+            JointFAT(_task(), _builder, _cfg(metrics_path=str(tmp_path), status_port=port))
+        with socket.socket() as again:
+            again.bind(("127.0.0.1", port))

@@ -166,6 +166,11 @@ class TestFederatedExperiment:
         assert cfg.clients_per_round == 2
         with pytest.raises(ValueError):
             FLConfig(lr_decay=0.0)
+        # (r + 1) % -k == 0 holds for every r: a negative period would
+        # silently evaluate every round.
+        with pytest.raises(ValueError, match="eval_every must be >= 0"):
+            FLConfig(eval_every=-2)
+        assert FLConfig(eval_every=0).eval_every == 0
 
 
 def test_no_experiment_overrides_run():

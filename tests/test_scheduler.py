@@ -1,16 +1,13 @@
-"""Unified task scheduler: groups, deps, overlap, async aggregation.
+"""Unified task scheduler: groups, async aggregation.
 
 Load-bearing properties:
 
-* ``FLScheduler`` task groups honour declared dependencies, stream
-  completions, and gather in input order with exceptions propagated —
-  the drop-in replacement for the ``map`` barrier;
-* the default engine (``aggregation_mode="sync"``, overlap off) is
-  **bit-identical** to the pre-scheduler output on every backend at
-  1/2/4 workers;
-* overlapped evaluation (``overlap_eval=True``) reads only the published
-  immutable snapshot and reproduces the barrier path's eval stream bit
-  for bit;
+* ``FLScheduler`` task groups stream completions and gather in input
+  order with exceptions propagated — the drop-in replacement for the
+  ``map`` barrier;
+* the default engine (``aggregation_mode="sync"``) is **bit-identical**
+  to the pre-scheduler output on every backend at 1/2/4 workers, per
+  round evaluation included;
 * asynchronous aggregation respects ``max_staleness``, is
   seed-reproducible, and is deterministic across backends and worker
   counts (simulated-arrival order, never wall-clock order);
@@ -26,7 +23,7 @@ import pytest
 
 from repro.baselines import JointFAT
 from repro.baselines.jfat import AsyncMergeEvent
-from repro.core import FedProphet, FedProphetConfig, async_merge_schedule, publish_snapshot
+from repro.core import FedProphet, FedProphetConfig, async_merge_schedule
 from repro.core.aggregator import merge_async_update
 from repro.data import make_cifar10_like
 from repro.flsim import CrossRoundPipeline, FLConfig, FLScheduler, RoundExecutor
@@ -78,38 +75,6 @@ class TestFLScheduler:
         with pytest.raises(RuntimeError, match="work unit failed"):
             sched.submit_group("t", boom, range(5)).results()
 
-    def test_dependent_group_waits_for_dep(self):
-        sched = FLScheduler(RoundExecutor("thread", max_workers=2))
-        order = []
-        lock = threading.Lock()
-
-        def slow(i, slot):
-            time.sleep(0.02)
-            with lock:
-                order.append(("a", i))
-            return i
-
-        def fast(i, slot):
-            with lock:
-                order.append(("b", i))
-            return i
-
-        first = sched.submit_group("a", slow, range(3))
-        second = sched.submit_group("b", fast, range(3), deps=[first])
-        second.results()
-        assert first.done()
-        # every "a" completion precedes every "b" start
-        assert order[:3] == [("a", 0), ("a", 1), ("a", 2)] or all(
-            tag == "a" for tag, _ in order[:3]
-        )
-        assert all(tag == "b" for tag, _ in order[3:])
-
-    def test_dep_on_completed_group_launches_immediately(self):
-        sched = FLScheduler(RoundExecutor("serial"))
-        first = sched.submit_group("a", lambda i, s: i, range(2))
-        assert first.done()
-        assert sched.submit_group("b", lambda i, s: -i, range(2), deps=[first]).results() == [0, -1]
-
     def test_thread_slots_exclusive_within_group(self):
         workers = 3
         sched = FLScheduler(RoundExecutor("thread", max_workers=workers))
@@ -130,12 +95,12 @@ class TestFLScheduler:
         slots = sched.submit_group("t", task, range(12)).results()
         assert not overlaps
         assert set(slots) <= set(range(workers))
-        assert sched.slots_for(12) == list(range(workers))
+        assert sched.executor.slots_for(12) == list(range(workers))
 
     def test_serial_and_process_use_slot_zero_namespace(self):
-        assert FLScheduler(RoundExecutor("serial")).slots_for(5) == [0]
+        assert RoundExecutor("serial").slots_for(5) == [0]
         if HAS_FORK:
-            assert FLScheduler(RoundExecutor("process", 2)).slots_for(5) == [0]
+            assert RoundExecutor("process", 2).slots_for(5) == [0]
 
     def test_run_group_matches_map(self):
         ex = RoundExecutor("thread", max_workers=2)
@@ -234,35 +199,6 @@ class TestInlineGroupsRunOnDemand:
 
 
 # ---------------------------------------------------------------------------
-# Published snapshots (double-buffered weights)
-# ---------------------------------------------------------------------------
-
-
-class TestPublishSnapshot:
-    def test_snapshot_is_immutable_and_stable(self):
-        model = build_cnn(2, 4, (3, 8, 8), base_channels=4, rng=np.random.default_rng(0))
-        snap = publish_snapshot(model, version=7)
-        assert snap.version == 7
-        key = next(iter(snap.state))
-        before = snap.state[key].copy()
-        with pytest.raises(ValueError):
-            snap.state[key][...] = 0.0
-        with pytest.raises(TypeError):
-            snap.state[key] = None  # mapping proxy rejects writes
-        # mutating the live model must not leak into the published view
-        for p in model.parameters():
-            p.data += 1.0
-        np.testing.assert_array_equal(snap.state[key], before)
-
-    def test_replica_loads_snapshot_bit_identically(self):
-        model = build_cnn(2, 4, (3, 8, 8), base_channels=4, rng=np.random.default_rng(0))
-        snap = publish_snapshot(model)
-        replica = build_cnn(2, 4, (3, 8, 8), base_channels=4, rng=np.random.default_rng(9))
-        replica.load_state_dict(dict(snap.state))
-        _assert_states_equal(model.state_dict(), replica.state_dict())
-
-
-# ---------------------------------------------------------------------------
 # Async merge schedule (unit level)
 # ---------------------------------------------------------------------------
 
@@ -351,47 +287,6 @@ class TestSyncDeterminism:
         for a, b in zip(ref_history, history):
             assert a.eval.as_dict() == b.eval.as_dict()
             assert a.sim_time_s == b.sim_time_s
-
-
-class TestOverlappedEvaluation:
-    @pytest.fixture(scope="class")
-    def barrier(self):
-        exp = _jfat("serial")
-        return exp, exp.run()
-
-    @pytest.mark.parametrize("backend,workers", [("serial", 1), ("thread", 2), ("thread", 4)])
-    def test_overlap_matches_barrier_bitwise(self, backend, workers, barrier):
-        ref, ref_history = barrier
-        exp = _jfat(backend, workers=workers, overlap_eval=True)
-        history = exp.run()
-        assert all(r.eval is not None for r in history)
-        for a, b in zip(ref_history, history):
-            assert a.eval.as_dict() == b.eval.as_dict()
-            assert a.eval.attack_accs == b.eval.attack_accs
-        _assert_states_equal(
-            ref.global_model.state_dict(), exp.global_model.state_dict()
-        )
-        exp.close()
-
-    def test_overlap_publishes_each_eval_round(self, barrier):
-        exp = _jfat("thread", workers=2, overlap_eval=True, rounds=2)
-        exp.run()
-        assert exp._published is not None
-        assert exp._published.version == 1  # last eval round's snapshot
-        assert exp._pending_eval is None  # drained at run() exit
-        # overlap replicas never alias the live model
-        assert all(m is not exp.global_model for m in exp._overlap_models.values())
-        exp.close()
-
-    def test_prophet_rejects_overlap(self):
-        with pytest.raises(ValueError, match="overlap_eval"):
-            FedProphet(
-                _task(),
-                lambda rng: build_cnn(3, 10, (3, 8, 8), base_channels=4, rng=rng),
-                FedProphetConfig(
-                    num_clients=2, clients_per_round=1, rounds=1, overlap_eval=True
-                ),
-            )
 
 
 class TestAsyncAggregation:
