@@ -364,3 +364,19 @@ class TestAutoAttackShards:
                                        rng=shard_rng(plan.seed, 2, si))
                 correct += int((mwl.logits(adv).argmax(axis=1) == yb).sum())
         assert result.aa_acc == correct / 24
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_run_is_repeatable_on_one_engine(self, backend):
+        """A second run on the same engine (its pool and replicas reused)
+        reduces to the same EvalResult as a fresh serial engine."""
+        plan = self._plan()
+        reference = EvalExecutor(RoundExecutor("serial")).run(
+            plan, _dataset(), _replicated_targets()
+        )
+        engine = EvalExecutor(RoundExecutor(backend, max_workers=2))
+        targets = _replicated_targets()
+        first = engine.run(plan, _dataset(), targets)
+        second = engine.run(plan, _dataset(), targets)
+        _results_equal(reference, first)
+        _results_equal(reference, second)
+        engine.executor.close()

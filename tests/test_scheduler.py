@@ -123,6 +123,17 @@ class TestFLScheduler:
         assert list(group.stream()) == []
         ex.close()
 
+    def test_concurrent_groups_gather_independently(self):
+        # Groups carry no dependencies: two in flight on one pool each
+        # gather their own results, whichever is collected first.
+        ex = RoundExecutor("thread", max_workers=2)
+        sched = FLScheduler(ex)
+        first = sched.submit_group("a", lambda i, s: i, range(6))
+        second = sched.submit_group("b", lambda i, s: -i, range(6))
+        assert second.results() == [-i for i in range(6)]
+        assert first.results() == list(range(6))
+        ex.close()
+
     def test_persistent_pool_reused_across_groups(self):
         ex = RoundExecutor("thread", max_workers=2)
         ex.map(lambda i, s: i, range(4))
@@ -287,6 +298,39 @@ class TestSyncDeterminism:
         for a, b in zip(ref_history, history):
             assert a.eval.as_dict() == b.eval.as_dict()
             assert a.sim_time_s == b.sim_time_s
+
+
+class TestPeriodicEvaluation:
+    """Periodic evaluation is one barrier run_eval at the round boundary."""
+
+    @pytest.mark.parametrize("every", [0, 1, 2, 3])
+    def test_eval_rounds_follow_eval_every(self, every):
+        exp = _jfat(eval_every=every, rounds=4)
+        history = exp.run()
+        evaluated = [r.round for r in history if r.eval is not None]
+        assert evaluated == [r for r in range(4) if every and (r + 1) % every == 0]
+
+    @pytest.mark.parametrize("backend,workers", [("serial", 1), ("thread", 2), ("thread", 4)])
+    def test_eval_leaves_training_untouched(self, backend, workers):
+        # The eval draws on its own RNG stream and replicas: weights and
+        # the simulated clock are those of a run that never evaluates.
+        quiet = _jfat("serial", eval_every=0)
+        quiet.run()
+        exp = _jfat(backend, workers=workers, eval_every=1)
+        history = exp.run()
+        assert all(r.eval is not None for r in history)
+        _assert_states_equal(
+            quiet.global_model.state_dict(), exp.global_model.state_dict()
+        )
+        assert [r.sim_time_s for r in quiet.history] == [r.sim_time_s for r in history]
+        exp.close()
+
+    def test_describe_parallelism_names_one_eval_engine(self):
+        exp = _jfat("thread", workers=2)
+        text = exp.describe_parallelism()
+        assert "eval engine: thread x2" in text
+        assert "overlap" not in text
+        exp.close()
 
 
 class TestAsyncAggregation:
