@@ -18,6 +18,8 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.flsim.executor import BACKENDS
+
 MB = 1024**2
 
 
@@ -247,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-per-class", type=int, default=80)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--executor", default="serial",
-                   choices=["serial", "thread", "process"],
+                   choices=BACKENDS,
                    help="round execution backend (bit-identical results); "
                         "every backend fuses homogeneous clients into "
                         "stacked cohorts (see --fusion-width)")
@@ -256,10 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "stacked cohort (default auto: derived from the "
                         "model's stacked activation footprint, at most 8; "
                         "an integer is obeyed as given; 1 disables fusion)")
-    p.add_argument("--round-parallelism", "--parallelism", dest="round_parallelism",
-                   type=int, default=None,
+    p.add_argument("--round-parallelism", type=int, default=None,
                    help="worker cap for the round execution engine "
-                        "(default: CPU count; --parallelism is a legacy alias)")
+                        "(default: CPU count)")
     p.add_argument("--eval-parallelism", type=int, default=None,
                    help="worker cap for the sharded evaluation engine "
                         "(default: follow --round-parallelism)")

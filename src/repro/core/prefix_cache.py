@@ -34,17 +34,12 @@ guards that bookkeeping while the expensive ``forward_fn`` call runs
 outside it.  If a concurrent eviction drops an entry mid-fetch the fetch
 still returns correct features from its private reference — only the
 cached copy is lost.
-
-Process backend: forked workers inherit a snapshot of the cache and fill
-their private copies; :meth:`export_entry` / :meth:`adopt_entry` let the
-parent merge a child's freshly-computed rows back in so the next round's
-forks start warm.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, Hashable, Optional, Tuple
+from typing import Callable, Dict, Hashable, Optional
 
 import numpy as np
 
@@ -264,104 +259,3 @@ class PrefixCache:
                 if outputs[i] is None:
                     outputs[i] = entry.data[indices]
         return outputs
-
-    # -- cross-process merging ---------------------------------------------
-    def adopt_counters(self, hits: int, misses: int) -> None:
-        """Fold a forked worker's hit/miss *deltas* into this cache.
-
-        Counters accrue in whichever process ran the lookups; a round or
-        evaluation executed on the process backend therefore leaves the
-        parent's counters untouched.  Workers snapshot ``(hits, misses)``
-        around their work and ship the difference back so ``stats()``
-        reflects the whole round in every backend.
-        """
-        with self._lock:
-            self.hits += int(hits)
-            self.misses += int(misses)
-
-    def export_entry(
-        self, key: Hashable
-    ) -> Optional[Tuple[int, np.ndarray, np.ndarray]]:
-        """Snapshot ``(version, data, filled)`` of one entry, or ``None``.
-
-        Used by forked round workers to ship freshly-computed activations
-        back to the parent process (the arrays cross a pickle boundary, so
-        no copy is taken here).
-        """
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None or entry.data is None or not entry.filled.any():
-                return None
-            return entry.version, entry.data, entry.filled
-
-    def adopt_rows(
-        self,
-        key: Hashable,
-        version: int,
-        rows: np.ndarray,
-        data: np.ndarray,
-        num_samples: int,
-    ) -> bool:
-        """Merge a worker's freshly-computed feature *rows* into an entry.
-
-        Cheaper than :meth:`export_entry`/:meth:`adopt_entry` when a forked
-        worker filled only a slice of a shared entry (eval shards of one
-        validation set): only the slice crosses the process boundary,
-        instead of the whole entry once per shard.  ``data`` holds the
-        features of dataset rows ``rows`` in order; already-filled rows
-        are left untouched (they are bit-identical by construction).
-        """
-        rows = np.asarray(rows)
-        with self._lock:
-            if version != self.version or len(rows) == 0:
-                return False
-            entry = self._entries.get(key)
-            if entry is None or entry.version != version:
-                entry = _Entry(num_samples, version)
-                self._entries[key] = entry
-            if not self._ensure_entry_data(
-                key, entry, data.shape[1:], data.dtype, num_samples
-            ):
-                return False
-            new = ~entry.filled[rows]
-            if new.any():
-                entry.data[rows[new]] = data[new]
-                entry.filled[rows[new]] = True
-            return True
-
-    def adopt_entry(
-        self, key: Hashable, version: int, data: np.ndarray, filled: np.ndarray
-    ) -> bool:
-        """Merge an exported entry into this cache; returns True if adopted.
-
-        Stale versions are ignored.  When the key already exists only the
-        rows this cache has not filled yet are copied, so a parent never
-        overwrites activations it already holds (they are bit-identical by
-        construction anyway).  The caller must own ``data`` exclusively
-        (true for arrays received over a process boundary).
-        """
-        with self._lock:
-            if version != self.version:
-                return False
-            entry = self._entries.get(key)
-            if entry is None:
-                if self.max_bytes is not None and data.nbytes > self.max_bytes:
-                    return False
-                self._evict_for(key, data.nbytes)
-                entry = _Entry(len(filled), version)
-                entry.data = data
-                entry.filled = filled.copy()
-                self._entries[key] = entry
-                return True
-            if entry.data is None:
-                if self.max_bytes is not None and data.nbytes > self.max_bytes:
-                    return False
-                self._evict_for(key, data.nbytes)
-                entry.data = data
-                entry.filled = filled.copy()
-                return True
-            new_rows = filled & ~entry.filled
-            if new_rows.any():
-                entry.data[new_rows] = data[new_rows]
-                entry.filled[new_rows] = True
-            return True

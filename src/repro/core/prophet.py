@@ -339,9 +339,8 @@ class FedProphet(FederatedExperiment):
         A pure function of (round base, the client's shard and module
         span, a counter-derived RNG): restores the trainable suffix onto
         the slot workspace, runs adversarial cascade training on the
-        assigned span, and returns the trained segment + head states
-        (plus prefix-cache exports on forked backends).  Stays on
-        ``_slot_model`` (slot 0 is the live model, which
+        assigned span, and returns the trained segment + head states.
+        Stays on ``_slot_model`` (slot 0 is the live model, which
         :meth:`async_finalize` returns to a server state): rounds never
         overlap, so ``_async_slot_model`` would only add a model replica.
         """
@@ -353,18 +352,11 @@ class FedProphet(FederatedExperiment):
         lr_t = self.lr_at(round_idx)
         span_of = self._round_plan["span_of"]
         head_states = base["heads"]
-        # Forked workers fill private copies of the activation cache; ship
-        # their entries (and hit/miss counter deltas) back so next round's
-        # forks inherit a warm cache and stats() covers child-side lookups.
-        forked = self.executor.forks_for(len(span_of)) and self.prefix_cache is not None
-        export_cache = forked and start_atom > 0
         self._sync_workspaces(len(span_of))
 
         def train_client(item, slot):
             client, _dev = item
             mk = span_of[client.cid]
-            if forked:
-                hits0, misses0 = self.prefix_cache.hits, self.prefix_cache.misses
             model = self._slot_model(slot)
             restore_segment(model, base, start_atom, num_atoms)
             head = self._slot_heads(slot)[mk]
@@ -394,17 +386,7 @@ class FedProphet(FederatedExperiment):
             # The segment state stays first: update poisoning walks the
             # tuple structurally and lies about its first state dict.
             seg_state = snapshot_segment(model, start_atom, stop_atom)
-            head_state = head.state_dict() if head is not None else None
-            cache_key = (client.cid, start_atom)
-            cache_entry = (
-                self.prefix_cache.export_entry(cache_key) if export_cache else None
-            )
-            counters = (
-                (self.prefix_cache.hits - hits0, self.prefix_cache.misses - misses0)
-                if forked
-                else None
-            )
-            return seg_state, head_state, cache_key, cache_entry, counters
+            return seg_state, head.state_dict() if head is not None else None
 
         return train_client
 
@@ -429,7 +411,7 @@ class FedProphet(FederatedExperiment):
             self.current_module,
             server,
             heads,
-            map(self._adopt_cache_export, updates),
+            updates,
             [plan["span_of"][ctx.clients[i].cid] for i in members],
             [ctx.weights[i] for i in members],
             plan["module_weights"],
@@ -437,15 +419,6 @@ class FedProphet(FederatedExperiment):
             staleness=staleness,
             average_fn=self._module_average_fn(),
         )
-
-    def _adopt_cache_export(self, update):
-        """Adopt a forked client's prefix-cache export; return its (segment, head) states."""
-        seg_state, head_state, cache_key, cache_entry, counters = update
-        if cache_entry is not None:
-            self.prefix_cache.adopt_entry(cache_key, *cache_entry)
-        if counters is not None:
-            self.prefix_cache.adopt_counters(*counters)
-        return seg_state, head_state
 
     def async_finalize(self, server) -> None:
         """Install a round server state (the merged one, or an aborted round's

@@ -60,23 +60,23 @@ class FLConfig:
 
     ``executor_backend`` / ``round_parallelism`` select the round execution
     engine (:class:`repro.flsim.executor.RoundExecutor`): clients within a
-    round train as independent work units on ``serial`` (default),
-    ``thread``, or ``process`` workers, with bit-identical results across
-    backends.  ``round_parallelism`` caps the worker count (None: one per
-    CPU core).  On every backend homogeneous clients fuse into stacked
-    cohorts (per-client weight slabs against a ``(K·B, ...)`` activation
-    layout — see :mod:`repro.nn.cohort`); heterogeneous clients run per
-    item.  ``fusion_width=None`` (default) derives the cohort width from
-    the model's stacked activation footprint — ``1 MiB // (4·B·A)``
-    clamped to ``[1, 8]``, so small tensors stack up to 8 wide and large
-    ones train per item (:func:`repro.flsim.executor.derived_fusion_width`)
-    — an explicit integer is obeyed as given, and ``fusion_width=1``
+    round train as independent work units on ``serial`` (default) or
+    ``thread`` workers, with bit-identical results across backends.
+    ``round_parallelism`` caps the worker count (None: one per CPU core).
+    On every backend homogeneous clients fuse into stacked cohorts
+    (per-client weight slabs against a ``(K·B, ...)`` activation layout —
+    see :mod:`repro.nn.cohort`); heterogeneous clients run per item.
+    ``fusion_width=None`` (default) derives the cohort width from the
+    model's stacked activation footprint — ``1 MiB // (4·B·A)`` clamped
+    to ``[1, 8]``, so small tensors stack up to 8 wide and large ones
+    train per item (:func:`repro.flsim.executor.derived_fusion_width`) —
+    an explicit integer is obeyed as given, and ``fusion_width=1``
     disables fusion (the bit-identical per-item reference path).
 
-    ``eval_backend`` / ``eval_parallelism`` configure the sharded
-    evaluation engine (:class:`repro.flsim.eval_executor.EvalExecutor`)
-    the same way; both default (None) to the round-engine settings, so a
-    parallel experiment evaluates in parallel too.  Evaluation results are
+    The sharded evaluation engine
+    (:class:`repro.flsim.eval_executor.EvalExecutor`) runs on
+    ``executor_backend`` too; ``eval_parallelism`` caps its worker count
+    (None: follow ``round_parallelism``).  Evaluation results are
     bit-identical across backends and worker counts.
 
     ``aggregation_mode`` selects how client updates reach the server:
@@ -184,7 +184,6 @@ class FLConfig:
     executor_backend: str = "serial"
     round_parallelism: Optional[int] = None
     fusion_width: Optional[int] = None
-    eval_backend: Optional[str] = None
     eval_parallelism: Optional[int] = None
     aggregation_mode: str = "sync"
     max_staleness: int = 4
@@ -236,11 +235,6 @@ class FLConfig:
             raise ValueError("round_parallelism must be >= 1")
         if self.fusion_width is not None and self.fusion_width < 1:
             raise ValueError("fusion_width must be >= 1 (or None: derived)")
-        if self.eval_backend is not None and self.eval_backend not in BACKENDS:
-            raise ValueError(
-                f"eval_backend must be one of {BACKENDS} (or None to follow "
-                f"executor_backend), got {self.eval_backend!r}"
-            )
         if self.eval_parallelism is not None and self.eval_parallelism < 1:
             raise ValueError("eval_parallelism must be >= 1")
         if self.eval_every < 0:
@@ -511,7 +505,7 @@ class FederatedExperiment:
         self.scheduler = FLScheduler(self.executor)
         self.eval_executor = EvalExecutor(
             RoundExecutor(
-                config.eval_backend or config.executor_backend,
+                config.executor_backend,
                 config.eval_parallelism
                 if config.eval_parallelism is not None
                 else config.round_parallelism,
@@ -554,10 +548,10 @@ class FederatedExperiment:
     def _slot_model(self, slot: int) -> CascadeModel:
         """Model workspace for an executor slot.
 
-        Slot 0 is the global model itself (the serial path and forked
-        children, whose memory image is private, train directly on it);
-        higher slots lazily build one replica each via ``model_builder`` so
-        concurrent thread workers never share layer caches or parameters.
+        Slot 0 is the global model itself (the serial path trains directly
+        on it); higher slots lazily build one replica each via
+        ``model_builder`` so concurrent thread workers never share layer
+        caches or parameters.
         Replicas persist across rounds; the experiment is responsible for
         syncing whatever state a work unit does not itself restore.
         """

@@ -56,7 +56,6 @@ NONSEMANTIC_FIELDS = frozenset(
         "executor_backend",
         "round_parallelism",
         "fusion_width",
-        "eval_backend",
         "eval_parallelism",
         "client_materialisation",
         "client_cache_size",

@@ -5,7 +5,7 @@ tuples: every accuracy an :class:`~repro.metrics.evaluation.EvalPlan`
 requests decomposes into deterministic :class:`EvalShard` work units whose
 results are integer correct-counts, reduced in input order.  The shards
 run through the existing :class:`~repro.flsim.executor.RoundExecutor`
-(serial / thread / process backends), sharing its determinism contract:
+(serial / thread backends), sharing its determinism contract:
 
 * **shard-stable RNG** — each shard draws from
   ``default_rng([plan seed, attack index, shard index])``
@@ -15,7 +15,7 @@ run through the existing :class:`~repro.flsim.executor.RoundExecutor`
   caller's ``target_for_slot`` maps an executor slot to a private
   :class:`EvalTarget` (slot 0 is conventionally the real model; thread
   slots are replicas synced by ``prepare_slot`` before the parallel
-  region; forked children own copy-on-write copies);
+  region);
 * **fixed reduction order** — per-attack counts are summed over shards in
   input order, so the final float divisions see identical operands on
   every backend.
@@ -26,10 +26,7 @@ The engine also reuses the stage-scoped
 memoises — so an :class:`EvalTarget` may carry a split
 ``prefix_forward`` / ``suffix_mwl`` pair and serve repeated validation
 passes from cached activations (bit-identical to the uncached forward).
-Attack shards perturb the raw input and always bypass the cache.  On the
-process backend, children's cache-counter deltas and freshly filled
-entries are merged back into the parent so ``stats()`` reflects the whole
-evaluation.
+Attack shards perturb the raw input and always bypass the cache.
 """
 
 from __future__ import annotations
@@ -141,10 +138,6 @@ class EvalExecutor:
             x, y = x[rows], y[rows]
         n = len(x)
         shards = self.shards_for(plan, n)
-        # The process backend accrues cache hits/misses (and fresh entries)
-        # in forked children; detect an actual fork so the parent can merge
-        # the deltas back.  Mirrors RoundExecutor.map's fallback-to-serial.
-        forked = self.executor.forks_for(len(shards))
         targets: Dict[int, EvalTarget] = {}
         for slot in self.executor.slots_for(len(shards)):
             if prepare_slot is not None:
@@ -170,21 +163,11 @@ class EvalExecutor:
                 and target.prefix_forward is not None
                 and target.suffix_mwl is not None
             )
-            hits0 = misses0 = 0
-            if forked and prefix_cache is not None:
-                hits0, misses0 = prefix_cache.hits, prefix_cache.misses
-            export = None
             if use_cache:
-                shard_rows = rows[shard.start : shard.stop]
-                version = prefix_cache.version
                 feats = prefix_cache.fetch(
-                    cache_key, shard_rows, xb, target.prefix_forward, num_total
+                    cache_key, rows[shard.start : shard.stop], xb,
+                    target.prefix_forward, num_total,
                 )
-                if forked:
-                    # Ship only this shard's rows back to the parent — the
-                    # shards of one eval share the entry, so exporting it
-                    # whole per shard would pickle the same array K times.
-                    export = (version, shard_rows, feats)
                 preds = target.suffix_mwl.logits(feats).argmax(axis=1)
             elif attack.cacheable:
                 preds = target.mwl.logits(xb).argmax(axis=1)
@@ -192,26 +175,9 @@ class EvalExecutor:
                 rng = shard_rng(plan.seed, shard.attack_idx, shard.shard_idx)
                 adv = attack.perturb(target.mwl, xb, yb, rng)
                 preds = target.mwl.logits(adv).argmax(axis=1)
-            correct = int((preds == yb).sum())  # reduce here: the pipe stays narrow
-            counters = None
-            if forked and prefix_cache is not None:
-                counters = (
-                    prefix_cache.hits - hits0,
-                    prefix_cache.misses - misses0,
-                )
-            return shard.attack_idx, correct, counters, export
+            return shard.attack_idx, int((preds == yb).sum())
 
         results = self.executor.map(run_shard, shards)
-
-        if forked and prefix_cache is not None:
-            for _, _, counters, export in results:
-                if counters is not None:
-                    prefix_cache.adopt_counters(*counters)
-                if export is not None:
-                    version, shard_rows, feats = export
-                    prefix_cache.adopt_rows(
-                        cache_key, version, shard_rows, feats, num_total
-                    )
 
         for target in targets.values():
             target.mwl.model.zero_grad()
@@ -219,7 +185,7 @@ class EvalExecutor:
                 target.mwl.head.zero_grad()
         # Sum each attack's correct counts over shards, in input order.
         correct_by_attack = [0] * len(plan.attacks)
-        for attack_idx, correct, _, _ in results:
+        for attack_idx, correct in results:
             correct_by_attack[attack_idx] += correct
         # An empty evaluation (empty dataset, max_samples=0) measured
         # nothing: report None, never a fake 0 % (to_result's contract).

@@ -4,7 +4,7 @@ Clients within a federated round are embarrassingly parallel — each one's
 local training is a pure function of (round-start global state, its local
 shard, its own counter-derived RNG) — yet the seed ran them strictly
 sequentially.  :class:`RoundExecutor` turns the per-client loop of every
-``run_round`` into independent work units executed by one of three
+``run_round`` into independent work units executed by one of two
 backends:
 
 * ``serial``  — the default: work runs inline in the caller's thread;
@@ -13,12 +13,7 @@ backends:
   construction is pure overhead on short rounds).  NumPy's BLAS releases
   the GIL inside the matmuls that dominate this workload (convolution
   GEMMs, batched attacks), so threads yield real speedups without
-  any pickling;
-* ``process`` — ``fork()``-based workers.  Each child inherits a
-  copy-on-write snapshot of the experiment (global model, shards, prefix
-  cache) at round start, trains its stripe of the work, and ships the
-  resulting segment states back through a pipe.  Sidesteps the GIL
-  entirely; POSIX only.
+  any pickling.
 
 **Client fusion** is how a worker runs its share on *every* backend, not
 a backend of its own: homogeneous clients are grouped into **fusion
@@ -36,8 +31,7 @@ derives its work function's width from the model's activation footprint
 (:func:`derived_fusion_width`), while an explicit ``fusion_width`` is
 obeyed as given and ``fusion_width=1`` is the per-item reference path.
 The cohort is the unit :class:`~repro.flsim.scheduler.FLScheduler` hands
-to a worker: run inline (``serial``), one pool task each (``thread``), or
-striped over one fork region (``process``).
+to a worker: run inline (``serial``) or one pool task each (``thread``).
 
 Determinism contract: **parallel and fused output is bit-identical to
 the serial per-item path**.
@@ -48,18 +42,16 @@ neither scheduling nor worker identity can leak into the result.  The
 experiments guarantee the remaining piece (no shared mutable model) by
 giving each worker *slot* its own model workspace: the work function
 receives ``(item, slot)`` and slot ``s`` is never used by two concurrent
-units.  The process backend always passes slot 0 because each forked
-child's "global" model is already a private copy.
+units.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence
 
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "thread")
 
 #: Upper bound of a derived fusion-cohort width, and the executor's width
 #: when none is configured.  Past 8 the per-call overhead is already
@@ -130,19 +122,6 @@ class CohortFn:
     def group_key(self, item: Any) -> Any:
         return self._group_key(item) if self._group_key is not None else None
 
-# Fork-inherited work description for the process backend.  Set immediately
-# before the worker pool is forked and cleared after the round; children
-# read it from their copy-on-write memory image, so the work function never
-# has to be picklable.
-_FORK_TASK: Optional[Tuple[Callable[[Any, int], Any], List[Any]]] = None
-
-
-def _run_fork_stripe(args: Tuple[int, int]) -> List[Tuple[int, Any]]:
-    """Child-side trampoline: run stripe ``w`` of the inherited work list."""
-    w, num_workers = args
-    fn, items = _FORK_TASK
-    return [(i, fn(items[i], 0)) for i in range(w, len(items), num_workers)]
-
 
 class RoundExecutor:
     """Maps a slot-aware work function over a round's client work items.
@@ -150,7 +129,7 @@ class RoundExecutor:
     Parameters
     ----------
     backend:
-        One of ``"serial"``, ``"thread"``, ``"process"``.
+        One of :data:`BACKENDS`: ``"serial"`` or ``"thread"``.
     max_workers:
         Parallelism cap; defaults to ``os.cpu_count()``.  The effective
         worker count for a round is ``min(max_workers, len(items))``.
@@ -174,11 +153,6 @@ class RoundExecutor:
             raise ValueError("max_workers must be >= 1")
         if fusion_width is not None and fusion_width < 1:
             raise ValueError("fusion_width must be >= 1")
-        if backend == "process" and "fork" not in multiprocessing.get_all_start_methods():
-            raise ValueError(
-                "the process backend requires fork(); use backend='thread' on "
-                "this platform"
-            )
         self.backend = backend
         self.max_workers = max_workers if max_workers is not None else (os.cpu_count() or 1)
         self.fusion_width = (
@@ -192,10 +166,7 @@ class RoundExecutor:
 
         One pool per executor, shared by every ``map`` call and by the
         :class:`~repro.flsim.scheduler.FLScheduler` riding on top, so
-        rounds and eval phases stop paying pool spin-up/tear-down.  The
-        process backend still forks per parallel region — the fork *is*
-        the copy-on-write snapshot of round-start state, so a persistent
-        child pool would read stale memory.
+        rounds and eval phases stop paying pool spin-up/tear-down.
         """
         if self._thread_pool is None:
             self._thread_pool = ThreadPoolExecutor(
@@ -204,9 +175,15 @@ class RoundExecutor:
         return self._thread_pool
 
     def close(self) -> None:
-        """Shut down the persistent thread pool (idempotent)."""
+        """Shut down the persistent thread pool (idempotent).
+
+        Queued work units are cancelled, running ones finish: nothing is
+        queued at a normal close, and a run that raised (an interrupted
+        async drain) must not train the rest of its in-flight rounds
+        before the error reaches the caller.
+        """
         if self._thread_pool is not None:
-            self._thread_pool.shutdown(wait=True)
+            self._thread_pool.shutdown(wait=True, cancel_futures=True)
             self._thread_pool = None
 
     def __enter__(self) -> "RoundExecutor":
@@ -224,16 +201,6 @@ class RoundExecutor:
         """
         return max(1, min(self.max_workers, num_items))
 
-    def forks_for(self, num_items: int) -> bool:
-        """Whether :meth:`map` will actually fork for this many items.
-
-        The process backend falls back to the caller's thread when a
-        single worker suffices; callers merging child-side state (cache
-        entries, counter deltas) must mirror that dispatch exactly or they
-        would double-count in-process work.
-        """
-        return self.backend == "process" and self.workers_for(num_items) > 1
-
     @property
     def pooled(self) -> bool:
         """Whether this backend runs work through the persistent thread pool.
@@ -250,7 +217,7 @@ class RoundExecutor:
         the round, so this must exactly cover what ``map`` uses: all stripe
         ids for the thread backend (fused cohorts occupy a subset of its
         stripes), slot 0 otherwise (the serial loop runs in the caller's
-        workspace; forked children own private copies).
+        workspace).
         """
         if self.backend == "thread":
             return list(range(self.workers_for(num_items)))
@@ -297,20 +264,14 @@ class RoundExecutor:
         exception propagates to the caller.  ``map`` never fuses: a
         :class:`CohortFn` runs per item here — cohort dispatch lives in
         :class:`~repro.flsim.scheduler.FLScheduler`, which every training
-        round goes through (``map`` serves the fork regions and the
-        barrier eval path, both with plain functions).
+        round goes through (``map`` serves the barrier eval path, with a
+        plain function).
         """
         items = list(items)
         if not items:
             return []
         if self.backend == "serial" or self.workers_for(len(items)) == 1:
             return [fn(item, 0) for item in items]
-        if self.backend == "thread":
-            return self._map_thread(fn, items)
-        return self._map_process(fn, items)
-
-    # -- backends ----------------------------------------------------------
-    def _map_thread(self, fn, items: List[Any]) -> List[Any]:
         num_workers = self.workers_for(len(items))
         results: List[Any] = [None] * len(items)
 
@@ -321,24 +282,4 @@ class RoundExecutor:
         futures = [self.thread_pool.submit(run_stripe, w) for w in range(num_workers)]
         for future in futures:
             future.result()
-        return results
-
-    def _map_process(self, fn, items: List[Any]) -> List[Any]:
-        global _FORK_TASK
-        num_workers = self.workers_for(len(items))
-        ctx = multiprocessing.get_context("fork")
-        _FORK_TASK = (fn, items)
-        try:
-            with ctx.Pool(processes=num_workers) as pool:
-                stripes = pool.map(
-                    _run_fork_stripe,
-                    [(w, num_workers) for w in range(num_workers)],
-                    chunksize=1,
-                )
-        finally:
-            _FORK_TASK = None
-        results: List[Any] = [None] * len(items)
-        for stripe in stripes:
-            for i, result in stripe:
-                results[i] = result
         return results

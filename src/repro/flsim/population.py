@@ -131,18 +131,6 @@ class FLClient:
             return len(self._dataset)
         return len(self._indices)
 
-    def __getstate__(self):
-        # Pickling (the process backend) ships a gathered shard and drops
-        # the source reference: shipping the full training set per client
-        # would defeat the point of lazy shards.
-        return {"cid": self.cid, "dataset": self.dataset}
-
-    def __setstate__(self, state):
-        self.cid = state["cid"]
-        self._dataset = state["dataset"]
-        self._indices = None
-        self._source = None
-
     def __repr__(self) -> str:
         return f"FLClient(cid={self.cid}, num_samples={self.num_samples})"
 

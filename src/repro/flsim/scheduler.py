@@ -35,10 +35,6 @@ every backend), and a cohort is the unit handed to a worker:
 * ``thread`` — one task per cohort on the executor's persistent
   :class:`~concurrent.futures.ThreadPoolExecutor`; true streaming, and
   concurrent groups interleave on the same workers.
-* ``process`` — the group executes as one ``RoundExecutor.map`` fork
-  region striped over its cohorts at launch (the fork is the snapshot;
-  children cannot outlive the phase), completing atomically; a
-  one-cohort group runs inline.
 
 On top of the task groups sits the **cross-round async pipeline**
 (:class:`CrossRoundPipeline`): up to ``depth`` training rounds in flight
@@ -241,9 +237,8 @@ class FLScheduler:
         :class:`CohortFn` fuses per :meth:`RoundExecutor.plan_cohorts`
         (planned per group, so the async pipeline's per-round groups never
         fuse clients across base versions).  Cohorts then run inline on
-        demand, failing fast (``serial``), as one task and one leased slot each on
-        the persistent pool (``thread``), or striped over one fork region
-        (``process``).
+        demand, failing fast (``serial``), or as one task and one leased slot
+        each on the persistent pool (``thread``).
         """
         executor = self.executor
         if isinstance(fn, CohortFn):
@@ -262,14 +257,6 @@ class FLScheduler:
                 )
             return results
 
-        def fail(idxs, error: BaseException) -> None:
-            for i in idxs:
-                group._complete(i, None, error)
-
-        def finish(idxs: List[int], results: List[Any]) -> None:
-            for i, result in zip(idxs, results):
-                group._complete(i, result, None)
-
         if executor.pooled:
             slots = (
                 slot_pool
@@ -282,25 +269,16 @@ class FLScheduler:
                 try:
                     results = run(idxs, slot)
                 except BaseException as error:
-                    fail(idxs, error)
+                    for i in idxs:
+                        group._complete(i, None, error)
                 else:
-                    finish(idxs, results)
+                    for i, result in zip(idxs, results):
+                        group._complete(i, result, None)
                 finally:
                     slots.release(slot)
 
             for idxs in cohorts:
                 executor.thread_pool.submit(task, idxs)
-            return
-        if executor.forks_for(len(cohorts)):
-            # One fork region per group: barrier within the group (children
-            # must not outlive the phase).
-            try:
-                striped = executor.map(run, cohorts)
-            except BaseException as error:  # propagate through the group
-                fail(range(len(items)), error)
-                return
-            for idxs, results in zip(cohorts, striped):
-                finish(idxs, results)
             return
 
         def inline():  # serial (and 1-worker fallbacks): one cohort per step
@@ -391,8 +369,8 @@ class CrossRoundPipeline:
     therefore bit-identical on every backend at any worker count, and
     ``depth=1`` with ``max_staleness=0`` reproduces synchronous FedAvg
     exactly.  Wall-clock overlap needs the thread backend (serial groups
-    train when the merge replay pulls them, process groups at dispatch;
-    both degrade gracefully to the same — bit-identical — results).
+    train when the merge replay pulls them, to the same — bit-identical —
+    results).
 
     Population-engine composition: tickets hold strong references to the
     dispatched :class:`~repro.flsim.population.FLClient` objects (via

@@ -8,7 +8,7 @@ dedicated counter-derived RNG stream
 (``np.random.default_rng([_THREAT_STREAM, seed, round, cid])``), so
 attacker selection and behaviour are pure functions of
 ``(plan seed, round, client id)`` — bit-identical across
-serial/thread/process backends at any worker count, and a plan with
+serial/thread backends at any worker count, and a plan with
 ``byzantine_prob=0`` (or ``threat_plan=None``) reproduces the clean run
 bit for bit.  The domain-separation constant keeps the draws independent
 of a :class:`~repro.flsim.faults.FaultPlan` sharing the same seed.

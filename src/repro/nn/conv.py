@@ -124,7 +124,7 @@ class Conv2d(Module):
 
     def __getstate__(self):
         # Geometry and single-shot caches are not state: copies and pickles
-        # (process backend) rebuild them on their first forward.
+        # rebuild them on their first forward.
         return {k: v for k, v in self.__dict__.items() if k not in ("_unfolds", "_cols", "_fold")}
 
     def _unfold(self, x_shape: tuple, dtype: np.dtype, backward: bool = False) -> _Unfold:

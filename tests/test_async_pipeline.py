@@ -19,7 +19,6 @@ Load-bearing properties (PR 5):
   at staleness 0.
 """
 
-import multiprocessing
 
 import numpy as np
 import pytest
@@ -34,8 +33,7 @@ from repro.hardware import DeviceSampler, device_pool
 from repro.models import build_cnn
 from repro.nn.normalization import DualBatchNorm2d
 
-HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
-BACKENDS = ["serial", "thread"] + (["process"] if HAS_FORK else [])
+BACKENDS = ["serial", "thread"]
 
 
 def _task():
@@ -299,17 +297,6 @@ class TestCrossRoundPipeline:
         )
         assert ref.async_log == exp.async_log
         _histories_equal(ref.history, exp.history)
-
-    @pytest.mark.skipif(not HAS_FORK, reason="process backend needs fork()")
-    def test_process_backend_matches(self):
-        ref = _jfat_async(pipeline_depth=2)
-        ref.run()
-        exp = _jfat_async("process", workers=2, pipeline_depth=2)
-        exp.run()
-        _assert_states_equal(
-            ref.global_model.state_dict(), exp.global_model.state_dict()
-        )
-        assert ref.async_log == exp.async_log
 
     def test_depth_changes_trajectory(self):
         a = _jfat_async(pipeline_depth=1)

@@ -107,11 +107,11 @@ class TestFedRBNMechanism:
         load-bearing: clean-statistics evaluation differs.
         """
 
-        def build(eval_backend):
+        def build(backend):
             exp = FedRBN(
                 _task(), self._dual_builder,
                 _cfg(rounds=2, local_iters=2, train_pgd_steps=2,
-                     eval_backend=eval_backend, eval_parallelism=2),
+                     executor_backend=backend, eval_parallelism=2),
             )
             exp.run()
             return exp

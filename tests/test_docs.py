@@ -20,7 +20,7 @@ import pytest
 
 from repro.cli import build_parser
 from repro.core import FedProphetConfig
-from repro.flsim import FLConfig
+from repro.flsim import FLConfig, RoundExecutor
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DOC = REPO_ROOT / "docs" / "configuration.md"
@@ -86,14 +86,29 @@ class TestConfigurationTableComplete:
         assert "split_autoattack" not in CONFIG_DOC.read_text()
 
     def test_evaluation_has_one_path(self):
-        # The overlapped eval was deleted: 45 -> 44 fields, one flag fewer,
+        # The overlapped eval was deleted: one field and one flag fewer,
         # and --eval-every no longer depends on another flag.
-        assert len(dataclasses.fields(FLConfig)) == 44
         assert not [f.name for f in dataclasses.fields(FLConfig) if "overlap" in f.name]
         assert not [flag for flag in _cli_option_strings() if "overlap" in flag]
         assert "overlap" not in CONFIG_DOC.read_text().lower()
         args = build_parser().parse_args(["train"])
         assert args.eval_every == 0
+
+    def test_two_execution_backends(self, capsys):
+        # The fork-based backend was deleted, and with it eval_backend
+        # (44 -> 43 fields) and the --parallelism alias.
+        for refuse in (lambda: FLConfig(executor_backend="process"),
+                       lambda: RoundExecutor("process")):
+            with pytest.raises(ValueError, match=re.escape("('serial', 'thread')")):
+                refuse()
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["train", "--executor", "process"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'process'" in capsys.readouterr().err
+        fields = {f.name for f in dataclasses.fields(FLConfig)}
+        assert len(fields) == 43 and "eval_backend" not in fields
+        assert "eval_backend" not in CONFIG_DOC.read_text()
+        assert "--parallelism" not in _cli_option_strings()
 
     def test_detects_missing_entries(self):
         # The guard itself must bite: a field absent from the doc text

@@ -2,12 +2,10 @@
 
 The load-bearing property mirrors the round engine's: an
 :class:`EvalPlan` produces **bit-identical** :class:`EvalResult`s on the
-serial, thread, and process backends — with and without the prefix cache,
+serial and thread backends — with and without the prefix cache,
 and through the ``max_samples`` subsample path — because shard RNGs are
 derived from ``(plan seed, attack, shard)`` and never from scheduling.
 """
-
-import multiprocessing
 
 import numpy as np
 import pytest
@@ -20,8 +18,7 @@ from repro.metrics import AttackSpec, EvalPlan, evaluate_model, shard_rng
 from repro.models import build_cnn, build_vgg
 from repro.nn import no_param_grads
 
-HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
-BACKENDS = ["serial", "thread"] + (["process"] if HAS_FORK else [])
+BACKENDS = ["serial", "thread"]
 
 
 def _model(seed=1):
@@ -131,7 +128,7 @@ class TestEvalPlan:
 
 
 # ---------------------------------------------------------------------------
-# Backend determinism: serial == thread == process, bit for bit
+# Backend determinism: serial == thread, bit for bit
 # ---------------------------------------------------------------------------
 
 
@@ -197,14 +194,14 @@ def _task():
     return make_cifar10_like(image_size=8, train_per_class=20, test_per_class=10, seed=0)
 
 
-def _prophet(eval_backend, use_cache=True, **overrides):
+def _prophet(backend, use_cache=True, **overrides):
     defaults = dict(
         num_clients=3, clients_per_round=2, local_iters=2, batch_size=8,
         lr=0.02, rounds=4, train_pgd_steps=2, rounds_per_module=2,
         patience=5, val_samples=20, val_pgd_steps=2, eval_every=0,
         eval_pgd_steps=2, r_min_fraction=0.35, seed=0,
         use_prefix_cache=use_cache,
-        eval_backend=eval_backend, eval_parallelism=2,
+        executor_backend=backend, eval_parallelism=2,
     )
     defaults.update(overrides)
     return FedProphet(
@@ -223,7 +220,7 @@ class TestExperimentEvaluation:
 
     @pytest.mark.parametrize("backend", [b for b in BACKENDS if b != "serial"])
     def test_full_run_eval_matches_serial(self, backend, serial_run):
-        """Training serial everywhere; only evaluation changes backend."""
+        """Training and evaluation on ``backend`` ≡ both serial."""
         ref, ref_history = serial_run
         exp = _prophet(backend)
         history = exp.run()
@@ -260,21 +257,6 @@ class TestExperimentEvaluation:
         assert stats["misses"] == len(exp.val_set)
         assert first.clean_acc == second.clean_acc
 
-    @pytest.mark.skipif(not HAS_FORK, reason="process backend requires fork()")
-    def test_process_eval_merges_counters_and_entries(self):
-        exp = _prophet("process")
-        exp.current_module = 1
-        exp.eps_feature = 0.5
-        exp._enter_stage(1)
-        exp.cascade_eval(1)
-        stats = exp.prefix_cache.stats()
-        # misses happened in forked children; the parent adopted both the
-        # counter deltas and the filled entry
-        assert stats["misses"] == len(exp.val_set)
-        assert ("val", exp.partition[1][0]) in exp.prefix_cache._entries
-        exp.cascade_eval(1)
-        assert exp.prefix_cache.stats()["hits"] == len(exp.val_set)
-
     def test_module_zero_has_no_prefix_to_cache(self):
         exp = _prophet("serial")
         exp._enter_stage(0)
@@ -284,8 +266,6 @@ class TestExperimentEvaluation:
 
 class TestEvalConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            FLConfig(eval_backend="gpu")
         with pytest.raises(ValueError):
             FLConfig(eval_parallelism=0)
 
@@ -302,17 +282,17 @@ class TestEvalConfig:
         assert exp.eval_executor.backend == "thread"
         assert exp.eval_executor.executor.max_workers == 3
 
-    def test_eval_overrides_decouple(self):
+    def test_eval_parallelism_decouples_the_worker_count(self):
         from repro.baselines import JointFAT
 
         cfg = FLConfig(
             num_clients=2, clients_per_round=1, rounds=1,
-            executor_backend="serial", eval_backend="thread", eval_parallelism=2,
+            executor_backend="thread", round_parallelism=3, eval_parallelism=2,
         )
         exp = JointFAT(
             _task(), lambda rng: build_cnn(2, 10, (3, 8, 8), base_channels=4, rng=rng), cfg
         )
-        assert exp.executor.backend == "serial"
+        assert exp.executor.max_workers == 3
         assert exp.eval_executor.backend == "thread"
         assert exp.eval_executor.executor.max_workers == 2
 

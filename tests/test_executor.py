@@ -1,13 +1,11 @@
 """Round execution engine: backend determinism and stage-scoped caching.
 
-The load-bearing property: a round run with the ``serial``, ``thread``,
-and ``process`` backends produces **bit-identical** global state and
+The load-bearing property: a round run with the ``serial`` and ``thread``
+backends produces **bit-identical** global state and
 history (aggregation order is fixed by the client list, per-client RNGs
 are counter-derived), and the version-keyed prefix cache is bit-identical
 to running with the cache off while serving cross-round hits.
 """
-
-import multiprocessing
 
 import numpy as np
 import pytest
@@ -20,8 +18,7 @@ from repro.hardware import DEVICE_POOL_CIFAR10, DeviceSampler
 from repro.models import build_cnn, build_vgg
 from repro.nn import DualBatchNorm2d
 
-HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
-BACKENDS = ["serial", "thread"] + (["process"] if HAS_FORK else [])
+BACKENDS = ["serial", "thread"]
 
 
 def _assert_states_equal(a, b, label=""):
@@ -215,9 +212,6 @@ class TestStageScopedCache:
             exp.run_round(t, clients, states)
         return exp
 
-    # hits/misses accrue wherever the lookups run; in process mode the
-    # forked children ship their counter deltas back to the parent, so the
-    # stats assertions hold on every backend
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_cross_round_hits_with_zero_recompute(self, backend):
         exp = self._run_rounds(_stage_prophet(True, backend))
@@ -252,45 +246,8 @@ class TestStageScopedCache:
         exp.run_round(2, clients, states)
         assert exp.prefix_cache.version == 2
 
-    @pytest.mark.skipif(not HAS_FORK, reason="process backend requires fork()")
-    def test_process_backend_adopts_child_entries(self):
-        exp = self._run_rounds(_stage_prophet(True, "process"), rounds=2)
-        stats = exp.prefix_cache.stats()
-        # children computed the prefix forwards; the parent adopted their
-        # entries, so its cache holds every client's activations
-        assert stats["entries"] == len(exp.clients)
-        assert all(
-            exp.prefix_cache._entries[k].filled.all()
-            for k in exp.prefix_cache._entries
-        )
-
 
 class TestPrefixCacheVersioning:
-    def test_adopt_entry_merges_missing_rows(self):
-        from repro.core.prefix_cache import PrefixCache
-
-        cache = PrefixCache()
-        x = np.arange(8, dtype=np.float32).reshape(4, 2)
-        cache.fetch("k", np.array([0, 1]), x[[0, 1]], lambda b: b * 2, 4)
-        data = np.zeros((4, 2), dtype=np.float32)
-        data[2] = 7.0
-        filled = np.array([False, False, True, False])
-        assert cache.adopt_entry("k", cache.version, data, filled)
-        out = cache.fetch("k", np.array([0, 2]), x[[0, 2]], lambda b: b * 2, 4)
-        np.testing.assert_array_equal(out[0], x[0] * 2)
-        np.testing.assert_array_equal(out[1], [7.0, 7.0])
-
-    def test_adopt_entry_rejects_stale_version(self):
-        from repro.core.prefix_cache import PrefixCache
-
-        cache = PrefixCache()
-        old_version = cache.version
-        cache.bump_version()
-        assert not cache.adopt_entry(
-            "k", old_version, np.ones((2, 2), np.float32), np.array([True, True])
-        )
-        assert len(cache) == 0
-
     def test_fetch_resets_entry_from_older_version(self):
         from repro.core.prefix_cache import PrefixCache
 

@@ -22,11 +22,12 @@ Load-bearing properties (PR 6):
 import errno
 import gc
 import json
-import multiprocessing
 import os
 import pickle
 import shutil
 import socket
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -48,8 +49,6 @@ from repro.flsim.base import FederatedExperiment
 from repro.flsim.checkpoint import TRAILER_MAGIC
 from repro.hardware import DeviceSampler, device_pool
 from repro.models import build_cnn
-
-HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
 def _task():
@@ -216,9 +215,7 @@ MODES = [
     ),
 ]
 
-RESUME_ENGINES = [("serial", None), ("thread", 2), ("thread", 4)] + (
-    [("process", 2)] if HAS_FORK else []
-)
+RESUME_ENGINES = [("serial", None), ("thread", 2), ("thread", 4)]
 
 
 class TestCheckpointResume:
@@ -593,7 +590,7 @@ class TestFaultPlan:
 class TestFaultInjection:
     PLAN = FaultPlan(seed=7, dropout_prob=0.3, straggler_prob=0.2, flaky_prob=0.2)
 
-    ENGINES = [("serial", None), ("thread", 4)] + ([("process", 2)] if HAS_FORK else [])
+    ENGINES = [("serial", None), ("thread", 4)]
 
     @pytest.mark.parametrize("mode", MODES)
     def test_deterministic_across_engines(self, mode):
@@ -867,3 +864,44 @@ class TestHostileInfrastructure:
             JointFAT(_task(), _builder, _cfg(metrics_path=str(tmp_path), status_port=port))
         with socket.socket() as again:
             again.bind(("127.0.0.1", port))
+
+    def test_interrupted_async_drain_trains_no_queued_unit(self, tmp_path):
+        # Two pipelined rounds queue 32 units on two workers; an interrupt
+        # from the second merge must reach the caller without the pool
+        # training the queue first.
+        interrupted, late, merges = threading.Event(), [], []
+
+        class Interrupted(JointFAT):
+            def async_client_fn(self, round_idx, base_state):
+                inner = super().async_client_fn(round_idx, base_state)
+
+                def unit(item, slot):
+                    if interrupted.is_set():
+                        late.append(round_idx)
+                    time.sleep(0.02)
+                    return inner(item, slot)
+
+                return unit
+
+            def async_merge_event(self, *args):
+                merges.append(1)
+                if len(merges) == 2:
+                    interrupted.set()
+                    raise KeyboardInterrupt
+                return super().async_merge_event(*args)
+
+        journal = str(tmp_path / "run.jsonl")
+        exp = Interrupted(
+            _task(), _builder,
+            _cfg(num_clients=16, clients_per_round=16, rounds=4,
+                 aggregation_mode="async", pipeline_depth=2,
+                 executor_backend="thread", round_parallelism=2,
+                 journal_path=journal),
+        )
+        pool = exp.executor.thread_pool
+        with pytest.raises(KeyboardInterrupt):
+            exp.run()
+        assert len(late) <= 2  # at most the unit each worker was starting
+        assert list(RunJournal.read(journal))[-1]["kind"] == "run_abort"
+        assert pool._shutdown and exp.executor._thread_pool is None
+        assert not [t for t in pool._threads if t.is_alive()]

@@ -17,7 +17,6 @@ here:
 """
 
 import copy
-import multiprocessing
 import pickle
 import threading
 from collections import Counter
@@ -54,8 +53,6 @@ from repro.nn.cohort import clear_cohort, install_cohort
 from repro.nn.grad_mode import scope_cached
 from repro.optim.sgd import SGD
 from tests.test_nn_kernels import _model_layer_shapes
-
-HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
 def _randomise(module, rng):
@@ -757,7 +754,7 @@ def _replicas():
     return target_for_slot
 
 
-@pytest.mark.parametrize("backend", ["thread"] + (["process"] if HAS_FORK else []))
+@pytest.mark.parametrize("backend", ["thread"])
 def test_sharded_folded_eval_equals_serial(bn_calls, backend):
     plan = EvalPlan.standard(8 / 255, 3, with_autoattack=True, batch_size=8, seed=17)
     data = _test_set(24)
@@ -765,8 +762,7 @@ def test_sharded_folded_eval_equals_serial(bn_calls, backend):
     serial(0), sharded(0), sharded(1)
     bn_calls.clear()
     want = EvalExecutor(RoundExecutor("serial")).run(plan, data, serial)
-    # The process backend forks in executor.map, outside any scope; each
-    # child opens its shards' scopes itself.
+    # No scope is open around the map: each shard opens its own.
     assert frozen_cache() is None
     got = EvalExecutor(RoundExecutor(backend, max_workers=2)).run(plan, data, sharded)
     assert got.attack_accs == want.attack_accs

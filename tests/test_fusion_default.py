@@ -6,16 +6,13 @@ What is observable about that, pinned here:
   (the width is derived; ``tests/test_fusion_width.py`` pins the rule) into
   one stacked trainer call; ragged shards, ``None`` keys and plain work functions stay per
   item, and FedProphet (a plain work function) trains exactly as before;
-* the ``process`` backend forks over *cohorts*, and ``forks_for`` asked
-  with the cohort count mirrors that dispatch;
 * ``fusion_width`` is non-semantic: a run journalled and checkpointed
   per item resumes and replays bit-identically fused, on another backend;
 * hostile input inside an inline cohort — a raising work unit, a NaN
   shard — ends the round exactly as the per-item path does and leaves the
-  slot model in the serial layout.
+  slot model in the serial layout; a cohort raising on the thread pool
+  fails exactly its own members.
 """
-
-import os
 
 import numpy as np
 import pytest
@@ -158,45 +155,6 @@ class TestDefaultRoundPath:
         assert len(calls) == 2 * 4  # one per sampled client per round
 
 
-class TestProcessForksOverCohorts:
-    @staticmethod
-    def _pid_fn():
-        return CohortFn(
-            lambda item, slot: (os.getpid(), 1),
-            lambda items, slot: [(os.getpid(), len(items))] * len(items),
-            group_key=lambda item: "g",
-        )
-
-    def test_sixteen_fusable_clients_fork_over_two_cohorts(self):
-        ex = RoundExecutor("process", max_workers=2, fusion_width=8)
-        fn = self._pid_fn()
-        cohorts = ex.plan_cohorts(fn, range(16))
-        assert [len(c) for c in cohorts] == [8, 8]
-        assert ex.forks_for(len(cohorts))
-        out = FLScheduler(ex).run_group("t", fn, range(16))
-        assert all(width == 8 for _pid, width in out)
-        assert all(pid != os.getpid() for pid, _width in out)
-
-    def test_one_cohort_does_not_fork(self):
-        ex = RoundExecutor("process", max_workers=2, fusion_width=8)
-        fn = self._pid_fn()
-        assert not ex.forks_for(len(ex.plan_cohorts(fn, range(8))))
-        out = FLScheduler(ex).run_group("t", fn, range(8))
-        assert out == [(os.getpid(), 8)] * 8
-
-    def test_fork_failure_fails_every_item(self):
-        ex = RoundExecutor("process", max_workers=2, fusion_width=2)
-
-        def boom(items, slot):
-            raise ValueError("bad cohort")
-
-        fn = CohortFn(lambda i, s: i, boom, group_key=lambda i: "g")
-        group = FLScheduler(ex).submit_group("t", fn, range(4))
-        with pytest.raises(ValueError, match="bad cohort"):
-            group.results()
-        assert group.done()
-
-
 # ---------------------------------------------------------------------------
 # fusion_width is non-semantic: resume and replay across widths and backends
 # ---------------------------------------------------------------------------
@@ -224,7 +182,7 @@ def test_per_item_journal_resumes_and_replays_fused(tmp_path, mode):
         assert widths == [8]  # the one remaining round really ran fused
 
     for n, engine in enumerate(
-        [dict(fusion_width=8), dict(fusion_width=4, executor_backend="process",
+        [dict(fusion_width=8), dict(fusion_width=4, executor_backend="thread",
                                     round_parallelism=2)]
     ):
         replay_path = str(tmp_path / f"replay{n}" / "run.jsonl")
@@ -301,6 +259,26 @@ class TestHostileCohort:
         with pytest.raises(ValueError, match="second cohort"):
             scheduler.submit_group("t", fn, range(24)).results()
         assert done == [tuple(range(8))]
+
+    def test_failed_pooled_cohort_fails_every_member(self):
+        def cohort_fn(items, slot):
+            if 2 in items:
+                raise ValueError("bad cohort")
+            return list(items)
+
+        fn = CohortFn(lambda i, s: i, cohort_fn, group_key=lambda i: "g")
+        with RoundExecutor("thread", max_workers=2, fusion_width=2) as ex:
+            group = FLScheduler(ex).submit_group("t", fn, range(6))
+            landed, failed = {}, 0
+            for _ in range(6):
+                try:
+                    index, result = group.next_completion()
+                    landed[index] = result
+                except ValueError:
+                    failed += 1
+        assert group.done()
+        # the cohort [2, 3] failed as a whole; its siblings completed
+        assert landed == {0: 0, 1: 1, 4: 4, 5: 5} and failed == 2
 
     def test_slot_model_trains_correctly_after_a_failed_cohort(
         self, tmp_path, monkeypatch

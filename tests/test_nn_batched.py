@@ -393,7 +393,7 @@ class TestBatchedBackendDeterminism:
         [
             (name, backend, width, mode)
             for name in sorted(BASELINES)
-            for backend in ("serial", "thread", "process")
+            for backend in ("serial", "thread")
             for width in (2, 4, 8)
             for mode in sorted(MATRIX_MODES)
             if name == "heterofl" or width == 8
@@ -450,7 +450,7 @@ class TestDescribeParallelism:
         assert "thread x2" in text
         assert "fusion width 3 (configured)" in text
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
     def test_every_backend_reports_the_effective_width_and_its_cause(self, backend):
         # VGG11x0.25 8x8 at B=8: 182 KiB per client, so 5 fit the budget.
         exp = self._exp(executor_backend=backend, round_parallelism=2)

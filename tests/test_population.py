@@ -19,7 +19,6 @@ The load-bearing properties:
 """
 
 import gc
-import multiprocessing
 import os
 import types
 import weakref
@@ -43,7 +42,6 @@ from repro.flsim import (
 from repro.hardware import DEVICE_POOL_CIFAR10, DeviceSampler
 from repro.models import build_cnn
 
-HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 TASK = make_cifar10_like(image_size=8, train_per_class=20, test_per_class=10, seed=0)
 
@@ -198,16 +196,6 @@ class TestLazyFLClient:
         ds = TASK.train.subset([0, 1])
         c = FLClient(cid=3, dataset=ds)
         assert c.dataset is c.dataset is ds and c.num_samples == 2
-
-    def test_pickle_ships_a_concrete_shard_and_drops_source(self):
-        import pickle
-
-        c = FLClient(cid=0, indices=np.array([2, 4]), source=TASK.train)
-        c2 = pickle.loads(pickle.dumps(c))
-        assert c2.cid == 0 and c2._source is None and c2._indices is None
-        assert c2.dataset is c2.dataset  # concrete on arrival
-        np.testing.assert_array_equal(c2.dataset.x, c.dataset.x)
-        np.testing.assert_array_equal(c2.dataset.y, c.dataset.y)
 
     def test_rejects_missing_shard_spec(self):
         with pytest.raises(ValueError):
@@ -385,8 +373,7 @@ class TestDeviceStreams:
 class TestEagerLazyBitIdentity:
     @pytest.mark.parametrize(
         "backend,workers",
-        [("serial", 1), ("thread", 2), ("thread", 4)]
-        + ([("process", 2)] if HAS_FORK else []),
+        [("serial", 1), ("thread", 2), ("thread", 4)],
     )
     def test_across_backends_and_workers(self, backend, workers):
         eager = _run(executor_backend=backend, round_parallelism=workers)

@@ -14,7 +14,6 @@ Load-bearing properties:
   ``max_staleness=0`` is exactly synchronous FedAvg.
 """
 
-import multiprocessing
 import threading
 import time
 
@@ -29,8 +28,7 @@ from repro.data import make_cifar10_like
 from repro.flsim import CrossRoundPipeline, FLConfig, FLScheduler, RoundExecutor
 from repro.models import build_cnn
 
-HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
-BACKENDS = ["serial", "thread"] + (["process"] if HAS_FORK else [])
+BACKENDS = ["serial", "thread"]
 
 
 def _assert_states_equal(a, b, label=""):
@@ -97,10 +95,9 @@ class TestFLScheduler:
         assert set(slots) <= set(range(workers))
         assert sched.executor.slots_for(12) == list(range(workers))
 
-    def test_serial_and_process_use_slot_zero_namespace(self):
+    def test_inline_backends_use_slot_zero_namespace(self):
         assert RoundExecutor("serial").slots_for(5) == [0]
-        if HAS_FORK:
-            assert RoundExecutor("process", 2).slots_for(5) == [0]
+        assert RoundExecutor("thread", 1).slots_for(5) == [0]
 
     def test_run_group_matches_map(self):
         ex = RoundExecutor("thread", max_workers=2)

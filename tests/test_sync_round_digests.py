@@ -24,12 +24,12 @@ The 16 ``feddf`` / ``fedet`` rows pin FedDF-AT and FedET-AT the same way.
 They were recorded while both still ran their own barrier round, a serial
 loop over the cohort that ignored the executor, before they moved onto
 the ``async_*`` hooks.  So one value per (method, heterogeneity,
-scenario) is the reference for the ``serial`` row, the ``batched`` row
-and a two-process run.  The two-member family and the memory-bracketing
+scenario) is the reference for both the ``serial`` and the ``batched``
+row.  The two-member family and the memory-bracketing
 pool put clients on both architectures, and each row hashes every
 prototype.  ``tests/data/feddf_parent_run.jsonl{,.ckpt}`` is a FedDF
 journal and checkpoint from that tree: it must replay, and resume
-bit-identically on two threads or two processes.
+bit-identically on two threads.
 
 Re-record (only from a commit whose behaviour is the reference) with
 ``PYTHONPATH=src python tests/test_sync_round_digests.py``.
@@ -38,7 +38,6 @@ Re-record (only from a commit whose behaviour is the reference) with
 import functools
 import hashlib
 import json
-import multiprocessing
 import os
 import shutil
 
@@ -69,7 +68,6 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
 DIGESTS = os.path.join(DATA, "sync_round_digests.json")
 JOURNAL = os.path.join(DATA, "sync_jfat_faults_median.jsonl")
 DISTILLATION_JOURNAL = os.path.join(DATA, "feddf_parent_run.jsonl")
-HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
 def _vgg(rng, **kw):
@@ -237,20 +235,6 @@ def _recorded(case):
         return json.load(fh)[_case_id(case)]
 
 
-@pytest.mark.skipif(not HAS_FORK, reason="the process backend needs fork()")
-@pytest.mark.parametrize(
-    "case",
-    [
-        pytest.param(case, id=_case_id(case) + "-process2", marks=pytest.mark.slow)
-        for case in CASES
-        if case[0] in DISTILLATION and case[2] == "serial"
-    ],
-)
-def test_distillation_digest_on_two_processes(case):
-    digest, _, _ = _digest(*case, executor_backend="process", round_parallelism=2)
-    assert digest == _recorded(case)
-
-
 def _distillation_experiment(journal_path=None, **overrides):
     return _experiment(
         "feddf", "unbalanced", "serial", "median_faults_signflip",
@@ -264,10 +248,7 @@ def test_parent_feddf_journal_still_replays():
     assert (report.rounds, report.merges, report.skipped_checkpoints) == (3, 0, 1)
 
 
-@pytest.mark.parametrize(
-    "backend", ["thread", pytest.param("process", marks=pytest.mark.skipif(
-        not HAS_FORK, reason="the process backend needs fork()"))],
-)
+@pytest.mark.parametrize("backend", ["thread"])
 def test_parent_feddf_checkpoint_resumes_on_two_workers(tmp_path, backend):
     path = str(tmp_path / os.path.basename(DISTILLATION_JOURNAL))
     for suffix in ("", ".ckpt"):

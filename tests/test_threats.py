@@ -5,7 +5,7 @@ Load-bearing properties (PR 7):
 * a :class:`ThreatPlan` marks clients Byzantine by counter-derived draws
   keyed on ``(plan seed, round, cid)`` — attacker selection, poisoned
   shards, and poisoned updates are **bit-identical** across
-  serial/thread/process backends at any worker count, sync or async at
+  serial/thread backends at any worker count, sync or async at
   any pipeline depth;
 * an inactive plan (``byzantine_prob=0``) reproduces the clean run bit
   for bit, and ``aggregation_rule="fedavg"`` delegates byte-for-byte to
@@ -22,7 +22,6 @@ Load-bearing properties (PR 7):
 """
 
 import json
-import multiprocessing
 
 import numpy as np
 import pytest
@@ -49,7 +48,6 @@ from repro.flsim import (
 from repro.models import build_cnn
 from repro.nn.normalization import DualBatchNorm2d
 
-HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 MATRIX_RULES = ("fedavg", "median", "trimmed_mean", "krum", "norm_clip")
 
@@ -485,13 +483,6 @@ class TestThreatMatrix:
         for workers in (1, 2, 4):
             exp = _run_jfat(plan, rule, mode=mode, backend="thread", workers=workers)
             _assert_states_equal(reference, _state(exp), label=f"thread{workers}:")
-
-    @pytest.mark.skipif(not HAS_FORK, reason="no fork start method")
-    def test_bit_identical_on_process_backend(self):
-        plan = _plan("label_flip")
-        reference = _state(_run_jfat(plan, "median"))
-        exp = _run_jfat(plan, "median", backend="process", workers=2)
-        _assert_states_equal(reference, _state(exp), label="process:")
 
 
 class TestCleanRunEquivalence:
