@@ -218,6 +218,30 @@ class TestZeroStalenessIsSync:
         _histories_equal(ref_history, history)
         assert all(e.alpha == 1.0 and e.staleness == 0 for e in exp.async_log)
 
+    @pytest.mark.parametrize("name", ["jfat", "fedrbn", "heterofl"])
+    def test_per_item_on_three_threads_is_sync(self, name, sync_runs):
+        # Per item, each of a round's three clients is a pool task on a
+        # slot of its own; the rows above run at the derived fusion width.
+        cls, builder = {
+            "jfat": (JointFAT, _builder),
+            "fedrbn": (FedRBN, _dual_builder),
+            "heterofl": (HeteroFLAT, _builder),
+        }[name]
+        ref, ref_history = sync_runs[name]
+        exp = cls(
+            _task(), builder,
+            _cfg(eval_every=1, aggregation_mode="async", max_staleness=0,
+                 pipeline_depth=1, executor_backend="thread",
+                 round_parallelism=3, fusion_width=1),
+            device_sampler=_sampler(),
+        )
+        history = exp.run()
+        _assert_states_equal(
+            ref.global_model.state_dict(), exp.global_model.state_dict(),
+            label=f"{name}/thread x3 per item: ",
+        )
+        _histories_equal(ref_history, history)
+
     def test_prophet_zero_staleness_is_sync(self):
         sync = FedProphet(_task(), _builder, _cfg(FedProphetConfig, rounds=4),
                           device_sampler=_sampler())
@@ -286,7 +310,9 @@ class TestCrossRoundPipeline:
         assert all(e.staleness >= e.event for e in deep.async_log)
 
     @pytest.mark.parametrize("depth", [2, 3])
-    @pytest.mark.parametrize("backend,workers", [("serial", 1), ("thread", 2), ("thread", 4)])
+    @pytest.mark.parametrize(
+        "backend,workers", [("serial", 1), ("thread", 2), ("thread", 3), ("thread", 4)]
+    )
     def test_deterministic_across_backends_and_workers(self, depth, backend, workers):
         ref = _jfat_async(pipeline_depth=depth)
         ref.run()

@@ -19,6 +19,14 @@ from repro.models import build_cnn, build_vgg
 from repro.nn import no_param_grads
 
 BACKENDS = ["serial", "thread"]
+# "thread3": the pool at three workers, an odd stripe count.
+ENGINES = BACKENDS + ["thread3"]
+
+
+def _engine(engine, max_workers=2):
+    if engine == "thread3":
+        return EvalExecutor(RoundExecutor("thread", max_workers=3))
+    return EvalExecutor(RoundExecutor(engine, max_workers=max_workers))
 
 
 def _model(seed=1):
@@ -148,7 +156,7 @@ class TestBackendDeterminism:
         result = executor.run(plan, _dataset(), _replicated_targets())
         _results_equal(reference, result)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", ENGINES)
     def test_max_samples_subsample_is_shard_stable(self, backend):
         plan = EvalPlan.standard(
             eps=0.05, pgd_steps=2, max_samples=16, batch_size=4, seed=11
@@ -156,7 +164,7 @@ class TestBackendDeterminism:
         reference = EvalExecutor(RoundExecutor("serial")).run(
             plan, _dataset(48), _replicated_targets()
         )
-        result = EvalExecutor(RoundExecutor(backend, max_workers=2)).run(
+        result = _engine(backend).run(
             plan, _dataset(48), _replicated_targets()
         )
         _results_equal(reference, result)
@@ -218,11 +226,14 @@ class TestExperimentEvaluation:
         history = exp.run()
         return exp, history
 
-    @pytest.mark.parametrize("backend", [b for b in BACKENDS if b != "serial"])
+    @pytest.mark.parametrize("backend", ["thread", "thread3"])
     def test_full_run_eval_matches_serial(self, backend, serial_run):
         """Training and evaluation on ``backend`` ≡ both serial."""
         ref, ref_history = serial_run
-        exp = _prophet(backend)
+        if backend == "thread3":
+            exp = _prophet("thread", round_parallelism=3, eval_parallelism=3)
+        else:
+            exp = _prophet(backend)
         history = exp.run()
         assert len(history) == len(ref_history)
         for a, b in zip(ref_history, history):
@@ -314,13 +325,13 @@ class TestAutoAttackShards:
         assert [a.name for a in plan.attacks] == ["clean", "pgd", "aa"]
         assert len(EvalExecutor().shards_for(plan, 16)) == 3 * 2
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", ENGINES)
     def test_bit_identical_across_backends(self, backend):
         plan = self._plan()  # batch_size 8 < n 40: five aa shards, last one short
         reference = EvalExecutor(RoundExecutor("serial")).run(
             plan, _dataset(), _replicated_targets()
         )
-        result = EvalExecutor(RoundExecutor(backend, max_workers=2)).run(
+        result = _engine(backend).run(
             plan, _dataset(), _replicated_targets()
         )
         _results_equal(reference, result)
@@ -345,7 +356,7 @@ class TestAutoAttackShards:
                 correct += int((mwl.logits(adv).argmax(axis=1) == yb).sum())
         assert result.aa_acc == correct / 24
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", ENGINES)
     def test_run_is_repeatable_on_one_engine(self, backend):
         """A second run on the same engine (its pool and replicas reused)
         reduces to the same EvalResult as a fresh serial engine."""
@@ -353,7 +364,7 @@ class TestAutoAttackShards:
         reference = EvalExecutor(RoundExecutor("serial")).run(
             plan, _dataset(), _replicated_targets()
         )
-        engine = EvalExecutor(RoundExecutor(backend, max_workers=2))
+        engine = _engine(backend)
         targets = _replicated_targets()
         first = engine.run(plan, _dataset(), targets)
         second = engine.run(plan, _dataset(), targets)

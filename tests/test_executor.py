@@ -19,6 +19,14 @@ from repro.models import build_cnn, build_vgg
 from repro.nn import DualBatchNorm2d
 
 BACKENDS = ["serial", "thread"]
+# The thread backend at one worker is not pooled: it maps inline.
+ENGINES = BACKENDS + ["thread1"]
+
+
+def _executor(engine, max_workers):
+    if engine == "thread1":
+        return RoundExecutor("thread", max_workers=1)
+    return RoundExecutor(engine, max_workers=max_workers)
 
 
 def _assert_states_equal(a, b, label=""):
@@ -41,9 +49,9 @@ class TestRoundExecutor:
         with pytest.raises(ValueError):
             RoundExecutor("thread", max_workers=0)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", ENGINES)
     def test_map_preserves_input_order(self, backend):
-        ex = RoundExecutor(backend, max_workers=3)
+        ex = _executor(backend, 3)
         items = list(range(11))
         assert ex.map(lambda i, slot: i * i, items) == [i * i for i in items]
 
@@ -66,9 +74,9 @@ class TestRoundExecutor:
         ex = RoundExecutor("thread", max_workers=8)
         assert ex.workers_for(3) == 3
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", ENGINES)
     def test_exceptions_propagate(self, backend):
-        ex = RoundExecutor(backend, max_workers=2)
+        ex = _executor(backend, 2)
 
         def boom(i, slot):
             if i == 3:
@@ -118,10 +126,14 @@ class TestFedProphetBackendDeterminism:
         history = exp.run()
         return exp, history
 
-    @pytest.mark.parametrize("backend", [b for b in BACKENDS if b != "serial"])
+    # "thread3": one slot per sampled client, each synced to the prefix
+    @pytest.mark.parametrize("backend", ["thread", "thread3"])
     def test_bit_identical_to_serial(self, backend, serial_run):
         ref, ref_history = serial_run
-        exp = _prophet(backend)
+        if backend == "thread3":
+            exp = _prophet("thread", round_parallelism=3)
+        else:
+            exp = _prophet(backend)
         history = exp.run()
         # the 4-round run crosses a stage boundary (rounds_per_module=2),
         # so prefix syncing and cache versioning are both exercised

@@ -215,7 +215,7 @@ MODES = [
     ),
 ]
 
-RESUME_ENGINES = [("serial", None), ("thread", 2), ("thread", 4)]
+RESUME_ENGINES = [("serial", None), ("thread", 2), ("thread", 3), ("thread", 4)]
 
 
 class TestCheckpointResume:

@@ -754,17 +754,22 @@ def _replicas():
     return target_for_slot
 
 
-@pytest.mark.parametrize("backend", ["thread"])
-def test_sharded_folded_eval_equals_serial(bn_calls, backend):
+@pytest.mark.parametrize(
+    "backend,workers",
+    [pytest.param("thread", 2, id="thread"), pytest.param("thread", 3, id="thread3")],
+)
+def test_sharded_folded_eval_equals_serial(bn_calls, backend, workers):
     plan = EvalPlan.standard(8 / 255, 3, with_autoattack=True, batch_size=8, seed=17)
     data = _test_set(24)
     serial, sharded = _replicas(), _replicas()
-    serial(0), sharded(0), sharded(1)
+    serial(0)
+    for slot in range(workers):
+        sharded(slot)
     bn_calls.clear()
     want = EvalExecutor(RoundExecutor("serial")).run(plan, data, serial)
     # No scope is open around the map: each shard opens its own.
     assert frozen_cache() is None
-    got = EvalExecutor(RoundExecutor(backend, max_workers=2)).run(plan, data, sharded)
+    got = EvalExecutor(RoundExecutor(backend, max_workers=workers)).run(plan, data, sharded)
     assert got.attack_accs == want.attack_accs
     assert (got.clean_acc, got.pgd_acc, got.aa_acc) == (want.clean_acc, want.pgd_acc, want.aa_acc)
     assert not bn_calls and frozen_cache() is None

@@ -6,6 +6,8 @@ What is observable about that, pinned here:
   (the width is derived; ``tests/test_fusion_width.py`` pins the rule) into
   one stacked trainer call; ragged shards, ``None`` keys and plain work functions stay per
   item, and FedProphet (a plain work function) trains exactly as before;
+* the thread pool runs one task per *cohort*, and a one-worker thread
+  executor runs its cohorts inline;
 * ``fusion_width`` is non-semantic: a run journalled and checkpointed
   per item resumes and replays bit-identically fused, on another backend;
 * hostile input inside an inline cohort — a raising work unit, a NaN
@@ -13,6 +15,8 @@ What is observable about that, pinned here:
   slot model in the serial layout; a cohort raising on the thread pool
   fails exactly its own members.
 """
+
+import threading
 
 import numpy as np
 import pytest
@@ -153,6 +157,30 @@ class TestDefaultRoundPath:
         with FedProphet(_task(), _builder, cfg) as exp:
             exp.run()
         assert len(calls) == 2 * 4  # one per sampled client per round
+
+
+class TestPoolRunsCohorts:
+    @staticmethod
+    def _thread_fn():
+        return CohortFn(
+            lambda item, slot: (threading.get_ident(), 1),
+            lambda items, slot: [(threading.get_ident(), len(items))] * len(items),
+            group_key=lambda item: "g",
+        )
+
+    def test_sixteen_fusable_clients_run_as_two_pooled_cohorts(self):
+        fn = self._thread_fn()
+        with RoundExecutor("thread", max_workers=2, fusion_width=8) as ex:
+            assert [len(c) for c in ex.plan_cohorts(fn, range(16))] == [8, 8]
+            out = FLScheduler(ex).run_group("t", fn, range(16))
+        assert all(width == 8 for _tid, width in out)
+        assert threading.get_ident() not in {tid for tid, _width in out}
+
+    def test_one_worker_runs_cohorts_inline(self):
+        with RoundExecutor("thread", max_workers=1, fusion_width=8) as ex:
+            out = FLScheduler(ex).run_group("t", self._thread_fn(), range(16))
+            assert ex._thread_pool is None  # no pool was ever started
+        assert out == [(threading.get_ident(), 8)] * 16
 
 
 # ---------------------------------------------------------------------------

@@ -388,12 +388,13 @@ class TestBatchedBackendDeterminism:
         _assert_realised(ref, got, 4)
 
     # The cheap CNN covers every cell; the VGG baselines the default width.
+    # "thread3" is the pool at three workers, an odd stripe count.
     @pytest.mark.parametrize(
         "name,backend,width,mode",
         [
             (name, backend, width, mode)
             for name in sorted(BASELINES)
-            for backend in ("serial", "thread")
+            for backend in ("serial", "thread", "thread3")
             for width in (2, 4, 8)
             for mode in sorted(MATRIX_MODES)
             if name == "heterofl" or width == 8
@@ -401,7 +402,11 @@ class TestBatchedBackendDeterminism:
     )
     def test_fused_matches_per_item_on_every_backend(self, name, backend, width, mode):
         ref = _matrix_reference(name, mode)
-        got = _run(name, backend, fusion_width=width, **MATRIX_MODES[mode])
+        engine = (
+            dict(backend="thread", round_parallelism=3)
+            if backend == "thread3" else dict(backend=backend)
+        )
+        got = _run(name, fusion_width=width, **engine, **MATRIX_MODES[mode])
         _assert_states_equal(ref[0], got[0], f"{name} {backend} w{width} {mode}: ")
         assert ref[1] == got[1]
         assert ref[2] == got[2]

@@ -373,7 +373,7 @@ class TestDeviceStreams:
 class TestEagerLazyBitIdentity:
     @pytest.mark.parametrize(
         "backend,workers",
-        [("serial", 1), ("thread", 2), ("thread", 4)],
+        [("serial", 1), ("thread", 2), ("thread", 3), ("thread", 4)],
     )
     def test_across_backends_and_workers(self, backend, workers):
         eager = _run(executor_backend=backend, round_parallelism=workers)

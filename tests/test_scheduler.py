@@ -29,6 +29,14 @@ from repro.flsim import CrossRoundPipeline, FLConfig, FLScheduler, RoundExecutor
 from repro.models import build_cnn
 
 BACKENDS = ["serial", "thread"]
+# The thread backend at one worker is not pooled: its groups run inline.
+ENGINES = BACKENDS + ["thread1"]
+
+
+def _executor(engine, max_workers):
+    if engine == "thread1":
+        return RoundExecutor("thread", max_workers=1)
+    return RoundExecutor(engine, max_workers=max_workers)
 
 
 def _assert_states_equal(a, b, label=""):
@@ -43,9 +51,9 @@ def _assert_states_equal(a, b, label=""):
 
 
 class TestFLScheduler:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", ENGINES)
     def test_results_in_input_order(self, backend):
-        sched = FLScheduler(RoundExecutor(backend, max_workers=3))
+        sched = FLScheduler(_executor(backend, 3))
         group = sched.submit_group("t", lambda i, slot: i * i, range(9))
         assert group.results() == [i * i for i in range(9)]
 
@@ -61,9 +69,9 @@ class TestFLScheduler:
         seen = dict(group.stream())
         assert seen == {i: i + 100 for i in range(7)}
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", ENGINES)
     def test_exceptions_propagate(self, backend):
-        sched = FLScheduler(RoundExecutor(backend, max_workers=2))
+        sched = FLScheduler(_executor(backend, 2))
 
         def boom(i, slot):
             if i == 2:
@@ -107,12 +115,12 @@ class TestFLScheduler:
             lambda i, s: i * 3, items
         )
 
-    @pytest.mark.parametrize("backend", BACKENDS + ["empty"])
+    @pytest.mark.parametrize("backend", ENGINES + ["empty"])
     def test_next_completion_past_the_end_raises(self, backend):
         # Nothing can ever arrive: an inline group has no producer thread,
         # so blocking on the queue would be a guaranteed deadlock.
         n = 0 if backend == "empty" else 3
-        ex = RoundExecutor("serial" if backend == "empty" else backend, max_workers=2)
+        ex = _executor("serial" if backend == "empty" else backend, 2)
         group = FLScheduler(ex).submit_group("t", lambda i, s: i, range(n))
         assert sorted(group.next_completion() for _ in range(n)) == [(i, i) for i in range(n)]
         with pytest.raises(RuntimeError, match=f"handed out all {n} completions"):
@@ -296,6 +304,37 @@ class TestSyncDeterminism:
             assert a.eval.as_dict() == b.eval.as_dict()
             assert a.sim_time_s == b.sim_time_s
 
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_per_item_pool_bit_identical(self, workers, reference):
+        # The tiny CNN fuses a round's three clients into one cohort, so the
+        # rows above run one pool task; per item, every slot trains.
+        ref, ref_history = reference
+        exp = _jfat("thread", workers=workers, fusion_width=1)
+        slots = []
+        work = exp.async_client_fn
+
+        def recording_client_fn(round_idx, base_state):
+            fn = work(round_idx, base_state)
+            train = fn.fn  # a CohortFn; at width 1 only its per-item path runs
+
+            def unit(item, slot):
+                slots.append(slot)
+                return train(item, slot)
+
+            fn.fn = unit
+            return fn
+
+        exp.async_client_fn = recording_client_fn
+        history = exp.run()
+        assert set(slots) == set(range(workers))
+        _assert_states_equal(
+            ref.global_model.state_dict(), exp.global_model.state_dict()
+        )
+        assert [h.eval.as_dict() for h in history] == [
+            h.eval.as_dict() for h in ref_history
+        ]
+        assert [h.sim_time_s for h in history] == [h.sim_time_s for h in ref_history]
+
 
 class TestPeriodicEvaluation:
     """Periodic evaluation is one barrier run_eval at the round boundary."""
@@ -378,7 +417,9 @@ class TestAsyncAggregation:
         _assert_states_equal(a.global_model.state_dict(), b.global_model.state_dict())
         assert a.async_log == b.async_log
 
-    @pytest.mark.parametrize("backend,workers", [("serial", 1), ("thread", 2), ("thread", 4)])
+    @pytest.mark.parametrize(
+        "backend,workers", [("serial", 1), ("thread", 2), ("thread", 3), ("thread", 4)]
+    )
     def test_deterministic_across_backends_and_workers(self, backend, workers):
         ref = _jfat("serial", aggregation_mode="async", max_staleness=2)
         ref.run()

@@ -25,7 +25,8 @@ They were recorded while both still ran their own barrier round, a serial
 loop over the cohort that ignored the executor, before they moved onto
 the ``async_*`` hooks.  So one value per (method, heterogeneity,
 scenario) is the reference for both the ``serial`` and the ``batched``
-row.  The two-member family and the memory-bracketing
+row.  Every serial row's value must also come out of three pool threads
+running the clients per item.  The two-member family and the memory-bracketing
 pool put clients on both architectures, and each row hashes every
 prototype.  ``tests/data/feddf_parent_run.jsonl{,.ckpt}`` is a FedDF
 journal and checkpoint from that tree: it must replay, and resume
@@ -227,6 +228,26 @@ def test_sync_round_matches_parent_digest(case):
     method, het, engine, _scenario = case
     assert widest == (WIDEST_BATCHED[method, het] if engine == "batched" else 1)
     if method in DISTILLATION:
+        assert picked == set(FAMILY)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        pytest.param(case, id="-".join((case[0], case[1], "thread3", case[3])))
+        for case in CASES
+        if case[2] == "serial"
+    ],
+)
+def test_sync_round_digest_on_three_threads(case):
+    # Five clients a round, per item, over three pool slots: a slot model
+    # trains clients of different devices and architectures in turn.
+    digest, widest, picked = _digest(
+        *case, executor_backend="thread", round_parallelism=3
+    )
+    assert digest == _recorded(case)
+    assert widest == 1
+    if case[0] in DISTILLATION:
         assert picked == set(FAMILY)
 
 
