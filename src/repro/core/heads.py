@@ -15,7 +15,7 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.nn.functional import channel_last
+from repro.nn.functional import channel_last, channel_sum
 from repro.nn.linear import Linear
 from repro.nn.module import Module
 
@@ -63,7 +63,8 @@ class AuxHead(Module):
             if z.ndim != 4:
                 raise ValueError(f"expected 4-D conv feature, got shape {z.shape}")
             self._spatial = z.shape[2:]
-            pooled = channel_last(z).mean(axis=(1, 2))
+            n, c, h, w = z.shape
+            pooled = channel_sum(channel_last(z).reshape(n, -1, c)) / (h * w)
         else:
             pooled = z.reshape(z.shape[0], -1)
             self._flat_shape = z.shape

@@ -8,7 +8,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from repro.nn.dtype import compute_dtype
-from repro.nn.functional import channel_last, col2im, conv_output_size, im2col
+from repro.nn.functional import channel_last, channel_sum, col2im, conv_output_size, im2col
 from repro.nn.grad_mode import param_grads_enabled, scope_cached
 from repro.nn.init import PrivateRng, kaiming_normal
 from repro.nn.module import Module, Parameter
@@ -224,7 +224,7 @@ class Conv2d(Module):
                 ).transpose(0, 1, 4, 2, 3)
             if self.use_bias:
                 b_grad = self.bias.stacked_grad()
-                b_grad += g2d.sum(axis=1)
+                b_grad += channel_sum(g2d)
         self._cols = None  # single-shot cache: release once consumed
         if c_out > 4 * c:
             # Few channels under many (the image layer): gathering would move

@@ -31,6 +31,13 @@ def channel_last(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x.transpose(0, 2, 3, 1))
 
 
+def channel_sum(x: np.ndarray) -> np.ndarray:
+    """``x.sum(axis=1)`` of a ``(K, rows, C)`` stack, bit for bit (NaN payloads aside), in
+    one pass: einsum sums each channel over the rows in the reduce's sequential order
+    without its C-element inner loop.  At C = 1 the reduce sums pairwise, so it stays."""
+    return x.sum(axis=1) if x.shape[2] == 1 else np.einsum("kmc->kc", x)
+
+
 def im2col(
     x: np.ndarray, kh: int, kw: int, stride: int, pad: int
 ) -> Tuple[np.ndarray, int, int]:

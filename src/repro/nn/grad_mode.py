@@ -12,7 +12,7 @@ run inside :func:`no_param_grads`, under which
   gradient contractions entirely, and
 * forward passes skip stashing caches that only the parameter-gradient
   path needs (``Conv2d._cols``, ``Linear._x``, and eval-mode
-  ``BatchNorm2d._x_hat``), cutting peak activation memory.
+  ``BatchNorm2d`` x_hat), cutting peak activation memory.
 
 No parameter gradient means no training step, so no weight changes while
 a scope is open.  The scope therefore carries a **derived-weight cache**

@@ -5,9 +5,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.dtype import compute_dtype
-from repro.nn.functional import channel_last
+from repro.nn.functional import channel_last, channel_sum
 from repro.nn.grad_mode import frozen_cache, param_grads_enabled, scope_cached
 from repro.nn.module import Module, Parameter
+
+
+def _spread(v: np.ndarray, tile: int) -> np.ndarray:
+    """A ``(K, C)`` per-channel vector as ``(K, 1, tile·C)``: its C values ``tile`` times."""
+    return v[:, None] if tile == 1 else np.repeat(v[:, None], tile, axis=1).reshape(len(v), 1, -1)
 
 
 class BatchNorm2d(Module):
@@ -20,9 +25,12 @@ class BatchNorm2d(Module):
 
     Internally the activations are a channel-last ``(K, B·H·W, C)`` stack —
     K clients of a cohort (:mod:`repro.nn.cohort`), K=1 when serial — and
-    every reduction runs over axis 1, one client's rows in order.  The
-    result therefore does not depend on the memory layout the input arrives
-    in, and a cohort slice is bit-identical to the serial layer.
+    every reduction runs over axis 1, one client's rows in order
+    (``channel_sum``).  Per-channel maps run over one sample's whole
+    ``H·W·C`` row, against the ``(K, C)`` vectors repeated H·W times, once
+    the map has 64 positions (below that the repeat costs more than it
+    saves).  The result therefore does not depend on the memory layout the
+    input arrives in, and a cohort slice is bit-identical to the serial layer.
     """
 
     # The running-statistics bank in use; DualBatchNorm2d switches it.
@@ -70,63 +78,71 @@ class BatchNorm2d(Module):
             raise ValueError(f"BatchNorm2d({self.num_features}) got shape {x.shape}")
         n, c, h, w = x.shape
         weight, bias = self.weight.stacked(), self.bias.stacked()
-        xv = channel_last(x).reshape(weight.shape[0], -1, c)
+        k, tile = weight.shape[0], h * w if h * w >= 64 else 1
+        xv = channel_last(x).reshape(k, -1, tile * c)
         mean, var = self._running()
-        self._batch_stats = self.training
         if self.training:
-            batch_mean = xv.mean(axis=1)
-            centered = xv - batch_mean[:, None]
-            batch_var = np.mean(centered * centered, axis=1)
+            count = n // k * h * w
+            batch_mean = channel_sum(xv.reshape(k, -1, c)) / count
+            centered = xv - _spread(batch_mean, tile)
+            batch_var = channel_sum((centered * centered).reshape(k, -1, c)) / count
             m = self.momentum
             self._set_running((1 - m) * mean + m * batch_mean, (1 - m) * var + m * batch_var)
             var = batch_var
-        self._inv_std = 1.0 / np.sqrt(var + self.eps)  # (K, C)
+        inv_std = 1.0 / np.sqrt(var + self.eps)  # (K, C)
         if not (self.training or param_grads_enabled()):
             # Input-grad-only eval forward (attacks on a frozen model, the
             # frozen-prefix cascade): nothing downstream needs x_hat, so
             # fold the affine transform into one scale-and-shift.
-            self._x_hat = None
-            scale = weight * self._inv_std
-            out = xv * scale[:, None]
-            out += (bias - mean * scale)[:, None]
+            x_hat = None
+            scale = weight * inv_std
+            out = xv * _spread(scale, tile)
+            out += _spread(bias - mean * scale, tile)
         else:
             # x_hat: for the weight gradient and the train-mode input gradient.
             if not self.training:
-                centered = xv - mean[:, None]
-            centered *= self._inv_std[:, None]
-            self._x_hat = centered
-            out = centered * weight[:, None]
-            out += bias[:, None]
+                centered = xv - _spread(mean, tile)
+            centered *= _spread(inv_std, tile)
+            x_hat = centered
+            out = centered * _spread(weight, tile)
+            out += _spread(bias, tile)
+        self._saved = x_hat, inv_std, self.training, tile
         return out.reshape(n, h, w, c).transpose(0, 3, 1, 2)
 
     def backward(self, grad_out: np.ndarray, param_grads: bool = True) -> np.ndarray:
+        saved = vars(self).pop("_saved", None)
+        if saved is None:
+            raise RuntimeError("BatchNorm2d.backward: no forward has run since the last backward")
+        x_hat, inv_std, batch_stats, tile = saved
         n, c, h, w = grad_out.shape
         weight = self.weight.stacked()
-        g = channel_last(grad_out).reshape(weight.shape[0], -1, c)
-        x_hat, self._x_hat = self._x_hat, None
+        k = weight.shape[0]
+        g = channel_last(grad_out).reshape(k, -1, tile * c)
         param_grads = param_grads and param_grads_enabled()
         if param_grads and x_hat is None:
             raise RuntimeError(
                 "BatchNorm2d.backward needs parameter gradients but the "
                 "forward pass ran input-grad-only (no x_hat cache)"
             )
-        if param_grads or self._batch_stats:
-            sum_g, sum_gx = g.sum(axis=1), (g * x_hat).sum(axis=1)  # (K, C): the bias/weight grads
+        if param_grads or batch_stats:  # (K, C): the bias/weight grads
+            gx = g * x_hat
+            sum_g, sum_gx = channel_sum(g.reshape(k, -1, c)), channel_sum(gx.reshape(k, -1, c))
         if param_grads:
             w_grad, b_grad = self.weight.stacked_grad(), self.bias.stacked_grad()
             w_grad += sum_gx
             b_grad += sum_g
-        if not self._batch_stats:
+        if not batch_stats:
             # Eval mode: statistics are constants.
-            out = g * (weight * self._inv_std)[:, None]
+            out = g * _spread(weight * inv_std, tile)
         else:
             # weight*inv_std * (g - mean(g) - x_hat * mean(g * x_hat)), over one
-            # client's rows; the consumed x_hat is ours to overwrite.
-            count = g.shape[1]
-            x_hat *= (sum_gx / count)[:, None]
-            x_hat += (sum_g / count)[:, None]
-            out = g - x_hat
-            out *= (weight * self._inv_std)[:, None]
+            # client's rows; the consumed x_hat and the summed g * x_hat are ours
+            # to overwrite.
+            count = n // k * h * w
+            x_hat *= _spread(sum_gx / count, tile)
+            x_hat += _spread(sum_g / count, tile)
+            out = np.subtract(g, x_hat, out=gx)
+            out *= _spread(weight * inv_std, tile)
         return out.reshape(n, h, w, c).transpose(0, 3, 1, 2)
 
 

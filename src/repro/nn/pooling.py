@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.functional import channel_last, col2im, im2col
+from repro.nn.functional import channel_last, channel_sum, col2im, im2col
 from repro.nn.module import Module
 
 
@@ -102,7 +102,8 @@ class GlobalAvgPool2d(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._x_shape = x.shape
-        return channel_last(x).mean(axis=(1, 2))
+        n, c, h, w = x.shape
+        return channel_sum(channel_last(x).reshape(n, -1, c)) / (h * w)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         n, c, h, w = self._x_shape

@@ -8,8 +8,13 @@ Two contracts:
   job);
 * every relative markdown link in ``README.md`` + ``docs/`` resolves
   (``scripts/check_md_links.py``).
+
+Tooling that matches source text is held to the same standard: every
+line text a ``scripts/memory_ledger.py`` category rule names must still
+occur in its file, or that category would silently read zero.
 """
 
+import ast
 import dataclasses
 import re
 import subprocess
@@ -139,3 +144,17 @@ class TestMarkdownLinks:
             timeout=60,
         )
         assert result.returncode == 0, result.stdout + result.stderr
+
+
+class TestMemoryLedgerRules:
+    def test_every_rule_text_occurs_in_its_file(self):
+        script = (REPO_ROOT / "scripts" / "memory_ledger.py").read_text()
+        rules = next(
+            ast.literal_eval(node.value) for node in ast.parse(script).body
+            if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "RULES"
+        )
+        src = REPO_ROOT / "src"
+        for category, where, text in rules:
+            assert (src / where).exists(), f"{category}: no {where} under src/"
+            if text:
+                assert text in (src / where).read_text(), f"{category}: {text!r} not in {where}"

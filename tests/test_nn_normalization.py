@@ -1,9 +1,11 @@
 """Focused tests for BatchNorm2d and DualBatchNorm2d behaviour."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
-from repro.nn import BatchNorm2d, DualBatchNorm2d
+from repro.nn import BatchNorm2d, DualBatchNorm2d, no_param_grads
 from repro.nn.normalization import set_dual_bn_mode
 
 RNG = np.random.default_rng(0)
@@ -52,6 +54,34 @@ class TestBatchNorm:
     def test_rejects_wrong_channels(self):
         with pytest.raises(ValueError):
             BatchNorm2d(3)(np.zeros((1, 4, 2, 2)))
+
+
+class TestBackwardNeedsALiveForward:
+    """A backward consumes its forward's cache; without one it says so."""
+
+    NO_FORWARD = "no forward has run since the last backward"
+
+    def _trained_once(self, scoped):
+        bn = BatchNorm2d(2)
+        x = RNG.normal(size=(4, 2, 3, 3))
+        with no_param_grads() if scoped else contextlib.nullcontext():
+            out = bn(x)
+            bn.backward(np.ones_like(out))
+        return bn, out
+
+    def test_second_backward_inside_the_scope(self):
+        bn, out = self._trained_once(scoped=True)
+        with no_param_grads(), pytest.raises(RuntimeError, match=self.NO_FORWARD):
+            bn.backward(np.ones_like(out))
+
+    def test_second_backward_outside_a_scope(self):
+        bn, out = self._trained_once(scoped=False)
+        with pytest.raises(RuntimeError, match=self.NO_FORWARD):
+            bn.backward(np.ones_like(out))
+
+    def test_backward_before_any_forward(self):
+        with pytest.raises(RuntimeError, match=self.NO_FORWARD):
+            BatchNorm2d(2).backward(np.ones((4, 2, 3, 3)))
 
 
 class TestDualBatchNorm:
