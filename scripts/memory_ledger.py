@@ -222,7 +222,7 @@ def ledger(name: str, seed: int, smoke: bool, whole: bool):
     """
     size = sizes_for(name, smoke)
     workdir = tempfile.mkdtemp(prefix="memory-ledger-")
-    # The unfold buffers live as long as the thread: empty them, or the last
+    # The unfold buffers live as long as the process: empty them, or the last
     # workload's, allocated before this trace started, would go uncounted.
     vars(conv._workspaces).pop("buffers", None)
     tracemalloc.start(FRAMES)

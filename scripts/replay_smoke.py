@@ -9,8 +9,7 @@ The end-to-end exercise of the PR-10 replay contract, in CI's
 2. SIGKILL the recording subprocess mid-flight and resume it to
    completion (bit-identical weights/history/merge log vs the
    uninterrupted reference);
-3. ``replay_run`` the resulting journal — resume folded — on the
-   **serial** backend and again on the **thread** backend, asserting
+3. ``replay_run`` the resulting journal — resume folded — asserting
    every event re-emits bit-for-bit with zero divergences.
 
 Both run loops go through it: ``jfat`` on the cross-round pipeline, then
@@ -40,13 +39,10 @@ import resume_smoke  # noqa: E402 - reuse the config and the kill/poll orchestra
 ROUNDS = resume_smoke.ROUNDS
 
 
-def build_experiment(journal_path=None, checkpoint_every=0,
-                     executor_backend="thread", round_parallelism=2,
-                     method="jfat"):
+def build_experiment(journal_path=None, checkpoint_every=0, method="jfat"):
     """Hard mode: resume_smoke's async config + faults + median aggregation."""
     return resume_smoke.build_experiment(
         journal_path, checkpoint_every, method,
-        executor_backend=executor_backend, round_parallelism=round_parallelism,
         aggregation_rule="median",
         fault_plan=FaultPlan(seed=7, dropout_prob=0.3, straggler_prob=0.2),
     )
@@ -105,24 +101,18 @@ def smoke(method: str) -> int:
     resumed.close()
     print("resume ok: bit-identical weights, history, merge log, stage state")
 
-    for backend, workers in (("serial", 1), ("thread", 2)):
-        report = replay_run(
-            journal,
-            lambda: build_experiment(
-                executor_backend=backend, round_parallelism=workers, method=method
-            ),
-        )
-        if report.rounds != rounds:
-            print(f"FAIL: replay on {backend} verified {report.rounds} rounds")
-            return 1
-        print(f"replay on {backend} x{workers}: {report.summary()}")
+    report = replay_run(journal, lambda: build_experiment(method=method))
+    if report.rounds != rounds:
+        print(f"FAIL: replay verified {report.rounds} rounds")
+        return 1
+    print(f"replay: {report.summary()}")
 
     events = RunJournal.read(journal)
     kinds = [e["kind"] for e in events]
     if kinds[-1] != "run_end":
         print(f"FAIL: journal lifecycle malformed: {kinds}")
         return 1
-    print(f"[{method}] replay smoke ok: zero divergent events on both backends")
+    print(f"[{method}] replay smoke ok: zero divergent events")
     return 0
 
 

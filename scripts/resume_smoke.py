@@ -12,10 +12,10 @@ diffs); this script keeps two roles:
   same checks as the test with print/exit-code reporting.
 
 Two methods, the two run loops: ``jfat`` uses the async cross-round
-pipeline (``pipeline_depth=2``) on the thread backend, so the kill lands
-while rounds are genuinely in flight — the hardest case the checkpoint
-layer supports; ``fedprophet`` runs the round-barrier loop with
-within-round async merges and two-round stages, so the kill (after two
+pipeline (``pipeline_depth=2``), so the kill lands while rounds are in
+flight — the hardest case the checkpoint layer supports; ``fedprophet``
+runs the round-barrier loop with within-round async merges and two-round
+stages, so the kill (after two
 checkpoints) lands just past a stage boundary and the resume must carry
 Algorithm 2's stage state (module index, APA, ε*, heads).
 """
@@ -44,10 +44,10 @@ KILL_DEADLINE_S = 300.0
 
 
 def build_experiment(journal_path=None, checkpoint_every=0, method="jfat", **overrides):
-    """The smoke config: 8 async rounds on thread x2 (jfat: depth 2).
+    """The smoke config: 8 async rounds (jfat: depth 2).
 
     ``overrides`` are extra config fields (``scripts/replay_smoke.py`` adds
-    faults + median aggregation and picks the replay backend).
+    faults + median aggregation).
     """
     task = make_cifar10_like(
         image_size=8, train_per_class=40, test_per_class=10, seed=0
@@ -56,7 +56,6 @@ def build_experiment(journal_path=None, checkpoint_every=0, method="jfat", **ove
         num_clients=6, clients_per_round=3, local_iters=4, batch_size=8,
         lr=0.02, rounds=ROUNDS, train_pgd_steps=2, eval_pgd_steps=2,
         eval_every=0, eval_max_samples=24, seed=0,
-        executor_backend="thread", round_parallelism=2,
         aggregation_mode="async", max_staleness=2,
         journal_path=journal_path, checkpoint_every=checkpoint_every,
     )

@@ -4,9 +4,9 @@
 The CI ``threat-smoke`` job runs this script.  It checks the two load-
 bearing corners of the threat contract (``docs/threat-model.md``):
 
-1. a **label-flip + Krum** run is bit-identical between the serial and
-   thread backends (attacker selection and robust aggregation are pure
-   functions of ``(seed, round, cid)``, never of scheduling);
+1. a **label-flip + Krum** run is bit-identical fused and per item
+   (attacker selection and robust aggregation are pure functions of
+   ``(seed, round, cid)``, never of cohort composition);
 2. an **inactive plan** (``byzantine_prob=0``) reproduces the clean run
    (no plan at all) bit for bit — the threat layer is free when off.
 
@@ -33,12 +33,12 @@ def _builder(rng):
     return build_cnn(3, 10, (3, 8, 8), base_channels=4, rng=rng)
 
 
-def _run(plan, rule, mode="sync", backend="serial", workers=None):
+def _run(plan, rule, mode="sync", fusion_width=None):
     cfg = FLConfig(
         num_clients=8, clients_per_round=4, local_iters=3, batch_size=8,
         lr=0.02, rounds=4, train_pgd_steps=2, eval_pgd_steps=2,
         eval_every=0, seed=0,
-        executor_backend=backend, round_parallelism=workers,
+        fusion_width=fusion_width,
         aggregation_mode=mode,
         pipeline_depth=2 if mode == "async" else 1,
         threat_plan=plan, aggregation_rule=rule,
@@ -57,12 +57,12 @@ def main() -> int:
     plan = ThreatPlan(seed=11, byzantine_prob=0.4, attack="label_flip")
     inactive = ThreatPlan(seed=11, byzantine_prob=0.0, attack="label_flip")
     for mode in ("sync", "async"):
-        serial = _run(plan, "krum", mode=mode)
-        thread = _run(plan, "krum", mode=mode, backend="thread", workers=4)
-        ok = _identical(serial, thread)
-        print(f"[threat-smoke] {mode}: label_flip+krum serial==thread4: {ok}")
+        fused = _run(plan, "krum", mode=mode)
+        per_item = _run(plan, "krum", mode=mode, fusion_width=1)
+        ok = _identical(fused, per_item)
+        print(f"[threat-smoke] {mode}: label_flip+krum fused==per-item: {ok}")
         if not ok:
-            failures.append(f"{mode}: serial vs thread mismatch")
+            failures.append(f"{mode}: fused vs per-item mismatch")
 
         clean = _run(None, "fedavg", mode=mode)
         off = _run(inactive, "fedavg", mode=mode)

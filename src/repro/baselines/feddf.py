@@ -105,7 +105,7 @@ class FedDFAT(FederatedExperiment):
         return _join({arch: self.prototypes[arch].state_dict() for arch in self.family})
 
     def async_client_fn(self, round_idx: int, base: StateDict) -> Callable:
-        """Train the client's architecture on a replica of its prototype.
+        """Train the client's architecture on a workspace copy of its prototype.
 
         The update is keyed in the server's namespace, so a Byzantine
         client's delta is measured against its own prototype's round-start
@@ -116,10 +116,10 @@ class FedDFAT(FederatedExperiment):
         lr_t = self.lr_at(round_idx)
         bases = _split(base)
 
-        def train_client(item, slot):
+        def train_client(item):
             client, dev = item
             arch = self.pick_architecture(dev)
-            model = self._async_slot_model(slot, self.model_builders[arch])
+            model = self._async_workspace(self.model_builders[arch])
             model.load_state_dict(bases[arch])
             adversarial_local_train(
                 model,

@@ -259,16 +259,16 @@ class FedRBN(FederatedExperiment):
         num_atoms = len(self.global_model.atoms)
         lr_t = self.lr_at(round_idx)
 
-        def train_client(item, slot):
+        def train_client(item):
             client, dev = item
-            model = self._async_slot_model(slot)
+            model = self._async_workspace()
             restore_segment(model, base_state, 0, num_atoms)
             rng = self._client_rng(round_idx, client.cid)
             self._train_one(model, client, dev, lr_t, rng)
             return snapshot_segment(model, 0, num_atoms)
 
-        def train_cohort(items, slot):
-            model = self._async_slot_model(slot)
+        def train_cohort(items):
+            model = self._async_workspace()
             return self._cohort_train_many(
                 model, items, base_state, lr_t, round_idx
             )
@@ -342,9 +342,8 @@ class FedRBN(FederatedExperiment):
 
     # Test-time robustness uses the propagated adversarial statistics.  The
     # dual-BN switch is a module *attribute*, not part of the state dict, so
-    # it must travel with every eval plan as the per-slot setup hook — a
-    # state-dict sync alone would leave thread replicas evaluating with
-    # clean statistics.  ``evaluate``/``final_eval`` are inherited.
+    # it is set on the global model before every eval plan.
+    # ``evaluate``/``final_eval`` are inherited.
     @staticmethod
-    def _eval_slot_setup(model) -> None:
+    def _eval_setup(model) -> None:
         set_dual_bn_mode(model, adversarial=True)

@@ -11,7 +11,7 @@ asynchronous aggregation** (``aggregation_mode="async"``): because its
 aggregation is plain full-model FedAvg, client updates can merge into a
 separate server state as they land — in *simulated*-arrival order (the
 latency model's per-device cost, not wall-clock scheduling), so the
-result is deterministic and seed-reproducible at any worker count.  The
+result is deterministic and seed-reproducible.  The
 merge schedule coalesces each round's tail so no update ever merges with
 an intra-round lag above ``max_staleness``; ``max_staleness=0`` with
 ``pipeline_depth=1`` *is* synchronous FedAvg (the sync round is the base
@@ -61,21 +61,20 @@ class JointFAT(FederatedExperiment):
 
     # -- aggregation hooks (the merge rule is the base class's FedAvg) -------
     def async_client_fn(self, round_idx: int, global_snap) -> Callable:
-        """The slot-aware work unit of every round, sync and async.
+        """The work unit of every round, sync and async.
 
-        Trains on the ``_async_slot_model`` replicas so concurrent rounds
-        never touch the live model.  Training is a pure function of
-        (``global_snap``, the client's shard, a counter-derived RNG) —
-        bit-identical on every backend.
+        Trains on the ``_async_workspace`` model so in-flight rounds never
+        touch the live model.  Training is a pure function of
+        (``global_snap``, the client's shard, a counter-derived RNG).
         """
         cfg = self.config
         num_atoms = len(self.global_model.atoms)
         pgd = PGDConfig(eps=cfg.eps0, steps=cfg.train_pgd_steps, norm="linf")
         lr_t = self.lr_at(round_idx)
 
-        def train_client(item, slot):
+        def train_client(item):
             client, _dev = item
-            model = self._async_slot_model(slot)
+            model = self._async_workspace()
             restore_segment(model, global_snap, 0, num_atoms)
             adversarial_local_train(
                 model,
@@ -90,13 +89,13 @@ class JointFAT(FederatedExperiment):
             )
             return snapshot_segment(model, 0, num_atoms)
 
-        def train_cohort(items, slot):
+        def train_cohort(items):
             # K fused clients: stack K copies of the round base into
             # per-parameter slabs and run one stacked trainer pass.  Each
             # client keeps its own RNG/loader stream, and the kernels
             # reduce per client slice — bit-identical to K train_client
             # calls (see repro.nn.cohort).
-            model = self._async_slot_model(slot)
+            model = self._async_workspace()
             try:
                 install_cohort(model, [global_snap] * len(items))
                 cohort_adversarial_local_train(

@@ -115,9 +115,9 @@ class PartialTrainingFAT(FederatedExperiment):
         lr_t = self.lr_at(round_idx)
         num_atoms = len(self.global_model.atoms)
 
-        def train_client(item, slot):
+        def train_client(item):
             client, dev = item
-            model = self._async_slot_model(slot)
+            model = self._async_workspace()
             restore_segment(model, base_state, 0, num_atoms)
             rng = self._client_rng(round_idx, client.cid)
             piece = extract_submodel(
@@ -140,9 +140,9 @@ class PartialTrainingFAT(FederatedExperiment):
             )
             return (scattered, mask, float(client.num_samples))
 
-        def train_cohort(items, slot):
+        def train_cohort(items):
             first_client, first_dev = items[0]
-            model = self._async_slot_model(slot)
+            model = self._async_workspace()
             restore_segment(model, base_state, 0, num_atoms)
             piece = extract_submodel(
                 model,
@@ -172,7 +172,7 @@ class PartialTrainingFAT(FederatedExperiment):
         discarded; only shapes feed the FLOP/memory model — and consumes
         the same counter-derived RNG draws the work unit will make, so
         the sliced channels (and therefore the costs) match the training
-        exactly on every backend.
+        exactly.
         """
         costs = []
         for client, dev in zip(clients, states):

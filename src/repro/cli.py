@@ -18,8 +18,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.flsim.executor import BACKENDS
-
 MB = 1024**2
 
 
@@ -126,9 +124,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         local_iters=args.local_iters, batch_size=args.batch_size, lr=args.lr,
         train_pgd_steps=args.pgd_steps, eval_pgd_steps=5, eval_every=args.eval_every,
         eval_max_samples=150, seed=args.seed,
-        executor_backend=args.executor, round_parallelism=args.round_parallelism,
         fusion_width=args.fusion_width,
-        eval_parallelism=args.eval_parallelism,
         aggregation_mode=args.aggregation_mode, max_staleness=args.max_staleness,
         pipeline_depth=args.pipeline_depth,
         journal_path=args.journal, checkpoint_every=args.checkpoint_every,
@@ -193,8 +189,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     if exp.status_address:
         print(f"status endpoint: {exp.status_address}/status")
     if args.verbose:
-        # Resolved worker counts for both engines (the CLI flags are caps;
-        # None resolves to the CPU count / the round engine's settings).
+        # The resolved engine settings (fusion width and its cause).
         print(exp.describe_parallelism())
     if args.resume:
         exp.resume(args.journal, verbose=args.verbose)
@@ -248,22 +243,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width-mult", type=float, default=0.25)
     p.add_argument("--train-per-class", type=int, default=80)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--executor", default="serial",
-                   choices=BACKENDS,
-                   help="round execution backend (bit-identical results); "
-                        "every backend fuses homogeneous clients into "
-                        "stacked cohorts (see --fusion-width)")
     p.add_argument("--fusion-width", type=int, default=None,
-                   help="every backend: max clients fused into one "
-                        "stacked cohort (default auto: derived from the "
-                        "model's stacked activation footprint, at most 8; "
-                        "an integer is obeyed as given; 1 disables fusion)")
-    p.add_argument("--round-parallelism", type=int, default=None,
-                   help="worker cap for the round execution engine "
-                        "(default: CPU count)")
-    p.add_argument("--eval-parallelism", type=int, default=None,
-                   help="worker cap for the sharded evaluation engine "
-                        "(default: follow --round-parallelism)")
+                   help="max clients fused into one stacked cohort "
+                        "(default auto: derived from the model's stacked "
+                        "activation footprint, at most 8; an integer is "
+                        "obeyed as given; 1 disables fusion)")
     p.add_argument("--aggregation-mode", default="sync", choices=["sync", "async"],
                    help="sync: round-barrier aggregation (bit-identical "
                         "reference); async: staleness-bounded merge in "

@@ -20,7 +20,7 @@ the unified task scheduler:
 Determinism contract: every function here is a pure (or in-place but
 order-fixed) computation over its arguments — no wall-clock, RNG, or
 scheduling input — so merge replays driven by *simulated* arrival order
-produce bit-identical server states on any backend at any worker count.
+produce bit-identical server states run after run.
 """
 
 from __future__ import annotations
@@ -112,7 +112,7 @@ def aggregate_modules(
     modules ``current_module..M_k``).  Returns the updated global state for
     every touched key; untouched keys are absent (keep previous values).
     Pure function of its arguments; trainers reduce in client-list order,
-    so the merged floats are identical on every backend.
+    so the merged floats are identical at any fusion width.
 
     ``average_fn(states, weights, keys, base)`` overrides the per-module
     merge rule (the robust-aggregation hook; ``base`` is the module
@@ -187,7 +187,7 @@ def async_merge_schedule(num_updates: int, max_staleness: int) -> List[List[int]
     ``max_staleness``.  With ``max_staleness=0`` the whole round
     coalesces into one event — synchronous FedAvg.  Pure function of its
     two integers; the caller maps positions to clients via the simulated
-    arrival order, keeping the whole schedule backend-independent.
+    arrival order, keeping the whole schedule independent of scheduling.
     """
     if num_updates < 0:
         raise ValueError("num_updates must be >= 0")
@@ -250,7 +250,7 @@ def merge_async_update(
     ``keys`` restricts the merge to a subset of state-dict keys (FedRBN
     merges its dual-BN statistics under a separate rule).  Returns the
     applied mixing rate.  Pure function of its arguments, so a replay in
-    simulated-arrival order is backend- and worker-count-independent.
+    simulated-arrival order is independent of scheduling.
     """
     if round_weight <= 0:
         raise ValueError("round_weight must be positive")
@@ -285,8 +285,8 @@ def merge_async_partial(
     carrying the whole round at staleness 0 every applied rate is exactly
     1, reproducing the synchronous :func:`aggregate_modules` /
     :func:`aggregate_heads` result bit for bit.  Deterministic: a pure
-    in-place replay over simulated-arrival events — no backend or worker
-    count can change the result.  Returns the largest applied rate (0.0
+    in-place replay over simulated-arrival events — scheduling cannot
+    change the result.  Returns the largest applied rate (0.0
     when the event touched nothing).
 
     ``member_updates`` yields each member's ``(segment state, head

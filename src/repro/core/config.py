@@ -36,10 +36,6 @@ class FedProphetConfig(FLConfig):
         rounds hit instead of re-forwarding the prefix.  Pure
         execution-engine optimisation: results are bit-identical with the
         cache on or off.
-    executor_backend / round_parallelism:
-        Inherited from :class:`~repro.flsim.base.FLConfig` — run each
-        round's clients as parallel work units (``serial``/``thread``)
-        with bit-identical results across backends.
     feature_pgd_steps:
         PGD steps for the inner maximisation on intermediate features
         (defaults to ``train_pgd_steps``).

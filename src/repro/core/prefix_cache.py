@@ -26,19 +26,10 @@ atoms at or after the current module, so the prefix is constant across all
 of a stage's rounds and clients re-sampled in later rounds hit entries
 filled in earlier ones.  (PR 1 invalidated every round, turning all those
 cross-round lookups into recomputation.)
-
-Thread-safety: the round execution engine runs one ``fetch`` per client
-concurrently.  Keys are per-client so two workers never fill the same
-entry, but the entry table, counters, and evictions are shared; a lock
-guards that bookkeeping while the expensive ``forward_fn`` call runs
-outside it.  If a concurrent eviction drops an entry mid-fetch the fetch
-still returns correct features from its private reference — only the
-cached copy is lost.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, Dict, Hashable, Optional
 
 import numpy as np
@@ -73,7 +64,6 @@ class PrefixCache:
         self.max_bytes = max_bytes
         self.version = 0
         self._entries: Dict[Hashable, _Entry] = {}
-        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
@@ -103,11 +93,10 @@ class PrefixCache:
         Call when the frozen prefix's weights actually change — in
         FedProphet, once per module stage.  Returns the new version.
         """
-        with self._lock:
-            self.version += 1
-            self._entries.clear()
-            self.invalidations += 1
-            return self.version
+        self.version += 1
+        self._entries.clear()
+        self.invalidations += 1
+        return self.version
 
     def invalidate(self) -> None:
         """Drop all cached activations (the frozen prefix changed)."""
@@ -126,7 +115,7 @@ class PrefixCache:
     def _ensure_entry_data(
         self, key: Hashable, entry: _Entry, feature_shape, dtype, num_samples: int
     ) -> bool:
-        """Allocate ``entry.data`` within the budget (lock held by caller).
+        """Allocate ``entry.data`` within the budget.
 
         Returns False — and drops the entry — when a full entry of this
         shape could never fit under ``max_bytes``; evicting everyone else
@@ -162,32 +151,29 @@ class PrefixCache:
         aliasing the cache.
         """
         indices = np.asarray(indices)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None or entry.version != self.version:
-                entry = _Entry(num_samples, self.version)
-                self._entries[key] = entry
-            missing = ~entry.filled[indices]
+        entry = self._entries.get(key)
+        if entry is None or entry.version != self.version:
+            entry = _Entry(num_samples, self.version)
+            self._entries[key] = entry
+        missing = ~entry.filled[indices]
         if missing.any():
             z_new = forward_fn(x[missing] if not missing.all() else x)
-            with self._lock:
-                if not self._ensure_entry_data(
-                    key, entry, z_new.shape[1:], z_new.dtype, num_samples
-                ):
-                    # Uncacheable: just pass the computation through.
-                    self.misses += int(missing.sum())
-                    if missing.all():
-                        return z_new
-                    raise AssertionError(
-                        "uncacheable entry can only be partially filled if "
-                        "it was previously stored"
-                    )
-                rows = indices[missing]
-                entry.data[rows] = z_new
-                entry.filled[rows] = True
+            if not self._ensure_entry_data(
+                key, entry, z_new.shape[1:], z_new.dtype, num_samples
+            ):
+                # Uncacheable: just pass the computation through.
                 self.misses += int(missing.sum())
-        with self._lock:
-            self.hits += int((~missing).sum())
+                if missing.all():
+                    return z_new
+                raise AssertionError(
+                    "uncacheable entry can only be partially filled if "
+                    "it was previously stored"
+                )
+            rows = indices[missing]
+            entry.data[rows] = z_new
+            entry.filled[rows] = True
+            self.misses += int(missing.sum())
+        self.hits += int((~missing).sum())
         return entry.data[indices]
 
     def fetch_stacked(
@@ -212,50 +198,47 @@ class PrefixCache:
         indices_list = [np.asarray(ix) for ix in indices_list]
         entries = []
         missings = []
-        with self._lock:
-            for key, indices, num_samples in zip(keys, indices_list, num_samples_list):
-                entry = self._entries.get(key)
-                if entry is None or entry.version != self.version:
-                    entry = _Entry(num_samples, self.version)
-                    self._entries[key] = entry
-                entries.append(entry)
-                missings.append(~entry.filled[indices])
+        for key, indices, num_samples in zip(keys, indices_list, num_samples_list):
+            entry = self._entries.get(key)
+            if entry is None or entry.version != self.version:
+                entry = _Entry(num_samples, self.version)
+                self._entries[key] = entry
+            entries.append(entry)
+            missings.append(~entry.filled[indices])
         outputs = [None] * len(keys)
         if any(m.any() for m in missings):
             z_all = forward_fn(
                 np.concatenate([x[m] for x, m in zip(xs, missings) if m.any()])
             )
             offset = 0
-            with self._lock:
-                for i, (key, entry, indices, missing, num_samples) in enumerate(
-                    zip(keys, entries, indices_list, missings, num_samples_list)
-                ):
-                    count = int(missing.sum())
-                    if count == 0:
-                        continue
-                    z_new = z_all[offset : offset + count]
-                    offset += count
-                    self.misses += count
-                    if not self._ensure_entry_data(
-                        key, entry, z_new.shape[1:], z_new.dtype, num_samples
-                    ):
-                        # Uncacheable: pass the computation through, as in
-                        # the serial fetch.
-                        if missing.all():
-                            outputs[i] = z_new.copy()
-                            continue
-                        raise AssertionError(
-                            "uncacheable entry can only be partially filled "
-                            "if it was previously stored"
-                        )
-                    rows = indices[missing]
-                    entry.data[rows] = z_new
-                    entry.filled[rows] = True
-        with self._lock:
-            for i, (entry, indices, missing) in enumerate(
-                zip(entries, indices_list, missings)
+            for i, (key, entry, indices, missing, num_samples) in enumerate(
+                zip(keys, entries, indices_list, missings, num_samples_list)
             ):
-                self.hits += int((~missing).sum())
-                if outputs[i] is None:
-                    outputs[i] = entry.data[indices]
+                count = int(missing.sum())
+                if count == 0:
+                    continue
+                z_new = z_all[offset : offset + count]
+                offset += count
+                self.misses += count
+                if not self._ensure_entry_data(
+                    key, entry, z_new.shape[1:], z_new.dtype, num_samples
+                ):
+                    # Uncacheable: pass the computation through, as in
+                    # :meth:`fetch`.
+                    if missing.all():
+                        outputs[i] = z_new.copy()
+                        continue
+                    raise AssertionError(
+                        "uncacheable entry can only be partially filled "
+                        "if it was previously stored"
+                    )
+                rows = indices[missing]
+                entry.data[rows] = z_new
+                entry.filled[rows] = True
+        for i, (entry, indices, missing) in enumerate(
+            zip(entries, indices_list, missings)
+        ):
+            self.hits += int((~missing).sum())
+            if outputs[i] is None:
+                outputs[i] = entry.data[indices]
         return outputs

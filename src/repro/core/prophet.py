@@ -139,13 +139,9 @@ class FedProphet(FederatedExperiment):
                 "use_prefix_cache=False to run this scenario"
             )
         # Stage-scoped bookkeeping: the frozen prefix only changes when the
-        # training stage advances to a new module, so both the activation
-        # cache and the thread workers' full-model syncs are keyed on this
-        # version rather than refreshed every round.
+        # training stage advances to a new module, so the activation cache
+        # is invalidated per stage rather than every round.
         self._stage_module: Optional[int] = None
-        self._prefix_version = 0
-        self._replica_synced: dict = {}
-        self._slot_head_lists: dict = {}
         self.eps_feature = 0.0  # ε_{m-1}; unused for module 0 (raw-input ℓ∞)
         self.eps_star: List[float] = []  # fixed ε*_{m-1} per completed module
         self.stage_results: List[ModuleStageResult] = []
@@ -201,52 +197,28 @@ class FedProphet(FederatedExperiment):
         )
         use_cache = self.prefix_cache is not None and prefix_len > 0
 
-        def target(slot: int) -> EvalTarget:
-            model = self._slot_model(slot)
-            slot_head = self._slot_heads(slot)[module_idx]
-            mwl = ModelWithLoss(model.segment(0, stop), head=slot_head)
-            if not use_cache:
-                return EvalTarget(mwl)
+        model = self.global_model
+        target = EvalTarget(ModelWithLoss(model.segment(0, stop), head=head))
+        if use_cache:
 
-            def prefix_forward(xb: np.ndarray, _model=model) -> np.ndarray:
+            def prefix_forward(xb: np.ndarray) -> np.ndarray:
                 with attack_grad_scope():
-                    return _model.forward_until(xb, prefix_len)
+                    return model.forward_until(xb, prefix_len)
 
-            return EvalTarget(
-                mwl,
-                prefix_forward=prefix_forward,
-                suffix_mwl=ModelWithLoss(
-                    model.segment(prefix_len, stop), head=slot_head
-                ),
-            )
-
-        state: dict = {}
-
-        def prepare(slot: int) -> None:
-            if slot == 0:
-                return
-            if "model" not in state:
-                # The evaluated chain reads atoms [0, stop) only, so ship a
-                # segment-scoped snapshot instead of the full state dict —
-                # the untrained suffix beyond `stop` never runs here.
-                state["model"] = snapshot_segment(self.global_model, 0, stop)
-                state["head"] = head.state_dict() if head is not None else None
-            restore_segment(self._slot_model(slot), state["model"], 0, stop)
-            if state["head"] is not None:
-                self._slot_heads(slot)[module_idx].load_state_dict(state["head"])
+            target.prefix_forward = prefix_forward
+            target.suffix_mwl = ModelWithLoss(model.segment(prefix_len, stop), head=head)
 
         return self.eval_executor.run(
             plan,
             self.val_set,
             target,
-            prepare_slot=prepare,
             prefix_cache=self.prefix_cache if use_cache else None,
             cache_key=("val", prefix_len) if use_cache else None,
         )
 
-    # -- executor workspaces ---------------------------------------------------
+    # -- stage bookkeeping -----------------------------------------------------
     def _enter_stage(self, m: int) -> None:
-        """Note a module-stage (prefix) change; bump cache + replica versions.
+        """Note a module-stage (prefix) change; bump the cache version.
 
         During a stage, aggregation only rewrites atoms at or after the
         current module, so the frozen prefix — and everything keyed on it —
@@ -254,7 +226,6 @@ class FedProphet(FederatedExperiment):
         """
         if self._stage_module != m:
             self._stage_module = m
-            self._prefix_version += 1
             if self.prefix_cache is not None:
                 self.prefix_cache.bump_version()
 
@@ -268,32 +239,6 @@ class FedProphet(FederatedExperiment):
             else None
             for _start, stop in self.partition.ranges
         ]
-
-    def _slot_heads(self, slot: int) -> List[Optional[AuxHead]]:
-        """Per-slot auxiliary-head workspaces (slot 0: the global heads)."""
-        if slot == 0:
-            return self.heads
-        if slot not in self._slot_head_lists:
-            self._slot_head_lists[slot] = self._build_heads()
-        return self._slot_head_lists[slot]
-
-    def _sync_workspaces(self, num_items: int) -> None:
-        """Bring thread-worker model replicas up to the current prefix.
-
-        A replica's trainable suffix is restored from the round snapshot
-        before every client, so only the frozen prefix can go stale — and
-        it only changes at stage boundaries.  One full state sync per
-        replica per *stage*, done before the parallel region so no worker
-        reads the global model while another mutates it.
-        """
-        full_state = None
-        for slot in self.executor.slots_for(num_items):
-            if slot == 0 or self._replica_synced.get(slot) == self._prefix_version:
-                continue
-            if full_state is None:
-                full_state = self.global_model.state_dict()
-            self._slot_model(slot).load_state_dict(full_state)
-            self._replica_synced[slot] = self._prefix_version
 
     # -- one communication round: the async_* hooks ----------------------------
     def async_client_weights(self, clients, states):
@@ -334,15 +279,15 @@ class FedProphet(FederatedExperiment):
         return server
 
     def async_client_fn(self, round_idx: int, base) -> Callable:
-        """The slot-aware cascade work unit.
+        """The cascade work unit.
 
         A pure function of (round base, the client's shard and module
         span, a counter-derived RNG): restores the trainable suffix onto
-        the slot workspace, runs adversarial cascade training on the
+        the global model, runs adversarial cascade training on the
         assigned span, and returns the trained segment + head states.
-        Stays on ``_slot_model`` (slot 0 is the live model, which
-        :meth:`async_finalize` returns to a server state): rounds never
-        overlap, so ``_async_slot_model`` would only add a model replica.
+        Trains the live model (which :meth:`async_finalize` returns to a
+        server state): rounds never overlap, so ``_async_workspace`` would
+        only add a model replica.
         """
         cfg = self.config
         m = self.current_module
@@ -352,14 +297,13 @@ class FedProphet(FederatedExperiment):
         lr_t = self.lr_at(round_idx)
         span_of = self._round_plan["span_of"]
         head_states = base["heads"]
-        self._sync_workspaces(len(span_of))
+        model = self.global_model
 
-        def train_client(item, slot):
+        def train_client(item):
             client, _dev = item
             mk = span_of[client.cid]
-            model = self._slot_model(slot)
             restore_segment(model, base, start_atom, num_atoms)
-            head = self._slot_heads(slot)[mk]
+            head = self.heads[mk]
             if head is not None:
                 head.load_state_dict(head_states[mk])
             stop_atom = self.partition[mk][1]

@@ -48,12 +48,11 @@ from repro.flsim.threats import (
     RoundThreats,
     ThreatPlan,
 )
-from repro.flsim.executor import BACKENDS, RoundExecutor
+from repro.flsim.executor import RoundExecutor
 from repro.flsim.scheduler import (
     AsyncRoundTicket,
     CrossRoundPipeline,
     FLScheduler,
-    SlotPool,
     TaskGroup,
 )
 from repro.flsim.eval_executor import EvalExecutor, EvalShard, EvalTarget
@@ -86,11 +85,9 @@ from repro.flsim.checkpoint import (
 )
 
 __all__ = [
-    "BACKENDS",
     "RoundExecutor",
     "FLScheduler",
     "TaskGroup",
-    "SlotPool",
     "AsyncRoundTicket",
     "CrossRoundPipeline",
     "AsyncMergeEvent",

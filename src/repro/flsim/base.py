@@ -10,7 +10,6 @@ periodic evaluation.
 from __future__ import annotations
 
 import os
-import threading
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -23,7 +22,6 @@ from repro.data.dataset import ArrayDataset
 from repro.data.synthetic import SyntheticImageTask
 from repro.flsim.eval_executor import EvalExecutor, EvalTarget
 from repro.flsim.executor import (
-    BACKENDS,
     DEFAULT_FUSION_WIDTH,
     STACKED_ACTIVATION_BUDGET,
     CohortFn,
@@ -58,12 +56,10 @@ class FLConfig:
     Defaults are the paper's values; experiments shrink ``rounds``,
     ``num_clients``, and ``train_pgd_steps`` to NumPy-friendly scales.
 
-    ``executor_backend`` / ``round_parallelism`` select the round execution
-    engine (:class:`repro.flsim.executor.RoundExecutor`): clients within a
-    round train as independent work units on ``serial`` (default) or
-    ``thread`` workers, with bit-identical results across backends.
-    ``round_parallelism`` caps the worker count (None: one per CPU core).
-    On every backend homogeneous clients fuse into stacked cohorts
+    The round execution engine
+    (:class:`repro.flsim.executor.RoundExecutor`) trains a round's clients
+    as independent work units, one after another.  Homogeneous clients
+    fuse into stacked cohorts
     (per-client weight slabs against a ``(K·B, ...)`` activation layout —
     see :mod:`repro.nn.cohort`); heterogeneous clients run per item.
     ``fusion_width=None`` (default) derives the cohort width from the
@@ -73,24 +69,16 @@ class FLConfig:
     an explicit integer is obeyed as given, and ``fusion_width=1``
     disables fusion (the bit-identical per-item reference path).
 
-    The sharded evaluation engine
-    (:class:`repro.flsim.eval_executor.EvalExecutor`) runs on
-    ``executor_backend`` too; ``eval_parallelism`` caps its worker count
-    (None: follow ``round_parallelism``).  Evaluation results are
-    bit-identical across backends and worker counts.
-
     ``aggregation_mode`` selects how client updates reach the server:
     ``"sync"`` (default) is the classic round barrier — bit-identical to
-    the pre-scheduler engine on every backend and worker count; for every
-    method it *is* the async rule with the whole cohort as one
+    the pre-scheduler engine; for every method it *is* the async rule with the whole cohort as one
     staleness-0 merge event (:meth:`FederatedExperiment.run_round`);
     ``"async"`` (every method but FedDF/FedET, whose distillation step
     has no staleness-bounded form) merges
     updates as they land, in simulated-arrival order, with FedAsync
     staleness attenuation bounded by ``max_staleness`` merge events —
-    deterministic and seed-reproducible at any worker count because
-    arrival order derives from the simulated latency model, never from
-    wall-clock scheduling.
+    deterministic and seed-reproducible because arrival order derives
+    from the simulated latency model, never from wall-clock scheduling.
 
     ``pipeline_depth`` (async mode only) lifts the round boundary itself:
     with depth *D* up to *D* rounds are in flight at once — round *r+1*'s
@@ -99,8 +87,8 @@ class FLConfig:
     (:class:`repro.flsim.scheduler.CrossRoundPipeline`).  Each round's
     clients train from the server state at the round's *base version*
     (the merge-event count at its simulated dispatch time), and merges
-    still replay in simulated-arrival order, so any depth is bit-identical
-    across backends and worker counts; ``pipeline_depth=1`` with
+    still replay in simulated-arrival order, so any depth is
+    seed-reproducible; ``pipeline_depth=1`` with
     ``max_staleness=0`` is synchronous FedAvg (the same single event).
     FedProphet pins depth to 1: its per-round ``cascade_eval`` feeds APA
     and early-stop, putting a hard evaluation point on every round
@@ -145,7 +133,7 @@ class FLConfig:
     metrics rows **live** during the run (flushed per event, so they can
     be tailed mid-run); ``status_port`` serves a read-only JSON status
     endpoint (current round, server version, simulated clock,
-    fault/threat/cache counters) on a loopback daemon thread — port 0
+    fault/threat/cache counters) on a loopback HTTP server — port 0
     binds an ephemeral port, exposed as ``experiment.status_address``.
     Both are pure observability and non-semantic (they cannot affect
     results).  ``eval_every_merge`` (async mode on the cross-round
@@ -181,10 +169,7 @@ class FLConfig:
     eval_max_samples: int = 256
     eval_with_autoattack: bool = False
     seed: int = 0
-    executor_backend: str = "serial"
-    round_parallelism: Optional[int] = None
     fusion_width: Optional[int] = None
-    eval_parallelism: Optional[int] = None
     aggregation_mode: str = "sync"
     max_staleness: int = 4
     pipeline_depth: int = 1
@@ -221,22 +206,8 @@ class FLConfig:
             self.clients_per_round = self.num_clients
         if not (0 < self.lr_decay <= 1):
             raise ValueError("lr_decay must be in (0, 1]")
-        if self.executor_backend not in BACKENDS:
-            raise ValueError(
-                f"executor_backend must be one of {BACKENDS}, "
-                f"got {self.executor_backend!r}"
-                + (
-                    " (fusion runs on every backend now: use `fusion_width`)"
-                    if self.executor_backend == "batched"
-                    else ""
-                )
-            )
-        if self.round_parallelism is not None and self.round_parallelism < 1:
-            raise ValueError("round_parallelism must be >= 1")
         if self.fusion_width is not None and self.fusion_width < 1:
             raise ValueError("fusion_width must be >= 1 (or None: derived)")
-        if self.eval_parallelism is not None and self.eval_parallelism < 1:
-            raise ValueError("eval_parallelism must be >= 1")
         if self.eval_every < 0:
             raise ValueError("eval_every must be >= 0 (0 = final eval only)")
         if self.aggregation_mode not in ("sync", "async"):
@@ -351,7 +322,7 @@ class AsyncMergeEvent:
     the server version the event's clients trained from, and
     ``sim_time_s`` the simulated time the merge applied.  Every field is
     derived from the simulated latency model, so logs compare equal
-    across backends and worker counts.
+    run to run.
     """
 
     round: int
@@ -371,7 +342,7 @@ class MergeEvalRecord:
     ``version`` is the server's merge-event count *after* the triggering
     merge applied, ``round``/``event``/``staleness``/``sim_time_s``
     mirror that merge's :class:`AsyncMergeEvent`.  Like every async
-    artefact, records compare equal across backends and worker counts.
+    artefact, records compare equal run to run.
     """
 
     version: int
@@ -497,23 +468,10 @@ class FederatedExperiment:
                 f"(e.g. cascade_eval feeding APA), so nothing may overlap the "
                 f"next round and its async mode merges within a round"
             )
-        self.executor = RoundExecutor(
-            config.executor_backend,
-            config.round_parallelism,
-            fusion_width=config.fusion_width,
-        )
+        self.executor = RoundExecutor(fusion_width=config.fusion_width)
         self.scheduler = FLScheduler(self.executor)
-        self.eval_executor = EvalExecutor(
-            RoundExecutor(
-                config.executor_backend,
-                config.eval_parallelism
-                if config.eval_parallelism is not None
-                else config.round_parallelism,
-            )
-        )
-        self._slot_models: dict = {}
-        self._async_models: dict = {}
-        self._async_model_lock = threading.Lock()
+        self.eval_executor = EvalExecutor(self.executor)
+        self._async_workspaces: dict = {}
         #: Applied merge events of every asynchronous round, in merge order.
         self.async_log: List[AsyncMergeEvent] = []
         #: Merge-event-granularity eval samples (``eval_every_merge``).
@@ -544,49 +502,24 @@ class FederatedExperiment:
                 parallelism=self.describe_parallelism(),
             )
 
-    # -- executor workspaces -------------------------------------------------
-    def _slot_model(self, slot: int) -> CascadeModel:
-        """Model workspace for an executor slot.
+    # -- executor workspace -------------------------------------------------
+    def _async_workspace(self, builder: Optional[Callable] = None) -> CascadeModel:
+        """The private model an async work unit trains on, one per builder.
 
-        Slot 0 is the global model itself (the serial path trains directly
-        on it); higher slots lazily build one replica each via
-        ``model_builder`` so concurrent thread workers never share layer
-        caches or parameters.
-        Replicas persist across rounds; the experiment is responsible for
-        syncing whatever state a work unit does not itself restore.
-        """
-        if slot == 0:
-            return self.global_model
-        model = self._slot_models.get(slot)
-        if model is None:
-            model = self.model_builder(np.random.default_rng(self.config.seed + 7))
-            self._slot_models[slot] = model
-        return model
-
-    def _async_slot_model(
-        self, slot: int, builder: Optional[Callable] = None
-    ) -> CascadeModel:
-        """Model workspace for an async-pipeline work unit.
-
-        Deliberately disjoint from the training slot models (slot 0 there
-        *is* the live global model): with cross-round pipelining several
-        rounds' clients run concurrently, and the global model must stay
-        free for round-boundary evaluation of the merged server state.
-        Every slot — including 0 — is a private replica; work units
-        restore their full base snapshot before training, so a slot
-        carries no state between tasks and which slot a task gets cannot
-        affect results.  ``builder`` (default: ``model_builder``) picks
-        the architecture: FedDF keeps one replica per family member and
-        slot.  Creation is lock-guarded because concurrent groups lease
-        slots on worker threads.
+        Disjoint from the live global model: with cross-round pipelining
+        the global model must stay free for round-boundary evaluation of
+        the merged server state.  Work units restore their full base
+        snapshot before training, so the workspace carries no state
+        between units.  ``builder`` (default: ``model_builder``) picks the
+        architecture: FedDF keeps one workspace per family member.
         """
         builder = builder or self.model_builder
-        with self._async_model_lock:
-            model = self._async_models.get((builder, slot))
-            if model is None:
-                model = builder(np.random.default_rng(self.config.seed + 7))
-                self._async_models[builder, slot] = model
-            return model
+        model = self._async_workspaces.get(builder)
+        if model is None:
+            model = self._async_workspaces[builder] = builder(
+                np.random.default_rng(self.config.seed + 7)
+            )
+        return model
 
     # -- per-round helpers ---------------------------------------------------
     def lr_at(self, round_idx: int) -> float:
@@ -595,8 +528,8 @@ class FederatedExperiment:
     def _client_rng(self, round_idx: int, cid: int) -> np.random.Generator:
         """The counter-derived RNG for one client's local training.
 
-        A pure function of ``(seed, round, cid)`` — never of scheduling,
-        slot, or backend — which is the root of the engine-wide
+        A pure function of ``(seed, round, cid)`` — never of scheduling
+        or cohort composition — which is the root of the engine-wide
         bit-identity contract.  Every experiment's work units (sync and
         async alike) must draw from this one formula; do not inline it.
         """
@@ -789,7 +722,7 @@ class FederatedExperiment:
         """Wrap a train work unit so Byzantine clients lie about their update.
 
         ``base`` is the round's training base (what the deltas are
-        measured against); ``fn(item, slot)`` must take ``(client,
+        measured against); ``fn(item)`` must take ``(client,
         device_state)`` items.  Honest rounds return ``fn`` unchanged, so
         an inactive plan costs nothing.  A :class:`~repro.flsim.executor.
         CohortFn` stays a ``CohortFn`` (same ``group_key`` and ``width``)
@@ -816,13 +749,13 @@ class FederatedExperiment:
         if isinstance(fn, CohortFn):
             inner = fn
 
-            def poisoned_item_fn(item, slot):
-                return poison(item, inner.fn(item, slot))
+            def poisoned_item_fn(item):
+                return poison(item, inner.fn(item))
 
-            def poisoned_cohort_fn(items, slot):
+            def poisoned_cohort_fn(items):
                 return [
                     poison(item, update)
-                    for item, update in zip(items, inner.run_cohort(items, slot))
+                    for item, update in zip(items, inner.run_cohort(items))
                 ]
 
             return CohortFn(
@@ -832,8 +765,8 @@ class FederatedExperiment:
                 width=inner.width,
             )
 
-        def poisoned_fn(item, slot):
-            return poison(item, fn(item, slot))
+        def poisoned_fn(item):
+            return poison(item, fn(item))
 
         return poisoned_fn
 
@@ -929,9 +862,9 @@ class FederatedExperiment:
         costs = self.async_client_costs(round_idx, clients, states)
         ctx = self._round_context(round_idx, clients, states, costs)
         server = self.async_server_state()
-        # Merges run on this thread while pool workers still read the
-        # training base.  A shallow copy keeps it immutable: ``blend_into``
-        # rebinds the server's entries and never writes into the arrays.
+        # Merges interleave with the clients that still read the training
+        # base.  A shallow copy keeps it immutable: ``blend_into`` rebinds
+        # the server's entries and never writes into the arrays.
         base = dict(server)
         events = arrival_merge_events(
             [c.total_s for c in costs], cfg.max_staleness if within_round else 0
@@ -967,7 +900,6 @@ class FederatedExperiment:
                         )
                     )
         except BaseException:
-            group.wait()  # no worker outlives the round it trains for
             self.async_finalize(base)
             raise
         self.async_finalize(server)
@@ -1033,18 +965,18 @@ class FederatedExperiment:
     # it over one round's event schedule and the cross-round pipeline in
     # :meth:`_run_async` event by event.  Every hook must be a pure
     # function of its inputs (plus counter-derived RNGs) so the merge
-    # replay stays bit-identical across backends and worker counts.
+    # replay stays bit-identical run to run.
 
     def async_client_fn(
         self, round_idx: int, base_state: Dict[str, np.ndarray]
     ) -> Callable:
-        """The slot-aware work unit for one round's clients (sync and async).
+        """The work unit for one round's clients (sync and async).
 
         ``base_state`` is a private copy of the server state at the
-        round's base version; the returned ``fn(item, slot)`` must
-        restore it into ``self._async_slot_model(slot)`` (never the live
-        global model — concurrent rounds share those workspaces), train,
-        and return the client's update.
+        round's base version; the returned ``fn(item)`` must restore it
+        into ``self._async_workspace()`` (never the live global model —
+        in-flight rounds share that workspace), train, and return the
+        client's update.
         """
         raise NotImplementedError(
             f"{type(self).__name__} implements no async_client_fn"
@@ -1093,7 +1025,7 @@ class FederatedExperiment:
         """The initial async server state: the live model's arrays, uncopied.
 
         Nothing writes into them before :meth:`async_finalize` copies the
-        merged state in — clients train on ``_async_slot_model`` replicas
+        merged state in — clients train on the ``_async_workspace`` model
         and merges only rebind entries.  FedProphet (trains on the live
         model) and FedDF (distils into it mid-merge) override with a copy.
         """
@@ -1139,12 +1071,11 @@ class FederatedExperiment:
                     version: int) -> None:
         """Evaluate the merged server state at merge-event granularity.
 
-        Runs on the main thread between merges (merges replay serially),
-        loading ``server`` into the global model — safe mid-run because
-        async work units train on the disjoint ``_async_models``
-        workspaces.  Eval RNG streams are plan-derived (never
-        ``self.rng``), so sampling the curve cannot perturb training
-        results.
+        Runs between merges, loading ``server`` into the global model —
+        safe mid-run because async work units train on the disjoint
+        ``_async_workspace`` models.  Eval RNG streams are plan-derived
+        (never ``self.rng``), so sampling the curve cannot perturb
+        training results.
         """
         self.global_model.load_state_dict(server)
         result = self.evaluate()
@@ -1178,9 +1109,9 @@ class FederatedExperiment:
         versions snapshotting the server for each round's clients.
         History records are created when a round's last event merges (at
         its simulated drain time) and sorted by round index before
-        returning.  Bit-identical across backends at any worker count;
-        ``pipeline_depth=1`` with ``max_staleness=0`` reproduces the
-        synchronous loop exactly — records, evals, clock and all.
+        returning.  ``pipeline_depth=1`` with ``max_staleness=0``
+        reproduces the synchronous loop exactly — records, evals, clock
+        and all.
         """
         from repro.flsim.scheduler import CrossRoundPipeline
 
@@ -1249,8 +1180,8 @@ class FederatedExperiment:
             self._jlog("merge", **payload)
             if cfg.eval_every_merge:
                 # Server version after this merge applied: merges replay
-                # on the main thread in simulated-arrival order, so the
-                # merge log's length *is* the version counter.
+                # in simulated-arrival order, so the merge log's length
+                # *is* the version counter.
                 version = len(self.async_log)
                 if version % cfg.eval_every_merge == 0:
                     self._merge_eval(server, event, version)
@@ -1371,47 +1302,25 @@ class FederatedExperiment:
             seed=cfg.seed + seed_offset,
         )
 
-    def _eval_target(self, slot: int) -> EvalTarget:
-        """The evaluation target for an executor slot (the full model)."""
-        return EvalTarget(ModelWithLoss(self._slot_model(slot)))
-
-    # Eval-time mode applied to every slot model before shards run (state
+    # Eval-time mode applied to the global model before shards run (state
     # that lives *outside* the state dict, e.g. FedRBN's dual-BN switch).
-    # Subclasses override with a method; an explicit ``slot_setup`` argument
-    # to :meth:`run_eval` takes precedence.
-    _eval_slot_setup: Optional[Callable] = None
+    # Subclasses override with a method.
+    _eval_setup: Optional[Callable] = None
 
     def run_eval(
-        self,
-        plan: EvalPlan,
-        dataset: Optional[ArrayDataset] = None,
-        slot_setup: Optional[Callable] = None,
+        self, plan: EvalPlan, dataset: Optional[ArrayDataset] = None
     ) -> EvalResult:
         """Submit an :class:`EvalPlan` to the sharded evaluation engine.
 
-        Thread-slot replicas are synced to the current global weights
-        before the parallel region; ``slot_setup(model)`` (default: the
-        class's ``_eval_slot_setup`` hook) then applies any eval-time mode
-        (e.g. FedRBN's dual-BN switch) to every slot model, keeping
-        per-slot state identical across backends.
+        ``_eval_setup(model)`` first applies any eval-time mode (e.g.
+        FedRBN's dual-BN switch) to the global model.
         """
-        setup = slot_setup if slot_setup is not None else self._eval_slot_setup
-        state: dict = {}
-
-        def prepare(slot: int) -> None:
-            model = self._slot_model(slot)
-            if slot != 0:
-                if "global" not in state:
-                    state["global"] = self.global_model.state_dict()
-                model.load_state_dict(state["global"])
-            if setup is not None:
-                setup(model)
-
+        if self._eval_setup is not None:
+            self._eval_setup(self.global_model)
         return self.eval_executor.run(
             plan,
             dataset if dataset is not None else self.task.test,
-            self._eval_target,
-            prepare_slot=prepare,
+            EvalTarget(ModelWithLoss(self.global_model)),
         )
 
     def evaluate(self, max_samples: Optional[int] = None) -> EvalResult:
@@ -1434,9 +1343,8 @@ class FederatedExperiment:
     def describe_parallelism(self) -> str:
         """The resolved execution-engine settings, for verbose reporting."""
         cfg = self.config
-        ex, ev = self.executor, self.eval_executor.executor
         if cfg.fusion_width is not None:
-            width, cause = ex.fusion_width, "configured"
+            width, cause = self.executor.fusion_width, "configured"
         else:
             width = self.cohort_width  # <= the executor's default bound
             cause = (
@@ -1445,7 +1353,7 @@ class FederatedExperiment:
                 f"stacked budget, at most {DEFAULT_FUSION_WIDTH}; configured: auto"
             )
         engine = (
-            f"round engine: {ex.backend} x{ex.max_workers}, fusion width "
+            "engine: serial, one work unit at a time; fusion width "
             f"{width} ({cause}) for equal-key clients, others per item, "
             f"1 disables fusion"
         )
@@ -1462,7 +1370,6 @@ class FederatedExperiment:
         parts = [
             engine,
             population,
-            f"eval engine: {ev.backend} x{ev.max_workers}",
             f"aggregation: {cfg.aggregation_mode}"
             + (
                 f" (max_staleness={cfg.max_staleness}, "
@@ -1474,9 +1381,7 @@ class FederatedExperiment:
         return f"[{self.name}] " + "; ".join(parts)
 
     def close(self) -> None:
-        """Release the persistent worker pools and close the sinks."""
-        self.executor.close()
-        self.eval_executor.executor.close()
+        """Close the journal and the metrics sinks."""
         if self._journal is not None:
             self._journal.close()
             self._journal = None
@@ -1495,7 +1400,7 @@ class FederatedExperiment:
 
         The journal may be off while the metrics service is on (and vice
         versa); both sinks see identical payloads, all emitted from the
-        main run thread in deterministic program order.
+        run loop in deterministic program order.
         """
         if self._journal is not None:
             self._journal.append(kind, **payload)
@@ -1551,16 +1456,15 @@ class FederatedExperiment:
     def _abort_cleanup(self) -> None:
         """Best-effort teardown when the run loop raises.
 
-        An aborted run must not leak the persistent worker pools (the
-        executor context-manager contract), and the journal records the
-        abort so a later read tells a crash (torn tail / no ``run_end``)
-        apart from a Python-level failure.  Each step runs under its own
-        guard, so a sink that raises (a full disk under the metrics tee)
-        cannot keep the other sink from recording the abort or closing.
+        The journal records the abort so a later read tells a crash (torn
+        tail / no ``run_end``) apart from a Python-level failure.  Each
+        step runs under its own guard, so a sink that raises (a full disk
+        under the metrics tee) cannot keep the other sink from recording
+        the abort or closing.
         """
         journal, metrics = self._journal, self._metrics
         self._journal = None
-        steps = [self.executor.close, self.eval_executor.executor.close]
+        steps = []
         if journal is not None:
             steps += [lambda: journal.append("run_abort"), journal.close]
         if metrics is not None:
@@ -1677,12 +1581,12 @@ class FederatedExperiment:
         """Continue an interrupted run from its journal's last checkpoint.
 
         Call on a **freshly constructed** experiment with the same
-        semantic config (the journal's fingerprint is checked; execution
-        backend and worker counts may differ — the determinism contract
-        makes them irrelevant).  Produces bit-identical final weights,
-        history, and merge log to the uninterrupted run.  A journal with
-        no checkpoint yet simply restarts the (deterministic) run from
-        round zero.
+        semantic config (the journal's fingerprint is checked; fusion
+        width, client cache size and sink paths may differ — the
+        determinism contract makes them irrelevant).  Produces
+        bit-identical final weights, history, and merge log to the
+        uninterrupted run.  A journal with no checkpoint yet simply
+        restarts the (deterministic) run from round zero.
         """
         from repro.flsim.checkpoint import read_checkpoint
 
@@ -1699,7 +1603,7 @@ class FederatedExperiment:
             raise JournalError(
                 f"{path}: journal fingerprint {events[0].get('fingerprint')} "
                 f"does not match this experiment's config ({fingerprint}); "
-                f"only non-semantic fields (backends, worker counts, paths) "
+                f"only non-semantic fields (fusion width, cache size, paths) "
                 f"may change across a resume"
             )
         ckpt_event = RunJournal.last_checkpoint(events)

@@ -13,10 +13,10 @@ cross-round pipeline's full in-flight bookkeeping.
 
 The **config fingerprint** ties journals and checkpoints to the
 *semantics* of a run: a SHA-256 over the config dataclass with the
-non-semantic fields removed — execution backend, worker counts,
-journal/checkpoint paths — because the engine's determinism
-contract guarantees those cannot change results.  Resuming on a
-different backend or worker count is therefore explicitly supported;
+non-semantic fields removed — fusion width, client caching,
+journal/checkpoint/metrics sinks — because the engine's determinism
+contract guarantees those cannot change results.  Resuming with a
+different fusion width or cache size is therefore explicitly supported;
 resuming with a different learning rate is explicitly refused.
 """
 
@@ -39,9 +39,9 @@ class CheckpointError(RuntimeError):
 CHECKPOINT_FORMAT = 1
 
 #: Config fields that cannot affect results (the bit-identity contract):
-#: execution backends/worker counts/fusion width, the journal /
-#: checkpoint plumbing itself, the streaming-metrics surface (a pure
-#: observer of journal events), and the client-population materialisation
+#: the fusion width, the journal / checkpoint plumbing itself, the
+#: streaming-metrics surface (a pure observer of journal events), and the
+#: client-population materialisation
 #: knobs (lazy vs eager and the LRU capacity are pure caching — every
 #: client is a deterministic function of the population seed).
 #: Everything else is semantic and fingerprinted; note
@@ -53,10 +53,7 @@ NONSEMANTIC_FIELDS = frozenset(
     {
         "journal_path",
         "checkpoint_every",
-        "executor_backend",
-        "round_parallelism",
         "fusion_width",
-        "eval_parallelism",
         "client_materialisation",
         "client_cache_size",
         "metrics_path",

@@ -1,24 +1,18 @@
 """Sharded evaluation engine: eval plans on the round execution engine.
 
-Evaluation is embarrassingly parallel over ``(attack, sample range)``
-tuples: every accuracy an :class:`~repro.metrics.evaluation.EvalPlan`
-requests decomposes into deterministic :class:`EvalShard` work units whose
-results are integer correct-counts, reduced in input order.  The shards
-run through the existing :class:`~repro.flsim.executor.RoundExecutor`
-(serial / thread backends), sharing its determinism contract:
+Every accuracy an :class:`~repro.metrics.evaluation.EvalPlan` requests
+decomposes into deterministic :class:`EvalShard` work units over
+``(attack, sample range)`` tuples, whose results are integer
+correct-counts.  The shards run through
+:meth:`~repro.flsim.executor.RoundExecutor.map`, one after another,
+against one :class:`EvalTarget`:
 
 * **shard-stable RNG** — each shard draws from
   ``default_rng([plan seed, attack index, shard index])``
   (:func:`repro.metrics.evaluation.shard_rng`), so randomness depends only
-  on the plan, never on scheduling, worker count, or backend;
-* **per-slot replicas** — concurrent shards never share a model: the
-  caller's ``target_for_slot`` maps an executor slot to a private
-  :class:`EvalTarget` (slot 0 is conventionally the real model; thread
-  slots are replicas synced by ``prepare_slot`` before the parallel
-  region);
+  on the plan, never on which shards ran before;
 * **fixed reduction order** — per-attack counts are summed over shards in
-  input order, so the final float divisions see identical operands on
-  every backend.
+  input order.
 
 The engine also reuses the stage-scoped
 :class:`~repro.core.prefix_cache.PrefixCache`: clean-pass shards forward
@@ -32,7 +26,7 @@ Attack shards perturb the raw input and always bypass the cache.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -49,8 +43,7 @@ class EvalShard:
 
     Shards are a pure function of (plan, sample count) and carry their
     own RNG identity (``shard_idx`` seeds ``shard_rng``), so a shard
-    computes the same correct-count no matter which backend, worker, or
-    wall-clock order runs it.
+    computes the same correct-count whatever ran before it.
     """
 
     attack_idx: int
@@ -61,7 +54,7 @@ class EvalShard:
 
 @dataclass
 class EvalTarget:
-    """What one executor slot evaluates.
+    """What an evaluation runs against.
 
     ``mwl`` is the full model(+head) adapter attacks and predictions run
     against.  When the leading part of the model is frozen (FedProphet's
@@ -83,23 +76,17 @@ class EvalExecutor:
     Parameters
     ----------
     executor:
-        The backing :class:`RoundExecutor`.  Defaults to a serial one, the
-        reference path every parallel backend must match bit for bit.
+        The backing :class:`RoundExecutor` (default: a fresh one).
     """
 
     def __init__(self, executor: Optional[RoundExecutor] = None):
-        self.executor = executor if executor is not None else RoundExecutor("serial")
-
-    @property
-    def backend(self) -> str:
-        return self.executor.backend
+        self.executor = executor if executor is not None else RoundExecutor()
 
     def shards_for(self, plan: EvalPlan, num_samples: int) -> List[EvalShard]:
         """The deterministic shard decomposition of a plan.
 
-        Depends only on (plan, sample count) — never on the backend or
-        worker count — so the same shards (and shard RNGs) are produced no
-        matter how they are scheduled.
+        Depends only on (plan, sample count), so the same shards (and
+        shard RNGs) are produced on every call.
         """
         shards: List[EvalShard] = []
         for ai in range(len(plan.attacks)):
@@ -113,19 +100,18 @@ class EvalExecutor:
         self,
         plan: EvalPlan,
         dataset: ArrayDataset,
-        target_for_slot: Callable[[int], EvalTarget],
-        prepare_slot: Optional[Callable[[int], None]] = None,
+        target: EvalTarget,
         prefix_cache=None,
         cache_key=None,
     ) -> EvalResult:
-        """Execute a plan and reduce shard counts into an :class:`EvalResult`.
+        """Execute a plan against ``target`` and reduce shard counts into
+        an :class:`EvalResult`.
 
-        ``prepare_slot`` runs once per executor slot *before* the parallel
-        region (sync a replica's weights, set eval-time modes);
-        ``target_for_slot`` then supplies the slot's :class:`EvalTarget`.
-        With a ``prefix_cache`` and ``cache_key``, clean shards whose
-        target carries a prefix/suffix split are served from (and fill)
-        the cache; rows are keyed by dataset index, so the ``max_samples``
+        The caller sets ``target`` up first (weights, eval-time modes);
+        this puts its model and head in eval mode.  With a
+        ``prefix_cache`` and ``cache_key``, clean shards whose target
+        carries a prefix/suffix split are served from (and fill) the
+        cache; rows are keyed by dataset index, so the ``max_samples``
         subsample path caches the same rows it evaluates.
         """
         x, y = dataset.x, np.asarray(dataset.y)
@@ -138,21 +124,15 @@ class EvalExecutor:
             x, y = x[rows], y[rows]
         n = len(x)
         shards = self.shards_for(plan, n)
-        targets: Dict[int, EvalTarget] = {}
-        for slot in self.executor.slots_for(len(shards)):
-            if prepare_slot is not None:
-                prepare_slot(slot)
-            target = targets[slot] = target_for_slot(slot)
-            target.mwl.model.eval()
-            if target.mwl.head is not None:
-                target.mwl.head.eval()
+        target.mwl.model.eval()
+        if target.mwl.head is not None:
+            target.mwl.head.eval()
 
         # The target's weights are fixed for the whole shard: one scope, so
         # its attack, prediction pass and prefix fill share one set of
         # laid-out, BatchNorm-folded weights (repro.nn.grad_mode).
         @no_param_grads()
-        def run_shard(shard: EvalShard, slot: int):
-            target = targets[slot]
+        def run_shard(shard: EvalShard):
             attack = plan.attacks[shard.attack_idx]
             xb = x[shard.start : shard.stop]
             yb = y[shard.start : shard.stop]
@@ -179,10 +159,9 @@ class EvalExecutor:
 
         results = self.executor.map(run_shard, shards)
 
-        for target in targets.values():
-            target.mwl.model.zero_grad()
-            if target.mwl.head is not None:
-                target.mwl.head.zero_grad()
+        target.mwl.model.zero_grad()
+        if target.mwl.head is not None:
+            target.mwl.head.zero_grad()
         # Sum each attack's correct counts over shards, in input order.
         correct_by_attack = [0] * len(plan.attacks)
         for attack_idx, correct in results:

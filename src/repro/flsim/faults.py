@@ -6,8 +6,8 @@ transiently and need retrying.  :class:`FaultPlan` injects exactly those
 scenarios into the simulation — **deterministically**.  Every decision is
 a pure function of ``(plan seed, round, client id)`` via a dedicated
 counter-derived RNG (``np.random.default_rng([seed, round, cid])``), so
-the same plan produces the same faults on every backend at any worker
-count, and the experiment's own RNG stream is never touched: a plan with
+the same plan produces the same faults at any fusion width, and the
+experiment's own RNG stream is never touched: a plan with
 all probabilities zero (or ``fault_plan=None``) reproduces the fault-free
 engine bit for bit.
 

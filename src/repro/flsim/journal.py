@@ -8,8 +8,7 @@ checkpoint files written along the way, which is everything
 :meth:`~repro.flsim.base.FederatedExperiment.resume` needs to restart a
 run from its last consistent state.
 
-Event kinds written by the run loops (all from the main thread, in
-deterministic program order):
+Event kinds written by the run loops (in deterministic program order):
 
 ========== ==============================================================
 kind        payload

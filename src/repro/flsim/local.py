@@ -82,7 +82,7 @@ def adversarial_local_train(
 
 
 # ---------------------------------------------------------------------------
-# Client-batched (fusion cohort) trainers — how every backend runs a cohort
+# Client-batched (fusion cohort) trainers — how the engine runs a cohort
 # ---------------------------------------------------------------------------
 # These run K clients through one stacked model (slabs installed via
 # repro.nn.cohort).  Per-client RNG streams are preserved exactly: each

@@ -40,7 +40,6 @@ O(population) permutation per round.
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from typing import Dict, Iterator, List, Optional
 
@@ -148,8 +147,8 @@ class ClientPopulation:
     Determinism contract: everything a client is derives from
     ``(seed, cid)`` (scheme ``virtual``) or from the one legacy partition
     pass (scheme ``partition``), never from access order — so cache size,
-    eviction pattern, materialisation mode, backend, and worker count
-    cannot affect results.
+    eviction pattern, materialisation mode and fusion width cannot affect
+    results.
     """
 
     def __init__(
@@ -235,7 +234,6 @@ class ClientPopulation:
             self.cache_capacity = max(64, 4 * cohort_size * max(1, pipeline_depth))
 
         self._cache: "OrderedDict[int, FLClient]" = OrderedDict()
-        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -259,34 +257,32 @@ class ClientPopulation:
         """The LRU-tracked accessor: materialise on miss, evict beyond cap."""
         if not 0 <= cid < self.num_clients:
             raise IndexError(f"cid {cid} outside population of {self.num_clients}")
-        with self._lock:
-            c = self._cache.get(cid)
-            if c is not None:
-                self._cache.move_to_end(cid)
-                self.hits += 1
-                return c
-            self.misses += 1
-            c = self._build(cid)
-            self._cache[cid] = c
-            cap = self.cache_capacity
-            if cap is not None:
-                while len(self._cache) > cap:
-                    self._cache.popitem(last=False)
-                    self.evictions += 1
-            if len(self._cache) > self.peak_live:
-                self.peak_live = len(self._cache)
+        c = self._cache.get(cid)
+        if c is not None:
+            self._cache.move_to_end(cid)
+            self.hits += 1
             return c
+        self.misses += 1
+        c = self._build(cid)
+        self._cache[cid] = c
+        cap = self.cache_capacity
+        if cap is not None:
+            while len(self._cache) > cap:
+                self._cache.popitem(last=False)
+                self.evictions += 1
+        if len(self._cache) > self.peak_live:
+            self.peak_live = len(self._cache)
+        return c
 
     def stats(self) -> Dict[str, int]:
         """Cache counters for the journal / ``describe_parallelism``."""
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "live": len(self._cache),
-                "peak_live": self.peak_live,
-            }
+        return {
+            "hits": self.hits,
+            "misses": self.misses,
+            "evictions": self.evictions,
+            "live": len(self._cache),
+            "peak_live": self.peak_live,
+        }
 
     # -- availability --------------------------------------------------------
     def available(self, round_idx: int, cid: int) -> bool:
@@ -297,7 +293,7 @@ class ClientPopulation:
         rounds out of every ``availability_period``, phase-shifted by a
         counter-derived draw from ``(seed, cid)`` — a pure function, so
         availability composes with checkpoints, fault plans, and any
-        backend without extra state.
+        fusion width without extra state.
         """
         frac = self.availability_fraction
         if frac is None:

@@ -1,13 +1,13 @@
 """Deterministic journal replay: re-execute a run and verify its log.
 
 The engine-wide bit-identity contract says every journalled payload is a
-pure function of the config's semantic fields — never of backend, worker
-count, or wall clock.  Replay turns that contract into an oracle:
+pure function of the config's semantic fields — never of the fusion
+width or the wall clock.  Replay turns that contract into an oracle:
 :func:`replay_run` re-executes a journalled run from a freshly built
 experiment and asserts that **every event the run loop re-emits matches
 the recorded one bit-for-bit** (at the JSON-serialisation level, so float
-formatting differences count as divergence too).  A replay may run on a
-different backend or worker count than the original — that is the point.
+formatting differences count as divergence too).  A replay may run at a
+different fusion width than the original — that is the point.
 
 Resumed journals replay too: the canonicaliser folds each
 ``resume`` segment back onto the checkpoint that anchored it, producing
@@ -275,7 +275,7 @@ def replay_run(
     ``factory`` builds a **fresh** experiment with the same semantic
     config the journal records (the journal stores only the config
     fingerprint, which is checked before execution) — non-semantic fields
-    (backend, worker counts) may differ freely; the client
+    (fusion width) may differ freely; the client
     materialisation/cache knobs must match the original because the
     ``run_start`` and ``sample`` events record live cache counters.
 
@@ -304,7 +304,7 @@ def replay_run(
                 f"{journal_path}: journal fingerprint "
                 f"{run_start.get('fingerprint')} does not match the replay "
                 f"experiment's config ({fingerprint}); only non-semantic "
-                f"fields (backends, worker counts, paths) may differ"
+                f"fields (fusion width, paths) may differ"
             )
         verify_checkpoints = bool(exp.config.checkpoint_every)
         if verify_checkpoints:

@@ -31,7 +31,7 @@ Rules (``f`` Byzantine clients out of ``n``):
 
 Every rule is a deterministic, order-stable function of its inputs (the
 client list order is fixed by the sampler), so robust aggregation
-preserves the engine's cross-backend bit-identity contract.  Each
+preserves the engine's bit-identity contract.  Each
 ``aggregate`` call also returns a JSON-safe stats dict (selected /
 rejected clients, clip factors) that the run loops journal per round —
 per-rule rejection and clipping observability for replayable runs.

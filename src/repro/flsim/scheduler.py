@@ -1,40 +1,23 @@
-"""Unified task scheduler: streaming phases on a persistent pool.
+"""Task scheduler: tagged groups of work units, run on demand.
 
-``RoundExecutor.map`` is a one-shot barrier: it blocks until the slowest
-work unit finishes.  :class:`FLScheduler` submits **tagged task groups**
-onto the executor's persistent worker pool instead:
+``RoundExecutor.map`` is a one-shot barrier over plain functions.
+:class:`FLScheduler` registers **tagged task groups** instead:
 
 * ``submit_group(tag, fn, items)`` registers one phase — e.g. the
-  train-client units of round *r* — launches it and returns a
-  :class:`TaskGroup` immediately;
-* :meth:`TaskGroup.stream` yields ``(index, result)`` pairs in completion
-  order, so a consumer (e.g. staleness-bounded async aggregation) can act
-  on each work unit *as it lands* while its siblings are still running;
+  train-client units of round *r* — plans its cohorts and returns a
+  :class:`TaskGroup` immediately, before anything trains;
+* :meth:`TaskGroup.next_completion` runs the next cohort when nothing is
+  pending and hands out ``(index, result)`` pairs cohort by cohort, so a
+  consumer (e.g. staleness-bounded async aggregation) can act on each
+  work unit as it is pulled, holding only the results it has not used;
 * :meth:`TaskGroup.results` is the barrier view: results in input order,
-  exceptions re-raised — drop-in for the old ``map`` contract.
+  exceptions re-raised — drop-in for the ``map`` contract.
 
-Determinism contract (inherited from :class:`RoundExecutor`): results are
-a pure function of the item list.  Worker *slots* are leased per task
-from a per-group pool of ``workers_for(len(items))`` ids, so no two
-concurrent tasks of one group ever share a slot — but unlike the stripe
-assignment of ``map``, *which* slot a task gets is scheduling-dependent.
-Callers therefore must (and all experiments do) make work units
-slot-independent: every unit restores the state it trains from a shared
-snapshot, so the slot only selects a private model workspace, never an
-input.  Concurrent groups (the cross-round pipeline's per-round train
-groups) share one :class:`SlotPool`, so they never share a workspace.
-
-Backend mapping — one launch path: every group is a list of *cohorts*
-(a plain function is a group of width-1 cohorts; a
-:class:`~repro.flsim.executor.CohortFn` fuses per ``plan_cohorts`` on
-every backend), and a cohort is the unit handed to a worker:
-
-* ``serial`` (and any one-worker pool) — cohorts run inline, on demand
-  (``next_completion`` runs the next one when nothing is queued;
-  ``done``/``wait``/``results`` the rest); streaming is input order.
-* ``thread`` — one task per cohort on the executor's persistent
-  :class:`~concurrent.futures.ThreadPoolExecutor`; true streaming, and
-  concurrent groups interleave on the same workers.
+One launch path: every group is a list of *cohorts* (a plain function is
+a group of width-1 cohorts; a :class:`~repro.flsim.executor.CohortFn`
+fuses per ``plan_cohorts``), and a cohort runs inline, in the caller,
+when a consumer pulls it.  Results are a pure function of the
+item list.
 
 On top of the task groups sits the **cross-round async pipeline**
 (:class:`CrossRoundPipeline`): up to ``depth`` training rounds in flight
@@ -47,42 +30,11 @@ class docstring for the full determinism argument.
 
 from __future__ import annotations
 
-import queue
-import threading
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.flsim.executor import CohortFn, RoundExecutor
-
-
-class SlotPool:
-    """Leases worker-slot ids so concurrent tasks never share a workspace.
-
-    One pool may be shared by *several* concurrent task groups (the
-    cross-round pipeline passes one pool to every train group), in which
-    case no two concurrent tasks across those groups ever hold the same
-    slot — the invariant that lets different rounds reuse one set of
-    model workspaces.  Which slot a task gets is scheduling-dependent;
-    callers keep results deterministic by making work units
-    slot-independent (each restores its full input state from a
-    snapshot, so the slot only picks a private workspace).
-    """
-
-    def __init__(self, size: int):
-        self._free = list(range(size))
-        self._cond = threading.Condition()
-
-    def acquire(self) -> int:
-        with self._cond:
-            while not self._free:
-                self._cond.wait()
-            return self._free.pop(0)
-
-    def release(self, slot: int) -> None:
-        with self._cond:
-            self._free.append(slot)
-            self._free.sort()
-            self._cond.notify()
 
 
 class TaskGroup:
@@ -91,62 +43,45 @@ class TaskGroup:
     def __init__(self, tag: str, num_items: int):
         self.tag = tag
         self.num_items = num_items
-        self._lock = threading.Lock()
-        self._remaining = num_items  # completions not yet produced
         self._unclaimed = num_items  # completions not yet handed out
-        self._completed: "queue.SimpleQueue[Tuple[int, Any, Optional[BaseException]]]" = (
-            queue.SimpleQueue()
-        )
-        # Inline cohorts not yet run, each a list of ``(index, result, error)``.
+        self._completed: "deque[Tuple[int, Any, Optional[BaseException]]]" = deque()
+        # Cohorts not yet run, each a list of ``(index, result, error)``.
         self._inline: Iterator[List[Tuple[int, Any, Optional[BaseException]]]] = iter(())
-        self._done = threading.Event()
-        if num_items == 0:
-            self._done.set()
-
-    # -- producer side (scheduler internals) -------------------------------
-    def _complete(self, index: int, result: Any, error: Optional[BaseException]) -> None:
-        with self._lock:
-            self._remaining -= 1
-            if self._remaining == 0:
-                self._done.set()
-        self._completed.put((index, result, error))
 
     def _step(self) -> bool:
-        """Run the next inline cohort; ``False`` once none is left."""
+        """Run the next cohort; ``False`` once none is left."""
         completions = next(self._inline, None)
-        for completion in completions or ():
-            self._complete(*completion)
+        self._completed.extend(completions or ())
         return completions is not None
 
     # -- consumer side -----------------------------------------------------
     def done(self) -> bool:
-        """Whether every work unit has completed (an inline group runs the rest)."""
-        return self.wait(0)
+        """Whether every work unit has completed (runs the rest)."""
+        return self.wait()
 
-    def wait(self, timeout: Optional[float] = None) -> bool:
-        """Block until the group completes (an inline group runs the rest); returns ``done()``."""
+    def wait(self) -> bool:
+        """Run every cohort not yet run; returns ``True``."""
         while self._step():
             pass
-        return self._done.wait(timeout)
+        return True
 
     def next_completion(self) -> Tuple[int, Any]:
-        """Block for the next completed work unit; single consumer.
+        """The next completed work unit; single consumer.
 
-        Returns ``(index, result)`` in completion order — the
-        wall-clock order, which is scheduling-dependent (input order on
-        an inline group).  Consumers that need determinism (the async
-        merge replay) therefore buffer completions and act on them in an
-        order derived from *simulated* time, never from the order this
-        method yields.  A work-unit exception is re-raised here.  Past
-        the ``num_items``-th call nothing can arrive: raises
-        :class:`RuntimeError` instead of blocking forever.
+        Returns ``(index, result)`` in completion order — cohort by
+        cohort, in the order of each cohort's first item — running the
+        next cohort when nothing is pending.  Consumers that need a specific
+        order (the async merge replay) buffer completions and act on them
+        in an order derived from *simulated* time.  A work-unit exception
+        is re-raised here.  Past the ``num_items``-th call nothing can
+        arrive: raises :class:`RuntimeError`.
         """
         if not self._unclaimed:
             raise RuntimeError(f"task group {self.tag!r} handed out all {self.num_items} completions")
         self._unclaimed -= 1
-        while self._completed.empty() and self._step():
+        while not self._completed and self._step():
             pass
-        index, result, error = self._completed.get()
+        index, result, error = self._completed.popleft()
         if error is not None:
             raise error
         return index, result
@@ -161,7 +96,7 @@ class TaskGroup:
             yield self.next_completion()
 
     def results(self) -> List[Any]:
-        """Barrier view: block until done, return results in input order.
+        """Barrier view: run every cohort, return results in input order.
 
         Hands out every completion, so it replaces :meth:`next_completion`
         and never follows it; the first failure to complete is re-raised.
@@ -173,16 +108,13 @@ class TaskGroup:
 
 
 class FLScheduler:
-    """Schedules tagged task groups over a :class:`RoundExecutor`'s pool.
+    """Schedules tagged task groups over a :class:`RoundExecutor`.
 
     Parameters
     ----------
     executor:
-        The backing round executor.  Its backend decides the dispatch mode
-        (see module docstring) and its **persistent** thread pool carries
-        every thread-backend group, so concurrent groups — the train
-        clients of rounds *r* and *r+1* in the cross-round pipeline —
-        share one set of workers.
+        The backing round executor; its ``plan_cohorts`` fuses each
+        group's items.
     """
 
     def __init__(self, executor: RoundExecutor):
@@ -191,65 +123,50 @@ class FLScheduler:
     def submit_group(
         self,
         tag: str,
-        fn: Callable[[Any, int], Any],
+        fn: Callable[[Any], Any],
         items: Sequence[Any],
-        slot_pool: Optional[SlotPool] = None,
     ) -> TaskGroup:
-        """Register and launch one phase.
+        """Register one phase; nothing runs until the group is consumed.
 
         Returns the :class:`TaskGroup` immediately — consume it via
         :meth:`TaskGroup.stream` or :meth:`TaskGroup.results`.
-        ``slot_pool`` overrides the group-private slot pool with a shared
-        one so *several concurrent groups* (the pipeline's cross-round
-        train groups) can coexist on one set of worker workspaces without
-        two in-flight tasks ever sharing a slot.
         """
         items = list(items)
         group = TaskGroup(tag, len(items))
         if items:
-            self._launch(group, fn, items, slot_pool)
+            self._launch(group, fn, items)
         return group
 
     def run_group(
         self,
         tag: str,
-        fn: Callable[[Any, int], Any],
+        fn: Callable[[Any], Any],
         items: Sequence[Any],
     ) -> List[Any]:
         """Submit a group and gather it: the ``map``-compatible barrier.
 
-        Inherits the group determinism contract — results in input order,
-        a pure function of the item list on every backend.
+        Results in input order, a pure function of the item list.
         """
         return self.submit_group(tag, fn, items).results()
 
     # -- dispatch ----------------------------------------------------------
-    def _launch(
-        self,
-        group: TaskGroup,
-        fn,
-        items: List[Any],
-        slot_pool: Optional[SlotPool] = None,
-    ) -> None:
-        """Run a group as cohorts: the one launch path of every backend.
+    def _launch(self, group: TaskGroup, fn, items: List[Any]) -> None:
+        """Plan a group as cohorts, each run on demand, failing fast.
 
         A plain function is a group of width-1 cohorts; a
         :class:`CohortFn` fuses per :meth:`RoundExecutor.plan_cohorts`
         (planned per group, so the async pipeline's per-round groups never
-        fuse clients across base versions).  Cohorts then run inline on
-        demand, failing fast (``serial``), or as one task and one leased slot
-        each on the persistent pool (``thread``).
+        fuse clients across base versions).
         """
-        executor = self.executor
         if isinstance(fn, CohortFn):
-            cohorts = executor.plan_cohorts(fn, items)
+            cohorts = self.executor.plan_cohorts(fn, items)
         else:
             cohorts = [[i] for i in range(len(items))]
 
-        def run(idxs: List[int], slot: int) -> List[Any]:
+        def run(idxs: List[int]) -> List[Any]:
             if len(idxs) == 1:
-                return [fn(items[idxs[0]], slot)]
-            results = fn.run_cohort([items[i] for i in idxs], slot)
+                return [fn(items[idxs[0]])]
+            results = fn.run_cohort([items[i] for i in idxs])
             if len(results) != len(idxs):
                 raise RuntimeError(
                     f"cohort fn returned {len(results)} results for "
@@ -257,37 +174,13 @@ class FLScheduler:
                 )
             return results
 
-        if executor.pooled:
-            slots = (
-                slot_pool
-                if slot_pool is not None
-                else SlotPool(executor.workers_for(len(items)))
-            )
-
-            def task(idxs: List[int]) -> None:
-                slot = slots.acquire()
-                try:
-                    results = run(idxs, slot)
-                except BaseException as error:
-                    for i in idxs:
-                        group._complete(i, None, error)
-                else:
-                    for i, result in zip(idxs, results):
-                        group._complete(i, result, None)
-                finally:
-                    slots.release(slot)
-
-            for idxs in cohorts:
-                executor.thread_pool.submit(task, idxs)
-            return
-
-        def inline():  # serial (and 1-worker fallbacks): one cohort per step
+        def inline():  # one cohort per step
             for n, idxs in enumerate(cohorts):
                 try:
-                    results = run(idxs, 0)
+                    results = run(idxs)
                 except BaseException as error:
-                    # a failure aborts the rest of the group, mirroring the
-                    # serial map's fail-fast behaviour
+                    # a failure aborts the rest of the group, like map's
+                    # fail-fast behaviour
                     yield [(i, None, error) for later in cohorts[n:] for i in later]
                     return
                 yield [(i, result, None) for i, result in zip(idxs, results)]
@@ -364,13 +257,10 @@ class CrossRoundPipeline:
 
     Determinism contract: the merge replay order, per-round base
     versions, and dispatch times are pure functions of the per-client
-    simulated costs — wall-clock completion order only decides *when* a
-    buffered result becomes available, never when it merges.  Results are
-    therefore bit-identical on every backend at any worker count, and
-    ``depth=1`` with ``max_staleness=0`` reproduces synchronous FedAvg
-    exactly.  Wall-clock overlap needs the thread backend (serial groups
-    train when the merge replay pulls them, to the same — bit-identical —
-    results).
+    simulated costs; a round's group trains when the merge replay pulls
+    it, so the overlap is a simulated-time schedule, not a wall-clock
+    one.  ``depth=1`` with ``max_staleness=0`` reproduces synchronous
+    FedAvg exactly.
 
     Population-engine composition: tickets hold strong references to the
     dispatched :class:`~repro.flsim.population.FLClient` objects (via
@@ -408,8 +298,6 @@ class CrossRoundPipeline:
         self._dispatched = 0
         self._last_dispatch_time = 0.0
         self._drain_watermarks: List[float] = []  # running max drain per dispatch
-        executor = scheduler.executor
-        self._slot_pool = SlotPool(executor.max_workers) if executor.pooled else None
 
     @property
     def in_flight(self) -> int:
@@ -420,8 +308,7 @@ class CrossRoundPipeline:
         """Live pipeline counters (the status endpoint's async panel).
 
         Pure bookkeeping reads — safe to sample between merges — and
-        derived from the simulated schedule, so identical across
-        backends at any worker count.
+        derived from the simulated schedule.
         """
         return {
             "version": self.version,
@@ -435,7 +322,7 @@ class CrossRoundPipeline:
         round_idx: int,
         items: Sequence[Any],
         costs_s: Sequence[float],
-        fn_factory: Callable[[AsyncRoundTicket], Callable[[Any, int], Any]],
+        fn_factory: Callable[[AsyncRoundTicket], Callable[[Any], Any]],
         meta: Any = None,
     ) -> AsyncRoundTicket:
         """Dispatch one round against the server state its sim-time implies.
@@ -473,9 +360,7 @@ class CrossRoundPipeline:
             landed=[False] * len(items),
             updates=[None] * len(items),
         )
-        ticket.group = self.scheduler.submit_group(
-            self.tag, fn_factory(ticket), items, slot_pool=self._slot_pool
-        )
+        ticket.group = self.scheduler.submit_group(self.tag, fn_factory(ticket), items)
         self._last_dispatch_time = t
         previous = self._drain_watermarks[-1] if self._drain_watermarks else 0.0
         self._drain_watermarks.append(max(previous, ticket.drain_time))
@@ -491,10 +376,8 @@ class CrossRoundPipeline:
         """Apply every merge event with apply time ≤ ``time_limit``.
 
         Events replay in global ``(apply time, round, event)`` order;
-        applying one may block on the wall clock until the event's member
-        results actually land — which is exactly where the pipeline's
-        overlap comes from: while this waits on round *r*'s fast clients,
-        round *r−1*'s stragglers keep training on other workers.
+        applying one first trains the round's cohorts up to the event's
+        members.
         """
         while True:
             ticket = self._next_ready(time_limit)
@@ -510,9 +393,9 @@ class CrossRoundPipeline:
     def export_state(self, export_meta: Callable[[Any], Any]) -> Dict[str, Any]:
         """Snapshot the pipeline's bookkeeping for a checkpoint.
 
-        Lands every in-flight ticket's remaining updates (wall-clock only —
-        the simulated merge schedule is fixed at dispatch, so waiting here
-        cannot change what merges when) beside the ones it already landed,
+        Lands every in-flight ticket's remaining updates (the simulated
+        merge schedule is fixed at dispatch, so training them early cannot
+        change what merges when) beside the ones it already landed,
         and stores them with each ticket.  The live pipeline keeps running
         afterwards: landed tickets never touch their task group again
         (:meth:`_apply_event` only calls ``next_completion`` while a

@@ -7,8 +7,8 @@ each sampled client is marked Byzantine by one uniform draw from a
 dedicated counter-derived RNG stream
 (``np.random.default_rng([_THREAT_STREAM, seed, round, cid])``), so
 attacker selection and behaviour are pure functions of
-``(plan seed, round, client id)`` — bit-identical across
-serial/thread backends at any worker count, and a plan with
+``(plan seed, round, client id)`` — bit-identical whatever the fusion
+width, and a plan with
 ``byzantine_prob=0`` (or ``threat_plan=None``) reproduces the clean run
 bit for bit.  The domain-separation constant keeps the draws independent
 of a :class:`~repro.flsim.faults.FaultPlan` sharing the same seed.
@@ -188,7 +188,7 @@ class ThreatPlan:
         ``label_flip`` shares the input tensor (only labels change);
         ``backdoor`` copies it to stamp the trigger.  Which samples carry
         the backdoor is a dedicated-stream draw, so the poisoned shard is
-        identical on every backend.  The copy lives in a fresh
+        identical at any fusion width.  The copy lives in a fresh
         per-round concrete-dataset ``FLClient`` outside the population's
         LRU, and the honest client holds no shard to mutate (it gathers
         its *clean* rows on every read), so poisoning is per-``(round,
@@ -230,7 +230,7 @@ class ThreatPlan:
         mask keep the reported value — scattered zeros stay zeros, so the
         masked aggregation's bookkeeping is untouched.  Gaussian noise
         draws from the dedicated stream in key order, so the poisoned
-        update is identical on every backend.
+        update is identical at any fusion width.
         """
         if not self.is_update_attack:
             raise ValueError(f"{self.attack!r} is not an update attack")

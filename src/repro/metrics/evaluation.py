@@ -1,17 +1,16 @@
 """Declarative model evaluation: clean / PGD-20 / AutoAttack accuracy (§7.1).
 
 Evaluation used to be an inline loop (clean pass, then per-batch PGD, then
-per-batch AutoAttack, all threaded through one RNG), which forced it to run
-serially.  It is now *declarative*: an :class:`EvalPlan` lists the
-:class:`AttackSpec`\\ s to measure, and an executor — by default the serial
-:class:`repro.flsim.eval_executor.EvalExecutor` — decomposes the plan into
+per-batch AutoAttack, all drawing from one RNG), which tied every result
+to the pass order.  It is now *declarative*: an :class:`EvalPlan` lists the
+:class:`AttackSpec`\\ s to measure, and
+:class:`repro.flsim.eval_executor.EvalExecutor` decomposes the plan into
 independent ``(attack, sample range)`` shards and reduces their per-shard
 correct counts into an :class:`EvalResult`.
 
 Determinism is *shard-stable*: each shard derives its own RNG from
 ``(plan seed, attack index, shard index)``, so the result is a pure
-function of the plan and the model — independent of the executor backend,
-worker count, and scheduling.
+function of the plan and the model — independent of shard order.
 """
 
 from __future__ import annotations
@@ -38,8 +37,8 @@ def shard_rng(seed, attack_idx: int, shard_idx: int) -> np.random.Generator:
     """The RNG of one evaluation shard.
 
     Derived from ``(plan seed, attack, shard)`` only, so any decomposition
-    of an evaluation into the same shards draws the same random numbers —
-    the property that makes parallel evaluation bit-identical to serial.
+    of an evaluation into the same shards draws the same random numbers,
+    in any order.
     """
     return np.random.default_rng(seed_entropy(seed) + [attack_idx + 1, shard_idx])
 
@@ -208,17 +207,13 @@ def evaluate_model(
     head: Optional[Module] = None,
     rng: Optional[np.random.Generator] = None,
     seed: object = None,
-    executor=None,
 ) -> EvalResult:
     """Evaluate clean and adversarial accuracy on (a subset of) a dataset.
 
     Thin compatibility wrapper: builds the standard :class:`EvalPlan` and
-    submits it to an :class:`~repro.flsim.eval_executor.EvalExecutor`
-    (serial when ``executor`` is None).  ``seed`` fixes the plan seed
-    directly; the legacy ``rng`` argument, when given instead, is consumed
-    once to derive it.  Parallel executors need per-slot model replicas —
-    use :meth:`EvalExecutor.run` with a slot-aware target for that; a bare
-    module is only safe on the serial backend.
+    submits it to an :class:`~repro.flsim.eval_executor.EvalExecutor`.
+    ``seed`` fixes the plan seed directly; the legacy ``rng`` argument,
+    when given instead, is consumed once to derive it.
     """
     from repro.flsim.eval_executor import EvalExecutor, EvalTarget
 
@@ -229,7 +224,4 @@ def evaluate_model(
         eps=eps, pgd_steps=pgd_steps, with_autoattack=with_autoattack,
         max_samples=max_samples, batch_size=batch_size, seed=seed,
     )
-    eval_executor = executor if executor is not None else EvalExecutor()
-    return eval_executor.run(
-        plan, dataset, lambda slot: EvalTarget(ModelWithLoss(model, head=head))
-    )
+    return EvalExecutor().run(plan, dataset, EvalTarget(ModelWithLoss(model, head=head)))

@@ -1,6 +1,6 @@
 """Client-batched ("fusion cohort") parameter slabs.
 
-Every executor backend fuses K homogeneous clients into one stacked
+The round engine fuses K homogeneous clients into one stacked
 forward/backward (``fusion_width``; see :mod:`repro.flsim.executor`):
 activations carry the clients stacked on the batch axis — a ``(K·B, ...)``
 layout — while every trainable parameter carries a ``(K, *shape)``
@@ -16,8 +16,8 @@ This module owns the slab lifecycle:
 
 * :func:`install_cohort` stacks K state dicts into parameter/buffer slabs,
 * :func:`extract_cohort` slices the trained slabs back into K state dicts,
-* :func:`clear_cohort` returns the model to the serial layout (slot models
-  are reused across rounds, so this must run even on failure),
+* :func:`clear_cohort` returns the model to the serial layout (workspace
+  models are reused across rounds, so this must run even on failure),
 
 plus :class:`CohortCrossEntropyLoss`, the per-client-sliced loss whose
 gradient matches K independent serial mean-CE losses bit for bit.

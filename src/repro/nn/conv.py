@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import threading
+from types import SimpleNamespace
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -33,7 +33,7 @@ def _axis(size: int, lo: int, step: int, out: int, k: int, s: int):
     return slice(m0, m1), slice(start, start + step * (m1 - m0), step), (i0, i1), span
 
 
-_workspaces = threading.local()  # .buffers: unfold geometry -> (buffer, {N: views}), per thread
+_workspaces = SimpleNamespace()  # .buffers: unfold geometry -> (buffer, {N: views})
 
 
 class _Unfold:
@@ -44,7 +44,7 @@ class _Unfold:
     kernel *row* of every window — ``taps_w·C`` contiguous elements — is
     copied into freshly allocated columns, so no copy has an inner run
     shorter than ``C``.  The object is geometry only: the buffer is the
-    thread's one for ``_key`` (all but N), sized to the largest N; every
+    process's one for ``_key`` (all but N), sized to the largest N; every
     caller of a key writes the same positions, so its zeros stay zero.
     """
 

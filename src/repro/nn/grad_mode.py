@@ -24,32 +24,31 @@ because anything invalidates it; the calls that do rewrite weights refuse
 to run inside a scope (:func:`require_unfrozen`).  See docs/architecture.md
 § "The frozen-model scope".
 
-The scope is **thread-local**: the round execution engine
-(:mod:`repro.flsim.executor`) runs one client's attack inside it on a
-worker thread while another worker's SGD backward — which must accumulate
-parameter gradients — runs concurrently, and two evaluation shards on two
-threads never see each other's entries.  New threads start outside any scope.
+The scope is **module state**, one per process: the round execution
+engine (:mod:`repro.flsim.executor`) runs one work unit at a time, so an
+attack's scope is closed before the next client's SGD backward — which
+must accumulate parameter gradients — starts.
 """
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
+from types import SimpleNamespace
 from typing import Callable, Hashable, Iterator, Optional, TypeVar
 
 T = TypeVar("T")
 
-_grad_state = threading.local()
+_grad_state = SimpleNamespace(cache=None)
 
 
 def frozen_cache() -> Optional[dict]:
-    """This thread's derived-weight cache; ``None`` outside every scope."""
-    return getattr(_grad_state, "cache", None)
+    """The open scope's derived-weight cache; ``None`` outside every scope."""
+    return _grad_state.cache
 
 
 def param_grads_enabled() -> bool:
-    """Whether backward passes (in this thread) accumulate parameter grads."""
-    return getattr(_grad_state, "cache", None) is None  # frozen_cache(), minus a call: hot path
+    """Whether backward passes accumulate parameter grads."""
+    return _grad_state.cache is None  # frozen_cache(), minus a call: hot path
 
 
 @contextmanager

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, NamedTuple, Tuple
 
 import numpy as np
@@ -22,19 +21,17 @@ class PrivateRng:
     """
 
     def __init__(self) -> None:
-        self._lock, self._rng, self._fills = threading.Lock(), None, []
+        self._rng, self._fills = None, []
 
     def queue(self, fill: Callable[[np.random.Generator], None]) -> None:
-        with self._lock:
-            self._fills.append(fill)
+        self._fills.append(fill)
 
     def flush(self) -> None:
-        with self._lock:  # a concurrent reader waits here, then finds nothing queued
-            if self._rng is None:
-                self._rng = np.random.default_rng(0)
-            while self._fills:  # dequeued only once made: a failed flush can be retried
-                self._fills[0](self._rng)
-                del self._fills[0]
+        if self._rng is None:
+            self._rng = np.random.default_rng(0)
+        while self._fills:  # dequeued only once made: a failed flush can be retried
+            self._fills[0](self._rng)
+            del self._fills[0]
 
 
 class PendingDraw(NamedTuple):

@@ -54,7 +54,7 @@ class Parameter:
 
     def _fill(self, rng: np.random.Generator) -> None:
         self.data = self._pending.draw(rng)
-        self._pending = None  # last: a concurrent reader sees either this or a set slot
+        self._pending = None  # last: still pending until ``data`` holds the draw
 
     def __getattr__(self, name: str):
         # Reached only when a slot is unset — the first read of a pending parameter

@@ -1,5 +1,5 @@
 """Shared test utilities: finite-difference gradient checking, cohort recording,
-the calling thread's unfold workspace."""
+the process's unfold workspace."""
 
 from __future__ import annotations
 
@@ -9,15 +9,15 @@ from repro.nn import conv
 
 
 def workspace_buffers() -> dict:
-    """The calling thread's zero-bordered unfold buffers, ``geometry key -> buffer``."""
+    """The zero-bordered unfold buffers, ``geometry key -> buffer``."""
     return {key: buf for key, (buf, _) in vars(conv._workspaces).get("buffers", {}).items()}
 
 
 def empty_workspace() -> None:
-    """Drop the calling thread's unfold buffers.
+    """Drop the unfold buffers.
 
-    They live as long as the thread, so a traced measurement that should
-    count them — whatever ran on the thread before — empties them first.
+    They live as long as the process, so a traced measurement that should
+    count them — whatever ran before — empties them first.
     """
     vars(conv._workspaces).pop("buffers", None)
 

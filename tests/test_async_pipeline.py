@@ -8,12 +8,11 @@ Load-bearing properties (PR 5):
   accept ``aggregation_mode="async"``; the distillation baselines reject
   it with a clear error;
 * ``max_staleness=0`` with ``pipeline_depth=1`` reproduces the
-  synchronous run **bit for bit** on every backend at 1/2/4 workers —
-  model state, history, and evals;
+  synchronous run **bit for bit**, fused and per item — model state,
+  history, and evals;
 * ``pipeline_depth>1`` really pipelines (more than one round in flight)
-  and stays bit-identical across backends and worker counts, because
-  merge order, base versions, and dispatch times derive from simulated
-  latency only;
+  and reruns bit-identically, because merge order, base versions, and
+  dispatch times derive from simulated latency only;
 * the FedRBN dual-BN rule attenuates clean and adversarial running
   statistics separately under staleness and collapses to the sync result
   at staleness 0.
@@ -32,8 +31,6 @@ from repro.flsim.base import AsyncRoundContext, FLClient
 from repro.hardware import DeviceSampler, device_pool
 from repro.models import build_cnn
 from repro.nn.normalization import DualBatchNorm2d
-
-BACKENDS = ["serial", "thread"]
 
 
 def _task():
@@ -131,7 +128,7 @@ class TestAsyncCapability:
 
     @pytest.mark.parametrize("method", ["fedprophet", "feddf"])
     def test_live_model_writers_copy_their_server_state(self, method):
-        """FedProphet trains on the live model (slot 0) and FedDF distils into
+        """FedProphet trains on the live model and FedDF distils into
         it inside the merge: their server state shares no memory with it."""
         exp = _hook_experiment(method)
         live = [p.data for _, p in exp.global_model.named_parameters()]
@@ -174,8 +171,8 @@ class TestAsyncCapability:
 
 
 # ---------------------------------------------------------------------------
-# Acceptance: max_staleness=0 + pipeline_depth=1 == sync, every backend,
-# 1/2/4 workers, every async-capable baseline family
+# Acceptance: max_staleness=0 + pipeline_depth=1 == sync, fused and per
+# item, every async-capable baseline family
 # ---------------------------------------------------------------------------
 
 
@@ -193,10 +190,8 @@ class TestZeroStalenessIsSync:
             runs[name] = (exp, history)
         return runs
 
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("name", ["jfat", "fedrbn", "heterofl"])
-    def test_bit_identical_to_sync(self, name, backend, workers, sync_runs):
+    def test_bit_identical_to_sync(self, name, sync_runs):
         cls, builder = {
             "jfat": (JointFAT, _builder),
             "fedrbn": (FedRBN, _dual_builder),
@@ -206,22 +201,21 @@ class TestZeroStalenessIsSync:
         exp = cls(
             _task(), builder,
             _cfg(eval_every=1, aggregation_mode="async", max_staleness=0,
-                 pipeline_depth=1, executor_backend=backend,
-                 round_parallelism=workers),
+                 pipeline_depth=1),
             device_sampler=_sampler(),
         )
         history = exp.run()
         _assert_states_equal(
             ref.global_model.state_dict(), exp.global_model.state_dict(),
-            label=f"{name}/{backend}x{workers}: ",
+            label=f"{name}: ",
         )
         _histories_equal(ref_history, history)
         assert all(e.alpha == 1.0 and e.staleness == 0 for e in exp.async_log)
 
     @pytest.mark.parametrize("name", ["jfat", "fedrbn", "heterofl"])
-    def test_per_item_on_three_threads_is_sync(self, name, sync_runs):
-        # Per item, each of a round's three clients is a pool task on a
-        # slot of its own; the rows above run at the derived fusion width.
+    def test_per_item_is_sync(self, name, sync_runs):
+        # Per item, each of a round's three clients trains alone; the rows
+        # above run at the derived fusion width.
         cls, builder = {
             "jfat": (JointFAT, _builder),
             "fedrbn": (FedRBN, _dual_builder),
@@ -231,14 +225,13 @@ class TestZeroStalenessIsSync:
         exp = cls(
             _task(), builder,
             _cfg(eval_every=1, aggregation_mode="async", max_staleness=0,
-                 pipeline_depth=1, executor_backend="thread",
-                 round_parallelism=3, fusion_width=1),
+                 pipeline_depth=1, fusion_width=1),
             device_sampler=_sampler(),
         )
         history = exp.run()
         _assert_states_equal(
             ref.global_model.state_dict(), exp.global_model.state_dict(),
-            label=f"{name}/thread x3 per item: ",
+            label=f"{name} per item: ",
         )
         _histories_equal(ref_history, history)
 
@@ -266,9 +259,8 @@ class TestZeroStalenessIsSync:
 # ---------------------------------------------------------------------------
 
 
-def _jfat_async(backend="serial", workers=None, **overrides):
-    cfg = _cfg(aggregation_mode="async", max_staleness=2, rounds=5,
-               executor_backend=backend, round_parallelism=workers, **overrides)
+def _jfat_async(**overrides):
+    cfg = _cfg(aggregation_mode="async", max_staleness=2, rounds=5, **overrides)
     return JointFAT(_task(), _builder, cfg, device_sampler=_sampler())
 
 
@@ -310,13 +302,10 @@ class TestCrossRoundPipeline:
         assert all(e.staleness >= e.event for e in deep.async_log)
 
     @pytest.mark.parametrize("depth", [2, 3])
-    @pytest.mark.parametrize(
-        "backend,workers", [("serial", 1), ("thread", 2), ("thread", 3), ("thread", 4)]
-    )
-    def test_deterministic_across_backends_and_workers(self, depth, backend, workers):
+    def test_rerun_is_bit_identical(self, depth):
         ref = _jfat_async(pipeline_depth=depth)
         ref.run()
-        exp = _jfat_async(backend, workers=workers, pipeline_depth=depth)
+        exp = _jfat_async(pipeline_depth=depth)
         exp.run()
         _assert_states_equal(
             ref.global_model.state_dict(), exp.global_model.state_dict()
@@ -340,7 +329,7 @@ class TestCrossRoundPipeline:
 
     def test_eval_during_pipelined_run_is_deterministic(self):
         a = _jfat_async(pipeline_depth=2, eval_every=2)
-        b = _jfat_async("thread", workers=4, pipeline_depth=2, eval_every=2)
+        b = _jfat_async(pipeline_depth=2, eval_every=2)
         ha, hb = a.run(), b.run()
         evals_a = [r.eval.as_dict() for r in ha if r.eval is not None]
         evals_b = [r.eval.as_dict() for r in hb if r.eval is not None]
@@ -471,8 +460,7 @@ class TestFedRBNStalenessDualBN:
         assert any(float(np.abs(sync_state[k] - stale_state[k]).max()) > 0 for k in adv)
         assert any(float(np.abs(sync_state[k] - stale_state[k]).max()) > 0 for k in clean)
 
-    @pytest.mark.parametrize("backend,workers", [("thread", 2), ("thread", 4)])
-    def test_stale_run_deterministic(self, backend, workers):
+    def test_stale_run_deterministic(self):
         ref = FedRBN(
             _task(), _dual_builder,
             _cfg(aggregation_mode="async", max_staleness=2, pipeline_depth=2),
@@ -481,8 +469,7 @@ class TestFedRBNStalenessDualBN:
         ref.run()
         exp = FedRBN(
             _task(), _dual_builder,
-            _cfg(aggregation_mode="async", max_staleness=2, pipeline_depth=2,
-                 executor_backend=backend, round_parallelism=workers),
+            _cfg(aggregation_mode="async", max_staleness=2, pipeline_depth=2),
             device_sampler=_sampler(),
         )
         exp.run()
@@ -498,8 +485,7 @@ class TestFedRBNStalenessDualBN:
 
 
 class TestProphetAsync:
-    @pytest.mark.parametrize("backend,workers", [("thread", 2), ("thread", 4)])
-    def test_stale_run_deterministic_across_workers(self, backend, workers):
+    def test_stale_run_deterministic(self):
         ref = FedProphet(
             _task(), _builder,
             _cfg(FedProphetConfig, rounds=4, aggregation_mode="async",
@@ -510,8 +496,7 @@ class TestProphetAsync:
         exp = FedProphet(
             _task(), _builder,
             _cfg(FedProphetConfig, rounds=4, aggregation_mode="async",
-                 max_staleness=2, executor_backend=backend,
-                 round_parallelism=workers),
+                 max_staleness=2),
             device_sampler=_sampler(),
         )
         exp.run()

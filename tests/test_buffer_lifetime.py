@@ -127,7 +127,7 @@ class TestGradientLifecycle:
             exp.run()
             exp.evaluate(max_samples=16)  # clean + PGD on the global model
             assert not any(_holds_grad(p) for p in exp.global_model.parameters())
-            (replica,) = exp._async_models.values()  # the serial round's training slot
+            (replica,) = exp._async_workspaces.values()  # the round's training workspace
             assert all(_holds_grad(p) for p in replica.parameters())
 
 
@@ -152,7 +152,7 @@ class TestScopeCache:
         plan = EvalPlan(attacks=(AttackSpec.pgd(8 / 255, 3),), batch_size=16, max_samples=32)
         with no_param_grads():  # the shard's scope nests in this one and shares its cache
             cache = frozen_cache()
-            result = EvalExecutor().run(plan, _test_set(32), lambda slot: EvalTarget(ModelWithLoss(model)))
+            result = EvalExecutor().run(plan, _test_set(32), EvalTarget(ModelWithLoss(model)))
             entries = dict(cache)
         assert result.pgd_acc is not None
         per_conv = 0

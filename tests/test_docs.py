@@ -25,7 +25,7 @@ import pytest
 
 from repro.cli import build_parser
 from repro.core import FedProphetConfig
-from repro.flsim import FLConfig, RoundExecutor
+from repro.flsim import FLConfig
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DOC = REPO_ROOT / "docs" / "configuration.md"
@@ -99,20 +99,24 @@ class TestConfigurationTableComplete:
         args = build_parser().parse_args(["train"])
         assert args.eval_every == 0
 
-    def test_two_execution_backends(self, capsys):
-        # The fork-based backend was deleted, and with it eval_backend
-        # (44 -> 43 fields) and the --parallelism alias.
-        for refuse in (lambda: FLConfig(executor_backend="process"),
-                       lambda: RoundExecutor("process")):
-            with pytest.raises(ValueError, match=re.escape("('serial', 'thread')")):
-                refuse()
-        with pytest.raises(SystemExit) as exit_info:
-            build_parser().parse_args(["train", "--executor", "process"])
-        assert exit_info.value.code == 2
-        assert "invalid choice: 'process'" in capsys.readouterr().err
+    def test_one_execution_engine(self, capsys):
+        # The thread backend was deleted, and with it executor_backend,
+        # round_parallelism and eval_parallelism (43 -> 40 fields) and
+        # their flags; eval_backend and --parallelism went before them.
+        removed = ("executor_backend", "round_parallelism", "eval_parallelism")
+        for name, value in zip(removed, ("serial", 2, 2)):
+            with pytest.raises(TypeError, match=name):
+                FLConfig(**{name: value})
+        for flag, value in (("--executor", "serial"), ("--round-parallelism", "2"),
+                            ("--eval-parallelism", "2")):
+            with pytest.raises(SystemExit) as exit_info:
+                build_parser().parse_args(["train", flag, value])
+            assert exit_info.value.code == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
         fields = {f.name for f in dataclasses.fields(FLConfig)}
-        assert len(fields) == 43 and "eval_backend" not in fields
-        assert "eval_backend" not in CONFIG_DOC.read_text()
+        assert len(fields) == 40 and not fields & {"eval_backend", *removed}
+        doc = CONFIG_DOC.read_text()
+        assert not [name for name in ("eval_backend", *removed) if name in doc]
         assert "--parallelism" not in _cli_option_strings()
 
     def test_detects_missing_entries(self):

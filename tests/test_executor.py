@@ -1,32 +1,18 @@
-"""Round execution engine: backend determinism and stage-scoped caching.
+"""Round execution engine: the inline map and stage-scoped caching.
 
-The load-bearing property: a round run with the ``serial`` and ``thread``
-backends produces **bit-identical** global state and
-history (aggregation order is fixed by the client list, per-client RNGs
-are counter-derived), and the version-keyed prefix cache is bit-identical
-to running with the cache off while serving cross-round hits.
+The load-bearing property: the version-keyed prefix cache is
+bit-identical to running with the cache off while serving cross-round
+hits.  Engine determinism against recorded runs lives in the digest
+suites (``test_sync_round_digests.py``, ``test_prophet_engine_digests.py``).
 """
 
 import numpy as np
 import pytest
 
-from repro.baselines import FedRBN, HeteroFLAT, JointFAT
 from repro.core import FedProphet, FedProphetConfig
 from repro.data import make_cifar10_like
 from repro.flsim import FLConfig, RoundExecutor
-from repro.hardware import DEVICE_POOL_CIFAR10, DeviceSampler
-from repro.models import build_cnn, build_vgg
-from repro.nn import DualBatchNorm2d
-
-BACKENDS = ["serial", "thread"]
-# The thread backend at one worker is not pooled: it maps inline.
-ENGINES = BACKENDS + ["thread1"]
-
-
-def _executor(engine, max_workers):
-    if engine == "thread1":
-        return RoundExecutor("thread", max_workers=1)
-    return RoundExecutor(engine, max_workers=max_workers)
+from repro.models import build_vgg
 
 
 def _assert_states_equal(a, b, label=""):
@@ -41,154 +27,31 @@ def _assert_states_equal(a, b, label=""):
 
 
 class TestRoundExecutor:
-    def test_rejects_unknown_backend(self):
-        with pytest.raises(ValueError):
-            RoundExecutor("gpu")
-
-    def test_rejects_nonpositive_workers(self):
-        with pytest.raises(ValueError):
-            RoundExecutor("thread", max_workers=0)
-
-    @pytest.mark.parametrize("backend", ENGINES)
-    def test_map_preserves_input_order(self, backend):
-        ex = _executor(backend, 3)
+    def test_map_preserves_input_order(self):
         items = list(range(11))
-        assert ex.map(lambda i, slot: i * i, items) == [i * i for i in items]
+        assert RoundExecutor().map(lambda i: i * i, items) == [i * i for i in items]
 
     def test_map_empty(self):
-        assert RoundExecutor("thread").map(lambda i, s: i, []) == []
+        assert RoundExecutor().map(lambda i: i, []) == []
 
-    def test_serial_always_slot_zero(self):
-        slots = RoundExecutor("serial").map(lambda i, slot: slot, range(5))
-        assert slots == [0] * 5
-
-    def test_thread_slots_stripe_deterministically(self):
-        ex = RoundExecutor("thread", max_workers=2)
-        slots = ex.map(lambda i, slot: slot, range(5))
-        # item i runs on slot i % workers, regardless of scheduling
-        assert slots == [0, 1, 0, 1, 0]
-        assert ex.slots_for(5) == [0, 1]
-        assert ex.slots_for(1) == [0]
-
-    def test_workers_clamped_to_items(self):
-        ex = RoundExecutor("thread", max_workers=8)
-        assert ex.workers_for(3) == 3
-
-    @pytest.mark.parametrize("backend", ENGINES)
-    def test_exceptions_propagate(self, backend):
-        ex = _executor(backend, 2)
-
-        def boom(i, slot):
+    def test_exceptions_propagate(self):
+        def boom(i):
             if i == 3:
                 raise RuntimeError("work unit failed")
             return i
 
         with pytest.raises(RuntimeError, match="work unit failed"):
-            ex.map(boom, range(5))
+            RoundExecutor().map(boom, range(5))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            FLConfig(executor_backend="cluster")
+            RoundExecutor(fusion_width=0)
         with pytest.raises(ValueError):
-            FLConfig(round_parallelism=0)
-
-
-# ---------------------------------------------------------------------------
-# Backend determinism: parallel == serial, bit for bit
-# ---------------------------------------------------------------------------
+            FLConfig(fusion_width=0)
 
 
 def _task():
     return make_cifar10_like(image_size=8, train_per_class=20, test_per_class=5, seed=0)
-
-
-def _prophet(backend, **overrides):
-    defaults = dict(
-        num_clients=4, clients_per_round=3, local_iters=2, batch_size=8,
-        lr=0.02, rounds=4, train_pgd_steps=2, rounds_per_module=2,
-        patience=5, val_samples=16, val_pgd_steps=2, eval_every=0,
-        eval_pgd_steps=2, r_min_fraction=0.4, seed=0,
-        executor_backend=backend, round_parallelism=2,
-    )
-    defaults.update(overrides)
-    cfg = FedProphetConfig(**defaults)
-    return FedProphet(
-        _task(),
-        lambda rng: build_cnn(3, 10, (3, 8, 8), base_channels=4, rng=rng),
-        cfg,
-    )
-
-
-class TestFedProphetBackendDeterminism:
-    @pytest.fixture(scope="class")
-    def serial_run(self):
-        exp = _prophet("serial")
-        history = exp.run()
-        return exp, history
-
-    # "thread3": one slot per sampled client, each synced to the prefix
-    @pytest.mark.parametrize("backend", ["thread", "thread3"])
-    def test_bit_identical_to_serial(self, backend, serial_run):
-        ref, ref_history = serial_run
-        if backend == "thread3":
-            exp = _prophet("thread", round_parallelism=3)
-        else:
-            exp = _prophet(backend)
-        history = exp.run()
-        # the 4-round run crosses a stage boundary (rounds_per_module=2),
-        # so prefix syncing and cache versioning are both exercised
-        assert len({e.module for e in exp.pert_log}) >= 2
-        _assert_states_equal(
-            ref.global_model.state_dict(), exp.global_model.state_dict()
-        )
-        for h_ref, h in zip(ref.heads, exp.heads):
-            if h_ref is not None:
-                _assert_states_equal(h_ref.state_dict(), h.state_dict(), "head ")
-        assert len(history) == len(ref_history)
-        for a, b in zip(ref_history, history):
-            assert a.eval.clean_acc == b.eval.clean_acc
-            assert a.eval.pgd_acc == b.eval.pgd_acc
-            assert a.sim_time_s == b.sim_time_s
-
-
-class TestBaselineBackendDeterminism:
-    """jFAT / FedRBN / partial-training rounds are backend-invariant too."""
-
-    def _cfg(self, backend, **overrides):
-        defaults = dict(
-            num_clients=4, clients_per_round=3, local_iters=2, batch_size=8,
-            lr=0.02, rounds=2, train_pgd_steps=2, eval_every=0,
-            eval_pgd_steps=2, seed=0,
-            executor_backend=backend, round_parallelism=2,
-        )
-        defaults.update(overrides)
-        return FLConfig(**defaults)
-
-    def _run(self, cls, builder, backend):
-        sampler = DeviceSampler(DEVICE_POOL_CIFAR10, "balanced")
-        exp = cls(_task(), builder, self._cfg(backend), device_sampler=sampler)
-        exp.run()
-        return exp.global_model.state_dict()
-
-    @pytest.mark.parametrize(
-        "cls,builder",
-        [
-            (JointFAT, lambda rng: build_vgg("vgg11", 10, (3, 8, 8), width_mult=0.25, rng=rng)),
-            (
-                FedRBN,
-                lambda rng: build_vgg(
-                    "vgg11", 10, (3, 8, 8), width_mult=0.25, rng=rng,
-                    bn_cls=DualBatchNorm2d,
-                ),
-            ),
-            (HeteroFLAT, lambda rng: build_cnn(3, 10, (3, 8, 8), base_channels=4, rng=rng)),
-        ],
-        ids=["jfat", "fedrbn", "heterofl"],
-    )
-    def test_thread_matches_serial(self, cls, builder):
-        _assert_states_equal(
-            self._run(cls, builder, "serial"), self._run(cls, builder, "thread")
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +59,7 @@ class TestBaselineBackendDeterminism:
 # ---------------------------------------------------------------------------
 
 
-def _stage_prophet(use_cache, backend="serial"):
+def _stage_prophet(use_cache):
     """An experiment pinned at module 1 where every client is sampled every
     round and one batch covers a client's whole shard — so after round 0
     the cache must serve every prefix forward of rounds 1+."""
@@ -205,7 +68,6 @@ def _stage_prophet(use_cache, backend="serial"):
         lr=0.05, rounds=4, train_pgd_steps=2, eval_pgd_steps=2, eval_every=0,
         seed=0, rounds_per_module=4, patience=4, r_min_fraction=0.35,
         val_samples=16, val_pgd_steps=2, use_prefix_cache=use_cache,
-        executor_backend=backend, round_parallelism=2,
     )
     exp = FedProphet(
         _task(),
@@ -224,9 +86,8 @@ class TestStageScopedCache:
             exp.run_round(t, clients, states)
         return exp
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_cross_round_hits_with_zero_recompute(self, backend):
-        exp = self._run_rounds(_stage_prophet(True, backend))
+    def test_cross_round_hits_with_zero_recompute(self):
+        exp = self._run_rounds(_stage_prophet(True))
         stats = exp.prefix_cache.stats()
         # one bump on stage entry, none across the stage's rounds
         assert stats["invalidations"] == 1

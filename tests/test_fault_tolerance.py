@@ -5,13 +5,13 @@ Load-bearing properties (PR 6):
 * a run interrupted at a round boundary and resumed from its journal's
   last checkpoint produces **bit-identical** final weights, history, and
   merge-event log to the uninterrupted run — in sync, async, and
-  ``pipeline_depth>=2`` modes, resuming on any backend at any worker
-  count (the checkpoint stores no execution-engine state);
+  ``pipeline_depth>=2`` modes, resuming at any fusion width (the
+  checkpoint stores no execution-engine state);
 * the journal is an append-only JSONL log that tolerates a torn final
   line (the SIGKILL artefact) and refuses malformed lines elsewhere;
 * fault injection is deterministic: the same :class:`FaultPlan` seed
-  yields bit-identical surviving-cohort aggregation across backends and
-  worker counts, and a disabled plan reproduces the fault-free engine
+  yields bit-identical surviving-cohort aggregation fused and per item,
+  and a disabled plan reproduces the fault-free engine
   exactly (the fault RNG is a separate stream);
 * rounds degrade gracefully: dropped clients reweight the aggregation
   over the survivors, stragglers/retries stretch the simulated clock,
@@ -26,8 +26,6 @@ import os
 import pickle
 import shutil
 import socket
-import threading
-import time
 import warnings
 
 import numpy as np
@@ -41,7 +39,6 @@ from repro.flsim import (
     FaultPlan,
     FLConfig,
     JournalError,
-    RoundExecutor,
     RunJournal,
     read_checkpoint,
 )
@@ -215,8 +212,6 @@ MODES = [
     ),
 ]
 
-RESUME_ENGINES = [("serial", None), ("thread", 2), ("thread", 3), ("thread", 4)]
-
 
 class TestCheckpointResume:
     @pytest.mark.parametrize("mode", MODES)
@@ -242,9 +237,8 @@ class TestCheckpointResume:
         kinds = [e["kind"] for e in events]
         assert "resume" in kinds and kinds[-1] == "run_end"
 
-    @pytest.mark.parametrize("backend,workers", RESUME_ENGINES)
-    def test_resume_on_any_backend(self, tmp_path, backend, workers):
-        """The checkpoint carries no engine state: resume anywhere."""
+    def test_resume_at_another_fusion_width(self, tmp_path):
+        """The checkpoint carries no engine state: resume per item."""
         mode = dict(aggregation_mode="async", max_staleness=2, pipeline_depth=2)
         ref = JointFAT(_task(), _builder, _cfg(**mode))
         ref.run()
@@ -259,8 +253,7 @@ class TestCheckpointResume:
 
         resumed = JointFAT(
             _task(), _builder,
-            _cfg(journal_path=path, checkpoint_every=2,
-                 executor_backend=backend, round_parallelism=workers, **mode),
+            _cfg(journal_path=path, checkpoint_every=2, fusion_width=1, **mode),
         )
         resumed.resume(path)
         _assert_runs_equal(ref, resumed)
@@ -355,10 +348,9 @@ class TestCheckpointResume:
         exp.close()
         resumed = JointFAT(
             _task(), _builder,
-            _cfg(journal_path=path, checkpoint_every=2,
-                 executor_backend="thread", round_parallelism=2),
+            _cfg(journal_path=path, checkpoint_every=2, fusion_width=1),
         )
-        resumed.resume(path)  # no JournalError: backend is non-semantic
+        resumed.resume(path)  # no JournalError: the fusion width is non-semantic
         assert len(resumed.history) == 5
         resumed.close()
 
@@ -406,11 +398,7 @@ class TestCheckpointResume:
         assert (stage["current_module"], stage["_stage_rounds"]) == (1, 1)
         assert len(stage["eps_star"]) == 1 and len(stage["pert_log"]) == 3
 
-        resumed = FedProphet(
-            _task(), _builder,
-            _cfg(FedProphetConfig, executor_backend="thread",
-                 round_parallelism=2, **kw),
-        )
+        resumed = FedProphet(_task(), _builder, _cfg(FedProphetConfig, **kw))
         resumed.resume(path)
         resumed.close()
         _assert_runs_equal(ref, resumed)
@@ -590,16 +578,13 @@ class TestFaultPlan:
 class TestFaultInjection:
     PLAN = FaultPlan(seed=7, dropout_prob=0.3, straggler_prob=0.2, flaky_prob=0.2)
 
-    ENGINES = [("serial", None), ("thread", 4)]
-
     @pytest.mark.parametrize("mode", MODES)
     def test_deterministic_across_engines(self, mode):
         runs = []
-        for backend, workers in self.ENGINES:
+        for width in (None, 1):  # derived (fused) and per item
             exp = JointFAT(
                 _task(), _builder,
-                _cfg(fault_plan=self.PLAN, executor_backend=backend,
-                     round_parallelism=workers, **mode),
+                _cfg(fault_plan=self.PLAN, fusion_width=width, **mode),
                 device_sampler=_sampler(),
             )
             exp.run()
@@ -714,7 +699,7 @@ class TestFaultInjection:
     def test_client_timeout_without_cost_model_refused(self):
         class NoCostModel(FederatedExperiment):
             def async_client_fn(self, round_idx, base_state):
-                return lambda item, slot: base_state
+                return lambda item: base_state
 
         NoCostModel(_task(), _builder, _cfg())  # fine without a timeout
         with pytest.raises(ValueError, match="no pre-training cost model"):
@@ -765,38 +750,32 @@ class TestFaultInjection:
 
 
 # ---------------------------------------------------------------------------
-# Satellites: executor context manager, pool shutdown on abort, clamping
+# Satellites: experiment context manager, journalled abort, clamping
 # ---------------------------------------------------------------------------
 
 
 class TestLifecycleSatellites:
-    def test_round_executor_context_manager(self):
-        with RoundExecutor("thread", max_workers=2) as ex:
-            assert ex.thread_pool is not None
-        assert ex._thread_pool is None
-
-    def test_experiment_context_manager(self):
-        with JointFAT(_task(), _builder, _cfg(rounds=1)) as exp:
+    def test_experiment_context_manager(self, tmp_path):
+        path = str(tmp_path / "run.jsonl")
+        with JointFAT(_task(), _builder, _cfg(rounds=1, journal_path=path)) as exp:
             exp.run()
-        assert exp.executor._thread_pool is None
+            journal = exp._journal
+        assert journal._file.closed and exp._journal is None
 
     @pytest.mark.parametrize("mode", MODES)
-    def test_aborted_run_releases_pools(self, mode):
+    def test_aborted_run_journals_the_abort(self, tmp_path, mode):
         class Exploding(JointFAT):
             def async_client_fn(self, round_idx, base_state):
                 if round_idx == 1:
                     raise RuntimeError("boom")
                 return super().async_client_fn(round_idx, base_state)
 
-        exp = Exploding(
-            _task(), _builder,
-            _cfg(executor_backend="thread", round_parallelism=2, **mode),
-        )
-        pool = exp.executor.thread_pool  # force-create the persistent pool
+        path = str(tmp_path / "run.jsonl")
+        exp = Exploding(_task(), _builder, _cfg(journal_path=path, **mode))
         with pytest.raises(RuntimeError, match="boom"):
             exp.run()
-        assert exp.executor._thread_pool is None
-        assert pool._shutdown
+        assert list(RunJournal.read(path))[-1]["kind"] == "run_abort"
+        assert exp._journal is None
 
     def test_clients_per_round_clamps_with_warning(self):
         with pytest.warns(RuntimeWarning, match="clamping"):
@@ -833,10 +812,8 @@ class TestHostileInfrastructure:
         journal = str(tmp_path / "run.jsonl")
         exp = JointFAT(
             _task(), _builder,
-            _cfg(journal_path=journal, metrics_path=str(tmp_path / "m.jsonl"),
-                 executor_backend="thread", round_parallelism=2),
+            _cfg(journal_path=journal, metrics_path=str(tmp_path / "m.jsonl")),
         )
-        pools = [exp.executor.thread_pool, exp.eval_executor.executor.thread_pool]
         journals = []
 
         def disk_full(self, kind, payload):  # full from the first round on
@@ -850,9 +827,6 @@ class TestHostileInfrastructure:
         assert list(RunJournal.read(journal))[-1]["kind"] == "run_abort"
         assert journals[0]._file.closed and exp._journal is None
         assert exp._metrics._file.closed
-        assert exp.executor._thread_pool is None
-        assert exp.eval_executor.executor._thread_pool is None
-        assert all(pool._shutdown for pool in pools)
 
     def test_unwritable_metrics_path_releases_the_status_port(self, tmp_path):
         # The port is bound before the metrics file opens, so a failing
@@ -866,27 +840,25 @@ class TestHostileInfrastructure:
             again.bind(("127.0.0.1", port))
 
     def test_interrupted_async_drain_trains_no_queued_unit(self, tmp_path):
-        # Two pipelined rounds queue 32 units on two workers; an interrupt
-        # from the second merge must reach the caller without the pool
-        # training the queue first.
-        interrupted, late, merges = threading.Event(), [], []
+        # Two pipelined rounds hold 32 units; an interrupt from the second
+        # merge must reach the caller without training any unit first.
+        interrupted, late, merges = [], [], []
 
         class Interrupted(JointFAT):
             def async_client_fn(self, round_idx, base_state):
                 inner = super().async_client_fn(round_idx, base_state)
 
-                def unit(item, slot):
-                    if interrupted.is_set():
+                def unit(item):
+                    if interrupted:
                         late.append(round_idx)
-                    time.sleep(0.02)
-                    return inner(item, slot)
+                    return inner(item)
 
                 return unit
 
             def async_merge_event(self, *args):
                 merges.append(1)
                 if len(merges) == 2:
-                    interrupted.set()
+                    interrupted.append(True)
                     raise KeyboardInterrupt
                 return super().async_merge_event(*args)
 
@@ -895,13 +867,9 @@ class TestHostileInfrastructure:
             _task(), _builder,
             _cfg(num_clients=16, clients_per_round=16, rounds=4,
                  aggregation_mode="async", pipeline_depth=2,
-                 executor_backend="thread", round_parallelism=2,
                  journal_path=journal),
         )
-        pool = exp.executor.thread_pool
         with pytest.raises(KeyboardInterrupt):
             exp.run()
-        assert len(late) <= 2  # at most the unit each worker was starting
+        assert late == []  # a unit trains only when a merge pulls it
         assert list(RunJournal.read(journal))[-1]["kind"] == "run_abort"
-        assert pool._shutdown and exp.executor._thread_pool is None
-        assert not [t for t in pool._threads if t.is_alive()]

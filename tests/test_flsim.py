@@ -111,7 +111,7 @@ class _CountingExperiment(FederatedExperiment):
 
     def async_client_fn(self, round_idx, base_state):
         self.rounds_seen.append(round_idx)
-        return lambda item, slot: base_state
+        return lambda item: base_state
 
     def async_client_costs(self, round_idx, clients, states):
         return [LocalTrainingCost(compute_s=1.0, access_s=0.5) for _ in clients]

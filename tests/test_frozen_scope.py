@@ -4,7 +4,7 @@
 outermost scope (docs/architecture.md § "The frozen-model scope").  Pinned
 here:
 
-* the cache's lifetime, its thread-locality, and the guards that keep
+* the cache's lifetime and the guards that keep
   weight writers out of a live scope;
 * ``Conv2d`` lays its weights out once per scope;
 * eval-mode conv→BatchNorm pairs fold into one convolution — equal to the
@@ -13,12 +13,11 @@ here:
   the two-forwards-per-step loop it replaced (kept below as the reference),
   and ``auto_attack_lite`` hands each member only the points still standing;
 * the contracts evaluation rests on (batch invariance, ``PrefixCache``
-  on ≡ off, ``fetch_stacked``, sharded ≡ serial) still hold folded.
+  on ≡ off, ``fetch_stacked``) still hold folded.
 """
 
 import copy
 import pickle
-import threading
 from collections import Counter
 
 import numpy as np
@@ -34,7 +33,7 @@ from repro.core.aggregator import restore_segment, snapshot_segment
 from repro.core.cascade import CascadeBatchSpec, cascade_local_train
 from repro.core.prefix_cache import PrefixCache
 from repro.data import ArrayDataset
-from repro.flsim import EvalExecutor, EvalTarget, RoundExecutor
+from repro.flsim import EvalExecutor, EvalTarget
 from repro.metrics import EvalPlan
 from repro.models import build_cnn, build_vgg
 from repro.nn import (
@@ -100,7 +99,7 @@ def layout_builds(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# The cache: lifetime, thread-locality, guards
+# The cache: lifetime, guards
 # ---------------------------------------------------------------------------
 
 
@@ -124,33 +123,6 @@ def test_cache_lives_exactly_as_long_as_the_outermost_scope():
         with no_param_grads():
             1 / 0
     assert frozen_cache() is None and param_grads_enabled()
-
-
-def test_two_threads_never_see_each_others_entries():
-    barrier = threading.Barrier(2, timeout=10)
-    seen, errors = {}, []
-
-    def worker(tag):
-        try:
-            with no_param_grads():
-                scope_cached("shared-key", lambda: tag)
-                barrier.wait()  # both caches are populated and alive
-                seen[tag] = (scope_cached("shared-key", lambda: "rebuilt"), dict(frozen_cache()))
-                barrier.wait()
-        except Exception as exc:  # surfaced below; a dead worker must not hang the other
-            errors.append(exc)
-            barrier.abort()
-
-    threads = [threading.Thread(target=worker, args=(tag,)) for tag in ("a", "b")]
-    with no_param_grads():  # the spawning thread's scope is not inherited either
-        scope_cached("shared-key", lambda: "main")
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=20)
-        assert not any(t.is_alive() for t in threads) and not errors
-        assert frozen_cache() == {"shared-key": "main"}
-    assert seen == {"a": ("a", {"shared-key": "a"}), "b": ("b", {"shared-key": "b"})}
 
 
 def _cascade():
@@ -662,7 +634,7 @@ def test_standard_plan_calls_no_batchnorm_and_lays_out_once_per_shard(bn_calls, 
     shards = EvalExecutor().shards_for(plan, 64)
     assert len(shards) == 3  # clean, PGD-20, AutoAttack
     assert not bn_calls and not layout_builds  # building the model ran nothing
-    result = EvalExecutor().run(plan, _test_set(), lambda slot: EvalTarget(ModelWithLoss(model)))
+    result = EvalExecutor().run(plan, _test_set(), EvalTarget(ModelWithLoss(model)))
     assert None not in (result.clean_acc, result.pgd_acc, result.aa_acc)
     assert not bn_calls
     # One build per cache key per shard whose scope needs it: every conv
@@ -739,37 +711,3 @@ def test_fetch_stacked_equals_fetch_with_a_folded_prefix(bn_calls):
     for a, b in zip(got, want):
         np.testing.assert_array_equal(a, b)
     assert not bn_calls
-
-
-def _replicas():
-    state = _vgg().state_dict()
-    replicas = {}
-
-    def target_for_slot(slot):
-        if slot not in replicas:
-            replicas[slot] = _vgg(seed=99)
-            replicas[slot].load_state_dict(state)
-        return EvalTarget(ModelWithLoss(replicas[slot]))
-
-    return target_for_slot
-
-
-@pytest.mark.parametrize(
-    "backend,workers",
-    [pytest.param("thread", 2, id="thread"), pytest.param("thread", 3, id="thread3")],
-)
-def test_sharded_folded_eval_equals_serial(bn_calls, backend, workers):
-    plan = EvalPlan.standard(8 / 255, 3, with_autoattack=True, batch_size=8, seed=17)
-    data = _test_set(24)
-    serial, sharded = _replicas(), _replicas()
-    serial(0)
-    for slot in range(workers):
-        sharded(slot)
-    bn_calls.clear()
-    want = EvalExecutor(RoundExecutor("serial")).run(plan, data, serial)
-    # No scope is open around the map: each shard opens its own.
-    assert frozen_cache() is None
-    got = EvalExecutor(RoundExecutor(backend, max_workers=workers)).run(plan, data, sharded)
-    assert got.attack_accs == want.attack_accs
-    assert (got.clean_acc, got.pgd_acc, got.aa_acc) == (want.clean_acc, want.pgd_acc, want.aa_acc)
-    assert not bn_calls and frozen_cache() is None

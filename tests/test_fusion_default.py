@@ -1,4 +1,4 @@
-"""Fusion is the default round path on every backend (PR 16).
+"""Fusion is the default round path (PR 16).
 
 What is observable about that, pinned here:
 
@@ -6,17 +6,13 @@ What is observable about that, pinned here:
   (the width is derived; ``tests/test_fusion_width.py`` pins the rule) into
   one stacked trainer call; ragged shards, ``None`` keys and plain work functions stay per
   item, and FedProphet (a plain work function) trains exactly as before;
-* the thread pool runs one task per *cohort*, and a one-worker thread
-  executor runs its cohorts inline;
+* the scheduler runs one call per *cohort*;
 * ``fusion_width`` is non-semantic: a run journalled and checkpointed
-  per item resumes and replays bit-identically fused, on another backend;
-* hostile input inside an inline cohort — a raising work unit, a NaN
-  shard — ends the round exactly as the per-item path does and leaves the
-  slot model in the serial layout; a cohort raising on the thread pool
-  fails exactly its own members.
+  per item resumes and replays bit-identically fused;
+* hostile input inside a cohort — a raising work unit, a NaN shard —
+  ends the round exactly as the per-item path does and leaves the
+  workspace model in the serial layout.
 """
-
-import threading
 
 import numpy as np
 import pytest
@@ -43,8 +39,8 @@ def _builder(rng):
 
 
 def _cfg(cls=FLConfig, **overrides):
-    # Engine fields (executor_backend, fusion_width, ...) stay at their
-    # defaults unless a test overrides them.
+    # Engine fields (fusion_width, ...) stay at their defaults unless a
+    # test overrides them.
     defaults = dict(
         num_clients=8, clients_per_round=8, local_iters=2, batch_size=8,
         lr=0.02, rounds=2, train_pgd_steps=1, eval_pgd_steps=1,
@@ -97,14 +93,10 @@ def trainer_calls(monkeypatch):
 
 class TestDefaultRoundPath:
     def test_default_config_is_serial_width_derived(self):
-        cfg = FLConfig()
-        assert (cfg.executor_backend, cfg.fusion_width) == ("serial", None)
+        assert FLConfig().fusion_width is None
         assert RoundExecutor().fusion_width == 8  # the derived width's bound
-        args = build_parser().parse_args(["train"])
-        assert (args.executor, args.fusion_width) == ("serial", None)
+        assert build_parser().parse_args(["train"]).fusion_width is None
         assert build_parser().parse_args(["train", "--fusion-width", "4"]).fusion_width == 4
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["train", "--executor", "batched"])
 
     def test_equal_shards_train_as_one_cohort_call(self, trainer_calls):
         with _jfat(rounds=1) as exp:
@@ -127,11 +119,11 @@ class TestDefaultRoundPath:
         scheduler = FLScheduler(RoundExecutor())
         log = []
 
-        def item_fn(i, slot):
+        def item_fn(i):
             log.append(("item", i))
             return i
 
-        def cohort_fn(items, slot):
+        def cohort_fn(items):
             log.append(("cohort", tuple(items)))
             return list(items)
 
@@ -159,32 +151,20 @@ class TestDefaultRoundPath:
         assert len(calls) == 2 * 4  # one per sampled client per round
 
 
-class TestPoolRunsCohorts:
-    @staticmethod
-    def _thread_fn():
-        return CohortFn(
-            lambda item, slot: (threading.get_ident(), 1),
-            lambda items, slot: [(threading.get_ident(), len(items))] * len(items),
+class TestSchedulerRunsCohorts:
+    def test_sixteen_fusable_clients_run_as_two_cohorts(self):
+        fn = CohortFn(
+            lambda item: 1,
+            lambda items: [len(items)] * len(items),
             group_key=lambda item: "g",
         )
-
-    def test_sixteen_fusable_clients_run_as_two_pooled_cohorts(self):
-        fn = self._thread_fn()
-        with RoundExecutor("thread", max_workers=2, fusion_width=8) as ex:
-            assert [len(c) for c in ex.plan_cohorts(fn, range(16))] == [8, 8]
-            out = FLScheduler(ex).run_group("t", fn, range(16))
-        assert all(width == 8 for _tid, width in out)
-        assert threading.get_ident() not in {tid for tid, _width in out}
-
-    def test_one_worker_runs_cohorts_inline(self):
-        with RoundExecutor("thread", max_workers=1, fusion_width=8) as ex:
-            out = FLScheduler(ex).run_group("t", self._thread_fn(), range(16))
-            assert ex._thread_pool is None  # no pool was ever started
-        assert out == [(threading.get_ident(), 8)] * 16
+        ex = RoundExecutor(fusion_width=8)
+        assert [len(c) for c in ex.plan_cohorts(fn, range(16))] == [8, 8]
+        assert FLScheduler(ex).run_group("t", fn, range(16)) == [8] * 16
 
 
 # ---------------------------------------------------------------------------
-# fusion_width is non-semantic: resume and replay across widths and backends
+# fusion_width is non-semantic: resume and replay across widths
 # ---------------------------------------------------------------------------
 
 ASYNC = dict(aggregation_mode="async", max_staleness=2, pipeline_depth=2)
@@ -200,19 +180,13 @@ def test_per_item_journal_resumes_and_replays_fused(tmp_path, mode):
     path = str(tmp_path / "run.jsonl")
     with _jfat(journal_path=path, fusion_width=1, **kw) as interrupted:
         interrupted.run(rounds=2)
-    with _jfat(
-        journal_path=path, fusion_width=8, executor_backend="thread",
-        round_parallelism=2, **kw,
-    ) as resumed:
+    with _jfat(journal_path=path, fusion_width=8, **kw) as resumed:
         widths = record_cohort_widths(resumed)
         resumed.resume(path)
         _assert_same_weights(_weights(resumed), want)
         assert widths == [8]  # the one remaining round really ran fused
 
-    for n, engine in enumerate(
-        [dict(fusion_width=8), dict(fusion_width=4, executor_backend="thread",
-                                    round_parallelism=2)]
-    ):
+    for n, engine in enumerate([dict(fusion_width=8), dict(fusion_width=4)]):
         replay_path = str(tmp_path / f"replay{n}" / "run.jsonl")
         report = replay_run(
             path, lambda: _jfat(journal_path=replay_path, **engine, **kw)
@@ -223,7 +197,7 @@ def test_per_item_journal_resumes_and_replays_fused(tmp_path, mode):
 
 
 # ---------------------------------------------------------------------------
-# Hostile input inside an inline width-8 cohort
+# Hostile input inside a width-8 cohort
 # ---------------------------------------------------------------------------
 
 
@@ -259,18 +233,18 @@ class TestHostileCohort:
         assert type(fused) is type(per_item)
         assert kinds_8 == kinds_1 and kinds_8[-1] == "run_abort"
         assert "round" not in kinds_8
-        assert _serial_layout(exp._async_slot_model(0))
+        assert _serial_layout(exp._async_workspace())
 
     def test_failed_cohort_fails_its_members_and_everything_after(self):
         done = []
 
-        def cohort_fn(items, slot):
+        def cohort_fn(items):
             if 8 in items:
                 raise ValueError("second cohort")
             done.append(tuple(items))
             return list(items)
 
-        fn = CohortFn(lambda i, s: i, cohort_fn, group_key=lambda i: "g")
+        fn = CohortFn(lambda i: i, cohort_fn, group_key=lambda i: "g")
         scheduler = FLScheduler(RoundExecutor())
         group = scheduler.submit_group("t", fn, range(24))
         assert done == []  # inline cohorts run when pulled
@@ -288,27 +262,7 @@ class TestHostileCohort:
             scheduler.submit_group("t", fn, range(24)).results()
         assert done == [tuple(range(8))]
 
-    def test_failed_pooled_cohort_fails_every_member(self):
-        def cohort_fn(items, slot):
-            if 2 in items:
-                raise ValueError("bad cohort")
-            return list(items)
-
-        fn = CohortFn(lambda i, s: i, cohort_fn, group_key=lambda i: "g")
-        with RoundExecutor("thread", max_workers=2, fusion_width=2) as ex:
-            group = FLScheduler(ex).submit_group("t", fn, range(6))
-            landed, failed = {}, 0
-            for _ in range(6):
-                try:
-                    index, result = group.next_completion()
-                    landed[index] = result
-                except ValueError:
-                    failed += 1
-        assert group.done()
-        # the cohort [2, 3] failed as a whole; its siblings completed
-        assert landed == {0: 0, 1: 1, 4: 4, 5: 5} and failed == 2
-
-    def test_slot_model_trains_correctly_after_a_failed_cohort(
+    def test_workspace_trains_correctly_after_a_failed_cohort(
         self, tmp_path, monkeypatch
     ):
         with _jfat() as ref:
@@ -329,8 +283,8 @@ class TestHostileCohort:
             items = [(client, None) for client in exp.clients]
             with pytest.raises(FloatingPointError):
                 exp.scheduler.run_group("train", fn, items)
-        assert _serial_layout(exp._async_slot_model(0))
-        exp.run()  # same slot model, next rounds: as if nothing happened
+        assert _serial_layout(exp._async_workspace())
+        exp.run()  # same workspace, next rounds: as if nothing happened
         _assert_same_weights(_weights(exp), want)
         exp.close()
 
@@ -349,7 +303,7 @@ class TestHostileCohort:
                     [(client, None) for client in exp.clients],
                 )
                 exp.run()
-                assert _serial_layout(exp._async_slot_model(0))
+                assert _serial_layout(exp._async_workspace())
                 assert set(widths) == {width}  # per item vs really stacked
                 return updates, _weights(exp)
 

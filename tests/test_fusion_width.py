@@ -140,7 +140,7 @@ class TestDerivedWidth:
 
 def _fn(width=None):
     return CohortFn(
-        lambda i, s: i, lambda items, s: list(items),
+        lambda i: i, lambda items: list(items),
         group_key=lambda i: "g", width=width,
     )
 
@@ -238,7 +238,7 @@ def _traced_peak(width):
     cfg = _cfg(num_clients=2, clients_per_round=2, batch_size=32, rounds=1,
                fusion_width=width)
     with JointFAT(_task(16), _vgg(16), cfg) as exp:
-        empty_workspace()  # count the unfold buffers whatever ran on this thread before
+        empty_workspace()  # count the unfold buffers whatever ran before
         tracemalloc.start()
         try:
             exp.run()

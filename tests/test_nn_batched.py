@@ -1,4 +1,4 @@
-"""Client fusion: slab kernels and cohort dispatch on every backend.
+"""Client fusion: slab kernels and cohort dispatch.
 
 Two layers of guarantees, both **bit-exact** (``np.array_equal``, not
 allclose — determinism is the contract, not a tolerance):
@@ -9,10 +9,10 @@ allclose — determinism is the contract, not a tolerance):
   slabs — because the stacked GEMMs run the same BLAS kernel over the
   same contiguous per-client layout and every multi-axis reduction runs
   per client slice;
-* round level: a federated run fused at any width on any backend must be
-  bit-identical to the per-item reference (``serial``,
-  ``fusion_width=1`` — always the reference side, since ``serial`` fuses
-  by default), for sync and cross-round-pipelined async aggregation,
+* round level: a federated run fused at any width must be bit-identical
+  to the per-item reference (``fusion_width=1`` — always the reference
+  side, since the engine fuses by default), for sync and
+  cross-round-pipelined async aggregation,
   with fault and threat plans active, across homogeneous (jFAT, FedRBN)
   and identical-mask-grouped heterogeneous (HeteroFL) baselines.
 """
@@ -192,14 +192,14 @@ class TestCohortCrossEntropy:
 
 class TestCohortPlanning:
     def test_groups_chunked_to_fusion_width(self):
-        ex = RoundExecutor("serial", max_workers=1, fusion_width=4)
-        fn = CohortFn(lambda i, s: i, lambda it, s: it, group_key=lambda i: "g")
+        ex = RoundExecutor(fusion_width=4)
+        fn = CohortFn(lambda i: i, lambda it: it, group_key=lambda i: "g")
         assert ex.plan_cohorts(fn, list(range(6))) == [[0, 1, 2, 3], [4, 5]]
 
     def test_none_keys_stay_singletons(self):
-        ex = RoundExecutor("serial", max_workers=1, fusion_width=4)
+        ex = RoundExecutor(fusion_width=4)
         fn = CohortFn(
-            lambda i, s: i, lambda it, s: it,
+            lambda i: i, lambda it: it,
             group_key=lambda i: None if i % 2 else "g",
         )
         plan = ex.plan_cohorts(fn, list(range(5)))
@@ -207,27 +207,27 @@ class TestCohortPlanning:
         assert [1] in plan and [3] in plan
 
     def test_distinct_keys_never_fuse(self):
-        ex = RoundExecutor("serial", max_workers=1, fusion_width=4)
-        fn = CohortFn(lambda i, s: i, lambda it, s: it, group_key=lambda i: i % 2)
+        ex = RoundExecutor(fusion_width=4)
+        fn = CohortFn(lambda i: i, lambda it: it, group_key=lambda i: i % 2)
         assert sorted(ex.plan_cohorts(fn, list(range(4)))) == [[0, 2], [1, 3]]
 
     def test_fusion_width_one_disables_fusion(self):
-        ex = RoundExecutor("serial", max_workers=1, fusion_width=1)
-        fn = CohortFn(lambda i, s: i, lambda it, s: it, group_key=lambda i: "g")
+        ex = RoundExecutor(fusion_width=1)
+        fn = CohortFn(lambda i: i, lambda it: it, group_key=lambda i: "g")
         assert ex.plan_cohorts(fn, list(range(3))) == [[0], [1], [2]]
 
     def test_plain_fn_runs_per_item(self):
         # A baseline without a cohort path still runs (per item).
-        ex = RoundExecutor("serial", max_workers=1, fusion_width=4)
-        assert ex.map(lambda i, s: i * i, list(range(5))) == [0, 1, 4, 9, 16]
+        ex = RoundExecutor(fusion_width=4)
+        assert ex.map(lambda i: i * i, list(range(5))) == [0, 1, 4, 9, 16]
 
     def test_map_preserves_item_order(self):
         # Cohort dispatch lives in the scheduler (RoundExecutor.map never
         # fuses), so the barrier view is FLScheduler.run_group.
-        ex = RoundExecutor("serial", max_workers=1, fusion_width=3)
+        ex = RoundExecutor(fusion_width=3)
         fn = CohortFn(
-            lambda i, s: ("item", i),
-            lambda items, s: [("cohort", i) for i in items],
+            lambda i: ("item", i),
+            lambda items: [("cohort", i) for i in items],
             group_key=lambda i: None if i in (1, 4) else "g",
         )
         out = FLScheduler(ex).run_group("t", fn, list(range(6)))
@@ -239,11 +239,7 @@ class TestCohortPlanning:
         with pytest.raises(ValueError):
             FLConfig(fusion_width=0)
         with pytest.raises(ValueError):
-            RoundExecutor("serial", fusion_width=0)
-        with pytest.raises(ValueError, match="unknown executor backend"):
-            RoundExecutor("batched")
-        with pytest.raises(ValueError, match="use `fusion_width`"):
-            FLConfig(executor_backend="batched")
+            RoundExecutor(fusion_width=0)
 
 
 class TestPrefixCacheStacked:
@@ -316,13 +312,12 @@ BASELINES = {
 }
 
 
-def _run(name, backend, fusion_width=1, heterogeneity="balanced", **overrides):
+def _run(name, fusion_width=1, heterogeneity="balanced", **overrides):
     cls, builder = BASELINES[name]
     defaults = dict(
         num_clients=6, clients_per_round=5, local_iters=2, batch_size=8,
         lr=0.02, rounds=2, train_pgd_steps=2, eval_every=0,
         eval_pgd_steps=2, seed=0,
-        executor_backend=backend, round_parallelism=2,
         fusion_width=fusion_width,
     )
     defaults.update(overrides)
@@ -350,9 +345,9 @@ _matrix_refs = {}
 
 
 def _matrix_reference(name, mode):
-    """The per-item path (serial, fusion_width=1), run once per cell."""
+    """The per-item path (fusion_width=1), run once per cell."""
     if (name, mode) not in _matrix_refs:
-        _matrix_refs[name, mode] = _run(name, "serial", **MATRIX_MODES[mode])
+        _matrix_refs[name, mode] = _run(name, **MATRIX_MODES[mode])
     return _matrix_refs[name, mode]
 
 
@@ -365,7 +360,7 @@ def _assert_realised(ref, got, width):
 
 class TestBatchedBackendDeterminism:
     """Fused cohorts vs the per-item reference (``_run``'s default
-    ``fusion_width=1`` on ``serial``) — never serial-default vs itself,
+    ``fusion_width=1``) — never the fused default vs itself,
     and never per-item vs per-item: every test asserts the widths realised."""
 
     # clients_per_round=5 with equal shards gives one ragged cohort at
@@ -373,41 +368,35 @@ class TestBatchedBackendDeterminism:
     @pytest.mark.parametrize("name", sorted(BASELINES))
     @pytest.mark.parametrize("width", [1, 2, 4])
     def test_sync_matches_serial(self, name, width):
-        ref = _run(name, "serial")
-        got = _run(name, "thread", fusion_width=width)
+        ref = _run(name)
+        got = _run(name, fusion_width=width)
         _assert_states_equal(ref[0], got[0], f"{name} w{width}: ")
         assert ref[1] == got[1]
         _assert_realised(ref, got, width)
 
     @pytest.mark.parametrize("name", sorted(BASELINES))
     def test_async_pipeline_depth2_matches_serial(self, name):
-        ref = _run(name, "serial", **ASYNC_DEPTH2)
-        got = _run(name, "thread", fusion_width=4, **ASYNC_DEPTH2)
+        ref = _run(name, **ASYNC_DEPTH2)
+        got = _run(name, fusion_width=4, **ASYNC_DEPTH2)
         _assert_states_equal(ref[0], got[0], f"{name} async: ")
         assert ref[2] == got[2]
         _assert_realised(ref, got, 4)
 
     # The cheap CNN covers every cell; the VGG baselines the default width.
-    # "thread3" is the pool at three workers, an odd stripe count.
     @pytest.mark.parametrize(
-        "name,backend,width,mode",
+        "name,width,mode",
         [
-            (name, backend, width, mode)
+            (name, width, mode)
             for name in sorted(BASELINES)
-            for backend in ("serial", "thread", "thread3")
             for width in (2, 4, 8)
             for mode in sorted(MATRIX_MODES)
             if name == "heterofl" or width == 8
         ],
     )
-    def test_fused_matches_per_item_on_every_backend(self, name, backend, width, mode):
+    def test_fused_matches_per_item(self, name, width, mode):
         ref = _matrix_reference(name, mode)
-        engine = (
-            dict(backend="thread", round_parallelism=3)
-            if backend == "thread3" else dict(backend=backend)
-        )
-        got = _run(name, fusion_width=width, **engine, **MATRIX_MODES[mode])
-        _assert_states_equal(ref[0], got[0], f"{name} {backend} w{width} {mode}: ")
+        got = _run(name, fusion_width=width, **MATRIX_MODES[mode])
+        _assert_states_equal(ref[0], got[0], f"{name} w{width} {mode}: ")
         assert ref[1] == got[1]
         assert ref[2] == got[2]
         _assert_realised(ref, got, width)
@@ -419,18 +408,17 @@ class TestBatchedBackendDeterminism:
             threat_plan=ThreatPlan(seed=7, byzantine_prob=0.3, attack="sign_flip"),
             aggregation_rule="trimmed_mean", trim_ratio=0.2,
         )
-        ref = _run("jfat", "serial", **kw)
-        for backend in ("serial", "thread"):
-            got = _run("jfat", backend, fusion_width=4, **kw)
-            _assert_states_equal(ref[0], got[0], f"faults+threats {backend}: ")
-            assert ref[1] == got[1]
-            assert ref[3] == 1 and got[3] > 1  # dropouts thin the cohorts
+        ref = _run("jfat", **kw)
+        got = _run("jfat", fusion_width=4, **kw)
+        _assert_states_equal(ref[0], got[0], "faults+threats: ")
+        assert ref[1] == got[1]
+        assert ref[3] == 1 and got[3] > 1  # dropouts thin the cohorts
 
     def test_unbalanced_fedrbn_mixes_cohort_kinds(self):
         # Unbalanced devices split FedRBN clients between the AT and
         # standard-training branches; the fusion key separates them.
-        ref = _run("fedrbn", "serial", heterogeneity="unbalanced")
-        got = _run("fedrbn", "thread", fusion_width=4, heterogeneity="unbalanced")
+        ref = _run("fedrbn", heterogeneity="unbalanced")
+        got = _run("fedrbn", fusion_width=4, heterogeneity="unbalanced")
         _assert_states_equal(ref[0], got[0], "fedrbn unbalanced: ")
         _assert_realised(ref, got, 4)
 
@@ -446,22 +434,18 @@ class TestDescribeParallelism:
         defaults.update(overrides)
         return cls(_task(), builder, FLConfig(**defaults))
 
-    def test_reports_backend_workers_and_fusion(self):
-        exp = self._exp(
-            executor_backend="thread", round_parallelism=2, fusion_width=3
-        )
+    def test_reports_the_engine_and_fusion(self):
+        exp = self._exp(fusion_width=3)
         text = exp.describe_parallelism()
         exp.close()
-        assert "thread x2" in text
+        assert "engine: serial, one work unit at a time" in text
         assert "fusion width 3 (configured)" in text
 
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
-    def test_every_backend_reports_the_effective_width_and_its_cause(self, backend):
+    def test_reports_the_effective_width_and_its_cause(self):
         # VGG11x0.25 8x8 at B=8: 182 KiB per client, so 5 fit the budget.
-        exp = self._exp(executor_backend=backend, round_parallelism=2)
+        exp = self._exp()
         text = exp.describe_parallelism()
         exp.close()
-        assert f"{backend} x2" in text
         assert "fusion width 5 (derived: 4·B·A = 182.3 KiB per client" in text
         assert "1024 KiB stacked budget, at most 8; configured: auto)" in text
         assert "1 disables fusion" in text

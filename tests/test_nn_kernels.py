@@ -6,8 +6,8 @@
   which other samples share its batch (``PrefixCache``, ``fetch_stacked``
   and sharded evaluation rest on this),
 * dead-tap elimination, the im2col-free 2x2 max-pool, the ``where``-free
-  ReLU, and unfold buffers that belong to the geometry and the thread —
-  not to a layer, and not state,
+  ReLU, and unfold buffers that belong to the geometry — not to a
+  layer, and not state,
 * the SciPy-free ``_smooth_field`` and a cold start that stays light.
 """
 
@@ -18,7 +18,6 @@ import os
 import pickle
 import subprocess
 import sys
-import threading
 import weakref
 
 import numpy as np
@@ -299,7 +298,7 @@ def test_relu_propagates_nan_and_keeps_dtype(dtype):
 
 
 # ---------------------------------------------------------------------------
-# Scratch belongs to the geometry: one buffer per unfold geometry and thread
+# Scratch belongs to the geometry: one buffer per unfold geometry
 # ---------------------------------------------------------------------------
 
 
@@ -325,7 +324,7 @@ def _arena_layers(rng):
 
 def _arena_sequence(layers, rng, fresh):
     """Batch sizes 3 -> 64 -> 28 -> 32 through every layer in turn; ``fresh``
-    empties the thread's workspace before every call (the reference)."""
+    empties the workspace before every call (the reference)."""
     results = []
     for n in (3, 64, 28, 32):
         for conv, shape in layers:
@@ -374,46 +373,6 @@ def test_a_larger_batch_frees_the_smaller_buffer():
     assert {len(buf) for buf in workspace_buffers().values()} == {64}
 
 
-def test_threads_unfold_into_private_buffers():
-    """More threads than cores on one geometry at once, switching often: each
-    equals the serial run and owns its buffers."""
-    rng = np.random.default_rng(11)
-    conv = Conv2d(8, 16, 3, padding=1, rng=rng)
-    xs = [rng.normal(size=(n, 8, 6, 6)).astype(np.float32) for n in (32, 5, 32, 17) * 3]
-    gs = [np.full((len(x), 16, 6, 6), 0.5, np.float32) for x in xs]
-    serial = [_fwd_bwd(conv, x, g) for x, g in zip(xs, gs)]
-    workers = 2 * (os.cpu_count() or 1) + 1
-    barrier = threading.Barrier(workers)
-    results, buffers = {}, {}
-
-    def worker(tid):
-        clone = copy.deepcopy(conv)
-        barrier.wait(timeout=60)  # every thread unfolds the same geometry at once
-        results[tid] = [_fwd_bwd(clone, x, g) for x, g in zip(xs, gs)]
-        buffers[tid] = workspace_buffers()
-
-    threads = [threading.Thread(target=worker, args=(tid,)) for tid in range(workers)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads) and len(results) == workers
-    for tid in range(workers):
-        for a, b in zip(results[tid], serial):
-            for x, y in zip(a, b):
-                np.testing.assert_array_equal(x, y)
-    assert all(set(buffers[tid]) == set(buffers[0]) for tid in range(workers))
-    assert len(buffers[0]) == 2
-    for key in buffers[0]:
-        for a, b in itertools.combinations(range(workers), 2):
-            assert not np.shares_memory(buffers[a][key], buffers[b][key])
-
-
 def test_workspaces_are_lazy_and_not_state():
     rng = np.random.default_rng(8)
     empty_workspace()
@@ -426,7 +385,7 @@ def test_workspaces_are_lazy_and_not_state():
     assert set(conv.state_dict()) == {"weight", "bias"}
     before = workspace_buffers()
 
-    # Clones on the same thread drop the layer's caches and unfold into the same buffers.
+    # Clones drop the layer's caches and unfold into the same buffers.
     for clone in (copy.deepcopy(conv), pickle.loads(pickle.dumps(conv))):
         assert "_unfolds" not in clone.__dict__ and "_cols" not in clone.__dict__
         np.testing.assert_array_equal(clone.forward(x), out)

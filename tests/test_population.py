@@ -2,8 +2,8 @@
 
 The load-bearing properties:
 
-* **eager ≡ lazy** — same weights, history, and merge log at any backend
-  and worker count, because every client is a pure function of
+* **eager ≡ lazy** — same weights, history, and merge log, fused or
+  per item, because every client is a pure function of
   ``(population seed, cid)``;
 * **cache size cannot matter** — LRU eviction only drops cache entries,
   never state, so runs at cohort-sized, doubled, and unbounded caches are
@@ -366,22 +366,16 @@ class TestDeviceStreams:
 
 
 # ---------------------------------------------------------------------------
-# End-to-end bit-identity: eager ≡ lazy across backends, cache sizes
+# End-to-end bit-identity: eager ≡ lazy across fusion widths, cache sizes
 # ---------------------------------------------------------------------------
 
 
 class TestEagerLazyBitIdentity:
-    @pytest.mark.parametrize(
-        "backend,workers",
-        [("serial", 1), ("thread", 2), ("thread", 3), ("thread", 4)],
-    )
-    def test_across_backends_and_workers(self, backend, workers):
-        eager = _run(executor_backend=backend, round_parallelism=workers)
-        lazy = _run(
-            executor_backend=backend, round_parallelism=workers,
-            client_materialisation="lazy",
-        )
-        _assert_runs_equal(eager, lazy, label=f"{backend}x{workers}: ")
+    @pytest.mark.parametrize("width", [None, 1], ids=["fused", "per_item"])
+    def test_across_fusion_widths(self, width):
+        eager = _run(fusion_width=width)
+        lazy = _run(fusion_width=width, client_materialisation="lazy")
+        _assert_runs_equal(eager, lazy, label=f"width {width}: ")
 
     def test_cache_size_cannot_matter(self):
         runs = [
@@ -417,8 +411,7 @@ class TestEagerLazyBitIdentity:
         def run(**kw):
             cfg = _config(
                 rounds=3, aggregation_mode="async", max_staleness=2,
-                pipeline_depth=2, executor_backend="thread",
-                round_parallelism=2, **kw,
+                pipeline_depth=2, **kw,
             )
             exp = JointFAT(TASK, _builder, cfg, device_sampler=sampler)
             exp.run()

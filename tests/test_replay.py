@@ -4,7 +4,7 @@ Load-bearing properties:
 
 * :func:`~repro.flsim.replay.replay_run` re-executes a journalled run
   and verifies **every** recorded event bit-for-bit at the JSON
-  serialisation level — across backends and worker counts, with fault
+  serialisation level — at any fusion width, with fault
   plans, robust aggregation, and ``pipeline_depth>=2`` async all active;
 * the canonicaliser folds resume segments back onto their anchoring
   checkpoints and refuses journals that never completed;
@@ -174,19 +174,10 @@ class TestCanonicalEvents:
 # ---------------------------------------------------------------------------
 
 class TestReplayRun:
-    @pytest.mark.parametrize(
-        "backend,workers", [("serial", 1), ("thread", 2)],
-        ids=["serial", "thread-x2"],
-    )
-    def test_hard_mode_replays_on_any_backend(self, tmp_path, backend, workers):
+    def test_hard_mode_replays_per_item(self, tmp_path):
         path = str(tmp_path / "run.jsonl")
-        _record_run(path, executor_backend="thread", round_parallelism=2,
-                    **HARD_MODE)
-        report = replay_run(
-            path,
-            lambda: _exp(executor_backend=backend, round_parallelism=workers,
-                         **HARD_MODE),
-        )
+        _record_run(path, **HARD_MODE)
+        report = replay_run(path, lambda: _exp(fusion_width=1, **HARD_MODE))
         assert report.rounds == 3
         assert report.merges > 0
         assert report.events_verified == len(RunJournal.read(path))

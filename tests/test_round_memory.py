@@ -1,7 +1,7 @@
 """A synchronous round holds one running average, not every client's update.
 
-On the serial backend a client trains when the merge pulls its update,
-the update folds into the running average as it lands, and nothing keeps
+A client trains when the merge pulls its update, the update folds into
+the running average as it lands, and nothing keeps
 it once folded.  Pinned here:
 
 * the fold: a one-shot iterable of states averages to the floats of the
@@ -94,7 +94,7 @@ def _round_peak(cohort):
             return group
 
         exp.scheduler.submit_group = recording
-        empty_workspace()  # count the unfold buffers whatever ran on this thread before
+        empty_workspace()  # count the unfold buffers whatever ran before
         gc.collect()
         gc.disable()
         tracemalloc.start()

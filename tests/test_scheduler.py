@@ -5,17 +5,14 @@ Load-bearing properties:
 * ``FLScheduler`` task groups stream completions and gather in input
   order with exceptions propagated — the drop-in replacement for the
   ``map`` barrier;
-* the default engine (``aggregation_mode="sync"``) is **bit-identical**
-  to the pre-scheduler output on every backend at 1/2/4 workers, per
-  round evaluation included;
+* the per-item path (``fusion_width=1``) is **bit-identical** to the
+  fused default, per round evaluation included;
 * asynchronous aggregation respects ``max_staleness``, is
-  seed-reproducible, and is deterministic across backends and worker
-  counts (simulated-arrival order, never wall-clock order);
+  seed-reproducible (simulated-arrival order, never wall-clock order);
   ``max_staleness=0`` is exactly synchronous FedAvg.
 """
 
-import threading
-import time
+import re
 
 import numpy as np
 import pytest
@@ -27,17 +24,6 @@ from repro.core.aggregator import merge_async_update
 from repro.data import make_cifar10_like
 from repro.flsim import CrossRoundPipeline, FLConfig, FLScheduler, RoundExecutor
 from repro.models import build_cnn
-
-BACKENDS = ["serial", "thread"]
-# The thread backend at one worker is not pooled: its groups run inline.
-ENGINES = BACKENDS + ["thread1"]
-
-
-def _executor(engine, max_workers):
-    if engine == "thread1":
-        return RoundExecutor("thread", max_workers=1)
-    return RoundExecutor(engine, max_workers=max_workers)
-
 
 def _assert_states_equal(a, b, label=""):
     assert set(a) == set(b)
@@ -51,29 +37,27 @@ def _assert_states_equal(a, b, label=""):
 
 
 class TestFLScheduler:
-    @pytest.mark.parametrize("backend", ENGINES)
-    def test_results_in_input_order(self, backend):
-        sched = FLScheduler(_executor(backend, 3))
-        group = sched.submit_group("t", lambda i, slot: i * i, range(9))
+    def test_results_in_input_order(self):
+        sched = FLScheduler(RoundExecutor())
+        group = sched.submit_group("t", lambda i: i * i, range(9))
         assert group.results() == [i * i for i in range(9)]
 
     def test_empty_group_is_done(self):
-        sched = FLScheduler(RoundExecutor("thread", max_workers=2))
-        group = sched.submit_group("t", lambda i, s: i, [])
+        sched = FLScheduler(RoundExecutor())
+        group = sched.submit_group("t", lambda i: i, [])
         assert group.done()
         assert group.results() == []
 
     def test_stream_yields_every_item_exactly_once(self):
-        sched = FLScheduler(RoundExecutor("thread", max_workers=3))
-        group = sched.submit_group("t", lambda i, slot: i + 100, range(7))
+        sched = FLScheduler(RoundExecutor())
+        group = sched.submit_group("t", lambda i: i + 100, range(7))
         seen = dict(group.stream())
         assert seen == {i: i + 100 for i in range(7)}
 
-    @pytest.mark.parametrize("backend", ENGINES)
-    def test_exceptions_propagate(self, backend):
-        sched = FLScheduler(_executor(backend, 2))
+    def test_exceptions_propagate(self):
+        sched = FLScheduler(RoundExecutor())
 
-        def boom(i, slot):
+        def boom(i):
             if i == 2:
                 raise RuntimeError("work unit failed")
             return i
@@ -81,73 +65,31 @@ class TestFLScheduler:
         with pytest.raises(RuntimeError, match="work unit failed"):
             sched.submit_group("t", boom, range(5)).results()
 
-    def test_thread_slots_exclusive_within_group(self):
-        workers = 3
-        sched = FLScheduler(RoundExecutor("thread", max_workers=workers))
-        active = set()
-        lock = threading.Lock()
-        overlaps = []
-
-        def task(i, slot):
-            with lock:
-                if slot in active:
-                    overlaps.append(slot)
-                active.add(slot)
-            time.sleep(0.005)
-            with lock:
-                active.discard(slot)
-            return slot
-
-        slots = sched.submit_group("t", task, range(12)).results()
-        assert not overlaps
-        assert set(slots) <= set(range(workers))
-        assert sched.executor.slots_for(12) == list(range(workers))
-
-    def test_inline_backends_use_slot_zero_namespace(self):
-        assert RoundExecutor("serial").slots_for(5) == [0]
-        assert RoundExecutor("thread", 1).slots_for(5) == [0]
-
     def test_run_group_matches_map(self):
-        ex = RoundExecutor("thread", max_workers=2)
+        ex = RoundExecutor()
         sched = FLScheduler(ex)
         items = list(range(10))
-        assert sched.run_group("t", lambda i, s: i * 3, items) == ex.map(
-            lambda i, s: i * 3, items
+        assert sched.run_group("t", lambda i: i * 3, items) == ex.map(
+            lambda i: i * 3, items
         )
 
-    @pytest.mark.parametrize("backend", ENGINES + ["empty"])
-    def test_next_completion_past_the_end_raises(self, backend):
-        # Nothing can ever arrive: an inline group has no producer thread,
-        # so blocking on the queue would be a guaranteed deadlock.
-        n = 0 if backend == "empty" else 3
-        ex = _executor("serial" if backend == "empty" else backend, 2)
-        group = FLScheduler(ex).submit_group("t", lambda i, s: i, range(n))
+    @pytest.mark.parametrize("n", [3, 0], ids=["items", "empty"])
+    def test_next_completion_past_the_end_raises(self, n):
+        # Nothing can ever arrive past the last item: raise, never block.
+        group = FLScheduler(RoundExecutor()).submit_group("t", lambda i: i, range(n))
         assert sorted(group.next_completion() for _ in range(n)) == [(i, i) for i in range(n)]
         with pytest.raises(RuntimeError, match=f"handed out all {n} completions"):
             group.next_completion()
         assert list(group.stream()) == []
-        ex.close()
 
     def test_concurrent_groups_gather_independently(self):
-        # Groups carry no dependencies: two in flight on one pool each
-        # gather their own results, whichever is collected first.
-        ex = RoundExecutor("thread", max_workers=2)
-        sched = FLScheduler(ex)
-        first = sched.submit_group("a", lambda i, s: i, range(6))
-        second = sched.submit_group("b", lambda i, s: -i, range(6))
+        # Groups carry no dependencies: two in flight each gather their
+        # own results, whichever is collected first.
+        sched = FLScheduler(RoundExecutor())
+        first = sched.submit_group("a", lambda i: i, range(6))
+        second = sched.submit_group("b", lambda i: -i, range(6))
         assert second.results() == [-i for i in range(6)]
         assert first.results() == list(range(6))
-        ex.close()
-
-    def test_persistent_pool_reused_across_groups(self):
-        ex = RoundExecutor("thread", max_workers=2)
-        ex.map(lambda i, s: i, range(4))
-        pool = ex.thread_pool
-        FLScheduler(ex).run_group("t", lambda i, s: i, range(4))
-        assert ex.thread_pool is pool  # one pool across map and scheduler
-        ex.close()
-        assert ex._thread_pool is None
-        ex.close()  # idempotent
 
 
 class TestInlineGroupsRunOnDemand:
@@ -157,11 +99,11 @@ class TestInlineGroupsRunOnDemand:
     def _group(n=5):
         ran = []
 
-        def work(i, slot):
+        def work(i):
             ran.append(i)
             return 10 * i
 
-        return FLScheduler(RoundExecutor("serial")).submit_group("t", work, range(n)), ran
+        return FLScheduler(RoundExecutor()).submit_group("t", work, range(n)), ran
 
     def test_nothing_trains_at_submit(self):
         group, ran = self._group()
@@ -193,13 +135,13 @@ class TestInlineGroupsRunOnDemand:
     def test_export_state_after_a_partial_merge_keeps_landed_updates(self):
         ran = []
 
-        def work(i, slot):
+        def work(i):
             ran.append(i)
             return 10 * i
 
         merged = []
         pipeline = CrossRoundPipeline(
-            FLScheduler(RoundExecutor("serial")), max_staleness=1, depth=2,
+            FLScheduler(RoundExecutor()), max_staleness=1, depth=2,
             merge_event=lambda t, members, s: merged.append([t.updates[i] for i in members]),
             round_complete=lambda t: None,
         )
@@ -266,12 +208,11 @@ def _task():
     return make_cifar10_like(image_size=8, train_per_class=20, test_per_class=10, seed=0)
 
 
-def _jfat(backend="serial", workers=None, **overrides):
+def _jfat(**overrides):
     defaults = dict(
         num_clients=4, clients_per_round=3, local_iters=2, batch_size=8,
         lr=0.02, rounds=3, train_pgd_steps=2, eval_pgd_steps=2,
         eval_every=1, eval_max_samples=24, seed=0,
-        executor_backend=backend, round_parallelism=workers,
     )
     defaults.update(overrides)
     return JointFAT(
@@ -282,51 +223,15 @@ def _jfat(backend="serial", workers=None, **overrides):
 
 
 class TestSyncDeterminism:
-    """Default mode: scheduler output == PR 3 barrier output, bit for bit."""
+    """Per item == fused, bit for bit, per round evaluation included."""
 
-    @pytest.fixture(scope="class")
-    def reference(self):
-        exp = _jfat("serial", workers=1)
+    def test_per_item_bit_identical_to_fused(self):
+        # The tiny CNN fuses a round's three clients into one cohort; at
+        # width 1 every client trains alone.
+        ref = _jfat()
+        ref_history = ref.run()
+        exp = _jfat(fusion_width=1)
         history = exp.run()
-        return exp, history
-
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_bit_identical_across_backends_and_workers(self, backend, workers, reference):
-        ref, ref_history = reference
-        exp = _jfat(backend, workers=workers)
-        history = exp.run()
-        _assert_states_equal(
-            ref.global_model.state_dict(), exp.global_model.state_dict()
-        )
-        assert len(history) == len(ref_history)
-        for a, b in zip(ref_history, history):
-            assert a.eval.as_dict() == b.eval.as_dict()
-            assert a.sim_time_s == b.sim_time_s
-
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_per_item_pool_bit_identical(self, workers, reference):
-        # The tiny CNN fuses a round's three clients into one cohort, so the
-        # rows above run one pool task; per item, every slot trains.
-        ref, ref_history = reference
-        exp = _jfat("thread", workers=workers, fusion_width=1)
-        slots = []
-        work = exp.async_client_fn
-
-        def recording_client_fn(round_idx, base_state):
-            fn = work(round_idx, base_state)
-            train = fn.fn  # a CohortFn; at width 1 only its per-item path runs
-
-            def unit(item, slot):
-                slots.append(slot)
-                return train(item, slot)
-
-            fn.fn = unit
-            return fn
-
-        exp.async_client_fn = recording_client_fn
-        history = exp.run()
-        assert set(slots) == set(range(workers))
         _assert_states_equal(
             ref.global_model.state_dict(), exp.global_model.state_dict()
         )
@@ -346,27 +251,27 @@ class TestPeriodicEvaluation:
         evaluated = [r.round for r in history if r.eval is not None]
         assert evaluated == [r for r in range(4) if every and (r + 1) % every == 0]
 
-    @pytest.mark.parametrize("backend,workers", [("serial", 1), ("thread", 2), ("thread", 4)])
-    def test_eval_leaves_training_untouched(self, backend, workers):
-        # The eval draws on its own RNG stream and replicas: weights and
-        # the simulated clock are those of a run that never evaluates.
-        quiet = _jfat("serial", eval_every=0)
+    def test_eval_leaves_training_untouched(self):
+        # The eval draws on its own RNG stream: weights and the simulated
+        # clock are those of a run that never evaluates.
+        quiet = _jfat(eval_every=0)
         quiet.run()
-        exp = _jfat(backend, workers=workers, eval_every=1)
+        exp = _jfat(eval_every=1)
         history = exp.run()
         assert all(r.eval is not None for r in history)
         _assert_states_equal(
             quiet.global_model.state_dict(), exp.global_model.state_dict()
         )
         assert [r.sim_time_s for r in quiet.history] == [r.sim_time_s for r in history]
-        exp.close()
 
-    def test_describe_parallelism_names_one_eval_engine(self):
-        exp = _jfat("thread", workers=2)
-        text = exp.describe_parallelism()
-        assert "eval engine: thread x2" in text
-        assert "overlap" not in text
-        exp.close()
+    def test_describe_parallelism_carries_no_worker_count(self):
+        # One engine runs one work unit at a time: the description names
+        # it, the fusion width and the population, and no "xN" worker cap.
+        text = _jfat().describe_parallelism()
+        assert "engine: serial" in text
+        assert re.search(r"\bx\d", text) is None
+        assert "eval engine" not in text and "overlap" not in text
+        assert "fusion width" in text and "population: 4 clients" in text
 
 
 class TestAsyncAggregation:
@@ -410,27 +315,12 @@ class TestAsyncAggregation:
         for cids in per_round.values():
             assert len(cids) == len(set(cids)) == exp.config.clients_per_round
 
-    def test_seed_reproducible_at_fixed_worker_count(self):
-        a = _jfat("thread", workers=2, aggregation_mode="async", max_staleness=2)
-        b = _jfat("thread", workers=2, aggregation_mode="async", max_staleness=2)
+    def test_seed_reproducible(self):
+        a = _jfat(aggregation_mode="async", max_staleness=2)
+        b = _jfat(aggregation_mode="async", max_staleness=2)
         a.run(), b.run()
         _assert_states_equal(a.global_model.state_dict(), b.global_model.state_dict())
         assert a.async_log == b.async_log
-
-    @pytest.mark.parametrize(
-        "backend,workers", [("serial", 1), ("thread", 2), ("thread", 3), ("thread", 4)]
-    )
-    def test_deterministic_across_backends_and_workers(self, backend, workers):
-        ref = _jfat("serial", aggregation_mode="async", max_staleness=2)
-        ref.run()
-        exp = _jfat(backend, workers=workers, aggregation_mode="async", max_staleness=2)
-        exp.run()
-        # simulated-arrival merge order makes async independent of
-        # wall-clock scheduling: any backend/worker count is bit-identical
-        _assert_states_equal(
-            ref.global_model.state_dict(), exp.global_model.state_dict()
-        )
-        assert ref.async_log == exp.async_log
 
     def test_zero_staleness_is_exactly_sync(self):
         sync = _jfat(eval_every=0)

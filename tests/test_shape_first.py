@@ -9,15 +9,13 @@ reads the static shape walker instead of running a forward.  Pinned here:
 * deferred ≡ eager bit for bit — ``state_dict`` digests **recorded at the
   parent commit (c98d1a3)**, whichever parameter is read first;
 * the dtype is the policy at construction; an explicit generator is untouched;
-* copies and pickles, threads, and the frozen-model scope;
+* copies and pickles, and the frozen-model scope;
 * the walker ≡ an explicit forward on every model and sub-model.
 """
 
 import copy
 import hashlib
 import pickle
-import sys
-import threading
 import tracemalloc
 from collections import Counter
 
@@ -344,37 +342,8 @@ def test_copies_of_a_model_and_of_one_layer_equal_the_materialised_ones(clone, m
 
 
 # ---------------------------------------------------------------------------
-# (vi) threads and the frozen-model scope
+# (vi) the frozen-model scope
 # ---------------------------------------------------------------------------
-
-
-def test_concurrent_first_reads_of_different_parameters_all_see_the_pinned_bytes():
-    reference = _build("resnet10x0.25", rng=np.random.default_rng(0)).parameters()
-    workers = 6  # more than this box has cores
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(5):
-            params = _build("resnet10x0.25").parameters()
-            seen, barrier = {}, threading.Barrier(workers)
-
-            def read(i):
-                barrier.wait(timeout=30)
-                for j in range(i, len(params), workers):  # disjoint parameters per thread
-                    seen[j] = (params[j].data.copy(), params[j].grad.copy())
-
-            threads = [threading.Thread(target=read, args=(i,)) for i in range(workers)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-            assert not any(t.is_alive() for t in threads)
-            assert sorted(seen) == list(range(len(params)))
-            for j, (data, grad) in seen.items():
-                np.testing.assert_array_equal(data, reference[j].data)
-                assert grad.shape == data.shape and not grad.any()
-    finally:
-        sys.setswitchinterval(interval)
 
 
 def test_first_read_inside_a_frozen_scope_is_not_a_weight_write():

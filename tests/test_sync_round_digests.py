@@ -15,22 +15,20 @@ non-semantic, which changed every config fingerprint: the journal's
 ``run_start.fingerprint`` value was rewritten and nothing else
 (``test_golden_journal_is_the_parents_but_for_the_fingerprint``).
 
-Since PR 16 every backend fuses, so the two engine rows are the per-item
-reference (``serial``, ``fusion_width=1``) and fused cohorts on the
-thread pool (what ``executor_backend="batched"`` selected when the
-digests were recorded — the row keeps that name as its digest key).
+The two engine rows are the per-item reference (``serial``,
+``fusion_width=1``) and fused cohorts of width 4 (what
+``executor_backend="batched"`` selected when the digests were recorded —
+the row keeps that name as its digest key).
 
 The 16 ``feddf`` / ``fedet`` rows pin FedDF-AT and FedET-AT the same way.
 They were recorded while both still ran their own barrier round, a serial
 loop over the cohort that ignored the executor, before they moved onto
 the ``async_*`` hooks.  So one value per (method, heterogeneity,
 scenario) is the reference for both the ``serial`` and the ``batched``
-row.  Every serial row's value must also come out of three pool threads
-running the clients per item.  The two-member family and the memory-bracketing
-pool put clients on both architectures, and each row hashes every
-prototype.  ``tests/data/feddf_parent_run.jsonl{,.ckpt}`` is a FedDF
-journal and checkpoint from that tree: it must replay, and resume
-bit-identically on two threads.
+row.  The two-member family and the memory-bracketing pool put clients
+on both architectures, and each row hashes every prototype.
+``tests/data/feddf_parent_run.jsonl{,.ckpt}`` is a FedDF journal and
+checkpoint from that tree: it must replay, and resume bit-identically.
 
 Re-record (only from a commit whose behaviour is the reference) with
 ``PYTHONPATH=src python tests/test_sync_round_digests.py``.
@@ -95,8 +93,8 @@ METHODS = {
 DISTILLATION = ("feddf", "fedet")
 HETEROGENEITY = ("balanced", "unbalanced")
 ENGINES = {
-    "serial": dict(executor_backend="serial", fusion_width=1),
-    "batched": dict(executor_backend="thread", fusion_width=4, round_parallelism=2),
+    "serial": dict(fusion_width=1),
+    "batched": dict(fusion_width=4),
 }
 # Widest cohort the "batched" row really stacks, per (method, heterogeneity):
 # the dropout plan and the partial family's per-device masks thin the
@@ -231,26 +229,6 @@ def test_sync_round_matches_parent_digest(case):
         assert picked == set(FAMILY)
 
 
-@pytest.mark.parametrize(
-    "case",
-    [
-        pytest.param(case, id="-".join((case[0], case[1], "thread3", case[3])))
-        for case in CASES
-        if case[2] == "serial"
-    ],
-)
-def test_sync_round_digest_on_three_threads(case):
-    # Five clients a round, per item, over three pool slots: a slot model
-    # trains clients of different devices and architectures in turn.
-    digest, widest, picked = _digest(
-        *case, executor_backend="thread", round_parallelism=3
-    )
-    assert digest == _recorded(case)
-    assert widest == 1
-    if case[0] in DISTILLATION:
-        assert picked == set(FAMILY)
-
-
 def _recorded(case):
     with open(DIGESTS, encoding="utf-8") as fh:
         return json.load(fh)[_case_id(case)]
@@ -269,16 +247,13 @@ def test_parent_feddf_journal_still_replays():
     assert (report.rounds, report.merges, report.skipped_checkpoints) == (3, 0, 1)
 
 
-@pytest.mark.parametrize("backend", ["thread"])
-def test_parent_feddf_checkpoint_resumes_on_two_workers(tmp_path, backend):
+def test_parent_feddf_checkpoint_resumes(tmp_path):
     path = str(tmp_path / os.path.basename(DISTILLATION_JOURNAL))
     for suffix in ("", ".ckpt"):
         shutil.copy(DISTILLATION_JOURNAL + suffix, path + suffix)
     with _distillation_experiment() as ref:
         ref.run()
-    with _distillation_experiment(
-        path, executor_backend=backend, round_parallelism=2
-    ) as resumed:
+    with _distillation_experiment(path) as resumed:
         resumed.resume(path)
     for name in ref.family:
         a, b = ref.prototypes[name].state_dict(), resumed.prototypes[name].state_dict()

@@ -4,9 +4,8 @@ Load-bearing properties (PR 7):
 
 * a :class:`ThreatPlan` marks clients Byzantine by counter-derived draws
   keyed on ``(plan seed, round, cid)`` — attacker selection, poisoned
-  shards, and poisoned updates are **bit-identical** across
-  serial/thread backends at any worker count, sync or async at
-  any pipeline depth;
+  shards, and poisoned updates are **bit-identical** fused and per
+  item, sync or async at any pipeline depth;
 * an inactive plan (``byzantine_prob=0``) reproduces the clean run bit
   for bit, and ``aggregation_rule="fedavg"`` delegates byte-for-byte to
   the historical weighted average;
@@ -91,10 +90,9 @@ def _assert_states_equal(a, b, label=""):
         np.testing.assert_array_equal(a[k], b[k], err_msg=f"{label}{k}")
 
 
-def _run_jfat(plan, rule, mode="sync", backend="serial", workers=None, **kw):
+def _run_jfat(plan, rule, mode="sync", **kw):
     cfg = _cfg(
         threat_plan=plan, aggregation_rule=rule,
-        executor_backend=backend, round_parallelism=workers,
         aggregation_mode=mode,
         pipeline_depth=2 if mode == "async" else 1,
         **kw,
@@ -477,12 +475,11 @@ class TestThreatMatrix:
         "attack,rule",
         [("label_flip", "krum"), ("model_replacement", "norm_clip")],
     )
-    def test_bit_identical_across_backends_and_workers(self, attack, rule, mode):
+    def test_bit_identical_fused_and_per_item(self, attack, rule, mode):
         plan = _plan(attack)
         reference = _state(_run_jfat(plan, rule, mode=mode))
-        for workers in (1, 2, 4):
-            exp = _run_jfat(plan, rule, mode=mode, backend="thread", workers=workers)
-            _assert_states_equal(reference, _state(exp), label=f"thread{workers}:")
+        exp = _run_jfat(plan, rule, mode=mode, fusion_width=1)
+        _assert_states_equal(reference, _state(exp), label="per item:")
 
 
 class TestCleanRunEquivalence:
@@ -590,7 +587,7 @@ class TestAggregationAbort:
     def test_fedprophet_agg_error_restores_round_start_state(
         self, tmp_path, mode, fail_at
     ):
-        """FedProphet trains on slot 0 — the live model — so a failed merge
+        """FedProphet trains on the live model, so a failed merge
         must put the last client's trained suffix and head back."""
         journal_path = str(tmp_path / "run.jsonl")
         exp = FedProphet(
@@ -753,18 +750,6 @@ class TestBaselineComposition:
         )
         exp.run()
         assert len(exp.history) == exp.config.rounds
-
-    def test_fedprophet_threat_bit_identity_across_backends(self):
-        cfg = dict(threat_plan=_plan("gaussian"), aggregation_rule="trimmed_mean")
-        serial = FedProphet(_task(), _builder, _cfg(FedProphetConfig, **cfg))
-        serial.run()
-        threaded = FedProphet(
-            _task(), _builder,
-            _cfg(FedProphetConfig, executor_backend="thread",
-                 round_parallelism=4, **cfg),
-        )
-        threaded.run()
-        _assert_states_equal(_state(serial), _state(threaded))
 
 
 class TestThreatsComposeWithEngine:
