@@ -40,6 +40,7 @@ O(population) permutation per round.
 
 from __future__ import annotations
 
+import operator
 from collections import OrderedDict
 from typing import Dict, Iterator, List, Optional
 
@@ -254,7 +255,12 @@ class ClientPopulation:
         return FLClient(cid=cid, indices=indices, source=self.train)
 
     def client(self, cid: int) -> FLClient:
-        """The LRU-tracked accessor: materialise on miss, evict beyond cap."""
+        """The LRU-tracked accessor: materialise on miss, evict beyond cap.
+
+        ``cid`` may be any integer type; the client is built with a Python
+        ``int``, so its ``cid`` never depends on who touched it first.
+        """
+        cid = operator.index(cid)
         if not 0 <= cid < self.num_clients:
             raise IndexError(f"cid {cid} outside population of {self.num_clients}")
         c = self._cache.get(cid)

@@ -8,11 +8,12 @@ Load-bearing properties (PR 5):
   accept ``aggregation_mode="async"``; the distillation baselines reject
   it with a clear error;
 * ``max_staleness=0`` with ``pipeline_depth=1`` reproduces the
-  synchronous run **bit for bit**, fused and per item — model state,
-  history, and evals;
+  synchronous run **bit for bit**, fused, per item, at width 2 and on a
+  lazy population — model state, history, and evals;
 * ``pipeline_depth>1`` really pipelines (more than one round in flight)
-  and reruns bit-identically, because merge order, base versions, and
-  dispatch times derive from simulated latency only;
+  and reruns bit-identically at any fusion width or materialisation,
+  because merge order, base versions, and dispatch times derive from
+  simulated latency only;
 * the FedRBN dual-BN rule attenuates clean and adversarial running
   statistics separately under staleness and collapses to the sync result
   at staleness 0.
@@ -31,6 +32,7 @@ from repro.flsim.base import AsyncRoundContext, FLClient
 from repro.hardware import DeviceSampler, device_pool
 from repro.models import build_cnn
 from repro.nn.normalization import DualBatchNorm2d
+from tests.helpers import record_cohort_widths
 
 
 def _task():
@@ -60,6 +62,15 @@ def _cfg(cls=FLConfig, **overrides):
                         val_samples=16, val_pgd_steps=2)
     defaults.update(overrides)
     return cls(**defaults)
+
+
+#: Engine settings outside the config fingerprint, each of which must
+#: leave a run bit-identical: fusion width 2 splits a round's three
+#: clients 2 + 1, and a two-entry lazy population rebuilds the third.
+SETTINGS = {
+    "width2": dict(fusion_width=2),
+    "lazy": dict(client_materialisation="lazy", client_cache_size=2),
+}
 
 
 def _hook_experiment(method):
@@ -235,6 +246,28 @@ class TestZeroStalenessIsSync:
         )
         _histories_equal(ref_history, history)
 
+    @pytest.mark.parametrize("setting", sorted(SETTINGS))
+    @pytest.mark.parametrize("name", ["jfat", "fedrbn", "heterofl"])
+    def test_engine_setting_is_sync(self, name, setting, sync_runs):
+        cls, builder = {
+            "jfat": (JointFAT, _builder),
+            "fedrbn": (FedRBN, _dual_builder),
+            "heterofl": (HeteroFLAT, _builder),
+        }[name]
+        ref, ref_history = sync_runs[name]
+        exp = cls(
+            _task(), builder,
+            _cfg(eval_every=1, aggregation_mode="async", max_staleness=0,
+                 pipeline_depth=1, **SETTINGS[setting]),
+            device_sampler=_sampler(),
+        )
+        history = exp.run()
+        _assert_states_equal(
+            ref.global_model.state_dict(), exp.global_model.state_dict(),
+            label=f"{name} {setting}: ",
+        )
+        _histories_equal(ref_history, history)
+
     def test_prophet_zero_staleness_is_sync(self):
         sync = FedProphet(_task(), _builder, _cfg(FedProphetConfig, rounds=4),
                           device_sampler=_sampler())
@@ -312,6 +345,27 @@ class TestCrossRoundPipeline:
         )
         assert ref.async_log == exp.async_log
         _histories_equal(ref.history, exp.history)
+
+    @pytest.mark.parametrize("setting", ["per_item", *sorted(SETTINGS)])
+    @pytest.mark.parametrize("depth", [2, 3])
+    def test_engine_setting_cannot_change_the_pipeline(self, depth, setting):
+        # Merge order, base versions and dispatch times derive from
+        # simulated latency alone, never from how clients are run.
+        ref = _jfat_async(pipeline_depth=depth)
+        ref_widths = record_cohort_widths(ref)
+        ref.run()
+        kw = dict(fusion_width=1) if setting == "per_item" else SETTINGS[setting]
+        exp = _jfat_async(pipeline_depth=depth, **kw)
+        widths = record_cohort_widths(exp)
+        exp.run()
+        _assert_states_equal(
+            ref.global_model.state_dict(), exp.global_model.state_dict(),
+            label=f"depth {depth} {setting}: ",
+        )
+        assert ref.async_log == exp.async_log
+        _histories_equal(ref.history, exp.history)
+        assert max(ref_widths) == 3  # the tiny CNN fuses a whole round
+        assert max(widths) == kw.get("fusion_width", 3)
 
     def test_depth_changes_trajectory(self):
         a = _jfat_async(pipeline_depth=1)

@@ -12,6 +12,7 @@ import pytest
 from repro.core import FedProphet, FedProphetConfig
 from repro.data import make_cifar10_like
 from repro.flsim import FLConfig, RoundExecutor
+from repro.flsim.executor import CohortFn
 from repro.models import build_vgg
 
 
@@ -33,6 +34,18 @@ class TestRoundExecutor:
 
     def test_map_empty(self):
         assert RoundExecutor().map(lambda i: i, []) == []
+
+    @pytest.mark.parametrize("width", [1, 4, 8])
+    def test_map_never_fuses(self, width):
+        # The eval path's barrier: a CohortFn runs per item at any width.
+        calls = []
+        fn = CohortFn(
+            lambda i: calls.append(i) or -i,
+            lambda items: pytest.fail(f"map fused {items}"),
+            group_key=lambda i: "g",
+        )
+        assert RoundExecutor(fusion_width=width).map(fn, range(6)) == [-i for i in range(6)]
+        assert calls == list(range(6))
 
     def test_exceptions_propagate(self):
         def boom(i):

@@ -259,6 +259,31 @@ class TestCheckpointResume:
         _assert_runs_equal(ref, resumed)
         resumed.close()
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_resume_into_a_lazy_population(self, tmp_path, mode):
+        """The checkpoint holds no client objects: an eager run resumes
+        into a two-entry lazy cache that rebuilds clients from their cid."""
+        ref = JointFAT(_task(), _builder, _cfg(**mode))
+        ref.run()
+        ref.close()
+
+        path = str(tmp_path / "run.jsonl")
+        interrupted = JointFAT(
+            _task(), _builder, _cfg(journal_path=path, checkpoint_every=2, **mode)
+        )
+        interrupted.run(rounds=3)
+        interrupted.close()
+
+        resumed = JointFAT(
+            _task(), _builder,
+            _cfg(journal_path=path, checkpoint_every=2,
+                 client_materialisation="lazy", client_cache_size=2, **mode),
+        )
+        resumed.resume(path)
+        _assert_runs_equal(ref, resumed)
+        assert resumed.clients.stats()["evictions"] > 0
+        resumed.close()
+
     def test_resume_without_checkpoint_replays_from_scratch(self, tmp_path):
         ref = JointFAT(_task(), _builder, _cfg(rounds=3))
         ref.run()

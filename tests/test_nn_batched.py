@@ -336,7 +336,8 @@ ASYNC_DEPTH2 = dict(
     rounds=3, aggregation_mode="async", max_staleness=2,
     pipeline_depth=2, heterogeneity="unbalanced",
 )
-# Nine clients a round: tail chunks at every width (2+2+2+2+1, 4+4+1, 8+1).
+# Nine clients a round: a tail chunk at every width but 3 (2+2+2+2+1,
+# 3+3+3, 4+4+1, 5+4, 8+1).
 MATRIX_MODES = {
     "sync": dict(num_clients=10, clients_per_round=9),
     "async2": dict(num_clients=10, clients_per_round=9, **ASYNC_DEPTH2),
@@ -382,15 +383,16 @@ class TestBatchedBackendDeterminism:
         assert ref[2] == got[2]
         _assert_realised(ref, got, 4)
 
-    # The cheap CNN covers every cell; the VGG baselines the default width.
+    # The cheap CNN covers every cell; the VGG baselines the widest width
+    # and the one that splits the round into equal cohorts.
     @pytest.mark.parametrize(
         "name,width,mode",
         [
             (name, width, mode)
             for name in sorted(BASELINES)
-            for width in (2, 4, 8)
+            for width in (2, 3, 4, 5, 8)
             for mode in sorted(MATRIX_MODES)
-            if name == "heterofl" or width == 8
+            if name == "heterofl" or width in (3, 8)
         ],
     )
     def test_fused_matches_per_item(self, name, width, mode):

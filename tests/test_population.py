@@ -342,6 +342,20 @@ class TestClientPopulation:
         with pytest.raises(IndexError):
             pop.client(6)
 
+    @pytest.mark.parametrize("materialisation", ["eager", "lazy"])
+    def test_a_numpy_cid_builds_an_int_client(self, materialisation):
+        # FedProphet's perturbation probe indexes the population with the
+        # np.int64 ids of rng.choice: a lazy miss must not carry that type
+        # into the client, and from there into the merge log.
+        pop = ClientPopulation(
+            TASK.train, num_clients=6, seed=13, materialisation=materialisation
+        )
+        client = pop[np.int64(3)]
+        assert type(client.cid) is int
+        assert pop.client(3) is client
+        with pytest.raises(TypeError):
+            pop.client(3.0)
+
 
 # ---------------------------------------------------------------------------
 # Per-client device streams
@@ -371,7 +385,10 @@ class TestDeviceStreams:
 
 
 class TestEagerLazyBitIdentity:
-    @pytest.mark.parametrize("width", [None, 1], ids=["fused", "per_item"])
+    # A round's four clients: one cohort, four singletons, 2 + 2, 3 + 1.
+    @pytest.mark.parametrize(
+        "width", [None, 1, 2, 3], ids=["fused", "per_item", "w2", "w3"]
+    )
     def test_across_fusion_widths(self, width):
         eager = _run(fusion_width=width)
         lazy = _run(fusion_width=width, client_materialisation="lazy")

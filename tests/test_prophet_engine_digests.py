@@ -23,10 +23,14 @@ round as ``round`` then ``eval``; the engine loop journals ``eval`` then
 pair swapped and nothing else
 (``test_recorded_journal_is_the_parents_but_for_the_eval_order``).
 
+Settings outside the fingerprint must not move a digest either: every
+serial configuration also runs on a lazy two-entry client population and
+with the prefix cache off (``ENGINE_INDEPENDENT``).
+
 The same configurations then prove the capability the refactor bought:
-interrupted at a checkpoint and resumed by a fresh experiment, a run
-equals the uninterrupted one and its journal replays with the resume
-folded.
+interrupted at a checkpoint and resumed by a fresh experiment — eager or
+lazy — a run equals the uninterrupted one and its journal replays with
+the resume folded.
 
 Re-record (only from a commit whose behaviour is the reference) with
 ``PYTHONPATH=src python tests/test_prophet_engine_digests.py``.
@@ -176,8 +180,8 @@ def _summary(exp):
     }
 
 
-def _digest(scenario, mode, engine):
-    with _experiment(scenario, mode, engine) as exp:
+def _digest(scenario, mode, engine, **overrides):
+    with _experiment(scenario, mode, engine, **overrides) as exp:
         exp.run()
         return _summary(exp)
 
@@ -197,6 +201,30 @@ def test_fedprophet_matches_parent_digest(case):
     with open(DIGESTS, encoding="utf-8") as fh:
         recorded = json.load(fh)
     assert _digest(*case) == recorded[_case_id(case)]
+
+
+#: Settings outside the config fingerprint's semantics: every serial
+#: value must come out of a run under each of them too.
+ENGINE_INDEPENDENT = {
+    # clients materialise on first touch into a two-entry cache
+    "lazy": dict(client_materialisation="lazy", client_cache_size=2),
+    # every frozen-prefix forward recomputed instead of served
+    "nocache": dict(use_prefix_cache=False),
+}
+
+
+@pytest.mark.parametrize(
+    "case,setting",
+    [
+        pytest.param(case, setting, id=_case_id(case[:2] + (setting,)))
+        for setting in ENGINE_INDEPENDENT
+        for case in CASES
+    ],
+)
+def test_recorded_digest_is_engine_independent(case, setting):
+    with open(DIGESTS, encoding="utf-8") as fh:
+        recorded = json.load(fh)
+    assert _digest(*case, **ENGINE_INDEPENDENT[setting]) == recorded[_case_id(case)]
 
 
 def test_matrix_covers_aborts_stages_and_mixed_spans():
@@ -274,13 +302,27 @@ RESUME_CASES = [
 @pytest.mark.slow
 @pytest.mark.parametrize("case", [pytest.param(c, id=_case_id(c)) for c in RESUME_CASES])
 def test_resume_equals_uninterrupted(case, tmp_path):
+    _check_resume(case, tmp_path)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("case", [pytest.param(c, id=_case_id(c)) for c in RESUME_CASES])
+def test_resume_into_a_lazy_population_equals_uninterrupted(case, tmp_path):
+    # The checkpoint holds no client objects: an eager run resumes into a
+    # two-entry lazy cache that rebuilds clients from (seed, cid).
+    _check_resume(case, tmp_path, **ENGINE_INDEPENDENT["lazy"])
+
+
+def _check_resume(case, tmp_path, **resume_overrides):
+    """Interrupt at ``case``'s cut, resume under ``resume_overrides``: the
+    run equals the recorded uninterrupted digest and its journal replays."""
     scenario, mode, cut = case
     every, rounds = CUTS[cut]
     path = str(tmp_path / "run.jsonl")
     kw = dict(journal_path=path, checkpoint_every=every)
     with _experiment(scenario, mode, "serial", **kw) as interrupted:
         interrupted.run(rounds=rounds)
-    with _experiment(scenario, mode, "serial", **kw) as resumed:
+    with _experiment(scenario, mode, "serial", **kw, **resume_overrides) as resumed:
         resumed.resume(path)
         summary = _summary(resumed)
     # The uninterrupted run *is* the parent-recorded digest (engine-independent).

@@ -184,6 +184,16 @@ class TestReplayRun:
         assert report.resumes_folded == 0
         assert "bit-identical" in report.summary()
 
+    def test_lazy_population_run_replays_per_item(self, tmp_path):
+        # The journal records the population's materialisation, so the
+        # replay rebuilds the same two-entry cache — and runs per item.
+        lazy = dict(client_materialisation="lazy", client_cache_size=2, **HARD_MODE)
+        path = str(tmp_path / "run.jsonl")
+        _record_run(path, **lazy)
+        report = replay_run(path, lambda: _exp(fusion_width=1, **lazy))
+        assert report.rounds == 3 and report.merges > 0
+        assert report.events_verified == len(RunJournal.read(path))
+
     def test_sync_mode_replays(self, tmp_path):
         path = str(tmp_path / "run.jsonl")
         _record_run(path)

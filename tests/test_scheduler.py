@@ -23,6 +23,7 @@ from repro.core import FedProphet, FedProphetConfig, async_merge_schedule
 from repro.core.aggregator import merge_async_update
 from repro.data import make_cifar10_like
 from repro.flsim import CrossRoundPipeline, FLConfig, FLScheduler, RoundExecutor
+from repro.flsim.executor import CohortFn
 from repro.models import build_cnn
 
 def _assert_states_equal(a, b, label=""):
@@ -90,6 +91,76 @@ class TestFLScheduler:
         second = sched.submit_group("b", lambda i: -i, range(6))
         assert second.results() == [-i for i in range(6)]
         assert first.results() == list(range(6))
+
+
+class TestCohortGroups:
+    """A :class:`CohortFn` group runs cohort by cohort at any fusion width.
+
+    Seven items under two fusion keys plus one unfusable item: width 1 runs
+    every item alone, 2 and 3 leave ragged tails, 5 fuses each key whole.
+    """
+
+    ITEMS = list(range(7))
+
+    @staticmethod
+    def _key(i):
+        return None if i == 3 else ("a" if i % 2 == 0 else "b")
+
+    def _group(self, width, fail_on=None):
+        runs = []
+
+        def run(items):
+            runs.append(tuple(items))
+            if fail_on in items:
+                raise RuntimeError("cohort failed")
+            return [10 * i for i in items]
+
+        fn = CohortFn(lambda i: run([i])[0], run, group_key=self._key)
+        ex = RoundExecutor(fusion_width=width)
+        plan = [tuple(self.ITEMS[i] for i in c) for c in ex.plan_cohorts(fn, self.ITEMS)]
+        return FLScheduler(ex).submit_group("t", fn, self.ITEMS), runs, plan
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 5])
+    def test_results_in_input_order(self, width):
+        group, runs, plan = self._group(width)
+        assert group.results() == [10 * i for i in self.ITEMS]
+        assert runs == plan
+        assert max(len(c) for c in runs) == min(width, 4)
+        for cohort in runs:
+            assert len({self._key(i) for i in cohort}) == 1
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 5])
+    def test_each_cohort_runs_when_pulled(self, width):
+        group, runs, plan = self._group(width)
+        assert runs == []
+        first = group.next_completion()
+        assert runs == plan[:1] and first == (plan[0][0], 10 * plan[0][0])
+        # the rest of the first cohort is handed out without running anything
+        for _ in plan[0][1:]:
+            group.next_completion()
+        assert runs == plan[:1]
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 5])
+    def test_a_failed_cohort_stops_the_group(self, width):
+        group, runs, plan = self._group(width, fail_on=4)
+        with pytest.raises(RuntimeError, match="cohort failed"):
+            group.results()
+        failed = next(n for n, cohort in enumerate(plan) if 4 in cohort)
+        assert runs == plan[: failed + 1]  # no later cohort trains
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 5])
+    def test_next_completion_past_the_end_raises(self, width):
+        group, _, _ = self._group(width)
+        for _ in self.ITEMS:
+            group.next_completion()
+        with pytest.raises(RuntimeError, match="handed out all 7 completions"):
+            group.next_completion()
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 5])
+    def test_stream_yields_every_item_exactly_once(self, width):
+        group, runs, plan = self._group(width)
+        assert dict(group.stream()) == {i: 10 * i for i in self.ITEMS}
+        assert runs == plan
 
 
 class TestInlineGroupsRunOnDemand:
@@ -223,7 +294,7 @@ def _jfat(**overrides):
 
 
 class TestSyncDeterminism:
-    """Per item == fused, bit for bit, per round evaluation included."""
+    """Per item == fused == lazy, bit for bit, per round evaluation included."""
 
     def test_per_item_bit_identical_to_fused(self):
         # The tiny CNN fuses a round's three clients into one cohort; at
@@ -232,6 +303,21 @@ class TestSyncDeterminism:
         ref_history = ref.run()
         exp = _jfat(fusion_width=1)
         history = exp.run()
+        _assert_states_equal(
+            ref.global_model.state_dict(), exp.global_model.state_dict()
+        )
+        assert [h.eval.as_dict() for h in history] == [
+            h.eval.as_dict() for h in ref_history
+        ]
+        assert [h.sim_time_s for h in history] == [h.sim_time_s for h in ref_history]
+
+    def test_lazy_population_bit_identical_to_eager(self):
+        # A two-entry cache rebuilds clients between rounds and evals.
+        ref = _jfat()
+        ref_history = ref.run()
+        exp = _jfat(client_materialisation="lazy", client_cache_size=2)
+        history = exp.run()
+        assert exp.clients.stats()["evictions"] > 0
         _assert_states_equal(
             ref.global_model.state_dict(), exp.global_model.state_dict()
         )

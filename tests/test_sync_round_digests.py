@@ -19,6 +19,9 @@ The two engine rows are the per-item reference (``serial``,
 ``fusion_width=1``) and fused cohorts of width 4 (what
 ``executor_backend="batched"`` selected when the digests were recorded —
 the row keeps that name as its digest key).
+Every ``serial`` value must also come out of two rows no recording
+made: fused at width 3 (a five-client round cut 3 + 2) and on a lazy
+population whose two-entry client cache evicts within every round.
 
 The 16 ``feddf`` / ``fedet`` rows pin FedDF-AT and FedET-AT the same way.
 They were recorded while both still ran their own barrier round, a serial
@@ -187,7 +190,8 @@ def _record_architectures(exp) -> set:
 
 
 def _digest(method, het, engine, scenario, **overrides):
-    """``(digest, widest cohort the run planned, architectures trained)``."""
+    """``(digest, widest cohort the run planned, architectures trained,
+    population cache counters)``."""
     with _experiment(method, het, engine, scenario, **overrides) as exp:
         widths = record_cohort_widths(exp)
         picked = _record_architectures(exp) if method in DISTILLATION else None
@@ -202,7 +206,7 @@ def _digest(method, het, engine, scenario, **overrides):
             "clock_s": exp.clock_s.hex(),
             "total_compute_s": exp.total_compute_s.hex(),
             "aborted": [r.aborted for r in history],
-        }, max(widths, default=1), picked
+        }, max(widths, default=1), picked, exp.clients.stats()
 
 
 def _case_id(case):
@@ -221,11 +225,47 @@ def _case_id(case):
     ],
 )
 def test_sync_round_matches_parent_digest(case):
-    digest, widest, picked = _digest(*case)
+    digest, widest, picked, _ = _digest(*case)
     assert digest == _recorded(case)
     method, het, engine, _scenario = case
     assert widest == (WIDEST_BATCHED[method, het] if engine == "batched" else 1)
     if method in DISTILLATION:
+        assert picked == set(FAMILY)
+
+
+SERIAL_CASES = [case for case in CASES if case[2] == "serial"]
+
+
+def _rekeyed(engine):
+    """Every serial case under id ``engine``; its recorded value is the oracle."""
+    return [
+        pytest.param(case, id="-".join((case[0], case[1], engine, case[3])))
+        for case in SERIAL_CASES
+    ]
+
+
+@pytest.mark.parametrize("case", _rekeyed("width3"))
+def test_sync_round_digest_at_fusion_width_three(case):
+    # Width 3 cuts a five-client round 3 + 2 — a split no recorded row
+    # makes — and must land on the same bytes.
+    digest, widest, picked, _ = _digest(*case, fusion_width=3)
+    assert digest == _recorded(case)
+    assert widest == min(WIDEST_BATCHED[case[0], case[1]], 3)
+    if case[0] in DISTILLATION:
+        assert picked == set(FAMILY)
+
+
+@pytest.mark.parametrize("case", _rekeyed("lazy"))
+def test_sync_round_digest_on_a_lazy_population(case):
+    # Clients materialise on first touch into a two-entry cache, so most
+    # of every round's five are rebuilt from (population seed, cid).
+    digest, widest, picked, cache = _digest(
+        *case, client_materialisation="lazy", client_cache_size=2
+    )
+    assert digest == _recorded(case)
+    assert cache["evictions"] > 0 and cache["peak_live"] == 2
+    assert widest == 1
+    if case[0] in DISTILLATION:
         assert picked == set(FAMILY)
 
 
@@ -247,13 +287,22 @@ def test_parent_feddf_journal_still_replays():
     assert (report.rounds, report.merges, report.skipped_checkpoints) == (3, 0, 1)
 
 
-def test_parent_feddf_checkpoint_resumes(tmp_path):
+@pytest.mark.parametrize(
+    "population",
+    [
+        pytest.param({}, id="eager"),
+        pytest.param(
+            dict(client_materialisation="lazy", client_cache_size=2), id="lazy"
+        ),
+    ],
+)
+def test_parent_feddf_checkpoint_resumes(tmp_path, population):
     path = str(tmp_path / os.path.basename(DISTILLATION_JOURNAL))
     for suffix in ("", ".ckpt"):
         shutil.copy(DISTILLATION_JOURNAL + suffix, path + suffix)
     with _distillation_experiment() as ref:
         ref.run()
-    with _distillation_experiment(path) as resumed:
+    with _distillation_experiment(path, **population) as resumed:
         resumed.resume(path)
     for name in ref.family:
         a, b = ref.prototypes[name].state_dict(), resumed.prototypes[name].state_dict()

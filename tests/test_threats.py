@@ -481,6 +481,23 @@ class TestThreatMatrix:
         exp = _run_jfat(plan, rule, mode=mode, fusion_width=1)
         _assert_states_equal(reference, _state(exp), label="per item:")
 
+    @pytest.mark.parametrize("mode", ["sync", "async"])
+    @pytest.mark.parametrize(
+        "attack,rule",
+        [("label_flip", "krum"), ("model_replacement", "norm_clip")],
+    )
+    def test_bit_identical_on_a_lazy_population(self, attack, rule, mode):
+        # Attackers and poisoned shards are keyed on (plan seed, round,
+        # cid), never on a client object a two-entry cache rebuilds.
+        plan = _plan(attack)
+        reference = _state(_run_jfat(plan, rule, mode=mode))
+        exp = _run_jfat(
+            plan, rule, mode=mode,
+            client_materialisation="lazy", client_cache_size=2,
+        )
+        assert exp.clients.stats()["evictions"] > 0
+        _assert_states_equal(reference, _state(exp), label="lazy:")
+
 
 class TestCleanRunEquivalence:
     @pytest.mark.parametrize("mode", ["sync", "async"])
@@ -736,6 +753,23 @@ class TestBaselineComposition:
         )
         exp.run()
         assert len(exp.history) == exp.config.rounds
+
+    @pytest.mark.parametrize("mode", ["sync", "async"])
+    def test_fedprophet_threat_bit_identity_on_a_lazy_population(self, mode):
+        cfg = dict(
+            threat_plan=_plan("gaussian"), aggregation_rule="trimmed_mean",
+            aggregation_mode=mode,
+        )
+        eager = FedProphet(_task(), _builder, _cfg(FedProphetConfig, **cfg))
+        eager.run()
+        lazy = FedProphet(
+            _task(), _builder,
+            _cfg(FedProphetConfig, client_materialisation="lazy",
+                 client_cache_size=2, **cfg),
+        )
+        lazy.run()
+        _assert_states_equal(_state(eager), _state(lazy))
+        assert eager.async_log == lazy.async_log
 
     def test_fedprophet_backdoor_refuses_prefix_cache(self):
         with pytest.raises(ValueError, match="use_prefix_cache"):
