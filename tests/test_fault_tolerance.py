@@ -691,6 +691,51 @@ class TestFaultInjection:
         # The synchronous server waits out client_timeout per aborted round.
         assert exp.clock_s == pytest.approx(1e-4 * len(history))
 
+    def test_a_trained_round_that_dropped_clients_lasts_the_timeout(self, tmp_path):
+        """Sync: a round that lost clients but still trained waits out
+        ``client_timeout`` — the clock moves by max(bottleneck, timeout) and
+        the excess is access time.  The async server never waits."""
+        plan = FaultPlan(seed=0, dropout_prob=0.4)
+
+        def run(mode, timeout):
+            path = str(tmp_path / f"{mode}-{timeout}.jsonl")
+            exp = JointFAT(
+                _task(), _builder,
+                _cfg(fault_plan=plan, client_timeout=timeout, aggregation_mode=mode,
+                     journal_path=path),
+                device_sampler=_sampler(),
+            )
+            history = exp.run()
+            exp.close()
+            dropped = {
+                e["round"] for e in RunJournal.read(path)
+                if e["kind"] == "faults" and e["dropped"]
+            }
+            return history, dropped
+
+        plain, dropped = run("sync", None)
+        assert not any(rec.aborted for rec in plain)
+        bottlenecks = np.diff([0.0] + [rec.sim_time_s for rec in plain])
+        timeout = 2.0 * float(bottlenecks.max())  # no survivor times out
+        assert dropped and len(dropped) < len(plain)  # some rounds lost a client, some none
+        floored, floored_dropped = run("sync", timeout)
+        assert floored_dropped == dropped
+        waits = [timeout - b if rec.round in dropped else 0.0
+                 for rec, b in zip(plain, bottlenecks)]
+        steps = np.diff([0.0] + [rec.sim_time_s for rec in floored])
+        for rec, b, step in zip(plain, bottlenecks, steps):
+            assert step == pytest.approx(max(b, timeout) if rec.round in dropped else b)
+        for rec, ref, extra in zip(floored, plain, np.cumsum(waits)):
+            assert not rec.aborted
+            assert rec.compute_s == ref.compute_s
+            assert rec.access_s == pytest.approx(ref.access_s + extra)
+
+        async_plain, _ = run("async", None)
+        async_timed, _ = run("async", timeout)  # pipeline_depth=1
+        assert [(r.sim_time_s, r.compute_s, r.access_s) for r in async_timed] == [
+            (r.sim_time_s, r.compute_s, r.access_s) for r in async_plain
+        ]
+
     @pytest.mark.parametrize("method", ["fedprophet", "feddf-at", "fedet-at"])
     def test_every_cost_model_honours_client_timeout(self, method):
         # Before PR 15 these methods reported "no estimate", so the timeout
