@@ -12,8 +12,8 @@ The end-to-end exercise of the PR-10 replay contract, in CI's
 3. ``replay_run`` the resulting journal — resume folded — asserting
    every event re-emits bit-for-bit with zero divergences.
 
-Both run loops go through it: ``jfat`` on the cross-round pipeline, then
-``fedprophet`` on the round-barrier loop (within-round async merges,
+Both kinds of round go through it: ``jfat`` on the cross-round pipeline,
+then ``fedprophet`` in barrier rounds (within-round async merges,
 two-round stages, the same faults + median) — its checkpoints carry
 Algorithm 2's stage state, so the kill lands just past a stage boundary.
 

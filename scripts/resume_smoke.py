@@ -11,10 +11,10 @@ diffs); this script keeps two roles:
 * standalone (no args): a self-contained smoke run for manual use, the
   same checks as the test with print/exit-code reporting.
 
-Two methods, the two run loops: ``jfat`` uses the async cross-round
+Two methods, the two kinds of round: ``jfat`` uses the async cross-round
 pipeline (``pipeline_depth=2``), so the kill lands while rounds are in
 flight — the hardest case the checkpoint layer supports; ``fedprophet``
-runs the round-barrier loop with within-round async merges and two-round
+runs barrier rounds with within-round async merges and two-round
 stages, so the kill (after two
 checkpoints) lands just past a stage boundary and the resume must carry
 Algorithm 2's stage state (module index, APA, ε*, heads).

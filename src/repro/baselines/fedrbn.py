@@ -18,7 +18,7 @@ statistics blend *separately* — clean stats toward the event average of
 every member, adversarial stats toward the event average of the members
 that actually ran adversarial training (weighted against the round's
 total AT data).  The synchronous round *is* that rule with a single
-``s=0`` event (the base class's default ``run_round``): both rates are
+``s=0`` event (the base class's barrier round): both rates are
 exactly 1, so clean statistics become the cohort average and adversarial
 statistics the AT clients' average — or stay put when nobody ran AT.
 """

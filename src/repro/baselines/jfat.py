@@ -17,7 +17,7 @@ an intra-round lag above ``max_staleness``; ``max_staleness=0`` with
 ``pipeline_depth=1`` *is* synchronous FedAvg (the sync round is the base
 class's one-event case of the same hooks).  With
 ``pipeline_depth>1`` the generic cross-round pipeline
-(:meth:`repro.flsim.base.FederatedExperiment._run_async`) additionally
+(:meth:`repro.flsim.base.FederatedExperiment._run_rounds`) additionally
 dispatches the next round's fast clients against the latest merged
 server state while this round's stragglers are still training.
 """

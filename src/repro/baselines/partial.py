@@ -11,7 +11,7 @@ current server state and blends the result in with the FedAsync
 ``(event weight / round weight) / (1 + staleness)`` rate — entries no
 event member trained keep their server values.  The synchronous round is
 the same rule with the whole cohort as one staleness-0 event (rate
-exactly 1: the base class's default ``run_round``).
+exactly 1: the base class's barrier round).
 """
 
 from __future__ import annotations

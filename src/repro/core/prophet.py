@@ -73,16 +73,18 @@ class FedProphet(FederatedExperiment):
 
     A round is the ``async_*`` hook surface (DMA plan, cascade work unit,
     Eq. 16/17 partial-average merge); Algorithm 2's outer loop is the
-    stage state below, advanced by the engine's round-barrier loop — no
-    run loop, barrier round or merge replay of its own, so it checkpoints,
-    resumes and replays like every other method.
+    stage state below, advanced by the engine's run loop (every FedProphet
+    round is a barrier) — no run loop, barrier round or merge replay of
+    its own, so it checkpoints, resumes and replays like every other
+    method.
     """
 
     name = "fedprophet"
     # Round-gated (after_round reads each round's cascade_eval: APA's
     # epsilon schedule, the per-module early-stop), so asynchronous
     # aggregation is *within-round*: updates merge per module span (Eq. 16,
-    # staleness-attenuated) in simulated-arrival order — run_round's events.
+    # staleness-attenuated) in simulated-arrival order — the events of the
+    # round's own drained pipeline.
     #: Algorithm 2's outer-loop state: plain picklable attributes, the
     #: checkpoint's ``experiment`` entry (plus the head weights).
     _STAGE_STATE = (
@@ -426,7 +428,7 @@ class FedProphet(FederatedExperiment):
             pgd_steps=n_attack,
         )
 
-    # -- Algorithm 2's outer loop: stage state the barrier loop advances -------
+    # -- Algorithm 2's outer loop: stage state the run loop advances ----------
     def _begin_stage(self) -> None:
         self._stage_rounds = 0
         self._best_metric = -np.inf

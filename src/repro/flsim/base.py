@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -38,7 +38,7 @@ from repro.flsim.population import (
     FLClient,
 )
 from repro.flsim.robust_agg import AGGREGATION_RULES, RobustAggregator, masked_robust_average
-from repro.flsim.scheduler import FLScheduler
+from repro.flsim.scheduler import CrossRoundPipeline, FLScheduler
 from repro.flsim.threats import RoundThreats, ThreatPlan
 from repro.hardware.devices import DeviceSampler, DeviceState
 from repro.hardware.flops import training_flops_per_iteration
@@ -71,8 +71,9 @@ class FLConfig:
 
     ``aggregation_mode`` selects how client updates reach the server:
     ``"sync"`` (default) is the classic round barrier — bit-identical to
-    the pre-scheduler engine; for every method it *is* the async rule with the whole cohort as one
-    staleness-0 merge event (:meth:`FederatedExperiment.run_round`);
+    the pre-scheduler engine; for every method it *is* the async rule
+    with the whole cohort as one staleness-0 merge event, a depth-1
+    pipeline round drained at once (:meth:`FederatedExperiment.run`);
     ``"async"`` (every method but FedDF/FedET, whose distillation step
     has no staleness-bounded form) merges
     updates as they land, in simulated-arrival order, with FedAsync
@@ -92,7 +93,9 @@ class FLConfig:
     ``max_staleness=0`` is synchronous FedAvg (the same single event).
     FedProphet pins depth to 1: its per-round ``cascade_eval`` feeds APA
     and early-stop, putting a hard evaluation point on every round
-    boundary (its async mode instead merges per-module within the round).
+    boundary, so each of its rounds is a barrier (its async mode instead
+    merges per-module within the round).  Whether a round is a barrier is
+    derived — sync mode, or a round-gated experiment — never configured.
 
     **Fault tolerance** (see ``docs/fault-tolerance.md``):
     ``journal_path`` writes an append-only JSONL event log of the run;
@@ -377,18 +380,18 @@ class FederatedExperiment:
 
     An algorithm is stated **once**, as the ``async_*`` hook surface
     (work unit, pre-training costs, weights, merge rule), and :meth:`run`
-    owns both loops that drive it.  The cross-round pipeline
-    (:meth:`_run_async`) replays the hooks event by event across rounds;
-    the round-barrier loop (:meth:`_run_sync`) runs one :meth:`run_round`
-    at a time — the same statement over the round's own event schedule,
+    owns the one loop that drives it (:meth:`_run_rounds`): rounds on a
+    :class:`~repro.flsim.scheduler.CrossRoundPipeline`, whose merge events
+    replay the hooks in simulated-arrival order.  Rounds overlap up to
+    ``pipeline_depth`` in async mode; a **barrier** round — sync mode, or
+    a round-gated method in any mode — is dispatched and drained at once,
     in synchronous mode a single staleness-0 event over the whole cohort
     whose mixing rate is exactly 1, so ``max_staleness=0, pipeline_depth=1
     ≡ sync`` is an identity, not a coincidence.  Every method, FedDF/FedET
-    distillation included, is such a statement; none overrides
-    :meth:`run_round`.  A round-gated method (one that overrides
-    :meth:`after_round`, i.e. FedProphet) stays on the barrier loop in
-    async mode too and advances its own state through :meth:`round_eval`
-    / :meth:`after_round`.
+    distillation included, is such a statement.  A round-gated method
+    (one that overrides :meth:`after_round`, i.e. FedProphet) advances its
+    own state through :meth:`round_eval` / :meth:`after_round` /
+    :meth:`run_finished` / :meth:`finish_run`, which the loop calls.
     """
 
     name = "base"
@@ -441,8 +444,8 @@ class FederatedExperiment:
         if cls.async_client_fn is base.async_client_fn:
             raise TypeError(
                 f"{cls.__name__} states no algorithm: implement the async_* "
-                f"hooks (async_client_fn, async_client_costs; run_round "
-                f"derives the synchronous round from them)"
+                f"hooks (async_client_fn, async_client_costs; run() derives "
+                f"the synchronous round from them)"
             )
         if (
             config.client_timeout is not None
@@ -485,7 +488,7 @@ class FederatedExperiment:
         self._resume_async: Optional[Dict[str, Any]] = None
         # Threat state: the current round's Byzantine verdict and the
         # configured robust-aggregation rule (+ its per-merge stats sink,
-        # drained into the journal by the run loops).
+        # drained into the journal by the run loop).
         self._round_threats: Optional[RoundThreats] = None
         self._robust = RobustAggregator.from_config(config)
         self._agg_stats: List[Dict[str, Any]] = []
@@ -552,8 +555,8 @@ class FederatedExperiment:
         so the experiment's own sampling draws are untouched — a disabled
         plan reproduces the fault-free run bit for bit).  An aborted round
         (survivors below ``min_clients_per_round``) returns the *sampled*
-        cohort unfiltered; callers check :meth:`_fault_aborted` before
-        training.
+        cohort unfiltered; the run loop reads the verdict off
+        ``_round_faults`` before training.
         """
         cfg = self.config
         ids = self.clients.sample_ids(self.rng, cfg.clients_per_round, round_idx)
@@ -600,7 +603,8 @@ class FederatedExperiment:
                 states = [states[i] for i in faults.survivors]
         self._round_threats = None
         tplan = cfg.threat_plan
-        if tplan is not None and tplan.active and not self._fault_aborted():
+        aborted = self._round_faults is not None and self._round_faults.aborted
+        if tplan is not None and tplan.active and not aborted:
             threats = tplan.plan_round(round_idx, [c.cid for c in selected])
             if threats.byzantine:
                 self._round_threats = threats
@@ -652,24 +656,17 @@ class FederatedExperiment:
         """
         return [c.total_s for c in self.async_client_costs(round_idx, clients, states)]
 
-    def _fault_aborted(self) -> bool:
-        """Whether the fault plan aborted the round just sampled."""
-        return self._round_faults is not None and self._round_faults.aborted
+    def _finish_aborted_round(self, round_idx: int, wait_s: Optional[float]) -> None:
+        """Record an aborted round: no training, model unchanged.
 
-    def _finish_aborted_round(self, round_idx: int, wait: bool = True) -> RoundRecord:
-        """Record a fault-aborted round: no training, deterministic clock.
-
-        A synchronous server (``wait=True``) sits out ``client_timeout``
-        before abandoning the round (pure data-access/waiting time); the
-        async server never waits on a round barrier, so its clock is
-        untouched.
+        A round-barrier server sits out ``wait_s`` (``client_timeout``,
+        when the round lost clients) before abandoning the round — pure
+        data-access/waiting time; the cross-round pipeline never waits
+        (``None``).
         """
-        faults = self._round_faults
-        self._round_faults = None
-        floor = faults.timeout_floor_s if faults is not None else None
-        if wait and floor is not None:
-            self.clock_s += floor
-            self.total_access_s += floor
+        if wait_s is not None:
+            self.clock_s += wait_s
+            self.total_access_s += wait_s
         record = RoundRecord(
             round=round_idx,
             sim_time_s=self.clock_s,
@@ -681,35 +678,7 @@ class FederatedExperiment:
         self._jlog(
             "round", round=round_idx, sim_time_s=record.sim_time_s, aborted=True
         )
-        return record
-
-    def advance_clock(self, costs: Sequence[LocalTrainingCost]) -> None:
-        """Synchronous FL: a round lasts as long as its slowest client.
-
-        Consumes the pending :class:`RoundFaults` (if any): survivor costs
-        are scaled by the fault latency (straggler slowdown, flaky
-        retries + backoff), and a round that dropped clients lasts at
-        least ``client_timeout`` — the server waits that long before
-        giving up on the missing updates (charged as access/waiting time).
-        """
-        faults = self._round_faults
-        self._round_faults = None
-        floor: Optional[float] = None
-        if faults is not None:
-            costs = faults.scale_costs(costs)
-            floor = faults.timeout_floor_s
-        if not costs and floor is None:
-            return
-        if costs:
-            bottleneck = max(costs, key=lambda c: c.total_s)
-            compute, access = bottleneck.compute_s, bottleneck.access_s
-        else:
-            compute, access = 0.0, 0.0
-        if floor is not None and floor > compute + access:
-            access += floor - (compute + access)
-        self.clock_s += compute + access
-        self.total_compute_s += compute
-        self.total_access_s += access
+        self.after_round(record)
 
     # -- update-space threats + robust aggregation -----------------------------
     def _threat_wrap(
@@ -825,86 +794,6 @@ class FederatedExperiment:
             extra=self.async_round_extra(round_idx, clients, states),
         )
 
-    def run_round(
-        self,
-        round_idx: int,
-        clients: List[FLClient],
-        states: List[Optional[DeviceState]],
-    ) -> List[LocalTrainingCost]:
-        """Run one barrier round; return per-client latency costs.
-
-        The one statement of a round for every hook-surface method: the
-        cohort trains from the round-start server state and its streamed
-        updates merge event by event in simulated-arrival order.  In
-        synchronous mode that is **one** staleness-0 event over the whole
-        cohort, whose mixing rate is ``round weight / round weight = 1.0``
-        — ``blend_into`` replaces and the merge rule is exactly its
-        synchronous form (FedAvg, dual-BN propagation, masked partial
-        average, Eq. 16/17); a round-gated experiment in async mode
-        (FedProphet) gets up to ``max_staleness + 1`` attenuated events,
-        each logged as an :class:`AsyncMergeEvent`.  A hook gets its
-        event's updates one-shot, in member order; a serial client trains
-        when the merge pulls its update.  A cross-round-pipeline
-        experiment's async rounds are dispatched by :meth:`run`; a direct
-        call would silently aggregate synchronously, so it fails loudly.
-        A round that raises leaves the model as it found it.
-        """
-        from repro.core.aggregator import arrival_merge_events  # local: core imports flsim
-
-        cfg = self.config
-        within_round = cfg.aggregation_mode == "async"
-        if within_round and not self.round_gated:
-            raise RuntimeError(
-                f"{type(self).__name__}.run_round is the synchronous path; "
-                f"aggregation_mode='async' rounds are driven by run() "
-                f"through the cross-round pipeline"
-            )
-        costs = self.async_client_costs(round_idx, clients, states)
-        ctx = self._round_context(round_idx, clients, states, costs)
-        server = self.async_server_state()
-        # Merges interleave with the clients that still read the training
-        # base.  A shallow copy keeps it immutable: ``blend_into`` rebinds
-        # the server's entries and never writes into the arrays.
-        base = dict(server)
-        events = arrival_merge_events(
-            [c.total_s for c in costs], cfg.max_staleness if within_round else 0
-        ) or [[]]  # an empty cohort still reaches the merge rule's typed refusal
-        group = self.scheduler.submit_group(
-            "train",
-            self._threat_wrap(round_idx, self.async_client_fn(round_idx, base), base),
-            list(zip(clients, states)),
-        )
-        landed: Dict[int, Any] = {}
-
-        def member_updates(members):  # popped as yielded: nothing here pins a folded one
-            for i in members:
-                while i not in landed:
-                    landed.update([group.next_completion()])
-                yield landed.pop(i)
-
-        try:
-            for staleness, members in enumerate(events):
-                alpha = self.async_merge_event(
-                    server, ctx, members, member_updates(members), staleness
-                )
-                if within_round:
-                    self.async_log.append(
-                        AsyncMergeEvent(
-                            round=round_idx,
-                            event=staleness,
-                            staleness=staleness,
-                            client_ids=tuple(clients[i].cid for i in members),
-                            alpha=alpha,
-                            sim_time_s=self.clock_s
-                            + max((costs[i].total_s for i in members), default=0.0),
-                        )
-                    )
-        except BaseException:
-            self.async_finalize(base)
-            raise
-        self.async_finalize(server)
-        return costs
-
     @cached_property
     def client_activation_bytes(self) -> int:
         """``4·B·A`` of one client training the global model (§6.1, Eq. 7).
@@ -961,9 +850,9 @@ class FederatedExperiment:
         return flops, mem_req, cost
 
     # -- aggregation hooks: the one statement of an algorithm -------------------
-    # Every experiment implements this surface; :meth:`run_round` drives
-    # it over one round's event schedule and the cross-round pipeline in
-    # :meth:`_run_async` event by event.  Every hook must be a pure
+    # Every experiment implements this surface; :meth:`_run_rounds` drives
+    # it event by event through the cross-round pipeline, a barrier round
+    # being one drained at once.  Every hook must be a pure
     # function of its inputs (plus counter-derived RNGs) so the merge
     # replay stays bit-identical run to run.
 
@@ -992,7 +881,7 @@ class FederatedExperiment:
 
         Pure arithmetic over the device states: the pipeline needs the
         costs up front to fix arrival order, merge schedule, and dispatch
-        times; the synchronous round clocks its barrier with them and
+        times; a barrier round clocks itself with them and
         ``client_timeout`` drops on them (:meth:`fault_client_costs`).
         """
         raise NotImplementedError(
@@ -1100,26 +989,30 @@ class FederatedExperiment:
             aa_acc=result.aa_acc,
         )
 
-    def _run_async(self, rounds: int, verbose: bool = False) -> int:
-        """The cross-round asynchronous run loop (``aggregation_mode="async"``).
+    def _run_rounds(self, rounds: int, verbose: bool = False) -> int:
+        """The run loop: every round is a :class:`CrossRoundPipeline` round.
 
-        Drives a :class:`repro.flsim.scheduler.CrossRoundPipeline`: up to
-        ``pipeline_depth`` rounds in flight, merge events replayed in
-        simulated-arrival order into a server state dict, per-round base
-        versions snapshotting the server for each round's clients.
-        History records are created when a round's last event merges (at
-        its simulated drain time) and sorted by round index before
-        returning.  ``pipeline_depth=1`` with ``max_staleness=0``
-        reproduces the synchronous loop exactly — records, evals, clock
-        and all.
+        Without a barrier one pipeline keeps up to ``pipeline_depth``
+        rounds in flight, replays their merge events in simulated-arrival
+        order into one server state, copies it as each round's base at
+        dispatch, and records a round when its last event merges.  A
+        **barrier** round — sync mode, or a round-gated experiment in any
+        mode — is a depth-1 pipeline of its own, started at the run's
+        clock and drained at once over a fresh :meth:`async_server_state`,
+        which :meth:`async_finalize` installs before :meth:`round_eval`.
+        It schedules its events on the *pre-fault* costs (a within-round
+        merge logs ``base_version`` 0), advances the clock by the
+        fault-scaled bottleneck and at least ``client_timeout`` when it
+        lost clients (the excess is access time), turns an
+        :class:`AggregationError` into an ``agg_abort`` and an aborted
+        round over the round-start state, journals one ``agg`` event (no
+        ``dispatch``/``merge``) and checkpoints ``global_state``.  Returns
+        the number of rounds run.
         """
-        from repro.flsim.scheduler import CrossRoundPipeline
-
         cfg = self.config
-        resume = self._resume_async
-        self._resume_async = None
-        start = self._resume_round
-        self._resume_round = 0
+        barrier = cfg.aggregation_mode == "sync" or self.round_gated
+        resume, self._resume_async = self._resume_async, None
+        t, self._resume_round = self._resume_round, 0
         if resume is not None:
             server = {k: v.copy() for k, v in resume["server"].items()}
             history_start = resume["history_start"]
@@ -1127,7 +1020,7 @@ class FederatedExperiment:
             base_compute = resume["base_compute"]
             base_access = resume["base_access"]
         else:
-            server = self.async_server_state()
+            server = None if barrier else self.async_server_state()
             history_start = len(self.history)
             # Per-round bottleneck costs, recorded at dispatch (pure
             # arithmetic) so completion order cannot scramble the
@@ -1136,13 +1029,8 @@ class FederatedExperiment:
             base_compute, base_access = self.total_compute_s, self.total_access_s
 
         def cumulative_cost(last_round: int) -> Tuple[float, float]:
-            """Round-ordered cumulative compute/access through ``last_round``.
-
-            Rounds complete in drain order, but the history's cumulative
-            columns must accrue in *round* order (as the sync loop's
-            ``advance_clock`` does) — otherwise a fast round r+1 draining
-            before straggler round r would carry the wrong totals.
-            """
+            """Cumulative compute/access through ``last_round``, in *round*
+            order: a fast round r+1 may drain before straggler round r."""
             compute, access = base_compute, base_access
             for r in range(last_round + 1):
                 cost = bottlenecks.get(r)
@@ -1151,11 +1039,11 @@ class FederatedExperiment:
                     access += cost.access_s
             return compute, access
 
-        def merge_event(ticket, members, staleness):
+        def merge_event(ticket, members, updates, staleness):
             ctx: AsyncRoundContext = ticket.meta
-            updates = [ticket.updates[i] for i in members]
             alpha = self.async_merge_event(server, ctx, members, updates, staleness)
-            agg_stats = self._drain_agg_stats()
+            if cfg.aggregation_mode == "sync":
+                return  # the whole cohort as one FedAvg event: nothing to log
             event = AsyncMergeEvent(
                 round=ticket.round_idx,
                 event=ticket.next_event,
@@ -1166,104 +1054,132 @@ class FederatedExperiment:
                 sim_time_s=ticket.event_times[ticket.next_event],
             )
             self.async_log.append(event)
-            payload = dict(
-                round=event.round,
-                event=event.event,
-                staleness=event.staleness,
-                client_ids=list(event.client_ids),
-                alpha=event.alpha,
-                base_version=event.base_version,
-                sim_time_s=event.sim_time_s,
-            )
+            if barrier:
+                return  # the round's rule stats go out as its one "agg" event
+            payload = {**asdict(event), "client_ids": list(event.client_ids)}
+            agg_stats = self._drain_agg_stats()
             if agg_stats:
                 payload["agg"] = agg_stats
             self._jlog("merge", **payload)
             if cfg.eval_every_merge:
-                # Server version after this merge applied: merges replay
-                # in simulated-arrival order, so the merge log's length
-                # *is* the version counter.
-                version = len(self.async_log)
+                version = len(self.async_log)  # merges replay in order: the log counts them
                 if version % cfg.eval_every_merge == 0:
                     self._merge_eval(server, event, version)
             if self._metrics is not None:
                 self._metrics.update_pipeline(pipeline.stats())
 
         def round_complete(ticket):
-            t = ticket.round_idx
-            drain = ticket.drain_time
+            if barrier:
+                return  # the loop finishes a barrier round once its drain returns
+            t, drain = ticket.round_idx, ticket.drain_time
             self.clock_s = max(self.clock_s, drain)
             compute, access = cumulative_cost(t)
             self.total_compute_s = max(self.total_compute_s, compute)
             self.total_access_s = max(self.total_access_s, access)
-            # round_complete only runs from inside pipeline calls, so the
-            # late-bound `pipeline` is always constructed.
-            self._complete_round(
-                RoundRecord(
-                    round=t, sim_time_s=drain, compute_s=compute, access_s=access
-                ),
-                verbose,
-                server=server,
-            )
-            if self._metrics is not None:
+            self._complete_round(RoundRecord(t, drain, compute, access), verbose, server)
+            if self._metrics is not None:  # `pipeline` is bound: it called us
                 self._metrics.update_pipeline(pipeline.stats())
 
-        pipeline = CrossRoundPipeline(
-            self.scheduler,
-            max_staleness=cfg.max_staleness,
-            depth=cfg.pipeline_depth,
-            merge_event=merge_event,
-            round_complete=round_complete,
-        )
+        def new_pipeline() -> CrossRoundPipeline:
+            return CrossRoundPipeline(
+                self.scheduler,
+                max_staleness=cfg.max_staleness if cfg.aggregation_mode == "async" else 0,
+                depth=cfg.pipeline_depth,
+                merge_event=merge_event,
+                round_complete=round_complete,
+                start_time=self.clock_s,
+            )
+
+        pipeline = new_pipeline()
         if resume is not None:
             pipeline.restore_state(resume["pipeline"], self._restore_async_meta)
 
-        for t in range(start, rounds):
+        def play(t: int) -> None:
+            """Sample round ``t`` and dispatch it — a barrier round also drains."""
+            nonlocal server, pipeline
             clients, states = self.sample_round(t)
-            if self._fault_aborted():
-                # The async server never waits on a round barrier: an
-                # aborted round dispatches nothing and costs no clock.
-                self._finish_aborted_round(t, wait=False)
+            faults, self._round_faults = self._round_faults, None
+            # What a barrier waits for the clients it lost; the pipeline never waits.
+            floor = faults.timeout_floor_s if barrier and faults is not None else None
+            if faults is not None and faults.aborted:
+                self._finish_aborted_round(t, floor)
+                return
+            costs = self.async_client_costs(t, clients, states)
+            scaled = faults.scale_costs(costs) if faults is not None else costs
+            ctx = self._round_context(t, clients, states, scaled)
+            slowest = max(scaled, key=lambda c: c.total_s, default=None)
+            items = list(zip(clients, states))
+            if barrier:
+                server = self.async_server_state()
+                # Merges interleave with the clients that still read the
+                # training base.  A shallow copy keeps it immutable: merges
+                # rebind the server's entries and never write into them.
+                base = dict(server)
+                fn = self._threat_wrap(t, self.async_client_fn(t, base), base)
+                pipeline = new_pipeline()
+                try:
+                    pipeline.dispatch(
+                        t, items, [c.total_s for c in costs], lambda ticket: fn, meta=ctx
+                    )
+                    pipeline.drain_all()
+                    if not clients:  # still reaches the merge rule's typed refusal
+                        self.async_merge_event(server, ctx, [], iter(()), 0)
+                except BaseException as err:
+                    self.async_finalize(base)  # the model as the round found it
+                    if not isinstance(err, AggregationError):
+                        raise
+                    # Nothing to aggregate (every update rejected or
+                    # dropped): a typed abort, not a crash.
+                    self._jlog("agg_abort", round=t, error=str(err))
+                    self._drain_agg_stats()
+                    self._finish_aborted_round(t, floor)
+                else:
+                    self.async_finalize(server)
+                    server = None  # installed: round_eval must not see a second copy live
+                    compute = slowest.compute_s if slowest is not None else 0.0
+                    access = slowest.access_s if slowest is not None else 0.0
+                    if floor is not None and floor > compute + access:
+                        access += floor - (compute + access)
+                    self.clock_s += compute + access
+                    self.total_compute_s += compute
+                    self.total_access_s += access
+                    agg_stats = self._drain_agg_stats()
+                    if agg_stats:
+                        self._jlog("agg", round=t, events=agg_stats)
+                    record = RoundRecord(
+                        t, self.clock_s, self.total_compute_s, self.total_access_s
+                    )
+                    self._complete_round(record, verbose)
             else:
-                faults = self._round_faults
-                self._round_faults = None
-                costs = self.async_client_costs(t, clients, states)
-                if faults is not None:
-                    costs = faults.scale_costs(costs)
-                ctx = self._round_context(t, clients, states, costs)
-                bottlenecks[t] = (
-                    max(costs, key=lambda c: c.total_s) if costs else None
-                )
+                bottlenecks[t] = slowest
 
                 def fn_factory(ticket, _t=t, _threats=self._round_threats):
-                    # Called after the pre-dispatch merge replay: the server
-                    # now sits at this round's base version, so copy it as the
-                    # round's immutable training base.  Byzantine clients lie
-                    # relative to that same base (captured per round — later
-                    # rounds must not see this round's verdict).
+                    # After the pre-dispatch merge replay the server sits at
+                    # this round's base version: copy it as the training base
+                    # Byzantine clients (this round's verdict) lie against.
                     base = {k: v.copy() for k, v in server.items()}
                     return self._threat_wrap(
                         _t, self.async_client_fn(_t, base), base, threats=_threats
                     )
 
                 ticket = pipeline.dispatch(
-                    t,
-                    list(zip(clients, states)),
-                    [c.total_s for c in costs],
-                    fn_factory,
-                    meta=ctx,
+                    t, items, [c.total_s for c in scaled], fn_factory, meta=ctx
                 )
-                if ticket is not None:
-                    self._jlog(
-                        "dispatch",
-                        round=t,
-                        base_version=ticket.base_version,
-                        dispatch_time=ticket.dispatch_time,
-                        cids=[c.cid for c in clients],
-                    )
-            if cfg.checkpoint_every and (t + 1) % cfg.checkpoint_every == 0:
+                self._jlog(
+                    "dispatch",
+                    round=t,
+                    base_version=ticket.base_version,
+                    dispatch_time=ticket.dispatch_time,
+                    cids=[c.cid for c in clients],
+                )
+
+        while t < rounds and not self.run_finished():
+            play(t)
+            t += 1
+            if cfg.checkpoint_every and t % cfg.checkpoint_every == 0:
                 self._write_checkpoint(
-                    t + 1,
-                    async_state={
+                    t,
+                    async_state=None if barrier else {
                         "server": {k: v.copy() for k, v in server.items()},
                         "history_start": history_start,
                         "base_compute": base_compute,
@@ -1273,15 +1189,14 @@ class FederatedExperiment:
                     },
                 )
 
-        pipeline.drain_all()
-        self._last_pipeline_stats = {
-            "peak_in_flight": pipeline.peak_in_flight,
-            "merge_events": pipeline.version,
-        }
-        self.async_finalize(server)
+        if not barrier:
+            pipeline.drain_all()
+            self.async_finalize(server)
+        self._last_pipeline_stats = pipeline.stats()
+        self.finish_run()
         tail = sorted(self.history[history_start:], key=lambda r: r.round)
         self.history[history_start:] = tail
-        return rounds
+        return t
 
     # -- evaluation engine -----------------------------------------------------
     def eval_plan(
@@ -1487,8 +1402,9 @@ class FederatedExperiment:
     ) -> None:
         """Atomically snapshot everything the run loop needs to continue.
 
-        ``async_state`` carries the async loop's extra bookkeeping; the
-        barrier loop snapshots the global model directly.
+        ``async_state`` carries the cross-round pipeline's extra
+        bookkeeping; after a barrier round the global model holds the whole
+        server state, so it is snapshotted directly.
         """
         from repro.flsim.checkpoint import CHECKPOINT_FORMAT, write_checkpoint
 
@@ -1633,25 +1549,24 @@ class FederatedExperiment:
     def run(self, rounds: Optional[int] = None, verbose: bool = False) -> List[RoundRecord]:
         """Run up to ``rounds`` rounds (default: the config's).
 
-        Async mode goes to the cross-round pipeline only when rounds may
-        overlap; a round-gated experiment stays on the barrier loop — the
-        pipeline at depth 1 is not equivalent under faults (an aborted
-        round costs it no clock; the barrier waits out the timeout).
+        Every mode runs the one loop, :meth:`_run_rounds`.  A round is a
+        barrier — dispatched and drained before the next one starts — in
+        sync mode and for a round-gated experiment; otherwise rounds
+        overlap up to ``pipeline_depth``.  The two are not equivalent
+        under faults even at depth 1: the barrier waits out
+        ``client_timeout``, the pipeline never waits.
         """
         rounds = rounds if rounds is not None else self.config.rounds
         self._open_journal()
         try:
-            if self.config.aggregation_mode == "async" and not self.round_gated:
-                rounds_run = self._run_async(rounds, verbose)
-            else:
-                rounds_run = self._run_sync(rounds, verbose)
+            rounds_run = self._run_rounds(rounds, verbose)
         except BaseException:
             self._abort_cleanup()
             raise
         self._jlog("run_end", rounds=rounds_run, clock_s=self.clock_s)
         return self.history
 
-    # -- barrier-loop hooks: how a round-gated method advances its own state ----
+    # -- round hooks: how a round-gated method advances its own state ---------
     def round_eval(
         self,
         record: RoundRecord,
@@ -1661,8 +1576,9 @@ class FederatedExperiment:
         """Evaluate a finished round into ``record.eval``.
 
         Default: the periodic ``eval_every`` evaluation.  ``server`` is
-        the async pipeline's merged state (it never lives in the global
-        model until an eval or the end of the run needs it there).
+        the cross-round pipeline's merged state (it never lives in the
+        global model until an eval or the end of the run needs it there);
+        a barrier round has installed its merged state already.
         Returns extra fields for the round's journal event.
         """
         cfg = self.config
@@ -1676,8 +1592,9 @@ class FederatedExperiment:
         return {}
 
     def after_round(self, record: RoundRecord) -> None:
-        """Barrier loop: a round was recorded (trained *or* aborted) — before
-        its checkpoint, so what this advances :meth:`checkpoint_state` snapshots."""
+        """A round was recorded (trained *or* aborted) — before its
+        checkpoint, so what this advances :meth:`checkpoint_state` snapshots.
+        Overriding it makes every round a barrier (:attr:`round_gated`)."""
 
     @property
     def round_gated(self) -> bool:
@@ -1686,20 +1603,20 @@ class FederatedExperiment:
         return type(self).after_round is not FederatedExperiment.after_round
 
     def run_finished(self) -> bool:
-        """Barrier loop: stop before the budget is spent (asked per round)."""
+        """Stop before the budget is spent (asked before each round)."""
         return False
 
     def finish_run(self) -> None:
-        """Barrier loop: the run ended; report what a resume must *not* see."""
+        """The run ended; report what a resume must *not* see."""
 
     def _complete_round(
         self,
         record: RoundRecord,
         verbose: bool,
         server: Optional[Dict[str, np.ndarray]] = None,
-    ) -> RoundRecord:
-        """Evaluate a finished round, record and journal it (both run loops;
-        ``server``: the async loop's merged state)."""
+    ) -> None:
+        """Evaluate a finished round, record and journal it (``server``: the
+        cross-round pipeline's merged state; a barrier round passes none)."""
         extra = self.round_eval(record, verbose, server=server)
         self.history.append(record)
         self._jlog(
@@ -1711,46 +1628,7 @@ class FederatedExperiment:
             access_s=record.access_s,
             aborted=False,
         )
-        return record
-
-    def _run_sync(self, rounds: int, verbose: bool = False) -> int:
-        """The round-barrier loop (every method in sync mode, a round-gated
-        one in async mode too); returns the number of rounds run."""
-        cfg = self.config
-        t = self._resume_round
-        self._resume_round = 0
-        while t < rounds and not self.run_finished():
-            clients, states = self.sample_round(t)
-            costs = None
-            if not self._fault_aborted():
-                try:
-                    costs = self.run_round(t, clients, states)
-                except AggregationError as err:
-                    # Nothing to aggregate (every update rejected or
-                    # dropped): a typed abort, not a crash on a ValueError.
-                    self._jlog("agg_abort", round=t, error=str(err))
-            agg_stats = self._drain_agg_stats()
-            if costs is None:  # fault- or aggregation-aborted: model unchanged
-                record = self._finish_aborted_round(t)
-            else:
-                self.advance_clock(costs)
-                if agg_stats:
-                    self._jlog("agg", round=t, events=agg_stats)
-                record = self._complete_round(
-                    RoundRecord(
-                        round=t,
-                        sim_time_s=self.clock_s,
-                        compute_s=self.total_compute_s,
-                        access_s=self.total_access_s,
-                    ),
-                    verbose,
-                )
-            self.after_round(record)
-            t += 1
-            if cfg.checkpoint_every and t % cfg.checkpoint_every == 0:
-                self._write_checkpoint(t)
-        self.finish_run()
-        return t
+        self.after_round(record)
 
     def final_eval(self, max_samples: Optional[int] = None) -> EvalResult:
         """Clean, PGD and AutoAttack accuracy of the final model (the ``aa``

@@ -28,7 +28,7 @@ switched off without perturbing the other.
 The per-round product is a :class:`RoundFaults`: which sampled clients
 survive, how the survivors' latency costs are scaled, and whether the
 round aborts because the surviving cohort fell below
-``min_clients_per_round``.  The run loops filter the cohort *before*
+``min_clients_per_round``.  The run loop filters the cohort *before*
 training, so every baseline's existing aggregation rule (FedAvg, masked
 partial averages, FedRBN's dual-BN merge, FedProphet's per-module
 merges) reweights over the survivors with no fault-specific code.

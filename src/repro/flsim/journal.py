@@ -8,7 +8,7 @@ checkpoint files written along the way, which is everything
 :meth:`~repro.flsim.base.FederatedExperiment.resume` needs to restart a
 run from its last consistent state.
 
-Event kinds written by the run loops (in deterministic program order):
+Event kinds written by the run loop (in deterministic program order):
 
 ========== ==============================================================
 kind        payload
@@ -21,12 +21,16 @@ sample      ``round``, ``cids`` (the cohort that will train),
             the client LRU at sampling time)
 faults      ``round``, ``sampled``, ``dropped``, ``retries``, ``aborted``
 threats     ``round``, ``attack``, ``byzantine`` (cids marked this round)
-dispatch    async: ``round``, ``base_version``, ``dispatch_time``, ``cids``
-merge       async: mirrors one ``AsyncMergeEvent`` (+``agg`` rule stats)
+dispatch    pipelined round: ``round``, ``base_version``, ``dispatch_time``,
+            ``cids``
+merge       pipelined round: mirrors one ``AsyncMergeEvent`` (+``agg``
+            rule stats)
 merge_eval  async: merged-server accuracy at a server ``version``
             (``eval_every_merge`` — the staleness-curve sample points)
-agg         ``round``, ``events`` (robust-rule rejection/clipping stats)
-agg_abort   ``round``, ``error`` (an ``AggregationError`` ended the round)
+agg         barrier round: ``round``, ``events`` (robust-rule
+            rejection/clipping stats)
+agg_abort   barrier round: ``round``, ``error`` (an ``AggregationError``
+            ended the round)
 round       ``round``, ``sim_time_s`` (+cumulative costs, ``aborted``)
 eval        ``round``, ``clean_acc``, ``pgd_acc``, ``aa_acc``
 checkpoint  ``next_round``, ``path`` (basename, relative to the journal)
@@ -46,7 +50,7 @@ class JournalError(RuntimeError):
     """A journal could not be read, or does not match the experiment."""
 
 
-#: The closed set of event kinds the run loops emit.  The writer refuses
+#: The closed set of event kinds the run loop emits.  The writer refuses
 #: unknown kinds (a typo would silently corrupt the replay contract) and
 #: the reader refuses files containing them (they are not run journals —
 #: or they were written by a newer schema this reader cannot replay).

@@ -16,8 +16,8 @@ exactly what re-execution emits.
 
 The verifier is installed through the journalling seam: a
 :class:`ReplayJournal` takes the place of the experiment's
-:class:`~repro.flsim.journal.RunJournal`, so the run loops need no replay
-mode — they just log, and every ``append`` becomes an assertion.  On
+:class:`~repro.flsim.journal.RunJournal`, so the run loop needs no replay
+mode — it just logs, and every ``append`` becomes an assertion.  On
 mismatch a :class:`ReplayDivergence` names the first divergent ``seq``,
 its kind, and the differing fields.
 """
@@ -171,7 +171,7 @@ class ReplayJournal:
     Installed as ``experiment._journal`` before ``run()``:
     :meth:`~repro.flsim.base.FederatedExperiment._open_journal` sees a
     journal already present and leaves it alone, so every ``_jlog`` in the
-    run loops lands here and is compared — in strict order — against the
+    run loop lands here and is compared — in strict order — against the
     canonical recorded events.  ``path`` keeps checkpoint writes working
     (``_checkpoint_path`` derives from it); when the replay experiment
     has checkpointing off, recorded ``checkpoint`` events are skipped

@@ -33,7 +33,7 @@ Every rule is a deterministic, order-stable function of its inputs (the
 client list order is fixed by the sampler), so robust aggregation
 preserves the engine's bit-identity contract.  Each
 ``aggregate`` call also returns a JSON-safe stats dict (selected /
-rejected clients, clip factors) that the run loops journal per round —
+rejected clients, clip factors) that the run loop journals per round —
 per-rule rejection and clipping observability for replayable runs.
 """
 

@@ -204,8 +204,9 @@ class AsyncRoundTicket:
     merge schedule as client *positions* (ascending within an event, so
     within-event averages always reduce in input order); ``event_times``
     are the absolute simulated times each event applies (the arrival of
-    its slowest member).  ``updates`` buffers landed work-unit results
-    until the simulated order lets them merge.
+    its slowest member).  ``updates`` buffers landed work-unit results,
+    by position, until the simulated order lets them merge; a merged one
+    is not kept.
     """
 
     round_idx: int
@@ -216,8 +217,7 @@ class AsyncRoundTicket:
     meta: Any = None
     group: Optional[TaskGroup] = None
     next_event: int = 0
-    landed: List[bool] = field(default_factory=list)
-    updates: List[Any] = field(default_factory=list)
+    updates: Dict[int, Any] = field(default_factory=dict)
 
     @property
     def drain_time(self) -> float:
@@ -260,7 +260,13 @@ class CrossRoundPipeline:
     simulated costs; a round's group trains when the merge replay pulls
     it, so the overlap is a simulated-time schedule, not a wall-clock
     one.  ``depth=1`` with ``max_staleness=0`` reproduces synchronous
-    FedAvg exactly.
+    FedAvg exactly: a round-barrier run is one such pipeline per round,
+    started at the run's clock (``start_time``) and drained at once.
+
+    The merge callback gets an event's updates as a one-shot iterator in
+    member order: a member trains when the merge pulls its update, and
+    nothing here keeps the update once handed out, so a merge that folds
+    its updates holds one running result, not the event's whole cohort.
 
     Population-engine composition: tickets hold strong references to the
     dispatched :class:`~repro.flsim.population.FLClient` objects (via
@@ -276,9 +282,10 @@ class CrossRoundPipeline:
         scheduler: FLScheduler,
         max_staleness: int,
         depth: int,
-        merge_event: Callable[[AsyncRoundTicket, List[int], int], None],
+        merge_event: Callable[[AsyncRoundTicket, List[int], Iterator[Any], int], None],
         round_complete: Callable[[AsyncRoundTicket], None],
         tag: str = "train",
+        start_time: float = 0.0,
     ):
         if depth < 1:
             raise ValueError("pipeline depth must be >= 1")
@@ -296,7 +303,7 @@ class CrossRoundPipeline:
         self.peak_in_flight = 0
         self._inflight: List[AsyncRoundTicket] = []
         self._dispatched = 0
-        self._last_dispatch_time = 0.0
+        self._last_dispatch_time = start_time
         self._drain_watermarks: List[float] = []  # running max drain per dispatch
 
     @property
@@ -357,8 +364,6 @@ class CrossRoundPipeline:
             events=events,
             event_times=event_times,
             meta=meta,
-            landed=[False] * len(items),
-            updates=[None] * len(items),
         )
         ticket.group = self.scheduler.submit_group(self.tag, fn_factory(ticket), items)
         self._last_dispatch_time = t
@@ -395,16 +400,18 @@ class CrossRoundPipeline:
 
         Lands every in-flight ticket's remaining updates (the simulated
         merge schedule is fixed at dispatch, so training them early cannot
-        change what merges when) beside the ones it already landed,
-        and stores them with each ticket.  The live pipeline keeps running
-        afterwards: landed tickets never touch their task group again
-        (:meth:`_apply_event` only calls ``next_completion`` while a
+        change what merges when) beside the unmerged ones it already
+        landed, and stores them with each ticket.  The live pipeline keeps
+        running afterwards: landed tickets never touch their task group
+        again (:meth:`_updates` only calls ``next_completion`` while a
         member is un-landed).  ``export_meta`` serialises each ticket's
         opaque ``meta`` (the experiment's round context).
         """
         tickets = []
         for ticket in self._inflight:
-            self._land(ticket, range(len(ticket.landed)))
+            if ticket.group is not None:
+                ticket.updates.update(ticket.group.stream())
+                ticket.group = None
             tickets.append(
                 {
                     "round_idx": ticket.round_idx,
@@ -413,7 +420,7 @@ class CrossRoundPipeline:
                     "events": [list(e) for e in ticket.events],
                     "event_times": list(ticket.event_times),
                     "next_event": ticket.next_event,
-                    "updates": list(ticket.updates),
+                    "updates": dict(ticket.updates),
                     "meta": export_meta(ticket.meta),
                 }
             )
@@ -431,8 +438,8 @@ class CrossRoundPipeline:
     ) -> None:
         """Rebuild a freshly constructed pipeline from a checkpoint snapshot.
 
-        Restored tickets carry their landed updates (``group=None`` — all
-        members landed, so the merge replay never consults the group) and
+        Restored tickets carry their unmerged updates (``group=None`` —
+        all landed, so the merge replay never consults the group) and
         the scalar bookkeeping resumes exactly where the checkpoint left
         it, so the continuing dispatch/merge schedule is bit-identical to
         the uninterrupted run's.  ``build_meta`` rehydrates each ticket's
@@ -448,6 +455,7 @@ class CrossRoundPipeline:
         self._last_dispatch_time = state["last_dispatch_time"]
         self._drain_watermarks = list(state["drain_watermarks"])
         for data in state["tickets"]:
+            updates = data["updates"]  # older checkpoints: a list by position
             ticket = AsyncRoundTicket(
                 round_idx=data["round_idx"],
                 dispatch_time=data["dispatch_time"],
@@ -455,10 +463,8 @@ class CrossRoundPipeline:
                 events=[list(e) for e in data["events"]],
                 event_times=list(data["event_times"]),
                 meta=build_meta(data["meta"]),
-                group=None,
                 next_event=data["next_event"],
-                landed=[True] * len(data["updates"]),
-                updates=list(data["updates"]),
+                updates=dict(enumerate(updates) if isinstance(updates, list) else updates),
             )
             self._inflight.append(ticket)
 
@@ -477,20 +483,21 @@ class CrossRoundPipeline:
         return best
 
     @staticmethod
-    def _land(ticket: AsyncRoundTicket, members) -> None:
-        """Take completions from the ticket's group until ``members`` landed."""
-        while not all(ticket.landed[i] for i in members):
-            index, result = ticket.group.next_completion()
-            ticket.landed[index] = True
-            ticket.updates[index] = result
+    def _updates(ticket: AsyncRoundTicket, members: List[int]) -> Iterator[Any]:
+        """``members``' updates in order, each landed when pulled and not kept:
+        the pop hands the update out without this frame holding it."""
+        for i in members:
+            while i not in ticket.updates:
+                ticket.updates.update([ticket.group.next_completion()])
+            yield ticket.updates.pop(i)
 
     def _apply_event(self, ticket: AsyncRoundTicket) -> None:
         members = ticket.events[ticket.next_event]
-        self._land(ticket, members)
         staleness = self.version - ticket.base_version
-        self.merge_event(ticket, members, staleness)
+        self.merge_event(ticket, members, self._updates(ticket, members), staleness)
         self.version += 1
         ticket.next_event += 1
         if ticket.next_event == len(ticket.events):
             self._inflight.remove(ticket)
+            ticket.group = None  # drained: its work function and base go with it
             self.round_complete(ticket)

@@ -166,9 +166,17 @@ class TestAsyncCapability:
             raise AggregationError("late refusal")
 
         monkeypatch.setattr(type(exp), "async_merge_event", merge_then_fail)
-        clients, states = exp.sample_round(0)
-        with pytest.raises(AggregationError, match="late refusal"):
-            exp.run_round(0, clients, states)
+        aborts, log = [], exp._jlog
+
+        def jlog(kind, **payload):
+            if kind == "agg_abort":
+                aborts.append(payload["error"])
+            log(kind, **payload)
+
+        monkeypatch.setattr(exp, "_jlog", jlog)
+        history = exp.run(rounds=1)  # the refusal is an aborted round, not a crash
+        assert [r.aborted for r in history] == [True]
+        assert aborts == ["late refusal"]
         after = {k: v.tobytes() for k, v in exp.global_model.state_dict().items()}
         assert after == before
 
@@ -388,14 +396,6 @@ class TestCrossRoundPipeline:
         evals_a = [r.eval.as_dict() for r in ha if r.eval is not None]
         evals_b = [r.eval.as_dict() for r in hb if r.eval is not None]
         assert evals_a and evals_a == evals_b
-
-    def test_direct_run_round_refuses_async_config(self):
-        # run_round is the synchronous path; calling it directly with an
-        # async config must fail loudly, never silently FedAvg.
-        exp = _jfat_async()
-        clients, states = exp.sample_round(0)
-        with pytest.raises(RuntimeError, match="synchronous"):
-            exp.run_round(0, clients, states)
 
     def test_cumulative_compute_accrues_in_round_order(self):
         exp = _jfat_async(pipeline_depth=3)

@@ -177,7 +177,8 @@ def test_no_experiment_overrides_run():
     """One engine: every method runs on ``FederatedExperiment.run``.
 
     Every method states its round as the ``async_*`` hooks, FedDF-AT's
-    distillation included, so none overrides ``run_round`` either.
+    distillation included, and the engine has one run loop: a barrier round
+    is a drained pipeline round, not a ``run_round`` of its own.
     """
     import repro.baselines  # noqa: F401 - registers every experiment class
     import repro.core  # noqa: F401
@@ -192,7 +193,9 @@ def test_no_experiment_overrides_run():
     classes = set(walk(FederatedExperiment))
     assert len(classes) >= 9
     assert [c.__name__ for c in classes if "run" in vars(c)] == []
-    assert {c for c in classes if "run_round" in vars(c)} == set()
+    assert [c.__name__ for c in classes if "_run_rounds" in vars(c)] == []
+    gone = ("run_round", "advance_clock", "_run_sync", "_run_async")
+    assert [name for name in gone if hasattr(FederatedExperiment, name)] == []
     # One capability flag is left, and only FedDF-AT turns it off.
     flags = {name for name in dir(FederatedExperiment) if name.startswith("supports_")}
     assert flags == {"supports_async_aggregation"}

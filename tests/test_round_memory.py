@@ -1,4 +1,4 @@
-"""A synchronous round holds one running average, not every client's update.
+"""A round holds one running average, not every client's update, in every mode.
 
 A client trains when the merge pulls its update, the update folds into
 the running average as it lands, and nothing keeps
@@ -8,7 +8,11 @@ it once folded.  Pinned here:
   per-key sum over a list, on every merge rule's path;
 * the round peak: a 4-client jFAT round's traced peak stays less than one
   model state above a 1-client round's (one state per client while every
-  update was held to the round's end).  Three references that each kept a
+  update was held to the round's end) — in sync mode, and on the
+  cross-round pipeline at depths 1 and 2.  The async rows run at
+  ``max_staleness=0``, one merge event per round: a staleness-attenuated
+  event blends into a server copy of its own, one state that has nothing
+  to do with held updates.  Three references that each kept a
   folded update alive while the next client trained must stay gone: a
   reused ``zip``/``enumerate`` result tuple, a suspended generator frame
   or loop variable, and a task group ↔ generator reference cycle — the
@@ -75,13 +79,13 @@ def _vgg(rng=None):
     return build_vgg("vgg11", 10, (3, 8, 8), width_mult=0.25, rng=rng)
 
 
-def _round_peak(cohort):
-    """Traced peak of one synchronous jFAT round (VGG11x0.25, 8x8, B=32, per
-    item), the model's state bytes, and whether the round's task group
-    outlived it with the cyclic collector off."""
+def _round_peak(cohort, **mode):
+    """Traced peak of one jFAT round (VGG11x0.25, 8x8, B=32, per item), the
+    model's state bytes, and whether the round's task group outlived it with
+    the cyclic collector off."""
     task = make_cifar10_like(image_size=8, train_per_class=20, test_per_class=5, seed=0)
     cfg = FLConfig(num_clients=4, clients_per_round=cohort, local_iters=2, batch_size=32,
-                   lr=0.02, rounds=1, train_pgd_steps=1, eval_every=0, seed=0)
+                   lr=0.02, rounds=1, train_pgd_steps=1, eval_every=0, seed=0, **mode)
     with JointFAT(task, _vgg, cfg) as exp:
         assert exp.cohort_width == 1
         state = sum(v.nbytes for v in exp.global_model.state_dict().values())
@@ -109,8 +113,14 @@ def _round_peak(cohort):
         return peak, state, leaked
 
 
-def test_a_round_holds_one_running_average_whatever_the_cohort():
-    one, state, one_leaked = _round_peak(1)
-    four, _, four_leaked = _round_peak(4)
+@pytest.mark.parametrize(
+    "mode",
+    [{}, dict(aggregation_mode="async", max_staleness=0),
+     dict(aggregation_mode="async", max_staleness=0, pipeline_depth=2)],
+    ids=["sync", "async-depth1", "async-depth2"],
+)
+def test_a_round_holds_one_running_average_whatever_the_cohort(mode):
+    one, state, one_leaked = _round_peak(1, **mode)
+    four, _, four_leaked = _round_peak(4, **mode)
     assert not one_leaked and not four_leaked  # freed by reference counting alone
     assert four - one < state, f"{(four - one) / state:.2f} model states above a 1-client round"

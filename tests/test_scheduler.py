@@ -213,7 +213,7 @@ class TestInlineGroupsRunOnDemand:
         merged = []
         pipeline = CrossRoundPipeline(
             FLScheduler(RoundExecutor()), max_staleness=1, depth=2,
-            merge_event=lambda t, members, s: merged.append([t.updates[i] for i in members]),
+            merge_event=lambda t, members, updates, s: merged.append(list(updates)),
             round_complete=lambda t: None,
         )
         pipeline.dispatch(0, [0, 1, 2], [1.0, 2.0, 3.0], lambda ticket: work)
@@ -221,7 +221,7 @@ class TestInlineGroupsRunOnDemand:
         pipeline.advance_to(1.0)  # event [0] pulls client 0 only
         assert merged == [[0]] and ran == [0]
         state = pipeline.export_state(lambda meta: meta)
-        assert state["tickets"][0]["updates"] == [0, 10, 20]
+        assert state["tickets"][0]["updates"] == {1: 10, 2: 20}  # the merged one is not kept
         assert ran == [0, 1, 2]  # the landed update was kept, not retrained
         pipeline.drain_all()
         assert merged == [[0], [10, 20]] and ran == [0, 1, 2]

@@ -568,10 +568,10 @@ class TestThreatJournal:
 class TestAggregationAbort:
     def test_agg_error_aborts_round_and_journals(self, tmp_path):
         class Exploding(JointFAT):
-            def run_round(self, round_idx, clients, states):
-                if round_idx == 1:
+            def async_merge_event(self, server, ctx, *args):
+                if ctx.round_idx == 1:
                     raise AggregationError("synthetic empty cohort")
-                return super().run_round(round_idx, clients, states)
+                return super().async_merge_event(server, ctx, *args)
 
         journal_path = str(tmp_path / "run.jsonl")
         exp = Exploding(_task(), _builder, _cfg(journal_path=journal_path))
@@ -587,7 +587,7 @@ class TestAggregationAbort:
 
     def test_aborted_round_leaves_model_untouched(self):
         class Exploding(JointFAT):
-            def run_round(self, round_idx, clients, states):
+            def async_merge_event(self, *args):
                 raise AggregationError("always")
 
         exp = Exploding(_task(), _builder, _cfg(rounds=2))
