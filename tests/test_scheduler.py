@@ -226,6 +226,28 @@ class TestInlineGroupsRunOnDemand:
         pipeline.drain_all()
         assert merged == [[0], [10, 20]] and ran == [0, 1, 2]
 
+    def test_restore_takes_an_older_list_of_every_landed_update(self):
+        """Older checkpoints stored a ticket's updates as a list by position,
+        merged ones included; a restored pipeline merges only the rest."""
+        merged = []
+
+        def pipeline():
+            return CrossRoundPipeline(
+                FLScheduler(RoundExecutor()), max_staleness=1, depth=2,
+                merge_event=lambda t, members, updates, s: merged.append(list(updates)),
+                round_complete=lambda t: None,
+            )
+
+        live = pipeline()
+        live.dispatch(0, [0, 1, 2], [1.0, 2.0, 3.0], lambda ticket: lambda i: 10 * i)
+        live.advance_to(1.0)
+        state = live.export_state(lambda meta: meta)
+        state["tickets"][0]["updates"] = [0, 10, 20]  # the older format
+        restored = pipeline()
+        restored.restore_state(state, lambda meta: meta)
+        restored.drain_all()
+        assert merged == [[0], [10, 20]]
+
 
 # ---------------------------------------------------------------------------
 # Async merge schedule (unit level)
