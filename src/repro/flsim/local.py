@@ -1,23 +1,79 @@
-"""Local training procedures shared by the FL algorithms."""
+"""Local training procedures shared by the FL algorithms.
+
+Every trainer here runs K ≥ 1 clients through one model
+(:mod:`repro.nn.cohort`): a lone client is a cohort of one on the serial
+layout, K > 1 clients share one stacked pass over installed slabs.
+Per-client RNG streams are preserved exactly: each client owns its loader
+(epoch permutations) and its PGD random starts, drawn in the serial order
+(permutation at epoch boundaries, then the attack init, per iteration).
+Cohort members must share (shard size, effective batch size) so every
+iteration concatenates K equal-size batches and epoch boundaries stay
+aligned — the executor's grouping key guarantees this.
+"""
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.attacks import ModelWithLoss, PGDConfig, pgd_attack
-from repro.attacks.base import CohortModelWithLoss
+from repro.attacks import ModelWithLoss, PGDConfig
 from repro.attacks.pgd import cohort_pgd_attack
 from repro.data.dataset import ArrayDataset, DataLoader
-from repro.nn.cohort import CohortCrossEntropyLoss
-from repro.nn.losses import CrossEntropyLoss
+from repro.nn.cohort import CohortCrossEntropyLoss, stack_rows
 from repro.nn.module import Module
 from repro.optim.sgd import SGD
 
 
-def _loader(dataset: ArrayDataset, batch_size: int, rng: np.random.Generator) -> DataLoader:
-    return DataLoader(dataset, batch_size=min(batch_size, len(dataset)), shuffle=True, rng=rng)
+def cohort_batches(
+    datasets: Sequence[ArrayDataset],
+    batch_size: int,
+    rngs: Sequence[np.random.Generator],
+) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Endless stacked batches: each client's shuffled batch, in cohort order."""
+    loaders = [
+        DataLoader(ds, batch_size=min(batch_size, len(ds)), shuffle=True, rng=rng).infinite()
+        for ds, rng in zip(datasets, rngs)
+    ]
+    while True:
+        xs, ys = zip(*(next(it) for it in loaders))
+        yield stack_rows(xs), stack_rows(ys)
+
+
+def _local_train(
+    model: Module,
+    datasets: Sequence[ArrayDataset],
+    iterations: int,
+    batch_size: int,
+    lr: float,
+    pgd: Optional[PGDConfig],
+    momentum: float,
+    weight_decay: float,
+    rngs: Sequence[np.random.Generator],
+) -> List[float]:
+    """The one local-training body: E SGD iterations, on PGD examples unless
+    ``pgd`` is ``None``; returns each client's mean training loss."""
+    k = len(datasets)
+    model.train()
+    opt = SGD(model.parameters(), lr=lr, momentum=momentum, weight_decay=weight_decay)
+    ce = CohortCrossEntropyLoss(k)
+    mwl = ModelWithLoss(model, k=k)
+    losses: List[np.ndarray] = []
+    batches = cohort_batches(datasets, batch_size, rngs)
+    for _ in range(iterations):
+        x, y = next(batches)
+        if pgd is not None:
+            # Adversarial examples from the *current* model (train mode, as
+            # is standard; Madry et al., 2017).
+            x = cohort_pgd_attack(mwl, x, y, pgd, rngs)
+        opt.zero_grad()
+        loss = ce(model(x), y)
+        model.backward(ce.backward())
+        opt.step()
+        losses.append(loss)
+    if not losses:
+        return [0.0] * k
+    return [float(np.mean([step[i] for step in losses])) for i in range(k)]
 
 
 def standard_local_train(
@@ -32,19 +88,9 @@ def standard_local_train(
 ) -> float:
     """E iterations of plain local SGD; returns the mean training loss."""
     rng = rng if rng is not None else np.random.default_rng(0)
-    model.train()
-    opt = SGD(model.parameters(), lr=lr, momentum=momentum, weight_decay=weight_decay)
-    ce = CrossEntropyLoss()
-    losses = []
-    batches = _loader(dataset, batch_size, rng).infinite()
-    for _ in range(iterations):
-        x, y = next(batches)
-        opt.zero_grad()
-        loss = ce(model(x), y)
-        model.backward(ce.backward())
-        opt.step()
-        losses.append(loss)
-    return float(np.mean(losses)) if losses else 0.0
+    return _local_train(
+        model, [dataset], iterations, batch_size, lr, None, momentum, weight_decay, [rng]
+    )[0]
 
 
 def adversarial_local_train(
@@ -64,50 +110,9 @@ def adversarial_local_train(
     (train mode, as is standard), then takes one SGD step on them.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
-    model.train()
-    opt = SGD(model.parameters(), lr=lr, momentum=momentum, weight_decay=weight_decay)
-    ce = CrossEntropyLoss()
-    mwl = ModelWithLoss(model)
-    losses = []
-    batches = _loader(dataset, batch_size, rng).infinite()
-    for _ in range(iterations):
-        x, y = next(batches)
-        x_adv = pgd_attack(mwl, x, y, pgd, rng=rng)
-        opt.zero_grad()
-        loss = ce(model(x_adv), y)
-        model.backward(ce.backward())
-        opt.step()
-        losses.append(loss)
-    return float(np.mean(losses)) if losses else 0.0
-
-
-# ---------------------------------------------------------------------------
-# Client-batched (fusion cohort) trainers — how the engine runs a cohort
-# ---------------------------------------------------------------------------
-# These run K clients through one stacked model (slabs installed via
-# repro.nn.cohort).  Per-client RNG streams are preserved exactly: each
-# client owns its loader (epoch permutations) and its PGD random starts,
-# drawn in the serial order (permutation at epoch boundaries, then the
-# attack init, per iteration).  Cohort members must share (shard size,
-# effective batch size) so every iteration concatenates K equal-size
-# batches and epoch boundaries stay aligned — the executor's grouping key
-# guarantees this.
-
-
-def _cohort_batches(loaders):
-    """One iteration's stacked batch: K equal-size per-client batches."""
-    xs, ys = [], []
-    for it in loaders:
-        x, y = next(it)
-        xs.append(x)
-        ys.append(y)
-    return np.concatenate(xs), np.concatenate(ys)
-
-
-def _per_client_means(losses: List[np.ndarray], k: int) -> List[float]:
-    if not losses:
-        return [0.0] * k
-    return [float(np.mean([step[i] for step in losses])) for i in range(k)]
+    return _local_train(
+        model, [dataset], iterations, batch_size, lr, pgd, momentum, weight_decay, [rng]
+    )[0]
 
 
 def cohort_standard_local_train(
@@ -122,25 +127,12 @@ def cohort_standard_local_train(
 ) -> List[float]:
     """K clients' :func:`standard_local_train`, one stacked model pass each.
 
-    Bit-identical per client to the serial trainer; returns the K mean
+    Bit-identical per client to a lone client's run; returns the K mean
     training losses in cohort order.
     """
-    k = len(datasets)
-    model.train()
-    opt = SGD(model.parameters(), lr=lr, momentum=momentum, weight_decay=weight_decay)
-    ce = CohortCrossEntropyLoss(k)
-    losses: List[np.ndarray] = []
-    loaders = [
-        _loader(ds, batch_size, rng).infinite() for ds, rng in zip(datasets, rngs)
-    ]
-    for _ in range(iterations):
-        x, y = _cohort_batches(loaders)
-        opt.zero_grad()
-        loss = ce(model(x), y)
-        model.backward(ce.backward())
-        opt.step()
-        losses.append(loss)
-    return _per_client_means(losses, k)
+    return _local_train(
+        model, datasets, iterations, batch_size, lr, None, momentum, weight_decay, rngs
+    )
 
 
 def cohort_adversarial_local_train(
@@ -155,21 +147,6 @@ def cohort_adversarial_local_train(
     rngs: Optional[Sequence[np.random.Generator]] = None,
 ) -> List[float]:
     """K clients' :func:`adversarial_local_train` as one stacked cohort."""
-    k = len(datasets)
-    model.train()
-    opt = SGD(model.parameters(), lr=lr, momentum=momentum, weight_decay=weight_decay)
-    ce = CohortCrossEntropyLoss(k)
-    mwl = CohortModelWithLoss(model, k)
-    losses: List[np.ndarray] = []
-    loaders = [
-        _loader(ds, batch_size, rng).infinite() for ds, rng in zip(datasets, rngs)
-    ]
-    for _ in range(iterations):
-        x, y = _cohort_batches(loaders)
-        x_adv = cohort_pgd_attack(mwl, x, y, pgd, rngs)
-        opt.zero_grad()
-        loss = ce(model(x_adv), y)
-        model.backward(ce.backward())
-        opt.step()
-        losses.append(loss)
-    return _per_client_means(losses, k)
+    return _local_train(
+        model, datasets, iterations, batch_size, lr, pgd, momentum, weight_decay, rngs
+    )

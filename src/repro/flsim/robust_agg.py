@@ -77,11 +77,32 @@ def _check(states: Sequence[StateDict], weights: Sequence[float]) -> None:
         raise ValueError("states and weights length mismatch")
 
 
+def _median(stack: np.ndarray) -> np.ndarray:
+    """``np.median(stack, axis=0)`` bit for bit, for a floating ``stack``.
+
+    The same partition (``np.median``'s kth: the middle one or two
+    positions, plus the last), the same mean of those (``(lo + hi) / 2``
+    for even K), and NaN wherever the last partitioned entry is NaN —
+    without ``np.median``'s NaN check, which imports ``numpy.ma``.
+    """
+    k = stack.shape[0]
+    mid = k // 2
+    if k % 2:
+        part = np.partition(stack, [mid, -1], axis=0)
+        median = part[mid] + 0.0  # np.mean's sum starts at +0.0: a -0.0 median reads +0.0
+    else:
+        part = np.partition(stack, [mid - 1, mid, -1], axis=0)
+        median = (part[mid - 1] + 0.0 + part[mid]) / 2
+    last = part[-1]
+    nan = np.isnan(last)
+    return np.where(nan, last, median) if nan.any() else median
+
+
 def coordinate_median(
     states: Sequence[StateDict],
     keys: Optional[Sequence[str]] = None,
 ) -> StateDict:
-    """Coordinate-wise (unweighted) median of the client states."""
+    """Coordinate-wise (unweighted) median of the client states, one key at a time."""
     if not states:
         raise AggregationError("cannot take the median of zero client updates")
     out: StateDict = {}
@@ -89,7 +110,7 @@ def coordinate_median(
         stack = np.stack([s[key] for s in states]).astype(
             accum_dtype(*(s[key] for s in states)), copy=False
         )
-        out[key] = np.median(stack, axis=0)
+        out[key] = _median(stack)
     return out
 
 

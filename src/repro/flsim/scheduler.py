@@ -160,13 +160,15 @@ class FLScheduler:
         """
         if isinstance(fn, CohortFn):
             cohorts = self.executor.plan_cohorts(fn, items)
+            run_cohort = fn.run_cohort
         else:
             cohorts = [[i] for i in range(len(items))]
 
+            def run_cohort(members: List[Any]) -> List[Any]:
+                return [fn(members[0])]
+
         def run(idxs: List[int]) -> List[Any]:
-            if len(idxs) == 1:
-                return [fn(items[idxs[0]])]
-            results = fn.run_cohort([items[i] for i in idxs])
+            results = run_cohort([items[i] for i in idxs])
             if len(results) != len(idxs):
                 raise RuntimeError(
                     f"cohort fn returned {len(results)} results for "

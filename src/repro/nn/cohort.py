@@ -12,7 +12,9 @@ bit-identical to the serial path: the GEMMs batch over the leading client
 axis (same BLAS call per slice) and every *reduction* (weight/bias
 gradients, batch statistics) stays inside one client's rows.
 
-This module owns the slab lifecycle:
+Every client trains as a cohort: :func:`train_cohort` runs one trainer
+body over K ≥ 1 clients, and a cohort of one runs on the serial layout
+(no slab, no batch copy).  This module owns the slab lifecycle:
 
 * :func:`install_cohort` stacks K state dicts into parameter/buffer slabs,
 * :func:`extract_cohort` slices the trained slabs back into K state dicts,
@@ -20,17 +22,18 @@ This module owns the slab lifecycle:
   models are reused across rounds, so this must run even on failure),
 
 plus :class:`CohortCrossEntropyLoss`, the per-client-sliced loss whose
-gradient matches K independent serial mean-CE losses bit for bit.
+gradient matches K independent serial mean-CE losses bit for bit, and
+:func:`stack_rows`, the batch-axis concatenation the trainers share.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.nn.grad_mode import require_unfrozen
-from repro.nn.losses import log_softmax, softmax
+from repro.nn.losses import CrossEntropyLoss
 from repro.nn.module import Module
 
 StateDict = Dict[str, np.ndarray]
@@ -94,13 +97,47 @@ def clear_cohort(model: Module) -> None:
     model._cohort_k = 0
 
 
-class CohortCrossEntropyLoss:
+def train_cohort(
+    model: Module,
+    k: int,
+    train: Callable[[Module], object],
+    base: Optional[StateDict] = None,
+) -> List[StateDict]:
+    """Train K clients from one round-base state; returns their K trained states.
+
+    ``train(model)`` runs the trainer body once, for all K clients.  Every
+    client starts from ``base`` (``None``: the state ``model`` holds now).
+    K > 1 installs K copies as slabs, trains, and extracts the slices; the
+    slabs are cleared even on failure.  K = 1 is the serial layout: the
+    state is loaded into ``Parameter.data``, trained with no slab, and
+    snapshotted — exactly a lone client's array operations.
+    """
+    if k == 1:
+        if base is not None:
+            model.load_state_dict(base)
+        train(model)
+        return [model.state_dict()]
+    try:
+        install_cohort(model, [model.state_dict() if base is None else base] * k)
+        train(model)
+        return extract_cohort(model)
+    finally:
+        clear_cohort(model)
+
+
+def stack_rows(blocks: Sequence[np.ndarray]) -> np.ndarray:
+    """K per-client row blocks as one ``(K·B, ...)`` batch; one block is not copied."""
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+
+
+class CohortCrossEntropyLoss(CrossEntropyLoss):
     """Per-client mean cross-entropy over a (K·B, C) stacked logits batch.
 
     ``forward`` returns the K per-client losses (each the serial client's
     ``float(-picked.mean())`` over its own contiguous slice); ``backward``
     divides by the per-client batch size B — not K·B — so each client's
     logit gradient equals the serial ``CrossEntropyLoss.backward`` exactly.
+    A batch that does not split into K equal slices raises ``ValueError``.
     """
 
     def __init__(self, k: int):
@@ -109,24 +146,7 @@ class CohortCrossEntropyLoss:
         self.k = k
 
     def forward(self, logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        if logits.ndim != 2:
-            raise ValueError(f"logits must be 2-D, got shape {logits.shape}")
-        labels = np.asarray(labels)
-        self._probs = softmax(logits)
-        self._labels = labels
-        n = logits.shape[0]
-        b = n // self.k
-        picked = log_softmax(logits)[np.arange(n), labels]
-        return np.array(
-            [float(-picked[i * b : (i + 1) * b].mean()) for i in range(self.k)]
-        )
+        return self._losses(logits, labels)
 
     def backward(self) -> np.ndarray:
-        n = self._probs.shape[0]
-        b = n // self.k
-        grad = self._probs.copy()
-        grad[np.arange(n), self._labels] -= 1.0
-        return grad / b
-
-    def __call__(self, logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        return self.forward(logits, labels)
+        return self._logit_grad()

@@ -35,25 +35,45 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
 class CrossEntropyLoss:
     """Mean softmax cross-entropy over a batch of integer labels."""
 
+    #: Clients stacked on the batch axis: the mean runs over each client's
+    #: own ``N / k`` rows (:class:`repro.nn.cohort.CohortCrossEntropyLoss`).
+    k = 1
+
     def forward(self, logits: np.ndarray, labels: np.ndarray) -> float:
-        if logits.ndim != 2:
-            raise ValueError(f"logits must be 2-D, got shape {logits.shape}")
-        labels = np.asarray(labels)
-        self._probs = softmax(logits)
-        self._labels = labels
-        n = logits.shape[0]
-        picked = log_softmax(logits)[np.arange(n), labels]
-        return float(-picked.mean())
+        return float(self._losses(logits, labels)[0])
 
     def backward(self) -> np.ndarray:
         """Gradient of the mean loss w.r.t. the logits."""
-        n = self._probs.shape[0]
-        grad = self._probs.copy()
-        grad[np.arange(n), self._labels] -= 1.0
-        return grad / n
+        return self._logit_grad()
 
     def __call__(self, logits: np.ndarray, labels: np.ndarray) -> float:
         return self.forward(logits, labels)
+
+    # The one body of both loss classes; each keeps its own ``forward`` and
+    # ``backward`` so a wrapper on one never runs inside the other.
+    def _losses(self, logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        """The ``k`` per-client mean losses, each over its contiguous slice."""
+        if logits.ndim != 2:
+            raise ValueError(f"logits must be 2-D, got shape {logits.shape}")
+        n = logits.shape[0]
+        if n % self.k:
+            raise ValueError(
+                f"a batch of n={n} rows does not split into k={self.k} equal client slices"
+            )
+        labels = np.asarray(labels)
+        self._probs = softmax(logits)
+        self._labels = labels
+        picked = log_softmax(logits)[np.arange(n), labels]
+        b = n // self.k
+        return np.array([float(-picked[i * b : (i + 1) * b].mean()) for i in range(self.k)])
+
+    def _logit_grad(self) -> np.ndarray:
+        # Divided by the per-client batch size, so each client's slice is its
+        # own mean loss's gradient.
+        n = self._probs.shape[0]
+        grad = self._probs.copy()
+        grad[np.arange(n), self._labels] -= 1.0
+        return grad / (n // self.k)
 
 
 class StrongConvexityLoss:

@@ -1,5 +1,7 @@
 """Tests for synthetic tasks, loaders, and federated partitioners."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from repro.data import (
     public_private_split,
 )
 from repro.data.synthetic import make_synthetic_task
+from repro.nn import dtype_scope
 
 
 class TestArrayDataset:
@@ -164,3 +167,40 @@ class TestPartitions:
     def test_public_frac_validation(self):
         with pytest.raises(ValueError):
             public_private_split(self._labels(), 1.0)
+
+
+# sha256 over (dtype, shape, bytes) of train x, train y, test x, test y, as
+# the generator wrote them before it stopped keeping float64 class blocks.
+SYNTHESIS_DIGESTS = {
+    "cifar8": (
+        lambda: make_cifar10_like(image_size=8, train_per_class=20, test_per_class=5, seed=0),
+        "ea2c9cf0abfe6e13a8141c45543da6d9ec7dc664d84b8e4ca377c7da5240b805",
+        "dbd77e622ba2794b49c153148d21f4d57275e05a7c4cf8d3c57fa51cd16b6be3",
+    ),
+    "jfat_dense": (
+        lambda: make_cifar10_like(image_size=16, train_per_class=120, test_per_class=24, seed=0),
+        "bb4ef7bae08cdf3ca7c78a13eca0aae1d80ba2b589215e5f89214c8cc368e6c0",
+        "2f20e6630fdb54443af32df34cc71e84ca5ab559da01842a97d2ff8581d562fa",
+    ),
+    "caltech": (
+        lambda: make_caltech256_like(
+            image_size=12, num_classes=5, train_per_class=7, test_per_class=3, seed=3
+        ),
+        "499c9d1c24d2749e21d858259e65cf078e37319c4a33bab70d425588bcfe2e0d",
+        "187c3fc4c1683da3a26bc5ec13d09b5351ff7110096c7b92281ba26846022bb4",
+    ),
+}
+
+
+@pytest.mark.parametrize("geometry", sorted(SYNTHESIS_DIGESTS))
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_synthesis_is_pinned_byte_for_byte(geometry, dtype):
+    make, float32_digest, float64_digest = SYNTHESIS_DIGESTS[geometry]
+    with dtype_scope(dtype):
+        task = make()
+    h = hashlib.sha256()
+    for split in (task.train, task.test):
+        for a in (split.x, split.y):
+            h.update(str((a.dtype.str, a.shape)).encode())
+            h.update(a.tobytes())
+    assert h.hexdigest() == {"float32": float32_digest, "float64": float64_digest}[dtype]

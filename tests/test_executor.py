@@ -37,15 +37,16 @@ class TestRoundExecutor:
 
     @pytest.mark.parametrize("width", [1, 4, 8])
     def test_map_never_fuses(self, width):
-        # The eval path's barrier: a CohortFn runs per item at any width.
-        calls = []
-        fn = CohortFn(
-            lambda i: calls.append(i) or -i,
-            lambda items: pytest.fail(f"map fused {items}"),
-            group_key=lambda i: "g",
-        )
+        # The eval path's barrier: a CohortFn runs cohorts of one at any width.
+        cohorts = []
+
+        def cohort_fn(items):
+            cohorts.append(list(items))
+            return [-i for i in items]
+
+        fn = CohortFn(cohort_fn, group_key=lambda i: "g")
         assert RoundExecutor(fusion_width=width).map(fn, range(6)) == [-i for i in range(6)]
-        assert calls == list(range(6))
+        assert cohorts == [[i] for i in range(6)]
 
     def test_exceptions_propagate(self):
         def boom(i):

@@ -17,16 +17,22 @@ What is observable about that, pinned here:
 import numpy as np
 import pytest
 
+import repro.baselines.fedrbn as fedrbn_module
 import repro.baselines.jfat as jfat_module
 import repro.core.prophet as prophet_module
-from repro.baselines import JointFAT
+import repro.nn.cohort as cohort_module
+from repro.baselines import FedRBN, JointFAT
 from repro.cli import build_parser
 from repro.core import FedProphet, FedProphetConfig
 from repro.data import ArrayDataset, make_cifar10_like
 from repro.flsim import FLConfig, RunJournal, replay_run
 from repro.flsim.executor import CohortFn, RoundExecutor
 from repro.flsim.scheduler import FLScheduler
+from repro.hardware import Device, DeviceSampler
+from repro.hardware.memory import MemoryModel
 from repro.models import build_cnn
+from repro.nn import DualBatchNorm2d
+from repro.optim.sgd import SGD
 from tests.helpers import record_cohort_widths
 
 
@@ -66,24 +72,16 @@ def _assert_same_weights(a, b):
 
 @pytest.fixture
 def trainer_calls(monkeypatch):
-    """Count jFAT's leaf-trainer calls; ``cohort`` records each width."""
-    calls = {"item": 0, "cohort": []}
-    item, cohort = (
-        jfat_module.adversarial_local_train,
-        jfat_module.cohort_adversarial_local_train,
-    )
+    """The width of every call to jFAT's one leaf trainer, in call order."""
+    widths = []
+    real = jfat_module.cohort_adversarial_local_train
 
-    def counted_item(*args, **kwargs):
-        calls["item"] += 1
-        return item(*args, **kwargs)
+    def counted(model, datasets, *args, **kwargs):
+        widths.append(len(datasets))
+        return real(model, datasets, *args, **kwargs)
 
-    def counted_cohort(model, datasets, *args, **kwargs):
-        calls["cohort"].append(len(datasets))
-        return cohort(model, datasets, *args, **kwargs)
-
-    monkeypatch.setattr(jfat_module, "adversarial_local_train", counted_item)
-    monkeypatch.setattr(jfat_module, "cohort_adversarial_local_train", counted_cohort)
-    return calls
+    monkeypatch.setattr(jfat_module, "cohort_adversarial_local_train", counted)
+    return widths
 
 
 # ---------------------------------------------------------------------------
@@ -101,19 +99,19 @@ class TestDefaultRoundPath:
     def test_equal_shards_train_as_one_cohort_call(self, trainer_calls):
         with _jfat(rounds=1) as exp:
             exp.run()
-        assert trainer_calls == {"item": 0, "cohort": [8]}
+        assert trainer_calls == [8]
 
     def test_ragged_shards_train_per_item(self, trainer_calls):
         with _jfat(rounds=1) as exp:
             for client in exp.clients:  # 25, 24, ... samples: 8 fusion keys
                 client._dataset = client.dataset.subset(range(25 - client.cid))
             exp.run()
-        assert trainer_calls == {"item": 8, "cohort": []}
+        assert trainer_calls == [1] * 8
 
     def test_fusion_width_one_trains_per_item(self, trainer_calls):
         with _jfat(rounds=1, fusion_width=1) as exp:
             exp.run()
-        assert trainer_calls == {"item": 8, "cohort": []}
+        assert trainer_calls == [1] * 8
 
     def test_none_keys_and_plain_functions_run_per_item(self):
         scheduler = FLScheduler(RoundExecutor())
@@ -127,11 +125,13 @@ class TestDefaultRoundPath:
             log.append(("cohort", tuple(items)))
             return list(items)
 
-        unkeyed = CohortFn(item_fn, cohort_fn, group_key=lambda i: None)
+        unkeyed = CohortFn(cohort_fn, group_key=lambda i: None)
         assert scheduler.run_group("t", unkeyed, range(4)) == [0, 1, 2, 3]
+        assert log == [("cohort", (i,)) for i in range(4)]
+        del log[:]
         assert scheduler.run_group("t", item_fn, range(4)) == [0, 1, 2, 3]
-        assert log == [("item", i) for i in range(4)] * 2
-        keyed = CohortFn(item_fn, cohort_fn, group_key=lambda i: "g")
+        assert log == [("item", i) for i in range(4)]
+        keyed = CohortFn(cohort_fn, group_key=lambda i: "g")
         del log[:]
         assert scheduler.run_group("t", keyed, range(10)) == list(range(10))
         assert log == [("cohort", tuple(range(8))), ("cohort", (8, 9))]
@@ -153,11 +153,7 @@ class TestDefaultRoundPath:
 
 class TestSchedulerRunsCohorts:
     def test_sixteen_fusable_clients_run_as_two_cohorts(self):
-        fn = CohortFn(
-            lambda item: 1,
-            lambda items: [len(items)] * len(items),
-            group_key=lambda item: "g",
-        )
+        fn = CohortFn(lambda items: [len(items)] * len(items), group_key=lambda item: "g")
         ex = RoundExecutor(fusion_width=8)
         assert [len(c) for c in ex.plan_cohorts(fn, range(16))] == [8, 8]
         assert FLScheduler(ex).run_group("t", fn, range(16)) == [8] * 16
@@ -208,13 +204,13 @@ def _serial_layout(model):
 
 
 class TestHostileCohort:
-    def _abort(self, tmp_path, monkeypatch, width, target):
-        """Run with ``target`` (a jfat leaf trainer) raising; return the error."""
+    def _abort(self, tmp_path, monkeypatch, width):
+        """Run with jFAT's leaf trainer raising; return the error."""
 
         def explode(*args, **kwargs):
             raise FloatingPointError("client exploded")
 
-        monkeypatch.setattr(jfat_module, target, explode)
+        monkeypatch.setattr(jfat_module, "cohort_adversarial_local_train", explode)
         path = str(tmp_path / f"w{width}.jsonl")
         exp = _jfat(journal_path=path, fusion_width=width)
         with pytest.raises(FloatingPointError, match="client exploded") as info:
@@ -224,12 +220,8 @@ class TestHostileCohort:
         return exp, info.value, kinds
 
     def test_raising_unit_aborts_like_the_per_item_path(self, tmp_path, monkeypatch):
-        _, per_item, kinds_1 = self._abort(
-            tmp_path, monkeypatch, 1, "adversarial_local_train"
-        )
-        exp, fused, kinds_8 = self._abort(
-            tmp_path, monkeypatch, 8, "cohort_adversarial_local_train"
-        )
+        _, per_item, kinds_1 = self._abort(tmp_path, monkeypatch, 1)
+        exp, fused, kinds_8 = self._abort(tmp_path, monkeypatch, 8)
         assert type(fused) is type(per_item)
         assert kinds_8 == kinds_1 and kinds_8[-1] == "run_abort"
         assert "round" not in kinds_8
@@ -244,7 +236,7 @@ class TestHostileCohort:
             done.append(tuple(items))
             return list(items)
 
-        fn = CohortFn(lambda i: i, cohort_fn, group_key=lambda i: "g")
+        fn = CohortFn(cohort_fn, group_key=lambda i: "g")
         scheduler = FLScheduler(RoundExecutor())
         group = scheduler.submit_group("t", fn, range(24))
         assert done == []  # inline cohorts run when pulled
@@ -315,3 +307,76 @@ class TestHostileCohort:
             assert finite == (cid != 3)
         # ... and the aggregation rule sees exactly what it saw per item
         _assert_same_weights(want, got)
+
+
+# ---------------------------------------------------------------------------
+# A cohort of one trains on the serial layout
+# ---------------------------------------------------------------------------
+
+
+def _bracketing_sampler(model):
+    """Devices around the model's training footprint: FedRBN runs both branches."""
+    r_max_gb = MemoryModel(batch_size=8).bytes_for(model, model.in_shape) / 1024**3
+    pool = [Device("small", 0.5, 2 * r_max_gb, 2), Device("large", 3.0, 12 * r_max_gb, 16)]
+    return DeviceSampler(pool, "balanced")
+
+
+class TestCohortOfOneNeverInstallsASlab:
+    """``fusion_width=1`` trains every client with no slab: no stacked copy of
+    the model's parameters exists at any step (the round's memory peak)."""
+
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        """Every SGD step's parameters must be slab-free; counts the steps."""
+        seen = []
+        real = SGD.step
+
+        def checked(opt):
+            assert all(p.slab is None and p.slab_grad is None for p in opt.params)
+            seen.append(1)
+            return real(opt)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a cohort of one installed a slab")
+
+        monkeypatch.setattr(SGD, "step", checked)
+        monkeypatch.setattr(cohort_module, "install_cohort", refuse)
+        return seen
+
+    def test_jfat_round(self, steps):
+        with _jfat(rounds=1, fusion_width=1) as exp:
+            widths = record_cohort_widths(exp)
+            exp.run()
+            assert _serial_layout(exp._async_workspace())
+        assert widths == [1] * 8
+        assert len(steps) == 8 * 2  # every client's local iterations ran
+
+    def test_fedrbn_round(self, steps, monkeypatch):
+        branches = []
+        real_dual = FedRBN._cohort_dual_adversarial_train
+        real_standard = fedrbn_module.cohort_standard_local_train
+
+        def dual(self, *args):
+            branches.append("at")
+            return real_dual(self, *args)
+
+        def standard(*args, **kwargs):
+            branches.append("standard")
+            return real_standard(*args, **kwargs)
+
+        monkeypatch.setattr(FedRBN, "_cohort_dual_adversarial_train", dual)
+        monkeypatch.setattr(fedrbn_module, "cohort_standard_local_train", standard)
+
+        def builder(rng):
+            return build_cnn(3, 10, (3, 8, 8), base_channels=4, rng=rng,
+                             bn_cls=DualBatchNorm2d)
+
+        sampler = _bracketing_sampler(builder(np.random.default_rng(0)))
+        with FedRBN(_task(), builder, _cfg(rounds=1, fusion_width=1),
+                    device_sampler=sampler) as exp:
+            widths = record_cohort_widths(exp)
+            exp.run()
+            assert _serial_layout(exp._async_workspace())
+        assert widths == [1] * 8
+        assert set(branches) == {"at", "standard"}
+        assert len(steps) == 8 * 2

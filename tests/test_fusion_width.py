@@ -139,10 +139,7 @@ class TestDerivedWidth:
 
 
 def _fn(width=None):
-    return CohortFn(
-        lambda i: i, lambda items: list(items),
-        group_key=lambda i: "g", width=width,
-    )
+    return CohortFn(lambda items: list(items), group_key=lambda i: "g", width=width)
 
 
 class TestPlanning:

@@ -184,6 +184,13 @@ class TestCohortCrossEntropy:
         with pytest.raises(ValueError):
             CohortCrossEntropyLoss(0)
 
+    def test_rejects_a_ragged_batch(self):
+        # 7 rows do not split into 3 clients: no silently dropped rows, no
+        # gradient divided by the wrong count.
+        logits = np.zeros((7, 4), dtype=np.float32)
+        with pytest.raises(ValueError, match=r"n=7 .*k=3"):
+            CohortCrossEntropyLoss(3)(logits, np.zeros(7, dtype=np.int64))
+
 
 # ---------------------------------------------------------------------------
 # Cohort planning and the CohortFn contract
@@ -193,27 +200,24 @@ class TestCohortCrossEntropy:
 class TestCohortPlanning:
     def test_groups_chunked_to_fusion_width(self):
         ex = RoundExecutor(fusion_width=4)
-        fn = CohortFn(lambda i: i, lambda it: it, group_key=lambda i: "g")
+        fn = CohortFn(lambda it: it, group_key=lambda i: "g")
         assert ex.plan_cohorts(fn, list(range(6))) == [[0, 1, 2, 3], [4, 5]]
 
     def test_none_keys_stay_singletons(self):
         ex = RoundExecutor(fusion_width=4)
-        fn = CohortFn(
-            lambda i: i, lambda it: it,
-            group_key=lambda i: None if i % 2 else "g",
-        )
+        fn = CohortFn(lambda it: it, group_key=lambda i: None if i % 2 else "g")
         plan = ex.plan_cohorts(fn, list(range(5)))
         assert [0, 2, 4] in plan
         assert [1] in plan and [3] in plan
 
     def test_distinct_keys_never_fuse(self):
         ex = RoundExecutor(fusion_width=4)
-        fn = CohortFn(lambda i: i, lambda it: it, group_key=lambda i: i % 2)
+        fn = CohortFn(lambda it: it, group_key=lambda i: i % 2)
         assert sorted(ex.plan_cohorts(fn, list(range(4)))) == [[0, 2], [1, 3]]
 
     def test_fusion_width_one_disables_fusion(self):
         ex = RoundExecutor(fusion_width=1)
-        fn = CohortFn(lambda i: i, lambda it: it, group_key=lambda i: "g")
+        fn = CohortFn(lambda it: it, group_key=lambda i: "g")
         assert ex.plan_cohorts(fn, list(range(3))) == [[0], [1], [2]]
 
     def test_plain_fn_runs_per_item(self):
@@ -226,14 +230,13 @@ class TestCohortPlanning:
         # fuses), so the barrier view is FLScheduler.run_group.
         ex = RoundExecutor(fusion_width=3)
         fn = CohortFn(
-            lambda i: ("item", i),
-            lambda items: [("cohort", i) for i in items],
+            lambda items: [(len(items), i) for i in items],
             group_key=lambda i: None if i in (1, 4) else "g",
         )
         out = FLScheduler(ex).run_group("t", fn, list(range(6)))
         assert [v[1] for v in out] == list(range(6))
-        assert out[1][0] == "item" and out[4][0] == "item"
-        assert out[0][0] == "cohort"
+        assert out[1][0] == 1 and out[4][0] == 1  # None keys: cohorts of one
+        assert out[0][0] == 3
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -115,7 +115,7 @@ class TestCohortGroups:
                 raise RuntimeError("cohort failed")
             return [10 * i for i in items]
 
-        fn = CohortFn(lambda i: run([i])[0], run, group_key=self._key)
+        fn = CohortFn(run, group_key=self._key)
         ex = RoundExecutor(fusion_width=width)
         plan = [tuple(self.ITEMS[i] for i in c) for c in ex.plan_cohorts(fn, self.ITEMS)]
         return FLScheduler(ex).submit_group("t", fn, self.ITEMS), runs, plan

@@ -481,6 +481,14 @@ class TestThreatMatrix:
         exp = _run_jfat(plan, rule, mode=mode, fusion_width=1)
         _assert_states_equal(reference, _state(exp), label="per item:")
 
+    def test_gaussian_noise_is_identical_fused_and_per_item(self):
+        # The noise is drawn in the update's key order, and a client reports
+        # its update in one key order at every width.
+        plan = _plan("gaussian")
+        reference = _state(_run_jfat(plan, "fedavg"))
+        exp = _run_jfat(plan, "fedavg", fusion_width=1)
+        _assert_states_equal(reference, _state(exp), label="per item:")
+
     @pytest.mark.parametrize("mode", ["sync", "async"])
     @pytest.mark.parametrize(
         "attack,rule",
