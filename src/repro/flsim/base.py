@@ -718,7 +718,7 @@ class FederatedExperiment:
         if isinstance(fn, CohortFn):
 
             def poisoned_cohort_fn(items):
-                return [poison(item, update) for item, update in zip(items, fn.run_cohort(items))]
+                return [poison(item, update) for item, update in zip(items, fn.cohort_fn(items))]
 
             return CohortFn(poisoned_cohort_fn, group_key=fn.group_key, width=fn.width)
 

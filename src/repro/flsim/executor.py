@@ -93,9 +93,6 @@ class CohortFn:
     def __call__(self, item: Any) -> Any:
         return self.cohort_fn([item])[0]
 
-    def run_cohort(self, items: List[Any]) -> List[Any]:
-        return self.cohort_fn(items)
-
     def group_key(self, item: Any) -> Any:
         return self._group_key(item) if self._group_key is not None else None
 

@@ -160,7 +160,7 @@ class FLScheduler:
         """
         if isinstance(fn, CohortFn):
             cohorts = self.executor.plan_cohorts(fn, items)
-            run_cohort = fn.run_cohort
+            run_cohort = fn.cohort_fn
         else:
             cohorts = [[i] for i in range(len(items))]
 
