@@ -162,7 +162,7 @@ class FedRBN(FederatedExperiment):
                 self._async_workspace(), len(items), local_train, base=base_state
             )
 
-        return CohortFn(train, group_key=self._fuse_key, width=self.cohort_width)
+        return CohortFn(train, group_key=self._fuse_key)
 
     def async_client_costs(self, round_idx, clients, states):
         return [self._cost(dev, self.can_afford_at(dev)) for dev in states]

@@ -102,7 +102,7 @@ class JointFAT(FederatedExperiment):
             n = client.num_samples
             return (n, min(cfg.batch_size, n))
 
-        return CohortFn(train, group_key=fuse_key, width=self.cohort_width)
+        return CohortFn(train, group_key=fuse_key)
 
     def async_client_costs(self, round_idx, clients, states):
         return [self._cost(dev) for dev in states]

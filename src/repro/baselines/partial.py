@@ -117,7 +117,7 @@ class PartialTrainingFAT(FederatedExperiment):
                 for state, (client, _dev) in zip(trained, items)
             ]
 
-        return CohortFn(train, group_key=self._fuse_key, width=self.cohort_width)
+        return CohortFn(train, group_key=self._fuse_key)
 
     def async_client_costs(self, round_idx, clients, states):
         """Pre-training latency: slice each client's architecture and cost it.

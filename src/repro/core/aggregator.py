@@ -6,7 +6,7 @@ local data size; head n is averaged over the clients whose *last* module
 was n (M_k = n), since only they trained that head.
 
 The module also owns the server-side asynchronous merge primitives of
-the unified task scheduler:
+the cross-round pipeline:
 
 * :func:`async_merge_schedule` / :func:`merge_async_update` /
   :func:`merge_async_partial` — staleness-bounded asynchronous

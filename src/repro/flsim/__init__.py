@@ -49,12 +49,7 @@ from repro.flsim.threats import (
     ThreatPlan,
 )
 from repro.flsim.executor import RoundExecutor
-from repro.flsim.scheduler import (
-    AsyncRoundTicket,
-    CrossRoundPipeline,
-    FLScheduler,
-    TaskGroup,
-)
+from repro.flsim.scheduler import AsyncRoundTicket, CrossRoundPipeline
 from repro.flsim.eval_executor import EvalExecutor, EvalShard, EvalTarget
 from repro.flsim.local import adversarial_local_train, standard_local_train
 from repro.flsim.history import (
@@ -86,8 +81,6 @@ from repro.flsim.checkpoint import (
 
 __all__ = [
     "RoundExecutor",
-    "FLScheduler",
-    "TaskGroup",
     "AsyncRoundTicket",
     "CrossRoundPipeline",
     "AsyncMergeEvent",

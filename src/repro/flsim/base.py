@@ -38,7 +38,7 @@ from repro.flsim.population import (
     FLClient,
 )
 from repro.flsim.robust_agg import AGGREGATION_RULES, RobustAggregator, masked_robust_average
-from repro.flsim.scheduler import CrossRoundPipeline, FLScheduler
+from repro.flsim.scheduler import CrossRoundPipeline
 from repro.flsim.threats import RoundThreats, ThreatPlan
 from repro.hardware.devices import DeviceSampler, DeviceState
 from repro.hardware.flops import training_flops_per_iteration
@@ -199,6 +199,10 @@ class FLConfig:
     availability_period: int = 8
 
     def __post_init__(self):
+        sizes = {"num_clients": 1, "clients_per_round": 1, "local_iters": 0, "rounds": 0}
+        for name, least in sizes.items():
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if self.clients_per_round > self.num_clients:
             warnings.warn(
                 f"clients_per_round={self.clients_per_round} exceeds "
@@ -472,8 +476,10 @@ class FederatedExperiment:
                 f"(e.g. cascade_eval feeding APA), so nothing may overlap the "
                 f"next round and its async mode merges within a round"
             )
-        self.executor = RoundExecutor(fusion_width=config.fusion_width)
-        self.scheduler = FLScheduler(self.executor)
+        width = config.fusion_width
+        if width is None:
+            width = derived_fusion_width(self.client_activation_bytes)
+        self.executor = RoundExecutor(fusion_width=width)
         self.eval_executor = EvalExecutor(self.executor)
         self._async_workspaces: dict = {}
         #: Applied merge events of every asynchronous round, in merge order.
@@ -695,7 +701,7 @@ class FederatedExperiment:
         measured against); ``fn(item)`` must take ``(client,
         device_state)`` items.  Honest rounds return ``fn`` unchanged, so
         an inactive plan costs nothing.  A :class:`~repro.flsim.executor.
-        CohortFn` stays a ``CohortFn`` (same ``group_key`` and ``width``)
+        CohortFn` stays a ``CohortFn`` (same ``group_key``)
         — the poisoning applies to each client's extracted update after
         training, so cohort composition is unaffected.
         """
@@ -720,7 +726,7 @@ class FederatedExperiment:
             def poisoned_cohort_fn(items):
                 return [poison(item, update) for item, update in zip(items, fn.cohort_fn(items))]
 
-            return CohortFn(poisoned_cohort_fn, group_key=fn.group_key, width=fn.width)
+            return CohortFn(poisoned_cohort_fn, group_key=fn.group_key)
 
         def poisoned_fn(item):
             return poison(item, fn(item))
@@ -793,18 +799,6 @@ class FederatedExperiment:
         model = self.global_model
         activations = profile_module(model, model.in_shape).activations
         return BYTES_PER_SCALAR * self.config.batch_size * activations
-
-    @property
-    def cohort_width(self) -> Optional[int]:
-        """The ``width`` this experiment's :class:`CohortFn` carries.
-
-        Derived from :attr:`client_activation_bytes` when ``fusion_width``
-        is left at ``None``; an explicit ``fusion_width`` already sits on
-        the executor and the work function adds no cap of its own.
-        """
-        if self.config.fusion_width is not None:
-            return None
-        return derived_fusion_width(self.client_activation_bytes)
 
     def _model_costs(
         self, model: CascadeModel, pgd_steps: Optional[int] = None
@@ -1070,7 +1064,7 @@ class FederatedExperiment:
 
         def new_pipeline() -> CrossRoundPipeline:
             return CrossRoundPipeline(
-                self.scheduler,
+                self.executor,
                 max_staleness=cfg.max_staleness if cfg.aggregation_mode == "async" else 0,
                 depth=cfg.pipeline_depth,
                 merge_event=merge_event,
@@ -1246,19 +1240,15 @@ class FederatedExperiment:
     def describe_parallelism(self) -> str:
         """The resolved execution-engine settings, for verbose reporting."""
         cfg = self.config
-        if cfg.fusion_width is not None:
-            width, cause = self.executor.fusion_width, "configured"
-        else:
-            width = self.cohort_width  # <= the executor's default bound
-            cause = (
-                f"derived: 4·B·A = {self.client_activation_bytes / 2**10:.4g} KiB "
-                f"per client against a {STACKED_ACTIVATION_BUDGET >> 10} KiB "
-                f"stacked budget, at most {DEFAULT_FUSION_WIDTH}; configured: auto"
-            )
+        cause = "configured" if cfg.fusion_width is not None else (
+            f"derived: 4·B·A = {self.client_activation_bytes / 2**10:.4g} KiB "
+            f"per client against a {STACKED_ACTIVATION_BUDGET >> 10} KiB "
+            f"stacked budget, at most {DEFAULT_FUSION_WIDTH}; configured: auto"
+        )
         engine = (
             "engine: serial, one work unit at a time; fusion width "
-            f"{width} ({cause}) for equal-key clients, others per item, "
-            f"1 disables fusion"
+            f"{self.executor.fusion_width} ({cause}) for equal-key clients, "
+            f"others per item, 1 disables fusion"
         )
         pop = self.clients
         cap = pop.cache_capacity

@@ -86,9 +86,27 @@ class RunJournal:
         seq = 0
         if mode == "a" and os.path.exists(path):
             seq = len(self.read(path))
+            self._end_last_line(path)
         self.path = path
         self._file = open(path, mode, encoding="utf-8")
         self._seq = seq
+
+    @staticmethod
+    def _end_last_line(path: str) -> None:
+        """End the file at a line boundary, or the next append is glued onto
+        its last line: a torn line (which :meth:`read` ignores) is cut off,
+        a complete event that lost only its newline gets one."""
+        with open(path, "rb+") as f:
+            data = f.read()
+            tail = data[data.rfind(b"\n") + 1 :]
+            if not tail.strip():
+                return
+            try:
+                json.loads(tail)
+            except ValueError:
+                f.truncate(len(data) - len(tail))
+            else:
+                f.write(b"\n")
 
     @classmethod
     def create(cls, path: str) -> "RunJournal":

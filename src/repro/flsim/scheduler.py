@@ -1,25 +1,10 @@
-"""Task scheduler: tagged groups of work units, run on demand.
+"""Cross-round async pipeline over the round executor.
 
-``RoundExecutor.map`` is a one-shot barrier over plain functions.
-:class:`FLScheduler` registers **tagged task groups** instead:
+:class:`~repro.flsim.executor.RoundExecutor` plans and runs every group
+of work units: ``submit_group(fn, items)`` is a generator that runs the
+next cohort on each pull and yields its ``(index, result)`` pairs.
 
-* ``submit_group(tag, fn, items)`` registers one phase — e.g. the
-  train-client units of round *r* — plans its cohorts and returns a
-  :class:`TaskGroup` immediately, before anything trains;
-* :meth:`TaskGroup.next_completion` runs the next cohort when nothing is
-  pending and hands out ``(index, result)`` pairs cohort by cohort, so a
-  consumer (e.g. staleness-bounded async aggregation) can act on each
-  work unit as it is pulled, holding only the results it has not used;
-* :meth:`TaskGroup.results` is the barrier view: results in input order,
-  exceptions re-raised — drop-in for the ``map`` contract.
-
-One launch path: every group is a list of *cohorts* (a plain function is
-a group of width-1 cohorts; a :class:`~repro.flsim.executor.CohortFn`
-fuses per ``plan_cohorts``), and a cohort runs inline, in the caller,
-when a consumer pulls it.  Results are a pure function of the
-item list.
-
-On top of the task groups sits the **cross-round async pipeline**
+On top of it sits the **cross-round async pipeline**
 (:class:`CrossRoundPipeline`): up to ``depth`` training rounds in flight
 at once, each dispatched against the server state its *simulated*
 dispatch time implies (the per-round **base version** — the count of
@@ -30,165 +15,15 @@ class docstring for the full determinism argument.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.flsim.executor import CohortFn, RoundExecutor
+from repro.flsim.executor import RoundExecutor
 
-
-class TaskGroup:
-    """One tagged phase of work; each completion is handed out once, not kept."""
-
-    def __init__(self, tag: str, num_items: int):
-        self.tag = tag
-        self.num_items = num_items
-        self._unclaimed = num_items  # completions not yet handed out
-        self._completed: "deque[Tuple[int, Any, Optional[BaseException]]]" = deque()
-        # Cohorts not yet run, each a list of ``(index, result, error)``.
-        self._inline: Iterator[List[Tuple[int, Any, Optional[BaseException]]]] = iter(())
-
-    def _step(self) -> bool:
-        """Run the next cohort; ``False`` once none is left."""
-        completions = next(self._inline, None)
-        self._completed.extend(completions or ())
-        return completions is not None
-
-    # -- consumer side -----------------------------------------------------
-    def done(self) -> bool:
-        """Whether every work unit has completed (runs the rest)."""
-        return self.wait()
-
-    def wait(self) -> bool:
-        """Run every cohort not yet run; returns ``True``."""
-        while self._step():
-            pass
-        return True
-
-    def next_completion(self) -> Tuple[int, Any]:
-        """The next completed work unit; single consumer.
-
-        Returns ``(index, result)`` in completion order — cohort by
-        cohort, in the order of each cohort's first item — running the
-        next cohort when nothing is pending.  Consumers that need a specific
-        order (the async merge replay) buffer completions and act on them
-        in an order derived from *simulated* time.  A work-unit exception
-        is re-raised here.  Past the ``num_items``-th call nothing can
-        arrive: raises :class:`RuntimeError`.
-        """
-        if not self._unclaimed:
-            raise RuntimeError(f"task group {self.tag!r} handed out all {self.num_items} completions")
-        self._unclaimed -= 1
-        while not self._completed and self._step():
-            pass
-        index, result, error = self._completed.popleft()
-        if error is not None:
-            raise error
-        return index, result
-
-    def stream(self):
-        """Yield ``(index, result)`` in completion order; single consumer.
-
-        A work-unit exception is re-raised at the point the failed unit
-        would have been yielded.
-        """
-        while self._unclaimed:
-            yield self.next_completion()
-
-    def results(self) -> List[Any]:
-        """Barrier view: run every cohort, return results in input order.
-
-        Hands out every completion, so it replaces :meth:`next_completion`
-        and never follows it; the first failure to complete is re-raised.
-        """
-        if self._unclaimed != self.num_items:
-            raise RuntimeError(f"task group {self.tag!r} already handed out a completion")
-        self.wait()
-        return [result for _, result in sorted(self.stream())]
-
-
-class FLScheduler:
-    """Schedules tagged task groups over a :class:`RoundExecutor`.
-
-    Parameters
-    ----------
-    executor:
-        The backing round executor; its ``plan_cohorts`` fuses each
-        group's items.
-    """
-
-    def __init__(self, executor: RoundExecutor):
-        self.executor = executor
-
-    def submit_group(
-        self,
-        tag: str,
-        fn: Callable[[Any], Any],
-        items: Sequence[Any],
-    ) -> TaskGroup:
-        """Register one phase; nothing runs until the group is consumed.
-
-        Returns the :class:`TaskGroup` immediately — consume it via
-        :meth:`TaskGroup.stream` or :meth:`TaskGroup.results`.
-        """
-        items = list(items)
-        group = TaskGroup(tag, len(items))
-        if items:
-            self._launch(group, fn, items)
-        return group
-
-    def run_group(
-        self,
-        tag: str,
-        fn: Callable[[Any], Any],
-        items: Sequence[Any],
-    ) -> List[Any]:
-        """Submit a group and gather it: the ``map``-compatible barrier.
-
-        Results in input order, a pure function of the item list.
-        """
-        return self.submit_group(tag, fn, items).results()
-
-    # -- dispatch ----------------------------------------------------------
-    def _launch(self, group: TaskGroup, fn, items: List[Any]) -> None:
-        """Plan a group as cohorts, each run on demand, failing fast.
-
-        A plain function is a group of width-1 cohorts; a
-        :class:`CohortFn` fuses per :meth:`RoundExecutor.plan_cohorts`
-        (planned per group, so the async pipeline's per-round groups never
-        fuse clients across base versions).
-        """
-        if isinstance(fn, CohortFn):
-            cohorts = self.executor.plan_cohorts(fn, items)
-            run_cohort = fn.cohort_fn
-        else:
-            cohorts = [[i] for i in range(len(items))]
-
-            def run_cohort(members: List[Any]) -> List[Any]:
-                return [fn(members[0])]
-
-        def run(idxs: List[int]) -> List[Any]:
-            results = run_cohort([items[i] for i in idxs])
-            if len(results) != len(idxs):
-                raise RuntimeError(
-                    f"cohort fn returned {len(results)} results for "
-                    f"{len(idxs)} items"
-                )
-            return results
-
-        def inline():  # one cohort per step
-            for n, idxs in enumerate(cohorts):
-                try:
-                    results = run(idxs)
-                except BaseException as error:
-                    # a failure aborts the rest of the group, like map's
-                    # fail-fast behaviour
-                    yield [(i, None, error) for later in cohorts[n:] for i in later]
-                    return
-                yield [(i, result, None) for i, result in zip(idxs, results)]
-                del results  # the consumer owns them now: none pinned while the next runs
-
-        group._inline = inline()
+#: The pre-generator name of the executor, kept for the benchmark's
+#: traced span table, which binds ``FLScheduler.submit_group`` and
+#: ``run_group`` by name (ROADMAP item 1(b)).
+FLScheduler = RoundExecutor
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +52,7 @@ class AsyncRoundTicket:
     events: List[List[int]]
     event_times: List[float]
     meta: Any = None
-    group: Optional[TaskGroup] = None
+    group: Optional[Iterator[Tuple[int, Any]]] = None
     next_event: int = 0
     updates: Dict[int, Any] = field(default_factory=dict)
 
@@ -281,24 +116,22 @@ class CrossRoundPipeline:
 
     def __init__(
         self,
-        scheduler: FLScheduler,
+        executor: RoundExecutor,
         max_staleness: int,
         depth: int,
         merge_event: Callable[[AsyncRoundTicket, List[int], Iterator[Any], int], None],
         round_complete: Callable[[AsyncRoundTicket], None],
-        tag: str = "train",
         start_time: float = 0.0,
     ):
         if depth < 1:
             raise ValueError("pipeline depth must be >= 1")
         if max_staleness < 0:
             raise ValueError("max_staleness must be >= 0")
-        self.scheduler = scheduler
+        self.executor = executor
         self.max_staleness = max_staleness
         self.depth = depth
         self.merge_event = merge_event
         self.round_complete = round_complete
-        self.tag = tag
         #: Server version: merge events applied so far.
         self.version = 0
         #: Highest number of concurrently in-flight rounds observed.
@@ -367,7 +200,7 @@ class CrossRoundPipeline:
             event_times=event_times,
             meta=meta,
         )
-        ticket.group = self.scheduler.submit_group(self.tag, fn_factory(ticket), items)
+        ticket.group = self.executor.submit_group(fn_factory(ticket), items)
         self._last_dispatch_time = t
         previous = self._drain_watermarks[-1] if self._drain_watermarks else 0.0
         self._drain_watermarks.append(max(previous, ticket.drain_time))
@@ -404,15 +237,15 @@ class CrossRoundPipeline:
         merge schedule is fixed at dispatch, so training them early cannot
         change what merges when) beside the unmerged ones it already
         landed, and stores them with each ticket.  The live pipeline keeps
-        running afterwards: landed tickets never touch their task group
-        again (:meth:`_updates` only calls ``next_completion`` while a
-        member is un-landed).  ``export_meta`` serialises each ticket's
+        running afterwards: landed tickets never pull their group again
+        (:meth:`_updates` only calls ``next`` while a member is
+        un-landed).  ``export_meta`` serialises each ticket's
         opaque ``meta`` (the experiment's round context).
         """
         tickets = []
         for ticket in self._inflight:
             if ticket.group is not None:
-                ticket.updates.update(ticket.group.stream())
+                ticket.updates.update(ticket.group)
                 ticket.group = None
             tickets.append(
                 {
@@ -490,7 +323,7 @@ class CrossRoundPipeline:
         the pop hands the update out without this frame holding it."""
         for i in members:
             while i not in ticket.updates:
-                ticket.updates.update([ticket.group.next_completion()])
+                ticket.updates.update([next(ticket.group)])
             yield ticket.updates.pop(i)
 
     def _apply_event(self, ticket: AsyncRoundTicket) -> None:

@@ -418,12 +418,12 @@ class TestCrossRoundPipeline:
         exp = _jfat_async()
         with pytest.raises(ValueError):
             CrossRoundPipeline(
-                exp.scheduler, max_staleness=0, depth=0,
+                exp.executor, max_staleness=0, depth=0,
                 merge_event=lambda *a: None, round_complete=lambda *a: None,
             )
         with pytest.raises(ValueError):
             CrossRoundPipeline(
-                exp.scheduler, max_staleness=-1, depth=1,
+                exp.executor, max_staleness=-1, depth=1,
                 merge_event=lambda *a: None, round_complete=lambda *a: None,
             )
 

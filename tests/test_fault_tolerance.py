@@ -181,6 +181,29 @@ class TestRunJournal:
         journal.close()
         assert [e["seq"] for e in RunJournal.read(path)] == [0, 1, 2]
 
+    @pytest.mark.parametrize(
+        "tail,kept",
+        [('{"seq": 1, "kind": "rou', 1), ('{"seq": 1, "kind": "round"}', 2)],
+        ids=["torn", "unterminated"],
+    )
+    def test_resume_open_appends_after_the_last_complete_event(self, tmp_path, tail, kept):
+        # A torn tail is cut off (read() never counted it); a complete
+        # event that lost only its newline is kept.  Either way the
+        # appended events start on a line of their own.
+        path = str(tmp_path / "run.jsonl")
+        journal = RunJournal.create(path)
+        journal.append("run_start")
+        journal.close()
+        with open(path, "a", encoding="utf-8") as f:
+            f.write(tail)  # SIGKILL mid-write
+        journal = RunJournal.resume_open(path)
+        journal.append("resume", next_round=1)
+        journal.append("round", round=1)
+        journal.close()
+        events = RunJournal.read(path)
+        assert [e["seq"] for e in events] == list(range(kept + 2))
+        assert [e["kind"] for e in events[kept:]] == ["resume", "round"]
+
     def test_resume_open_requires_file(self, tmp_path):
         with pytest.raises(JournalError, match="not found"):
             RunJournal.resume_open(str(tmp_path / "missing.jsonl"))
@@ -460,6 +483,29 @@ class TestCheckpointResume:
         resumed.close()
         kinds = [(e["kind"], e.get("next_round")) for e in RunJournal.read(path)]
         assert kinds[last:last + 2] == [("checkpoint", 3), ("resume", 3)]
+        report = replay_run(path, lambda: JointFAT(_task(), _builder, _cfg()))
+        assert report.resumes_folded == 1 and report.rounds == 5
+
+    def test_resume_after_a_torn_tail_leaves_a_replayable_journal(self, tmp_path):
+        from repro.flsim.replay import replay_run
+
+        path = str(tmp_path / "run.jsonl")
+        kw = dict(journal_path=path, checkpoint_every=1)
+        exp = JointFAT(_task(), _builder, _cfg(**kw))
+        exp.run(rounds=1)
+        exp.close()
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        first = next(i for i, line in enumerate(lines) if '"kind": "checkpoint"' in line)
+        with open(path, "w", encoding="utf-8") as fh:  # killed mid-write of the next event
+            fh.write("\n".join(lines[: first + 1]) + "\n" + f'{{"seq": {first + 1}, "kind": "sam')
+
+        resumed = JointFAT(_task(), _builder, _cfg(**kw))
+        resumed.resume(path)
+        resumed.close()
+        events = RunJournal.read(path)
+        assert [e["seq"] for e in events] == list(range(len(events)))
+        assert events[first + 1]["kind"] == "resume" and events[-1]["kind"] == "run_end"
         report = replay_run(path, lambda: JointFAT(_task(), _builder, _cfg()))
         assert report.resumes_folded == 1 and report.rounds == 5
 
@@ -846,6 +892,18 @@ class TestLifecycleSatellites:
             exp.run()
         assert list(RunJournal.read(path))[-1]["kind"] == "run_abort"
         assert exp._journal is None
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("num_clients", 0), ("num_clients", -3), ("clients_per_round", 0),
+         ("local_iters", -1), ("rounds", -2)],
+    )
+    def test_sizes_it_cannot_run_are_refused(self, field, value):
+        # Refused by name, before the clients_per_round clamp could warn.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=field):
+                _cfg(**{field: value})
 
     def test_clients_per_round_clamps_with_warning(self):
         with pytest.warns(RuntimeWarning, match="clamping"):

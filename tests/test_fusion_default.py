@@ -6,7 +6,7 @@ What is observable about that, pinned here:
   (the width is derived; ``tests/test_fusion_width.py`` pins the rule) into
   one stacked trainer call; ragged shards, ``None`` keys and plain work functions stay per
   item, and FedProphet (a plain work function) trains exactly as before;
-* the scheduler runs one call per *cohort*;
+* the executor runs one call per *cohort*;
 * ``fusion_width`` is non-semantic: a run journalled and checkpointed
   per item resumes and replays bit-identically fused;
 * hostile input inside a cohort — a raising work unit, a NaN shard —
@@ -27,7 +27,6 @@ from repro.core import FedProphet, FedProphetConfig
 from repro.data import ArrayDataset, make_cifar10_like
 from repro.flsim import FLConfig, RunJournal, replay_run
 from repro.flsim.executor import CohortFn, RoundExecutor
-from repro.flsim.scheduler import FLScheduler
 from repro.hardware import Device, DeviceSampler
 from repro.hardware.memory import MemoryModel
 from repro.models import build_cnn
@@ -114,7 +113,7 @@ class TestDefaultRoundPath:
         assert trainer_calls == [1] * 8
 
     def test_none_keys_and_plain_functions_run_per_item(self):
-        scheduler = FLScheduler(RoundExecutor())
+        ex = RoundExecutor()
         log = []
 
         def item_fn(i):
@@ -126,14 +125,14 @@ class TestDefaultRoundPath:
             return list(items)
 
         unkeyed = CohortFn(cohort_fn, group_key=lambda i: None)
-        assert scheduler.run_group("t", unkeyed, range(4)) == [0, 1, 2, 3]
+        assert ex.run_group(unkeyed, range(4)) == [0, 1, 2, 3]
         assert log == [("cohort", (i,)) for i in range(4)]
         del log[:]
-        assert scheduler.run_group("t", item_fn, range(4)) == [0, 1, 2, 3]
+        assert ex.run_group(item_fn, range(4)) == [0, 1, 2, 3]
         assert log == [("item", i) for i in range(4)]
         keyed = CohortFn(cohort_fn, group_key=lambda i: "g")
         del log[:]
-        assert scheduler.run_group("t", keyed, range(10)) == list(range(10))
+        assert ex.run_group(keyed, range(10)) == list(range(10))
         assert log == [("cohort", tuple(range(8))), ("cohort", (8, 9))]
 
     def test_fedprophet_trains_per_item_as_before(self, monkeypatch):
@@ -151,12 +150,12 @@ class TestDefaultRoundPath:
         assert len(calls) == 2 * 4  # one per sampled client per round
 
 
-class TestSchedulerRunsCohorts:
+class TestExecutorRunsCohorts:
     def test_sixteen_fusable_clients_run_as_two_cohorts(self):
         fn = CohortFn(lambda items: [len(items)] * len(items), group_key=lambda item: "g")
         ex = RoundExecutor(fusion_width=8)
         assert [len(c) for c in ex.plan_cohorts(fn, range(16))] == [8, 8]
-        assert FLScheduler(ex).run_group("t", fn, range(16)) == [8] * 16
+        assert ex.run_group(fn, range(16)) == [8] * 16
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +226,7 @@ class TestHostileCohort:
         assert "round" not in kinds_8
         assert _serial_layout(exp._async_workspace())
 
-    def test_failed_cohort_fails_its_members_and_everything_after(self):
+    def test_failed_cohort_raises_once_and_ends_the_group(self):
         done = []
 
         def cohort_fn(items):
@@ -237,21 +236,18 @@ class TestHostileCohort:
             return list(items)
 
         fn = CohortFn(cohort_fn, group_key=lambda i: "g")
-        scheduler = FLScheduler(RoundExecutor())
-        group = scheduler.submit_group("t", fn, range(24))
+        ex = RoundExecutor()
+        group = ex.submit_group(fn, range(24))
         assert done == []  # inline cohorts run when pulled
-        assert [group.next_completion() for _ in range(8)] == [(i, i) for i in range(8)]
+        assert [next(group) for _ in range(8)] == [(i, i) for i in range(8)]
         assert done == [tuple(range(8))]
-        for _ in range(8, 24):  # the second cohort's members and the third's
-            with pytest.raises(ValueError, match="second cohort"):
-                group.next_completion()
-        assert group.done() and done == [tuple(range(8))]  # third never ran
-        with pytest.raises(RuntimeError, match="handed out all 24"):
-            group.next_completion()
+        with pytest.raises(ValueError, match="second cohort"):
+            next(group)  # raised once, at the pull that runs the second cohort
+        assert list(group) == [] and done == [tuple(range(8))]  # the third never ran
         # the barrier view raises the same error, with the same cohorts run
         done.clear()
         with pytest.raises(ValueError, match="second cohort"):
-            scheduler.submit_group("t", fn, range(24)).results()
+            ex.run_group(fn, range(24))
         assert done == [tuple(range(8))]
 
     def test_workspace_trains_correctly_after_a_failed_cohort(
@@ -274,7 +270,7 @@ class TestHostileCohort:
             fn = exp.async_client_fn(0, exp.async_server_state())
             items = [(client, None) for client in exp.clients]
             with pytest.raises(FloatingPointError):
-                exp.scheduler.run_group("train", fn, items)
+                exp.executor.run_group(fn, items)
         assert _serial_layout(exp._async_workspace())
         exp.run()  # same workspace, next rounds: as if nothing happened
         _assert_same_weights(_weights(exp), want)
@@ -289,8 +285,7 @@ class TestHostileCohort:
                 client = exp.clients[3]  # a shard gathered per read: inject one
                 clean = client.dataset
                 client._dataset = ArrayDataset(np.full_like(clean.x, np.inf), clean.y)
-                updates = exp.scheduler.run_group(
-                    "train",
+                updates = exp.executor.run_group(
                     exp.async_client_fn(0, exp.async_server_state()),
                     [(client, None) for client in exp.clients],
                 )

@@ -4,9 +4,10 @@
 clients; an explicit integer keeps its old meaning.  Pinned here:
 
 * the rule as a pure table over the measured geometries — no training;
-* ``plan_cohorts`` chunks by ``min(executor width, CohortFn width)``, an
-  explicit ``fusion_width`` plans exactly what it planned before, and a
-  Byzantine round's re-wrapped work function keeps the derived width;
+* the experiment resolves the width once, onto its executor;
+  ``plan_cohorts`` chunks by it, an explicit ``fusion_width`` plans
+  exactly what it planned before, and a Byzantine round's re-wrapped work
+  function keeps the derived width;
 * the width is non-semantic: ``None`` / ``1`` / ``8`` end with byte-equal
   weights, clock and merge log, on a geometry that derives 8 and on one
   that derives 1 — each run asserting the widths it really stacked;
@@ -118,46 +119,44 @@ class TestDerivedWidth:
             (HeteroFLAT, _cnn(4, depth=3), 8, 8),  # global model stands in
         ],
     )
-    def test_every_cohort_builder_carries_the_width_of_its_model(
+    def test_every_cohort_builder_runs_at_the_width_of_its_model(
         self, cls, builder, batch, width
     ):
         with cls(_task(8), builder, _cfg(batch_size=batch)) as exp:
-            assert exp.cohort_width == width
+            assert exp.executor.fusion_width == width
             fn = exp.async_client_fn(0, exp.async_server_state())
-            assert isinstance(fn, CohortFn) and fn.width == width
+            assert isinstance(fn, CohortFn)
 
-    def test_an_explicit_width_adds_no_cap_of_its_own(self):
+    def test_an_explicit_width_is_the_executor_width(self):
+        # B=32 VGG derives 1; the configured width wins, uncapped.
         with JointFAT(_task(8), _vgg(8), _cfg(batch_size=32, fusion_width=8)) as exp:
-            assert exp.cohort_width is None
-            assert exp.async_client_fn(0, exp.async_server_state()).width is None
             assert exp.executor.fusion_width == 8
 
 
 # ---------------------------------------------------------------------------
-# (b) Planning: min(executor, fn), explicit widths unchanged, threats
+# (b) Planning: the executor width, explicit widths unchanged, threats
 # ---------------------------------------------------------------------------
 
 
-def _fn(width=None):
-    return CohortFn(lambda items: list(items), group_key=lambda i: "g", width=width)
+def _fn():
+    return CohortFn(lambda items: list(items), group_key=lambda i: "g")
 
 
 class TestPlanning:
     @pytest.mark.parametrize(
-        "executor,fn_width,sizes",
+        "executor,sizes",
         [
-            (None, None, [8, 2]),  # executor default = the upper bound
-            (None, 5, [5, 5]),
-            (None, 1, [1] * 10),
-            (4, 8, [4, 4, 2]),
-            (8, 3, [3, 3, 3, 1]),
-            (1, 8, [1] * 10),
-            (16, None, [10]),  # an explicit width may exceed the bound
+            (8, [8, 2]),  # the executor default = the derived width's bound
+            (5, [5, 5]),
+            (4, [4, 4, 2]),
+            (3, [3, 3, 3, 1]),
+            (1, [1] * 10),
+            (16, [10]),  # an explicit width may exceed the bound
         ],
     )
-    def test_chunks_by_the_smaller_width(self, executor, fn_width, sizes):
+    def test_chunks_by_the_executor_width(self, executor, sizes):
         ex = RoundExecutor(fusion_width=executor)
-        plan = ex.plan_cohorts(_fn(fn_width), range(10))
+        plan = ex.plan_cohorts(_fn(), range(10))
         assert [len(c) for c in plan] == sizes
         assert [i for c in plan for i in c] == list(range(10))
 
@@ -173,20 +172,21 @@ class TestPlanning:
         assert [len(c) for c in plan] == [width] * (9 // width) + tail
 
     def test_rejects_a_width_below_one(self):
-        with pytest.raises(ValueError):
-            _fn(0)
+        with pytest.raises(ValueError, match="fusion_width"):
+            RoundExecutor(fusion_width=0)
+        with pytest.raises(ValueError, match="fusion_width"):
+            _cfg(fusion_width=0)
 
     def test_a_poisoned_round_keeps_the_derived_width(self):
         plan = ThreatPlan(seed=7, byzantine_prob=1.0, attack="sign_flip")
         cfg = _cfg(batch_size=32, rounds=1, local_iters=1, threat_plan=plan)
         with JointFAT(_task(8), _vgg(8), cfg) as exp:
-            assert exp.cohort_width == 1
+            assert exp.executor.fusion_width == 1
             base = exp.async_server_state()
             fn = exp.async_client_fn(0, base)
             threats = plan.plan_round(0, [c.cid for c in exp.clients])
             wrapped = exp._threat_wrap(0, fn, base, threats)
             assert wrapped is not fn and isinstance(wrapped, CohortFn)
-            assert wrapped.width == 1
             widths = record_cohort_widths(exp)
             exp.run()
         assert widths == [1] * 4  # the Byzantine round planned singletons

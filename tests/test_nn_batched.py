@@ -26,7 +26,6 @@ from repro.data import make_cifar10_like
 from repro.flsim import FLConfig
 from repro.flsim.executor import CohortFn, RoundExecutor
 from repro.flsim.faults import FaultPlan
-from repro.flsim.scheduler import FLScheduler
 from repro.flsim.threats import ThreatPlan
 from repro.hardware import DEVICE_POOL_CIFAR10, DeviceSampler
 from repro.models import build_cnn, build_vgg
@@ -226,14 +225,14 @@ class TestCohortPlanning:
         assert ex.map(lambda i: i * i, list(range(5))) == [0, 1, 4, 9, 16]
 
     def test_map_preserves_item_order(self):
-        # Cohort dispatch lives in the scheduler (RoundExecutor.map never
-        # fuses), so the barrier view is FLScheduler.run_group.
+        # RoundExecutor.map never fuses, so the fused barrier view is
+        # RoundExecutor.run_group.
         ex = RoundExecutor(fusion_width=3)
         fn = CohortFn(
             lambda items: [(len(items), i) for i in items],
             group_key=lambda i: None if i in (1, 4) else "g",
         )
-        out = FLScheduler(ex).run_group("t", fn, list(range(6)))
+        out = ex.run_group(fn, list(range(6)))
         assert [v[1] for v in out] == list(range(6))
         assert out[1][0] == 1 and out[4][0] == 1  # None keys: cohorts of one
         assert out[0][0] == 3

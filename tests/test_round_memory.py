@@ -15,7 +15,7 @@ it once folded.  Pinned here:
   to do with held updates.  Three references that each kept a
   folded update alive while the next client trained must stay gone: a
   reused ``zip``/``enumerate`` result tuple, a suspended generator frame
-  or loop variable, and a task group ↔ generator reference cycle — the
+  or loop variable, and a ticket ↔ group generator reference cycle — the
   last is checked directly: the round's group is freed without the cyclic
   collector.
 """
@@ -81,23 +81,23 @@ def _vgg(rng=None):
 
 def _round_peak(cohort, **mode):
     """Traced peak of one jFAT round (VGG11x0.25, 8x8, B=32, per item), the
-    model's state bytes, and whether the round's task group outlived it with
+    model's state bytes, and whether the round's group generator outlived it with
     the cyclic collector off."""
     task = make_cifar10_like(image_size=8, train_per_class=20, test_per_class=5, seed=0)
     cfg = FLConfig(num_clients=4, clients_per_round=cohort, local_iters=2, batch_size=32,
                    lr=0.02, rounds=1, train_pgd_steps=1, eval_every=0, seed=0, **mode)
     with JointFAT(task, _vgg, cfg) as exp:
-        assert exp.cohort_width == 1
+        assert exp.executor.fusion_width == 1
         state = sum(v.nbytes for v in exp.global_model.state_dict().values())
         groups = []
-        submit = exp.scheduler.submit_group
+        submit = exp.executor.submit_group
 
         def recording(*args, **kwargs):
             group = submit(*args, **kwargs)
             groups.append(weakref.ref(group))
             return group
 
-        exp.scheduler.submit_group = recording
+        exp.executor.submit_group = recording
         empty_workspace()  # count the unfold buffers whatever ran before
         gc.collect()
         gc.disable()

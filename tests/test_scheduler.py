@@ -1,10 +1,11 @@
-"""Unified task scheduler: groups, async aggregation.
+"""Round executor groups, the cross-round pipeline, async aggregation.
 
 Load-bearing properties:
 
-* ``FLScheduler`` task groups stream completions and gather in input
-  order with exceptions propagated — the drop-in replacement for the
-  ``map`` barrier;
+* ``RoundExecutor.submit_group`` is a generator that runs one cohort per
+  pull, and ``run_group`` gathers in input order with exceptions
+  propagated — the drop-in replacement for the ``map`` barrier; a failing
+  cohort raises once and ends the group;
 * the per-item path (``fusion_width=1``) is **bit-identical** to the
   fused default, per round evaluation included;
 * asynchronous aggregation respects ``max_staleness``, is
@@ -22,7 +23,7 @@ from repro.baselines.jfat import AsyncMergeEvent
 from repro.core import FedProphet, FedProphetConfig, async_merge_schedule
 from repro.core.aggregator import merge_async_update
 from repro.data import make_cifar10_like
-from repro.flsim import CrossRoundPipeline, FLConfig, FLScheduler, RoundExecutor
+from repro.flsim import CrossRoundPipeline, FLConfig, RoundExecutor
 from repro.flsim.executor import CohortFn
 from repro.models import build_cnn
 
@@ -33,64 +34,60 @@ def _assert_states_equal(a, b, label=""):
 
 
 # ---------------------------------------------------------------------------
-# FLScheduler unit behaviour
+# RoundExecutor groups
 # ---------------------------------------------------------------------------
 
 
-class TestFLScheduler:
+class TestRoundExecutorGroups:
     def test_results_in_input_order(self):
-        sched = FLScheduler(RoundExecutor())
-        group = sched.submit_group("t", lambda i: i * i, range(9))
-        assert group.results() == [i * i for i in range(9)]
+        assert RoundExecutor().run_group(lambda i: i * i, range(9)) == [i * i for i in range(9)]
 
-    def test_empty_group_is_done(self):
-        sched = FLScheduler(RoundExecutor())
-        group = sched.submit_group("t", lambda i: i, [])
-        assert group.done()
-        assert group.results() == []
+    def test_empty_group_yields_nothing(self):
+        ex = RoundExecutor()
+        assert list(ex.submit_group(lambda i: i, [])) == []
+        assert ex.run_group(lambda i: i, []) == []
 
     def test_stream_yields_every_item_exactly_once(self):
-        sched = FLScheduler(RoundExecutor())
-        group = sched.submit_group("t", lambda i: i + 100, range(7))
-        seen = dict(group.stream())
-        assert seen == {i: i + 100 for i in range(7)}
+        group = RoundExecutor().submit_group(lambda i: i + 100, range(7))
+        assert dict(group) == {i: i + 100 for i in range(7)}
 
     def test_exceptions_propagate(self):
-        sched = FLScheduler(RoundExecutor())
-
         def boom(i):
             if i == 2:
                 raise RuntimeError("work unit failed")
             return i
 
         with pytest.raises(RuntimeError, match="work unit failed"):
-            sched.submit_group("t", boom, range(5)).results()
+            RoundExecutor().run_group(boom, range(5))
 
     def test_run_group_matches_map(self):
         ex = RoundExecutor()
-        sched = FLScheduler(ex)
         items = list(range(10))
-        assert sched.run_group("t", lambda i: i * 3, items) == ex.map(
-            lambda i: i * 3, items
-        )
+        assert ex.run_group(lambda i: i * 3, items) == ex.map(lambda i: i * 3, items)
 
     @pytest.mark.parametrize("n", [3, 0], ids=["items", "empty"])
-    def test_next_completion_past_the_end_raises(self, n):
-        # Nothing can ever arrive past the last item: raise, never block.
-        group = FLScheduler(RoundExecutor()).submit_group("t", lambda i: i, range(n))
-        assert sorted(group.next_completion() for _ in range(n)) == [(i, i) for i in range(n)]
-        with pytest.raises(RuntimeError, match=f"handed out all {n} completions"):
-            group.next_completion()
-        assert list(group.stream()) == []
+    def test_group_is_exhausted_past_the_end(self, n):
+        # Nothing can ever arrive past the last item: the group ends, never blocks.
+        group = RoundExecutor().submit_group(lambda i: i, range(n))
+        assert sorted(next(group) for _ in range(n)) == [(i, i) for i in range(n)]
+        assert next(group, None) is None
+        assert list(group) == []
 
     def test_concurrent_groups_gather_independently(self):
         # Groups carry no dependencies: two in flight each gather their
         # own results, whichever is collected first.
-        sched = FLScheduler(RoundExecutor())
-        first = sched.submit_group("a", lambda i: i, range(6))
-        second = sched.submit_group("b", lambda i: -i, range(6))
-        assert second.results() == [-i for i in range(6)]
-        assert first.results() == list(range(6))
+        ex = RoundExecutor()
+        first = ex.submit_group(lambda i: i, range(6))
+        second = ex.submit_group(lambda i: -i, range(6))
+        assert sorted(second) == [(i, -i) for i in range(6)]
+        assert sorted(first) == [(i, i) for i in range(6)]
+
+    def test_the_old_scheduler_name_is_the_executor(self):
+        # The benchmark's traced span table binds FLScheduler.submit_group
+        # and run_group by name.
+        from repro.flsim.scheduler import FLScheduler
+
+        assert FLScheduler is RoundExecutor
 
 
 class TestCohortGroups:
@@ -118,12 +115,12 @@ class TestCohortGroups:
         fn = CohortFn(run, group_key=self._key)
         ex = RoundExecutor(fusion_width=width)
         plan = [tuple(self.ITEMS[i] for i in c) for c in ex.plan_cohorts(fn, self.ITEMS)]
-        return FLScheduler(ex).submit_group("t", fn, self.ITEMS), runs, plan
+        return ex.submit_group(fn, self.ITEMS), runs, plan
 
     @pytest.mark.parametrize("width", [1, 2, 3, 5])
     def test_results_in_input_order(self, width):
         group, runs, plan = self._group(width)
-        assert group.results() == [10 * i for i in self.ITEMS]
+        assert [result for _, result in sorted(group)] == [10 * i for i in self.ITEMS]
         assert runs == plan
         assert max(len(c) for c in runs) == min(width, 4)
         for cohort in runs:
@@ -133,38 +130,37 @@ class TestCohortGroups:
     def test_each_cohort_runs_when_pulled(self, width):
         group, runs, plan = self._group(width)
         assert runs == []
-        first = group.next_completion()
+        first = next(group)
         assert runs == plan[:1] and first == (plan[0][0], 10 * plan[0][0])
         # the rest of the first cohort is handed out without running anything
         for _ in plan[0][1:]:
-            group.next_completion()
+            next(group)
         assert runs == plan[:1]
 
     @pytest.mark.parametrize("width", [1, 2, 3, 5])
     def test_a_failed_cohort_stops_the_group(self, width):
         group, runs, plan = self._group(width, fail_on=4)
         with pytest.raises(RuntimeError, match="cohort failed"):
-            group.results()
+            list(group)
         failed = next(n for n, cohort in enumerate(plan) if 4 in cohort)
         assert runs == plan[: failed + 1]  # no later cohort trains
 
     @pytest.mark.parametrize("width", [1, 2, 3, 5])
-    def test_next_completion_past_the_end_raises(self, width):
+    def test_group_is_exhausted_past_the_end(self, width):
         group, _, _ = self._group(width)
         for _ in self.ITEMS:
-            group.next_completion()
-        with pytest.raises(RuntimeError, match="handed out all 7 completions"):
-            group.next_completion()
+            next(group)
+        assert next(group, None) is None
 
     @pytest.mark.parametrize("width", [1, 2, 3, 5])
     def test_stream_yields_every_item_exactly_once(self, width):
         group, runs, plan = self._group(width)
-        assert dict(group.stream()) == {i: 10 * i for i in self.ITEMS}
+        assert dict(group) == {i: 10 * i for i in self.ITEMS}
         assert runs == plan
 
 
 class TestInlineGroupsRunOnDemand:
-    """Serial groups train when the consumer pulls, and hand results over once."""
+    """Groups train when the consumer pulls, and hand results over once."""
 
     @staticmethod
     def _group(n=5):
@@ -174,34 +170,30 @@ class TestInlineGroupsRunOnDemand:
             ran.append(i)
             return 10 * i
 
-        return FLScheduler(RoundExecutor()).submit_group("t", work, range(n)), ran
+        return RoundExecutor().submit_group(work, range(n)), ran
 
     def test_nothing_trains_at_submit(self):
         group, ran = self._group()
         assert ran == []
-        assert group.next_completion() == (0, 0) and ran == [0]
-        assert group.next_completion() == (1, 10) and ran == [0, 1]
+        assert next(group) == (0, 0) and ran == [0]
+        assert next(group) == (1, 10) and ran == [0, 1]
 
-    @pytest.mark.parametrize("barrier", ["done", "wait"])
-    def test_done_and_wait_run_the_rest(self, barrier):
+    def test_the_rest_runs_once_when_drained(self):
         group, ran = self._group()
-        group.next_completion()
-        assert getattr(group, barrier)() is True
+        next(group)
+        # the rest runs on the drain, and each result is handed out exactly once
+        assert list(group) == [(i, 10 * i) for i in range(1, 5)] and ran == [0, 1, 2, 3, 4]
+        assert list(group) == [] and ran == [0, 1, 2, 3, 4]
+
+    def test_run_group_runs_everything_once(self):
+        ran = []
+
+        def work(i):
+            ran.append(i)
+            return 10 * i
+
+        assert RoundExecutor().run_group(work, range(5)) == [0, 10, 20, 30, 40]
         assert ran == [0, 1, 2, 3, 4]
-        # the rest is queued, and each result is handed out exactly once
-        assert list(group.stream()) == [(i, 10 * i) for i in range(1, 5)] and ran == [0, 1, 2, 3, 4]
-
-    def test_results_runs_everything_once(self):
-        group, ran = self._group()
-        assert group.results() == [0, 10, 20, 30, 40] and ran == [0, 1, 2, 3, 4]
-        with pytest.raises(RuntimeError, match="handed out all 5"):
-            group.next_completion()
-
-    def test_results_refuses_after_a_partial_stream(self):
-        group, _ = self._group()
-        group.next_completion()
-        with pytest.raises(RuntimeError, match="already handed out a completion"):
-            group.results()
 
     def test_export_state_after_a_partial_merge_keeps_landed_updates(self):
         ran = []
@@ -212,7 +204,7 @@ class TestInlineGroupsRunOnDemand:
 
         merged = []
         pipeline = CrossRoundPipeline(
-            FLScheduler(RoundExecutor()), max_staleness=1, depth=2,
+            RoundExecutor(), max_staleness=1, depth=2,
             merge_event=lambda t, members, updates, s: merged.append(list(updates)),
             round_complete=lambda t: None,
         )
@@ -233,7 +225,7 @@ class TestInlineGroupsRunOnDemand:
 
         def pipeline():
             return CrossRoundPipeline(
-                FLScheduler(RoundExecutor()), max_staleness=1, depth=2,
+                RoundExecutor(), max_staleness=1, depth=2,
                 merge_event=lambda t, members, updates, s: merged.append(list(updates)),
                 round_complete=lambda t: None,
             )
