@@ -93,10 +93,6 @@ def restore_segment(
             owner.set_buffer(local, segment_state[name].copy())
 
 
-#: Historical name for :func:`snapshot_segment` (pre-round-engine API).
-extract_segment_state = snapshot_segment
-
-
 def aggregate_modules(
     model: CascadeModel,
     partition: Partition,

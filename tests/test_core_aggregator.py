@@ -7,7 +7,6 @@ from repro.core.aggregator import (
     aggregate_heads,
     aggregate_modules,
     atom_param_names,
-    extract_segment_state,
     merge_async_partial,
     snapshot_segment,
 )
@@ -39,7 +38,7 @@ class TestAtomParamNames:
 
     def test_extract_matches_state_dict(self):
         model = _model()
-        seg = extract_segment_state(model, 1, 3)
+        seg = snapshot_segment(model, 1, 3)
         full = model.state_dict()
         for k, v in seg.items():
             np.testing.assert_array_equal(v, full[k])
@@ -50,7 +49,7 @@ class TestAggregateModules:
     def test_single_client_passthrough(self):
         model = _model()
         part = _partition()
-        state = extract_segment_state(model, 0, 1)
+        state = snapshot_segment(model, 0, 1)
         shifted = {k: v + 1.0 for k, v in state.items()}
         merged = aggregate_modules(model, part, 0, [shifted], [0], [1.0])
         for k in state:
@@ -59,7 +58,7 @@ class TestAggregateModules:
     def test_weighted_mean_over_trainers(self):
         model = _model()
         part = _partition()
-        base = extract_segment_state(model, 0, 1)
+        base = snapshot_segment(model, 0, 1)
         s1 = {k: np.zeros_like(v) for k, v in base.items()}
         s2 = {k: np.ones_like(v) * 4 for k, v in base.items()}
         merged = aggregate_modules(model, part, 0, [s1, s2], [0, 0], [3.0, 1.0])
@@ -71,8 +70,8 @@ class TestAggregateModules:
         M_k=0 contributes only to module 0 (Eq. 16's S_n sets)."""
         model = _model()
         part = _partition()
-        full0 = extract_segment_state(model, 0, 1)
-        full01 = extract_segment_state(model, 0, 2)
+        full0 = snapshot_segment(model, 0, 1)
+        full01 = snapshot_segment(model, 0, 2)
         c_small = {k: np.zeros_like(v) for k, v in full0.items()}
         c_big = {k: np.ones_like(v) * 2 for k, v in full01.items()}
         merged = aggregate_modules(model, part, 0, [c_small, c_big], [0, 1], [1.0, 1.0])
@@ -86,7 +85,7 @@ class TestAggregateModules:
     def test_untrained_modules_absent(self):
         model = _model()
         part = _partition()
-        state = extract_segment_state(model, 0, 1)
+        state = snapshot_segment(model, 0, 1)
         merged = aggregate_modules(model, part, 0, [state], [0], [1.0])
         assert all(k.startswith("atom0.") for k in merged)
 
