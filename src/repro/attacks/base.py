@@ -1,4 +1,4 @@
-"""Adapter exposing loss-and-input-gradient for attack algorithms."""
+"""The loss-and-input-gradient adapter of attacks, trainers and Eq. 9."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import numpy as np
 from repro.nn.cohort import CohortCrossEntropyLoss
 from repro.nn.grad_mode import attack_grad_scope
 from repro.nn.linear import Linear
-from repro.nn.losses import CrossEntropyLoss, log_softmax
+from repro.nn.losses import CrossEntropyLoss, check_mu, log_softmax, strong_convexity
 from repro.nn.module import Module
 
 
@@ -28,11 +28,18 @@ class ModelWithLoss:
     batch size, so each client's slice of the input gradient is
     bit-identical to a lone client's, and the loss is the K per-client
     losses.
+
+    ``mu`` adds Eq. 9's strong-convexity term on the feature the head reads
+    (:func:`repro.nn.losses.strong_convexity`) to the loss and its input
+    gradient; without a head (the last module) there is no such term.
     """
 
-    def __init__(self, model: Module, head: Optional[Module] = None, k: int = 1):
+    def __init__(self, model: Module, head: Optional[Module] = None, k: int = 1, mu: float = 0.0):
+        if check_mu(mu) and k > 1:
+            raise ValueError("the strong-convexity term is per client: mu needs k = 1")
         self.model = model
         self.head = head
+        self.mu = mu if head is not None else 0.0
         self._ce = CrossEntropyLoss() if k == 1 else CohortCrossEntropyLoss(k)
 
     def _forward(self, x: np.ndarray) -> np.ndarray:
@@ -42,11 +49,14 @@ class ModelWithLoss:
         body output directly and handle their own shaping.
         """
         out = self.model(x)
+        if self.head is None:
+            return out
+        self._reg = strong_convexity(out, self.mu)
         self._flat_shape = None
         if isinstance(self.head, Linear) and out.ndim > 2:
             self._flat_shape = out.shape
             out = out.reshape(out.shape[0], -1)
-        return out if self.head is None else self.head(out)
+        return self.head(out)
 
     def logits(self, x: np.ndarray) -> np.ndarray:
         # Forward-only: never followed by a backward pass, so skip the
@@ -62,10 +72,15 @@ class ModelWithLoss:
             g = self.head.backward(g)
             if self._flat_shape is not None:
                 g = g.reshape(self._flat_shape)
+            mu_grad, self._reg = self._reg[1], None  # read once, then dropped
+            if mu_grad is not None:
+                g = g + mu_grad
         return self.model.backward(g)
 
     def loss_and_input_grad(self, x: np.ndarray, y: np.ndarray) -> Tuple[float, np.ndarray]:
         loss = self._ce(self._forward(x), y)
+        if self.head is not None:
+            loss = loss + self._reg[0]
         return loss, self.input_grad()
 
     def forward_losses(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:

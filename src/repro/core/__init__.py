@@ -13,7 +13,7 @@ from repro.core.config import FedProphetConfig
 from repro.core.prefix_cache import PrefixCache
 from repro.core.heads import AuxHead, head_input_dim
 from repro.core.partitioner import Partition, partition_model, aux_head_bytes
-from repro.core.cascade import CascadeLossModel, cascade_local_train, measure_output_perturbation
+from repro.core.cascade import cascade_local_train, measure_output_perturbation
 from repro.core.apa import AdaptivePerturbationAdjustment
 from repro.core.dma import SegmentCostTable, assign_modules
 from repro.core.aggregator import (
@@ -36,7 +36,6 @@ __all__ = [
     "Partition",
     "partition_model",
     "aux_head_bytes",
-    "CascadeLossModel",
     "cascade_local_train",
     "measure_output_perturbation",
     "AdaptivePerturbationAdjustment",

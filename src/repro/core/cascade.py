@@ -1,91 +1,34 @@
 """Client-side adversarial cascade learning (paper §5, Eq. 9).
 
-A client training module(s) ``m..M_k`` runs, per local iteration:
+A client training module(s) ``m..M_k`` runs the one SGD loop of every
+method, :func:`repro.flsim.local._local_train`, on that span with module
+M_k's auxiliary head and μ.  Per local iteration it:
 
-1. forward the clean batch through the *fixed* prefix (atoms before module
-   m, eval mode) to get the input feature ``z_{m-1}``;
-2. find an adversarial perturbation of that feature (ℓ2-PGD with budget
+1. forwards the clean batch through the *fixed* prefix (atoms before module
+   m, eval mode; :func:`prefix_features`, served by the :class:`PrefixCache`
+   on a hit) to get the input feature ``z_{m-1}``;
+2. finds an adversarial perturbation of that feature (ℓ2-PGD with budget
    ``ε_{m-1}`` from APA) — or of the raw image (ℓ∞, ε0) when m = 1 —
-   maximising the strong-convexity-regularized early-exit loss;
-3. one SGD step on the assigned segment and its auxiliary head against
-   that loss.
+   maximising the strong-convexity-regularized early-exit loss
+   (``ModelWithLoss(span, head, mu=μ)``);
+3. takes one SGD step on the span and its head against that loss.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, Hashable, Optional
 
 import numpy as np
 
+from repro.attacks import ModelWithLoss
 from repro.attacks.pgd import PGDConfig, pgd_attack
-from repro.core.heads import AuxHead
 from repro.core.prefix_cache import PrefixCache
-from repro.data.dataset import ArrayDataset, DataLoader
+from repro.data.dataset import ArrayDataset
+from repro.flsim.local import _local_train
 from repro.models.atoms import CascadeModel
 from repro.nn.grad_mode import attack_grad_scope
-from repro.nn.losses import CrossEntropyLoss, log_softmax
 from repro.nn.module import Module
-from repro.optim.sgd import SGD
-
-
-class CascadeLossModel:
-    """Loss-and-input-gradient adapter for a module segment.
-
-    With a head, evaluates Eq. 9's regularized early-exit loss
-
-        l_m = CE(head(z_m), y) + (mu/2) ||z_m||^2,
-
-    where ``z_m`` is the segment output; without a head (the last module,
-    whose early-exit loss *is* the joint loss) it falls back to plain
-    cross-entropy on the segment output.  Implements the interface
-    :func:`repro.attacks.pgd.pgd_attack` consumes.  Backward passes
-    accumulate segment/head parameter gradients; training loops zero them
-    before the update pass.
-    """
-
-    def __init__(self, segment: Module, head: Optional[Module], mu: float):
-        if mu < 0:
-            raise ValueError("mu must be non-negative")
-        self.segment = segment
-        self.head = head
-        self.mu = mu
-        self._ce = CrossEntropyLoss()
-
-    def logits(self, x: np.ndarray) -> np.ndarray:
-        z = self.segment(x)
-        return z if self.head is None else self.head(z)
-
-    def loss(self, x: np.ndarray, y: np.ndarray) -> float:
-        z = self.segment(x)
-        if self.head is None:
-            return self._ce(z, y)
-        ce = self._ce(self.head(z), y)
-        n = z.shape[0]
-        reg = 0.5 * self.mu * float((z.reshape(n, -1) ** 2).sum()) / n
-        return ce + reg
-
-    def loss_and_input_grad(
-        self, x: np.ndarray, y: np.ndarray
-    ) -> Tuple[float, np.ndarray]:
-        z = self.segment(x)
-        n = z.shape[0]
-        if self.head is None:
-            loss = self._ce(z, y)
-            g_z = self._ce.backward()
-        else:
-            logits = self.head(z)
-            loss = self._ce(logits, y)
-            reg = 0.5 * self.mu * float((z.reshape(n, -1) ** 2).sum()) / n
-            loss += reg
-            g_z = self.head.backward(self._ce.backward())
-            if self.mu:
-                g_z = g_z + (self.mu / n) * z
-        return loss, self.segment.backward(g_z)
-
-    def per_sample_losses(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        logits = self.logits(x)
-        return -log_softmax(logits)[np.arange(len(y)), np.asarray(y)]
 
 
 @dataclass
@@ -95,6 +38,30 @@ class CascadeBatchSpec:
     start_atom: int  # first atom of the current module m
     stop_atom: int  # one past the last atom of the last assigned module M_k
     head: Optional[Module]  # aux head of module M_k (None when M_k is last)
+
+
+def prefix_features(
+    model: CascadeModel,
+    stop_atom: int,
+    cache: Optional[PrefixCache] = None,
+    key: Hashable = None,
+    num_samples: int = 0,
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """``(dataset rows, x) -> z``: the frozen prefix (atoms before
+    ``stop_atom``) that training and ``FedProphet.cascade_eval`` forward,
+    served by ``cache`` under ``key`` on a hit.
+
+    It is never backpropagated through, so it runs input-grad-only: its
+    layers skip the weight-gradient caches.
+    """
+
+    def forward(x: np.ndarray) -> np.ndarray:
+        with attack_grad_scope():
+            return model.forward_until(x, stop_atom)
+
+    if cache is None:
+        return lambda rows, x: forward(x)
+    return lambda rows, x: cache.fetch(key, rows, x, forward, num_samples)
 
 
 def _attack_config(
@@ -133,51 +100,21 @@ def cascade_local_train(
     ``(cache_key, prefix length)`` — the caller is responsible for
     invalidating the cache whenever the global model changes.
     """
+    start = spec.start_atom
+    features = None
+    if start > 0:
+        features = [
+            prefix_features(model, start, prefix_cache, (cache_key, start), len(dataset))
+        ]
+    model.eval()  # the prefix stays frozen in eval mode; _local_train trains the span
+    pgd = _attack_config(start == 0, eps0, eps_feature, attack_steps)
     rng = rng if rng is not None else np.random.default_rng(0)
-    segment = model.segment(spec.start_atom, spec.stop_atom)
-    # Prefix stays frozen in eval mode; the trained segment uses batch stats.
-    model.eval()
-    segment.train()
-    if spec.head is not None:
-        spec.head.train()
-
-    params = segment.parameters()
-    if spec.head is not None:
-        params = params + spec.head.parameters()
-    opt = SGD(params, lr=lr, momentum=momentum, weight_decay=weight_decay)
-    loss_model = CascadeLossModel(segment, spec.head, mu)
-
-    is_first = spec.start_atom == 0
-    pgd = _attack_config(is_first, eps0, eps_feature, attack_steps)
-
-    def prefix_forward(xb: np.ndarray) -> np.ndarray:
-        # The frozen prefix is never backpropagated through: run it
-        # input-grad-only so its layers skip weight-gradient caches.
-        with attack_grad_scope():
-            return model.forward_until(xb, spec.start_atom)
-
-    loader = DataLoader(
-        dataset, batch_size=min(batch_size, len(dataset)), shuffle=True, rng=rng
+    (loss,) = _local_train(
+        model.segment(start, spec.stop_atom), [dataset], iterations, batch_size, lr, pgd,
+        momentum, weight_decay, [rng], head=spec.head, mu=mu, features=features,
     )
-    losses: List[float] = []
-    batches = loader.infinite_with_indices()
-    for _ in range(iterations):
-        idx, x, y = next(batches)
-        if is_first:
-            z_in = x
-        elif prefix_cache is not None:
-            z_in = prefix_cache.fetch(
-                (cache_key, spec.start_atom), idx, x, prefix_forward, len(dataset)
-            )
-        else:
-            z_in = prefix_forward(x)
-        z_adv = pgd_attack(loss_model, z_in, y, pgd, rng=rng)
-        opt.zero_grad()  # discard gradients accumulated by the attack
-        loss, _ = loss_model.loss_and_input_grad(z_adv, y)
-        opt.step()
-        losses.append(loss)
     model.eval()
-    return float(np.mean(losses)) if losses else 0.0
+    return loss
 
 
 def measure_output_perturbation(
@@ -201,7 +138,7 @@ def measure_output_perturbation(
     rng = rng if rng is not None else np.random.default_rng(0)
     model.eval()
     segment = model.segment(start_atom, stop_atom)
-    loss_model = CascadeLossModel(segment, head, mu)
+    mwl = ModelWithLoss(segment, head, mu=mu)
     is_first = start_atom == 0
     pgd = _attack_config(is_first, eps0, eps_feature, attack_steps)
 
@@ -209,8 +146,8 @@ def measure_output_perturbation(
     idx = rng.choice(len(dataset), size=n, replace=False)
     x, y = dataset.x[idx], dataset.y[idx]
     with attack_grad_scope():  # one scope: the model is frozen for the whole probe
-        z_in = x if is_first else model.forward_until(x, start_atom)
-        z_adv_in = pgd_attack(loss_model, z_in, y, pgd, rng=rng)
+        z_in = x if is_first else prefix_features(model, start_atom)(idx, x)
+        z_adv_in = pgd_attack(mwl, z_in, y, pgd, rng=rng)
         z = segment(z_in)
         z_adv = segment(z_adv_in)
     diff = (z_adv - z).reshape(n, -1)

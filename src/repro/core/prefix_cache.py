@@ -156,24 +156,19 @@ class PrefixCache:
             entry = _Entry(num_samples, self.version)
             self._entries[key] = entry
         missing = ~entry.filled[indices]
+        self.misses += int(missing.sum())
+        self.hits += int((~missing).sum())
         if missing.any():
             z_new = forward_fn(x[missing] if not missing.all() else x)
             if not self._ensure_entry_data(
                 key, entry, z_new.shape[1:], z_new.dtype, num_samples
             ):
-                # Uncacheable: just pass the computation through.
-                self.misses += int(missing.sum())
-                if missing.all():
-                    return z_new
-                raise AssertionError(
-                    "uncacheable entry can only be partially filled if "
-                    "it was previously stored"
-                )
+                # Uncacheable (so never filled: every row missed): pass the
+                # computation through.
+                return z_new
             rows = indices[missing]
             entry.data[rows] = z_new
             entry.filled[rows] = True
-            self.misses += int(missing.sum())
-        self.hits += int((~missing).sum())
         return entry.data[indices]
 
     def fetch_stacked(
@@ -184,61 +179,13 @@ class PrefixCache:
         forward_fn: Callable[[np.ndarray], np.ndarray],
         num_samples_list,
     ):
-        """K clients' prefix features with one fused forward (fusion cohorts).
+        """K clients' :meth:`fetch`, in client order.
 
-        The client-batched executor concatenates K per-client batches into
-        a single ``(K·B, ...)`` stack; this fetch mirrors that: it collects
-        the *union* of the K clients' uncached rows, computes them in one
-        ``forward_fn`` call, and scatters the results back into the
-        per-client entries.  Returns the K feature arrays in client order,
-        each equal to what :meth:`fetch` would return — the frozen prefix
-        is eval-mode and per-sample deterministic, so features do not
-        depend on batch composition.
+        No caller fuses FedProphet clients (each trains alone), so this is
+        one :meth:`fetch` per client; it stays as the name the benchmark's
+        span table binds.
         """
-        indices_list = [np.asarray(ix) for ix in indices_list]
-        entries = []
-        missings = []
-        for key, indices, num_samples in zip(keys, indices_list, num_samples_list):
-            entry = self._entries.get(key)
-            if entry is None or entry.version != self.version:
-                entry = _Entry(num_samples, self.version)
-                self._entries[key] = entry
-            entries.append(entry)
-            missings.append(~entry.filled[indices])
-        outputs = [None] * len(keys)
-        if any(m.any() for m in missings):
-            z_all = forward_fn(
-                np.concatenate([x[m] for x, m in zip(xs, missings) if m.any()])
-            )
-            offset = 0
-            for i, (key, entry, indices, missing, num_samples) in enumerate(
-                zip(keys, entries, indices_list, missings, num_samples_list)
-            ):
-                count = int(missing.sum())
-                if count == 0:
-                    continue
-                z_new = z_all[offset : offset + count]
-                offset += count
-                self.misses += count
-                if not self._ensure_entry_data(
-                    key, entry, z_new.shape[1:], z_new.dtype, num_samples
-                ):
-                    # Uncacheable: pass the computation through, as in
-                    # :meth:`fetch`.
-                    if missing.all():
-                        outputs[i] = z_new.copy()
-                        continue
-                    raise AssertionError(
-                        "uncacheable entry can only be partially filled "
-                        "if it was previously stored"
-                    )
-                rows = indices[missing]
-                entry.data[rows] = z_new
-                entry.filled[rows] = True
-        for i, (entry, indices, missing) in enumerate(
-            zip(entries, indices_list, missings)
-        ):
-            self.hits += int((~missing).sum())
-            if outputs[i] is None:
-                outputs[i] = entry.data[indices]
-        return outputs
+        return [
+            self.fetch(key, indices, x, forward_fn, num_samples)
+            for key, indices, x, num_samples in zip(keys, indices_list, xs, num_samples_list)
+        ]

@@ -30,6 +30,7 @@ from repro.core.cascade import (
     CascadeBatchSpec,
     cascade_local_train,
     measure_output_perturbation,
+    prefix_features,
 )
 from repro.core.config import FedProphetConfig
 from repro.core.dma import SegmentCostTable, assign_modules
@@ -43,7 +44,6 @@ from repro.hardware.latency import LatencyModel, LocalTrainingCost
 from repro.hardware.profile import profile_module
 from repro.metrics.evaluation import AttackSpec, EvalPlan, EvalResult
 from repro.models.atoms import CascadeModel
-from repro.nn.grad_mode import attack_grad_scope
 from repro.core.heads import AuxHead
 
 
@@ -202,21 +202,11 @@ class FedProphet(FederatedExperiment):
         model = self.global_model
         target = EvalTarget(ModelWithLoss(model.segment(0, stop), head=head))
         if use_cache:
-
-            def prefix_forward(xb: np.ndarray) -> np.ndarray:
-                with attack_grad_scope():
-                    return model.forward_until(xb, prefix_len)
-
-            target.prefix_forward = prefix_forward
+            target.features = prefix_features(
+                model, prefix_len, self.prefix_cache, ("val", prefix_len), len(self.val_set)
+            )
             target.suffix_mwl = ModelWithLoss(model.segment(prefix_len, stop), head=head)
-
-        return self.eval_executor.run(
-            plan,
-            self.val_set,
-            target,
-            prefix_cache=self.prefix_cache if use_cache else None,
-            cache_key=("val", prefix_len) if use_cache else None,
-        )
+        return self.eval_executor.run(plan, self.val_set, target)
 
     # -- stage bookkeeping -----------------------------------------------------
     def _enter_stage(self, m: int) -> None:

@@ -18,7 +18,7 @@ The engine also reuses the stage-scoped
 :class:`~repro.core.prefix_cache.PrefixCache`: clean-pass shards forward
 *unperturbed* inputs through a frozen prefix — exactly what the cache
 memoises — so an :class:`EvalTarget` may carry a split
-``prefix_forward`` / ``suffix_mwl`` pair and serve repeated validation
+``features`` / ``suffix_mwl`` pair and serve repeated validation
 passes from cached activations (bit-identical to the uncached forward).
 Attack shards perturb the raw input and always bypass the cache.
 """
@@ -58,15 +58,16 @@ class EvalTarget:
 
     ``mwl`` is the full model(+head) adapter attacks and predictions run
     against.  When the leading part of the model is frozen (FedProphet's
-    cascade prefix), ``prefix_forward`` / ``suffix_mwl`` optionally split
-    the clean forward at that boundary so the prefix half can be served by
-    a :class:`~repro.core.prefix_cache.PrefixCache`; composing them is
-    bit-identical to ``mwl.logits`` because the cascade forward is a plain
-    composition of the same per-atom ops.
+    cascade prefix), ``features`` / ``suffix_mwl`` optionally split the
+    clean forward at that boundary: ``features(rows, x)`` is the prefix
+    half, served by a :class:`~repro.core.prefix_cache.PrefixCache` keyed
+    by dataset row (:func:`repro.core.cascade.prefix_features`); composing
+    them is bit-identical to ``mwl.logits`` because the cascade forward is
+    a plain composition of the same per-atom ops.
     """
 
     mwl: ModelWithLoss
-    prefix_forward: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    features: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     suffix_mwl: Optional[ModelWithLoss] = None
 
 
@@ -96,22 +97,14 @@ class EvalExecutor:
                 )
         return shards
 
-    def run(
-        self,
-        plan: EvalPlan,
-        dataset: ArrayDataset,
-        target: EvalTarget,
-        prefix_cache=None,
-        cache_key=None,
-    ) -> EvalResult:
+    def run(self, plan: EvalPlan, dataset: ArrayDataset, target: EvalTarget) -> EvalResult:
         """Execute a plan against ``target`` and reduce shard counts into
         an :class:`EvalResult`.
 
         The caller sets ``target`` up first (weights, eval-time modes);
-        this puts its model and head in eval mode.  With a
-        ``prefix_cache`` and ``cache_key``, clean shards whose target
-        carries a prefix/suffix split are served from (and fill) the
-        cache; rows are keyed by dataset index, so the ``max_samples``
+        this puts its model and head in eval mode.  Clean shards of a
+        target with a ``features`` / ``suffix_mwl`` split read the prefix
+        through ``features`` by dataset row, so the ``max_samples``
         subsample path caches the same rows it evaluates.
         """
         x, y = dataset.x, np.asarray(dataset.y)
@@ -136,18 +129,8 @@ class EvalExecutor:
             attack = plan.attacks[shard.attack_idx]
             xb = x[shard.start : shard.stop]
             yb = y[shard.start : shard.stop]
-            use_cache = (
-                prefix_cache is not None
-                and cache_key is not None
-                and attack.cacheable
-                and target.prefix_forward is not None
-                and target.suffix_mwl is not None
-            )
-            if use_cache:
-                feats = prefix_cache.fetch(
-                    cache_key, rows[shard.start : shard.stop], xb,
-                    target.prefix_forward, num_total,
-                )
+            if attack.cacheable and target.features is not None:
+                feats = target.features(rows[shard.start : shard.stop], xb)
                 preds = target.suffix_mwl.logits(feats).argmax(axis=1)
             elif attack.cacheable:
                 preds = target.mwl.logits(xb).argmax(axis=1)

@@ -13,14 +13,14 @@ aligned — the executor's grouping key guarantees this.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.attacks import ModelWithLoss, PGDConfig
 from repro.attacks.pgd import cohort_pgd_attack
 from repro.data.dataset import ArrayDataset, DataLoader
-from repro.nn.cohort import CohortCrossEntropyLoss, stack_rows
+from repro.nn.cohort import stack_rows
 from repro.nn.module import Module
 from repro.optim.sgd import SGD
 
@@ -29,14 +29,23 @@ def cohort_batches(
     datasets: Sequence[ArrayDataset],
     batch_size: int,
     rngs: Sequence[np.random.Generator],
+    features: Optional[Sequence[Optional[Callable]]] = None,
 ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """Endless stacked batches: each client's shuffled batch, in cohort order."""
+    """Endless stacked batches: each client's shuffled batch, in cohort order.
+
+    ``features[i](indices, x)`` maps client i's batch to what the model reads
+    (FedProphet's frozen prefix, cached per dataset row).
+    """
     loaders = [
-        DataLoader(ds, batch_size=min(batch_size, len(ds)), shuffle=True, rng=rng).infinite()
+        DataLoader(
+            ds, batch_size=min(batch_size, len(ds)), shuffle=True, rng=rng
+        ).infinite_with_indices()
         for ds, rng in zip(datasets, rngs)
     ]
+    features = features or [None] * len(loaders)
     while True:
-        xs, ys = zip(*(next(it) for it in loaders))
+        idx, xs, ys = zip(*(next(it) for it in loaders))
+        xs = [x if f is None else f(i, x) for f, i, x in zip(features, idx, xs)]
         yield stack_rows(xs), stack_rows(ys)
 
 
@@ -50,16 +59,22 @@ def _local_train(
     momentum: float,
     weight_decay: float,
     rngs: Sequence[np.random.Generator],
+    head: Optional[Module] = None,
+    mu: float = 0.0,
+    features: Optional[Sequence[Optional[Callable]]] = None,
 ) -> List[float]:
     """The one local-training body: E SGD iterations, on PGD examples unless
-    ``pgd`` is ``None``; returns each client's mean training loss."""
+    ``pgd`` is ``None``; returns each client's mean training loss.  A
+    FedProphet client (Eq. 9) trains a module span with its auxiliary
+    ``head`` and ``mu`` on the span's ``features`` (:func:`cohort_batches`)."""
     k = len(datasets)
-    model.train()
-    opt = SGD(model.parameters(), lr=lr, momentum=momentum, weight_decay=weight_decay)
-    ce = CohortCrossEntropyLoss(k)
-    mwl = ModelWithLoss(model, k=k)
+    params = model.train().parameters()
+    if head is not None:
+        params += head.train().parameters()
+    opt = SGD(params, lr=lr, momentum=momentum, weight_decay=weight_decay)
+    mwl = ModelWithLoss(model, head, k=k, mu=mu)
     losses: List[np.ndarray] = []
-    batches = cohort_batches(datasets, batch_size, rngs)
+    batches = cohort_batches(datasets, batch_size, rngs, features)
     for _ in range(iterations):
         x, y = next(batches)
         if pgd is not None:
@@ -67,10 +82,9 @@ def _local_train(
             # is standard; Madry et al., 2017).
             x = cohort_pgd_attack(mwl, x, y, pgd, rngs)
         opt.zero_grad()
-        loss = ce(model(x), y)
-        model.backward(ce.backward())
+        loss, _ = mwl.loss_and_input_grad(x, y)
         opt.step()
-        losses.append(loss)
+        losses.append(np.atleast_1d(loss))
     if not losses:
         return [0.0] * k
     return [float(np.mean([step[i] for step in losses])) for i in range(k)]

@@ -5,15 +5,15 @@ FedProphet's early-exit loss (Eq. 9) is
     l_m = CE(W_m^T z_m + b_m, y) + (mu/2) * ||z_m||_2^2
 
 where ``z_m`` is the module's output feature and ``(W_m, b_m)`` a linear
-auxiliary head.  :class:`StrongConvexityLoss` evaluates this loss given the
-feature and the head, and returns the gradient w.r.t. the *feature* (which
-the cascade trainer backpropagates into the module) while also accumulating
-the head's parameter gradients.
+auxiliary head.  :func:`strong_convexity` is the one body of the μ term and
+its gradient ``(mu/n)·z_m``; :class:`StrongConvexityLoss` evaluates the
+whole loss given the feature and the head, and returns the gradient w.r.t.
+the *feature* while also accumulating the head's parameter gradients.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -76,33 +76,38 @@ class CrossEntropyLoss:
         return grad / (n // self.k)
 
 
-class StrongConvexityLoss:
-    """FedProphet's regularized early-exit loss (Eq. 9).
+def check_mu(mu: float) -> float:
+    if not 0 <= mu < np.inf:
+        raise ValueError(f"mu must be a finite number >= 0, got {mu}")
+    return mu
 
-    Parameters
-    ----------
-    head:
-        The linear auxiliary output model ``theta_m``.
-    mu:
-        Strong-convexity coefficient; ``mu = 0`` recovers vanilla cascade
-        learning's early-exit loss.
+
+def strong_convexity(z: np.ndarray, mu: float) -> Tuple[float, Optional[np.ndarray]]:
+    """Eq. 9's term ``(mu/2)·mean_i ||z_i||^2`` on features ``z`` and its
+    gradient ``(mu/n)·z``: the one body of both (``(0.0, None)`` at mu = 0)."""
+    if not mu:
+        return 0.0, None
+    n = z.shape[0]
+    return 0.5 * mu * float((z.reshape(n, -1) ** 2).sum()) / n, (mu / n) * z
+
+
+class StrongConvexityLoss:
+    """FedProphet's regularized early-exit loss (Eq. 9) with a linear head
+    ``theta_m`` (conv features are flattened for it); ``mu = 0`` recovers
+    vanilla cascade learning's early-exit loss.  Training reaches the same
+    :func:`strong_convexity` through ``ModelWithLoss(segment, head, mu=...)``.
     """
 
     def __init__(self, head: Linear, mu: float):
-        if mu < 0:
-            raise ValueError("mu must be non-negative")
         self.head = head
-        self.mu = mu
+        self.mu = check_mu(mu)
         self._ce = CrossEntropyLoss()
 
     def forward(self, features: np.ndarray, labels: np.ndarray) -> float:
-        if features.ndim != 2:
-            features = features.reshape(features.shape[0], -1)
-        self._features = features
-        logits = self.head(features)
-        ce = self._ce(logits, labels)
-        reg = 0.5 * self.mu * float((features**2).sum(axis=1).mean())
-        return ce + reg
+        self._shape = features.shape
+        self._reg = strong_convexity(features, self.mu)
+        logits = self.head(features.reshape(features.shape[0], -1))
+        return self._ce(logits, labels) + self._reg[0]
 
     def backward(self, accumulate_head_grads: bool = True) -> np.ndarray:
         """Gradient w.r.t. the input features (mean-reduced over batch)."""
@@ -111,8 +116,8 @@ class StrongConvexityLoss:
             g_feat = self.head.backward(g_logits)
         else:
             g_feat = g_logits @ self.head.weight.data
-        n = self._features.shape[0]
-        return g_feat + (self.mu / n) * self._features
+        g_feat = g_feat.reshape(self._shape)
+        return g_feat if self._reg[1] is None else g_feat + self._reg[1]
 
     def __call__(self, features: np.ndarray, labels: np.ndarray) -> float:
         return self.forward(features, labels)

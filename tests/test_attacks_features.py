@@ -5,7 +5,6 @@ import pytest
 
 from repro.attacks import ModelWithLoss, PGDConfig, pgd_attack
 from repro.attacks.autoattack import _checkpoints
-from repro.core.cascade import CascadeLossModel
 from repro.core.heads import AuxHead
 from repro.models import build_cnn
 
@@ -17,33 +16,33 @@ def _setup():
     model.eval()
     seg = model.segment(1, 2)
     head = AuxHead(model.feature_shape(1), 4, rng=np.random.default_rng(2))
-    clm = CascadeLossModel(seg, head, mu=1e-3)
+    mwl = ModelWithLoss(seg, head, mu=1e-3)
     x = RNG.uniform(0.2, 0.8, size=(8, 3, 8, 8))
     y = RNG.integers(0, 4, size=8)
     z = model.forward_until(x, 1)
-    return model, clm, z, y
+    return model, mwl, z, y
 
 
 class TestFeatureSpacePGD:
     def test_l2_ball_respected_on_features(self):
-        _, clm, z, y = _setup()
+        _, mwl, z, y = _setup()
         cfg = PGDConfig(eps=0.5, steps=4, norm="l2", clip=None)
-        z_adv = pgd_attack(clm, z, y, cfg, rng=RNG)
+        z_adv = pgd_attack(mwl, z, y, cfg, rng=RNG)
         norms = np.linalg.norm((z_adv - z).reshape(len(z), -1), axis=1)
         assert np.all(norms <= 0.5 + 1e-9)
 
     def test_attack_increases_regularized_loss(self):
-        _, clm, z, y = _setup()
-        base = clm.loss(z, y)
+        _, mwl, z, y = _setup()
+        base = mwl.loss_and_input_grad(z, y)[0]
         cfg = PGDConfig(eps=1.0, steps=6, norm="l2", clip=None)
-        z_adv = pgd_attack(clm, z, y, cfg, rng=RNG)
-        assert clm.loss(z_adv, y) > base
+        z_adv = pgd_attack(mwl, z, y, cfg, rng=RNG)
+        assert mwl.loss_and_input_grad(z_adv, y)[0] > base
 
     def test_no_clipping_applied_to_features(self):
         """Intermediate features are unbounded — clip must stay disabled."""
-        _, clm, z, y = _setup()
+        _, mwl, z, y = _setup()
         cfg = PGDConfig(eps=5.0, steps=3, norm="l2", clip=None)
-        z_adv = pgd_attack(clm, z, y, cfg, rng=RNG)
+        z_adv = pgd_attack(mwl, z, y, cfg, rng=RNG)
         # with a large eps the attack may push features outside [0, 1]
         assert np.isfinite(z_adv).all()
 
@@ -51,8 +50,8 @@ class TestFeatureSpacePGD:
         model, _, z, y = _setup()
         seg = model.segment(1, 2)
         head = AuxHead(model.feature_shape(1), 4, rng=np.random.default_rng(2))
-        no_reg = CascadeLossModel(seg, head, mu=0.0)
-        with_reg = CascadeLossModel(seg, head, mu=10.0)
+        no_reg = ModelWithLoss(seg, head, mu=0.0)
+        with_reg = ModelWithLoss(seg, head, mu=10.0)
         _, g0 = no_reg.loss_and_input_grad(z, y)
         _, g1 = with_reg.loss_and_input_grad(z, y)
         assert not np.allclose(g0, g1)

@@ -4,7 +4,8 @@ freezing, and strong-convexity regularizer effects on training."""
 import numpy as np
 import pytest
 
-from repro.core.cascade import CascadeBatchSpec, CascadeLossModel, cascade_local_train
+from repro.attacks import ModelWithLoss
+from repro.core.cascade import CascadeBatchSpec, cascade_local_train
 from repro.core.heads import AuxHead
 from repro.data import ArrayDataset
 from repro.models import build_cnn
@@ -99,6 +100,6 @@ class TestRegularizerEffect:
         head = AuxHead(model.feature_shape(0), 4, rng=RNG)
         x = RNG.uniform(size=(4, 3, 8, 8))
         y = np.array([0, 1, 2, 3])
-        l0 = CascadeLossModel(seg, head, mu=0.0).loss(x, y)
-        l1 = CascadeLossModel(seg, head, mu=1.0).loss(x, y)
+        l0 = ModelWithLoss(seg, head, mu=0.0).loss_and_input_grad(x, y)[0]
+        l1 = ModelWithLoss(seg, head, mu=1.0).loss_and_input_grad(x, y)[0]
         assert l1 > l0

@@ -5,10 +5,10 @@ import pytest
 
 from repro.core.cascade import (
     CascadeBatchSpec,
-    CascadeLossModel,
     cascade_local_train,
     measure_output_perturbation,
 )
+from repro.attacks import ModelWithLoss
 from repro.data import ArrayDataset
 from repro.models import build_cnn
 from repro.core.heads import AuxHead
@@ -29,16 +29,18 @@ def _dataset(n=32):
     return ArrayDataset(x, y)
 
 
-class TestCascadeLossModel:
+class TestEarlyExitAdapter:
+    """``ModelWithLoss(segment, head, mu=...)``: Eq. 9's loss and input gradient."""
+
     def test_with_head_matches_strong_convexity_loss(self):
         model = _model()
         model.eval()
         seg = model.segment(0, 1)
         head = AuxHead(model.feature_shape(0), 4, rng=RNG)
-        clm = CascadeLossModel(seg, head, mu=0.01)
+        mwl = ModelWithLoss(seg, head, mu=0.01)
         x = RNG.uniform(0.2, 0.8, size=(4, 3, 8, 8))
         y = np.array([0, 1, 2, 3])
-        loss, grad = clm.loss_and_input_grad(x, y)
+        loss, grad = mwl.loss_and_input_grad(x, y)
         assert np.isfinite(loss)
         assert grad.shape == x.shape
 
@@ -48,23 +50,23 @@ class TestCascadeLossModel:
         seg = model.segment(1, 2)  # intermediate module: conv on features
         in_shape = model.feature_shape(0)
         head = AuxHead(model.feature_shape(1), 4, rng=RNG)
-        clm = CascadeLossModel(seg, head, mu=0.05)
+        mwl = ModelWithLoss(seg, head, mu=0.05)
         z = RNG.normal(size=(2,) + in_shape) + 0.1
         y = np.array([1, 3])
-        _, analytic = clm.loss_and_input_grad(z, y)
-        numeric = numerical_grad(lambda: clm.loss(z, y), z)
+        _, analytic = mwl.loss_and_input_grad(z, y)
+        numeric = numerical_grad(lambda: mwl.loss_and_input_grad(z, y)[0], z)
         np.testing.assert_allclose(analytic, numeric, rtol=1e-3, atol=1e-6)
 
     def test_without_head_is_plain_ce(self):
         model = _model()
         model.eval()
         seg = model.segment(0, len(model.atoms))  # whole model: last "module"
-        clm = CascadeLossModel(seg, head=None, mu=0.0)
+        mwl = ModelWithLoss(seg, head=None, mu=0.0)
         x = RNG.uniform(0.2, 0.8, size=(3, 3, 8, 8))
         y = np.array([0, 1, 2])
-        logits = clm.logits(x)
+        logits = mwl.logits(x)
         assert logits.shape == (3, 4)
-        loss, grad = clm.loss_and_input_grad(x, y)
+        loss, grad = mwl.loss_and_input_grad(x, y)
         assert np.isfinite(loss) and grad.shape == x.shape
 
     def test_per_sample_losses(self):
@@ -72,10 +74,10 @@ class TestCascadeLossModel:
         model.eval()
         seg = model.segment(0, 1)
         head = AuxHead(model.feature_shape(0), 4, rng=RNG)
-        clm = CascadeLossModel(seg, head, mu=0.0)
+        mwl = ModelWithLoss(seg, head, mu=0.0)
         x = RNG.uniform(size=(5, 3, 8, 8))
         y = np.array([0, 1, 2, 3, 0])
-        ps = clm.per_sample_losses(x, y)
+        ps = mwl.per_sample_losses(x, y)
         assert ps.shape == (5,)
         assert np.all(ps > 0)
 

@@ -10,7 +10,8 @@ import pytest
 from repro.baselines import FedRolexAT, JointFAT
 from repro.core import FedProphet, FedProphetConfig
 from repro.core.heads import AuxHead
-from repro.core.cascade import CascadeBatchSpec, CascadeLossModel, cascade_local_train
+from repro.attacks import ModelWithLoss
+from repro.core.cascade import CascadeBatchSpec, cascade_local_train
 from repro.data import make_cifar10_like
 from repro.flsim import FLConfig
 from repro.hardware import (
@@ -49,8 +50,8 @@ class TestCascadeLearnsCentrally:
                 rng=np.random.default_rng(ep),
             )
         model.eval()
-        clm = CascadeLossModel(model.segment(0, 3), head, 0.0)
-        acc = float((clm.logits(task.test.x).argmax(1) == task.test.y).mean())
+        mwl = ModelWithLoss(model.segment(0, 3), head, mu=0.0)
+        acc = float((mwl.logits(task.test.x).argmax(1) == task.test.y).mean())
         assert acc > 0.3, f"cascade module only reached {acc:.2f}"
 
 

@@ -272,7 +272,7 @@ class TestPrefixCacheStacked:
             forward,
             [8] * 3,
         )
-        assert calls == [12]  # one fused forward over the 3 clients' misses
+        assert calls == [4, 4, 4]  # one fetch per client, each on its misses
         out = stacked.fetch_stacked(
             [("c", cid) for cid in range(3)],
             [np.arange(2, 8)] * 3,
@@ -280,7 +280,7 @@ class TestPrefixCacheStacked:
             forward,
             [8] * 3,
         )
-        assert calls == [12, 12]  # rows 2-3 hit, rows 4-7 fused again
+        assert calls == [4] * 6  # rows 2-3 hit, rows 4-7 computed per client
         for got, want in zip(out, serial_out):
             np.testing.assert_array_equal(got, want)
         assert stacked.stats()["hits"] == serial.stats()["hits"]

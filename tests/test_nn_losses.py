@@ -73,13 +73,16 @@ def test_strong_convexity_loss_adds_regularizer():
     assert l1 - l0 == pytest.approx(expected_reg)
 
 
-def test_strong_convexity_feature_gradient_matches_numeric():
-    head = Linear(5, 3, rng=RNG)
-    feats = RNG.normal(size=(2, 5))
+@pytest.mark.parametrize("shape", [(2, 5), (2, 3, 2, 2)])
+def test_strong_convexity_feature_gradient_matches_numeric(shape):
+    # A conv feature gets its gradient back in its own shape.
+    head = Linear(int(np.prod(shape[1:])), 3, rng=RNG)
+    feats = RNG.normal(size=shape)
     y = np.array([2, 0])
     scl = StrongConvexityLoss(head, mu=0.1)
     scl(feats, y)
     analytic = scl.backward(accumulate_head_grads=False)
+    assert analytic.shape == shape
     numeric = numerical_grad(lambda: scl(feats, y), feats)
     np.testing.assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-7)
 
