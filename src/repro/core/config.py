@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.flsim.base import FLConfig
+from repro.nn.losses import check_mu
 
 
 @dataclass
@@ -60,12 +61,21 @@ class FedProphetConfig(FLConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.mu < 0:
-            raise ValueError("mu must be non-negative")
+        check_mu(self.mu)
+        sizes = ["rounds_per_module", "patience", "val_samples", "val_pgd_steps"]
+        if self.feature_pgd_steps is not None:
+            sizes.append("feature_pgd_steps")
+        for name in sizes:
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0 < self.alpha_min <= self.alpha_init <= self.alpha_max:
+            raise ValueError(
+                "alphas must satisfy 0 < alpha_min <= alpha_init <= alpha_max, got "
+                f"alpha_min={self.alpha_min}, alpha_init={self.alpha_init}, "
+                f"alpha_max={self.alpha_max}"
+            )
         if not (0 < self.r_min_fraction <= 1):
             raise ValueError("r_min_fraction must be in (0, 1]")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
 
     @property
     def attack_steps_features(self) -> int:

@@ -905,6 +905,18 @@ class TestLifecycleSatellites:
             with pytest.raises(ValueError, match=field):
                 _cfg(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("rounds_per_module", 0), ("rounds_per_module", -3), ("val_samples", 0),
+         ("val_pgd_steps", 0), ("feature_pgd_steps", 0), ("mu", -1e-5),
+         ("mu", float("nan")), ("mu", float("inf")), ("alpha_init", -1.0),
+         ("alpha_min", 3.0), ("alpha_min", 0.0), ("alpha_max", 0.1)],
+    )
+    def test_fedprophet_settings_it_cannot_run_are_refused(self, field, value):
+        # Each of these used to train silently, or fail rounds later.
+        with pytest.raises(ValueError, match=field):
+            _cfg(FedProphetConfig, num_clients=4, **{field: value})
+
     def test_clients_per_round_clamps_with_warning(self):
         with pytest.warns(RuntimeWarning, match="clamping"):
             cfg = _cfg(num_clients=3, clients_per_round=7, rounds=1)
