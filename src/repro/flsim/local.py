@@ -82,7 +82,7 @@ def _local_train(
             # is standard; Madry et al., 2017).
             x = cohort_pgd_attack(mwl, x, y, pgd, rngs)
         opt.zero_grad()
-        loss, _ = mwl.loss_and_input_grad(x, y)
+        loss = mwl.loss_and_input_grad(x, y)[0]
         opt.step()
         losses.append(np.atleast_1d(loss))
     if not losses:
