@@ -35,7 +35,8 @@ class ModelWithLoss:
     """
 
     def __init__(self, model: Module, head: Optional[Module] = None, k: int = 1, mu: float = 0.0):
-        if check_mu(mu) and k > 1:
+        check_mu(mu)
+        if mu and k > 1:
             raise ValueError("the strong-convexity term is per client: mu needs k = 1")
         self.model = model
         self.head = head

@@ -77,6 +77,7 @@ class CrossEntropyLoss:
 
 
 def check_mu(mu: float) -> float:
+    """``mu``, refused unless it is a finite number >= 0."""
     if not 0 <= mu < np.inf:
         raise ValueError(f"mu must be a finite number >= 0, got {mu}")
     return mu
