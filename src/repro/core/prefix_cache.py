@@ -67,6 +67,9 @@ class PrefixCache:
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
+        #: In a round worker: ``(rows filled, hits, misses)`` since the last
+        #: :meth:`take_fills`; ``None`` elsewhere.
+        self._fills: Optional[tuple] = None
 
     # -- bookkeeping -------------------------------------------------------
     def nbytes(self) -> int:
@@ -169,7 +172,39 @@ class PrefixCache:
             rows = indices[missing]
             entry.data[rows] = z_new
             entry.filled[rows] = True
+            if self._fills is not None:
+                self._fills[0].append((key, entry.version, num_samples, rows, z_new))
         return entry.data[indices]
+
+    # -- round workers -----------------------------------------------------
+    def record_fills(self) -> None:
+        """Start recording what this process fills (a forked round worker)."""
+        self._fills = ([], self.hits, self.misses)
+
+    def take_fills(self) -> tuple:
+        """The rows filled and hits/misses counted since the last call."""
+        rows, hits, misses = self._fills
+        self._fills = ([], self.hits, self.misses)
+        return rows, self.hits - hits, self.misses - misses
+
+    def adopt_fills(self, fills: tuple) -> None:
+        """Take a worker's :meth:`take_fills` in, as if its fetches ran here.
+
+        Rows filled under another prefix version are dropped; the counters
+        add up, so ``stats()`` reads as a run without workers.
+        """
+        rows, hits, misses = fills
+        self.hits += hits
+        self.misses += misses
+        for key, version, num_samples, idx, z in rows:
+            if version != self.version:
+                continue
+            entry = self._entries.get(key)
+            if entry is None or entry.version != self.version:
+                entry = self._entries[key] = _Entry(num_samples, self.version)
+            if self._ensure_entry_data(key, entry, z.shape[1:], z.dtype, num_samples):
+                entry.data[idx] = z
+                entry.filled[idx] = True
 
     def fetch_stacked(
         self,

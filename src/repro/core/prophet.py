@@ -140,6 +140,8 @@ class FedProphet(FederatedExperiment):
                 "invalidates the frozen-prefix activation cache; set "
                 "use_prefix_cache=False to run this scenario"
             )
+        if self.prefix_cache is not None:  # rows a round worker fills come back
+            self.executor.worker_state.append(self.prefix_cache)
         # Stage-scoped bookkeeping: the frozen prefix only changes when the
         # training stage advances to a new module, so the activation cache
         # is invalidated per stage rather than every round.

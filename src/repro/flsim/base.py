@@ -9,6 +9,7 @@ periodic evaluation.
 
 from __future__ import annotations
 
+import math
 import os
 import warnings
 from dataclasses import asdict, dataclass, field
@@ -23,10 +24,12 @@ from repro.data.synthetic import SyntheticImageTask
 from repro.flsim.eval_executor import EvalExecutor, EvalTarget
 from repro.flsim.executor import (
     DEFAULT_FUSION_WIDTH,
+    FORK_FLOOR_FLOPS,
     STACKED_ACTIVATION_BUDGET,
     CohortFn,
     RoundExecutor,
     derived_fusion_width,
+    spare_cores,
 )
 from repro.flsim.aggregation import AggregationError
 from repro.flsim.faults import FaultPlan, RoundFaults
@@ -58,7 +61,10 @@ class FLConfig:
 
     The round execution engine
     (:class:`repro.flsim.executor.RoundExecutor`) trains a round's clients
-    as independent work units, one after another.  Homogeneous clients
+    as independent work units: the caller runs the head of the cohort
+    plan and, when a share models more than ``FORK_FLOOR_FLOPS`` of
+    training, one forked round worker per spare core runs the tail — no
+    setting, and no bit of the result, depends on it.  Homogeneous clients
     fuse into stacked cohorts
     (per-client weight slabs against a ``(K·B, ...)`` activation layout —
     see :mod:`repro.nn.cohort`); a heterogeneous client is a cohort of
@@ -203,6 +209,19 @@ class FLConfig:
         for name, least in sizes.items():
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+        if not (0.0 <= self.momentum < 1.0):
+            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        for name in ("train_pgd_steps", "eval_pgd_steps"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not (math.isfinite(self.eps0) and self.eps0 >= 0):
+            raise ValueError(f"eps0 must be finite and >= 0, got {self.eps0}")
         if self.clients_per_round > self.num_clients:
             warnings.warn(
                 f"clients_per_round={self.clients_per_round} exceeds "
@@ -479,7 +498,7 @@ class FederatedExperiment:
         width = config.fusion_width
         if width is None:
             width = derived_fusion_width(self.client_activation_bytes)
-        self.executor = RoundExecutor(fusion_width=width)
+        self.executor = RoundExecutor(fusion_width=width, client_flops=self.client_flops)
         self.eval_executor = EvalExecutor(self.executor)
         self._async_workspaces: dict = {}
         #: Applied merge events of every asynchronous round, in merge order.
@@ -799,6 +818,16 @@ class FederatedExperiment:
         model = self.global_model
         activations = profile_module(model, model.in_shape).activations
         return BYTES_PER_SCALAR * self.config.batch_size * activations
+
+    @cached_property
+    def client_flops(self) -> float:
+        """Modelled training FLOPs of one client: ``local_iters`` PGD-AT
+        iterations of the global model (the round workers' fork floor)."""
+        model, cfg = self.global_model, self.config
+        per_iter = training_flops_per_iteration(
+            model, model.in_shape, batch_size=cfg.batch_size, pgd_steps=cfg.train_pgd_steps
+        )
+        return per_iter * cfg.local_iters
 
     def _model_costs(
         self, model: CascadeModel, pgd_steps: Optional[int] = None
@@ -1245,10 +1274,22 @@ class FederatedExperiment:
             f"per client against a {STACKED_ACTIVATION_BUDGET >> 10} KiB "
             f"stacked budget, at most {DEFAULT_FUSION_WIDTH}; configured: auto"
         )
-        engine = (
-            "engine: serial, one work unit at a time; fusion width "
-            f"{self.executor.fusion_width} ({cause}) for equal-key clients, "
-            f"others per item, 1 disables fusion"
+        workers = self.executor.workers_for(cfg.clients_per_round)
+        floor = (
+            f"a worker forks for a share above {FORK_FLOOR_FLOPS / 1e9:g} GFLOP "
+            f"of modelled training, one client {self.client_flops / 1e9:.3g} GFLOP"
+        )
+        if workers:
+            engine = (
+                f"engine: {workers} forked round worker(s) beside the caller "
+                f"({spare_cores()} spare core(s)), OpenBLAS pinned to 1 thread "
+                f"while they run; {floor}"
+            )
+        else:
+            engine = f"engine: serial, one work unit at a time ({floor})"
+        engine += (
+            f"; fusion width {self.executor.fusion_width} ({cause}) for "
+            f"equal-key clients, others per item, 1 disables fusion"
         )
         pop = self.clients
         cap = pop.cache_capacity

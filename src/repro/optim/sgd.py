@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, List
 
 import numpy as np
@@ -26,12 +27,12 @@ class SGD:
         momentum: float = 0.0,
         weight_decay: float = 0.0,
     ):
-        if lr <= 0:
-            raise ValueError("lr must be positive")
+        if not (math.isfinite(lr) and lr > 0):
+            raise ValueError(f"lr must be finite and positive, got {lr}")
         if not (0.0 <= momentum < 1.0):
             raise ValueError("momentum must be in [0, 1)")
-        if weight_decay < 0:
-            raise ValueError("weight_decay must be non-negative")
+        if not (math.isfinite(weight_decay) and weight_decay >= 0):
+            raise ValueError(f"weight_decay must be finite and non-negative, got {weight_decay}")
         self.params: List[Parameter] = list(params)
         if not self.params:
             raise ValueError("optimizer got an empty parameter list")

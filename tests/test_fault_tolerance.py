@@ -46,6 +46,7 @@ from repro.flsim.base import FederatedExperiment
 from repro.flsim.checkpoint import TRAILER_MAGIC
 from repro.hardware import DeviceSampler, device_pool
 from repro.models import build_cnn
+from repro.optim import SGD
 
 
 def _task():
@@ -916,6 +917,30 @@ class TestLifecycleSatellites:
         # Each of these used to train silently, or fail rounds later.
         with pytest.raises(ValueError, match=field):
             _cfg(FedProphetConfig, num_clients=4, **{field: value})
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("lr", float("nan")), ("lr", float("inf")), ("lr", 0.0), ("lr", -1.0),
+         ("momentum", float("nan")), ("momentum", 1.0), ("momentum", -0.1),
+         ("weight_decay", -1.0), ("weight_decay", float("inf")),
+         ("batch_size", 0), ("train_pgd_steps", -1), ("eval_pgd_steps", -1),
+         ("eps0", float("nan")), ("eps0", -1.0), ("eps0", float("inf")),
+         ("sgd.lr", float("nan")), ("sgd.lr", float("inf")),
+         ("sgd.weight_decay", float("nan")), ("sgd.weight_decay", float("inf"))],
+    )
+    def test_optimizer_and_attack_settings_it_cannot_run_are_refused(self, field, value):
+        # Each of these trained to NaN weights, or raised inside the first
+        # work unit (by then, possibly in a forked round worker).
+        if field.startswith("sgd."):
+            name = field[len("sgd."):]
+            with pytest.raises(ValueError, match=name):
+                SGD(_builder(np.random.default_rng(0)).parameters(), **{"lr": 0.1, name: value})
+        else:
+            with pytest.raises(ValueError, match=field):
+                _cfg(**{field: value})
+
+    def test_eps0_zero_stays_legal(self):
+        assert _cfg(eps0=0.0).eps0 == 0.0
 
     def test_clients_per_round_clamps_with_warning(self):
         with pytest.warns(RuntimeWarning, match="clamping"):

@@ -24,6 +24,7 @@ import pytest
 from repro.baselines import FedRBN, HeteroFLAT, JointFAT
 from repro.data import make_cifar10_like
 from repro.flsim import FLConfig
+from repro.flsim import executor as executor_module
 from repro.flsim.executor import (
     DEFAULT_FUSION_WIDTH,
     STACKED_ACTIVATION_BUDGET,
@@ -229,9 +230,11 @@ def test_width_is_non_semantic(size, builder, batch, derived):
 # ---------------------------------------------------------------------------
 
 
-def _traced_peak(width):
+def _traced_peak(width, monkeypatch):
     """Traced peak of one JointFAT round: jfat_dense's geometry (VGG11x0.25,
-    16x16, B=32, 2 clients a round)."""
+    16x16, B=32, 2 clients a round), both clients in this process — a round
+    worker would split the fused pair and train one of them elsewhere."""
+    monkeypatch.setattr(executor_module, "spare_cores", lambda: 0)
     cfg = _cfg(num_clients=2, clients_per_round=2, batch_size=32, rounds=1,
                fusion_width=width)
     with JointFAT(_task(16), _vgg(16), cfg) as exp:
@@ -244,8 +247,8 @@ def _traced_peak(width):
             tracemalloc.stop()
 
 
-def test_default_round_holds_the_per_item_footprint():
-    auto, per_item, fused = (_traced_peak(w) for w in (None, 1, 8))
+def test_default_round_holds_the_per_item_footprint(monkeypatch):
+    auto, per_item, fused = (_traced_peak(w, monkeypatch) for w in (None, 1, 8))
     assert abs(auto - per_item) <= 0.05 * per_item
     assert auto <= 0.8 * fused
 
