@@ -444,11 +444,13 @@ class RoundExecutor:
         running one); a lone multi-client cohort is split first (fused ≡
         per item).  Workers are dropped until each one's share models more
         than :data:`FORK_FLOOR_FLOPS`, and none forks when the OpenBLAS
-        thread count cannot be pinned.  ``[plan]`` means run inline.
+        thread count cannot be pinned (asked only of a plan that would
+        fork, so a group below the floor reads no library state).  ``[plan]``
+        means run inline.
         """
         if slots is None:
             slots = 0 if _in_worker else spare_cores() - len(_live_workers)
-        if slots < 1 or self.client_flops <= 0 or not _Blas.pinnable():
+        if slots < 1 or self.client_flops <= 0:
             return [plan]
         for parts in range(slots + 1, 1, -1):
             cohorts = plan
@@ -466,7 +468,7 @@ class RoundExecutor:
                 sum(len(c) for c in run) * self.client_flops > FORK_FLOOR_FLOPS
                 for run in runs[1:]
             ):
-                return runs
+                return runs if _Blas.pinnable() else [plan]
         return [plan]
 
     def workers_for(self, clients: int) -> int:
