@@ -1,27 +1,44 @@
 """Measure where a forked round worker starts to pay: the fork floor's basis.
 
-For each point (model, geometry, batch, local iterations) a two-client jFAT
-round trains either inline or with the second client on a forked worker
-(the floor forced to 0).  Runs alternate inline / forked, so a slow phase
-of a noisy host hits both; the table prints each side's median round time,
-their ratio, and the modelled GFLOP of the worker's share (one client's
-``training_flops_per_iteration × local_iters``).  ``FORK_FLOOR_FLOPS``
-belongs between the largest share that loses and the smallest that wins.
+Training points: for each (model, geometry, batch, local iterations) a
+two-client jFAT round trains either inline or with the second client on a
+forked worker (the floor forced to 0).  The share is one client's
+``training_flops_per_iteration × local_iters``.
 
-    PYTHONPATH=src python scripts/fork_floor_sweep.py [--pairs 5] [--rounds 4]
+Evaluation points, at ``robust_eval``'s geometry (its set-up rounds train
+the model): a plan of one attack — clean, PGD-3, PGD-20 or AutoAttack —
+cut into two equal shards (the caller runs one, a worker the other), and
+``robust_eval``'s own pass ([clean, PGD-20] inline, AutoAttack on the
+worker), at 16, 64 and 128 samples.  The share is the worker's modelled
+FLOPs (samples × forward FLOPs × the attack's passes); "off path" is the
+work the fork takes off the caller's path (the total less the larger run).
+
+Runs alternate inline / forked, so a slow phase of a noisy host hits
+both; each table prints each side's median time and their ratio.
+``FORK_FLOOR_FLOPS`` belongs between the largest share that loses and the
+smallest that wins.
+
+    PYTHONPATH=src python scripts/fork_floor_sweep.py [--pairs 5] [--rounds 4] [--eval-only]
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import statistics
+import sys
 import time
 
 from repro.baselines import JointFAT
 from repro.data import make_cifar10_like
 from repro.flsim import FLConfig
 from repro.flsim import executor as executor_module
+from repro.hardware import forward_flops
+from repro.metrics.evaluation import AttackSpec, EvalPlan
 from repro.models import build_cnn, build_vgg
+
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+from perfbench import workloads  # noqa: E402  (robust_eval's sizes and set-up)
 
 #: (label, builder(size), image size, batch size, local iterations)
 POINTS = [
@@ -53,25 +70,85 @@ def _round_ms(builder, image, batch, iters, rounds, forked, floor):
     return 1e3 * elapsed / rounds, flops
 
 
+#: (label, the plan's attacks); eps and steps are robust_eval's.
+EVAL_PLANS = [
+    ("clean", lambda eps: (AttackSpec.clean(),)),
+    ("PGD-3", lambda eps: (AttackSpec.pgd(eps, 3),)),
+    ("PGD-20", lambda eps: (AttackSpec.pgd(eps, 20),)),
+    ("AA", lambda eps: (AttackSpec.autoattack(eps, 20),)),
+    ("robust_eval pass", lambda eps: EvalPlan.standard(eps, 20, with_autoattack=True).attacks),
+]
+EVAL_SAMPLES = (16, 64, 128)
+
+
+def _eval_ms(exp, plan, forked, floor):
+    executor_module.FORK_FLOOR_FLOPS = 0.0 if forked else float("inf")
+    try:
+        start = time.perf_counter()
+        exp.run_eval(plan)
+        return 1e3 * (time.perf_counter() - start)
+    finally:
+        executor_module.FORK_FLOOR_FLOPS = floor
+
+
+def _eval_points(pairs, floor):
+    size = workloads.sizes_for("robust_eval", smoke=False)
+    executor_module.FORK_FLOOR_FLOPS = float("inf")  # set-up rounds inline: the model is the same
+    try:
+        exp = workloads.build_robust_eval(size, 0, None)
+    finally:
+        executor_module.FORK_FLOOR_FLOPS = floor
+    model = exp.global_model
+    fwd = forward_flops(model, model.in_shape)
+    print("| plan | samples | share GFLOP | off path GFLOP | inline ms | forked ms "
+          "| forked / inline |")
+    print("|---|---|---|---|---|---|---|")
+    for label, attacks_for in EVAL_PLANS:
+        attacks = attacks_for(exp.config.eps0)
+        for samples in EVAL_SAMPLES:
+            # one attack: two equal shards; the pass: one shard an attack
+            batch = samples // 2 if len(attacks) == 1 else samples
+            plan = EvalPlan(attacks=attacks, batch_size=batch, max_samples=samples, seed=0)
+            costs = [
+                rows * fwd * attack.passes
+                for attack in attacks
+                for rows in ([batch, samples - batch] if len(attacks) == 1 else [samples])
+            ]
+            share, off_path = costs[-1], sum(costs) - max(sum(costs[:-1]), costs[-1])
+            times = {False: [], True: []}
+            for _ in range(pairs):
+                for forked in (False, True):
+                    times[forked].append(_eval_ms(exp, plan, forked, floor))
+            inline, forked = statistics.median(times[False]), statistics.median(times[True])
+            print(f"| {label} | {samples} | {share / 1e9:.3f} | {off_path / 1e9:.3f} | "
+                  f"{inline:.1f} | {forked:.1f} | {forked / inline:.2f} |")
+    exp.close()
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pairs", type=int, default=5)
     parser.add_argument("--rounds", type=int, default=4)
+    parser.add_argument("--eval-only", action="store_true", help="skip the training points")
     args = parser.parse_args()
     floor = executor_module.FORK_FLOOR_FLOPS
     print(f"spare cores: {executor_module.spare_cores()}; shipped floor {floor / 1e9:g} GFLOP")
-    print("| point | iters | share GFLOP | inline ms/round | forked ms/round | forked / inline |")
-    print("|---|---|---|---|---|---|")
-    for label, make, image, batch, iters in POINTS:
-        builder = make(image)
-        times = {False: [], True: []}
-        for _ in range(args.pairs):
-            for forked in (False, True):
-                ms, flops = _round_ms(builder, image, batch, iters, args.rounds, forked, floor)
-                times[forked].append(ms)
-        inline, forked = statistics.median(times[False]), statistics.median(times[True])
-        print(f"| {label} | {iters} | {flops / 1e9:.3f} | {inline:.1f} | {forked:.1f} | "
-              f"{forked / inline:.2f} |")
+    if not args.eval_only:
+        print("| point | iters | share GFLOP | inline ms/round | forked ms/round "
+              "| forked / inline |")
+        print("|---|---|---|---|---|---|")
+        for label, make, image, batch, iters in POINTS:
+            builder = make(image)
+            times = {False: [], True: []}
+            for _ in range(args.pairs):
+                for forked in (False, True):
+                    ms, flops = _round_ms(builder, image, batch, iters, args.rounds, forked, floor)
+                    times[forked].append(ms)
+            inline, forked = statistics.median(times[False]), statistics.median(times[True])
+            print(f"| {label} | {iters} | {flops / 1e9:.3f} | {inline:.1f} | {forked:.1f} | "
+                  f"{forked / inline:.2f} |")
+        print()
+    _eval_points(args.pairs, floor)
 
 
 if __name__ == "__main__":

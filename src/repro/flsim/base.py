@@ -1276,8 +1276,9 @@ class FederatedExperiment:
         )
         workers = self.executor.workers_for(cfg.clients_per_round)
         floor = (
-            f"a worker forks for a share above {FORK_FLOOR_FLOPS / 1e9:g} GFLOP "
-            f"of modelled training, one client {self.client_flops / 1e9:.3g} GFLOP"
+            f"a worker forks for a share above {FORK_FLOOR_FLOPS / 1e9:g} GFLOP of "
+            f"modelled work (training or eval), one client "
+            f"{self.client_flops / 1e9:.3g} GFLOP"
         )
         if workers:
             engine = (

@@ -3,9 +3,13 @@
 Every accuracy an :class:`~repro.metrics.evaluation.EvalPlan` requests
 decomposes into deterministic :class:`EvalShard` work units over
 ``(attack, sample range)`` tuples, whose results are integer
-correct-counts.  The shards run through
-:meth:`~repro.flsim.executor.RoundExecutor.map`, one after another,
-against one :class:`EvalTarget`:
+correct-counts.  The shards run against one :class:`EvalTarget` as one
+group of plain work units on the round executor
+(:meth:`~repro.flsim.executor.RoundExecutor.run_group`), each priced at
+its modelled FLOPs — its samples × the target's forward FLOPs × its
+attack's :attr:`~repro.metrics.evaluation.AttackSpec.passes` — so a plan
+worth it runs its tail on a forked round worker, like a training round.
+Where a shard ran cannot show in the result:
 
 * **shard-stable RNG** — each shard draws from
   ``default_rng([plan seed, attack index, shard index])``
@@ -33,6 +37,7 @@ import numpy as np
 from repro.attacks import ModelWithLoss
 from repro.data.dataset import ArrayDataset
 from repro.flsim.executor import RoundExecutor
+from repro.hardware.flops import forward_flops
 from repro.metrics.evaluation import EvalPlan, EvalResult, seed_entropy, shard_rng
 from repro.nn.grad_mode import no_param_grads
 
@@ -140,7 +145,12 @@ class EvalExecutor:
                 preds = target.mwl.logits(adv).argmax(axis=1)
             return shard.attack_idx, int((preds == yb).sum())
 
-        results = self.executor.map(run_shard, shards)
+        try:
+            fwd = forward_flops(target.mwl.model, x.shape[1:])
+        except TypeError:  # a model the shape walker cannot read: priced 0, run inline
+            fwd = 0
+        costs = [(s.stop - s.start) * fwd * plan.attacks[s.attack_idx].passes for s in shards]
+        results = self.executor.run_group(run_shard, shards, costs)
 
         target.mwl.model.zero_grad()
         if target.mwl.head is not None:

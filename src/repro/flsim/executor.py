@@ -29,11 +29,13 @@ group's first pull the executor forks one worker per spare core
 a contiguous tail of the cohort plan, while the caller runs the head
 inline.  A worker pickles one cohort's results per frame and the caller
 reads a frame only when it pulls that cohort, so results are still handed
-out one cohort at a time, in plan order.  Workers fork only when each
-one's share models more than :data:`FORK_FLOOR_FLOPS` of training and the
-OpenBLAS numpy loaded can be pinned to one thread (:func:`pin_blas`) —
-two processes running two BLAS threads each on two cores ran 3–4× slower
-than one thread each.
+out one cohort at a time, in plan order.  Every item carries its modelled
+FLOPs (a client its training, an evaluation shard its attack passes), the
+plan is cut into runs of equal cost, and workers fork only when each
+one's share, and the work taken off the caller's path, model more than
+:data:`FORK_FLOOR_FLOPS` and the OpenBLAS numpy loaded can be pinned to
+one thread (:class:`_Blas`) — two processes running two BLAS threads each
+on two cores ran 3–4× slower than one thread each.
 
 Determinism contract: **fused output is bit-identical to cohorts of
 one**, and a worker's output to the caller's.  Results are keyed by
@@ -47,6 +49,7 @@ from __future__ import annotations
 
 import ctypes
 import io
+import math
 import os
 import pickle
 import queue
@@ -54,6 +57,7 @@ import signal
 import struct
 import threading
 import traceback
+from fractions import Fraction
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 
@@ -82,15 +86,21 @@ def derived_fusion_width(per_client_bytes: int) -> int:
     return max(1, min(DEFAULT_FUSION_WIDTH, fit))
 
 
-#: Modelled training FLOPs (``training_flops_per_iteration × local_iters``
-#: per client) a forked worker's share must exceed.  On two-client jFAT
-#: rounds a one-client worker share of 0.010–0.25 GFLOP ran 1.28–1.35×
-#: *slower* than inline (fork, copy-on-write faults and a cold cache cost
-#: more than the share), 0.51 GFLOP broke even (0.97×), and 1.01–3.04
-#: GFLOP won (0.93–0.72×) — so any value in [0.51, 1.01) GFLOP decides
-#: every measured point the same way, keeping tier-1's 8×8 models and
-#: ``swarm_async`` inline (``scripts/fork_floor_sweep.py``; the table is
-#: in docs/benchmarks.md, "a round's clients train on every core").
+#: Modelled FLOPs a forked worker's share, and the work it takes off the
+#: caller's path, must exceed (a client costs ``training_flops_per_iteration
+#: × local_iters``; an evaluation shard, rows × forward FLOPs × its attack's
+#: passes).  On two-client jFAT rounds a one-client worker share of
+#: 0.010–0.25 GFLOP ran 1.28–1.35× *slower* than inline (fork, copy-on-write
+#: faults and a cold cache cost more than the share), 0.51 GFLOP broke even
+#: (0.97×), and 1.01–3.04 GFLOP won (0.93–0.72×) — so any value in
+#: [0.51, 1.01) GFLOP decides every measured training point the same way,
+#: keeping tier-1's 8×8 models and ``swarm_async`` inline.  Two-shard eval
+#: plans at ``robust_eval``'s geometry break even lower for PGD (0.14 GFLOP
+#: lost, 0.56 won) and higher for AutoAttack, whose modelled cost is an
+#: upper bound (2.6 GFLOP even, 10.4 won): the floor decides 12 of their 15
+#: measured points as measured (``scripts/fork_floor_sweep.py``; the tables
+#: are in docs/benchmarks.md, "a round's clients train on every core" and
+#: "evaluation shards on round workers").
 FORK_FLOOR_FLOPS = 1e9
 
 _COUNT = struct.Struct("<Q")  # a frame opens with its part count, then each part's length
@@ -170,23 +180,24 @@ _live_workers: Dict[int, "_Worker"] = {}
 _in_worker = False
 
 
-def _split(plan: List[List[int]], parts: int) -> List[List[List[int]]]:
-    """``plan`` cut into ``parts`` contiguous runs balanced by client count.
+def _split(plan: List[List[int]], weights: List[Fraction], parts: int) -> List[List[List[int]]]:
+    """``plan`` cut into ``parts`` contiguous runs balanced by ``weights``.
 
-    Each cut falls on the cohort boundary nearest its even share (ties go
-    to the earlier run), so the caller's run, the first, is never the
-    smaller of two.
+    ``weights`` holds each cohort's cost.  Each cut falls on the cohort
+    boundary nearest its even share of the total (ties go to the earlier
+    run).  The arithmetic is exact, so equal item costs cut where a count
+    of items would.
     """
-    total = sum(len(c) for c in plan)
+    total = sum(weights)
     runs: List[List[List[int]]] = []
     start, done = 0, 0
     for j in range(1, parts):
         target = total * j / parts
-        cut, seen = start + 1, done + len(plan[start])  # every run takes a cohort
-        while cut < len(plan) - (parts - j) and abs(seen + len(plan[cut]) - target) <= abs(
+        cut, seen = start + 1, done + weights[start]  # every run takes a cohort
+        while cut < len(plan) - (parts - j) and abs(seen + weights[cut] - target) <= abs(
             seen - target
         ):
-            seen += len(plan[cut])
+            seen += weights[cut]
             cut += 1
         runs.append(plan[start:cut])
         start, done = cut, seen
@@ -391,14 +402,15 @@ class CohortFn:
 class RoundExecutor:
     """Plans a round's client work items into cohorts of at most
     ``fusion_width`` (``1`` disables fusion) and runs them, on forked
-    round workers as well as inline when a worker's share of
-    ``client_flops`` clears :data:`FORK_FLOOR_FLOPS`.
+    round workers as well as inline when a worker's share of the
+    group's modelled FLOPs clears :data:`FORK_FLOOR_FLOPS`.
 
-    ``client_flops`` is one client's modelled training FLOPs (``0``: never
-    fork).  ``worker_state`` lists process state a work unit fills that
-    the caller must see (FedProphet's prefix cache): a worker calls
-    ``record_fills()`` once and ``take_fills()`` after each cohort, and the
-    caller hands each result to ``adopt_fills`` as it reads the cohort.
+    ``client_flops`` is one client's modelled training FLOPs, the cost of
+    a work item unless the group names its own (``0``: never fork).
+    ``worker_state`` lists process state a work unit fills that the caller
+    must see (FedProphet's prefix cache): a worker calls ``record_fills()``
+    once and ``take_fills()`` after each cohort, and the caller hands each
+    result to ``adopt_fills`` as it reads the cohort.
     """
 
     def __init__(self, fusion_width: int = DEFAULT_FUSION_WIDTH, client_flops: float = 0.0):
@@ -437,20 +449,24 @@ class RoundExecutor:
         cohorts.sort(key=lambda c: c[0])
         return cohorts
 
-    def plan_runs(self, plan: List[List[int]], slots: Optional[int] = None) -> List[List[List[int]]]:
+    def plan_runs(
+        self, plan: List[List[int]], costs: Sequence[float], slots: Optional[int] = None
+    ) -> List[List[List[int]]]:
         """The plan cut into the caller's run and one run per worker to fork.
 
-        At most ``slots`` workers (default: the spare cores not already
-        running one); a lone multi-client cohort is split first (fused ≡
-        per item).  Workers are dropped until each one's share models more
-        than :data:`FORK_FLOOR_FLOPS`, and none forks when the OpenBLAS
-        thread count cannot be pinned (asked only of a plan that would
-        fork, so a group below the floor reads no library state).  ``[plan]``
-        means run inline.
+        ``costs[i]`` is item ``i``'s modelled FLOPs, and runs are balanced
+        by cost.  At most ``slots`` workers (default: the spare cores not
+        already running one); a lone multi-client cohort is split first
+        (fused ≡ per item).  Workers are dropped until each one's share,
+        and the work taken off the caller's path (the total less the
+        largest run), model more than :data:`FORK_FLOOR_FLOPS`; none forks
+        when the OpenBLAS thread count cannot be pinned (asked only of a
+        plan that would fork, so a group below the floor reads no library
+        state).  ``[plan]`` means run inline.
         """
         if slots is None:
             slots = 0 if _in_worker else spare_cores() - len(_live_workers)
-        if slots < 1 or self.client_flops <= 0:
+        if slots < 1 or math.fsum(costs) <= 2 * FORK_FLOOR_FLOPS:  # no cut clears both
             return [plan]
         for parts in range(slots + 1, 1, -1):
             cohorts = plan
@@ -463,20 +479,23 @@ class RoundExecutor:
                     at += size
             if len(cohorts) < parts:
                 continue
-            runs = _split(cohorts, parts)
-            if all(
-                sum(len(c) for c in run) * self.client_flops > FORK_FLOOR_FLOPS
-                for run in runs[1:]
-            ):
+            runs = _split(cohorts, [sum(Fraction(costs[i]) for i in c) for c in cohorts], parts)
+            shares = [math.fsum(costs[i] for c in run for i in c) for run in runs]
+            off_path = math.fsum(sorted(shares)[:-1])  # what running side by side saves
+            if min(shares[1:]) > FORK_FLOOR_FLOPS and off_path > FORK_FLOOR_FLOPS:
                 return runs if _Blas.pinnable() else [plan]
         return [plan]
 
     def workers_for(self, clients: int) -> int:
         """Workers a group of ``clients`` plain work units forks on this host."""
-        return len(self.plan_runs([[i] for i in range(clients)], spare_cores())) - 1
+        plan = [[i] for i in range(clients)]
+        return len(self.plan_runs(plan, [self.client_flops] * clients, spare_cores())) - 1
 
     def submit_group(
-        self, fn: Callable[[Any], Any], items: Sequence[Any]
+        self,
+        fn: Callable[[Any], Any],
+        items: Sequence[Any],
+        costs: Optional[Sequence[float]] = None,
     ) -> Iterator[Tuple[int, Any]]:
         """A generator: each pull runs the next cohort, yielding its ``(index, result)`` pairs.
 
@@ -486,15 +505,18 @@ class RoundExecutor:
         versions).  Cohorts come out in the order of their first item, and
         each result is handed out once and not kept.  The first pull forks
         the workers :meth:`plan_runs` asks for, which run the plan's tail
-        while the caller runs its head.  A work-unit exception propagates,
-        with its own type, from the pull that reaches its cohort and ends
-        the group; a worker that dies raises :class:`RoundWorkerError`
-        there.  Ending the group early (``close()``, or dropping it) kills
-        and reaps its workers.
+        while the caller runs its head; ``costs`` are the items' modelled
+        FLOPs (default: ``client_flops`` each).  A work-unit exception
+        propagates, with its own type, from the pull that reaches its
+        cohort and ends the group; a worker that dies raises
+        :class:`RoundWorkerError` there.  Ending the group early
+        (``close()``, or dropping it) kills and reaps its workers.
         """
         items = list(items)
+        if costs is None:
+            costs = [self.client_flops] * len(items)
         work = fn if isinstance(fn, CohortFn) else CohortFn(lambda members: [fn(members[0])])
-        own, *tails = self.plan_runs(self.plan_cohorts(work, items))
+        own, *tails = self.plan_runs(self.plan_cohorts(work, items), costs)
 
         def inline(idxs: List[int]) -> List[Any]:
             return _run_cohort(work, items, idxs)
@@ -522,17 +544,15 @@ class RoundExecutor:
             if not _live_workers:
                 _Blas.release()
 
-    def run_group(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> List[Any]:
+    def run_group(
+        self,
+        fn: Callable[[Any], Any],
+        items: Sequence[Any],
+        costs: Optional[Sequence[float]] = None,
+    ) -> List[Any]:
         """The barrier view of :meth:`submit_group`: results in input order."""
-        return [result for _, result in sorted(self.submit_group(fn, items))]
+        return [result for _, result in sorted(self.submit_group(fn, items, costs))]
 
-    def map(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> List[Any]:
-        """Run ``fn(item)`` for every item, in input order; results likewise.
-
-        Any work-unit exception propagates to the caller.  ``map`` never
-        fuses and never forks: a :class:`CohortFn` runs cohorts of one here
-        — cohort dispatch is :meth:`submit_group`, which every training
-        round goes through (``map`` serves the eval path, with a plain
-        function).
-        """
-        return [fn(item) for item in items]
+    # Nothing calls ``map``: the name stays only because perfbench's layer
+    # table (perfbench/layers.py) wraps ``RoundExecutor.map`` by name.
+    map = run_group

@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.attacks import ModelWithLoss, PGDConfig, auto_attack_lite, pgd_attack
 from repro.data.dataset import ArrayDataset
+from repro.hardware.flops import BACKWARD_MULTIPLIER
 from repro.nn.module import Module
 
 ATTACK_KINDS = ("clean", "pgd", "autoattack")
@@ -96,6 +97,23 @@ class AttackSpec:
         attacks perturb the raw input, which invalidates any prefix reuse.
         """
         return self.kind == "clean"
+
+    @property
+    def passes(self) -> float:
+        """Forward passes a row of this attack's shards is priced at.
+
+        The prediction, plus a forward and a backward per attack step:
+        PGD's ``steps``, and for AutoAttack the upper bound of every point
+        reaching every member (FGSM's one step, PGD's ``steps``,
+        ``restarts`` × APGD's ``steps``).
+        """
+        if self.kind == "clean":
+            steps = 0
+        elif self.kind == "pgd":
+            steps = self.steps
+        else:
+            steps = 1 + self.steps + self.restarts * self.steps
+        return 1.0 + (1.0 + BACKWARD_MULTIPLIER) * steps
 
     def perturb(
         self,

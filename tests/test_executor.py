@@ -1,4 +1,4 @@
-"""Round execution engine: the inline map and stage-scoped caching.
+"""Round execution engine: the barrier group view and stage-scoped caching.
 
 The load-bearing property: the version-keyed prefix cache is
 bit-identical to running with the cache off while serving cross-round
@@ -11,8 +11,10 @@ import pytest
 
 from repro.core import FedProphet, FedProphetConfig
 from repro.data import make_cifar10_like
-from repro.flsim import FLConfig, RoundExecutor
-from repro.flsim.executor import CohortFn
+from repro.attacks import ModelWithLoss
+from repro.flsim import EvalExecutor, EvalTarget, FLConfig, RoundExecutor
+from repro.flsim import executor as executor_module
+from repro.metrics.evaluation import EvalPlan
 from repro.models import build_vgg
 
 
@@ -28,25 +30,34 @@ def _assert_states_equal(a, b, label=""):
 
 
 class TestRoundExecutor:
-    def test_map_preserves_input_order(self):
+    def test_run_group_preserves_input_order(self):
         items = list(range(11))
-        assert RoundExecutor().map(lambda i: i * i, items) == [i * i for i in items]
+        assert RoundExecutor().run_group(lambda i: i * i, items) == [i * i for i in items]
 
-    def test_map_empty(self):
-        assert RoundExecutor().map(lambda i: i, []) == []
+    def test_run_group_empty(self):
+        assert RoundExecutor().run_group(lambda i: i, []) == []
 
     @pytest.mark.parametrize("width", [1, 4, 8])
-    def test_map_never_fuses(self, width):
-        # The eval path's barrier: a CohortFn runs cohorts of one at any width.
-        cohorts = []
+    def test_eval_shards_run_one_per_cohort(self, width, monkeypatch):
+        # An EvalPlan's shards are plain work units: never fused, at any width.
+        widths = []
+        run_cohort = executor_module._run_cohort
 
-        def cohort_fn(items):
-            cohorts.append(list(items))
-            return [-i for i in items]
+        def recording(work, items, idxs):
+            widths.append(len(idxs))
+            return run_cohort(work, items, idxs)
 
-        fn = CohortFn(cohort_fn, group_key=lambda i: "g")
-        assert RoundExecutor(fusion_width=width).map(fn, range(6)) == [-i for i in range(6)]
-        assert cohorts == [[i] for i in range(6)]
+        monkeypatch.setattr(executor_module, "_run_cohort", recording)
+        monkeypatch.setattr(executor_module, "spare_cores", lambda: 0)
+        task = _task()
+        model = build_vgg("vgg11", 10, (3, 8, 8), width_mult=0.25, rng=np.random.default_rng(0))
+        target = EvalTarget(ModelWithLoss(model))
+        plan = EvalPlan.standard(eps=0.03, pgd_steps=2, batch_size=8, max_samples=24)
+        result = EvalExecutor(RoundExecutor(fusion_width=width)).run(plan, task.test, target)
+        assert widths == [1] * 6  # (clean, pgd) x 3 batches
+        assert result == EvalExecutor(RoundExecutor(fusion_width=1)).run(
+            plan, task.test, target
+        )
 
     def test_exceptions_propagate(self):
         def boom(i):
@@ -55,7 +66,7 @@ class TestRoundExecutor:
             return i
 
         with pytest.raises(RuntimeError, match="work unit failed"):
-            RoundExecutor().map(boom, range(5))
+            RoundExecutor().run_group(boom, range(5))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

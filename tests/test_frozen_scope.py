@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 import repro.attacks.autoattack as autoattack
+import repro.flsim.executor as executor_module
 import repro.nn.conv as conv_module
 from repro.attacks import ModelWithLoss, PGDConfig, apgd_attack, auto_attack_lite
 from repro.attacks.autoattack import _checkpoints
@@ -619,7 +620,11 @@ def _test_set(n=64, seed=15):
     return ArrayDataset(x, rng.integers(0, 10, size=n))
 
 
-def test_standard_plan_calls_no_batchnorm_and_lays_out_once_per_shard(bn_calls, layout_builds):
+def test_standard_plan_calls_no_batchnorm_and_lays_out_once_per_shard(
+    bn_calls, layout_builds, monkeypatch
+):
+    # The counts are this process's: no shard may run on a round worker.
+    monkeypatch.setattr(executor_module, "spare_cores", lambda: 0)
     model = _vgg()
     convs = [m for m in model.modules() if isinstance(m, Conv2d)]
     conv_calls = Counter()

@@ -222,11 +222,10 @@ class TestCohortPlanning:
     def test_plain_fn_runs_per_item(self):
         # A baseline without a cohort path still runs (per item).
         ex = RoundExecutor(fusion_width=4)
-        assert ex.map(lambda i: i * i, list(range(5))) == [0, 1, 4, 9, 16]
+        assert ex.run_group(lambda i: i * i, list(range(5))) == [0, 1, 4, 9, 16]
 
-    def test_map_preserves_item_order(self):
-        # RoundExecutor.map never fuses, so the fused barrier view is
-        # RoundExecutor.run_group.
+    def test_run_group_preserves_item_order(self):
+        # The fused barrier view: results in input order, whatever the cohorts.
         ex = RoundExecutor(fusion_width=3)
         fn = CohortFn(
             lambda items: [(len(items), i) for i in items],

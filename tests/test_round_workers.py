@@ -1,15 +1,18 @@
-"""Round workers: forked processes that run the tail of a round's cohort plan.
+"""Round workers: forked processes that run the tail of a group's plan.
 
-The ``workers`` fixture forces the fork floor to 0 and one spare core,
-so the small experiments of the digest suites fork too, and the oracle
-rows check that nothing a run produces can tell: the recorded sync and
-FedProphet digests, the recorded journals and the recorded checkpoint
-all come out as they do inline.  The hygiene tests then pin what a
-worker must never do: flush the journal it inherited, lose an
-exception's type, hang when it dies, outlive its group, or keep to
-itself the prefix-cache rows it filled.  Two run as shipped: one
-OpenBLAS thread changes no bit, and the benchmark's FedProphet
-workload keeps its cache hit ratio.
+A group is a round's clients or an evaluation's shards.  The ``workers``
+fixture forces the fork floor to 0 and one spare core, so the small
+experiments of the digest suites fork too, and the oracle rows check
+that nothing a run produces can tell: the recorded sync and FedProphet
+digests, the recorded journals and the recorded checkpoint, every
+method's final evaluation and FedProphet's validation all come out as
+they do inline.  The hygiene tests then pin what a worker must never
+do: flush the journal it inherited, lose an exception's type, hang when
+it dies, outlive its group, or keep to itself the prefix-cache rows it
+filled.  Some run as shipped: one OpenBLAS thread changes no bit, the
+benchmark's FedProphet workload keeps its cache hit ratio, and the
+benchmark's evaluations fork where the floor says.  The last rows pin
+the cost-weighted plan to the count-balanced one it replaced.
 """
 
 import json
@@ -20,25 +23,32 @@ import subprocess
 import sys
 import textwrap
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import tests.test_fault_tolerance as ft
 import tests.test_prophet_engine_digests as prophet_digests
 import tests.test_sync_round_digests as sync_digests
+from repro.attacks import ModelWithLoss
 from repro.baselines import JointFAT
-from repro.flsim import RoundExecutor
+from repro.core import prophet as prophet_module
+from repro.flsim import EvalExecutor, EvalTarget, RoundExecutor
 from repro.flsim import executor as executor_module
 from repro.flsim.executor import CohortFn, RoundWorkerError
 from repro.flsim.journal import RunJournal
 from repro.flsim.replay import replay_run
 from repro.flsim.scheduler import CrossRoundPipeline
+from repro.metrics.evaluation import AttackSpec, EvalPlan
 from repro.models import build_vgg
 
 
 @pytest.fixture
-def workers(monkeypatch):
-    """Floor 0, one spare core; yields the pids of the workers forked."""
+def forks(monkeypatch):
+    """One spare core at the shipped floor; yields the pids of the workers forked."""
     if not executor_module._Blas.pinnable():
         pytest.skip("the OpenBLAS thread count cannot be pinned on this host")
     pids = []
@@ -48,7 +58,6 @@ def workers(monkeypatch):
             super().__init__(*args)
             pids.append(self.pid)
 
-    monkeypatch.setattr(executor_module, "FORK_FLOOR_FLOPS", 0.0)
     monkeypatch.setattr(executor_module, "spare_cores", lambda: 1)
     monkeypatch.setattr(executor_module, "_Worker", Recorded)
     yield pids
@@ -56,6 +65,13 @@ def workers(monkeypatch):
     for pid in pids:  # every worker reaped: none left a zombie
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)
+
+
+@pytest.fixture
+def workers(forks, monkeypatch):
+    """Floor 0, one spare core; yields the pids of the workers forked."""
+    monkeypatch.setattr(executor_module, "FORK_FLOOR_FLOPS", 0.0)
+    return forks
 
 
 # -- the oracle rows: recorded digests, journals and checkpoints ----------------
@@ -99,6 +115,68 @@ def test_recorded_journals_replay_with_workers(workers):
 def test_recorded_checkpoint_resumes_with_workers(tmp_path, workers):
     ft.TestCheckpointResume().test_resume_from_a_checkpoint_written_before_pr23(tmp_path)
     assert workers
+
+
+def _forks_of(method, workers):
+    """Wrap ``method`` to also return the workers each call forked."""
+
+    def recording(*args):
+        before = len(workers)
+        return method(*args), len(workers) - before
+
+    return recording
+
+
+@pytest.mark.parametrize("method", list(sync_digests.METHODS))
+def test_final_eval_with_workers(method, monkeypatch, workers):
+    evals = {}
+    for name, spare in (("inline", 0), ("forked", 1)):
+        monkeypatch.setattr(executor_module, "spare_cores", lambda spare=spare: spare)
+        with sync_digests._experiment(
+            method, "unbalanced", "serial", "median_faults_signflip", rounds=1
+        ) as exp:
+            exp.run()
+            evals[name] = _forks_of(exp.final_eval, workers)(24)
+    # The forked eval ran [clean, PGD] inline and the AutoAttack shard on a worker.
+    assert evals["inline"][1] == 0 and evals["forked"][1] == 1
+    assert evals["forked"][0] == evals["inline"][0]
+
+
+def test_cascade_eval_with_workers(monkeypatch, workers):
+    # Validation plans reversed to [PGD, clean] at 8 rows a shard: the
+    # worker's run holds the clean shards, so it reads and fills the prefix
+    # cache, and the caller must adopt its rows, hits and misses.
+    monkeypatch.setattr(
+        prophet_module, "EvalPlan",
+        lambda attacks, seed: EvalPlan(attacks=attacks[::-1], batch_size=8, seed=seed),
+    )
+    runs = {}
+    for name, spare in (("inline", 0), ("forked", 1)):
+        monkeypatch.setattr(executor_module, "spare_cores", lambda spare=spare: spare)
+        with prophet_digests._experiment("plain", "sync", "serial", rounds=5) as exp:
+            evals = []
+            cascade_eval = _forks_of(exp.cascade_eval, workers)
+
+            def recording(module_idx):
+                evals.append(cascade_eval(module_idx))
+                return evals[-1][0]
+
+            exp.cascade_eval = recording
+            exp.run()
+            cache = exp.prefix_cache
+            runs[name] = (evals, cache.stats(), {
+                key: (entry.filled.copy(), entry.data[entry.filled].copy())
+                for key, entry in cache._entries.items() if entry.data is not None
+            })
+    (evals, stats, rows), (ref_evals, ref_stats, ref_rows) = runs["forked"], runs["inline"]
+    assert [forked for _, forked in evals] == [1] * len(evals) and len(evals) == 5
+    assert [forked for _, forked in ref_evals] == [0] * 5
+    assert [result for result, _ in evals] == [result for result, _ in ref_evals]
+    assert stats == ref_stats and stats["hits"] > 0
+    assert list(rows) == list(ref_rows)
+    for key, (filled, data) in rows.items():
+        np.testing.assert_array_equal(filled, ref_rows[key][0])
+        np.testing.assert_array_equal(data, ref_rows[key][1])
 
 
 # -- worker hygiene ---------------------------------------------------------------
@@ -197,6 +275,38 @@ def test_killed_worker_is_a_typed_error_naming_its_cohort(tmp_path, workers):
                        r"the cohort of items \[2\]"):
         exp.run()
     assert list(RunJournal.read(path))[-1]["kind"] == "run_abort"
+
+
+def _eval_in_a_worker(monkeypatch, action):
+    """Evaluate a [clean, PGD] plan whose PGD shard, the worker's, first calls ``action``."""
+    parent, perturb = os.getpid(), AttackSpec.perturb
+
+    def perturb_in_worker(spec, *args):
+        if os.getpid() != parent:
+            action()
+        return perturb(spec, *args)
+
+    monkeypatch.setattr(AttackSpec, "perturb", perturb_in_worker)
+    target = EvalTarget(ModelWithLoss(ft._builder(np.random.default_rng(0))))
+    plan = EvalPlan.standard(eps=0.03, pgd_steps=2, max_samples=16)
+    return EvalExecutor(RoundExecutor()).run(plan, ft._task().test, target)
+
+
+def test_eval_shard_error_keeps_its_type(monkeypatch, workers):
+    def refuse():
+        raise Refused("shard refused")
+
+    with pytest.raises(Refused, match="shard refused") as info:
+        _eval_in_a_worker(monkeypatch, refuse)
+    assert any("raised in round worker" in note for note in info.value.__notes__)
+    assert len(workers) == 1
+
+
+def test_killed_eval_worker_is_a_typed_error(monkeypatch, workers):
+    with pytest.raises(RoundWorkerError, match=r"killed by signal 9 before returning "
+                       r"the cohort of items \[1\]"):
+        _eval_in_a_worker(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+    assert len(workers) == 1 and not executor_module._live_workers
 
 
 def _group(executor, stop=None):
@@ -348,7 +458,7 @@ def test_describe_parallelism_states_workers_pin_and_floor(monkeypatch):
         text = exp.describe_parallelism()
     assert "engine: 1 forked round worker(s) beside the caller (1 spare core(s))" in text
     assert "OpenBLAS pinned to 1 thread while they run" in text
-    assert "share above 1 GFLOP of modelled training, one client 7.29 GFLOP" in text
+    assert "share above 1 GFLOP of modelled work (training or eval), one client 7.29 GFLOP" in text
     with _jfat() as small:  # an 8x8 CNN: far below the floor
         text = small.describe_parallelism()
     assert "engine: serial, one work unit at a time (a worker forks for a share above" in text
@@ -368,6 +478,35 @@ def test_prefix_cache_hit_ratio_on_the_prophet_workload():
         assert exp.prefix_cache.stats()["hit_rate"] == 30 / 41  # 0.7317
 
 
+def test_eval_forks_at_the_shipped_floor_only_where_it_pays(tmp_path, forks):
+    """``prophet_cascade``'s per-round validation ([clean, PGD-3] on 100 rows)
+    stays inline, its final eval forks; ``swarm_async``'s final eval does not."""
+    from perfbench import workloads
+
+    size = workloads.sizes_for("prophet_cascade", smoke=False)
+    with workloads.build_prophet_cascade(size, 0, None) as exp:
+        for module_idx in range(len(exp.partition)):
+            exp.cascade_eval(module_idx)
+        assert not forks
+        exp.final_eval(size["final_eval_samples"])
+        assert len(forks) == 1
+    size = workloads.sizes_for("swarm_async", smoke=False)
+    with workloads.build_swarm_async(size, 0, str(tmp_path)) as exp:
+        exp.final_eval(size["final_eval_samples"])
+    assert len(forks) == 1
+
+
+def test_a_fork_must_take_work_off_the_callers_path():
+    # A worker share above the floor is not enough: forking [0.5, 3] floors
+    # would save the caller only the half floor it keeps.
+    if not executor_module._Blas.pinnable():
+        pytest.skip("the OpenBLAS thread count cannot be pinned on this host")
+    floor, plan = executor_module.FORK_FLOOR_FLOPS, [[0], [1]]
+    executor = RoundExecutor()
+    assert executor.plan_runs(plan, [0.5 * floor, 3 * floor], slots=1) == [plan]
+    assert executor.plan_runs(plan, [1.5 * floor, 3 * floor], slots=1) == [[[0]], [[1]]]
+
+
 def test_a_fork_that_fails_trains_the_run_inline(monkeypatch, workers):
     def no_process():
         raise BlockingIOError("Resource temporarily unavailable")
@@ -376,3 +515,97 @@ def test_a_fork_that_fails_trains_the_run_inline(monkeypatch, workers):
     executor = RoundExecutor(client_flops=1.0)
     assert executor.run_group(lambda i: i + 1, range(4)) == [1, 2, 3, 4]
     assert not workers and executor_module._Blas.saved is None  # the pin is released
+
+
+# -- the cost-weighted plan cuts equal costs where the count did -------------------
+
+
+def _split_by_count(plan, parts):
+    """``_split`` as it was before items carried costs (verbatim)."""
+    total = sum(len(c) for c in plan)
+    runs = []
+    start, done = 0, 0
+    for j in range(1, parts):
+        target = total * j / parts
+        cut, seen = start + 1, done + len(plan[start])  # every run takes a cohort
+        while cut < len(plan) - (parts - j) and abs(seen + len(plan[cut]) - target) <= abs(
+            seen - target
+        ):
+            seen += len(plan[cut])
+            cut += 1
+        runs.append(plan[start:cut])
+        start, done = cut, seen
+    runs.append(plan[start:])
+    return runs
+
+
+def _runs_by_count(plan, client_flops, slots):
+    """``RoundExecutor.plan_runs`` as it was before items carried costs
+    (verbatim but for ``self`` and the module globals it reads)."""
+    if slots < 1 or client_flops <= 0:
+        return [plan]
+    for parts in range(slots + 1, 1, -1):
+        cohorts = plan
+        if len(plan) == 1:  # contiguous chunks, the larger first
+            lone, at = plan[0], 0
+            cohorts = []
+            for j in range(min(parts, len(lone))):
+                size = len(lone) // parts + (j < len(lone) % parts)
+                cohorts.append(lone[at : at + size])
+                at += size
+        if len(cohorts) < parts:
+            continue
+        runs = _split_by_count(cohorts, parts)
+        if all(
+            sum(len(c) for c in run) * client_flops > executor_module.FORK_FLOOR_FLOPS
+            for run in runs[1:]
+        ):
+            return runs if executor_module._Blas.pinnable() else [plan]
+    return [plan]
+
+
+def _contiguous(sizes):
+    starts = np.cumsum([0] + sizes)
+    return [list(range(a, b)) for a, b in zip(starts, starts[1:])]
+
+
+_PLANS = st.one_of(
+    st.lists(st.integers(1, 8), min_size=1, max_size=12).map(_contiguous),
+    st.integers(2, 12).map(lambda n: [list(range(n))]),  # a lone multi-client cohort
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    plan=_PLANS,
+    slots=st.integers(1, 3),
+    share=st.floats(0.01, 3.0),
+    floor=st.sampled_from([0.0, 1e9]),
+)
+@example(plan=[[0], [1, 2]], slots=1, share=1.0, floor=1e9)  # a forced cut, at the floor
+@example(plan=[[0], [1, 2, 3, 4]], slots=2, share=0.5, floor=1e9)
+def test_uniform_costs_cut_where_the_count_did(plan, slots, share, floor):
+    """Every client costing the same, the cost-weighted ``_split`` returns
+    the count-balanced runs, and so does ``plan_runs``, except where the
+    work-off-the-caller's-path rule says no: a forced cut (every run takes
+    a cohort) left the caller the smaller of two runs, and its share, all
+    a fork would save, is at most the floor.  So a client costing more
+    than the floor forks and cuts exactly as before."""
+    shipped = executor_module.FORK_FLOOR_FLOPS
+    executor_module.FORK_FLOOR_FLOPS = floor
+    try:
+        cost = share * 1e9  # one client's share of the shipped floor, either side of it
+        items = sum(len(c) for c in plan)
+        new = RoundExecutor(client_flops=cost).plan_runs(plan, [cost] * items, slots)
+        old = _runs_by_count(plan, cost, slots)
+        caller, *workers = (sum(len(c) for c in run) for run in old)
+        if not workers or caller >= max(workers) or cost > floor:
+            assert new == old
+        else:
+            assert new in (old, [plan])
+            assert (new == [plan]) == (len(old) == 2 and caller * cost <= floor)
+        for parts in range(2, min(len(plan), 4) + 1):
+            weights = [Fraction(cost) * len(c) for c in plan]
+            assert executor_module._split(plan, weights, parts) == _split_by_count(plan, parts)
+    finally:
+        executor_module.FORK_FLOOR_FLOPS = shipped
