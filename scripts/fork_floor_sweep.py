@@ -18,7 +18,7 @@ both; each table prints each side's median time and their ratio.
 ``FORK_FLOOR_FLOPS`` belongs between the largest share that loses and the
 smallest that wins.
 
-    PYTHONPATH=src python scripts/fork_floor_sweep.py [--pairs 5] [--rounds 4] [--eval-only]
+    PYTHONPATH=src python scripts/fork_floor_sweep.py [--pairs 5] [--rounds 4]
 """
 
 from __future__ import annotations
@@ -129,25 +129,23 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pairs", type=int, default=5)
     parser.add_argument("--rounds", type=int, default=4)
-    parser.add_argument("--eval-only", action="store_true", help="skip the training points")
     args = parser.parse_args()
     floor = executor_module.FORK_FLOOR_FLOPS
     print(f"spare cores: {executor_module.spare_cores()}; shipped floor {floor / 1e9:g} GFLOP")
-    if not args.eval_only:
-        print("| point | iters | share GFLOP | inline ms/round | forked ms/round "
-              "| forked / inline |")
-        print("|---|---|---|---|---|---|")
-        for label, make, image, batch, iters in POINTS:
-            builder = make(image)
-            times = {False: [], True: []}
-            for _ in range(args.pairs):
-                for forked in (False, True):
-                    ms, flops = _round_ms(builder, image, batch, iters, args.rounds, forked, floor)
-                    times[forked].append(ms)
-            inline, forked = statistics.median(times[False]), statistics.median(times[True])
-            print(f"| {label} | {iters} | {flops / 1e9:.3f} | {inline:.1f} | {forked:.1f} | "
-                  f"{forked / inline:.2f} |")
-        print()
+    print("| point | iters | share GFLOP | inline ms/round | forked ms/round "
+          "| forked / inline |")
+    print("|---|---|---|---|---|---|")
+    for label, make, image, batch, iters in POINTS:
+        builder = make(image)
+        times = {False: [], True: []}
+        for _ in range(args.pairs):
+            for forked in (False, True):
+                ms, flops = _round_ms(builder, image, batch, iters, args.rounds, forked, floor)
+                times[forked].append(ms)
+        inline, forked = statistics.median(times[False]), statistics.median(times[True])
+        print(f"| {label} | {iters} | {flops / 1e9:.3f} | {inline:.1f} | {forked:.1f} | "
+              f"{forked / inline:.2f} |")
+    print()
     _eval_points(args.pairs, floor)
 
 

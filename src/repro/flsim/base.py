@@ -1278,7 +1278,8 @@ class FederatedExperiment:
         floor = (
             f"a worker forks for a share above {FORK_FLOOR_FLOPS / 1e9:g} GFLOP of "
             f"modelled work (training or eval), one client "
-            f"{self.client_flops / 1e9:.3g} GFLOP"
+            f"{self.client_flops / 1e9:.3g} GFLOP; evaluation plans are priced "
+            f"per shard and fork on their own"
         )
         if workers:
             engine = (

@@ -145,10 +145,7 @@ class EvalExecutor:
                 preds = target.mwl.logits(adv).argmax(axis=1)
             return shard.attack_idx, int((preds == yb).sum())
 
-        try:
-            fwd = forward_flops(target.mwl.model, x.shape[1:])
-        except TypeError:  # a model the shape walker cannot read: priced 0, run inline
-            fwd = 0
+        fwd = forward_flops(target.mwl.model, x.shape[1:])
         costs = [(s.stop - s.start) * fwd * plan.attacks[s.attack_idx].passes for s in shards]
         results = self.executor.run_group(run_shard, shards, costs)
 

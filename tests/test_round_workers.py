@@ -459,6 +459,7 @@ def test_describe_parallelism_states_workers_pin_and_floor(monkeypatch):
     assert "engine: 1 forked round worker(s) beside the caller (1 spare core(s))" in text
     assert "OpenBLAS pinned to 1 thread while they run" in text
     assert "share above 1 GFLOP of modelled work (training or eval), one client 7.29 GFLOP" in text
+    assert "evaluation plans are priced per shard and fork on their own" in text
     with _jfat() as small:  # an 8x8 CNN: far below the floor
         text = small.describe_parallelism()
     assert "engine: serial, one work unit at a time (a worker forks for a share above" in text
