@@ -3,7 +3,8 @@
 Memory-efficient federated adversarial training via robust and consistent
 cascade learning — rebuilt from scratch on a NumPy deep-learning substrate
 plus an analytic edge-hardware simulator.  See docs/architecture.md for the
-system inventory and EXPERIMENTS.md for the paper-vs-measured record.
+system inventory and ``benchmarks/bench_*.py`` for the paper's tables
+and figures.
 
 Public entry points:
 

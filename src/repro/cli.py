@@ -128,7 +128,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         aggregation_mode=args.aggregation_mode, max_staleness=args.max_staleness,
         pipeline_depth=args.pipeline_depth,
         journal_path=args.journal, checkpoint_every=args.checkpoint_every,
-        metrics_path=args.metrics, status_port=args.status_port,
+        status_port=args.status_port,
         eval_every_merge=args.eval_every_merge,
         fault_plan=fault_plan, client_timeout=args.client_timeout,
         max_client_retries=args.max_client_retries,
@@ -267,7 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--journal", default=None, metavar="PATH",
                    help="write an append-only JSONL run journal to PATH "
                         "(config fingerprint, rounds, merges, evals, "
-                        "checkpoints)")
+                        "checkpoints; flushed per event, so it can be "
+                        "tailed mid-run)")
     p.add_argument("--resume", action="store_true",
                    help="resume an interrupted run from --journal's last "
                         "checkpoint (bit-identical to the uninterrupted run)")
@@ -281,10 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint-every", type=int, default=0,
                    help="atomically checkpoint run state every K rounds "
                         "(0 = off; requires --journal)")
-    p.add_argument("--metrics", default=None, metavar="PATH",
-                   help="stream per-round / per-merge-event / per-eval "
-                        "JSONL metrics rows to PATH live during the run "
-                        "(flushed per event — tail it mid-run)")
     p.add_argument("--status-port", type=int, default=None,
                    help="serve a read-only JSON status endpoint on "
                         "127.0.0.1:PORT (0 = ephemeral; GET /status, "

@@ -22,7 +22,6 @@ from repro.core.aggregator import (
     async_merge_schedule,
     blend_into,
     merge_async_partial,
-    merge_async_update,
     snapshot_segment,
     restore_segment,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "async_merge_schedule",
     "blend_into",
     "merge_async_partial",
-    "merge_async_update",
     "snapshot_segment",
     "restore_segment",
     "FedProphet",

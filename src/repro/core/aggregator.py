@@ -8,12 +8,13 @@ was n (M_k = n), since only they trained that head.
 The module also owns the server-side asynchronous merge primitives of
 the cross-round pipeline:
 
-* :func:`async_merge_schedule` / :func:`merge_async_update` /
+* :func:`async_merge_schedule` / :func:`blend_into` /
   :func:`merge_async_partial` — staleness-bounded asynchronous
   aggregation: client updates merge into a server state dict in
   (simulated) arrival order, each merge event attenuated by its
   staleness, with the intra-round bound enforced by coalescing the tail
-  of a round into the last permitted event.  ``merge_async_partial`` is
+  of a round into the last permitted event.  The full-model rule is
+  ``FederatedExperiment.async_merge_event``; ``merge_async_partial`` is
   the FedProphet flavour: Eq. 16/17 partial averages applied per module
   span (and per head) with the same ``1/(1+s)`` attenuation.
 
@@ -225,34 +226,6 @@ def blend_into(server: StateDict, merged: StateDict, alpha: float) -> float:
     for key, value in merged.items():
         server[key] = server[key] + alpha * (value - server[key])
     return alpha
-
-
-def merge_async_update(
-    server: StateDict,
-    states: Sequence[StateDict],
-    weights: Sequence[float],
-    round_weight: float,
-    staleness: int,
-    keys: Optional[Sequence[str]] = None,
-) -> float:
-    """Merge one event's client updates into ``server`` in place (FedAsync).
-
-    The event's updates are weighted-averaged, then mixed into the server
-    state with rate ``alpha = (event weight / round weight) / (1 +
-    staleness)`` — the polynomial staleness attenuation of FedAsync (Xie
-    et al., 2019).  ``alpha == 1`` (a single event carrying the whole
-    round at staleness 0) replaces the server state outright, making the
-    ``max_staleness=0`` schedule bit-identical to synchronous FedAvg.
-    ``keys`` restricts the merge to a subset of state-dict keys (FedRBN
-    merges its dual-BN statistics under a separate rule).  Returns the
-    applied mixing rate.  Pure function of its arguments, so a replay in
-    simulated-arrival order is independent of scheduling.
-    """
-    if round_weight <= 0:
-        raise ValueError("round_weight must be positive")
-    merged = weighted_average_states(states, weights, keys=keys)
-    alpha = (float(sum(weights)) / round_weight) / (1.0 + staleness)
-    return blend_into(server, merged, alpha)
 
 
 def merge_async_partial(

@@ -12,9 +12,7 @@ from repro.data.dataset import ArrayDataset, DataLoader
 from repro.data.synthetic import SyntheticImageTask, make_cifar10_like, make_caltech256_like
 from repro.data.partition import (
     VirtualPartition,
-    iid_partition,
     pathological_partition,
-    dirichlet_partition,
     public_private_split,
 )
 
@@ -25,8 +23,6 @@ __all__ = [
     "make_cifar10_like",
     "make_caltech256_like",
     "VirtualPartition",
-    "iid_partition",
     "pathological_partition",
-    "dirichlet_partition",
     "public_private_split",
 ]

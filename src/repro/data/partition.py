@@ -2,7 +2,9 @@
 
 The paper follows Shah et al. (2021): on each client, 80 % of the training
 data belongs to ~20 % of the classes ("major" classes) and 20 % to the
-rest.  We also provide IID and Dirichlet partitioners for ablations.
+rest: :func:`pathological_partition` deals a dataset out once,
+:class:`VirtualPartition` derives each client's shard on its own for
+populations larger than the dataset.
 """
 
 from __future__ import annotations
@@ -10,17 +12,6 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 import numpy as np
-
-
-def iid_partition(
-    labels: np.ndarray, num_clients: int, rng: Optional[np.random.Generator] = None
-) -> List[np.ndarray]:
-    """Uniform random split into ``num_clients`` near-equal shards."""
-    rng = rng if rng is not None else np.random.default_rng(0)
-    if num_clients < 1:
-        raise ValueError("num_clients must be >= 1")
-    order = rng.permutation(len(labels))
-    return [np.sort(part) for part in np.array_split(order, num_clients)]
 
 
 def pathological_partition(
@@ -147,28 +138,6 @@ class VirtualPartition:
         cls = np.concatenate(parts)
         pos = rng.integers(0, self.class_counts[cls])
         return np.sort(self.class_order[self.class_offsets[cls] + pos])
-
-
-def dirichlet_partition(
-    labels: np.ndarray,
-    num_clients: int,
-    alpha: float = 0.5,
-    rng: Optional[np.random.Generator] = None,
-) -> List[np.ndarray]:
-    """Dirichlet(α) label-distribution split, the other common non-IID model."""
-    rng = rng if rng is not None else np.random.default_rng(0)
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    labels = np.asarray(labels)
-    num_classes = int(labels.max()) + 1
-    shards: List[List[int]] = [[] for _ in range(num_clients)]
-    for c in range(num_classes):
-        idx = rng.permutation(np.where(labels == c)[0])
-        props = rng.dirichlet(alpha * np.ones(num_clients))
-        cuts = (np.cumsum(props) * len(idx)).astype(int)[:-1]
-        for shard, part in zip(shards, np.split(idx, cuts)):
-            shard.extend(part.tolist())
-    return [np.sort(np.asarray(s, dtype=np.int64)) for s in shards]
 
 
 def public_private_split(

@@ -52,16 +52,6 @@ from repro.flsim.executor import RoundExecutor
 from repro.flsim.scheduler import AsyncRoundTicket, CrossRoundPipeline
 from repro.flsim.eval_executor import EvalExecutor, EvalShard, EvalTarget
 from repro.flsim.local import adversarial_local_train, standard_local_train
-from repro.flsim.history import (
-    RunHistory,
-    history_rows,
-    export_csv,
-    merge_eval_rows,
-    round_record_from_dict,
-    round_record_to_dict,
-    time_to_accuracy,
-    best_round,
-)
 from repro.flsim.faults import FaultOutcome, FaultPlan, RoundFaults
 from repro.flsim.journal import KNOWN_KINDS, JournalError, RunJournal
 from repro.flsim.replay import (
@@ -104,13 +94,6 @@ __all__ = [
     "masked_partial_average",
     "adversarial_local_train",
     "standard_local_train",
-    "history_rows",
-    "export_csv",
-    "time_to_accuracy",
-    "best_round",
-    "RunHistory",
-    "round_record_to_dict",
-    "round_record_from_dict",
     "FaultOutcome",
     "FaultPlan",
     "RoundFaults",
@@ -118,7 +101,6 @@ __all__ = [
     "JournalError",
     "KNOWN_KINDS",
     "MergeEvalRecord",
-    "merge_eval_rows",
     "ReplayDivergence",
     "ReplayJournal",
     "ReplayReport",

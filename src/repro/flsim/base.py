@@ -138,14 +138,13 @@ class FLConfig:
     ``availability_period`` give every client a deterministic periodic
     duty cycle that cohort sampling respects (see ``docs/fault-tolerance.md``).
 
-    **Observability** (see ``docs/fault-tolerance.md``):
-    ``metrics_path`` streams per-round / per-merge-event / per-eval JSONL
-    metrics rows **live** during the run (flushed per event, so they can
-    be tailed mid-run); ``status_port`` serves a read-only JSON status
+    **Observability** (see ``docs/fault-tolerance.md``): the journal is
+    the live event stream (flushed per event, so it can be tailed
+    mid-run); ``status_port`` serves a read-only JSON status
     endpoint (current round, server version, simulated clock,
     fault/threat/cache counters) on a loopback HTTP server — port 0
     binds an ephemeral port, exposed as ``experiment.status_address``.
-    Both are pure observability and non-semantic (they cannot affect
+    It is pure observability and non-semantic (it cannot affect
     results).  ``eval_every_merge`` (async mode on the cross-round
     pipeline) evaluates the merged server state every K merge *events* — the
     accuracy-vs-server-version staleness curves — recorded in
@@ -185,7 +184,6 @@ class FLConfig:
     pipeline_depth: int = 1
     journal_path: Optional[str] = None
     checkpoint_every: int = 0
-    metrics_path: Optional[str] = None
     status_port: Optional[int] = None
     eval_every_merge: int = 0
     fault_plan: Optional[FaultPlan] = None
@@ -518,15 +516,14 @@ class FederatedExperiment:
         self._round_threats: Optional[RoundThreats] = None
         self._robust = RobustAggregator.from_config(config)
         self._agg_stats: List[Dict[str, Any]] = []
-        # Streaming observability: every _jlog event tees into the metrics
-        # service (live JSONL + status endpoint).  Created at init so the
-        # endpoint is reachable (state "init") before run() starts.
+        # Live observability: every _jlog event tees into the status
+        # service.  Created at init so the endpoint is reachable (state
+        # "init") before run() starts.
         self._metrics = None
-        if config.metrics_path or config.status_port is not None:
+        if config.status_port is not None:
             from repro.flsim.service import MetricsService
 
             self._metrics = MetricsService(
-                metrics_path=config.metrics_path,
                 status_port=config.status_port,
                 parallelism=self.describe_parallelism(),
             )
@@ -1317,7 +1314,7 @@ class FederatedExperiment:
         return f"[{self.name}] " + "; ".join(parts)
 
     def close(self) -> None:
-        """Close the journal and the metrics sinks."""
+        """Close the journal and the status service."""
         if self._journal is not None:
             self._journal.close()
             self._journal = None
@@ -1332,11 +1329,11 @@ class FederatedExperiment:
 
     # -- journalling, checkpointing, resume ------------------------------------
     def _jlog(self, kind: str, **payload) -> None:
-        """Log one run event: journal append + metrics-service tee.
+        """Log one run event: journal append + status-service tee.
 
-        The journal may be off while the metrics service is on (and vice
-        versa); both sinks see identical payloads, all emitted from the
-        run loop in deterministic program order.
+        The journal may be off while the status service is on (and vice
+        versa); both see identical payloads, all emitted from the run
+        loop in deterministic program order.
         """
         if self._journal is not None:
             self._journal.append(kind, **payload)
@@ -1382,7 +1379,7 @@ class FederatedExperiment:
         """Start a fresh journal for this run (if configured, once)."""
         if self.config.journal_path is None or self._journal is not None:
             # Journal off (or a replay verifier pre-installed): the
-            # metrics service still wants its run_start marker.
+            # status service still wants its run_start marker.
             if self._metrics is not None and self.config.journal_path is None:
                 self._metrics.observe("run_start", self._run_start_payload())
             return
@@ -1394,9 +1391,9 @@ class FederatedExperiment:
 
         The journal records the abort so a later read tells a crash (torn
         tail / no ``run_end``) apart from a Python-level failure.  Each
-        step runs under its own guard, so a sink that raises (a full disk
-        under the metrics tee) cannot keep the other sink from recording
-        the abort or closing.
+        step runs under its own guard, so a sink that raises (the status
+        tee) cannot keep the other sink from recording the abort or
+        closing.
         """
         journal, metrics = self._journal, self._metrics
         self._journal = None

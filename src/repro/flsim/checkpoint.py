@@ -40,7 +40,7 @@ CHECKPOINT_FORMAT = 1
 
 #: Config fields that cannot affect results (the bit-identity contract):
 #: the fusion width, the journal / checkpoint plumbing itself, the
-#: streaming-metrics surface (a pure observer of journal events), and the
+#: status endpoint (a pure observer of journal events), and the
 #: client-population materialisation
 #: knobs (lazy vs eager and the LRU capacity are pure caching — every
 #: client is a deterministic function of the population seed).
@@ -56,7 +56,6 @@ NONSEMANTIC_FIELDS = frozenset(
         "fusion_width",
         "client_materialisation",
         "client_cache_size",
-        "metrics_path",
         "status_port",
     }
 )

@@ -1,50 +1,40 @@
-"""Streaming run metrics + a read-only HTTP status endpoint.
+"""A live status snapshot + a read-only HTTP status endpoint.
 
-Promotes a run from a batch script to an observable service: the
-experiment's journalling funnel (``_jlog``) tees every event into a
+The run's one durable record is its journal (``FLConfig.journal_path``):
+:meth:`~repro.flsim.journal.RunJournal.append` flushes every event, so
+``tail -f run.jsonl`` is the live event stream.  The experiment's
+journalling funnel (``_jlog``) also tees every event into a
 :class:`MetricsService`, which
 
-* appends **live** JSONL metrics rows (per round, per merge event, per
-  eval) to ``FLConfig.metrics_path``, flushed as they happen — ingestion
-  (client updates merging into the server) stays decoupled from serving
-  (metrics readers tail the file mid-run);
 * maintains a thread-safe status snapshot (current round, server
   version, simulated clock, fault/threat/cache counters, last eval);
 * optionally serves that snapshot as JSON over a stdlib
   :class:`~http.server.ThreadingHTTPServer` on a daemon thread
   (``FLConfig.status_port``; port 0 binds an ephemeral port) — ``GET
-  /status`` for the snapshot, ``GET /events`` for the journal tail,
-  ``GET /health`` for liveness.
+  /status`` for the snapshot, ``GET /events`` for the recent-event
+  tail, ``GET /health`` for liveness.
 
 The service is pure observability: it only ever *reads* event payloads
 (all emitted from the main run thread), so it cannot perturb results —
-both knobs are non-semantic config fields.
+``status_port`` is a non-semantic config field.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import threading
 from collections import deque
 from typing import Any, Dict, List, Optional
-
-#: Event kinds that become JSONL metrics rows (the streaming surface);
-#: everything else only updates the status snapshot's counters.
-STREAM_KINDS = frozenset(
-    {"run_start", "round", "merge", "eval", "merge_eval", "run_end", "run_abort"}
-)
 
 #: How many recent events ``GET /events`` serves.
 TAIL_EVENTS = 50
 
 
 class MetricsService:
-    """Live metrics stream + status snapshot for one experiment run."""
+    """Live status snapshot (and optional endpoint) for one experiment run."""
 
     def __init__(
         self,
-        metrics_path: Optional[str] = None,
         status_port: Optional[int] = None,
         parallelism: Optional[str] = None,
     ):
@@ -75,11 +65,7 @@ class MetricsService:
             "last_merge_eval": None,
             "parallelism": parallelism,
         }
-        self._file = None
-        self.metrics_path = metrics_path
         self._server: Optional[StatusServer] = None
-        # Bind before truncating the metrics file: a taken port must leave
-        # the previous run's metrics untouched.
         if status_port is not None:
             try:
                 self._server = StatusServer(self, status_port)
@@ -89,23 +75,10 @@ class MetricsService:
                     f"status_port={status_port}: cannot bind 127.0.0.1:"
                     f"{status_port} ({err.strerror or err})",
                 ) from err
-        if metrics_path:
-            try:
-                directory = os.path.dirname(os.path.abspath(metrics_path))
-                os.makedirs(directory, exist_ok=True)
-                self._file = open(metrics_path, "w", encoding="utf-8")
-            except OSError:
-                self.close()  # release the port bound above
-                raise
 
     # -- observation (main run thread) ----------------------------------------
     def observe(self, kind: str, payload: Dict[str, Any]) -> None:
-        """Fold one journal event into the stream and the snapshot."""
-        if self._file is not None and kind in STREAM_KINDS:
-            row = {"kind": kind}
-            row.update(payload)
-            self._file.write(json.dumps(row) + "\n")
-            self._file.flush()
+        """Fold one journal event into the snapshot and the tail."""
         with self._lock:
             s = self._state
             c = s["counters"]
@@ -189,8 +162,6 @@ class MetricsService:
         if self._server is not None:
             self._server.close()
             self._server = None
-        if self._file is not None and not self._file.closed:
-            self._file.close()
 
 
 class StatusServer:

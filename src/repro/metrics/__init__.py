@@ -7,7 +7,6 @@ from repro.metrics.evaluation import (
     evaluate_model,
     shard_rng,
 )
-from repro.metrics.robustness import empirical_robustness_constant, output_perturbation
 
 __all__ = [
     "AttackSpec",
@@ -15,6 +14,4 @@ __all__ = [
     "evaluate_model",
     "EvalResult",
     "shard_rng",
-    "empirical_robustness_constant",
-    "output_perturbation",
 ]

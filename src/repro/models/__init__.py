@@ -11,7 +11,7 @@ from repro.models.atoms import Atom, CascadeModel
 from repro.models.vgg import build_vgg, VGG_CONFIGS
 from repro.models.resnet import build_resnet, RESNET_CONFIGS
 from repro.models.cnn import build_cnn
-from repro.models.zoo import build_model, model_family, MODEL_FAMILIES
+from repro.models.zoo import build_model
 
 __all__ = [
     "Atom",
@@ -20,8 +20,6 @@ __all__ = [
     "build_resnet",
     "build_cnn",
     "build_model",
-    "model_family",
     "VGG_CONFIGS",
     "RESNET_CONFIGS",
-    "MODEL_FAMILIES",
 ]

@@ -1,17 +1,8 @@
-"""Model registry and the per-dataset model families the baselines draw from.
-
-Knowledge-distillation FL (paper Appendix B.2) lets each client pick the
-largest model from a family that fits its memory:
-
-* CIFAR-10 family:   {CNN3, VGG11, VGG13, VGG16}
-* Caltech-256 family: {CNN4, ResNet10, ResNet18, ResNet34}
-
-``build_model`` is the single entry point the experiments use.
-"""
+"""Model registry: ``build_model`` builds any architecture by name."""
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -49,16 +40,3 @@ def build_model(
         )
     raise ValueError(f"unknown model {name!r}")
 
-
-# Smallest-to-largest families used by knowledge-distillation baselines.
-MODEL_FAMILIES: Dict[str, List[str]] = {
-    "cifar10": ["cnn3", "vgg11", "vgg13", "vgg16"],
-    "caltech256": ["cnn4", "resnet10", "resnet18", "resnet34"],
-}
-
-
-def model_family(dataset: str) -> List[str]:
-    """Model family (smallest first) for a dataset key."""
-    if dataset not in MODEL_FAMILIES:
-        raise ValueError(f"no model family for dataset {dataset!r}")
-    return list(MODEL_FAMILIES[dataset])

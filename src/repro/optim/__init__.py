@@ -1,6 +1,5 @@
-"""Optimizers and learning-rate schedules for the NumPy NN library."""
+"""Optimizers for the NumPy NN library."""
 
 from repro.optim.sgd import SGD
-from repro.optim.lr_scheduler import ExponentialDecay
 
-__all__ = ["SGD", "ExponentialDecay"]
+__all__ = ["SGD"]

@@ -1,15 +1,5 @@
-"""Shared utilities: RNG streams and table formatting for bench output."""
+"""Shared utilities: table formatting for bench output."""
 
-from repro.utils.rng import spawn_rngs, seeded_rng
 from repro.utils.tables import format_table
-from repro.utils.serialization import save_state, load_state, save_model, load_model
 
-__all__ = [
-    "spawn_rngs",
-    "seeded_rng",
-    "format_table",
-    "save_state",
-    "load_state",
-    "save_model",
-    "load_model",
-]
+__all__ = ["format_table"]

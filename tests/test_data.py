@@ -8,8 +8,6 @@ import pytest
 from repro.data import (
     ArrayDataset,
     DataLoader,
-    dirichlet_partition,
-    iid_partition,
     make_caltech256_like,
     make_cifar10_like,
     pathological_partition,
@@ -114,12 +112,6 @@ class TestPartitions:
     def _labels(self, n=600, classes=10):
         return np.arange(n) % classes
 
-    def test_iid_partition_covers_everything(self):
-        shards = iid_partition(self._labels(), 10)
-        all_idx = np.concatenate(shards)
-        assert len(all_idx) == 600
-        assert len(np.unique(all_idx)) == 600
-
     def test_pathological_partition_majority_structure(self):
         labels = self._labels()
         shards = pathological_partition(labels, 10, rng=np.random.default_rng(0))
@@ -137,26 +129,6 @@ class TestPartitions:
     def test_pathological_fraction_validation(self):
         with pytest.raises(ValueError):
             pathological_partition(self._labels(), 5, major_data_frac=0.0)
-
-    def test_dirichlet_partition_covers_everything(self):
-        shards = dirichlet_partition(self._labels(), 8, alpha=0.5, rng=np.random.default_rng(0))
-        all_idx = np.concatenate(shards)
-        assert len(np.unique(all_idx)) == 600
-
-    def test_dirichlet_alpha_validation(self):
-        with pytest.raises(ValueError):
-            dirichlet_partition(self._labels(), 5, alpha=0.0)
-
-    def test_dirichlet_low_alpha_is_skewed(self):
-        labels = self._labels()
-        shards = dirichlet_partition(labels, 5, alpha=0.05, rng=np.random.default_rng(2))
-        skews = []
-        for shard in shards:
-            if len(shard) == 0:
-                continue
-            counts = np.bincount(labels[shard], minlength=10)
-            skews.append(counts.max() / max(counts.sum(), 1))
-        assert np.mean(skews) > 0.4  # highly concentrated shards
 
     def test_public_private_split(self):
         pub, priv = public_private_split(self._labels(), 0.1, rng=np.random.default_rng(0))

@@ -103,18 +103,21 @@ class TestConfigurationTableComplete:
         # The thread backend was deleted, and with it executor_backend,
         # round_parallelism and eval_parallelism (43 -> 40 fields) and
         # their flags; eval_backend and --parallelism went before them.
-        removed = ("executor_backend", "round_parallelism", "eval_parallelism")
-        for name, value in zip(removed, ("serial", 2, 2)):
+        # The journal is the one live record of a run, so metrics_path and
+        # --metrics went after them (40 -> 39 fields).
+        removed = ("executor_backend", "round_parallelism", "eval_parallelism",
+                   "metrics_path")
+        for name, value in zip(removed, ("serial", 2, 2, "m.jsonl")):
             with pytest.raises(TypeError, match=name):
                 FLConfig(**{name: value})
         for flag, value in (("--executor", "serial"), ("--round-parallelism", "2"),
-                            ("--eval-parallelism", "2")):
+                            ("--eval-parallelism", "2"), ("--metrics", "x")):
             with pytest.raises(SystemExit) as exit_info:
                 build_parser().parse_args(["train", flag, value])
             assert exit_info.value.code == 2
             assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
         fields = {f.name for f in dataclasses.fields(FLConfig)}
-        assert len(fields) == 40 and not fields & {"eval_backend", *removed}
+        assert len(fields) == 39 and not fields & {"eval_backend", *removed}
         doc = CONFIG_DOC.read_text()
         assert not [name for name in ("eval_backend", *removed) if name in doc]
         assert "--parallelism" not in _cli_option_strings()

@@ -117,10 +117,3 @@ class TestEmptyAndDegenerate:
         assert loss == 0.0
         for k, v in model.state_dict().items():
             np.testing.assert_array_equal(v, before[k])
-
-    def test_partition_more_clients_than_samples(self):
-        from repro.data.partition import iid_partition
-
-        shards = iid_partition(np.arange(3) % 2, 5)
-        assert len(shards) == 5
-        assert sum(len(s) for s in shards) == 3

@@ -866,6 +866,53 @@ class TestFaultInjection:
         assert any(rec.aborted for rec in history)
 
 
+class TestAbortedRoundClock:
+    """The simulated clock never runs backwards through aborted rounds."""
+
+    @staticmethod
+    def _run(**overrides):
+        cfg = _cfg(rounds=4, fault_plan=FaultPlan(seed=0, dropout_prob=0.6),
+                   min_clients_per_round=2, **overrides)
+        return JointFAT(_task(), _builder, cfg, device_sampler=_sampler())
+
+    def test_sim_time_monotone_through_aborts(self):
+        exp = self._run()
+        exp.run()
+        exp.close()
+        assert any(r.aborted for r in exp.history), (
+            "fault plan produced no aborted round; weaken the test config"
+        )
+        times = [r.sim_time_s for r in exp.history]
+        assert times == sorted(times)
+        # An aborted round never rolls the clock back; with no
+        # client_timeout configured the server waits zero seconds, so the
+        # clock may stand still but must not regress.
+        by_round = {r.round: r for r in exp.history}
+        for r in exp.history:
+            if r.aborted and r.round > 0:
+                assert r.sim_time_s >= by_round[r.round - 1].sim_time_s
+
+    def test_sim_time_monotone_across_checkpoint_resume(self, tmp_path):
+        ref = self._run()
+        ref.run()
+        ref.close()
+
+        path = str(tmp_path / "run.jsonl")
+        interrupted = self._run(journal_path=path, checkpoint_every=2)
+        interrupted.run(rounds=2)
+        interrupted.close()
+        resumed = self._run(journal_path=path, checkpoint_every=2)
+        resumed.resume(path)
+        resumed.close()
+
+        assert resumed.history == ref.history
+        times = [r.sim_time_s for r in resumed.history]
+        assert times == sorted(times)
+        assert [r.aborted for r in resumed.history] == [
+            r.aborted for r in ref.history
+        ]
+
+
 # ---------------------------------------------------------------------------
 # Satellites: experiment context manager, journalled abort, clamping
 # ---------------------------------------------------------------------------
@@ -955,54 +1002,38 @@ class TestLifecycleSatellites:
 class TestHostileInfrastructure:
     """A failing sink or a busy port costs neither data nor handles."""
 
-    def test_taken_status_port_keeps_previous_metrics(self, tmp_path):
-        metrics = tmp_path / "metrics.jsonl"
-        previous = b'{"kind": "run_end", "rounds": 3}\n'
-        metrics.write_bytes(previous)
+    def test_taken_status_port_is_a_typed_error_leaking_nothing(self):
         with socket.socket() as taken, warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", ResourceWarning)
             taken.bind(("127.0.0.1", 0))
             taken.listen(1)
             port = taken.getsockname()[1]
             with pytest.raises(OSError, match=f"status_port={port}") as excinfo:
-                JointFAT(_task(), _builder, _cfg(metrics_path=str(metrics), status_port=port))
+                JointFAT(_task(), _builder, _cfg(status_port=port))
             del excinfo  # drops the half-built service the traceback pins
             gc.collect()
-        assert metrics.read_bytes() == previous
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
-    def test_abort_closes_journal_when_metrics_tee_raises(self, tmp_path, monkeypatch):
+    def test_abort_closes_journal_when_status_tee_raises(self, tmp_path, monkeypatch):
         from repro.flsim.service import MetricsService
 
         journal = str(tmp_path / "run.jsonl")
         exp = JointFAT(
-            _task(), _builder,
-            _cfg(journal_path=journal, metrics_path=str(tmp_path / "m.jsonl")),
+            _task(), _builder, _cfg(journal_path=journal, status_port=0),
         )
         journals = []
 
-        def disk_full(self, kind, payload):  # full from the first round on
+        def broken(self, kind, payload):  # fails from the first round on
             if kind == "round" or journals:
                 journals.append(exp._journal)
                 raise OSError(errno.ENOSPC, "No space left on device")
 
-        monkeypatch.setattr(MetricsService, "observe", disk_full)
+        monkeypatch.setattr(MetricsService, "observe", broken)
         with pytest.raises(OSError, match="No space left on device"):
             exp.run()
         assert list(RunJournal.read(journal))[-1]["kind"] == "run_abort"
         assert journals[0]._file.closed and exp._journal is None
-        assert exp._metrics._file.closed
-
-    def test_unwritable_metrics_path_releases_the_status_port(self, tmp_path):
-        # The port is bound before the metrics file opens, so a failing
-        # open must give the port back.
-        with socket.socket() as probe:
-            probe.bind(("127.0.0.1", 0))
-            port = probe.getsockname()[1]
-        with pytest.raises(IsADirectoryError):
-            JointFAT(_task(), _builder, _cfg(metrics_path=str(tmp_path), status_port=port))
-        with socket.socket() as again:
-            again.bind(("127.0.0.1", port))
+        assert exp._metrics._server is None  # the endpoint was shut down
 
     def test_interrupted_async_drain_trains_no_queued_unit(self, tmp_path):
         # Two pipelined rounds hold 32 units; an interrupt from the second

@@ -1,20 +1,12 @@
-"""Tests for evaluation metrics and robustness measurements."""
+"""Tests for evaluation metrics and table formatting."""
 
 import numpy as np
 import pytest
 
-from repro.attacks import ModelWithLoss, PGDConfig
 from repro.data import ArrayDataset
-from repro.metrics import (
-    EvalResult,
-    empirical_robustness_constant,
-    evaluate_model,
-    output_perturbation,
-)
+from repro.metrics import EvalResult, evaluate_model
 from repro.models import build_cnn
 from repro.utils import format_table
-
-RNG = np.random.default_rng(0)
 
 
 def _model():
@@ -66,43 +58,6 @@ class TestEvaluateModel:
         model = _model()
         evaluate_model(model, _dataset(), eps=0.05, pgd_steps=2, batch_size=8)
         assert all(np.abs(p.grad).sum() == 0 for p in model.parameters())
-
-
-class TestRobustnessMeasures:
-    def test_output_perturbation_positive(self):
-        model = _model()
-        model.eval()
-        seg = model.segment(0, 1)
-        mwl = ModelWithLoss(model)
-        ds = _dataset(8)
-        norms = output_perturbation(
-            seg, ds.x, ds.y, mwl, PGDConfig(eps=0.05, steps=2), rng=RNG
-        )
-        assert norms.shape == (8,)
-        assert np.all(norms >= 0) and norms.max() > 0
-
-    def test_empirical_robustness_constant_nonnegative_for_found_attack(self):
-        model = _model()
-        model.eval()
-        mwl = ModelWithLoss(model)
-        ds = _dataset(8)
-        c = empirical_robustness_constant(
-            mwl, ds.x, ds.y, PGDConfig(eps=0.05, steps=3), rng=RNG
-        )
-        assert np.isfinite(c)
-
-    def test_constant_grows_with_eps(self):
-        model = _model()
-        model.eval()
-        mwl = ModelWithLoss(model)
-        ds = _dataset(16)
-        small = empirical_robustness_constant(
-            mwl, ds.x, ds.y, PGDConfig(eps=0.01, steps=3), rng=np.random.default_rng(0)
-        )
-        large = empirical_robustness_constant(
-            mwl, ds.x, ds.y, PGDConfig(eps=0.2, steps=3), rng=np.random.default_rng(0)
-        )
-        assert large >= small
 
 
 class TestFormatTable:

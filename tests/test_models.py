@@ -9,7 +9,6 @@ from repro.models import (
     build_model,
     build_resnet,
     build_vgg,
-    model_family,
 )
 from repro.nn import DualBatchNorm2d
 
@@ -150,12 +149,6 @@ class TestZoo:
     def test_build_model_unknown(self):
         with pytest.raises(ValueError):
             build_model("transformer", 10, (3, 16, 16))
-
-    def test_model_families(self):
-        assert model_family("cifar10") == ["cnn3", "vgg11", "vgg13", "vgg16"]
-        assert model_family("caltech256") == ["cnn4", "resnet10", "resnet18", "resnet34"]
-        with pytest.raises(ValueError):
-            model_family("imagenet")
 
     def test_dual_bn_injection(self):
         m = build_model(

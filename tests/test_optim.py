@@ -1,4 +1,4 @@
-"""Tests for SGD and learning-rate schedules."""
+"""Tests for SGD."""
 
 import tracemalloc
 
@@ -7,7 +7,7 @@ import pytest
 
 from repro.nn import Linear
 from repro.nn.module import Parameter
-from repro.optim import SGD, ExponentialDecay
+from repro.optim import SGD
 
 
 def _quadratic_param():
@@ -105,26 +105,3 @@ def test_sgd_empty_params_rejected():
     with pytest.raises(ValueError):
         SGD([], lr=0.1)
 
-
-def test_exponential_decay_schedule():
-    p = Parameter(np.zeros(1))
-    opt = SGD([p], lr=0.1)
-    sched = ExponentialDecay(opt, gamma=0.5)
-    assert sched.step() == pytest.approx(0.05)
-    assert sched.step() == pytest.approx(0.025)
-    assert opt.lr == pytest.approx(0.025)
-
-
-def test_exponential_decay_set_round():
-    opt = SGD([Parameter(np.zeros(1))], lr=1.0)
-    sched = ExponentialDecay(opt, gamma=0.9)
-    sched.set_round(10)
-    assert opt.lr == pytest.approx(0.9**10)
-
-
-def test_exponential_decay_validates_gamma():
-    opt = SGD([Parameter(np.zeros(1))], lr=1.0)
-    with pytest.raises(ValueError):
-        ExponentialDecay(opt, gamma=0.0)
-    with pytest.raises(ValueError):
-        ExponentialDecay(opt, gamma=1.5)

@@ -10,9 +10,9 @@ Load-bearing properties:
   checkpoints and refuses journals that never completed;
 * any tampering with the journal yields a :class:`ReplayDivergence`
   naming the first divergent ``seq`` and the differing fields;
-* :class:`~repro.flsim.service.MetricsService` streams JSONL metrics
-  rows as events happen and serves a live read-only JSON status endpoint
-  over HTTP, without perturbing results (pure observability);
+* :class:`~repro.flsim.service.MetricsService` folds events into a
+  status snapshot and serves it on a live read-only JSON endpoint over
+  HTTP, without perturbing results (pure observability);
 * ``eval_every_merge`` samples the accuracy-vs-version staleness curve
   at merge-event granularity, survives checkpoint/resume bit-for-bit,
   and is refused where it cannot hook the merge stream.
@@ -36,7 +36,6 @@ from repro.flsim import (
     ReplayDivergence,
     RunJournal,
     canonical_events,
-    merge_eval_rows,
     replay_run,
 )
 from repro.models import build_cnn
@@ -305,17 +304,6 @@ def _get(url):
 
 
 class TestMetricsService:
-    def test_streams_jsonl_rows_for_stream_kinds_only(self, tmp_path):
-        path = str(tmp_path / "metrics.jsonl")
-        svc = MetricsService(metrics_path=path)
-        svc.observe("run_start", {"rounds": 2, "fingerprint": "abc"})
-        svc.observe("dispatch", {"round": 0})          # snapshot-only kind
-        svc.observe("round", {"round": 0, "sim_time_s": 1.5})
-        svc.observe("run_end", {"rounds": 2, "clock_s": 3.0})
-        svc.close()
-        rows = [json.loads(l) for l in open(path, encoding="utf-8")]
-        assert [r["kind"] for r in rows] == ["run_start", "round", "run_end"]
-
     def test_snapshot_folds_counters(self):
         svc = MetricsService()
         svc.observe("run_start", {"rounds": 4, "mode": "async"})
@@ -341,6 +329,16 @@ class TestMetricsService:
         assert svc.snapshot()["state"] == "aborted"
         svc.close()
 
+    def test_tail_keeps_the_last_events_only(self):
+        from repro.flsim.service import TAIL_EVENTS
+
+        svc = MetricsService()
+        for i in range(TAIL_EVENTS + 7):
+            svc.observe("round", {"round": i, "sim_time_s": float(i)})
+        svc.close()
+        assert [e["round"] for e in svc.tail()] == list(range(7, TAIL_EVENTS + 7))
+        assert svc.snapshot()["events_observed"] == TAIL_EVENTS + 7
+
     def test_status_endpoint_serves_snapshot_and_tail(self):
         svc = MetricsService(status_port=0)
         try:
@@ -361,10 +359,9 @@ class TestMetricsService:
         finally:
             svc.close()
 
-    def test_endpoint_live_during_run(self, tmp_path):
+    def test_endpoint_live_during_run(self):
         """The status endpoint answers while the run loop is executing."""
-        metrics = str(tmp_path / "metrics.jsonl")
-        exp = _exp(metrics_path=metrics, status_port=0, **HARD_MODE)
+        exp = _exp(status_port=0, **HARD_MODE)
         address = exp.status_address
         assert address is not None
         status, snap = _get(f"{address}/status")
@@ -393,17 +390,12 @@ class TestMetricsService:
         assert snap["pipeline"]["version"] == snap["server_version"]
         assert "running" in seen
         exp.close()
-        rows = [json.loads(l) for l in open(metrics, encoding="utf-8")]
-        assert rows[0]["kind"] == "run_start"
-        assert rows[-1]["kind"] == "run_end"
 
-    def test_observability_does_not_perturb_results(self, tmp_path):
+    def test_observability_does_not_perturb_results(self):
         bare = _exp(**HARD_MODE)
         bare.run()
         bare.close()
-        observed = _exp(
-            metrics_path=str(tmp_path / "m.jsonl"), status_port=0, **HARD_MODE
-        )
+        observed = _exp(status_port=0, **HARD_MODE)
         observed.run()
         observed.close()
         for k, v in bare.global_model.state_dict().items():
@@ -414,20 +406,22 @@ class TestMetricsService:
             r.sim_time_s for r in observed.history
         ]
 
-    def test_metrics_stream_alongside_journal_matches_events(self, tmp_path):
+    def test_status_tail_is_the_journal_tail(self, tmp_path):
+        """``/events`` serves the journal's own last events, minus ``seq``."""
+        from repro.flsim.service import TAIL_EVENTS
+
         journal = str(tmp_path / "run.jsonl")
-        metrics = str(tmp_path / "metrics.jsonl")
-        exp = _exp(journal_path=journal, metrics_path=metrics, **HARD_MODE)
+        exp = _exp(journal_path=journal, checkpoint_every=1, status_port=0,
+                   **HARD_MODE)
         exp.run()
+        _, tail = _get(f"{exp.status_address}/events")
         exp.close()
-        rows = [json.loads(l) for l in open(metrics, encoding="utf-8")]
-        streamed = [
+        events = [
             {k: v for k, v in e.items() if k != "seq"}
             for e in RunJournal.read(journal)
-            if e["kind"] in {"run_start", "round", "merge", "eval",
-                             "merge_eval", "run_end", "run_abort"}
         ]
-        assert rows == streamed
+        assert tail["events"] == events[-TAIL_EVENTS:]
+        assert {"run_start", "checkpoint", "run_end"} <= {e["kind"] for e in events}
 
 
 # ---------------------------------------------------------------------------
@@ -498,21 +492,6 @@ class TestEvalEveryMerge:
         assert [e["version"] for e in journalled] == [
             rec.version for rec in exp.merge_evals
         ]
-
-    def test_merge_eval_rows_flatten_records(self):
-        exp = _exp(eval_every_merge=1, **HARD_MODE)
-        exp.run()
-        exp.close()
-        rows = merge_eval_rows(exp.merge_evals)
-        assert len(rows) == len(exp.merge_evals) == len(exp.async_log)
-        assert [r["version"] for r in rows] == list(
-            range(1, len(exp.async_log) + 1)
-        )
-        assert all(
-            set(r) == {"version", "round", "event", "staleness", "sim_time_s",
-                       "clean_acc", "pgd_acc", "aa_acc"}
-            for r in rows
-        )
 
     def test_merge_evals_survive_checkpoint_resume(self, tmp_path):
         overrides = dict(eval_every_merge=2, **HARD_MODE)

@@ -21,9 +21,8 @@ import pytest
 from repro.baselines import JointFAT
 from repro.baselines.jfat import AsyncMergeEvent
 from repro.core import FedProphet, FedProphetConfig, async_merge_schedule
-from repro.core.aggregator import merge_async_update
 from repro.data import make_cifar10_like
-from repro.flsim import CrossRoundPipeline, FLConfig, RoundExecutor
+from repro.flsim import AsyncRoundContext, CrossRoundPipeline, FLConfig, RoundExecutor
 from repro.flsim.executor import CohortFn
 from repro.models import build_cnn
 
@@ -263,12 +262,22 @@ class TestAsyncMergeSchedule:
         with pytest.raises(ValueError):
             async_merge_schedule(3, -1)
 
+    @staticmethod
+    def _merge(server, states, weights, round_weight, staleness):
+        """One event of the engine's full-model rule over ``states``."""
+        ctx = AsyncRoundContext(
+            round_idx=0, clients=[], states=[], costs=[],
+            weights=list(weights), round_weight=round_weight,
+        )
+        members = list(range(len(states)))
+        return _jfat().async_merge_event(server, ctx, members, iter(states), staleness)
+
     def test_single_full_event_replaces_server_exactly(self):
         rng = np.random.default_rng(0)
         server = {"w": rng.normal(size=(3, 3)).astype(np.float32)}
         states = [{"w": rng.normal(size=(3, 3)).astype(np.float32)} for _ in range(3)]
         weights = [1.0, 2.0, 3.0]
-        alpha = merge_async_update(server, states, weights, sum(weights), staleness=0)
+        alpha = self._merge(server, states, weights, sum(weights), staleness=0)
         assert alpha == 1.0
         from repro.flsim.aggregation import weighted_average_states
 
@@ -279,7 +288,7 @@ class TestAsyncMergeSchedule:
     def test_stale_event_attenuated(self):
         server = {"w": np.zeros(2, dtype=np.float32)}
         states = [{"w": np.ones(2, dtype=np.float32)}]
-        alpha = merge_async_update(server, states, [1.0], 2.0, staleness=1)
+        alpha = self._merge(server, states, [1.0], 2.0, staleness=1)
         assert alpha == pytest.approx(0.25)  # (1/2) / (1 + 1)
         np.testing.assert_allclose(server["w"], 0.25)
 

@@ -1,65 +1,10 @@
-"""Tests for utilities: RNG streams, serialization, and the CLI."""
+"""Tests for the CLI and the low-bit memory model."""
 
 import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
 from repro.models import build_cnn
-from repro.utils import (
-    format_table,
-    load_model,
-    load_state,
-    save_model,
-    save_state,
-    seeded_rng,
-    spawn_rngs,
-)
-
-
-class TestRng:
-    def test_seeded_rng_reproducible(self):
-        a = seeded_rng(5).normal(size=4)
-        b = seeded_rng(5).normal(size=4)
-        np.testing.assert_array_equal(a, b)
-
-    def test_spawn_rngs_independent(self):
-        rngs = spawn_rngs(0, 3)
-        assert len(rngs) == 3
-        draws = [r.normal(size=4) for r in rngs]
-        assert not np.allclose(draws[0], draws[1])
-        assert not np.allclose(draws[1], draws[2])
-
-    def test_spawn_rngs_reproducible(self):
-        a = spawn_rngs(7, 2)[1].normal(size=3)
-        b = spawn_rngs(7, 2)[1].normal(size=3)
-        np.testing.assert_array_equal(a, b)
-
-
-class TestSerialization:
-    def test_state_roundtrip(self, tmp_path):
-        state = {"a.weight": np.random.default_rng(0).normal(size=(3, 2)), "b": np.arange(4.0)}
-        path = str(tmp_path / "ckpt.npz")
-        save_state(path, state)
-        loaded = load_state(path)
-        assert set(loaded) == set(state)
-        for k in state:
-            np.testing.assert_array_equal(loaded[k], state[k])
-
-    def test_model_roundtrip(self, tmp_path):
-        m1 = build_cnn(2, 4, (3, 8, 8), base_channels=4, rng=np.random.default_rng(0))
-        m2 = build_cnn(2, 4, (3, 8, 8), base_channels=4, rng=np.random.default_rng(1))
-        path = str(tmp_path / "model.npz")
-        save_model(path, m1)
-        load_model(path, m2)
-        x = np.random.default_rng(2).normal(size=(2, 3, 8, 8))
-        m1.eval()
-        m2.eval()
-        np.testing.assert_allclose(m1(x), m2(x))
-
-    def test_save_creates_directories(self, tmp_path):
-        path = str(tmp_path / "nested" / "dir" / "s.npz")
-        save_state(path, {"x": np.zeros(2)})
-        assert load_state(path)["x"].shape == (2,)
 
 
 class TestCLI:
@@ -103,6 +48,22 @@ class TestCLI:
         assert rc == 0
         out = capsys.readouterr().out
         assert "clean" in out and "PGD" in out
+
+    def test_train_choices_are_the_engine_tables(self):
+        # cli.py spells the lists out so that building the parser imports
+        # nothing; this ties each copy to the table the engine validates
+        # against.
+        from repro.flsim.population import MATERIALISATIONS, POPULATION_SCHEMES
+        from repro.flsim.robust_agg import AGGREGATION_RULES
+
+        train = next(
+            action for action in build_parser()._actions
+            if isinstance(action.choices, dict)
+        ).choices["train"]
+        choices = {a.dest: a.choices for a in train._actions}
+        assert tuple(choices["aggregation_rule"]) == AGGREGATION_RULES
+        assert tuple(choices["population_scheme"]) == POPULATION_SCHEMES
+        assert tuple(choices["client_materialisation"]) == MATERIALISATIONS
 
 
 class TestLowBitMemoryModel:
