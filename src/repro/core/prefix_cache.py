@@ -67,8 +67,8 @@ class PrefixCache:
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
-        #: In a round worker: ``(rows filled, hits, misses)`` since the last
-        #: :meth:`take_fills`; ``None`` elsewhere.
+        #: While a cohort whose fills another process adopts runs: ``(rows
+        #: filled, hits, misses)`` since :meth:`record_fills`; ``None`` elsewhere.
         self._fills: Optional[tuple] = None
 
     # -- bookkeeping -------------------------------------------------------
@@ -178,17 +178,18 @@ class PrefixCache:
 
     # -- round workers -----------------------------------------------------
     def record_fills(self) -> None:
-        """Start recording what this process fills (a forked round worker)."""
+        """Start recording what this process fills (a cohort of a split group)."""
         self._fills = ([], self.hits, self.misses)
 
     def take_fills(self) -> tuple:
-        """The rows filled and hits/misses counted since the last call."""
+        """Stop recording: the rows filled and hits/misses counted since
+        :meth:`record_fills`."""
         rows, hits, misses = self._fills
-        self._fills = ([], self.hits, self.misses)
+        self._fills = None
         return rows, self.hits - hits, self.misses - misses
 
     def adopt_fills(self, fills: tuple) -> None:
-        """Take a worker's :meth:`take_fills` in, as if its fetches ran here.
+        """Take another process's :meth:`take_fills` in, as if its fetches ran here.
 
         Rows filled under another prefix version are dropped; the counters
         add up, so ``stats()`` reads as a run without workers.

@@ -24,6 +24,7 @@ from repro.data.synthetic import SyntheticImageTask
 from repro.flsim.eval_executor import EvalExecutor, EvalTarget
 from repro.flsim.executor import (
     DEFAULT_FUSION_WIDTH,
+    EXCHANGE_FLOOR_FLOPS,
     FORK_FLOOR_FLOPS,
     STACKED_ACTIVATION_BUDGET,
     CohortFn,
@@ -507,6 +508,7 @@ class FederatedExperiment:
         # Fault-tolerance state: the open journal, the current round's fault
         # verdict, and the resume cursor installed by resume().
         self._journal: Optional[RunJournal] = None
+        self._replica = False  # a run-scoped round worker's copy of this experiment
         self._round_faults: Optional[RoundFaults] = None
         self._resume_round: int = 0
         self._resume_async: Optional[Dict[str, Any]] = None
@@ -1271,18 +1273,21 @@ class FederatedExperiment:
             f"per client against a {STACKED_ACTIVATION_BUDGET >> 10} KiB "
             f"stacked budget, at most {DEFAULT_FUSION_WIDTH}; configured: auto"
         )
-        workers = self.executor.workers_for(cfg.clients_per_round)
+        client = self.client_flops
+        workers = self.executor.replicas_for(cfg.rounds * cfg.clients_per_round * client)
         floor = (
-            f"a worker forks for a share above {FORK_FLOOR_FLOPS / 1e9:g} GFLOP of "
-            f"modelled work (training or eval), one client "
-            f"{self.client_flops / 1e9:.3g} GFLOP; evaluation plans are priced "
-            f"per shard and fork on their own"
+            f"a run forks its round workers once, at its first group, when its "
+            f"modelled work (rounds × cohort × one client's {client / 1e9:.3g} GFLOP) "
+            f"clears {FORK_FLOOR_FLOPS / 1e9:g} GFLOP; a group outside a run forks "
+            f"its own for a share above that floor"
         )
         if workers:
             engine = (
-                f"engine: {workers} forked round worker(s) beside the caller "
-                f"({spare_cores()} spare core(s)), OpenBLAS pinned to 1 thread "
-                f"while they run; {floor}"
+                f"engine: {workers} run-scoped round worker(s) beside the caller "
+                f"({spare_cores()} spare core(s)), each a replica of the run loop, "
+                f"OpenBLAS pinned to 1 thread while they live; a group (training or "
+                f"eval) splits between the processes when each share clears "
+                f"{EXCHANGE_FLOOR_FLOPS / 1e9:g} GFLOP, else runs whole in each; {floor}"
             )
         else:
             engine = f"engine: serial, one work unit at a time ({floor})"
@@ -1328,6 +1333,12 @@ class FederatedExperiment:
         self.close()
 
     # -- journalling, checkpointing, resume ------------------------------------
+    def _become_replica(self) -> None:
+        """This process is a round worker replaying the run beside the caller:
+        the journal, the status tee and the checkpoints stay the caller's."""
+        self._journal = self._metrics = None
+        self._replica = True
+
     def _jlog(self, kind: str, **payload) -> None:
         """Log one run event: journal append + status-service tee.
 
@@ -1422,10 +1433,14 @@ class FederatedExperiment:
 
         ``async_state`` carries the cross-round pipeline's extra
         bookkeeping; after a barrier round the global model holds the whole
-        server state, so it is snapshotted directly.
+        server state, so it is snapshotted directly.  A run's replica writes
+        none; it still evaluates the arguments, which land every in-flight
+        round's group in each process alike.
         """
         from repro.flsim.checkpoint import CHECKPOINT_FORMAT, write_checkpoint
 
+        if self._replica:
+            return
         payload: Dict[str, Any] = {
             "format": CHECKPOINT_FORMAT,
             "fingerprint": self._fingerprint(),
@@ -1572,12 +1587,19 @@ class FederatedExperiment:
         sync mode and for a round-gated experiment; otherwise rounds
         overlap up to ``pipeline_depth``.  The two are not equivalent
         under faults even at depth 1: the barrier waits out
-        ``client_timeout``, the pipeline never waits.
+        ``client_timeout``, the pipeline never waits.  The run is one
+        executor scope: its round workers, if its modelled work earns them,
+        fork once and replay the run beside this process (see
+        :meth:`~repro.flsim.executor.RoundExecutor.scope`).
         """
         rounds = rounds if rounds is not None else self.config.rounds
         self._open_journal()
+        # What the run's round workers are forked against: the modelled
+        # training work left (rounds × cohort × one client's FLOPs).
+        work = max(0, rounds - self._resume_round) * self.config.clients_per_round
         try:
-            rounds_run = self._run_rounds(rounds, verbose)
+            with self.executor.scope(work * self.client_flops, [self._become_replica]):
+                rounds_run = self._run_rounds(rounds, verbose)
         except BaseException:
             self._abort_cleanup()
             raise

@@ -1,18 +1,23 @@
-"""Round workers: forked processes that run the tail of a group's plan.
+"""Round workers: a run's lockstep replicas, and a lone group's forked tail.
 
-A group is a round's clients or an evaluation's shards.  The ``workers``
-fixture forces the fork floor to 0 and one spare core, so the small
-experiments of the digest suites fork too, and the oracle rows check
-that nothing a run produces can tell: the recorded sync and FedProphet
-digests, the recorded journals and the recorded checkpoint, every
-method's final evaluation and FedProphet's validation all come out as
-they do inline.  The hygiene tests then pin what a worker must never
-do: flush the journal it inherited, lose an exception's type, hang when
-it dies, outlive its group, or keep to itself the prefix-cache rows it
-filled.  Some run as shipped: one OpenBLAS thread changes no bit, the
-benchmark's FedProphet workload keeps its cache hit ratio, and the
-benchmark's evaluations fork where the floor says.  The last rows pin
-the cost-weighted plan to the count-balanced one it replaced.
+A group is a round's clients or an evaluation's shards.  A run forks its
+workers once, each a replica of the run loop that splits every group
+with the caller; a group outside a run forks workers for its own tail.
+The ``workers`` fixture forces both floors to 0 and one spare core, so
+the small experiments of the digest suites fork and split too, and the
+oracle rows check that nothing a run produces can tell: the recorded
+sync and FedProphet digests, the recorded journals and the recorded
+checkpoint, every method's final evaluation and FedProphet's validation
+all come out as they do inline.  The hygiene tests then pin what a
+worker must never do: write (the journal and checkpoint bytes are an
+inline run's), lose an exception's type, hang when it dies, outlive its
+run or group (no zombie after an end, an abort, an interrupt or a kill),
+hold the status endpoint's connections, diverge from the caller's plan
+unnoticed, or keep to itself the prefix-cache rows it filled.  Some run
+as shipped: one OpenBLAS thread changes no bit, the benchmark's
+FedProphet workload keeps its cache hit ratio, and the benchmark's
+evaluations fork where the floor says.  The last rows pin the
+cost-weighted plan to the count-balanced one it replaced.
 """
 
 import json
@@ -30,6 +35,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import tests.test_cascade_pins as cascade_pins
 import tests.test_fault_tolerance as ft
 import tests.test_prophet_engine_digests as prophet_digests
 import tests.test_sync_round_digests as sync_digests
@@ -48,7 +54,7 @@ from repro.models import build_vgg
 
 @pytest.fixture
 def forks(monkeypatch):
-    """One spare core at the shipped floor; yields the pids of the workers forked."""
+    """One spare core at the shipped floors; yields the pids of the workers forked."""
     if not executor_module._Blas.pinnable():
         pytest.skip("the OpenBLAS thread count cannot be pinned on this host")
     pids = []
@@ -69,8 +75,9 @@ def forks(monkeypatch):
 
 @pytest.fixture
 def workers(forks, monkeypatch):
-    """Floor 0, one spare core; yields the pids of the workers forked."""
+    """Fork and exchange floors 0, one spare core; yields the pids of the workers forked."""
     monkeypatch.setattr(executor_module, "FORK_FLOOR_FLOPS", 0.0)
+    monkeypatch.setattr(executor_module, "EXCHANGE_FLOOR_FLOPS", 0.0)
     return forks
 
 
@@ -78,9 +85,7 @@ def workers(forks, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "case",
-    [pytest.param(c, id=sync_digests._case_id(c)) for c in sync_digests.SERIAL_CASES
-     if c[1:] == ("unbalanced", "serial", "median_faults_signflip")],  # one per method
+    "case", [pytest.param(c, id=sync_digests._case_id(c)) for c in sync_digests.CASES]
 )
 def test_sync_round_digest_with_workers(case, workers):
     digest, _, _, _ = sync_digests._digest(*case)
@@ -89,15 +94,23 @@ def test_sync_round_digest_with_workers(case, workers):
 
 
 @pytest.mark.parametrize(
-    "case",
-    [pytest.param(c, id=prophet_digests._case_id(c)) for c in prophet_digests.CASES
-     if c[:2] in (("faults", "sync"), ("median_signflip", "async"))],
+    "case", [pytest.param(c, id=prophet_digests._case_id(c)) for c in prophet_digests.CASES]
 )
 def test_fedprophet_digest_with_workers(case, workers):
     with open(prophet_digests.DIGESTS, encoding="utf-8") as fh:
         recorded = json.load(fh)
     assert prophet_digests._digest(*case) == recorded[prophet_digests._case_id(case)]
     assert workers
+
+
+def test_cascade_pins_with_a_replica(workers):
+    # The pinned cases as one group split between the caller and a replica
+    # that lives for the scope: each result is the pinned one, wherever it ran.
+    executor = RoundExecutor(client_flops=1.0)
+    with executor.scope(float("inf")):
+        results = executor.run_group(lambda case: cascade_pins._run(*case), cascade_pins.CASES)
+    assert results == [cascade_pins.PINS[case] for case in cascade_pins.CASES]
+    assert len(workers) == 1
 
 
 def test_recorded_journals_replay_with_workers(workers):
@@ -114,6 +127,8 @@ def test_recorded_journals_replay_with_workers(workers):
 
 def test_recorded_checkpoint_resumes_with_workers(tmp_path, workers):
     ft.TestCheckpointResume().test_resume_from_a_checkpoint_written_before_pr23(tmp_path)
+    os.makedirs(tmp_path / "feddf")
+    sync_digests.test_parent_feddf_checkpoint_resumes(tmp_path / "feddf", {})
     assert workers
 
 
@@ -144,33 +159,41 @@ def test_final_eval_with_workers(method, monkeypatch, workers):
 
 def test_cascade_eval_with_workers(monkeypatch, workers):
     # Validation plans reversed to [PGD, clean] at 8 rows a shard: the
-    # worker's run holds the clean shards, so it reads and fills the prefix
+    # replica's run holds the clean shards, so it reads and fills the prefix
     # cache, and the caller must adopt its rows, hits and misses.
     monkeypatch.setattr(
         prophet_module, "EvalPlan",
         lambda attacks, seed: EvalPlan(attacks=attacks[::-1], batch_size=8, seed=seed),
     )
+    received, receive = [], executor_module._Scope._receive
+
+    def counting(self, link, seq, pos, idxs):
+        received.append(seq)
+        return receive(self, link, seq, pos, idxs)
+
+    monkeypatch.setattr(executor_module._Scope, "_receive", counting)
     runs = {}
     for name, spare in (("inline", 0), ("forked", 1)):
         monkeypatch.setattr(executor_module, "spare_cores", lambda spare=spare: spare)
         with prophet_digests._experiment("plain", "sync", "serial", rounds=5) as exp:
             evals = []
-            cascade_eval = _forks_of(exp.cascade_eval, workers)
 
-            def recording(module_idx):
-                evals.append(cascade_eval(module_idx))
+            def recording(module_idx, cascade_eval=exp.cascade_eval):
+                before = len(received)
+                evals.append((cascade_eval(module_idx), len(received) - before))
                 return evals[-1][0]
 
             exp.cascade_eval = recording
-            exp.run()
+            _forks_of(exp.run, workers)()
             cache = exp.prefix_cache
             runs[name] = (evals, cache.stats(), {
                 key: (entry.filled.copy(), entry.data[entry.filled].copy())
                 for key, entry in cache._entries.items() if entry.data is not None
             })
     (evals, stats, rows), (ref_evals, ref_stats, ref_rows) = runs["forked"], runs["inline"]
-    assert [forked for _, forked in evals] == [1] * len(evals) and len(evals) == 5
-    assert [forked for _, forked in ref_evals] == [0] * 5
+    assert len(workers) == 1  # the run's one replica served every validation
+    assert len(evals) == 5 and all(shards for _, shards in evals)
+    assert [shards for _, shards in ref_evals] == [0] * 5
     assert [result for result, _ in evals] == [result for result, _ in ref_evals]
     assert stats == ref_stats and stats["hits"] > 0
     assert list(rows) == list(ref_rows)
@@ -217,7 +240,7 @@ class Unpicklable(Exception):
 
 
 def _raising_in_worker(exc, parent=None):
-    """A jFAT whose last client raises ``exc`` — in the worker's share."""
+    """A jFAT whose clients raise ``exc`` in any process but the caller."""
     parent = os.getpid() if parent is None else parent
 
     class Raising(JointFAT):
@@ -272,7 +295,7 @@ def test_killed_worker_is_a_typed_error_naming_its_cohort(tmp_path, workers):
 
     exp = Killed(ft._task(), ft._builder, ft._cfg(journal_path=path, fusion_width=1))
     with pytest.raises(RoundWorkerError, match=r"killed by signal 9 before returning "
-                       r"the cohort of items \[2\]"):
+                       r"the cohort of items \[1\]"):
         exp.run()
     assert list(RunJournal.read(path))[-1]["kind"] == "run_abort"
 
@@ -338,9 +361,9 @@ def test_ending_a_group_early_kills_and_reaps_its_worker(workers, end):
     # the fixture asserts the worker is reaped
 
 
-def test_export_state_reaps_the_workers_of_inflight_rounds(tmp_path, monkeypatch, workers):
-    # A checkpoint lands every in-flight round's group, so its worker is
-    # read to the end and reaped before the checkpoint is written.
+def test_export_state_lands_inflight_rounds_beside_the_replica(tmp_path, monkeypatch, workers):
+    # A checkpoint lands every in-flight round's group, the replica landing
+    # the same groups beside the caller: it lives on to the run's end.
     export, alive = CrossRoundPipeline.export_state, []
 
     def recording(self, export_meta):
@@ -353,7 +376,8 @@ def test_export_state_reaps_the_workers_of_inflight_rounds(tmp_path, monkeypatch
     with _jfat(journal_path=path, checkpoint_every=1, aggregation_mode="async",
                pipeline_depth=2, fusion_width=1) as exp:
         exp.run()
-    assert workers and alive == [0] * 5
+    assert len(workers) == 1 and alive == [1] * 5
+    assert not executor_module._live_workers
 
 
 def test_a_group_forks_at_most_one_worker_per_spare_core(monkeypatch, workers):
@@ -395,6 +419,144 @@ def test_prefix_cache_rows_filled_in_a_worker_are_adopted(monkeypatch, workers):
     for key, (filled, data) in rows.items():
         np.testing.assert_array_equal(filled, ref_rows[key][0])
         np.testing.assert_array_equal(data, ref_rows[key][1])
+
+
+# -- the run-scoped replica -----------------------------------------------------
+
+
+@pytest.mark.parametrize("mode", ft.MODES)
+def test_a_run_forks_once(mode, workers):
+    with _jfat(rounds=4, **mode) as exp:
+        exp.run()
+        assert len(workers) == 1  # every round and merge of the run, one replica
+        exp.final_eval(8)  # outside the run: a group of its own
+    assert len(workers) == 2
+
+
+def test_journal_and_checkpoint_bytes_equal_an_inline_run(tmp_path, monkeypatch, workers):
+    # The replica writes nothing: every journal append and checkpoint write
+    # happens in the caller, and the files are an inline run's, byte for byte.
+    from repro.flsim import checkpoint
+
+    writers = str(tmp_path / "writers")
+    append, write_checkpoint = RunJournal.append, checkpoint.write_checkpoint
+
+    def noting(write):
+        def noted(*args, **kwargs):
+            fd = os.open(writers, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+            os.write(fd, b"%d\n" % os.getpid())
+            os.close(fd)
+            return write(*args, **kwargs)
+        return noted
+
+    monkeypatch.setattr(RunJournal, "append", noting(append))
+    monkeypatch.setattr(checkpoint, "write_checkpoint", noting(write_checkpoint))
+    paths = {}
+    for name, spare in (("inline", 0), ("forked", 1)):
+        monkeypatch.setattr(executor_module, "spare_cores", lambda spare=spare: spare)
+        os.makedirs(tmp_path / name)
+        paths[name] = str(tmp_path / name / "run.jsonl")
+        with _jfat(journal_path=paths[name], checkpoint_every=2, aggregation_mode="async",
+                   pipeline_depth=2, max_staleness=2, fusion_width=1) as exp:
+            exp.run(verbose=True)
+    assert len(workers) == 1
+    with open(writers, encoding="utf-8") as fh:
+        assert set(fh.read().split()) == {str(os.getpid())}
+    for suffix in ("", ".ckpt"):
+        with open(paths["inline"] + suffix, "rb") as a, open(paths["forked"] + suffix, "rb") as b:
+            assert a.read() == b.read()
+
+
+def _replicas_after(exp, round_idx, action):
+    """Run ``action(replica pids)`` in the caller as round ``round_idx`` is sampled."""
+    parent, sample = os.getpid(), exp.sample_round
+
+    def sample_round(t):
+        if t == round_idx and os.getpid() == parent:
+            action(list(executor_module._live_workers))
+        return sample(t)
+
+    exp.sample_round = sample_round
+
+
+def test_a_killed_replica_is_a_typed_error_and_an_abort(tmp_path, workers):
+    path = str(tmp_path / "run.jsonl")
+    with _jfat(journal_path=path, fusion_width=1) as exp:
+        _replicas_after(exp, 2, lambda pids: os.kill(pids[0], signal.SIGKILL))
+        with pytest.raises(RoundWorkerError, match=r"round worker \d+ was killed by signal 9 "
+                           r"before returning the cohort of items \[1\] \(group 2\)"):
+            exp.run()
+    assert list(RunJournal.read(path))[-1]["kind"] == "run_abort"
+    assert len(workers) == 1  # reaped: the fixture finds no zombie
+
+
+@pytest.mark.parametrize("stop", [KeyboardInterrupt(), Refused("caller refused")],
+                         ids=["keyboard_interrupt", "abort"])
+def test_an_interrupted_run_reaps_its_replica(tmp_path, workers, stop):
+    path = str(tmp_path / "run.jsonl")
+    with _jfat(journal_path=path, fusion_width=1) as exp:
+        def interrupt(pids):
+            assert len(pids) == 1
+            raise stop
+
+        _replicas_after(exp, 3, interrupt)
+        with pytest.raises(type(stop)):
+            exp.run()
+    assert list(RunJournal.read(path))[-1]["kind"] == "run_abort"
+    assert len(workers) == 1 and not executor_module._live_workers
+
+
+def test_a_diverged_replica_is_a_typed_error_naming_the_group(tmp_path, monkeypatch, workers):
+    # Group 0 forks the replica; from group 1 on it plans other costs.
+    parent, submit = os.getpid(), RoundExecutor.submit_group
+
+    def perturbed(self, fn, items, costs=None):
+        if os.getpid() != parent:
+            costs = [2.0 * self.client_flops] * len(list(items))
+        return submit(self, fn, items, costs)
+
+    monkeypatch.setattr(RoundExecutor, "submit_group", perturbed)
+    path = str(tmp_path / "run.jsonl")
+    with _jfat(journal_path=path, fusion_width=1) as exp:
+        with pytest.raises(RoundWorkerError, match=r"diverged from this process at group 1"):
+            exp.run()
+    assert list(RunJournal.read(path))[-1]["kind"] == "run_abort"
+    assert len(workers) == 1
+
+
+def test_the_status_port_answers_while_the_replica_lives(monkeypatch, workers):
+    # Polls made while the replica runs are answered, and so is a request
+    # whose connection the endpoint accepted before the fork: the reply ends
+    # the connection though the replica holds a copy of it.
+    import socket
+    import time
+    import urllib.request
+
+    polls, closed = [], []
+
+    def poll(pids):
+        with urllib.request.urlopen(f"{exp.status_address}/status", timeout=10) as resp:
+            polls.append((len(pids), json.loads(resp.read())["state"]))
+
+    def finish_the_early_request(pids):
+        early.sendall(b"\r\n")
+        reply = b""
+        while chunk := early.recv(1 << 16):  # to the end of the reply
+            reply += chunk
+        closed.append(reply.startswith(b"HTTP/1.0 200"))
+
+    with _jfat(status_port=0, rounds=4) as exp:
+        port = int(exp.status_address.rsplit(":", 1)[1])
+        early = socket.create_connection(("127.0.0.1", port), timeout=10)
+        early.sendall(b"GET /health HTTP/1.0\r\n")  # accepted, awaiting its blank line
+        time.sleep(0.2)
+        _replicas_after(exp, 1, finish_the_early_request)
+        for round_idx in (1, 2, 3):
+            _replicas_after(exp, round_idx, poll)
+        exp.run()
+        early.close()
+    assert closed == [True]
+    assert polls == [(1, "running")] * 3 and len(workers) == 1
 
 
 # -- the oracle the OpenBLAS pin relies on -------------------------------------------
@@ -447,7 +609,7 @@ def test_one_blas_thread_changes_no_bit():
     assert len(digests["1"]) == 64
 
 
-def test_describe_parallelism_states_workers_pin_and_floor(monkeypatch):
+def test_describe_parallelism_states_workers_pin_and_floors(monkeypatch):
     if not executor_module._Blas.pinnable():
         pytest.skip("the OpenBLAS thread count cannot be pinned on this host")
     monkeypatch.setattr(executor_module, "spare_cores", lambda: 1)
@@ -456,13 +618,15 @@ def test_describe_parallelism_states_workers_pin_and_floor(monkeypatch):
     with JointFAT(task, lambda rng: build_vgg("vgg11", 10, (3, 16, 16), width_mult=0.25,
                                               rng=rng), dense) as exp:
         text = exp.describe_parallelism()
-    assert "engine: 1 forked round worker(s) beside the caller (1 spare core(s))" in text
-    assert "OpenBLAS pinned to 1 thread while they run" in text
-    assert "share above 1 GFLOP of modelled work (training or eval), one client 7.29 GFLOP" in text
-    assert "evaluation plans are priced per shard and fork on their own" in text
-    with _jfat() as small:  # an 8x8 CNN: far below the floor
+    assert "engine: 1 run-scoped round worker(s) beside the caller (1 spare core(s))" in text
+    assert "each a replica of the run loop, OpenBLAS pinned to 1 thread while they live" in text
+    assert "splits between the processes when each share clears 0.015 GFLOP" in text
+    assert ("a run forks its round workers once, at its first group, when its modelled "
+            "work (rounds × cohort × one client's 7.29 GFLOP) clears 1 GFLOP") in text
+    assert "a group outside a run forks its own for a share above that floor" in text
+    with _jfat() as small:  # an 8x8 CNN: five rounds of three clients, far below the floor
         text = small.describe_parallelism()
-    assert "engine: serial, one work unit at a time (a worker forks for a share above" in text
+    assert "engine: serial, one work unit at a time (a run forks its round workers once" in text
 
 
 @pytest.mark.slow
