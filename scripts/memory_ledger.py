@@ -15,6 +15,8 @@ it:
 
 * unfold workspace       the zero-bordered buffers ``_Unfold`` writes into
 * conv columns           ``(N, L, taps·C)`` columns, kept for the weight gradient
+* conv scratch           the one buffer every streamed conv pass (forward under
+                         ``no_param_grads``, input gradient) builds its columns in
 * conv weight layouts    the ``(K, C_out, taps·C)`` weight copies (per call in
                          training, per scope when frozen, BatchNorm folded in)
 * BatchNorm x_hat        the normalised input kept for BatchNorm's backward
@@ -76,11 +78,11 @@ MIB = 2**20
 FRAMES = 12  # deep enough to reach the repro line under NumPy's Python wrappers
 # (category, allocating file, text on the allocating line; "" = any line of the file)
 RULES = (
-    ("unfold workspace", "repro/nn/conv.py", "np.zeros(self._buf_shape"),
-    ("conv columns", "repro/nn/conv.py", "np.empty(self._cols_shape"),
+    ("unfold workspace", "repro/nn/conv.py", "np.zeros((m, *self._buf_shape)"),
+    ("conv columns", "repro/nn/conv.py", "# kept columns"),
+    ("conv scratch", "repro/nn/conv.py", "# conv scratch"),
     ("conv weight layouts", "repro/nn/conv.py", "np.ascontiguousarray("),
     ("conv weight layouts", "repro/nn/conv.py", "w * fold[1]["),  # BatchNorm folded in, per call
-    ("conv columns", "repro/nn/functional.py", "windows.reshape("),  # the image layer's im2col
     ("BatchNorm x_hat", "repro/nn/normalization.py", "centered = xv - "),
     ("ReLU masks", "repro/nn/activations.py", "self._mask = x > 0"),
     ("max-pool index", "repro/nn/pooling.py", "miss.astype(np.uint8)"),
@@ -222,9 +224,11 @@ def ledger(name: str, seed: int, smoke: bool, whole: bool):
     """
     size = sizes_for(name, smoke)
     workdir = tempfile.mkdtemp(prefix="memory-ledger-")
-    # The unfold buffers live as long as the process: empty them, or the last
-    # workload's, allocated before this trace started, would go uncounted.
+    # The unfold buffers and the conv scratch live as long as the process: empty
+    # them, or the last workload's, allocated before this trace started, would
+    # go uncounted.
     vars(conv._workspaces).pop("buffers", None)
+    vars(conv._workspaces).pop("scratch", None)
     tracemalloc.start(FRAMES)
     mark = Watermark("build")
     try:

@@ -1,4 +1,4 @@
-"""2-D convolution: channel-last unfold, per-sample forward GEMMs."""
+"""2-D convolution: channel-last unfold, per-sample GEMMs over streamed columns."""
 
 from __future__ import annotations
 
@@ -33,7 +33,67 @@ def _axis(size: int, lo: int, step: int, out: int, k: int, s: int):
     return slice(m0, m1), slice(start, start + step * (m1 - m0), step), (i0, i1), span
 
 
-_workspaces = SimpleNamespace()  # .buffers: unfold geometry -> (buffer, {N: views})
+#: Bytes of columns a streamed conv pass holds at a time.  Every forward
+#: under ``no_param_grads`` (attacks, evaluation, frozen prefixes) and every
+#: input gradient unfolds and multiplies a piece of the batch at a time in
+#: one process-wide scratch of this size (one sample's columns when those are
+#: larger), instead of batch-wide columns that live for one GEMM (4.5 MiB for
+#: jfat_dense's 16->32 input gradient at 64 rows).  256 KiB is the largest
+#: size measured within 0.3 MiB of the lowest peak RSS: 64 KiB holds as much
+#: and runs jfat_dense 1.10x slower, 32 KiB 1.23x; 1 MiB holds 0.6 MiB more
+#: (``scripts/conv_scratch_sweep.py``, docs/benchmarks.md § PR 46).
+STREAM_SCRATCH_BYTES = 256 << 10
+
+_workspaces = SimpleNamespace()  # .buffers: unfold geometry -> (buffer, {rows: view}); .scratch
+
+
+def _pieces(kk: int, b: int, size: int, dtype, keep: bool = False):
+    """Client-aligned pieces of a ``(K, B)`` batch and flat columns for each.
+
+    Yields ``(clients, samples, cols)``: two slices into the ``(K, B)`` axes —
+    whole clients when one fits, else a run of one client's samples — and a
+    flat array of ``size`` elements per sample they hold.  ``keep`` makes the
+    batch one piece in a fresh array (the columns the weight gradient reads);
+    otherwise every piece reuses the scratch (:data:`STREAM_SCRATCH_BYTES`).
+    Each sample's GEMM sees the same operands either way, so the pieces
+    change no bit.
+    """
+    if keep:
+        yield slice(None), slice(None), np.empty(kk * b * size, dtype)  # kept columns
+        return
+    if not b:
+        return
+    sample = size * np.dtype(dtype).itemsize
+    rows = max(1, STREAM_SCRATCH_BYTES // sample)
+    need = min(rows, kk * b) * sample
+    scratch = getattr(_workspaces, "scratch", None)
+    if scratch is None or len(scratch) < need:
+        scratch = _workspaces.scratch = np.empty(need, np.uint8)  # conv scratch
+    per, run = (rows // b, b) if rows >= b else (1, rows)  # clients, samples a piece
+    for k in range(0, kk, per):
+        for lo in range(0, b, run):
+            m = (min(kk, k + per) - k) * (min(b, lo + run) - lo)
+            yield slice(k, k + per), slice(lo, lo + run), scratch[: m * sample].view(dtype)
+
+
+def _stream(x: np.ndarray, kk: int, unfold, w: np.ndarray, cols_shape, keep: bool = False):
+    """``unfold(x) @ w`` one GEMM per sample, a piece of the batch at a time.
+
+    ``unfold(samples, cols)`` writes the ``cols_shape = (L, D)`` columns of
+    each sample into flat ``cols`` and returns them as ``(m, L, D)``; ``w``
+    is ``(K, D, C_out)``.  Returns the ``(K, B, L, C_out)`` product and, with
+    ``keep``, the ``(K, B, L, D)`` columns (:func:`_pieces`).
+    """
+    n, (l, d) = len(x), cols_shape
+    b = n // kk
+    xs = x.reshape(kk, b, *x.shape[1:])
+    out = np.empty((kk, b, l, w.shape[2]), np.result_type(x, w))
+    for clients, samples, flat in _pieces(kk, b, l * d, x.dtype, keep):
+        part = xs[clients, samples]
+        cols = unfold(part.reshape(-1, *x.shape[1:]), flat).reshape(part.shape[:2] + (l, d))
+        # (k, m, L, D) @ (k, 1, D, C_out) -> (k, m, L, C_out): one GEMM per sample.
+        np.matmul(cols, w[clients, None], out=out[clients, samples])
+    return out, cols if keep else None
 
 
 class _Unfold:
@@ -42,39 +102,39 @@ class _Unfold:
     The tensor is written into a zero-bordered ``(N, span_h, span_w, C)``
     buffer (at ``lo``, every ``step``-th row and column) and each live
     kernel *row* of every window — ``taps_w·C`` contiguous elements — is
-    copied into freshly allocated columns, so no copy has an inner run
-    shorter than ``C``.  The object is geometry only: the buffer is the
-    process's one for ``_key`` (all but N), sized to the largest N; every
-    caller of a key writes the same positions, so its zeros stay zero.
+    copied into the columns, so no copy has an inner run shorter than
+    ``C``.  The object is geometry only: the buffer is the process's one for
+    ``_key``, sized to the most samples one fill has written; every caller of
+    a key writes the same positions, so its zeros stay zero.
     """
 
     def __init__(self, shape, dtype, lo, step, k, stride, out_hw):
-        n, c, h, w = shape
-        oh, ow = self.out_hw = out_hw
+        c, h, w = shape
+        oh, ow = out_hw
         src_h, dst_h, (i0, i1), span_h = _axis(h, lo, step, oh, k, stride)
         src_w, dst_w, (j0, j1), span_w = _axis(w, lo, step, ow, k, stride)
         self.taps = (i0, i1, j0, j1)
-        self._src, self._dst = (slice(None), src_h, src_w), (slice(n), dst_h, dst_w)
+        self._src, self._dst = (slice(None), src_h, src_w), (slice(None), dst_h, dst_w)
         self._key = (h, w, c, dtype, lo, step, k, stride, out_hw)
-        self._buf_shape, self._stride = (n, span_h, span_w, c), stride
-        self._cols_shape = (n, oh, ow, i1 - i0, (j1 - j0) * c)
+        self._buf_shape, self._stride = (span_h, span_w, c), stride
+        self._rows = (oh, ow, i1 - i0, (j1 - j0) * c)
+        self.cols_shape = (oh * ow, (i1 - i0) * (j1 - j0) * c)
 
-    def __call__(self, x: np.ndarray, clients: int) -> np.ndarray:
-        """Columns of ``x`` as a ``(K, N/K, L, taps·C)`` stack (K clients share the batch axis)."""
-        n, oh, ow, rows, run = self._cols_shape
+    def fill(self, x: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """``x``'s ``m`` samples' columns, written into flat ``cols``, as ``(m, L, taps·C)``."""
+        m, (oh, ow, rows, run) = len(x), self._rows
         buffers = _workspaces.__dict__.setdefault("buffers", {})
         buf, views = buffers.get(self._key, (None, None))
-        if buf is None or len(buf) < n:  # a larger N replaces the buffer; its views go with it
-            buf, views = buffers[self._key] = np.zeros(self._buf_shape, self._key[3]), {}
-        if n not in views:  # one window view per live kernel row
+        if buf is None or len(buf) < m:  # a larger fill replaces the buffer; its views go with it
+            buf, views = buffers[self._key] = np.zeros((m, *self._buf_shape), self._key[3]), {}
+        if m not in views:  # every window's live kernel rows, one run of taps_w·C each
             sn, sh, sw, sc = buf.strides
-            win, strides = (n, oh, ow, run), (sn, self._stride * sh, self._stride * sw, sc)
-            views[n] = [as_strided(buf[:n, i:], win, strides, writeable=False) for i in range(rows)]
-        buf[self._dst] = x.transpose(0, 2, 3, 1)[self._src]
-        cols = np.empty(self._cols_shape, dtype=buf.dtype)
-        for i, window in enumerate(views[n]):
-            cols[:, :, :, i] = window
-        return cols.reshape(clients, n // clients, oh * ow, rows * run)
+            views[m] = as_strided(buf, (m, oh, ow, rows, run),
+                                  (sn, self._stride * sh, self._stride * sw, sh, sc), writeable=False)
+        buf[:m][self._dst] = x.transpose(0, 2, 3, 1)[self._src]
+        cols = cols.reshape(m, oh, ow, rows, run)
+        cols[...] = views[m]
+        return cols.reshape(m, *self.cols_shape)
 
 
 class Conv2d(Module):
@@ -85,7 +145,9 @@ class Conv2d(Module):
     sample** by the ``(taps·C, C_out)`` weights — a GEMM whose shape does
     not depend on the batch, which is what makes the layer batch-invariant
     (see docs/architecture.md).  The weight gradient contracts columns and
-    output gradient over the whole batch in one GEMM per client.  The input
+    output gradient over the whole batch in one GEMM per client, so only a
+    forward with parameter gradients keeps batch-wide columns; every other
+    pass streams them a piece at a time (:func:`_stream`).  The input
     gradient *gathers*: the same unfold-and-GEMM applied to the output
     gradient (dilated by the stride) with the flipped kernel, so nothing is
     folded back by strided accumulation.  Kernel taps that only ever see
@@ -130,17 +192,16 @@ class Conv2d(Module):
     def _unfold(self, x_shape: tuple, dtype: np.dtype, backward: bool = False) -> _Unfold:
         """The (lazily built) unfold of the input, or of its output gradient."""
         unfolds = self.__dict__.setdefault("_unfolds", {})
-        key = (x_shape, dtype, backward)
+        key = (x_shape[1:], dtype, backward)
         unfold = unfolds.get(key)
         if unfold is None:
-            n, c, h, w = x_shape
+            c, h, w = x_shape[1:]
             k, s, p = self.kernel_size, self.stride, self.padding
             out_hw = (conv_output_size(h, k, s, p), conv_output_size(w, k, s, p))
             if backward:  # the output gradient, dilated by the stride, swept at stride 1
-                g_shape = (n, self.out_channels) + out_hw
-                unfold = _Unfold(g_shape, dtype, k - 1 - p, s, k, 1, (h, w))
+                unfold = _Unfold((self.out_channels,) + out_hw, dtype, k - 1 - p, s, k, 1, (h, w))
             else:
-                unfold = _Unfold(x_shape, dtype, p, 1, k, s, out_hw)
+                unfold = _Unfold((c, h, w), dtype, p, 1, k, s, out_hw)
             unfolds[key] = unfold
         return unfold
 
@@ -174,28 +235,31 @@ class Conv2d(Module):
         w, bias = self.weight.stacked(), self._bias(fold)
         kk, n, c_out = w.shape[0], x.shape[0], self.out_channels
         k, s, p = self.kernel_size, self.stride, self.padding
-        if self._narrow(conv_output_size(x.shape[3], k, s, p)):
-            cols, *out_hw = im2col(x, k, k, s, p)
-            cols = cols.reshape(kk, n // kk, cols.shape[1], cols.shape[2]).transpose(0, 1, 3, 2)
+        out_hw = tuple(conv_output_size(size, k, s, p) for size in x.shape[2:])
+        if self._narrow(out_hw[1]):
             taps, w2d = None, self._weight(fold).reshape(kk, c_out, -1)
+            cols_shape = (out_hw[0] * out_hw[1], w2d.shape[2])
+
+            def unfold(xs, cols):  # (m, L, C·k·k): im2col's columns, transposed
+                return im2col(xs, k, k, s, p, out=cols)[0].transpose(0, 2, 1)
         else:
-            unfold = self._unfold(x.shape, x.dtype)
-            cols, out_hw, taps = unfold(x, kk), unfold.out_hw, unfold.taps
+            geometry = self._unfold(x.shape, x.dtype)
+            unfold, cols_shape, taps = geometry.fill, geometry.cols_shape, geometry.taps
             i0, i1, j0, j1 = taps
-            dtype = np.result_type(cols, w)  # a conv and the BatchNorm it folds share a dtype
+            dtype = np.result_type(x, w)  # a conv and the BatchNorm it folds share a dtype
             # (K, C_out, taps·C) in the columns' (row, column, channel) order;
             # laid out once per input-grad-only scope, where no weight can change.
             key = (self, fold and fold[0], False, taps, dtype)
             w2d = scope_cached(key, lambda: np.ascontiguousarray(
                 self._weight(fold)[:, :, :, i0:i1, j0:j1].transpose(0, 1, 3, 4, 2), dtype=dtype
             ).reshape(kk, c_out, -1))
-        # The columns are only needed for the weight gradient; under an
-        # input-grad-only scope (attacks, frozen-prefix forwards) they are
-        # not handed to backward.
-        self._cols = (cols, taps) if param_grads_enabled() else None
+        # The columns are only needed for the weight gradient: kept whole when
+        # it will run, streamed through the scratch under an input-grad-only
+        # scope (attacks, evaluation, frozen-prefix forwards).
+        keep = param_grads_enabled()
+        out, cols = _stream(x, kk, unfold, w2d.transpose(0, 2, 1), cols_shape, keep)
+        self._cols = (cols, taps) if keep else None
         self._x_shape, self._fold = x.shape, fold  # backward runs the way forward did
-        # (K, B, L, taps·C) @ (K, 1, taps·C, C_out) -> (K, B, L, C_out): one GEMM per sample.
-        out = np.matmul(cols, w2d.transpose(0, 2, 1)[:, None])
         if bias is not None:
             out += bias[:, None, None, :]
         return out.reshape(n, *out_hw, c_out).transpose(0, 3, 1, 2)
@@ -228,12 +292,22 @@ class Conv2d(Module):
         self._cols = None  # single-shot cache: release once consumed
         if c_out > 4 * c:
             # Few channels under many (the image layer): gathering would move
-            # k²·C_out values per pixel where col2im scatters k²·C.
+            # k²·C_out values per pixel where col2im scatters k²·C.  Each
+            # piece's column gradient is scattered into its samples' rows.
             k, s, p = self.kernel_size, self.stride, self.padding
-            g = grad_out.reshape(kk, n // kk, c_out, grad_out.shape[2] * grad_out.shape[3])
+            b, l = n // kk, grad_out.shape[2] * grad_out.shape[3]
+            g = grad_out.reshape(kk, b, c_out, l)
             w_cols = self._weight(fold).reshape(kk, 1, c_out, -1).transpose(0, 1, 3, 2)
-            grad_cols = np.matmul(w_cols, g)
-            return col2im(grad_cols.reshape(n, c * k * k, g.shape[3]), self._x_shape, k, k, s, p)
+            d = w_cols.shape[2]
+            padded = np.zeros((kk, b, c, h + 2 * p, w_in + 2 * p), np.result_type(w_cols, g))
+            for clients, samples, flat in _pieces(kk, b, d * l, padded.dtype):
+                part = padded[clients, samples]
+                grad_cols = flat.reshape(part.shape[:2] + (d, l))
+                np.matmul(w_cols[clients], g[clients, samples], out=grad_cols)
+                m = part.shape[0] * part.shape[1]
+                col2im(grad_cols.reshape(m, d, l), (m, c, h, w_in), k, k, s, p,
+                       out=part.reshape(m, *part.shape[2:]))
+            return padded.reshape(n, *padded.shape[2:])[:, :, p:p + h, p:p + w_in]
         unfold = self._unfold(self._x_shape, grad_out.dtype, backward=True)
         i0, i1, j0, j1 = taps = unfold.taps
         dtype = np.result_type(grad_out, w)
@@ -243,5 +317,5 @@ class Conv2d(Module):
             self._weight(fold)[:, :, :, ::-1, ::-1][:, :, :, i0:i1, j0:j1].transpose(0, 3, 4, 1, 2),
             dtype=dtype,
         ).reshape(kk, -1, c))
-        grad_in = np.matmul(unfold(grad_out, kk), w2d[:, None])  # per sample, as forward
+        grad_in, _ = _stream(grad_out, kk, unfold.fill, w2d, unfold.cols_shape)  # per sample
         return grad_in.reshape(n, h, w_in, c).transpose(0, 3, 1, 2)

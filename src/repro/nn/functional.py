@@ -39,14 +39,15 @@ def channel_sum(x: np.ndarray) -> np.ndarray:
 
 
 def im2col(
-    x: np.ndarray, kh: int, kw: int, stride: int, pad: int
+    x: np.ndarray, kh: int, kw: int, stride: int, pad: int, out: np.ndarray | None = None
 ) -> Tuple[np.ndarray, int, int]:
     """Unfold an NCHW tensor into column form.
 
     Returns ``(cols, out_h, out_w)`` where ``cols`` has shape
     ``(N, C * kh * kw, out_h * out_w)``.  Uses stride tricks to build the
     sliding windows without Python loops; the final ``reshape`` materialises
-    a contiguous copy.
+    a contiguous copy — into ``out`` (any contiguous array of that size)
+    when given.
     """
     n, c, h, w = x.shape
     out_h = conv_output_size(h, kh, stride, pad)
@@ -60,8 +61,10 @@ def im2col(
         strides=(s0, s1, s2, s3, s2 * stride, s3 * stride),
         writeable=False,
     )
-    cols = windows.reshape(n, c * kh * kw, out_h * out_w)
-    return cols, out_h, out_w
+    if out is None:
+        return windows.reshape(n, c * kh * kw, out_h * out_w), out_h, out_w
+    out.reshape(windows.shape)[...] = windows
+    return out.reshape(n, c * kh * kw, out_h * out_w), out_h, out_w
 
 
 def col2im(
@@ -71,17 +74,19 @@ def col2im(
     kw: int,
     stride: int,
     pad: int,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Fold column-form gradients back into an NCHW tensor (im2col adjoint).
 
     Overlapping windows accumulate, which is exactly the sum of gradient
-    contributions each input pixel receives.
+    contributions each input pixel receives.  ``out``, when given, is the
+    zeroed padded ``(N, C, H + 2·pad, W + 2·pad)`` array to accumulate into.
     """
     n, c, h, w = x_shape
     out_h = conv_output_size(h, kh, stride, pad)
     out_w = conv_output_size(w, kw, stride, pad)
     cols = cols.reshape(n, c, kh, kw, out_h, out_w)
-    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
+    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype) if out is None else out
     for i in range(kh):
         i_end = i + stride * out_h
         for j in range(kw):

@@ -1,5 +1,5 @@
 """Shared test utilities: finite-difference gradient checking, cohort recording,
-the process's unfold workspace."""
+the process's unfold workspace and conv scratch."""
 
 from __future__ import annotations
 
@@ -14,12 +14,13 @@ def workspace_buffers() -> dict:
 
 
 def empty_workspace() -> None:
-    """Drop the unfold buffers.
+    """Drop the unfold buffers and the streamed-column scratch.
 
     They live as long as the process, so a traced measurement that should
     count them — whatever ran before — empties them first.
     """
     vars(conv._workspaces).pop("buffers", None)
+    vars(conv._workspaces).pop("scratch", None)
 
 
 def numerical_grad(f, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:

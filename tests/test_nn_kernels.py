@@ -8,20 +8,27 @@
 * dead-tap elimination, the im2col-free 2x2 max-pool, the ``where``-free
   ReLU, and unfold buffers that belong to the geometry — not to a
   layer, and not state,
+* columns streamed through the bounded scratch ≡ kept whole, bit for bit,
+  and a final evaluation that builds none beyond the scratch,
 * the SciPy-free ``_smooth_field`` and a cold start that stays light.
 """
 
 import copy
 import hashlib
 import itertools
+import math
 import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.data.synthetic import _smooth_field, make_caltech256_like, make_cifar10_like
 from repro.models import build_cnn, build_vgg
@@ -34,6 +41,9 @@ from repro.nn import (
     attack_grad_scope,
     dtype_scope,
 )
+from repro.nn import conv as conv_module
+from repro.nn.blocks import ConvBNReLU, _conv_bn, _conv_bn_backward
+from repro.nn.cohort import install_cohort
 from repro.nn.functional import channel_last, col2im, im2col
 from tests.helpers import empty_workspace, workspace_buffers
 
@@ -352,12 +362,22 @@ def test_shared_workspace_is_bit_identical_to_fresh_buffers():
     hole = next(u for (_, _, backward), u in layers[2][0]._unfolds.items() if backward)
     assert hole._key[5] == 2  # the stride-2 gradient lands on every other position
 
-    # One buffer per geometry, sized to the largest batch; the layers that
-    # share a geometry share it, and each direction has its own.
-    keys = {u._key for conv, _ in layers for u in conv._unfolds.values()}
+    # One buffer per geometry, sized to its largest fill: the forward keeps
+    # whole-batch columns for the weight gradient, the input gradient streams
+    # a scratch's worth of samples at a time.  The layers that share a
+    # geometry share it, and each direction has its own.
+    largest = {
+        u._key: _piece_rows(u, 64) if backward else 64
+        for conv, _ in layers for (_, _, backward), u in conv._unfolds.items()
+    }
     buffers = workspace_buffers()
-    assert set(buffers) == keys and len(keys) == 6
-    assert all(len(buf) == 64 for buf in buffers.values())
+    assert len(largest) == 6 and {key: len(buf) for key, buf in buffers.items()} == largest
+
+
+def _piece_rows(unfold, n, itemsize=4):
+    """Samples in the largest piece an n-sample, one-client streamed pass fills."""
+    size = math.prod(unfold.cols_shape) * itemsize
+    return min(n, max(1, conv_module.STREAM_SCRATCH_BYTES // size))
 
 
 def test_a_larger_batch_frees_the_smaller_buffer():
@@ -370,7 +390,9 @@ def test_a_larger_batch_frees_the_smaller_buffer():
     assert set(workspace_buffers()) == set(small) and len(small) == 2
     assert all(ref() is None for ref in small.values())
     conv.forward(rng.normal(size=(28, 8, 6, 6)).astype(np.float32))  # a smaller one reuses it
-    assert {len(buf) for buf in workspace_buffers().values()} == {64}
+    gather = conv._unfolds[((8, 6, 6), np.dtype(np.float32), True)]
+    assert 3 < _piece_rows(gather, 64) < 64  # the input gradient streamed 64 rows in pieces
+    assert sorted(len(buf) for buf in workspace_buffers().values()) == [_piece_rows(gather, 64), 64]
 
 
 def test_workspaces_are_lazy_and_not_state():
@@ -397,6 +419,140 @@ def test_workspaces_are_lazy_and_not_state():
     conv.forward(2 * x)
     np.testing.assert_array_equal(first, out)
     assert not any(np.shares_memory(first, buf) for buf in before.values())
+
+
+# ---------------------------------------------------------------------------
+# Streamed columns: a piece of the batch at a time changes no bit
+# ---------------------------------------------------------------------------
+
+WHOLE_BATCH = 1 << 40  # a scratch no batch here fills: every pass is one piece
+
+
+@st.composite
+def stream_cases(draw):
+    k, s, p = (draw(st.sampled_from(values)) for values in ([1, 3], [1, 2], [0, 1]))
+    hw = draw(st.tuples(*[st.integers(max(1, k - 2 * p), 9)] * 2))
+    # c_in 1-2 on a wide map is the image layer (im2col forward; col2im input
+    # gradient under 9 output channels); 6 -> 4 unfolds and gathers channel-last.
+    c_in, c_out = draw(st.sampled_from([(1, 9), (2, 9), (2, 4), (6, 4), (6, 9)]))
+    return dict(
+        k=k, s=s, p=p, hw=hw, c_in=c_in, c_out=c_out,
+        clients=draw(st.sampled_from([1, 3])), batch=draw(st.integers(1, 7)),
+        fold=draw(st.booleans()), dtype=draw(st.sampled_from([np.float32, np.float64])),
+        rows=draw(st.integers(2, 5)), seed=draw(st.integers(0, 2**16)),
+    )
+
+
+def _stream_layer(case):
+    """The case's conv -> BatchNorm pair (BatchNorm ``Identity`` unless it folds),
+    with ``clients`` distinct slabs installed when more than one, and its input."""
+    rng = np.random.default_rng(case["seed"])
+    c_in, c_out, k = case["c_in"], case["c_out"], case["k"]
+
+    def block(seed):
+        r = np.random.default_rng(seed)
+        layer = ConvBNReLU(c_in, c_out, k, case["s"], case["p"], batch_norm=case["fold"], rng=r)
+        if case["fold"]:
+            bn = layer.bn
+            for name in ("weight", "bias"):
+                getattr(bn, name).data[...] = r.normal(size=c_out)
+            bn.set_buffer("running_mean", r.normal(size=c_out))
+            bn.set_buffer("running_var", r.uniform(0.5, 2.0, size=c_out))
+        else:
+            layer.conv.bias.data[...] = r.normal(size=c_out)
+        return layer
+
+    with dtype_scope(case["dtype"]):
+        layer = block(case["seed"])
+        if case["clients"] > 1:
+            install_cohort(layer, [block(case["seed"] + 1 + i).state_dict()
+                                   for i in range(case["clients"])])
+    layer.eval()
+    n = case["clients"] * case["batch"]
+    x = rng.normal(size=(n, c_in) + case["hw"]).astype(case["dtype"])
+    return layer, x
+
+
+def _scope_pass(layer, x, g, scratch):
+    """Forward and input gradient under the attack scope with a ``scratch``-byte scratch."""
+    with mock.patch.object(conv_module, "STREAM_SCRATCH_BYTES", scratch), attack_grad_scope():
+        out = _conv_bn(layer.conv, layer.bn, x).copy()
+        assert layer.conv._cols is None
+        return out, _conv_bn_backward(layer.conv, layer.bn, g).copy()
+
+
+@settings(max_examples=60, deadline=None)
+@given(stream_cases())
+@example(dict(k=3, s=1, p=1, hw=(8, 8), c_in=1, c_out=9, clients=3, batch=5,
+              fold=True, dtype=np.float32, rows=2, seed=0))  # image layer, cohort, fold
+@example(dict(k=3, s=2, p=1, hw=(5, 6), c_in=6, c_out=4, clients=1, batch=7,
+              fold=False, dtype=np.float64, rows=3, seed=1))  # dilated gather, 7 = 3+3+1
+def test_streamed_columns_equal_materialised_ones_bit_for_bit(case):
+    layer, x = _stream_layer(case)
+    conv = layer.conv
+    oh, ow = (conv_module.conv_output_size(size, case["k"], case["s"], case["p"])
+              for size in case["hw"])
+    g = np.random.default_rng(case["seed"] + 99).normal(
+        size=(len(x), case["c_out"], oh, ow)).astype(case["dtype"])
+    # One piece per pass, then one sample, then ``rows`` samples' worth of
+    # the forward's columns (a count the batch need not divide).
+    sample = oh * ow * case["c_in"] * case["k"] ** 2 * np.dtype(case["dtype"]).itemsize
+    whole = _scope_pass(layer, x, g, WHOLE_BATCH)
+    for scratch in (1, case["rows"] * sample):
+        for got, want in zip(_scope_pass(layer, x, g, scratch), whole):
+            assert got.tobytes() == want.tobytes()
+    if not case["fold"]:
+        # A forward with parameter gradients keeps its columns, in one piece.
+        with mock.patch.object(conv_module, "STREAM_SCRATCH_BYTES", 1):
+            out = conv.forward(x)
+            (cols, _), grad = conv._cols, conv.backward(g)
+        assert cols.shape[:2] == (case["clients"], case["batch"])
+        assert out.tobytes() == whole[0].tobytes() and grad.tobytes() == whole[1].tobytes()
+
+
+def test_a_jfat_dense_final_eval_builds_no_columns_beyond_the_scratch(monkeypatch):
+    """After one round at jfat_dense's geometry (VGG11x0.25, 16x16, B=32, two
+    clients), a 64-row final evaluation (clean, PGD, AutoAttack), traced with
+    the scratch reset: no conv call holds more transient memory than the
+    scratch plus its weight-sized fold temporary — where the batch-wide input
+    gradient of the 16->32 layer at 8x8 held 4.5 MiB of columns."""
+    from repro.baselines import JointFAT
+    from repro.flsim import FLConfig
+    from repro.flsim import executor as executor_module
+
+    monkeypatch.setattr(executor_module, "spare_cores", lambda: 0)  # every call in this process
+    task = make_cifar10_like(image_size=16, train_per_class=120, test_per_class=24, seed=0)
+    cfg = FLConfig(num_clients=20, clients_per_round=2, local_iters=5, batch_size=32, lr=0.02,
+                   rounds=1, train_pgd_steps=2, eval_pgd_steps=5, eval_every=0, seed=0)
+    builder = lambda rng=None: build_vgg("vgg11", 10, (3, 16, 16), width_mult=0.25, rng=rng)
+    worst, calls = {}, []
+
+    def traced(method):
+        def call(self, *args, **kwargs):
+            tracemalloc.reset_peak()
+            result = method(self, *args, **kwargs)
+            current, peak = tracemalloc.get_traced_memory()
+            # What the call allocated and freed again before returning, less
+            # the weight-sized fold temporary a scope's first call makes.
+            calls.append(peak - current - self.weight.data.nbytes)
+            key = (self.in_channels, self.out_channels, method.__name__)
+            worst[key] = max(worst.get(key, -np.inf), calls[-1])
+            return result
+        return call
+
+    with JointFAT(task, builder, cfg) as exp:
+        exp.run()
+        empty_workspace()
+        monkeypatch.setattr(Conv2d, "forward", traced(Conv2d.forward))
+        monkeypatch.setattr(Conv2d, "backward", traced(Conv2d.backward))
+        tracemalloc.start()
+        try:
+            exp.final_eval(64)
+        finally:
+            tracemalloc.stop()
+    assert len(calls) > 100 and (16, 32, "backward") in worst
+    assert max(calls) <= conv_module.STREAM_SCRATCH_BYTES + (16 << 10), worst
+    assert len(vars(conv_module._workspaces)["scratch"]) <= conv_module.STREAM_SCRATCH_BYTES
 
 
 # ---------------------------------------------------------------------------
