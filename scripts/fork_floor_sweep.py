@@ -1,18 +1,19 @@
 """Measure where round workers start to pay: the fork and exchange floors' basis.
 
 Training points: for each (model, geometry, batch, local iterations) a
-two-client jFAT round's group runs outside any run scope, either inline
-or with the second client on a worker forked for it (the floor forced to
-0).  The share is one client's ``training_flops_per_iteration ×
-local_iters``.
+two-client jFAT round's group runs in a scope of its own, either inline
+(the fork floor at infinity) or with the second client on a worker forked
+for it (both floors forced to 0).  The share is one client's
+``training_flops_per_iteration × local_iters``.
 
 Evaluation points, at ``robust_eval``'s geometry (its set-up rounds train
 the model): a plan of one attack — clean, PGD-3, PGD-20 or AutoAttack —
 cut into two equal shards (the caller runs one, a worker the other), and
 ``robust_eval``'s own pass ([clean, PGD-20] inline, AutoAttack on the
-worker), at 16, 64 and 128 samples.  The share is the worker's modelled
-FLOPs (samples × forward FLOPs × the attack's passes); "off path" is the
-work the fork takes off the caller's path (the total less the larger run).
+worker), at 16, 64 and 128 samples.  Each is a scope of its own, forked
+with the fork floor forced to 0 and split at the shipped exchange floor.
+The share is the worker's modelled FLOPs (samples × forward FLOPs × the
+attack's passes).
 
 In-scope points, with no fork in the timing: inside a run scope whose
 replica is already running, one group is either split between the two
@@ -72,14 +73,18 @@ def _round_ms(builder, image, batch, iters, rounds, forked, floor):
     )
     with JointFAT(task, builder, cfg) as exp:
         fn, items = _round_group(exp)
+        exchange = executor_module.EXCHANGE_FLOOR_FLOPS
         executor_module.FORK_FLOOR_FLOPS = 0.0 if forked else float("inf")
+        executor_module.EXCHANGE_FLOOR_FLOPS = 0.0
         try:
             start = time.perf_counter()
             for _ in range(rounds):
-                exp.executor.run_group(fn, items)
+                with exp.executor.scope(exp.client_flops * len(items)):
+                    exp.executor.run_group(fn, items)
             elapsed = time.perf_counter() - start
         finally:
             executor_module.FORK_FLOOR_FLOPS = floor
+            executor_module.EXCHANGE_FLOOR_FLOPS = exchange
         return 1e3 * elapsed / rounds, exp.client_flops
 
 
@@ -119,9 +124,8 @@ def _eval_points(pairs, floor):
         executor_module.FORK_FLOOR_FLOPS = floor
     model = exp.global_model
     fwd = forward_flops(model, model.in_shape)
-    print("| plan | samples | share GFLOP | off path GFLOP | inline ms | forked ms "
-          "| forked / inline |")
-    print("|---|---|---|---|---|---|---|")
+    print("| plan | samples | share GFLOP | inline ms | forked ms | forked / inline |")
+    print("|---|---|---|---|---|---|")
     for label, attacks_for in EVAL_PLANS:
         attacks = attacks_for(exp.config.eps0)
         for samples in EVAL_SAMPLES:
@@ -133,14 +137,13 @@ def _eval_points(pairs, floor):
                 for attack in attacks
                 for rows in ([batch, samples - batch] if len(attacks) == 1 else [samples])
             ]
-            share, off_path = costs[-1], sum(costs) - max(sum(costs[:-1]), costs[-1])
             times = {False: [], True: []}
             for _ in range(pairs):
                 for forked in (False, True):
                     times[forked].append(_eval_ms(exp, plan, forked, floor))
             inline, forked = statistics.median(times[False]), statistics.median(times[True])
-            print(f"| {label} | {samples} | {share / 1e9:.3f} | {off_path / 1e9:.3f} | "
-                  f"{inline:.1f} | {forked:.1f} | {forked / inline:.2f} |")
+            print(f"| {label} | {samples} | {costs[-1] / 1e9:.3f} | {inline:.1f} | "
+                  f"{forked:.1f} | {forked / inline:.2f} |")
     exp.close()
 
 

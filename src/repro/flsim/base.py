@@ -62,9 +62,9 @@ class FLConfig:
 
     The round execution engine
     (:class:`repro.flsim.executor.RoundExecutor`) trains a round's clients
-    as independent work units: the caller runs the head of the cohort
-    plan and, when a share models more than ``FORK_FLOOR_FLOPS`` of
-    training, one forked round worker per spare core runs the tail — no
+    as independent work units: when a run models more than
+    ``FORK_FLOOR_FLOPS`` of training, one round worker per spare core is
+    forked once and takes its share of every round's cohort plan — no
     setting, and no bit of the result, depends on it.  Homogeneous clients
     fuse into stacked cohorts
     (per-client weight slabs against a ``(K·B, ...)`` activation layout —
@@ -1276,10 +1276,10 @@ class FederatedExperiment:
         client = self.client_flops
         workers = self.executor.replicas_for(cfg.rounds * cfg.clients_per_round * client)
         floor = (
-            f"a run forks its round workers once, at its first group, when its "
-            f"modelled work (rounds × cohort × one client's {client / 1e9:.3g} GFLOP) "
-            f"clears {FORK_FLOOR_FLOPS / 1e9:g} GFLOP; a group outside a run forks "
-            f"its own for a share above that floor"
+            f"a scope (a run, or an evaluation outside one) forks its round workers "
+            f"once, at its first group, when its modelled work (a run's: rounds × "
+            f"cohort × one client's {client / 1e9:.3g} GFLOP) clears "
+            f"{FORK_FLOOR_FLOPS / 1e9:g} GFLOP"
         )
         if workers:
             engine = (

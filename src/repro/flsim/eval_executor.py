@@ -7,9 +7,10 @@ correct-counts.  The shards run against one :class:`EvalTarget` as one
 group of plain work units on the round executor
 (:meth:`~repro.flsim.executor.RoundExecutor.run_group`), each priced at
 its modelled FLOPs — its samples × the target's forward FLOPs × its
-attack's :attr:`~repro.metrics.evaluation.AttackSpec.passes` — so a plan
-worth it runs its tail on a forked round worker, like a training round.
-Where a shard ran cannot show in the result:
+attack's :attr:`~repro.metrics.evaluation.AttackSpec.passes`.  Outside a
+run the plan is a :meth:`~repro.flsim.executor.RoundExecutor.scope` of
+its own, so a plan worth it splits with forked round workers like a
+training round.  Where a shard ran cannot show in the result:
 
 * **shard-stable RNG** — each shard draws from
   ``default_rng([plan seed, attack index, shard index])``
@@ -29,6 +30,7 @@ Attack shards perturb the raw input and always bypass the cache.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
@@ -147,7 +149,9 @@ class EvalExecutor:
 
         fwd = forward_flops(target.mwl.model, x.shape[1:])
         costs = [(s.stop - s.start) * fwd * plan.attacks[s.attack_idx].passes for s in shards]
-        results = self.executor.run_group(run_shard, shards, costs)
+        # Outside a run the plan is a scope of its own (a no-op inside one).
+        with self.executor.scope(math.fsum(costs)):
+            results = self.executor.run_group(run_shard, shards, costs)
 
         target.mwl.model.zero_grad()
         if target.mwl.head is not None:

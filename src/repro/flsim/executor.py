@@ -23,27 +23,24 @@ and a K× activation stack are what it costs), so an experiment left at
 obeyed as given and ``fusion_width=1`` runs every client as a cohort of
 one on the serial layout (no slab, no batch copy).
 
-**Round workers** are how a group uses the host's other cores.  A run
-opens a **scope** (:meth:`RoundExecutor.scope`) that forks one worker per
-spare core (:func:`spare_cores`) at its first group, once the run's
-modelled work clears :data:`FORK_FLOOR_FLOPS`.  Each worker returns from
-the fork as a lockstep replica of the run: it runs the same deterministic
-program, and every later group whose shares clear
-:data:`EXCHANGE_FLOOR_FLOPS` is cut into runs of equal modelled cost, one
-per process, each process sending the others its run's results (and the
-prefix-cache rows they filled), so all of them merge the same results in
-plan order; a smaller group runs whole in every process.  The caller
-runs its run as it pulls it and reads another process's frames only when
-it pulls that cohort, so results are still handed out one cohort at a
-time.  A group outside any scope (a final or standalone evaluation, a
-direct :meth:`~RoundExecutor.run_group`) is a scope of its own: its first
-pull forks workers only when each one's share, and the work taken off the
-caller's path, clear the fork floor; each runs its tail of the plan and
-exits.  Every item carries its modelled FLOPs (a client its training, an
-evaluation shard its attack passes), and workers fork only where the
-OpenBLAS numpy loaded can be pinned to one thread (:class:`_Blas`) — two
-processes running two BLAS threads each on two cores ran 3–4× slower
-than one thread each.
+**Round workers** are how a group uses the host's other cores.  A run,
+and an evaluation outside one, opens a **scope**
+(:meth:`RoundExecutor.scope`) that forks one worker per spare core
+(:func:`spare_cores`) at its first group, once the scope's modelled work
+clears :data:`FORK_FLOOR_FLOPS`.  Each worker returns from the fork as a
+lockstep replica of the scope: it runs the same deterministic program,
+and every group whose shares clear :data:`EXCHANGE_FLOOR_FLOPS` is cut
+into runs of equal modelled cost, one per process, each process sending
+the others its run's results (and the prefix-cache rows they filled), so
+all of them merge the same results in plan order; a smaller group runs
+whole in every process.  The caller runs its run as it pulls it and
+reads another process's frames only when it pulls that cohort, so
+results are still handed out one cohort at a time.  A group outside any
+scope runs inline.  Every item carries its modelled FLOPs (a client its
+training, an evaluation shard its attack passes), and workers fork only
+where the OpenBLAS numpy loaded can be pinned to one thread
+(:class:`_Blas`) — two processes running two BLAS threads each on two
+cores ran 3–4× slower than one thread each.
 
 Determinism contract: **fused output is bit-identical to cohorts of
 one**, and a worker's output to the caller's.  Results are keyed by
@@ -100,11 +97,11 @@ def derived_fusion_width(per_client_bytes: int) -> int:
     return max(1, min(DEFAULT_FUSION_WIDTH, fit))
 
 
-#: Modelled FLOPs a run's remaining training work (rounds × cohort × one
-#: client's) must exceed for its scope to fork round workers, and outside a
-#: run a forked worker's share, and the work it takes off the caller's
-#: path (a client costs ``training_flops_per_iteration × local_iters``; an
-#: evaluation shard, rows × forward FLOPs × its attack's passes).  On
+#: Modelled FLOPs a scope's work must exceed for it to fork round workers:
+#: a run's remaining training (rounds × cohort × one client's, a client
+#: costing ``training_flops_per_iteration × local_iters``), or an
+#: evaluation's plan outside a run (each shard rows × forward FLOPs × its
+#: attack's passes).  On
 #: two-client jFAT rounds a one-client worker share of
 #: 0.010–0.25 GFLOP ran 1.28–1.35× *slower* than inline (fork, copy-on-write
 #: faults and a cold cache cost more than the share), 0.51 GFLOP broke even
@@ -112,15 +109,15 @@ def derived_fusion_width(per_client_bytes: int) -> int:
 #: [0.51, 1.01) GFLOP decides every measured training point the same way,
 #: keeping tier-1's 8×8 models and ``swarm_async`` from forking a worker
 #: per group.  Two-shard eval
-#: plans at ``robust_eval``'s geometry break even lower for PGD (0.14 GFLOP
-#: lost, 0.56 won) and higher for AutoAttack, whose modelled cost is an
-#: upper bound (2.6 GFLOP even, 10.4 won): the floor decides 12 of their 15
-#: measured points as measured (``scripts/fork_floor_sweep.py``; the tables
-#: are in docs/benchmarks.md, "a round's clients train on every core" and
-#: "evaluation shards on round workers").
+#: plans at ``robust_eval``'s geometry break even lower for PGD (a 0.14 GFLOP
+#: share lost, 0.56 won) and higher for AutoAttack, whose modelled cost is
+#: an upper bound (2.6 GFLOP even, 10.4 won): priced by its total, the floor
+#: decides 14 of their 15 measured points as measured
+#: (``scripts/fork_floor_sweep.py``; docs/benchmarks.md, "a round's clients
+#: train on every core", "evaluation shards on round workers", "one fork rule").
 FORK_FLOOR_FLOPS = 1e9
 
-#: Modelled FLOPs each process's share of a group must exceed for a run
+#: Modelled FLOPs each process's share of a group must exceed for a
 #: scope to split the group between its processes (below it every process
 #: runs the whole group).  No fork is paid here: a split costs pickling
 #: and piping each share's results to the other process and reading the
@@ -236,29 +233,6 @@ def _split(plan: List[List[int]], weights: List[Fraction], parts: int) -> List[L
     return runs
 
 
-def _cut(
-    plan: List[List[int]], costs: Sequence[float], parts: int
-) -> Optional[Tuple[List[List[List[int]]], List[float]]]:
-    """``plan`` as ``parts`` runs balanced by cost, with each run's share.
-
-    A lone multi-client cohort is cut into contiguous chunks first, the
-    larger first (fused ≡ per item).  None when there are fewer cohorts
-    than ``parts``.
-    """
-    cohorts = plan
-    if len(plan) == 1:
-        lone, at = plan[0], 0
-        cohorts = []
-        for j in range(min(parts, len(lone))):
-            size = len(lone) // parts + (j < len(lone) % parts)
-            cohorts.append(lone[at : at + size])
-            at += size
-    if len(cohorts) < parts:
-        return None
-    runs = _split(cohorts, [sum(Fraction(costs[i]) for i in c) for c in cohorts], parts)
-    return runs, [math.fsum(costs[i] for c in run for i in c) for run in runs]
-
-
 def _fuse(idxs: Iterable[int], keys: Sequence[Any], width: int) -> List[List[int]]:
     """``idxs`` as fusion cohorts: equal non-``None`` keys in chunks of at
     most ``width`` (in input order), others alone, sorted by first item."""
@@ -371,15 +345,14 @@ class _Link:
     its training.
     """
 
-    def __init__(self, name: str, read_fd: Optional[int], write_fd: Optional[int],
-                 drains: bool, drained: bool):
+    def __init__(self, name: str, read_fd: int, write_fd: int, drains: bool, drained: bool):
         self.name = name
         self.worker: Optional["_Worker"] = None  # the caller's handle, on the caller's side
-        self.stream = io.FileIO(read_fd, "rb") if read_fd is not None else None
-        self.out = io.FileIO(write_fd, "wb") if write_fd is not None else None
+        self.stream = io.FileIO(read_fd, "rb")
+        self.out = io.FileIO(write_fd, "wb")
         self.frames: Optional["queue.SimpleQueue[Optional[list]]"] = None
         self.writer: Optional[threading.Thread] = None
-        if self.out is not None and not drained:
+        if not drained:
             self.frames = queue.SimpleQueue()
             self.writer = threading.Thread(
                 target=_send_frames, args=(self.out, self.frames), daemon=True
@@ -394,7 +367,7 @@ class _Link:
         self.opened: Dict[int, bytes] = {}
         self.ended = False
         self.inbox: Optional["queue.SimpleQueue[Optional[list]]"] = None
-        if drains and self.stream is not None:
+        if drains:
             self.inbox = queue.SimpleQueue()
             threading.Thread(target=self._drain, daemon=True).start()
 
@@ -408,7 +381,7 @@ class _Link:
     def send(self, parts: list) -> None:
         if self.frames is not None:
             self.frames.put(parts)
-        elif self.out is not None and not self.out.closed:
+        elif not self.out.closed:
             try:
                 _write_frame(self.out, parts)
             except OSError:  # the replica has gone: the caller's next read reports it
@@ -428,9 +401,8 @@ class _Link:
             self.frames.put(None)
             self.writer.join()
             self.frames = None
-        if self.out is not None:
-            self.out.close()
-        if self.stream is not None and self.inbox is None:
+        self.out.close()
+        if self.inbox is None:
             self.stream.close()
 
 
@@ -489,12 +461,12 @@ def _payload(ok: bool, value: Any, extra: Any) -> List[Any]:
 class _Scope:
     """Groups that share round workers, forked at the scope's first group.
 
-    A **run scope** (:meth:`RoundExecutor.scope`, ``work_flops`` the
-    modelled work left to it) forks one worker per spare core at its first
-    group when that work clears :data:`FORK_FLOOR_FLOPS`.  Each worker
-    returns from the fork as a *replica*: it runs the same deterministic
-    program as the caller, so both reach every later group with the same
-    plan.  A group whose every share clears :data:`EXCHANGE_FLOOR_FLOPS`
+    A scope (:meth:`RoundExecutor.scope`, ``work_flops`` the modelled
+    work left to it) forks one worker per spare core at its first group
+    when that work clears :data:`FORK_FLOOR_FLOPS`.  Each worker returns
+    from the fork as a *replica*: it runs the same deterministic program
+    as the caller, so both reach every later group with the same plan.
+    A group whose every share clears :data:`EXCHANGE_FLOOR_FLOPS`
     is split between the processes: each computes its run of cohorts and
     sends the results (and the worker state they filled) to every other,
     so all of them merge the same results in plan order; a smaller group
@@ -505,13 +477,9 @@ class _Scope:
     hooks drop them; its stdout and stderr point at /dev/null),
     and it leaves by ``os._exit`` at the scope's end, which the caller
     ends by killing and reaping it.
-
-    A group outside any run scope is a **one-group scope** (``work_flops``
-    None): :meth:`RoundExecutor.plan_runs` decides its fork, each worker
-    runs its tail of the plan, sends the caller its frames and exits.
     """
 
-    def __init__(self, executor: "RoundExecutor", work_flops: Optional[float] = None,
+    def __init__(self, executor: "RoundExecutor", work_flops: float,
                  on_replica: Sequence[Callable[[], None]] = ()):
         self.executor = executor
         self.work_flops = work_flops
@@ -521,10 +489,6 @@ class _Scope:
         self.started = False
         self.seq = 0  # the next group's sequence number
         self.dropped: set = set()  # groups ended before their last pull
-
-    @property
-    def one_group(self) -> bool:
-        return self.work_flops is None
 
     def __enter__(self) -> "_Scope":
         self.executor._scope = self
@@ -545,19 +509,14 @@ class _Scope:
         """The group's runs by rank (``[plan]``: whole in every process);
         the scope's first group forks its workers first.
 
-        A run scope cuts the items, in index order, into runs of equal
-        cost and fuses each run's own cohorts (``fuse``; fused ≡ per item),
-        so a share is never a whole cohort too many.
+        The items are cut, in index order, into runs of equal cost, and
+        each run's own cohorts are fused (``fuse``; fused ≡ per item), so
+        a share is never a whole cohort too many.
         """
         if not self.started:
             self.started = True
-            if self.one_group:
-                runs = self.executor.plan_runs(plan, costs)
-                if len(runs) > 1:
-                    self._fork(len(runs) - 1)
-                return runs if self.links else [plan]
-            slots = 0 if _in_worker else spare_cores() - len(_live_workers)
-            if slots > 0 and self.work_flops > FORK_FLOOR_FLOPS and _Blas.pinnable():
+            slots = self.executor.replicas_for(self.work_flops) - len(_live_workers)
+            if slots > 0:
                 self._fork(slots)
         procs = len(self.links) + 1
         if procs == 1 or math.fsum(costs) <= 2 * EXCHANGE_FLOOR_FLOPS:  # no cut clears it
@@ -573,21 +532,17 @@ class _Scope:
         return [plan]
 
     def _fork(self, workers: int) -> None:
-        """Fork ``workers`` processes; on any failure none (the group runs inline).
-
-        A one-group scope's workers send to the caller only; a run scope's
-        processes each get a pipe to every other.
-        """
+        """Fork ``workers`` processes, each with a pipe to every other; on
+        any failure none (the scope runs inline)."""
         procs = workers + 1
         pipes: Dict[Tuple[int, int], Tuple[int, int]] = {}
         pids: List[int] = []
         try:
             for a in range(procs):
                 for b in range(procs):
-                    if a != b and (b == 0 or not self.one_group):
+                    if a != b:
                         pipes[a, b] = os.pipe()
-                        if not self.one_group:
-                            _widen(pipes[a, b][1])
+                        _widen(pipes[a, b][1])
             _Blas.pin()
             caller = os.getpid()
             for rank in range(1, procs):
@@ -616,24 +571,18 @@ class _Scope:
 
     def _connect(self, pipes: Dict[Tuple[int, int], Tuple[int, int]],
                  names: Dict[int, str]) -> None:
-        """Link this process to every other over its ends of ``pipes``
-        (``(from rank, to rank) → (read fd, write fd)``); close the rest."""
-        ends: Dict[int, List[Optional[int]]] = {}
+        """Link this process to every other (``names``: rank → name) over
+        its ends of ``pipes`` (``(from rank, to rank) → (read fd, write
+        fd)``); close the rest."""
         for (a, b), (read_fd, write_fd) in pipes.items():
-            if b == self.rank:
-                ends.setdefault(a, [None, None])[0] = read_fd
-            else:
+            if b != self.rank:
                 os.close(read_fd)
-            if a == self.rank:
-                ends.setdefault(b, [None, None])[1] = write_fd
-            else:
+            if a != self.rank:
                 os.close(write_fd)
-        for other, (read_fd, write_fd) in sorted(ends.items()):
-            self.links[other] = _Link(
-                names[other], read_fd, write_fd,
-                drains=self.rank > 0 and not self.one_group,
-                drained=other > 0 and not self.one_group,
-            )
+        for other in sorted(names):
+            self.links[other] = _Link(names[other], pipes[other, self.rank][0],
+                                      pipes[self.rank, other][1],
+                                      drains=self.rank > 0, drained=other > 0)
 
     def _become(self, rank: int, pipes, caller: int) -> None:
         """The child's side of a fork: a round worker of rank ``rank``."""
@@ -646,10 +595,9 @@ class _Scope:
         _quiet()
         procs = 1 + max(max(pair) for pair in pipes)
         self._connect(pipes, {other: "the caller" if other == 0 else f"round worker {other}"
-                              for other in range(procs)})
-        if not self.one_group:
-            for hook in self.on_replica:
-                hook()
+                              for other in range(procs) if other != rank})
+        for hook in self.on_replica:
+            hook()
 
     # -- ending -------------------------------------------------------------
     def _leave(self, code: int, frame: Optional[list] = None) -> None:
@@ -678,13 +626,13 @@ class _Scope:
              fuse: Callable[[List[int]], List[List[int]]]) -> Tuple[List[List[List[int]]], int]:
         """Runs and sequence number of the next group; forks at the first.
 
-        In a run scope with workers every process sends every other the
-        group's header, and the headers must agree.
+        With workers every process sends every other the group's header,
+        and the headers must agree.
         """
         runs = self._runs(plan, costs, fuse)
         seq = self.seq
         self.seq += 1
-        if self.one_group or not self.links:
+        if not self.links:
             return runs, seq
         digest = _plan_digest(plan, costs)
         header = [pickle.dumps(("group", seq, digest))]
@@ -780,32 +728,24 @@ class _Scope:
         """Hand out a group's results in plan order, one cohort per pull.
 
         The caller runs its own cohorts as they are pulled; a worker runs
-        its whole run at the first pull (a one-group worker then exits).
-        Results are read-only once handed out: a writer thread may still be
-        sending them.
+        its whole run at the first pull.  Results are read-only once handed
+        out: a writer thread may still be sending them.
         """
         cohorts = [(rank, idxs) for rank, run in enumerate(runs) for idxs in run]
-        split = len(runs) > 1
-        share = split and any(link.out is not None for link in self.links.values())
+        split = len(runs) > 1  # then every process computes its run and shares it
         mine: Dict[int, Tuple[bool, Any]] = {}
         if split and self.rank:
-            code = 1
-            try:
-                for pos, (rank, idxs) in enumerate(cohorts):
-                    if rank == self.rank:
-                        mine[pos] = self._compute(work, items, idxs, seq, pos, share)
-                        if not mine[pos][0]:
-                            break  # the pull that reaches it raises and ends the group
-                code = 0
-            finally:
-                if self.one_group:  # its part is sent: it never yields into the program
-                    self._leave(code)
+            for pos, (rank, idxs) in enumerate(cohorts):
+                if rank == self.rank:
+                    mine[pos] = self._compute(work, items, idxs, seq, pos, split)
+                    if not mine[pos][0]:
+                        break  # the pull that reaches it raises and ends the group
 
         for pos, (rank, idxs) in enumerate(cohorts):
             if not split or rank == self.rank:
                 ok, results = (
                     mine.pop(pos) if pos in mine
-                    else self._compute(work, items, idxs, seq, pos, share)
+                    else self._compute(work, items, idxs, seq, pos, split)
                 )
             else:
                 ok, results = self._receive(self.links[rank], seq, pos, idxs)
@@ -817,7 +757,7 @@ class _Scope:
 
     def drop(self, seq: int) -> None:
         """A group ended before its last pull: its unread frames are dropped."""
-        if self.one_group or not self.links:
+        if not self.links:
             return
         self.dropped.add(seq)
         for link in self.links.values():
@@ -866,9 +806,9 @@ class CohortFn:
 
 class RoundExecutor:
     """Plans a round's client work items into cohorts of at most
-    ``fusion_width`` (``1`` disables fusion) and runs them, on forked
-    round workers as well as inline when a worker's share of the
-    group's modelled FLOPs clears :data:`FORK_FLOOR_FLOPS`.
+    ``fusion_width`` (``1`` disables fusion) and runs them, inline or,
+    inside a :meth:`scope` whose modelled FLOPs clear
+    :data:`FORK_FLOOR_FLOPS`, split with its forked round workers.
 
     ``client_flops`` is one client's modelled training FLOPs, the cost of
     a work item unless the group names its own (``0``: never fork).
@@ -899,38 +839,8 @@ class RoundExecutor:
         keys = [fn.group_key(item) for item in items]
         return _fuse(range(len(keys)), keys, self.fusion_width)
 
-    def plan_runs(
-        self, plan: List[List[int]], costs: Sequence[float], slots: Optional[int] = None
-    ) -> List[List[List[int]]]:
-        """A one-group scope's fork: the plan cut into the caller's run and
-        one run per worker to fork.
-
-        ``costs[i]`` is item ``i``'s modelled FLOPs, and runs are balanced
-        by cost.  At most ``slots`` workers (default: the spare cores not
-        already running one); a lone multi-client cohort is split first
-        (fused ≡ per item).  Workers are dropped until each one's share,
-        and the work taken off the caller's path (the total less the
-        largest run), model more than :data:`FORK_FLOOR_FLOPS`; none forks
-        when the OpenBLAS thread count cannot be pinned (asked only of a
-        plan that would fork, so a group below the floor reads no library
-        state).  ``[plan]`` means run inline.
-        """
-        if slots is None:
-            slots = 0 if _in_worker else spare_cores() - len(_live_workers)
-        if slots < 1 or math.fsum(costs) <= 2 * FORK_FLOOR_FLOPS:  # no cut clears both
-            return [plan]
-        for parts in range(slots + 1, 1, -1):
-            cut = _cut(plan, costs, parts)
-            if cut is None:
-                continue
-            runs, shares = cut
-            off_path = math.fsum(sorted(shares)[:-1])  # what running side by side saves
-            if min(shares[1:]) > FORK_FLOOR_FLOPS and off_path > FORK_FLOOR_FLOPS:
-                return runs if _Blas.pinnable() else [plan]
-        return [plan]
-
     def replicas_for(self, work_flops: float) -> int:
-        """Round workers a run scope with ``work_flops`` of modelled work forks here."""
+        """Round workers a scope with ``work_flops`` of modelled work forks here."""
         if _in_worker or work_flops <= FORK_FLOOR_FLOPS or not _Blas.pinnable():
             return 0
         return spare_cores()
@@ -945,7 +855,7 @@ class RoundExecutor:
         hooks run in it first, to drop what only the caller may write.  The
         replica leaves by ``os._exit`` when it reaches the scope's end, and
         the caller's end kills and reaps it.  Inside a scope already open
-        this is a no-op.
+        this is a no-op; a group outside any scope runs inline.
         """
         if self._scope is not None:
             return contextlib.nullcontext()
@@ -967,13 +877,12 @@ class RoundExecutor:
         items' modelled FLOPs (default: ``client_flops`` each).  Inside a
         :meth:`scope` the first pull splits the group between the scope's
         processes when each share clears :data:`EXCHANGE_FLOOR_FLOPS`;
-        outside one the group is its own scope, and its first pull forks
-        the workers :meth:`plan_runs` asks for, which run the plan's tail
-        while the caller runs its head.  A work-unit exception propagates,
-        with its own type, from the pull that reaches its cohort and ends
-        the group; a worker that dies raises :class:`RoundWorkerError`
-        there.  Ending a group early (``close()``, or dropping it) kills
-        and reaps the workers of its own scope.
+        outside one the group runs inline.  A work-unit exception
+        propagates, with its own type, from the pull that reaches its
+        cohort and ends the group; a worker that dies raises
+        :class:`RoundWorkerError` there.  Ending a group early
+        (``close()``, or dropping it) drops its unread frames; the scope's
+        end kills and reaps its workers.
         """
         items = list(items)
         if costs is None:
@@ -986,16 +895,14 @@ class RoundExecutor:
                 keys.extend(work.group_key(item) for item in items)
             return _fuse(idxs, keys, self.fusion_width)
 
-        scope = self._scope if self._scope is not None else _Scope(self)
+        scope = self._scope if self._scope is not None else _Scope(self, 0.0)  # never forks
         seq, finished = None, False
         try:
             runs, seq = scope.open(self.plan_cohorts(work, items), costs, fuse)
             yield from scope.play(work, items, runs, seq)
             finished = True
         finally:
-            if scope.one_group:
-                scope.end()
-            elif not finished and seq is not None:
+            if not finished and seq is not None:
                 scope.drop(seq)
 
     def run_group(

@@ -1,25 +1,26 @@
-"""Round workers: a run's lockstep replicas, and a lone group's forked tail.
+"""Round workers: the lockstep replicas of a scope, a run or an evaluation.
 
-A group is a round's clients or an evaluation's shards.  A run forks its
-workers once, each a replica of the run loop that splits every group
-with the caller; a group outside a run forks workers for its own tail.
-The ``workers`` fixture forces both floors to 0 and one spare core, so
-the small experiments of the digest suites fork and split too, and the
-oracle rows check that nothing a run produces can tell: the recorded
-sync and FedProphet digests, the recorded journals and the recorded
-checkpoint, every method's final evaluation and FedProphet's validation
-all come out as they do inline.  The hygiene tests then pin what a
+A group is a round's clients or an evaluation's shards.  A scope (a run,
+or an evaluation outside one) forks its workers once, each a replica of
+the caller's program that splits every group with it; a group outside
+any scope runs inline.  The ``workers`` fixture forces both floors to 0
+and one spare core, so the small experiments of the digest suites fork
+and split too, and the oracle rows check that nothing a run produces
+can tell: the recorded sync and FedProphet digests, the recorded
+journals and the recorded checkpoint, every method's final evaluation
+and FedProphet's validation all come out as they do inline.  The hygiene tests then pin what a
 worker must never do: write (the journal and checkpoint bytes are an
 inline run's), lose an exception's type, hang when it dies, outlive its
-run or group (no zombie after an end, an abort, an interrupt or a kill),
+scope (no zombie after an end, an abort, an interrupt or a kill),
 hold the status endpoint's connections, diverge from the caller's plan
 unnoticed, or keep to itself the prefix-cache rows it filled.  Some run
 as shipped: one OpenBLAS thread changes no bit, the benchmark's
 FedProphet workload keeps its cache hit ratio, and the benchmark's
 evaluations fork where the floor says.  The last rows pin the
-cost-weighted plan to the count-balanced one it replaced.
+cost-weighted cut to the count-balanced one it replaced.
 """
 
+import contextlib
 import json
 import os
 import pickle
@@ -333,7 +334,8 @@ def test_killed_eval_worker_is_a_typed_error(monkeypatch, workers):
 
 
 def _group(executor, stop=None):
-    """A three-item group whose work unit raises ``stop`` in the caller."""
+    """A four-item group, items 0 and 1 the caller's, whose work unit
+    raises ``stop`` in the caller at item 1."""
     parent = os.getpid()
 
     def unit(item):
@@ -341,23 +343,28 @@ def _group(executor, stop=None):
             raise stop
         return item * 10
 
-    return executor.submit_group(unit, range(3))
+    return executor.submit_group(unit, range(4))
 
 
 @pytest.mark.parametrize("end", ["close", "drop", "keyboard_interrupt", "error"])
 def test_ending_a_group_early_kills_and_reaps_its_worker(workers, end):
+    # The group ends early inside a scope, whose exit kills and reaps the
+    # worker.  What the caller saw is checked past the scope, which the
+    # replica never leaves alive.
     executor = RoundExecutor(client_flops=1.0)
     stop = {"keyboard_interrupt": KeyboardInterrupt(), "error": Refused("x")}.get(end)
-    group = _group(executor, stop)
-    assert next(group) == (0, 0)
-    assert len(workers) == 1 and workers[0] in executor_module._live_workers
-    if end == "close":
-        group.close()
-    elif end == "drop":
-        del group  # refcounting alone: no cyclic GC runs
-    else:
-        with pytest.raises(type(stop)):
-            next(group)
+    seen = []
+    with pytest.raises(type(stop)) if stop else contextlib.nullcontext():
+        with executor.scope(1.0):
+            group = _group(executor, stop)
+            seen += [next(group), list(executor_module._live_workers)]
+            if end == "close":
+                group.close()
+            elif end == "drop":
+                del group  # refcounting alone: no cyclic GC runs
+            else:
+                next(group)
+    assert seen == [(0, 0), workers] and len(workers) == 1
     # the fixture asserts the worker is reaped
 
 
@@ -381,14 +388,17 @@ def test_export_state_lands_inflight_rounds_beside_the_replica(tmp_path, monkeyp
 
 
 def test_a_group_forks_at_most_one_worker_per_spare_core(monkeypatch, workers):
+    # A second scope, on another executor, opened while the first one's
+    # workers live finds no core left and runs inline.
     monkeypatch.setattr(executor_module, "spare_cores", lambda: 2)
-    executor = RoundExecutor(client_flops=1.0)
-    assert executor.run_group(lambda i: i * i, range(7)) == [i * i for i in range(7)]
-    assert len(workers) == 2
-    first, second = executor.submit_group(abs, range(4)), executor.submit_group(abs, range(4))
-    assert next(first) == (0, 0) and len(workers) == 2 + 2
-    assert next(second) == (0, 0) and len(workers) == 4  # no core left: inline
-    assert sorted(first) + sorted(second) == [(i, i) for i in range(1, 4)] * 2
+    first, second = RoundExecutor(client_flops=1.0), RoundExecutor(client_flops=1.0)
+    with first.scope(1.0):
+        squares = first.run_group(lambda i: i * i, range(7))
+        forked = len(workers)
+        with second.scope(1.0):
+            again = second.run_group(abs, range(4))
+    assert squares == [i * i for i in range(7)] and again == list(range(4))
+    assert forked == len(workers) == 2
 
 
 def test_a_lone_fused_cohort_is_split_between_caller_and_worker(workers):
@@ -396,9 +406,20 @@ def test_a_lone_fused_cohort_is_split_between_caller_and_worker(workers):
     seen = []
     fn = CohortFn(lambda items: seen.append(len(items)) or [-i for i in items],
                   group_key=lambda i: "g")
-    assert executor.run_group(fn, range(5)) == [0, -1, -2, -3, -4]
-    assert seen == [3]  # the caller's chunk; the worker ran the other two
+    with executor.scope(1.0):
+        results = executor.run_group(fn, range(5))
+    assert results == [0, -1, -2, -3, -4]
+    assert seen == [2]  # the caller's smaller run, fused; the worker ran the other three
     assert len(workers) == 1
+
+
+def test_a_group_outside_any_scope_runs_inline(workers):
+    # Both floors at 0, yet nothing forks: only a scope forks.
+    executor = RoundExecutor(fusion_width=8, client_flops=1.0)
+    fn = CohortFn(lambda items: [-i for i in items], group_key=lambda i: i % 2)
+    assert executor.run_group(fn, range(5)) == [0, -1, -2, -3, -4]
+    assert executor.run_group(abs, range(-3, 0), [1e12] * 3) == [3, 2, 1]
+    assert not workers and executor_module._Blas.saved is None
 
 
 def test_prefix_cache_rows_filled_in_a_worker_are_adopted(monkeypatch, workers):
@@ -429,7 +450,7 @@ def test_a_run_forks_once(mode, workers):
     with _jfat(rounds=4, **mode) as exp:
         exp.run()
         assert len(workers) == 1  # every round and merge of the run, one replica
-        exp.final_eval(8)  # outside the run: a group of its own
+        exp.final_eval(8)  # outside the run: a scope of its own
     assert len(workers) == 2
 
 
@@ -621,12 +642,12 @@ def test_describe_parallelism_states_workers_pin_and_floors(monkeypatch):
     assert "engine: 1 run-scoped round worker(s) beside the caller (1 spare core(s))" in text
     assert "each a replica of the run loop, OpenBLAS pinned to 1 thread while they live" in text
     assert "splits between the processes when each share clears 0.015 GFLOP" in text
-    assert ("a run forks its round workers once, at its first group, when its modelled "
-            "work (rounds × cohort × one client's 7.29 GFLOP) clears 1 GFLOP") in text
-    assert "a group outside a run forks its own for a share above that floor" in text
+    assert ("a scope (a run, or an evaluation outside one) forks its round workers once, "
+            "at its first group, when its modelled work (a run's: rounds × cohort × one "
+            "client's 7.29 GFLOP) clears 1 GFLOP") in text
     with _jfat() as small:  # an 8x8 CNN: five rounds of three clients, far below the floor
         text = small.describe_parallelism()
-    assert "engine: serial, one work unit at a time (a run forks its round workers once" in text
+    assert "engine: serial, one work unit at a time (a scope (a run, or an evaluation" in text
 
 
 @pytest.mark.slow
@@ -643,33 +664,33 @@ def test_prefix_cache_hit_ratio_on_the_prophet_workload():
         assert exp.prefix_cache.stats()["hit_rate"] == 30 / 41  # 0.7317
 
 
-def test_eval_forks_at_the_shipped_floor_only_where_it_pays(tmp_path, forks):
-    """``prophet_cascade``'s per-round validation ([clean, PGD-3] on 100 rows)
-    stays inline, its final eval forks; ``swarm_async``'s final eval does not."""
+def test_eval_forks_at_the_shipped_floor_only_where_it_pays(tmp_path, monkeypatch, forks):
+    """An evaluation outside a run forks iff its plan's modelled work clears
+    the floor: ``prophet_cascade``'s standalone validations ([clean, PGD-3]
+    on 100 rows) and final eval, and ``swarm_async``'s final eval."""
     from perfbench import workloads
 
+    scoped, scope = [], RoundExecutor.scope
+
+    def recording(self, work_flops, on_replica=()):
+        scoped.append([work_flops, len(forks)])
+        return scope(self, work_flops, on_replica)
+
+    monkeypatch.setattr(RoundExecutor, "scope", recording)
     size = workloads.sizes_for("prophet_cascade", smoke=False)
     with workloads.build_prophet_cascade(size, 0, None) as exp:
         for module_idx in range(len(exp.partition)):
             exp.cascade_eval(module_idx)
-        assert not forks
         exp.final_eval(size["final_eval_samples"])
-        assert len(forks) == 1
     size = workloads.sizes_for("swarm_async", smoke=False)
     with workloads.build_swarm_async(size, 0, str(tmp_path)) as exp:
         exp.final_eval(size["final_eval_samples"])
-    assert len(forks) == 1
-
-
-def test_a_fork_must_take_work_off_the_callers_path():
-    # A worker share above the floor is not enough: forking [0.5, 3] floors
-    # would save the caller only the half floor it keeps.
-    if not executor_module._Blas.pinnable():
-        pytest.skip("the OpenBLAS thread count cannot be pinned on this host")
-    floor, plan = executor_module.FORK_FLOOR_FLOPS, [[0], [1]]
-    executor = RoundExecutor()
-    assert executor.plan_runs(plan, [0.5 * floor, 3 * floor], slots=1) == [plan]
-    assert executor.plan_runs(plan, [1.5 * floor, 3 * floor], slots=1) == [[[0]], [[1]]]
+    forked = [after - before for (_, before), (_, after) in zip(scoped, scoped[1:])]
+    forked.append(len(forks) - scoped[-1][1])
+    floor = executor_module.FORK_FLOOR_FLOPS
+    assert forked == [int(work > floor) for work, _ in scoped]
+    assert forked[-2:] == [1, 0]  # prophet_cascade's final eval forks, swarm_async's not
+    assert sum(forked[:-2]) == 3 and len(forked) == 6  # 3 of its 4 validations fork
 
 
 def test_a_fork_that_fails_trains_the_run_inline(monkeypatch, workers):
@@ -678,11 +699,13 @@ def test_a_fork_that_fails_trains_the_run_inline(monkeypatch, workers):
 
     monkeypatch.setattr(os, "fork", no_process)
     executor = RoundExecutor(client_flops=1.0)
-    assert executor.run_group(lambda i: i + 1, range(4)) == [1, 2, 3, 4]
+    with executor.scope(1.0):
+        results = executor.run_group(lambda i: i + 1, range(4))
+    assert results == [1, 2, 3, 4]
     assert not workers and executor_module._Blas.saved is None  # the pin is released
 
 
-# -- the cost-weighted plan cuts equal costs where the count did -------------------
+# -- the cost-weighted cut splits equal costs where the count did -----------------
 
 
 def _split_by_count(plan, parts):
@@ -704,73 +727,22 @@ def _split_by_count(plan, parts):
     return runs
 
 
-def _runs_by_count(plan, client_flops, slots):
-    """``RoundExecutor.plan_runs`` as it was before items carried costs
-    (verbatim but for ``self`` and the module globals it reads)."""
-    if slots < 1 or client_flops <= 0:
-        return [plan]
-    for parts in range(slots + 1, 1, -1):
-        cohorts = plan
-        if len(plan) == 1:  # contiguous chunks, the larger first
-            lone, at = plan[0], 0
-            cohorts = []
-            for j in range(min(parts, len(lone))):
-                size = len(lone) // parts + (j < len(lone) % parts)
-                cohorts.append(lone[at : at + size])
-                at += size
-        if len(cohorts) < parts:
-            continue
-        runs = _split_by_count(cohorts, parts)
-        if all(
-            sum(len(c) for c in run) * client_flops > executor_module.FORK_FLOOR_FLOPS
-            for run in runs[1:]
-        ):
-            return runs if executor_module._Blas.pinnable() else [plan]
-    return [plan]
-
-
 def _contiguous(sizes):
     starts = np.cumsum([0] + sizes)
     return [list(range(a, b)) for a, b in zip(starts, starts[1:])]
 
 
-_PLANS = st.one_of(
-    st.lists(st.integers(1, 8), min_size=1, max_size=12).map(_contiguous),
-    st.integers(2, 12).map(lambda n: [list(range(n))]),  # a lone multi-client cohort
-)
+_PLANS = st.lists(st.integers(1, 8), min_size=1, max_size=12).map(_contiguous)
 
 
 @settings(max_examples=400, deadline=None)
-@given(
-    plan=_PLANS,
-    slots=st.integers(1, 3),
-    share=st.floats(0.01, 3.0),
-    floor=st.sampled_from([0.0, 1e9]),
-)
-@example(plan=[[0], [1, 2]], slots=1, share=1.0, floor=1e9)  # a forced cut, at the floor
-@example(plan=[[0], [1, 2, 3, 4]], slots=2, share=0.5, floor=1e9)
-def test_uniform_costs_cut_where_the_count_did(plan, slots, share, floor):
+@given(plan=_PLANS, share=st.floats(0.01, 3.0))
+@example(plan=[[0], [1, 2]], share=1.0)  # a forced cut
+@example(plan=[[0], [1, 2, 3, 4]], share=0.5)
+def test_uniform_costs_cut_where_the_count_did(plan, share):
     """Every client costing the same, the cost-weighted ``_split`` returns
-    the count-balanced runs, and so does ``plan_runs``, except where the
-    work-off-the-caller's-path rule says no: a forced cut (every run takes
-    a cohort) left the caller the smaller of two runs, and its share, all
-    a fork would save, is at most the floor.  So a client costing more
-    than the floor forks and cuts exactly as before."""
-    shipped = executor_module.FORK_FLOOR_FLOPS
-    executor_module.FORK_FLOOR_FLOPS = floor
-    try:
-        cost = share * 1e9  # one client's share of the shipped floor, either side of it
-        items = sum(len(c) for c in plan)
-        new = RoundExecutor(client_flops=cost).plan_runs(plan, [cost] * items, slots)
-        old = _runs_by_count(plan, cost, slots)
-        caller, *workers = (sum(len(c) for c in run) for run in old)
-        if not workers or caller >= max(workers) or cost > floor:
-            assert new == old
-        else:
-            assert new in (old, [plan])
-            assert (new == [plan]) == (len(old) == 2 and caller * cost <= floor)
-        for parts in range(2, min(len(plan), 4) + 1):
-            weights = [Fraction(cost) * len(c) for c in plan]
-            assert executor_module._split(plan, weights, parts) == _split_by_count(plan, parts)
-    finally:
-        executor_module.FORK_FLOOR_FLOPS = shipped
+    the count-balanced runs."""
+    cost = share * 1e9
+    for parts in range(2, min(len(plan), 4) + 1):
+        weights = [Fraction(cost) * len(c) for c in plan]
+        assert executor_module._split(plan, weights, parts) == _split_by_count(plan, parts)
