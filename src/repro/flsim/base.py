@@ -10,7 +10,6 @@ periodic evaluation.
 from __future__ import annotations
 
 import math
-import os
 import warnings
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
@@ -33,8 +32,9 @@ from repro.flsim.executor import (
     spare_cores,
 )
 from repro.flsim.aggregation import AggregationError
+from repro.flsim.checkpoint import CHECKPOINT_FORMAT, config_fingerprint
 from repro.flsim.faults import FaultPlan, RoundFaults
-from repro.flsim.journal import JournalError, RunJournal
+from repro.flsim.journal import RunRecorder
 from repro.flsim.population import (
     MATERIALISATIONS,
     POPULATION_SCHEMES,
@@ -505,10 +505,8 @@ class FederatedExperiment:
         #: Merge-event-granularity eval samples (``eval_every_merge``).
         self.merge_evals: List[MergeEvalRecord] = []
         self._last_pipeline_stats: Optional[Dict[str, int]] = None
-        # Fault-tolerance state: the open journal, the current round's fault
-        # verdict, and the resume cursor installed by resume().
-        self._journal: Optional[RunJournal] = None
-        self._replica = False  # a run-scoped round worker's copy of this experiment
+        # Fault-tolerance state: the current round's fault verdict and the
+        # resume cursor installed by resume().
         self._round_faults: Optional[RoundFaults] = None
         self._resume_round: int = 0
         self._resume_async: Optional[Dict[str, Any]] = None
@@ -518,17 +516,10 @@ class FederatedExperiment:
         self._round_threats: Optional[RoundThreats] = None
         self._robust = RobustAggregator.from_config(config)
         self._agg_stats: List[Dict[str, Any]] = []
-        # Live observability: every _jlog event tees into the status
-        # service.  Created at init so the endpoint is reachable (state
-        # "init") before run() starts.
-        self._metrics = None
-        if config.status_port is not None:
-            from repro.flsim.service import MetricsService
-
-            self._metrics = MetricsService(
-                status_port=config.status_port,
-                parallelism=self.describe_parallelism(),
-            )
+        #: The run's journal, status tee and checkpoints (the status
+        #: endpoint answers from here on, in state "init").
+        self.recorder = RunRecorder(config.journal_path, config.status_port,
+                                    self.describe_parallelism)
 
     # -- executor workspace -------------------------------------------------
     def _async_workspace(self, builder: Optional[Callable] = None) -> CascadeModel:
@@ -615,7 +606,7 @@ class FederatedExperiment:
                 min_clients=cfg.min_clients_per_round,
             )
             self._round_faults = faults
-            self._jlog(
+            self.recorder.record(
                 "faults",
                 round=round_idx,
                 sampled=[c.cid for c in selected],
@@ -633,7 +624,7 @@ class FederatedExperiment:
             threats = tplan.plan_round(round_idx, [c.cid for c in selected])
             if threats.byzantine:
                 self._round_threats = threats
-                self._jlog(
+                self.recorder.record(
                     "threats",
                     round=round_idx,
                     attack=threats.attack,
@@ -657,7 +648,7 @@ class FederatedExperiment:
                         else c
                         for i, c in enumerate(selected)
                     ]
-        self._jlog(
+        self.recorder.record(
             "sample",
             round=round_idx,
             cids=[c.cid for c in selected],
@@ -700,7 +691,7 @@ class FederatedExperiment:
             aborted=True,
         )
         self.history.append(record)
-        self._jlog(
+        self.recorder.record(
             "round", round=round_idx, sim_time_s=record.sim_time_s, aborted=True
         )
         self.after_round(record)
@@ -987,7 +978,7 @@ class FederatedExperiment:
             eval=result,
         )
         self.merge_evals.append(record)
-        self._jlog(
+        self.recorder.record(
             "merge_eval",
             version=version,
             round=event.round,
@@ -1070,13 +1061,12 @@ class FederatedExperiment:
             agg_stats = self._drain_agg_stats()
             if agg_stats:
                 payload["agg"] = agg_stats
-            self._jlog("merge", **payload)
+            self.recorder.record("merge", **payload)
             if cfg.eval_every_merge:
                 version = len(self.async_log)  # merges replay in order: the log counts them
                 if version % cfg.eval_every_merge == 0:
                     self._merge_eval(server, event, version)
-            if self._metrics is not None:
-                self._metrics.update_pipeline(pipeline.stats())
+            self.recorder.observe_pipeline(pipeline.stats)
 
         def round_complete(ticket):
             if barrier:
@@ -1087,8 +1077,7 @@ class FederatedExperiment:
             self.total_compute_s = max(self.total_compute_s, compute)
             self.total_access_s = max(self.total_access_s, access)
             self._complete_round(RoundRecord(t, drain, compute, access), verbose, server)
-            if self._metrics is not None:  # `pipeline` is bound: it called us
-                self._metrics.update_pipeline(pipeline.stats())
+            self.recorder.observe_pipeline(pipeline.stats)  # `pipeline` is bound: it called us
 
         def new_pipeline() -> CrossRoundPipeline:
             return CrossRoundPipeline(
@@ -1140,7 +1129,7 @@ class FederatedExperiment:
                         raise
                     # Nothing to aggregate (every update rejected or
                     # dropped): a typed abort, not a crash.
-                    self._jlog("agg_abort", round=t, error=str(err))
+                    self.recorder.record("agg_abort", round=t, error=str(err))
                     self._drain_agg_stats()
                     self._finish_aborted_round(t, floor)
                 else:
@@ -1155,7 +1144,7 @@ class FederatedExperiment:
                     self.total_access_s += access
                     agg_stats = self._drain_agg_stats()
                     if agg_stats:
-                        self._jlog("agg", round=t, events=agg_stats)
+                        self.recorder.record("agg", round=t, events=agg_stats)
                     record = RoundRecord(
                         t, self.clock_s, self.total_compute_s, self.total_access_s
                     )
@@ -1175,7 +1164,7 @@ class FederatedExperiment:
                 ticket = pipeline.dispatch(
                     t, items, [c.total_s for c in scaled], fn_factory, meta=ctx
                 )
-                self._jlog(
+                self.recorder.record(
                     "dispatch",
                     round=t,
                     base_version=ticket.base_version,
@@ -1187,7 +1176,9 @@ class FederatedExperiment:
             play(t)
             t += 1
             if cfg.checkpoint_every and t % cfg.checkpoint_every == 0:
-                self._write_checkpoint(
+                # Every process exports (it lands in-flight groups); the writer builds the rest.
+                in_flight = None if barrier else pipeline.export_state(self._export_async_meta)
+                self.recorder.checkpoint(t, lambda: self._checkpoint_payload(
                     t,
                     async_state=None if barrier else {
                         "server": {k: v.copy() for k, v in server.items()},
@@ -1195,9 +1186,10 @@ class FederatedExperiment:
                         "base_compute": base_compute,
                         "base_access": base_access,
                         "bottlenecks": dict(bottlenecks),
-                        "pipeline": pipeline.export_state(self._export_async_meta),
+                        "pipeline": in_flight,
                     },
-                )
+                ))
+                del in_flight  # it holds landed updates: none may outlive the write
 
         if not barrier:
             pipeline.drain_all()
@@ -1320,11 +1312,7 @@ class FederatedExperiment:
 
     def close(self) -> None:
         """Close the journal and the status service."""
-        if self._journal is not None:
-            self._journal.close()
-            self._journal = None
-        if self._metrics is not None:
-            self._metrics.close()
+        self.recorder.close()
 
     def __enter__(self) -> "FederatedExperiment":
         return self
@@ -1333,32 +1321,14 @@ class FederatedExperiment:
         self.close()
 
     # -- journalling, checkpointing, resume ------------------------------------
-    def _become_replica(self) -> None:
-        """This process is a round worker replaying the run beside the caller:
-        the journal, the status tee and the checkpoints stay the caller's."""
-        self._journal = self._metrics = None
-        self._replica = True
-
-    def _jlog(self, kind: str, **payload) -> None:
-        """Log one run event: journal append + status-service tee.
-
-        The journal may be off while the status service is on (and vice
-        versa); both see identical payloads, all emitted from the run
-        loop in deterministic program order.
-        """
-        if self._journal is not None:
-            self._journal.append(kind, **payload)
-        if self._metrics is not None:
-            self._metrics.observe(kind, payload)
-
     @property
     def status_address(self) -> Optional[str]:
         """The live status endpoint's base URL (None when off)."""
-        return self._metrics.address if self._metrics is not None else None
+        return self.recorder.address
 
     def _journal_eval(self, record: RoundRecord) -> None:
         if record.eval is not None:
-            self._jlog(
+            self.recorder.record(
                 "eval",
                 round=record.round,
                 clean_acc=record.eval.clean_acc,
@@ -1367,12 +1337,10 @@ class FederatedExperiment:
             )
 
     def _fingerprint(self) -> str:
-        from repro.flsim.checkpoint import config_fingerprint
-
         return config_fingerprint(self.config, self.name)
 
     def _run_start_payload(self) -> Dict[str, Any]:
-        """The ``run_start`` event body (shared by journal and replay)."""
+        """The ``run_start`` event body (a fresh run's, a resumed one's)."""
         pop = self.clients
         return dict(
             fingerprint=self._fingerprint(),
@@ -1386,62 +1354,14 @@ class FederatedExperiment:
             cache_capacity=pop.cache_capacity,
         )
 
-    def _open_journal(self) -> None:
-        """Start a fresh journal for this run (if configured, once)."""
-        if self.config.journal_path is None or self._journal is not None:
-            # Journal off (or a replay verifier pre-installed): the
-            # status service still wants its run_start marker.
-            if self._metrics is not None and self.config.journal_path is None:
-                self._metrics.observe("run_start", self._run_start_payload())
-            return
-        self._journal = RunJournal.create(self.config.journal_path)
-        self._jlog("run_start", **self._run_start_payload())
-
-    def _abort_cleanup(self) -> None:
-        """Best-effort teardown when the run loop raises.
-
-        The journal records the abort so a later read tells a crash (torn
-        tail / no ``run_end``) apart from a Python-level failure.  Each
-        step runs under its own guard, so a sink that raises (the status
-        tee) cannot keep the other sink from recording the abort or
-        closing.
-        """
-        journal, metrics = self._journal, self._metrics
-        self._journal = None
-        steps = []
-        if journal is not None:
-            steps += [lambda: journal.append("run_abort"), journal.close]
-        if metrics is not None:
-            steps += [lambda: metrics.observe("run_abort", {}), metrics.close]
-        for step in steps:
-            try:
-                step()
-            except Exception:  # best effort: run() re-raises the run's own error
-                pass
-
-    def _checkpoint_path(self) -> str:
-        base = (
-            self._journal.path if self._journal is not None
-            else self.config.journal_path
-        )
-        return base + ".ckpt"
-
-    def _write_checkpoint(
-        self, next_round: int, async_state: Optional[Dict[str, Any]] = None
-    ) -> None:
-        """Atomically snapshot everything the run loop needs to continue.
+    def _checkpoint_payload(self, next_round: int, async_state: Optional[dict]) -> Dict[str, Any]:
+        """Everything the run loop needs to continue bit-identically.
 
         ``async_state`` carries the cross-round pipeline's extra
         bookkeeping; after a barrier round the global model holds the whole
-        server state, so it is snapshotted directly.  A run's replica writes
-        none; it still evaluates the arguments, which land every in-flight
-        round's group in each process alike.
+        server state, so it is snapshotted directly.
         """
-        from repro.flsim.checkpoint import CHECKPOINT_FORMAT, write_checkpoint
-
-        if self._replica:
-            return
-        payload: Dict[str, Any] = {
+        return {
             "format": CHECKPOINT_FORMAT,
             "fingerprint": self._fingerprint(),
             "next_round": next_round,
@@ -1461,11 +1381,6 @@ class FederatedExperiment:
             "async": async_state,
             "experiment": self.checkpoint_state(),
         }
-        path = self._checkpoint_path()
-        write_checkpoint(path, payload)
-        self._jlog(
-            "checkpoint", next_round=next_round, path=os.path.basename(path)
-        )
 
     def _restore_from_checkpoint(self, payload: Dict[str, Any]) -> None:
         self.rng.bit_generator.state = payload["rng_state"]
@@ -1537,46 +1452,12 @@ class FederatedExperiment:
         uninterrupted run.  A journal with no checkpoint yet simply
         restarts the (deterministic) run from round zero.
         """
-        from repro.flsim.checkpoint import read_checkpoint
-
         path = journal_path if journal_path is not None else self.config.journal_path
         if path is None:
             raise ValueError("resume needs a journal path (argument or config)")
         if self.history:
             raise RuntimeError("resume must be called on a fresh experiment")
-        events = RunJournal.read(path)
-        if not events or events[0].get("kind") != "run_start":
-            raise JournalError(f"{path}: journal does not start with run_start")
-        fingerprint = self._fingerprint()
-        if events[0].get("fingerprint") != fingerprint:
-            raise JournalError(
-                f"{path}: journal fingerprint {events[0].get('fingerprint')} "
-                f"does not match this experiment's config ({fingerprint}); "
-                f"only non-semantic fields (fusion width, cache size, paths) "
-                f"may change across a resume"
-            )
-        ckpt_event = RunJournal.last_checkpoint(events)
-        if ckpt_event is None:
-            # Crashed before the first checkpoint: the run is deterministic,
-            # so replaying from scratch *is* the resume.
-            return self.run(rounds, verbose)
-        ckpt_path = os.path.join(
-            os.path.dirname(os.path.abspath(path)), ckpt_event["path"]
-        )
-        payload = read_checkpoint(ckpt_path)
-        if payload["fingerprint"] != fingerprint:
-            raise JournalError(
-                f"{ckpt_path}: checkpoint fingerprint does not match this "
-                f"experiment's config"
-            )
-        self._restore_from_checkpoint(payload)
-        self._journal = RunJournal.resume_open(path)
-        next_round = payload["next_round"]
-        if next_round != ckpt_event["next_round"]:
-            # Killed between the checkpoint's rename and its journal event:
-            # log it now, so the resume anchors on it and the journal folds.
-            self._jlog("checkpoint", next_round=next_round, path=ckpt_event["path"])
-        self._jlog("resume", next_round=next_round)
+        self.recorder.resume(path, self._run_start_payload(), self._restore_from_checkpoint)
         return self.run(rounds, verbose)
 
     def run(self, rounds: Optional[int] = None, verbose: bool = False) -> List[RoundRecord]:
@@ -1593,17 +1474,17 @@ class FederatedExperiment:
         :meth:`~repro.flsim.executor.RoundExecutor.scope`).
         """
         rounds = rounds if rounds is not None else self.config.rounds
-        self._open_journal()
+        self.recorder.start(self._run_start_payload())
         # What the run's round workers are forked against: the modelled
         # training work left (rounds × cohort × one client's FLOPs).
         work = max(0, rounds - self._resume_round) * self.config.clients_per_round
         try:
-            with self.executor.scope(work * self.client_flops, [self._become_replica]):
+            with self.executor.scope(work * self.client_flops):
                 rounds_run = self._run_rounds(rounds, verbose)
         except BaseException:
-            self._abort_cleanup()
+            self.recorder.abort()
             raise
-        self._jlog("run_end", rounds=rounds_run, clock_s=self.clock_s)
+        self.recorder.record("run_end", rounds=rounds_run, clock_s=self.clock_s)
         return self.history
 
     # -- round hooks: how a round-gated method advances its own state ---------
@@ -1659,7 +1540,7 @@ class FederatedExperiment:
         cross-round pipeline's merged state; a barrier round passes none)."""
         extra = self.round_eval(record, verbose, server=server)
         self.history.append(record)
-        self._jlog(
+        self.recorder.record(
             "round",
             round=record.round,
             **extra,

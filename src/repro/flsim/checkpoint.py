@@ -4,8 +4,8 @@ A checkpoint is one pickle file written **atomically** (tmp file in the
 same directory + ``os.replace``), fsynced before the rename, so a crash
 at any instant leaves either the previous checkpoint or the new one —
 never a torn file; a sha256 trailer turns a damaged one into a
-:class:`CheckpointError`, never a wrong resume.  The payload is assembled by
-:meth:`~repro.flsim.base.FederatedExperiment._write_checkpoint` and holds
+:class:`CheckpointError`, never a wrong resume.  The payload (built by
+:meth:`~repro.flsim.base.FederatedExperiment._checkpoint_payload`) holds
 everything the generic run loop needs to continue bit-identically:
 server/model state, the experiment RNG's bit-generator state, the round
 history and async merge log, the simulated clock, and (async mode) the

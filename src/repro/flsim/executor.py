@@ -472,18 +472,16 @@ class _Scope:
     so all of them merge the same results in plan order; a smaller group
     runs whole in each.  Every group opens with a header carrying its
     sequence number and plan digest, and a mismatch raises
-    :class:`RoundWorkerError` naming the group.  A replica's journal,
-    checkpoints, status tee and stdout are the caller's (``on_replica``
-    hooks drop them; its stdout and stderr point at /dev/null),
-    and it leaves by ``os._exit`` at the scope's end, which the caller
-    ends by killing and reaping it.
+    :class:`RoundWorkerError` naming the group.  A replica writes nothing
+    (the run's :class:`~repro.flsim.journal.RunRecorder` is inert outside
+    the caller's process; stdout and stderr point at /dev/null), and it
+    leaves by ``os._exit`` at the scope's end, which the caller ends by
+    killing and reaping it.
     """
 
-    def __init__(self, executor: "RoundExecutor", work_flops: float,
-                 on_replica: Sequence[Callable[[], None]] = ()):
+    def __init__(self, executor: "RoundExecutor", work_flops: float):
         self.executor = executor
         self.work_flops = work_flops
-        self.on_replica = list(on_replica)
         self.rank = 0  # 0: the caller
         self.links: Dict[int, _Link] = {}  # rank → link, one per other process
         self.started = False
@@ -596,8 +594,6 @@ class _Scope:
         procs = 1 + max(max(pair) for pair in pipes)
         self._connect(pipes, {other: "the caller" if other == 0 else f"round worker {other}"
                               for other in range(procs) if other != rank})
-        for hook in self.on_replica:
-            hook()
 
     # -- ending -------------------------------------------------------------
     def _leave(self, code: int, frame: Optional[list] = None) -> None:
@@ -845,21 +841,21 @@ class RoundExecutor:
             return 0
         return spare_cores()
 
-    def scope(self, work_flops: float, on_replica: Sequence[Callable[[], None]] = ()):
+    def scope(self, work_flops: float):
         """A context whose groups share round workers forked once.
 
-        At its first group the scope forks one worker per spare core when
-        ``work_flops``, the modelled work left to it, clears
-        :data:`FORK_FLOOR_FLOPS` (see :class:`_Scope`).  Each worker returns
-        from the fork as a replica of this process's program: ``on_replica``
-        hooks run in it first, to drop what only the caller may write.  The
-        replica leaves by ``os._exit`` when it reaches the scope's end, and
-        the caller's end kills and reaps it.  Inside a scope already open
-        this is a no-op; a group outside any scope runs inline.
+        A run and an evaluation outside one open the same scope.  At its
+        first group it forks one worker per spare core when ``work_flops``,
+        the modelled work left to it, clears :data:`FORK_FLOOR_FLOPS` (see
+        :class:`_Scope`).  Each worker returns from the fork as a replica of
+        this process's program, which writes nothing, and leaves by
+        ``os._exit`` when it reaches the scope's end; the caller's end kills
+        and reaps it.  Inside a scope already open this is a no-op; a group
+        outside any scope runs inline.
         """
         if self._scope is not None:
             return contextlib.nullcontext()
-        return _Scope(self, work_flops, on_replica)
+        return _Scope(self, work_flops)
 
     def submit_group(
         self,

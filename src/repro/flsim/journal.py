@@ -6,7 +6,8 @@ tolerated on read).  The journal is pure observability *plus* the resume
 index: it names the config fingerprint the run was started with and the
 checkpoint files written along the way, which is everything
 :meth:`~repro.flsim.base.FederatedExperiment.resume` needs to restart a
-run from its last consistent state.
+run from its last consistent state.  A run writes it, its status tee and
+its checkpoints through one :class:`RunRecorder`.
 
 Event kinds written by the run loop (in deterministic program order):
 
@@ -43,7 +44,10 @@ from __future__ import annotations
 
 import json
 import os
-from typing import List, Optional
+from typing import Any, Callable, Dict, List, Optional
+
+from repro.flsim import checkpoint as ckpt
+from repro.flsim.service import MetricsService
 
 
 class JournalError(RuntimeError):
@@ -183,10 +187,125 @@ class RunJournal:
             events.append(event)
         return events
 
-    @staticmethod
-    def last_checkpoint(events: List[dict]) -> Optional[dict]:
-        """The most recent ``checkpoint`` event, or None."""
-        for event in reversed(events):
-            if event.get("kind") == "checkpoint":
-                return event
-        return None
+
+class RunRecorder:
+    """The one writer of a run: its journal, status tee and checkpoints.
+
+    The journal is opened at the run's start (``journal_path``), reopened
+    by :meth:`resume`, or :meth:`install`-ed (the replay verifier); the
+    status tee (``status_port``) answers from construction on.  In any
+    process but the one that opened it, recording, checkpointing, aborting
+    and closing do nothing: a forked round worker's copy writes nothing.
+    """
+
+    def __init__(self, journal_path: Optional[str] = None, status_port: Optional[int] = None,
+                 parallelism: Callable[[], Optional[str]] = lambda: None):
+        self._pid = os.getpid()
+        self._started = False  # run_start is recorded
+        self.journal_path = journal_path
+        self.journal = None
+        self.status = None if status_port is None else MetricsService(status_port, parallelism())
+
+    @property
+    def address(self) -> Optional[str]:
+        return self.status.address if self.status is not None else None
+
+    @property
+    def checkpoint_path(self) -> str:
+        return (self.journal.path if self.journal is not None else self.journal_path) + ".ckpt"
+
+    def install(self, journal) -> None:
+        """Record the run in ``journal`` (``append``/``close``/``path``)."""
+        self.journal = journal
+
+    def start(self, run_start: Dict[str, Any]) -> None:
+        """Open the journal unless one is installed, and record ``run_start``
+        once (a resumed journal has its own)."""
+        if self._started or os.getpid() != self._pid:
+            return
+        self._started = True
+        if self.journal is None and self.journal_path is not None:
+            self.journal = RunJournal.create(self.journal_path)
+        self.record("run_start", **run_start)
+
+    def record(self, kind: str, **payload) -> None:
+        """Append one event to the journal and tee it into the status."""
+        if os.getpid() != self._pid:
+            return
+        if self.journal is not None:
+            self.journal.append(kind, **payload)
+        if self.status is not None:
+            self.status.observe(kind, payload)
+
+    def observe_pipeline(self, stats: Callable[[], Dict[str, int]]) -> None:
+        """Fold the cross-round pipeline's live counters into the status."""
+        if self.status is not None and os.getpid() == self._pid:
+            self.status.update_pipeline(stats())
+
+    def checkpoint(self, next_round: int, payload: Callable[[], Dict[str, Any]]) -> None:
+        """Write and record the checkpoint ``payload()`` builds (built only here)."""
+        if os.getpid() != self._pid:
+            return
+        path = self.checkpoint_path
+        ckpt.write_checkpoint(path, payload())
+        self.record("checkpoint", next_round=next_round, path=os.path.basename(path))
+
+    def resume(self, path: str, run_start: Dict[str, Any],
+               restore: Callable[[Dict[str, Any]], None]) -> None:
+        """Take over the run journalled at ``path``: ``restore`` its last
+        checkpoint's payload and reopen the journal to append.  Without a
+        checkpoint nothing is installed, and the run starts afresh."""
+        events = RunJournal.read(path)
+        if not events or events[0].get("kind") != "run_start":
+            raise JournalError(f"{path}: journal does not start with run_start")
+        fingerprint = run_start["fingerprint"]
+        if events[0].get("fingerprint") != fingerprint:
+            raise JournalError(
+                f"{path}: journal fingerprint {events[0].get('fingerprint')} "
+                f"does not match this experiment's config ({fingerprint}); "
+                f"only non-semantic fields (fusion width, cache size, paths) "
+                f"may change across a resume"
+            )
+        event = next((e for e in reversed(events) if e["kind"] == "checkpoint"), None)
+        if event is None:
+            return  # the run is deterministic: replaying from scratch *is* the resume
+        ckpt_path = os.path.join(os.path.dirname(os.path.abspath(path)), event["path"])
+        payload = ckpt.read_checkpoint(ckpt_path)
+        if payload["fingerprint"] != fingerprint:
+            raise JournalError(
+                f"{ckpt_path}: checkpoint fingerprint does not match this "
+                f"experiment's config"
+            )
+        restore(payload)
+        self.journal = RunJournal.resume_open(path)
+        self._started = True
+        if self.status is not None:
+            self.status.observe("run_start", run_start)
+        next_round = payload["next_round"]
+        if next_round != event["next_round"]:
+            # Killed between the checkpoint's rename and its journal event:
+            # log it now, so the resume anchors on it and the journal folds.
+            self.record("checkpoint", next_round=next_round, path=event["path"])
+        self.record("resume", next_round=next_round)
+
+    def abort(self) -> None:
+        """Record ``run_abort`` (a failure, not a crash) and close, best effort:
+        the journal is written first and each step has its own guard, so a
+        status tee that raises keeps it neither from recording nor closing."""
+        for step in (lambda: self.record("run_abort"), self.close):
+            try:
+                step()
+            except Exception:  # the run re-raises its own error
+                pass
+
+    def close(self) -> None:
+        """Close the journal and shut the status endpoint down; idempotent."""
+        if os.getpid() != self._pid:
+            return
+        journal, self.journal = self.journal, None
+        try:
+            if journal is not None:
+                journal.close()
+        finally:
+            if self.status is not None:
+                self.status.close()

@@ -14,10 +14,10 @@ Resumed journals replay too: the canonicaliser folds each
 the event stream an *uninterrupted* run would have written — which is
 exactly what re-execution emits.
 
-The verifier is installed through the journalling seam: a
-:class:`ReplayJournal` takes the place of the experiment's
+The verifier is installed in the experiment's recorder: a
+:class:`ReplayJournal` takes the place of its
 :class:`~repro.flsim.journal.RunJournal`, so the run loop needs no replay
-mode — it just logs, and every ``append`` becomes an assertion.  On
+mode — it just records, and every ``append`` becomes an assertion.  On
 mismatch a :class:`ReplayDivergence` names the first divergent ``seq``,
 its kind, and the differing fields.
 """
@@ -168,14 +168,14 @@ def canonical_events(events: List[dict], path: str = "journal") -> Tuple[List[di
 class ReplayJournal:
     """A journal stand-in that verifies appends against a recorded stream.
 
-    Installed as ``experiment._journal`` before ``run()``:
-    :meth:`~repro.flsim.base.FederatedExperiment._open_journal` sees a
-    journal already present and leaves it alone, so every ``_jlog`` in the
-    run loop lands here and is compared — in strict order — against the
-    canonical recorded events.  ``path`` keeps checkpoint writes working
-    (``_checkpoint_path`` derives from it); when the replay experiment
-    has checkpointing off, recorded ``checkpoint`` events are skipped
-    (and counted) instead of compared.
+    Installed in the experiment's recorder before ``run()``
+    (:meth:`~repro.flsim.journal.RunRecorder.install`): the run starts
+    on it instead of opening a journal file, so every event the run loop
+    records, ``run_start`` first, lands here and is compared — in strict
+    order — against the canonical recorded events.  ``path`` keeps
+    checkpoint writes working (the recorder's ``checkpoint_path`` derives
+    from it); when the replay experiment has checkpointing off, recorded
+    ``checkpoint`` events are skipped (and counted) instead of compared.
     """
 
     def __init__(self, events: List[dict], path: str, verify_checkpoints: bool):
@@ -311,7 +311,7 @@ def replay_run(
             recorded_names = {
                 e["path"] for e in canonical if e.get("kind") == "checkpoint"
             }
-            replay_name = os.path.basename(exp._checkpoint_path())
+            replay_name = os.path.basename(exp.recorder.checkpoint_path)
             if recorded_names and recorded_names != {replay_name}:
                 raise JournalError(
                     f"{journal_path}: recorded checkpoint events name "
@@ -324,8 +324,7 @@ def replay_run(
             canonical, path=exp.config.journal_path or journal_path,
             verify_checkpoints=verify_checkpoints,
         )
-        exp._journal = verifier
-        exp._jlog("run_start", **exp._run_start_payload())
+        exp.recorder.install(verifier)
         exp.run(rounds=run_end.get("rounds"), verbose=verbose)
         verifier.finish()
         report = ReplayReport(

@@ -2,9 +2,9 @@
 
 The run's one durable record is its journal (``FLConfig.journal_path``):
 :meth:`~repro.flsim.journal.RunJournal.append` flushes every event, so
-``tail -f run.jsonl`` is the live event stream.  The experiment's
-journalling funnel (``_jlog``) also tees every event into a
-:class:`MetricsService`, which
+``tail -f run.jsonl`` is the live event stream.  The run's recorder
+(:class:`~repro.flsim.journal.RunRecorder`) also tees every event into
+a :class:`MetricsService`, which
 
 * maintains a thread-safe status snapshot (current round, server
   version, simulated clock, fault/threat/cache counters, last eval);

@@ -166,14 +166,14 @@ class TestAsyncCapability:
             raise AggregationError("late refusal")
 
         monkeypatch.setattr(type(exp), "async_merge_event", merge_then_fail)
-        aborts, log = [], exp._jlog
+        aborts, log = [], exp.recorder.record
 
-        def jlog(kind, **payload):
+        def record(kind, **payload):
             if kind == "agg_abort":
                 aborts.append(payload["error"])
             log(kind, **payload)
 
-        monkeypatch.setattr(exp, "_jlog", jlog)
+        monkeypatch.setattr(exp.recorder, "record", record)
         history = exp.run(rounds=1)  # the refusal is an aborted round, not a crash
         assert [r.aborted for r in history] == [True]
         assert aborts == ["late refusal"]

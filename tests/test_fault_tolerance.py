@@ -323,6 +323,30 @@ class TestCheckpointResume:
         _assert_runs_equal(ref, resumed)
         resumed.close()
 
+    def test_a_resumed_run_tells_the_status_tee_what_it_runs(self, tmp_path):
+        # /status names the experiment, its fingerprint and its rounds after
+        # a resume exactly as after a fresh run: each sees one run_start.
+        import urllib.request
+
+        path = str(tmp_path / "run.jsonl")
+        with JointFAT(_task(), _builder,
+                      _cfg(rounds=4, journal_path=path, checkpoint_every=2)) as first:
+            first.run(rounds=2)
+        status = {}
+        for name, journal in (("fresh", str(tmp_path / "fresh.jsonl")), ("resumed", path)):
+            with JointFAT(_task(), _builder, _cfg(rounds=4, journal_path=journal,
+                                                  checkpoint_every=2, status_port=0)) as exp:
+                if name == "resumed":
+                    exp.resume(path)
+                else:
+                    exp.run()
+                with urllib.request.urlopen(f"{exp.status_address}/status", timeout=10) as resp:
+                    snap = json.loads(resp.read().decode("utf-8"))
+                status[name] = [snap.get(k) for k in ("experiment", "fingerprint", "rounds_total")]
+        fingerprint = RunJournal.read(path)[0]["fingerprint"]
+        assert status["fresh"] == ["jfat", fingerprint, 4]
+        assert status["resumed"] == status["fresh"]
+
     def test_checkpoint_file_is_valid_and_atomic(self, tmp_path):
         path = str(tmp_path / "run.jsonl")
         exp = JointFAT(_task(), _builder,
@@ -923,8 +947,8 @@ class TestLifecycleSatellites:
         path = str(tmp_path / "run.jsonl")
         with JointFAT(_task(), _builder, _cfg(rounds=1, journal_path=path)) as exp:
             exp.run()
-            journal = exp._journal
-        assert journal._file.closed and exp._journal is None
+            journal = exp.recorder.journal
+        assert journal._file.closed and exp.recorder.journal is None
 
     @pytest.mark.parametrize("mode", MODES)
     def test_aborted_run_journals_the_abort(self, tmp_path, mode):
@@ -939,7 +963,7 @@ class TestLifecycleSatellites:
         with pytest.raises(RuntimeError, match="boom"):
             exp.run()
         assert list(RunJournal.read(path))[-1]["kind"] == "run_abort"
-        assert exp._journal is None
+        assert exp.recorder.journal is None
 
     @pytest.mark.parametrize(
         "field,value",
@@ -1025,15 +1049,15 @@ class TestHostileInfrastructure:
 
         def broken(self, kind, payload):  # fails from the first round on
             if kind == "round" or journals:
-                journals.append(exp._journal)
+                journals.append(exp.recorder.journal)
                 raise OSError(errno.ENOSPC, "No space left on device")
 
         monkeypatch.setattr(MetricsService, "observe", broken)
         with pytest.raises(OSError, match="No space left on device"):
             exp.run()
         assert list(RunJournal.read(journal))[-1]["kind"] == "run_abort"
-        assert journals[0]._file.closed and exp._journal is None
-        assert exp._metrics._server is None  # the endpoint was shut down
+        assert journals[0]._file.closed and exp.recorder.journal is None
+        assert exp.recorder.status._server is None  # the endpoint was shut down
 
     def test_interrupted_async_drain_trains_no_queued_unit(self, tmp_path):
         # Two pipelined rounds hold 32 units; an interrupt from the second

@@ -200,6 +200,22 @@ class TestReplayRun:
         assert report.rounds == 3
         assert report.merges == 0
 
+    def test_the_status_tee_sees_one_run_start(self, tmp_path, monkeypatch):
+        # A replay with a status port and no journal of its own tees each
+        # re-executed event once, run_start included.
+        path = str(tmp_path / "run.jsonl")
+        _record_run(path, rounds=2)
+        observed, observe = [], MetricsService.observe
+
+        def noting(self, kind, payload):
+            observed.append(kind)
+            observe(self, kind, payload)
+
+        monkeypatch.setattr(MetricsService, "observe", noting)
+        report = replay_run(path, lambda: _exp(rounds=2, status_port=0))
+        assert observed == [e["kind"] for e in RunJournal.read(path)]
+        assert observed.count("run_start") == 1 and report.events_verified == 6
+
     def test_checkpoints_verified_bit_for_bit(self, tmp_path):
         path = str(tmp_path / "run.jsonl")
         _record_run(path, checkpoint_every=1, **HARD_MODE)

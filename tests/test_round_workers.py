@@ -10,7 +10,7 @@ can tell: the recorded sync and FedProphet digests, the recorded
 journals and the recorded checkpoint, every method's final evaluation
 and FedProphet's validation all come out as they do inline.  The hygiene tests then pin what a
 worker must never do: write (the journal and checkpoint bytes are an
-inline run's), lose an exception's type, hang when it dies, outlive its
+inline run's, and a forked recorder is inert), lose an exception's type, hang when it dies, outlive its
 scope (no zombie after an end, an abort, an interrupt or a kill),
 hold the status endpoint's connections, diverge from the caller's plan
 unnoticed, or keep to itself the prefix-cache rows it filled.  Some run
@@ -28,6 +28,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+import time
 
 from fractions import Fraction
 
@@ -46,7 +47,7 @@ from repro.core import prophet as prophet_module
 from repro.flsim import EvalExecutor, EvalTarget, RoundExecutor
 from repro.flsim import executor as executor_module
 from repro.flsim.executor import CohortFn, RoundWorkerError
-from repro.flsim.journal import RunJournal
+from repro.flsim.journal import RunJournal, RunRecorder
 from repro.flsim.replay import replay_run
 from repro.flsim.scheduler import CrossRoundPipeline
 from repro.metrics.evaluation import AttackSpec, EvalPlan
@@ -488,6 +489,49 @@ def test_journal_and_checkpoint_bytes_equal_an_inline_run(tmp_path, monkeypatch,
             assert a.read() == b.read()
 
 
+def test_a_recorder_writes_only_in_the_process_that_opened_it(tmp_path):
+    # A forked copy of a run's recorder is inert: what the child records,
+    # checkpoints, aborts and closes lands in no journal, file or status.
+    path = str(tmp_path / "run.jsonl")
+    recorder = RunRecorder(path, status_port=0)
+    try:
+        recorder.start({"experiment": "jfat", "rounds": 2})
+        recorder.record("round", round=0, sim_time_s=1.0)
+        with open(path, "rb") as fh:
+            journal = fh.read()
+        observed = recorder.status.snapshot()["events_observed"]
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                recorder.record("round", round=1, sim_time_s=2.0)
+                recorder.checkpoint(2, lambda: {"format": 1})
+                recorder.abort()
+                recorder.close()  # the endpoint's thread is the parent's: this must not wait on it
+                code = 0 if recorder.status.snapshot()["events_observed"] == observed else 2
+            finally:
+                os._exit(code)
+        for _ in range(200):
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            time.sleep(0.05)
+        else:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked recorder hung")
+        assert os.waitstatus_to_exitcode(status) == 0  # 2: the child's status observed
+        with open(path, "rb") as fh:
+            assert fh.read() == journal
+        assert not os.path.exists(recorder.checkpoint_path)
+        assert recorder.status.snapshot()["events_observed"] == observed
+        recorder.checkpoint(2, lambda: {"format": 1})  # the opener still writes
+        assert os.path.exists(recorder.checkpoint_path)
+        assert RunJournal.read(path)[-1]["kind"] == "checkpoint"
+    finally:
+        recorder.close()
+
+
 def _replicas_after(exp, round_idx, action):
     """Run ``action(replica pids)`` in the caller as round ``round_idx`` is sampled."""
     parent, sample = os.getpid(), exp.sample_round
@@ -672,9 +716,9 @@ def test_eval_forks_at_the_shipped_floor_only_where_it_pays(tmp_path, monkeypatc
 
     scoped, scope = [], RoundExecutor.scope
 
-    def recording(self, work_flops, on_replica=()):
+    def recording(self, work_flops):
         scoped.append([work_flops, len(forks)])
-        return scope(self, work_flops, on_replica)
+        return scope(self, work_flops)
 
     monkeypatch.setattr(RoundExecutor, "scope", recording)
     size = workloads.sizes_for("prophet_cascade", smoke=False)
