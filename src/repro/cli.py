@@ -12,13 +12,37 @@ Commands
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
+import typing
 from typing import List, Optional
 
 import numpy as np
 
+from repro.core import FedProphetConfig
+from repro.flsim import FaultPlan, FLConfig, ThreatPlan
+
 MB = 1024**2
+
+#: The config fields ``repro train`` sets, in flag order.  Each flag's
+#: type, default, choices and help are its field's declaration; the flag
+#: is the field's name unless aliased, and the demo defaults below
+#: shrink the paper's scale to a run of minutes.
+_TRAIN_FIELDS = (
+    "rounds", "num_clients", "clients_per_round", "local_iters", "batch_size", "lr",
+    "train_pgd_steps", "seed", "fusion_width", "aggregation_mode", "max_staleness",
+    "pipeline_depth", "eval_every", "journal_path", "checkpoint_every", "status_port",
+    "eval_every_merge", "fault_plan", "threat_plan", "aggregation_rule", "trim_ratio",
+    "krum_byzantine_f", "clip_norm", "client_timeout", "max_client_retries",
+    "min_clients_per_round", "population_scheme", "client_materialisation",
+    "client_cache_size", "samples_per_client", "availability_fraction",
+    "availability_period",
+)
+_FLAG_ALIASES = {"num_clients": "clients", "train_pgd_steps": "pgd_steps",
+                 "journal_path": "journal"}
+_DEMO_DEFAULTS = dict(rounds=40, num_clients=20, clients_per_round=4, local_iters=5,
+                      batch_size=32, lr=0.08, train_pgd_steps=2, eval_every=0)
 
 
 def _cmd_partition(args: argparse.Namespace) -> int:
@@ -88,12 +112,36 @@ def _cmd_train(args: argparse.Namespace) -> int:
         HeteroFLAT,
         JointFAT,
     )
-    from repro.core import FedProphet, FedProphetConfig
+    from repro.core import FedProphet
     from repro.data import make_cifar10_like
-    from repro.flsim import FaultPlan, FLConfig, ThreatPlan
     from repro.hardware import DeviceSampler, device_pool
     from repro.models import build_vgg
     from repro.nn.normalization import DualBatchNorm2d
+
+    if args.resume and not args.journal:
+        print("error: --resume requires --journal", file=sys.stderr)
+        return 2
+    if args.replay and not args.journal:
+        print("error: --replay requires --journal", file=sys.stderr)
+        return 2
+    if args.replay and args.resume:
+        print("error: --replay and --resume are mutually exclusive", file=sys.stderr)
+        return 2
+    fields = {name: getattr(args, _FLAG_ALIASES.get(name, name)) for name in _TRAIN_FIELDS}
+    try:
+        for name, plan in (("fault_plan", FaultPlan), ("threat_plan", ThreatPlan)):
+            fields[name] = plan.parse(fields[name]) if fields[name] else None
+        if args.method == "fedprophet":
+            config = FedProphetConfig(
+                rounds_per_module=max(4, args.rounds // 4), patience=max(3, args.rounds // 8),
+                r_min_fraction=0.35, val_samples=80, val_pgd_steps=3,
+                eval_pgd_steps=5, eval_max_samples=150, **fields,
+            )
+        else:
+            config = FLConfig(eval_pgd_steps=5, eval_max_samples=150, **fields)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
     shape = (3, args.image_size, args.image_size)
     task = make_cifar10_like(
@@ -108,60 +156,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
         **({"bn_cls": bn_cls} if bn_cls is not None else {}),
     )
     sampler = DeviceSampler(device_pool("cifar10"), args.heterogeneity)
-    if args.resume and not args.journal:
-        print("error: --resume requires --journal", file=sys.stderr)
-        return 2
-    if args.replay and not args.journal:
-        print("error: --replay requires --journal", file=sys.stderr)
-        return 2
-    if args.replay and args.resume:
-        print("error: --replay and --resume are mutually exclusive", file=sys.stderr)
-        return 2
-    fault_plan = FaultPlan.parse(args.fault_plan) if args.fault_plan else None
-    threat_plan = ThreatPlan.parse(args.threat_plan) if args.threat_plan else None
-    common = dict(
-        num_clients=args.clients, clients_per_round=args.clients_per_round,
-        local_iters=args.local_iters, batch_size=args.batch_size, lr=args.lr,
-        train_pgd_steps=args.pgd_steps, eval_pgd_steps=5, eval_every=args.eval_every,
-        eval_max_samples=150, seed=args.seed,
-        fusion_width=args.fusion_width,
-        aggregation_mode=args.aggregation_mode, max_staleness=args.max_staleness,
-        pipeline_depth=args.pipeline_depth,
-        journal_path=args.journal, checkpoint_every=args.checkpoint_every,
-        status_port=args.status_port,
-        eval_every_merge=args.eval_every_merge,
-        fault_plan=fault_plan, client_timeout=args.client_timeout,
-        max_client_retries=args.max_client_retries,
-        min_clients_per_round=args.min_clients_per_round,
-        threat_plan=threat_plan, aggregation_rule=args.aggregation_rule,
-        trim_ratio=args.trim_ratio, krum_byzantine_f=args.krum_byzantine_f,
-        clip_norm=args.clip_norm,
-        population_scheme=args.population_scheme,
-        client_materialisation=args.client_materialisation,
-        client_cache_size=args.client_cache_size,
-        samples_per_client=args.samples_per_client,
-        availability_fraction=args.availability_fraction,
-        availability_period=args.availability_period,
-    )
-    def build(**overrides):
-        fields = dict(common, **overrides)
-        if args.method == "fedprophet":
-            return FedProphet(
-                task, builder,
-                FedProphetConfig(rounds=args.rounds,
-                                 rounds_per_module=max(4, args.rounds // 4),
-                                 patience=max(3, args.rounds // 8),
-                                 r_min_fraction=0.35,
-                                 val_samples=80, val_pgd_steps=3, **fields),
-                device_sampler=sampler,
-            )
-        cls = {
-            "jfat": JointFAT, "heterofl": HeteroFLAT,
-            "feddrop": FedDropAT, "fedrolex": FedRolexAT,
-            "fedrbn": FedRBN,
-        }[args.method]
-        return cls(task, builder, FLConfig(rounds=args.rounds, **fields),
-                   device_sampler=sampler)
+    cls = {
+        "fedprophet": FedProphet, "jfat": JointFAT, "heterofl": HeteroFLAT,
+        "feddrop": FedDropAT, "fedrolex": FedRolexAT, "fedrbn": FedRBN,
+    }[args.method]
 
     if args.replay:
         # Re-execute the journalled run in a scratch directory (same
@@ -176,7 +174,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
         try:
             report = replay_run(
                 os.path.abspath(args.journal),
-                lambda: build(journal_path=replay_journal),
+                lambda: cls(task, builder, dataclasses.replace(config, journal_path=replay_journal),
+                            device_sampler=sampler),
                 verbose=args.verbose,
             )
         except ReplayDivergence as err:
@@ -185,7 +184,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         print(report.summary())
         return 0
 
-    exp = build()
+    exp = cls(task, builder, config, device_sampler=sampler)
     if exp.status_address:
         print(f"status endpoint: {exp.status_address}/status")
     if args.verbose:
@@ -227,48 +226,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_devices)
 
-    p = sub.add_parser("train", help="run a federated experiment")
+    p = sub.add_parser("train", help="run a federated experiment",
+                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     p.add_argument("--method", default="fedprophet",
                    choices=["fedprophet", "jfat", "heterofl", "feddrop",
                             "fedrolex", "fedrbn"])
     p.add_argument("--heterogeneity", default="balanced", choices=["balanced", "unbalanced"])
-    p.add_argument("--rounds", type=int, default=40)
-    p.add_argument("--clients", type=int, default=20)
-    p.add_argument("--clients-per-round", type=int, default=4)
-    p.add_argument("--local-iters", type=int, default=5)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--lr", type=float, default=0.08)
-    p.add_argument("--pgd-steps", type=int, default=2)
     p.add_argument("--image-size", type=int, default=8)
     p.add_argument("--width-mult", type=float, default=0.25)
     p.add_argument("--train-per-class", type=int, default=80)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--fusion-width", type=int, default=None,
-                   help="max clients fused into one stacked cohort "
-                        "(default auto: derived from the model's stacked "
-                        "activation footprint, at most 8; an integer is "
-                        "obeyed as given; 1 disables fusion)")
-    p.add_argument("--aggregation-mode", default="sync", choices=["sync", "async"],
-                   help="sync: round-barrier aggregation (bit-identical "
-                        "reference); async: staleness-bounded merge in "
-                        "simulated-arrival order (every method except the "
-                        "distillation baselines)")
-    p.add_argument("--max-staleness", type=int, default=4,
-                   help="intra-round merge-event staleness bound for "
-                        "--aggregation-mode async")
-    p.add_argument("--pipeline-depth", type=int, default=1,
-                   help="async mode: rounds allowed in flight at once; >1 "
-                        "dispatches the next round's fast clients against "
-                        "the latest merged server state while stragglers "
-                        "finish (deterministic; 1 = classic round-drain)")
-    p.add_argument("--eval-every", type=int, default=0,
-                   help="evaluate every K rounds during training (default: 0 "
-                        "= final eval only)")
-    p.add_argument("--journal", default=None, metavar="PATH",
-                   help="write an append-only JSONL run journal to PATH "
-                        "(config fingerprint, rounds, merges, evals, "
-                        "checkpoints; flushed per event, so it can be "
-                        "tailed mid-run)")
+    declared = {f.name: f for f in dataclasses.fields(FLConfig)}
+    hints = typing.get_type_hints(FLConfig)
+    for name in _TRAIN_FIELDS:
+        field = declared[name]
+        # Optional[int] is a union with NoneType; str and the plan specs
+        # stay strings.
+        kind = next(t for t in typing.get_args(hints[name]) or (hints[name],)
+                    if t is not type(None))
+        p.add_argument(
+            "--" + _FLAG_ALIASES.get(name, name).replace("_", "-"),
+            type=kind if kind in (int, float) else None,
+            default=_DEMO_DEFAULTS.get(name, field.default),
+            choices=field.metadata["choices"], help=field.metadata["meaning"],
+        )
     p.add_argument("--resume", action="store_true",
                    help="resume an interrupted run from --journal's last "
                         "checkpoint (bit-identical to the uninterrupted run)")
@@ -279,78 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "the first mismatching seq on failure; pass the "
                         "original --checkpoint-every to verify checkpoint "
                         "events too, otherwise they are skipped)")
-    p.add_argument("--checkpoint-every", type=int, default=0,
-                   help="atomically checkpoint run state every K rounds "
-                        "(0 = off; requires --journal)")
-    p.add_argument("--status-port", type=int, default=None,
-                   help="serve a read-only JSON status endpoint on "
-                        "127.0.0.1:PORT (0 = ephemeral; GET /status, "
-                        "/events, /health) for the duration of the run")
-    p.add_argument("--eval-every-merge", type=int, default=0,
-                   help="async mode: evaluate the merged server state "
-                        "every K merge events (accuracy-vs-server-version "
-                        "staleness curves; 0 = off)")
-    p.add_argument("--fault-plan", default=None, metavar="SPEC",
-                   help="seeded fault injection: inline JSON ('{...}') or a "
-                        "path to a JSON file with FaultPlan fields "
-                        "(dropout_prob, straggler_prob, flaky_prob, ...)")
-    p.add_argument("--threat-plan", default=None, metavar="SPEC",
-                   help="seeded adversarial clients: inline JSON ('{...}') or "
-                        "a path to a JSON file with ThreatPlan fields (seed, "
-                        "byzantine_prob, attack ∈ {label_flip, backdoor, "
-                        "sign_flip, gaussian, model_replacement}, ...)")
-    p.add_argument("--aggregation-rule", default="fedavg",
-                   choices=["fedavg", "median", "trimmed_mean", "krum",
-                            "multi_krum", "norm_clip"],
-                   help="server aggregation rule; fedavg is the historical "
-                        "weighted average, the rest are Byzantine-robust "
-                        "(see docs/threat-model.md)")
-    p.add_argument("--trim-ratio", type=float, default=0.2,
-                   help="fraction trimmed from each tail per coordinate for "
-                        "--aggregation-rule trimmed_mean")
-    p.add_argument("--krum-byzantine-f", type=int, default=1,
-                   help="assumed Byzantine count f for krum/multi_krum "
-                        "neighbourhood scoring")
-    p.add_argument("--clip-norm", type=float, default=None,
-                   help="update-delta L2 clipping radius for "
-                        "--aggregation-rule norm_clip (default: adaptive "
-                        "median of the round's delta norms)")
-    p.add_argument("--client-timeout", type=float, default=None,
-                   help="simulated seconds before the server gives up on a "
-                        "sampled client (faulty clients exceeding it are "
-                        "dropped)")
-    p.add_argument("--max-client-retries", type=int, default=2,
-                   help="bounded retries for flaky clients (exponential "
-                        "backoff in simulated time)")
-    p.add_argument("--min-clients-per-round", type=int, default=1,
-                   help="abort a round (deterministically) when the fault "
-                        "plan leaves fewer survivors")
-    p.add_argument("--population-scheme", default="auto",
-                   choices=["auto", "partition", "virtual"],
-                   help="client shard derivation: partition = legacy global "
-                        "pass (bit-identical to historical runs), virtual = "
-                        "per-client counter-derived shards with no global "
-                        "pass (any population size), auto = partition while "
-                        "the population fits the dataset")
-    p.add_argument("--client-materialisation", default="eager",
-                   choices=["eager", "lazy"],
-                   help="eager: build every client at init (legacy); lazy: "
-                        "materialise on first touch into a bounded LRU — "
-                        "bit-identical results either way")
-    p.add_argument("--client-cache-size", type=int, default=None,
-                   help="LRU capacity for --client-materialisation lazy "
-                        "(default: O(cohort); eviction cannot affect "
-                        "results)")
-    p.add_argument("--samples-per-client", type=int, default=None,
-                   help="virtual-scheme shard size (default: derived from "
-                        "the dataset and population size)")
-    p.add_argument("--availability-fraction", type=float, default=None,
-                   help="fraction of rounds each client is available "
-                        "(deterministic per-client duty cycle; default: "
-                        "always available)")
-    p.add_argument("--availability-period", type=int, default=8,
-                   help="length in rounds of the availability duty cycle "
-                        "for --availability-fraction")
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=_cmd_train)
     return parser

@@ -5,59 +5,47 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.flsim.base import FLConfig
+from repro.flsim.base import FLConfig, config_field
 from repro.nn.losses import check_mu
 
 
 @dataclass
 class FedProphetConfig(FLConfig):
-    """Extends the shared FL config with FedProphet's knobs.
+    """Extends the shared FL config with FedProphet's knobs: Eq. 9's μ,
+    APA's γ and α schedule, the partitioner's R_min, the per-module stage
+    (Algorithm 2's outer loop), the Table 3 ablation switches and the
+    cascade validation.  Each field declares its meaning (all are
+    semantic)."""
 
-    Attributes
-    ----------
-    mu:
-        Strong-convexity coefficient of the early-exit loss (Eq. 9);
-        the paper's optimum is 1e-5 (Fig. 8).
-    gamma / delta_alpha / alpha_init:
-        APA threshold, step, and initial scaling factor (Eq. 12, §7.3).
-    r_min_bytes / r_min_fraction:
-        Minimal reserved memory for the partitioner; if ``r_min_bytes`` is
-        None it is ``r_min_fraction`` of the full-model requirement (the
-        paper uses ~20 %).
-    rounds_per_module / patience:
-        Per-module round cap (500 in the paper) and early-stop patience
-        (50 rounds without validation-accuracy improvement).
-    use_apa / use_dma:
-        Ablation switches (Table 3).
-    use_prefix_cache:
-        Memoise frozen-prefix activations per (client, sample).  The cache
-        is version-keyed on the module *stage*: aggregation during a stage
-        only rewrites atoms at or after the current module, so entries stay
-        valid across the stage's rounds and clients re-sampled in later
-        rounds hit instead of re-forwarding the prefix.  Pure
-        execution-engine optimisation: results are bit-identical with the
-        cache on or off.
-    feature_pgd_steps:
-        PGD steps for the inner maximisation on intermediate features
-        (defaults to ``train_pgd_steps``).
-    """
-
-    mu: float = 1e-5
-    gamma: float = 0.05
-    delta_alpha: float = 0.1
-    alpha_init: float = 0.3
-    alpha_min: float = 0.05
-    alpha_max: float = 2.0
-    r_min_bytes: Optional[int] = None
-    r_min_fraction: float = 0.2
-    rounds_per_module: int = 500
-    patience: int = 50
-    use_apa: bool = True
-    use_dma: bool = True
-    use_prefix_cache: bool = True
-    val_samples: int = 128
-    val_pgd_steps: int = 10
-    feature_pgd_steps: Optional[int] = None
+    mu: float = config_field(
+        1e-5, "Strong-convexity coefficient of the early-exit loss (Eq. 9; the paper's "
+              "optimum, Fig. 8); finite and ≥ 0.")
+    gamma: float = config_field(0.05, "APA accuracy-gap threshold (Eq. 12).")
+    delta_alpha: float = config_field(0.1, "APA scaling-factor step.")
+    alpha_init: float = config_field(
+        0.3, "APA initial scaling factor; 0 < alpha_min ≤ alpha_init ≤ alpha_max.")
+    alpha_min: float = config_field(0.05, "APA scaling-factor floor.")
+    alpha_max: float = config_field(2.0, "APA scaling-factor ceiling.")
+    r_min_bytes: Optional[int] = config_field(
+        None, "Partitioner memory floor R_min in bytes (None = r_min_fraction of the "
+              "full-model requirement).")
+    r_min_fraction: float = config_field(
+        0.2, "R_min as a fraction of the full-model requirement (the paper's is about a "
+             "fifth), in (0, 1].")
+    rounds_per_module: int = config_field(
+        500, "Per-module round cap (Algorithm 2's outer loop; 500 in the paper); ≥ 1.")
+    patience: int = config_field(
+        50, "Early-stop patience per module stage, in rounds without a validation-accuracy "
+            "gain; ≥ 1.")
+    use_apa: bool = config_field(True, "Adaptive Perturbation Adjustment ablation switch (Table 3).")
+    use_dma: bool = config_field(True, "Differentiated Module Assignment ablation switch (Table 3).")
+    use_prefix_cache: bool = config_field(
+        True, "Stage-scoped frozen-prefix activation cache; results are bit-identical on or "
+              "off, yet it stays semantic so that recorded FedProphet ids hold.")
+    val_samples: int = config_field(128, "Validation-set size for cascade_eval; ≥ 1.")
+    val_pgd_steps: int = config_field(10, "PGD steps for cascade_eval's robust pass; ≥ 1.")
+    feature_pgd_steps: Optional[int] = config_field(
+        None, "PGD steps for feature-space attacks (None = train_pgd_steps); ≥ 1 when set.")
 
     def __post_init__(self):
         super().__post_init__()

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -53,157 +53,136 @@ from repro.metrics.evaluation import EvalPlan, EvalResult
 from repro.models.atoms import CascadeModel
 
 
+def config_field(default: Any, meaning: str, group: str = "semantic",
+                 choices: Optional[Tuple[str, ...]] = None):
+    """Declare a config field once: its default, its one-line meaning, its
+    group and, where one exists, its table of choices.
+
+    The group is ``"semantic"`` (hashed by the checkpoint fingerprint, so a
+    resume or replay must keep it), ``"engine"`` (how the run executes,
+    which cannot change a result) or ``"recorder"`` (where the run is
+    recorded).  ``repro train``'s flags and ``docs/configuration.md`` read
+    the same declaration.
+    """
+    return field(default=default,
+                 metadata={"group": group, "meaning": meaning, "choices": choices})
+
+
 @dataclass
 class FLConfig:
     """Hyperparameters shared by all federated algorithms (paper §B.4).
 
     Defaults are the paper's values; experiments shrink ``rounds``,
     ``num_clients``, and ``train_pgd_steps`` to NumPy-friendly scales.
+    Each field declares its meaning and group (:func:`config_field`);
+    ``docs/configuration.md`` tabulates them, and ``docs/architecture.md``,
+    ``docs/async-aggregation.md``, ``docs/fault-tolerance.md`` and
+    ``docs/threat-model.md`` explain them in depth.
 
-    The round execution engine
-    (:class:`repro.flsim.executor.RoundExecutor`) trains a round's clients
-    as independent work units: when a run models more than
-    ``FORK_FLOOR_FLOPS`` of training, one round worker per spare core is
-    forked once and takes its share of every round's cohort plan — no
-    setting, and no bit of the result, depends on it.  Homogeneous clients
-    fuse into stacked cohorts
-    (per-client weight slabs against a ``(K·B, ...)`` activation layout —
-    see :mod:`repro.nn.cohort`); a heterogeneous client is a cohort of
-    one.  ``fusion_width=None`` (default) derives the cohort width from the
-    model's stacked activation footprint — ``1 MiB // (4·B·A)`` clamped
-    to ``[1, 8]``, so small tensors stack up to 8 wide and large ones
-    train alone (:func:`repro.flsim.executor.derived_fusion_width`) —
-    an explicit integer is obeyed as given, and ``fusion_width=1``
-    disables fusion (every client a cohort of one on the serial layout,
-    which fused cohorts reproduce bit for bit).
-
-    ``aggregation_mode`` selects how client updates reach the server:
-    ``"sync"`` (default) is the classic round barrier — bit-identical to
-    the pre-scheduler engine; for every method it *is* the async rule
-    with the whole cohort as one staleness-0 merge event, a depth-1
-    pipeline round drained at once (:meth:`FederatedExperiment.run`);
-    ``"async"`` (every method but FedDF/FedET, whose distillation step
-    has no staleness-bounded form) merges
-    updates as they land, in simulated-arrival order, with FedAsync
-    staleness attenuation bounded by ``max_staleness`` merge events —
-    deterministic and seed-reproducible because arrival order derives
-    from the simulated latency model, never from wall-clock scheduling.
-
-    ``pipeline_depth`` (async mode only) lifts the round boundary itself:
-    with depth *D* up to *D* rounds are in flight at once — round *r+1*'s
-    fast clients dispatch against the latest merged server state while
-    round *r*'s stragglers are still training
-    (:class:`repro.flsim.scheduler.CrossRoundPipeline`).  Each round's
-    clients train from the server state at the round's *base version*
-    (the merge-event count at its simulated dispatch time), and merges
-    still replay in simulated-arrival order, so any depth is
-    seed-reproducible; ``pipeline_depth=1`` with
-    ``max_staleness=0`` is synchronous FedAvg (the same single event).
-    FedProphet pins depth to 1: its per-round ``cascade_eval`` feeds APA
-    and early-stop, putting a hard evaluation point on every round
-    boundary, so each of its rounds is a barrier (its async mode instead
-    merges per-module within the round).  Whether a round is a barrier is
-    derived — sync mode, or a round-gated experiment — never configured.
-
-    **Fault tolerance** (see ``docs/fault-tolerance.md``):
-    ``journal_path`` writes an append-only JSONL event log of the run;
-    ``checkpoint_every`` atomically snapshots the full run state every K
-    rounds next to the journal (``<journal>.ckpt``), and
-    :meth:`FederatedExperiment.resume` restarts from the last checkpoint
-    **bit-identically** to an uninterrupted run (every method; state kept
-    outside the global model rides along).  ``fault_plan`` injects seeded,
-    deterministic client faults (dropout / straggler / flaky-with-retry);
-    ``client_timeout`` bounds how long the synchronous server waits
-    (timed-out clients are dropped — judged on each method's pre-training
-    cost model, which every shipped method has; an experiment without
-    one refuses the field at construction), ``max_client_retries`` bounds flaky
-    retries, and a round whose surviving cohort falls below
-    ``min_clients_per_round`` aborts deterministically (no training, an
-    ``aborted`` history record).
-
-    **Population engine** (see ``docs/architecture.md``):
-    ``population_scheme`` picks how client shards are derived —
-    ``"partition"`` is the legacy global partition pass (bit-identical to
-    every pre-engine run), ``"virtual"`` derives each client's shard,
-    sample count, and device profile from counter-derived
-    ``(population seed, cid)`` streams with no global pass (O(cohort)
-    memory and setup at any population size), and ``"auto"`` (default)
-    picks ``partition`` while ``num_clients <= len(train)`` and
-    ``virtual`` beyond it.  ``client_materialisation`` is an independent
-    axis: ``"eager"`` (default) builds every :class:`FLClient` at init,
-    ``"lazy"`` materialises on first touch into a bounded LRU of
-    ``client_cache_size`` (None = O(cohort) default) — eviction cannot
-    affect results, so lazy runs are bit-identical to eager ones.
-    ``samples_per_client`` fixes the virtual shard size (None = derived;
-    refused under ``partition``); ``availability_fraction`` /
-    ``availability_period`` give every client a deterministic periodic
-    duty cycle that cohort sampling respects (see ``docs/fault-tolerance.md``).
-
-    **Observability** (see ``docs/fault-tolerance.md``): the journal is
-    the live event stream (flushed per event, so it can be tailed
-    mid-run); ``status_port`` serves a read-only JSON status
-    endpoint (current round, server version, simulated clock,
-    fault/threat/cache counters) on a loopback HTTP server — port 0
-    binds an ephemeral port, exposed as ``experiment.status_address``.
-    It is pure observability and non-semantic (it cannot affect
-    results).  ``eval_every_merge`` (async mode on the cross-round
-    pipeline) evaluates the merged server state every K merge *events* — the
-    accuracy-vs-server-version staleness curves — recorded in
-    ``experiment.merge_evals`` and journalled as ``merge_eval`` events;
-    it is semantic (it changes the journal and the merge-eval record).
-
-    ``threat_plan`` injects seeded Byzantine clients (label-flip /
-    backdoor data poisoning, sign-flip / Gaussian / model-replacement
-    update poisoning — see :class:`repro.flsim.threats.ThreatPlan`);
-    ``aggregation_rule`` picks the server's defence
-    (:mod:`repro.flsim.robust_agg`): ``fedavg`` (default, bit-identical
-    to the historical engine), ``median``, ``trimmed_mean`` (with
-    ``trim_ratio``), ``krum``/``multi_krum`` (with ``krum_byzantine_f``),
-    or ``norm_clip`` (with ``clip_norm``; None = adaptive median-norm
-    radius).
+    The engine and recorder groups cannot change a result: fused cohorts
+    reproduce cohorts of one bit for bit at any ``fusion_width``, every
+    client is a deterministic function of the population seed however it
+    is materialised or cached, and the journal, checkpoints and status
+    endpoint only observe.  Every other field is semantic.  Whether a
+    round is a barrier is derived — sync mode, or a round-gated
+    experiment such as FedProphet, whose per-round ``cascade_eval`` feeds
+    APA and the early stop — never configured.
     """
 
-    num_clients: int = 100
-    clients_per_round: int = 10
-    local_iters: int = 30
-    batch_size: int = 64
-    lr: float = 0.005
-    momentum: float = 0.9
-    weight_decay: float = 1e-4
-    lr_decay: float = 0.994
-    rounds: int = 500
-    train_pgd_steps: int = 10
-    eps0: float = 8.0 / 255.0
-    eval_pgd_steps: int = 20
-    eval_every: int = 10
-    eval_max_samples: int = 256
-    eval_with_autoattack: bool = False
-    seed: int = 0
-    fusion_width: Optional[int] = None
-    aggregation_mode: str = "sync"
-    max_staleness: int = 4
-    pipeline_depth: int = 1
-    journal_path: Optional[str] = None
-    checkpoint_every: int = 0
-    status_port: Optional[int] = None
-    eval_every_merge: int = 0
-    fault_plan: Optional[FaultPlan] = None
-    client_timeout: Optional[float] = None
-    max_client_retries: int = 2
-    min_clients_per_round: int = 1
-    threat_plan: Optional[ThreatPlan] = None
-    aggregation_rule: str = "fedavg"
-    trim_ratio: float = 0.2
-    krum_byzantine_f: int = 1
-    clip_norm: Optional[float] = None
-    population_scheme: str = "auto"
-    client_materialisation: str = "eager"
-    client_cache_size: Optional[int] = None
-    samples_per_client: Optional[int] = None
-    availability_fraction: Optional[float] = None
-    availability_period: int = 8
+    num_clients: int = config_field(100, "Client population size (non-IID shards); ≥ 1.")
+    clients_per_round: int = config_field(
+        10, "Clients sampled uniformly each round; ≥ 1, clamped to num_clients with a warning.")
+    local_iters: int = config_field(30, "Local SGD iterations per client per round; ≥ 0.")
+    batch_size: int = config_field(64, "Local training batch size; ≥ 1.")
+    lr: float = config_field(0.005, "Initial learning rate; finite and > 0.")
+    momentum: float = config_field(0.9, "SGD momentum, in [0, 1).")
+    weight_decay: float = config_field(1e-4, "SGD weight decay; finite and ≥ 0.")
+    lr_decay: float = config_field(0.994, "Per-round multiplicative LR decay, in (0, 1].")
+    rounds: int = config_field(500, "Communication rounds; ≥ 0.")
+    train_pgd_steps: int = config_field(
+        10, "PGD steps of the training inner maximisation; ≥ 0.")
+    eps0: float = config_field(
+        8.0 / 255.0, "ℓ∞ budget on the raw input (8/255); finite and ≥ 0 (0 is legal).")
+    eval_pgd_steps: int = config_field(20, "PGD steps for robust evaluation; ≥ 0.")
+    eval_every: int = config_field(
+        10, "Evaluate every K rounds (0 = final eval only); FedProphet ignores it: each of "
+            "its rounds carries the cascade validation that drives APA and the early stop.")
+    eval_max_samples: int = config_field(256, "Sample cap for periodic evaluation.")
+    eval_with_autoattack: bool = config_field(False, "Add AutoAttack-lite to periodic evals.")
+    seed: int = config_field(0, "Root seed; all RNGs are counter-derived from it.")
+    fusion_width: Optional[int] = config_field(
+        None, "Max clients with equal fusion keys trained as one stacked cohort (None = "
+              "derived from the stacked activation footprint, at most 8; 1 disables fusion).",
+        group="engine")
+    aggregation_mode: str = config_field(
+        "sync", "sync is the round barrier; async merges updates as they land, in simulated-"
+                "arrival order, staleness-bounded (every method but FedDF/FedET).",
+        choices=("sync", "async"))
+    max_staleness: int = config_field(
+        4, "Merge-event staleness bound in async mode (0 at depth 1 is exactly sync FedAvg).")
+    pipeline_depth: int = config_field(
+        1, "Async rounds in flight at once; > 1 dispatches a round's fast clients against the "
+           "latest merged state while stragglers finish (async only; FedProphet pins 1).")
+    journal_path: Optional[str] = config_field(
+        None, "Append-only JSONL run journal, flushed per event: the run's one record, live "
+              "and durable.", group="recorder")
+    checkpoint_every: int = config_field(
+        0, "Atomic full-state checkpoint every K rounds, next to the journal (0 = off; "
+           "requires journal_path).", group="recorder")
+    status_port: Optional[int] = config_field(
+        None, "Serve a read-only JSON status endpoint on 127.0.0.1 at this port "
+              "(0 = ephemeral).", group="recorder")
+    eval_every_merge: int = config_field(
+        0, "Async mode: evaluate the merged server every K merge events, the accuracy-vs-"
+           "version staleness curve (0 = off; refused for FedProphet).")
+    fault_plan: Optional[FaultPlan] = config_field(
+        None, "Seeded FaultPlan injecting deterministic client faults (a dict of its fields; "
+              "on the CLI inline JSON or a JSON file path).")
+    client_timeout: Optional[float] = config_field(
+        None, "Simulated seconds the server waits on a sampled client before dropping it.")
+    max_client_retries: int = config_field(
+        2, "Bounded retries for flaky clients (exponential backoff, simulated time).")
+    min_clients_per_round: int = config_field(
+        1, "Abort the round deterministically when the surviving cohort is smaller.")
+    threat_plan: Optional[ThreatPlan] = config_field(
+        None, "Seeded ThreatPlan marking adversarial clients (a dict of its fields; on the "
+              "CLI inline JSON or a JSON file path).")
+    aggregation_rule: str = config_field(
+        "fedavg", "Server aggregation rule: fedavg is the historical weighted average, the "
+                  "rest are Byzantine-robust.", choices=AGGREGATION_RULES)
+    trim_ratio: float = config_field(
+        0.2, "Fraction trimmed from each tail per coordinate for trimmed_mean, in [0, 0.5).")
+    krum_byzantine_f: int = config_field(
+        1, "Assumed Byzantine count f for krum / multi_krum neighbourhood scoring.")
+    clip_norm: Optional[float] = config_field(
+        None, "L2 clipping radius for norm_clip update deltas (None = adaptive: the median "
+              "of the round's delta norms).")
+    population_scheme: str = config_field(
+        "auto", "Client-shard derivation: partition (one global pass), virtual (per-client "
+                "counter-derived shards, any population) or auto (partition while it fits).",
+        choices=POPULATION_SCHEMES)
+    client_materialisation: str = config_field(
+        "eager", "eager builds every client at init; lazy builds each on first touch behind "
+                 "an LRU cache.", group="engine", choices=MATERIALISATIONS)
+    client_cache_size: Optional[int] = config_field(
+        None, "Lazy-mode LRU capacity in clients (None = max(64, 4 × cohort × depth)).",
+        group="engine")
+    samples_per_client: Optional[int] = config_field(
+        None, "Virtual scheme: shard size per client (None = derived from the dataset and "
+              "population size; refused when the population resolves to partition).")
+    availability_fraction: Optional[float] = config_field(
+        None, "Fraction of rounds each client is available, a deterministic per-client duty "
+              "cycle (None = always available).")
+    availability_period: int = config_field(
+        8, "Length in rounds of the availability duty cycle.")
 
     def __post_init__(self):
+        for f in fields(self):
+            choices = f.metadata["choices"]
+            if choices is not None and getattr(self, f.name) not in choices:
+                raise ValueError(
+                    f"{f.name} must be one of {choices}, got {getattr(self, f.name)!r}"
+                )
         sizes = {"num_clients": 1, "clients_per_round": 1, "local_iters": 0, "rounds": 0}
         for name, least in sizes.items():
             if getattr(self, name) < least:
@@ -236,11 +215,6 @@ class FLConfig:
             raise ValueError("fusion_width must be >= 1 (or None: derived)")
         if self.eval_every < 0:
             raise ValueError("eval_every must be >= 0 (0 = final eval only)")
-        if self.aggregation_mode not in ("sync", "async"):
-            raise ValueError(
-                f"aggregation_mode must be 'sync' or 'async', "
-                f"got {self.aggregation_mode!r}"
-            )
         if self.max_staleness < 0:
             raise ValueError("max_staleness must be >= 0")
         if self.pipeline_depth < 1:
@@ -288,27 +262,12 @@ class FLConfig:
                 f"threat_plan must be a ThreatPlan (or a dict of its fields), "
                 f"got {type(self.threat_plan).__name__}"
             )
-        if self.aggregation_rule not in AGGREGATION_RULES:
-            raise ValueError(
-                f"aggregation_rule must be one of {AGGREGATION_RULES}, "
-                f"got {self.aggregation_rule!r}"
-            )
         if not (0.0 <= self.trim_ratio < 0.5):
             raise ValueError("trim_ratio must be in [0, 0.5)")
         if self.krum_byzantine_f < 0:
             raise ValueError("krum_byzantine_f must be >= 0")
         if self.clip_norm is not None and self.clip_norm <= 0:
             raise ValueError("clip_norm must be > 0 (or None for adaptive)")
-        if self.population_scheme not in POPULATION_SCHEMES:
-            raise ValueError(
-                f"population_scheme must be one of {POPULATION_SCHEMES}, "
-                f"got {self.population_scheme!r}"
-            )
-        if self.client_materialisation not in MATERIALISATIONS:
-            raise ValueError(
-                f"client_materialisation must be one of {MATERIALISATIONS}, "
-                f"got {self.client_materialisation!r}"
-            )
         if self.client_cache_size is not None and self.client_cache_size < 1:
             raise ValueError("client_cache_size must be >= 1 (or None)")
         if self.samples_per_client is not None and self.samples_per_client < 1:
@@ -470,14 +429,10 @@ class FederatedExperiment:
                 f"hooks (async_client_fn, async_client_costs; run() derives "
                 f"the synchronous round from them)"
             )
-        if (
-            config.client_timeout is not None
-            and cls.fault_client_costs is base.fault_client_costs
-            and cls.async_client_costs is base.async_client_costs
-        ):
+        if config.client_timeout is not None and cls.async_client_costs is base.async_client_costs:
             raise ValueError(
                 f"{cls.__name__} has no pre-training cost model "
-                f"(async_client_costs / fault_client_costs), so client_timeout="
+                f"(async_client_costs), so client_timeout="
                 f"{config.client_timeout!r} could never drop a client; set "
                 f"client_timeout=None"
             )
@@ -593,7 +548,7 @@ class FederatedExperiment:
         plan = cfg.fault_plan
         if plan is not None and plan.active:
             estimates = (
-                self.fault_client_costs(round_idx, selected, states)
+                [c.total_s for c in self.async_client_costs(round_idx, selected, states)]
                 if cfg.client_timeout is not None
                 else None
             )
@@ -656,21 +611,6 @@ class FederatedExperiment:
             cache=self.clients.stats(),
         )
         return selected, states
-
-    def fault_client_costs(
-        self,
-        round_idx: int,
-        clients: List[FLClient],
-        states: List[Optional[DeviceState]],
-    ) -> List[float]:
-        """Per-client latency estimate (total seconds) for ``client_timeout``.
-
-        Computed for the *sampled* cohort before anybody trains or drops
-        (the timeout decision must be pure); defaults to
-        :meth:`async_client_costs`.  An experiment with neither is refused
-        at construction when ``client_timeout`` is set.
-        """
-        return [c.total_s for c in self.async_client_costs(round_idx, clients, states)]
 
     def _finish_aborted_round(self, round_idx: int, wait_s: Optional[float]) -> None:
         """Record an aborted round: no training, model unchanged.
@@ -883,7 +823,8 @@ class FederatedExperiment:
         Pure arithmetic over the device states: the pipeline needs the
         costs up front to fix arrival order, merge schedule, and dispatch
         times; a barrier round clocks itself with them and
-        ``client_timeout`` drops on them (:meth:`fault_client_costs`).
+        ``client_timeout`` drops on their ``total_s`` (judged on the
+        sampled cohort before anybody trains or drops, so it is pure).
         """
         raise NotImplementedError(
             f"{type(self).__name__} implements no async_client_costs"
@@ -1457,7 +1398,8 @@ class FederatedExperiment:
             raise ValueError("resume needs a journal path (argument or config)")
         if self.history:
             raise RuntimeError("resume must be called on a fresh experiment")
-        self.recorder.resume(path, self._run_start_payload(), self._restore_from_checkpoint)
+        self.recorder.resume(path, self._run_start_payload(), self._restore_from_checkpoint,
+                             self.config)
         return self.run(rounds, verbose)
 
     def run(self, rounds: Optional[int] = None, verbose: bool = False) -> List[RoundRecord]:

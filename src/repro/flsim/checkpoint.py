@@ -12,12 +12,14 @@ history and async merge log, the simulated clock, and (async mode) the
 cross-round pipeline's full in-flight bookkeeping.
 
 The **config fingerprint** ties journals and checkpoints to the
-*semantics* of a run: a SHA-256 over the config dataclass with the
-non-semantic fields removed — fusion width, client caching,
-journal/checkpoint/metrics sinks — because the engine's determinism
-contract guarantees those cannot change results.  Resuming with a
-different fusion width or cache size is therefore explicitly supported;
-resuming with a different learning rate is explicitly refused.
+*semantics* of a run: a SHA-256 over the config fields declared in the
+``semantic`` group (:func:`repro.flsim.base.config_field`).  The
+``engine`` and ``recorder`` groups — fusion width, client caching, the
+journal, checkpoint and status sinks — are left out, because the
+engine's determinism contract guarantees they cannot change results.
+Resuming with a different fusion width or cache size is therefore
+explicitly supported; resuming with a different learning rate is
+explicitly refused.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import json
 import os
 import pickle
 import tempfile
-from typing import Any, Dict
+from typing import Any, Dict, List
 
 
 class CheckpointError(RuntimeError):
@@ -38,35 +40,25 @@ class CheckpointError(RuntimeError):
 #: The on-disk payload format version (bump on incompatible change).
 CHECKPOINT_FORMAT = 1
 
-#: Config fields that cannot affect results (the bit-identity contract):
-#: the fusion width, the journal / checkpoint plumbing itself, the
-#: status endpoint (a pure observer of journal events), and the
-#: client-population materialisation
-#: knobs (lazy vs eager and the LRU capacity are pure caching — every
-#: client is a deterministic function of the population seed).
-#: Everything else is semantic and fingerprinted; note
-#: ``population_scheme`` *is* semantic (partition and virtual shards
-#: differ), so a resume may change cache size but not scheme, and
-#: ``eval_every_merge`` is semantic too (it changes what the run records
-#: and journals, so a replay must use the original's value).
-NONSEMANTIC_FIELDS = frozenset(
-    {
-        "journal_path",
-        "checkpoint_every",
-        "fusion_width",
-        "client_materialisation",
-        "client_cache_size",
-        "status_port",
-    }
-)
+
+def nonsemantic_fields(config: Any) -> List[str]:
+    """The fields ``config`` declares outside the semantic group: the
+    ones a resume or replay may change."""
+    return [f.name for f in dataclasses.fields(config) if f.metadata["group"] != "semantic"]
 
 
 def config_fingerprint(config: Any, experiment: str) -> str:
-    """Stable hash of a config dataclass's semantic fields + experiment name."""
+    """Stable hash of a config dataclass's semantic fields + experiment name.
+
+    Two documented exceptions keep recorded ids valid: a constant
+    ``split_autoattack: False`` stands in for a field since removed, and
+    ``use_prefix_cache`` is declared semantic although the cache cannot
+    change a result (moving it would change every recorded FedProphet id).
+    """
     payload = dataclasses.asdict(config)
-    for name in NONSEMANTIC_FIELDS:
-        payload.pop(name, None)
-    payload["split_autoattack"] = False  # field removed in PR 23; recorded ids stay valid
+    for name in nonsemantic_fields(config):
+        del payload[name]
+    payload["split_autoattack"] = False
     payload["experiment"] = experiment
     text = json.dumps(payload, sort_keys=True, default=repr)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]

@@ -251,10 +251,12 @@ class RunRecorder:
         self.record("checkpoint", next_round=next_round, path=os.path.basename(path))
 
     def resume(self, path: str, run_start: Dict[str, Any],
-               restore: Callable[[Dict[str, Any]], None]) -> None:
+               restore: Callable[[Dict[str, Any]], None], config: Any) -> None:
         """Take over the run journalled at ``path``: ``restore`` its last
         checkpoint's payload and reopen the journal to append.  Without a
-        checkpoint nothing is installed, and the run starts afresh."""
+        checkpoint nothing is installed, and the run starts afresh.
+        ``config`` names the fields a resume may change when the
+        fingerprints differ."""
         events = RunJournal.read(path)
         if not events or events[0].get("kind") != "run_start":
             raise JournalError(f"{path}: journal does not start with run_start")
@@ -263,8 +265,9 @@ class RunRecorder:
             raise JournalError(
                 f"{path}: journal fingerprint {events[0].get('fingerprint')} "
                 f"does not match this experiment's config ({fingerprint}); "
-                f"only non-semantic fields (fusion width, cache size, paths) "
-                f"may change across a resume"
+                f"only the non-semantic fields "
+                f"({', '.join(ckpt.nonsemantic_fields(config))}) may change "
+                f"across a resume"
             )
         event = next((e for e in reversed(events) if e["kind"] == "checkpoint"), None)
         if event is None:

@@ -29,6 +29,7 @@ import os
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.flsim.checkpoint import nonsemantic_fields
 from repro.flsim.journal import JournalError, RunJournal
 
 
@@ -274,10 +275,10 @@ def replay_run(
 
     ``factory`` builds a **fresh** experiment with the same semantic
     config the journal records (the journal stores only the config
-    fingerprint, which is checked before execution) — non-semantic fields
-    (fusion width) may differ freely; the client
-    materialisation/cache knobs must match the original because the
-    ``run_start`` and ``sample`` events record live cache counters.
+    fingerprint, which is checked before execution) — the non-semantic
+    fields may differ, but the client materialisation/cache knobs must
+    match the original because the ``run_start`` and ``sample`` events
+    record live cache counters.
 
     Checkpoint events are verified bit-for-bit when the factory's config
     sets the original's ``checkpoint_every`` (checkpoints are then
@@ -303,8 +304,10 @@ def replay_run(
             raise JournalError(
                 f"{journal_path}: journal fingerprint "
                 f"{run_start.get('fingerprint')} does not match the replay "
-                f"experiment's config ({fingerprint}); only non-semantic "
-                f"fields (fusion width, paths) may differ"
+                f"experiment's config ({fingerprint}); only the non-semantic "
+                f"fields ({', '.join(nonsemantic_fields(exp.config))}) may "
+                f"differ, and client caching must still match: run_start and "
+                f"sample events record its counters"
             )
         verify_checkpoints = bool(exp.config.checkpoint_every)
         if verify_checkpoints:

@@ -23,12 +23,35 @@ from pathlib import Path
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser
 from repro.core import FedProphetConfig
 from repro.flsim import FLConfig
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DOC = REPO_ROOT / "docs" / "configuration.md"
+
+
+def _field_table(cls) -> list:
+    """The rows ``docs/configuration.md`` must hold for the fields ``cls``
+    declares itself (a subclass's table lists only its own fields)."""
+    inherited = {f.name for base in cls.__mro__[1:] if dataclasses.is_dataclass(base)
+                 for f in dataclasses.fields(base)}
+    return [
+        f"| `{f.name}` | `{f.default!r}` | {f.metadata['group']} | {f.metadata['meaning']} |"
+        for f in dataclasses.fields(cls) if f.name not in inherited
+    ]
+
+
+def _train_flag_table() -> list:
+    """The config-backed ``repro train`` rows: flag, field, demo default."""
+    train = next(a for a in build_parser()._actions if isinstance(a.choices, dict)).choices["train"]
+    actions = {a.dest: a for a in train._actions}
+    rows = []
+    for name in cli._TRAIN_FIELDS:
+        action = actions[cli._FLAG_ALIASES.get(name, name)]
+        rows.append(f"| `{action.option_strings[0]}` | `{name}` | `{action.default!r}` |")
+    return rows
 
 
 def _documented_tokens() -> set:
@@ -75,6 +98,26 @@ class TestConfigurationTableComplete:
         ]
         assert not missing, (
             f"FedProphetConfig fields missing from docs/configuration.md: {missing}"
+        )
+
+    @pytest.mark.parametrize("cls", [FLConfig, FedProphetConfig])
+    def test_field_rows_equal_the_declaration(self, cls):
+        # Default, Group and Meaning cells are the declaration's, verbatim.
+        text = CONFIG_DOC.read_text()
+        rows = _field_table(cls)
+        stale = [row for row in rows if row not in text]
+        assert not stale, (
+            f"docs/configuration.md's {cls.__name__} table differs from the "
+            f"declaration; expected rows:\n" + "\n".join(rows)
+        )
+
+    def test_train_flag_rows_equal_the_parser(self):
+        text = CONFIG_DOC.read_text()
+        rows = _train_flag_table()
+        stale = [row for row in rows if row not in text]
+        assert not stale, (
+            "docs/configuration.md's repro train table differs from the "
+            "parser; expected rows:\n" + "\n".join(rows)
         )
 
     def test_every_cli_flag_documented(self):

@@ -43,7 +43,7 @@ from repro.flsim import (
     read_checkpoint,
 )
 from repro.flsim.base import FederatedExperiment
-from repro.flsim.checkpoint import TRAILER_MAGIC
+from repro.flsim.checkpoint import TRAILER_MAGIC, nonsemantic_fields
 from repro.hardware import DeviceSampler, device_pool
 from repro.models import build_cnn
 from repro.optim import SGD
@@ -409,9 +409,11 @@ class TestCheckpointResume:
         exp.close()
         other = JointFAT(_task(), _builder,
                          _cfg(lr=0.05, journal_path=path, checkpoint_every=2))
-        with pytest.raises(JournalError, match="fingerprint"):
+        with pytest.raises(JournalError, match="fingerprint") as refused:
             other.resume(path)
         other.close()
+        # The refusal names what may change: the declared non-semantic fields.
+        assert all(name in str(refused.value) for name in nonsemantic_fields(other.config))
 
     def test_nonsemantic_field_change_allowed(self, tmp_path):
         path = str(tmp_path / "run.jsonl")

@@ -38,6 +38,7 @@ from repro.flsim import (
     canonical_events,
     replay_run,
 )
+from repro.flsim.checkpoint import nonsemantic_fields
 from repro.models import build_cnn
 
 
@@ -249,8 +250,11 @@ class TestReplayRun:
     def test_fingerprint_mismatch_refused(self, tmp_path):
         path = str(tmp_path / "run.jsonl")
         _record_run(path)
-        with pytest.raises(JournalError, match="fingerprint"):
+        with pytest.raises(JournalError, match="fingerprint") as refused:
             replay_run(path, lambda: _exp(lr=0.05))
+        message = str(refused.value)
+        assert all(name in message for name in nonsemantic_fields(FLConfig()))
+        assert "client caching must still match" in message
 
     def test_used_experiment_refused(self, tmp_path):
         path = str(tmp_path / "run.jsonl")

@@ -50,9 +50,8 @@ class TestCLI:
         assert "clean" in out and "PGD" in out
 
     def test_train_choices_are_the_engine_tables(self):
-        # cli.py spells the lists out so that building the parser imports
-        # nothing; this ties each copy to the table the engine validates
-        # against.
+        # The flags' choices are the config fields' declared tables, which
+        # are the ones the engine validates against.
         from repro.flsim.population import MATERIALISATIONS, POPULATION_SCHEMES
         from repro.flsim.robust_agg import AGGREGATION_RULES
 
@@ -64,6 +63,27 @@ class TestCLI:
         assert tuple(choices["aggregation_rule"]) == AGGREGATION_RULES
         assert tuple(choices["population_scheme"]) == POPULATION_SCHEMES
         assert tuple(choices["client_materialisation"]) == MATERIALISATIONS
+
+    @pytest.mark.parametrize("flags, field", [
+        (["--checkpoint-every", "2"], "checkpoint_every"),
+        (["--eval-every-merge", "2"], "eval_every_merge"),
+        (["--pipeline-depth", "0"], "pipeline_depth"),
+        (["--fault-plan", '{"bogus": 1}'], "bogus"),
+    ])
+    def test_a_refused_config_is_an_error_line_before_the_task(
+            self, flags, field, capsys, monkeypatch):
+        import repro.data
+
+        def no_task(**kwargs):
+            raise AssertionError("the task was built before the config")
+
+        monkeypatch.setattr(repro.data, "make_cifar10_like", no_task)
+        rc = main(["train", "--rounds", "1", *flags])
+        captured = capsys.readouterr()
+        assert rc == 2
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and field in lines[0]
+        assert captured.out == ""
 
 
 class TestLowBitMemoryModel:
