@@ -91,7 +91,8 @@ def _round_ms(builder, image, batch, iters, rounds, forked, floor):
 def _round_group(exp):
     """Round 0's work function and items (its sampled clients)."""
     clients, states = exp.sample_round(0)
-    return exp.async_client_fn(0, exp.async_server_state()), list(zip(clients, states))
+    ctx = exp.async_round_context(0, clients, states)
+    return exp.async_client_fn(ctx, exp.async_server_state()), list(zip(clients, states))
 
 
 #: (label, the plan's attacks); eps and steps are robust_eval's.

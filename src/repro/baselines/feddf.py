@@ -8,17 +8,17 @@ model on a public split.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
 from repro.attacks.pgd import PGDConfig
 from repro.baselines.distill import distill
 from repro.data.partition import public_private_split
-from repro.flsim.base import FederatedExperiment, FLConfig
+from repro.flsim.base import AsyncRoundContext, FederatedExperiment, FLConfig
 from repro.flsim.local import adversarial_local_train
 from repro.hardware.devices import DeviceSampler, DeviceState
-from repro.hardware.latency import LatencyModel, LocalTrainingCost
+from repro.hardware.latency import LatencyModel
 from repro.models.atoms import CascadeModel
 
 StateDict = Dict[str, np.ndarray]
@@ -104,7 +104,7 @@ class FedDFAT(FederatedExperiment):
         """Every prototype's weights (copies), namespaced by architecture."""
         return _join({arch: self.prototypes[arch].state_dict() for arch in self.family})
 
-    def async_client_fn(self, round_idx: int, base: StateDict) -> Callable:
+    def async_client_fn(self, ctx: AsyncRoundContext, base: StateDict) -> Callable:
         """Train the client's architecture on a workspace copy of its prototype.
 
         The update is keyed in the server's namespace, so a Byzantine
@@ -113,7 +113,7 @@ class FedDFAT(FederatedExperiment):
         """
         cfg = self.config
         pgd = PGDConfig(eps=cfg.eps0, steps=cfg.train_pgd_steps, norm="linf")
-        lr_t = self.lr_at(round_idx)
+        lr_t = self.lr_at(ctx.round_idx)
         bases = _split(base)
 
         def train_client(item):
@@ -130,7 +130,7 @@ class FedDFAT(FederatedExperiment):
                 pgd=pgd,
                 momentum=cfg.momentum,
                 weight_decay=cfg.weight_decay,
-                rng=self._client_rng(round_idx, client.cid),
+                rng=self._client_rng(ctx.round_idx, client.cid),
             )
             return _join({arch: model.state_dict()})
 
@@ -178,10 +178,11 @@ class FedDFAT(FederatedExperiment):
         for name, proto_state in state.items():
             self.prototypes[name].load_state_dict(proto_state)
 
-    def async_client_costs(self, round_idx, clients, states) -> List[LocalTrainingCost]:
+    def async_round_context(self, round_idx, clients, states) -> AsyncRoundContext:
         """Pre-training latency: each device's largest affordable prototype.
 
         Pure arithmetic over the device states, so ``client_timeout`` can
         drop on it before anybody trains.
         """
-        return [self._arch_cost[self.pick_architecture(dev)](dev) for dev in states]
+        costs = [self._arch_cost[self.pick_architecture(dev)](dev) for dev in states]
+        return AsyncRoundContext(round_idx, clients, states, costs)

@@ -25,7 +25,7 @@ statistics the AT clients' average — or stay put when nobody ran AT.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from repro.attacks import ModelWithLoss, PGDConfig
 from repro.attacks.pgd import cohort_pgd_attack
 from repro.core.aggregator import blend_into
 from repro.flsim.aggregation import AggregationError, weighted_average_states
-from repro.flsim.base import FederatedExperiment, FLClient, FLConfig
+from repro.flsim.base import AsyncRoundContext, FederatedExperiment, FLClient, FLConfig
 from repro.flsim.executor import CohortFn
 from repro.flsim.local import cohort_batches, cohort_standard_local_train
 from repro.nn.cohort import CohortCrossEntropyLoss, train_cohort
@@ -132,8 +132,8 @@ class FedRBN(FederatedExperiment):
         return (n, min(self.config.batch_size, n), self.can_afford_at(dev))
 
     # -- aggregation hooks ---------------------------------------------------
-    def async_client_fn(self, round_idx: int, base_state) -> Callable:
-        cfg = self.config
+    def async_client_fn(self, ctx: AsyncRoundContext, base_state) -> Callable:
+        cfg, round_idx = self.config, ctx.round_idx
         lr_t = self.lr_at(round_idx)
 
         def train(items):
@@ -164,11 +164,9 @@ class FedRBN(FederatedExperiment):
 
         return CohortFn(train, group_key=self._fuse_key)
 
-    def async_client_costs(self, round_idx, clients, states):
-        return [self._cost(dev, self.can_afford_at(dev)) for dev in states]
-
-    def async_round_extra(self, round_idx, clients, states) -> Dict[str, Any]:
-        """Which sampled clients can afford AT, and their total data weight.
+    def async_round_context(self, round_idx, clients, states) -> AsyncRoundContext:
+        """Costs, plus which sampled clients can afford AT and their total
+        data weight (``extra``).
 
         Pure functions of the device states, computed before training so
         the dual-BN merge rule can weight adversarial statistics without
@@ -178,7 +176,11 @@ class FedRBN(FederatedExperiment):
         at_weight = float(
             sum(float(c.num_samples) for c, is_at in zip(clients, at) if is_at)
         )
-        return {"at": at, "at_weight": at_weight}
+        return AsyncRoundContext(
+            round_idx, clients, states,
+            [self._cost(dev, is_at) for dev, is_at in zip(states, at)],
+            extra={"at": at, "at_weight": at_weight},
+        )
 
     def async_merge_event(self, server, ctx, members, updates, staleness) -> float:
         """Staleness-aware dual-BN propagation (the async FedRBN rule).

@@ -29,7 +29,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.attacks.pgd import PGDConfig
-from repro.flsim.base import AsyncMergeEvent, FederatedExperiment, FLConfig
+from repro.flsim.base import AsyncMergeEvent, AsyncRoundContext, FederatedExperiment, FLConfig
 from repro.flsim.executor import CohortFn
 # perfbench/tests/test_tracer.py checks the traced binding of adversarial_local_train here.
 from repro.flsim.local import adversarial_local_train, cohort_adversarial_local_train  # noqa: F401
@@ -60,14 +60,17 @@ class JointFAT(FederatedExperiment):
         )
 
     # -- aggregation hooks (the merge rule is the base class's FedAvg) -------
-    def async_client_fn(self, round_idx: int, global_snap) -> Callable:
+    def async_round_context(self, round_idx, clients, states) -> AsyncRoundContext:
+        return AsyncRoundContext(round_idx, clients, states, [self._cost(dev) for dev in states])
+
+    def async_client_fn(self, ctx: AsyncRoundContext, global_snap) -> Callable:
         """The work unit of every round, sync and async.
 
         Trains on the ``_async_workspace`` model so in-flight rounds never
         touch the live model.  Training is a pure function of
         (``global_snap``, the client's shard, a counter-derived RNG).
         """
-        cfg = self.config
+        cfg, round_idx = self.config, ctx.round_idx
         pgd = PGDConfig(eps=cfg.eps0, steps=cfg.train_pgd_steps, norm="linf")
         lr_t = self.lr_at(round_idx)
 
@@ -103,6 +106,3 @@ class JointFAT(FederatedExperiment):
             return (n, min(cfg.batch_size, n))
 
         return CohortFn(train, group_key=fuse_key)
-
-    def async_client_costs(self, round_idx, clients, states):
-        return [self._cost(dev) for dev in states]

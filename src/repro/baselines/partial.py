@@ -23,7 +23,7 @@ import numpy as np
 from repro.attacks.pgd import PGDConfig
 from repro.baselines.subnet import extract_submodel, scatter_submodel_state
 from repro.core.aggregator import blend_into, restore_segment
-from repro.flsim.base import FederatedExperiment, FLConfig
+from repro.flsim.base import AsyncRoundContext, FederatedExperiment, FLConfig
 from repro.flsim.executor import CohortFn
 from repro.flsim.local import cohort_adversarial_local_train
 from repro.nn.cohort import train_cohort
@@ -77,8 +77,8 @@ class PartialTrainingFAT(FederatedExperiment):
         return (self.client_ratio(dev), n, min(self.config.batch_size, n))
 
     # -- aggregation hooks ---------------------------------------------------
-    def async_client_fn(self, round_idx: int, base_state) -> Callable:
-        cfg = self.config
+    def async_client_fn(self, ctx: AsyncRoundContext, base_state) -> Callable:
+        cfg, round_idx = self.config, ctx.round_idx
         pgd = PGDConfig(eps=cfg.eps0, steps=cfg.train_pgd_steps, norm="linf")
         lr_t = self.lr_at(round_idx)
         num_atoms = len(self.global_model.atoms)
@@ -119,7 +119,7 @@ class PartialTrainingFAT(FederatedExperiment):
 
         return CohortFn(train, group_key=self._fuse_key)
 
-    def async_client_costs(self, round_idx, clients, states):
+    def async_round_context(self, round_idx, clients, states) -> AsyncRoundContext:
         """Pre-training latency: slice each client's architecture and cost it.
 
         The extraction here is structural — the sliced weights are
@@ -139,7 +139,7 @@ class PartialTrainingFAT(FederatedExperiment):
                 round_idx=round_idx, rng=rng,
             )
             costs.append(self._cost(dev, piece.model))
-        return costs
+        return AsyncRoundContext(round_idx, clients, states, costs)
 
     def async_merge_event(self, server, ctx, members, updates, staleness) -> float:
         """Masked partial average of the event, FedAsync-attenuated.

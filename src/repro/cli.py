@@ -164,27 +164,37 @@ def _cmd_train(args: argparse.Namespace) -> int:
     if args.replay:
         # Re-execute the journalled run in a scratch directory (same
         # journal basename, so re-emitted checkpoint events match
-        # bit-for-bit) and verify every event against the recorded log.
+        # bit-for-bit) and verify every event against the recorded log;
+        # the directory goes when this call returns.
         import tempfile
 
+        scratch = tempfile.TemporaryDirectory(prefix="repro-replay-")
+        config = dataclasses.replace(
+            config, journal_path=os.path.join(scratch.name, os.path.basename(args.journal))
+        )
+    try:
+        exp = cls(task, builder, config, device_sampler=sampler)
+    except ValueError as error:  # construction only: a run's AggregationError is one too
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    if args.replay:
+        from repro.flsim.journal import JournalError
         from repro.flsim.replay import ReplayDivergence, replay_run
 
-        scratch = tempfile.mkdtemp(prefix="repro-replay-")
-        replay_journal = os.path.join(scratch, os.path.basename(args.journal))
-        try:
-            report = replay_run(
-                os.path.abspath(args.journal),
-                lambda: cls(task, builder, dataclasses.replace(config, journal_path=replay_journal),
-                            device_sampler=sampler),
-                verbose=args.verbose,
-            )
-        except ReplayDivergence as err:
-            print(f"replay FAILED: {err}", file=sys.stderr)
-            return 1
+        with exp:
+            try:
+                report = replay_run(
+                    os.path.abspath(args.journal), lambda: exp, verbose=args.verbose
+                )
+            except ReplayDivergence as err:
+                print(f"replay FAILED: {err}", file=sys.stderr)
+                return 1
+            except JournalError as err:
+                print(f"error: {err}", file=sys.stderr)
+                return 2
         print(report.summary())
         return 0
 
-    exp = cls(task, builder, config, device_sampler=sampler)
     if exp.status_address:
         print(f"status endpoint: {exp.status_address}/status")
     if args.verbose:

@@ -71,8 +71,10 @@ class ModuleStageResult:
 class FedProphet(FederatedExperiment):
     """Memory-efficient FAT via robust and consistent cascade learning.
 
-    A round is the ``async_*`` hook surface (DMA plan, cascade work unit,
-    Eq. 16/17 partial-average merge); Algorithm 2's outer loop is the
+    A round is the ``async_*`` hook surface: the round plan
+    (:meth:`async_round_context`: DMA once per planned cohort, its spans,
+    latencies and Eq. 16/17 denominators), which the cascade work unit and
+    the partial-average merge read; Algorithm 2's outer loop is the
     stage state below, advanced by the engine's run loop (every FedProphet
     round is a barrier) — no run loop, barrier round or merge replay of
     its own, so it checkpoints, resumes and replays like every other
@@ -150,9 +152,6 @@ class FedProphet(FederatedExperiment):
         self.eps_star: List[float] = []  # fixed ε*_{m-1} per completed module
         self.stage_results: List[ModuleStageResult] = []
         self.pert_log: List[PerturbationLogEntry] = []
-        # The one round in flight (round-gated): DMA spans + Eq. 16/17
-        # denominators, fixed by async_round_extra before anybody trains.
-        self._round_plan: Dict[str, Any] = {}
 
         # Cumulative forward FLOPs of the fixed prefix before each atom.
         self._prefix_flops = [0]
@@ -235,31 +234,38 @@ class FedProphet(FederatedExperiment):
         ]
 
     # -- one communication round: the async_* hooks ----------------------------
-    def async_client_weights(self, clients, states):
-        """Each client's share of the population's data (q_k of Eq. 16/17)."""
-        return [client.num_samples / self.total_samples for client in clients]
+    def async_round_context(self, round_idx, clients, states) -> AsyncRoundContext:
+        """The round plan, pure arithmetic over the cohort's device states.
 
-    def async_round_extra(self, round_idx, clients, states):
-        """The round plan: DMA spans (``M_k`` per client) and the round trainer
-        weight of every module (Eq. 16, ``M_k >= n``) and head (Eq. 17,
-        ``M_k == n``) — the mixing rates' denominators, pure arithmetic."""
+        DMA assigns each client its span ``M_k``; the plan holds each
+        client's latency on that span (:meth:`_client_cost`, which is what
+        lets ``client_timeout`` drop on it), its share of the population's
+        data (q_k of Eq. 16/17) and, in ``extra``, the spans and the round
+        trainer weight of every module (Eq. 16, ``M_k >= n``) and head
+        (Eq. 17, ``M_k == n``) — the mixing rates' denominators.
+        """
+        m = self.current_module
         assignments = assign_modules(
-            self.cost_table, self.current_module, states, enabled=self.config.use_dma
+            self.cost_table, m, states, enabled=self.config.use_dma
         )
-        weights = self.async_client_weights(clients, states)
+        weights = [client.num_samples / self.total_samples for client in clients]
         spans = range(len(self.partition))
-        self._round_plan = {
-            "span_of": {c.cid: mk for c, mk in zip(clients, assignments)},
-            "module_weights": [
-                float(sum(w for w, mk in zip(weights, assignments) if mk >= n))
-                for n in spans
-            ],
-            "head_weights": [
-                float(sum(w for w, mk in zip(weights, assignments) if mk == n))
-                for n in spans
-            ],
-        }
-        return self._round_plan
+        return AsyncRoundContext(
+            round_idx, clients, states,
+            [self._client_cost(dev, m, mk) for dev, mk in zip(states, assignments)],
+            weights=weights,
+            extra={
+                "span_of": {c.cid: mk for c, mk in zip(clients, assignments)},
+                "module_weights": [
+                    float(sum(w for w, mk in zip(weights, assignments) if mk >= n))
+                    for n in spans
+                ],
+                "head_weights": [
+                    float(sum(w for w, mk in zip(weights, assignments) if mk == n))
+                    for n in spans
+                ],
+            },
+        )
 
     def async_server_state(self):
         """What a round can train: the suffix from module m on (the frozen
@@ -272,10 +278,10 @@ class FedProphet(FederatedExperiment):
         server["heads"] = [h.state_dict() if h is not None else None for h in self.heads]
         return server
 
-    def async_client_fn(self, round_idx: int, base) -> Callable:
+    def async_client_fn(self, ctx: AsyncRoundContext, base) -> Callable:
         """The cascade work unit.
 
-        A pure function of (round base, the client's shard and module
+        A pure function of (round base, the client's shard and planned
         span, a counter-derived RNG): restores the trainable suffix onto
         the global model, runs adversarial cascade training on the
         assigned span, and returns the trained segment + head states.
@@ -288,8 +294,9 @@ class FedProphet(FederatedExperiment):
         self._enter_stage(m)
         start_atom = self.partition[m][0]
         num_atoms = len(self.global_model.atoms)
+        round_idx = ctx.round_idx
         lr_t = self.lr_at(round_idx)
-        span_of = self._round_plan["span_of"]
+        span_of = ctx.extra["span_of"]
         head_states = base["heads"]
         model = self.global_model
 
@@ -381,22 +388,6 @@ class FedProphet(FederatedExperiment):
         return lambda states, weights, keys, base: self.robust_aggregate(
             states, weights, keys=keys, base=base
         )
-
-    def async_client_costs(self, round_idx, clients, states):
-        """Pre-training latency of the current stage under DMA's assignment.
-
-        Pure arithmetic over the device states (``assign_modules`` +
-        :meth:`_client_cost`), which is what lets ``client_timeout`` drop
-        on it.  For the timeout estimate DMA plans over the *sampled*
-        cohort — the server cannot know who will drop.
-        """
-        m = self.current_module
-        assignments = assign_modules(
-            self.cost_table, m, states, enabled=self.config.use_dma
-        )
-        return [
-            self._client_cost(dev, m, mk) for dev, mk in zip(states, assignments)
-        ]
 
     def _client_cost(
         self, state: Optional[DeviceState], module_a: int, module_b: int

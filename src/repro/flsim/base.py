@@ -340,28 +340,40 @@ class MergeEvalRecord:
 
 @dataclass
 class AsyncRoundContext:
-    """Everything an async merge rule may need about one dispatched round.
+    """The plan of one dispatched round: everything later hooks may read.
 
-    Built *before* training from pure functions of the sampled clients
-    and device states (costs, weights, experiment extras like FedRBN's
-    AT-affordability flags), so the merge replay never depends on
-    training output beyond the updates themselves.
+    Built *before* training by :meth:`FederatedExperiment.async_round_context`
+    from pure functions of the cohort and device states (costs, weights,
+    experiment extras like FedRBN's AT-affordability flags or FedProphet's
+    DMA spans), so the work unit and the merge replay never depend on
+    training output beyond the updates themselves.  ``weights`` default to
+    each client's ``num_samples`` and ``round_weight`` to their sum;
+    ``threats`` is the round's Byzantine verdict, set by the run loop.
     """
 
     round_idx: int
     clients: List[FLClient]
     states: List[Optional[DeviceState]]
     costs: List[LocalTrainingCost]
-    weights: List[float]
-    round_weight: float
+    weights: Optional[List[float]] = None
+    round_weight: Optional[float] = None
     extra: Dict[str, Any] = field(default_factory=dict)
+    threats: Optional[RoundThreats] = None
+
+    def __post_init__(self) -> None:
+        if self.weights is None:
+            self.weights = [float(client.num_samples) for client in self.clients]
+        if self.round_weight is None:
+            self.round_weight = float(sum(self.weights))
 
 
 class FederatedExperiment:
     """Base class running the communication-round loop on a simulated clock.
 
-    An algorithm is stated **once**, as the ``async_*`` hook surface
-    (work unit, pre-training costs, weights, merge rule), and :meth:`run`
+    An algorithm is stated **once**, as the ``async_*`` hook surface: the
+    round plan (:meth:`async_round_context`: costs, weights, extras, built
+    once per cohort before anybody trains), the work unit and the merge
+    rule, both reading that plan.  :meth:`run`
     owns the one loop that drives it (:meth:`_run_rounds`): rounds on a
     :class:`~repro.flsim.scheduler.CrossRoundPipeline`, whose merge events
     replay the hooks in simulated-arrival order.  Rounds overlap up to
@@ -423,18 +435,15 @@ class FederatedExperiment:
         self.history: List[RoundRecord] = []
 
         cls, base = type(self), FederatedExperiment
-        if cls.async_client_fn is base.async_client_fn:
+        missing = [
+            hook for hook in ("async_client_fn", "async_round_context")
+            if getattr(cls, hook) is getattr(base, hook)
+        ]
+        if missing:
             raise TypeError(
-                f"{cls.__name__} states no algorithm: implement the async_* "
-                f"hooks (async_client_fn, async_client_costs; run() derives "
-                f"the synchronous round from them)"
-            )
-        if config.client_timeout is not None and cls.async_client_costs is base.async_client_costs:
-            raise ValueError(
-                f"{cls.__name__} has no pre-training cost model "
-                f"(async_client_costs), so client_timeout="
-                f"{config.client_timeout!r} could never drop a client; set "
-                f"client_timeout=None"
+                f"{cls.__name__} states no algorithm: implement "
+                f"{' and '.join(missing)} (run() derives the synchronous "
+                f"round from the async_* hooks)"
             )
         if config.aggregation_mode == "async" and not self.supports_async_aggregation:
             raise ValueError(
@@ -547,8 +556,10 @@ class FederatedExperiment:
         self._round_faults = None
         plan = cfg.fault_plan
         if plan is not None and plan.active:
+            # The timeout judges the *sampled* cohort's plan: the server
+            # cannot know who will drop.
             estimates = (
-                [c.total_s for c in self.async_client_costs(round_idx, selected, states)]
+                [c.total_s for c in self.async_round_context(round_idx, selected, states).costs]
                 if cfg.client_timeout is not None
                 else None
             )
@@ -638,24 +649,20 @@ class FederatedExperiment:
 
     # -- update-space threats + robust aggregation -----------------------------
     def _threat_wrap(
-        self,
-        round_idx: int,
-        fn: Callable,
-        base: Dict[str, np.ndarray],
-        threats: Optional[RoundThreats] = None,
+        self, ctx: AsyncRoundContext, fn: Callable, base: Dict[str, np.ndarray]
     ) -> Callable:
-        """Wrap a train work unit so Byzantine clients lie about their update.
+        """Wrap a train work unit so the round's Byzantine clients lie about
+        their update.
 
-        ``base`` is the round's training base (what the deltas are
-        measured against); ``fn(item)`` must take ``(client,
-        device_state)`` items.  Honest rounds return ``fn`` unchanged, so
-        an inactive plan costs nothing.  A :class:`~repro.flsim.executor.
-        CohortFn` stays a ``CohortFn`` (same ``group_key``)
-        — the poisoning applies to each client's extracted update after
-        training, so cohort composition is unaffected.
+        ``ctx.threats`` is the round's verdict; ``base`` is the round's
+        training base (what the deltas are measured against); ``fn(item)``
+        must take ``(client, device_state)`` items.  Honest rounds return
+        ``fn`` unchanged, so an inactive plan costs nothing.  A
+        :class:`~repro.flsim.executor.CohortFn` stays a ``CohortFn`` (same
+        ``group_key``) — the poisoning applies to each client's extracted
+        update after training, so cohort composition is unaffected.
         """
-        plan = self.config.threat_plan
-        threats = threats if threats is not None else self._round_threats
+        plan, threats, round_idx = self.config.threat_plan, ctx.threats, ctx.round_idx
         if (
             plan is None
             or threats is None
@@ -718,25 +725,6 @@ class FederatedExperiment:
         return stats
 
     # -- main loop -------------------------------------------------------------
-    def _round_context(
-        self,
-        round_idx: int,
-        clients: List[FLClient],
-        states: List[Optional[DeviceState]],
-        costs: List[LocalTrainingCost],
-    ) -> AsyncRoundContext:
-        """What the merge rule may read about a round, fixed before training."""
-        weights = self.async_client_weights(clients, states)
-        return AsyncRoundContext(
-            round_idx=round_idx,
-            clients=clients,
-            states=states,
-            costs=costs,
-            weights=weights,
-            round_weight=float(sum(weights)),
-            extra=self.async_round_extra(round_idx, clients, states),
-        )
-
     @cached_property
     def client_activation_bytes(self) -> int:
         """``4·B·A`` of one client training the global model (§6.1, Eq. 7).
@@ -797,60 +785,39 @@ class FederatedExperiment:
     # function of its inputs (plus counter-derived RNGs) so the merge
     # replay stays bit-identical run to run.
 
+    def async_round_context(
+        self,
+        round_idx: int,
+        clients: List[FLClient],
+        states: List[Optional[DeviceState]],
+    ) -> AsyncRoundContext:
+        """The round's plan, built once per cohort before anybody trains.
+
+        Pure arithmetic over the cohort and its device states: each
+        client's simulated latency (the pipeline fixes arrival order,
+        merge schedule and dispatch times from it; a barrier round clocks
+        itself with it; ``client_timeout`` drops on its ``total_s``, judged
+        on the *sampled* cohort), aggregation weights (default: local data
+        size) and whatever ``extra`` the work unit and merge rule read.
+        """
+        raise NotImplementedError(
+            f"{type(self).__name__} implements no async_round_context"
+        )
+
     def async_client_fn(
-        self, round_idx: int, base_state: Dict[str, np.ndarray]
+        self, ctx: AsyncRoundContext, base_state: Dict[str, np.ndarray]
     ) -> Callable:
         """The work unit for one round's clients (sync and async).
 
-        ``base_state`` is a private copy of the server state at the
-        round's base version; the returned ``fn(item)`` must restore it
-        into ``self._async_workspace()`` (never the live global model —
-        in-flight rounds share that workspace), train, and return the
-        client's update.
+        ``ctx`` is the round's plan; ``base_state`` is a private copy of
+        the server state at the round's base version.  The returned
+        ``fn(item)`` must restore it into ``self._async_workspace()``
+        (never the live global model — in-flight rounds share that
+        workspace), train, and return the client's update.
         """
         raise NotImplementedError(
             f"{type(self).__name__} implements no async_client_fn"
         )
-
-    def async_client_costs(
-        self,
-        round_idx: int,
-        clients: List[FLClient],
-        states: List[Optional[DeviceState]],
-    ) -> List[LocalTrainingCost]:
-        """Per-client simulated latency, computed *before* training.
-
-        Pure arithmetic over the device states: the pipeline needs the
-        costs up front to fix arrival order, merge schedule, and dispatch
-        times; a barrier round clocks itself with them and
-        ``client_timeout`` drops on their ``total_s`` (judged on the
-        sampled cohort before anybody trains or drops, so it is pure).
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} implements no async_client_costs"
-        )
-
-    def async_client_weights(
-        self,
-        clients: List[FLClient],
-        states: List[Optional[DeviceState]],
-    ) -> List[float]:
-        """Aggregation weight per client (default: local data size)."""
-        return [float(client.num_samples) for client in clients]
-
-    def async_round_extra(
-        self,
-        round_idx: int,
-        clients: List[FLClient],
-        states: List[Optional[DeviceState]],
-    ) -> Dict[str, Any]:
-        """Experiment-specific pre-training context for the merge rule.
-
-        E.g. FedRBN precomputes which sampled clients can afford
-        adversarial training (a pure function of the device states) so
-        its dual-BN merge can weight adversarial statistics correctly.
-        """
-        return {}
 
     def async_server_state(self) -> Dict[str, np.ndarray]:
         """The initial async server state: the live model's arrays, uncopied.
@@ -1030,6 +997,14 @@ class FederatedExperiment:
                 start_time=self.clock_s,
             )
 
+        def fn_factory(ticket):
+            # After the pre-dispatch merge replay the server sits at this
+            # round's base version: copy it as the training base Byzantine
+            # clients (the round's verdict, ``ticket.meta.threats``) lie against.
+            ctx: AsyncRoundContext = ticket.meta
+            base = {k: v.copy() for k, v in server.items()}
+            return self._threat_wrap(ctx, self.async_client_fn(ctx, base), base)
+
         pipeline = new_pipeline()
         if resume is not None:
             pipeline.restore_state(resume["pipeline"], self._restore_async_meta)
@@ -1039,15 +1014,20 @@ class FederatedExperiment:
             nonlocal server, pipeline
             clients, states = self.sample_round(t)
             faults, self._round_faults = self._round_faults, None
+            threats, self._round_threats = self._round_threats, None
             # What a barrier waits for the clients it lost; the pipeline never waits.
             floor = faults.timeout_floor_s if barrier and faults is not None else None
             if faults is not None and faults.aborted:
                 self._finish_aborted_round(t, floor)
                 return
-            costs = self.async_client_costs(t, clients, states)
-            scaled = faults.scale_costs(costs) if faults is not None else costs
-            ctx = self._round_context(t, clients, states, scaled)
-            slowest = max(scaled, key=lambda c: c.total_s, default=None)
+            # The survivors' plan (DMA's p_min depends on the cohort); its
+            # merge rule reads the fault-scaled costs.
+            ctx = self.async_round_context(t, clients, states)
+            ctx.threats = threats
+            costs = ctx.costs
+            if faults is not None:
+                ctx.costs = faults.scale_costs(costs)
+            slowest = max(ctx.costs, key=lambda c: c.total_s, default=None)
             items = list(zip(clients, states))
             if barrier:
                 server = self.async_server_state()
@@ -1055,7 +1035,7 @@ class FederatedExperiment:
                 # training base.  A shallow copy keeps it immutable: merges
                 # rebind the server's entries and never write into them.
                 base = dict(server)
-                fn = self._threat_wrap(t, self.async_client_fn(t, base), base)
+                fn = self._threat_wrap(ctx, self.async_client_fn(ctx, base), base)
                 pipeline = new_pipeline()
                 try:
                     pipeline.dispatch(
@@ -1092,18 +1072,8 @@ class FederatedExperiment:
                     self._complete_round(record, verbose)
             else:
                 bottlenecks[t] = slowest
-
-                def fn_factory(ticket, _t=t, _threats=self._round_threats):
-                    # After the pre-dispatch merge replay the server sits at
-                    # this round's base version: copy it as the training base
-                    # Byzantine clients (this round's verdict) lie against.
-                    base = {k: v.copy() for k, v in server.items()}
-                    return self._threat_wrap(
-                        _t, self.async_client_fn(_t, base), base, threats=_threats
-                    )
-
                 ticket = pipeline.dispatch(
-                    t, items, [c.total_s for c in scaled], fn_factory, meta=ctx
+                    t, items, [c.total_s for c in ctx.costs], fn_factory, meta=ctx
                 )
                 self.recorder.record(
                     "dispatch",
@@ -1356,6 +1326,8 @@ class FederatedExperiment:
         Device states are consumed at dispatch (costs, weights, extra are
         all derived before training), so the snapshot keeps only what the
         merge rule reads: client ids, costs, weights, and ``extra``.
+        ``threats`` is not kept: an exported ticket has landed every
+        update, so its work unit is never rebuilt.
         """
         return {
             "round_idx": ctx.round_idx,

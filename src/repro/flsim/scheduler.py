@@ -22,7 +22,7 @@ from repro.flsim.executor import RoundExecutor
 
 #: The pre-generator name of the executor, kept for the benchmark's
 #: traced span table, which binds ``FLScheduler.submit_group`` and
-#: ``run_group`` by name (ROADMAP item 1(b)).
+#: ``run_group`` by name (ROADMAP item 10).
 FLScheduler = RoundExecutor
 
 

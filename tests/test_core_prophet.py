@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import FedProphet, FedProphetConfig
 from repro.data import make_cifar10_like
+from repro.flsim import FaultPlan
 from repro.hardware import DEVICE_POOL_CIFAR10, DeviceSampler
 from repro.models import build_cnn
 
@@ -57,6 +58,29 @@ class TestFedProphetSetup:
             FedProphetConfig(r_min_fraction=0.0)
         with pytest.raises(ValueError):
             FedProphetConfig(patience=0)
+
+
+class TestRoundPlan:
+    @pytest.mark.parametrize("faulty", [False, True])
+    def test_dma_runs_once_per_planned_cohort(self, monkeypatch, faulty):
+        import repro.core.prophet as prophet_module
+
+        real, calls = prophet_module.assign_modules, []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(prophet_module, "assign_modules", counting)
+        # A fault plan with a timeout also plans the sampled cohort, once,
+        # for the timeout estimate; the survivors' plan is the round's.
+        faults = dict(fault_plan=FaultPlan(seed=7, dropout_prob=0.3),
+                      client_timeout=1e9) if faulty else {}
+        sampler = DeviceSampler(DEVICE_POOL_CIFAR10, "balanced")
+        fp = FedProphet(_task(), _builder, _config(rounds=4, **faults), device_sampler=sampler)
+        history = fp.run()
+        assert len(history) == 4 and not any(r.aborted for r in history)
+        assert len(calls) == (8 if faulty else 4)
 
 
 class TestFedProphetRun:

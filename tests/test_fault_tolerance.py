@@ -841,12 +841,14 @@ class TestFaultInjection:
 
     def test_client_timeout_without_cost_model_refused(self):
         class NoCostModel(FederatedExperiment):
-            def async_client_fn(self, round_idx, base_state):
+            def async_client_fn(self, ctx, base_state):
                 return lambda item: base_state
 
-        NoCostModel(_task(), _builder, _cfg())  # fine without a timeout
-        with pytest.raises(ValueError, match="no pre-training cost model"):
-            NoCostModel(_task(), _builder, _cfg(client_timeout=1.0))
+        # A plan-less experiment could never clock, drop or merge a round:
+        # refused at construction, with a timeout or without one.
+        for cfg in (_cfg(), _cfg(client_timeout=1.0)):
+            with pytest.raises(TypeError, match="implement async_round_context"):
+                NoCostModel(_task(), _builder, cfg)
 
     def test_experiment_without_an_algorithm_refused(self):
         class Nothing(FederatedExperiment):
@@ -955,10 +957,10 @@ class TestLifecycleSatellites:
     @pytest.mark.parametrize("mode", MODES)
     def test_aborted_run_journals_the_abort(self, tmp_path, mode):
         class Exploding(JointFAT):
-            def async_client_fn(self, round_idx, base_state):
-                if round_idx == 1:
+            def async_client_fn(self, ctx, base_state):
+                if ctx.round_idx == 1:
                     raise RuntimeError("boom")
-                return super().async_client_fn(round_idx, base_state)
+                return super().async_client_fn(ctx, base_state)
 
         path = str(tmp_path / "run.jsonl")
         exp = Exploding(_task(), _builder, _cfg(journal_path=path, **mode))
@@ -1067,12 +1069,12 @@ class TestHostileInfrastructure:
         interrupted, late, merges = [], [], []
 
         class Interrupted(JointFAT):
-            def async_client_fn(self, round_idx, base_state):
-                inner = super().async_client_fn(round_idx, base_state)
+            def async_client_fn(self, ctx, base_state):
+                inner = super().async_client_fn(ctx, base_state)
 
                 def unit(item):
                     if interrupted:
-                        late.append(round_idx)
+                        late.append(ctx.round_idx)
                     return inner(item)
 
                 return unit

@@ -13,7 +13,7 @@ from repro.flsim import (
     standard_local_train,
     weighted_average_states,
 )
-from repro.flsim.base import FederatedExperiment, RoundRecord
+from repro.flsim.base import AsyncRoundContext, FederatedExperiment, RoundRecord
 from repro.hardware.latency import LocalTrainingCost
 from repro.models import build_cnn
 from repro.nn import Linear, ReLU, Sequential
@@ -109,12 +109,13 @@ class _CountingExperiment(FederatedExperiment):
         super().__init__(*args, **kwargs)
         self.rounds_seen = []
 
-    def async_client_fn(self, round_idx, base_state):
-        self.rounds_seen.append(round_idx)
+    def async_client_fn(self, ctx, base_state):
+        self.rounds_seen.append(ctx.round_idx)
         return lambda item: base_state
 
-    def async_client_costs(self, round_idx, clients, states):
-        return [LocalTrainingCost(compute_s=1.0, access_s=0.5) for _ in clients]
+    def async_round_context(self, round_idx, clients, states):
+        costs = [LocalTrainingCost(compute_s=1.0, access_s=0.5) for _ in clients]
+        return AsyncRoundContext(round_idx, clients, states, costs)
 
 
 class TestFederatedExperiment:

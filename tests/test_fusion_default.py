@@ -267,7 +267,8 @@ class TestHostileCohort:
             patch.setattr(
                 jfat_module, "cohort_adversarial_local_train", explode_mid_training
             )
-            fn = exp.async_client_fn(0, exp.async_server_state())
+            ctx = exp.async_round_context(0, [], [])
+            fn = exp.async_client_fn(ctx, exp.async_server_state())
             items = [(client, None) for client in exp.clients]
             with pytest.raises(FloatingPointError):
                 exp.executor.run_group(fn, items)
@@ -285,8 +286,9 @@ class TestHostileCohort:
                 client = exp.clients[3]  # a shard gathered per read: inject one
                 clean = client.dataset
                 client._dataset = ArrayDataset(np.full_like(clean.x, np.inf), clean.y)
+                ctx = exp.async_round_context(0, [], [])
                 updates = exp.executor.run_group(
-                    exp.async_client_fn(0, exp.async_server_state()),
+                    exp.async_client_fn(ctx, exp.async_server_state()),
                     [(client, None) for client in exp.clients],
                 )
                 exp.run()

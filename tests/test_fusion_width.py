@@ -126,7 +126,8 @@ class TestDerivedWidth:
     ):
         with cls(_task(8), builder, _cfg(batch_size=batch)) as exp:
             assert exp.executor.fusion_width == width
-            fn = exp.async_client_fn(0, exp.async_server_state())
+            ctx = exp.async_round_context(0, [], [])
+            fn = exp.async_client_fn(ctx, exp.async_server_state())
             assert isinstance(fn, CohortFn)
 
     def test_an_explicit_width_is_the_executor_width(self):
@@ -168,7 +169,8 @@ class TestPlanning:
         cfg = _cfg(num_clients=9, clients_per_round=9, batch_size=32,
                    fusion_width=width)
         with JointFAT(_task(8), _vgg(8), cfg) as exp:
-            fn = exp.async_client_fn(0, exp.async_server_state())
+            ctx = exp.async_round_context(0, [], [])
+            fn = exp.async_client_fn(ctx, exp.async_server_state())
             plan = exp.executor.plan_cohorts(fn, [(c, None) for c in exp.clients])
         tail = [9 % width] if 9 % width else []
         assert [len(c) for c in plan] == [width] * (9 // width) + tail
@@ -185,9 +187,11 @@ class TestPlanning:
         with JointFAT(_task(8), _vgg(8), cfg) as exp:
             assert exp.executor.fusion_width == 1
             base = exp.async_server_state()
-            fn = exp.async_client_fn(0, base)
+            ctx = exp.async_round_context(0, [], [])
+            fn = exp.async_client_fn(ctx, base)
             threats = plan.plan_round(0, [c.cid for c in exp.clients])
-            wrapped = exp._threat_wrap(0, fn, base, threats)
+            ctx.threats = threats
+            wrapped = exp._threat_wrap(ctx, fn, base)
             assert wrapped is not fn and isinstance(wrapped, CohortFn)
             widths = record_cohort_widths(exp)
             exp.run()

@@ -246,8 +246,8 @@ def _raising_in_worker(exc, parent=None):
     parent = os.getpid() if parent is None else parent
 
     class Raising(JointFAT):
-        def async_client_fn(self, round_idx, base_state):
-            inner = super().async_client_fn(round_idx, base_state)
+        def async_client_fn(self, ctx, base_state):
+            inner = super().async_client_fn(ctx, base_state)
 
             def cohort(items):
                 if os.getpid() != parent:
@@ -285,8 +285,8 @@ def test_killed_worker_is_a_typed_error_naming_its_cohort(tmp_path, workers):
     parent = os.getpid()
 
     class Killed(JointFAT):
-        def async_client_fn(self, round_idx, base_state):
-            inner = super().async_client_fn(round_idx, base_state)
+        def async_client_fn(self, ctx, base_state):
+            inner = super().async_client_fn(ctx, base_state)
 
             def cohort(items):
                 if os.getpid() != parent:

@@ -85,6 +85,32 @@ class TestCLI:
         assert len(lines) == 1 and lines[0].startswith("error: ") and field in lines[0]
         assert captured.out == ""
 
+    @pytest.mark.parametrize("flags, words", [
+        (["--aggregation-mode", "async", "--pipeline-depth", "2"], "pipeline_depth > 1"),
+        (["--method", "jfat", "--samples-per-client", "5"], "samples_per_client=5"),
+    ])
+    def test_a_refused_experiment_is_an_error_line(self, flags, words, capsys):
+        rc = main(["train", "--rounds", "1", *flags])
+        captured = capsys.readouterr()
+        assert rc == 2
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and words in lines[0]
+        assert captured.out == ""
+
+    def test_a_replay_under_another_config_is_an_error_line(self, tmp_path, capsys):
+        run = ["train", "--method", "jfat", "--rounds", "1", "--clients", "2",
+               "--clients-per-round", "2", "--local-iters", "1", "--batch-size", "8",
+               "--train-per-class", "10", "--journal", str(tmp_path / "run.jsonl")]
+        assert main(run) == 0
+        assert main([*run, "--replay"]) == 0
+        capsys.readouterr()
+        rc = main([*run, "--replay", "--lr", "0.1"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "fingerprint" in lines[0]
+        assert captured.out == ""
+
 
 class TestLowBitMemoryModel:
     def test_half_precision_halves_footprint(self):
