@@ -107,7 +107,8 @@ class FLConfig:
     eval_every: int = config_field(
         10, "Evaluate every K rounds (0 = final eval only); FedProphet ignores it: each of "
             "its rounds carries the cascade validation that drives APA and the early stop.")
-    eval_max_samples: int = config_field(256, "Sample cap for periodic evaluation.")
+    eval_max_samples: int = config_field(
+        256, "Sample cap for periodic evaluation; ≥ 0 (0 is legal and measures nothing).")
     eval_with_autoattack: bool = config_field(False, "Add AutoAttack-lite to periodic evals.")
     seed: int = config_field(0, "Root seed; all RNGs are counter-derived from it.")
     fusion_width: Optional[int] = config_field(
@@ -139,7 +140,8 @@ class FLConfig:
         None, "Seeded FaultPlan injecting deterministic client faults (a dict of its fields; "
               "on the CLI inline JSON or a JSON file path).")
     client_timeout: Optional[float] = config_field(
-        None, "Simulated seconds the server waits on a sampled client before dropping it.")
+        None, "Simulated seconds the server waits on a sampled client before dropping it; "
+              "finite and > 0 (None = wait for every client).")
     max_client_retries: int = config_field(
         2, "Bounded retries for flaky clients (exponential backoff, simulated time).")
     min_clients_per_round: int = config_field(
@@ -155,8 +157,8 @@ class FLConfig:
     krum_byzantine_f: int = config_field(
         1, "Assumed Byzantine count f for krum / multi_krum neighbourhood scoring.")
     clip_norm: Optional[float] = config_field(
-        None, "L2 clipping radius for norm_clip update deltas (None = adaptive: the median "
-              "of the round's delta norms).")
+        None, "L2 clipping radius for norm_clip update deltas; finite and > 0 (None = "
+              "adaptive: the median of the round's delta norms).")
     population_scheme: str = config_field(
         "auto", "Client-shard derivation: partition (one global pass), virtual (per-client "
                 "counter-derived shards, any population) or auto (partition while it fits).",
@@ -195,7 +197,7 @@ class FLConfig:
             raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        for name in ("train_pgd_steps", "eval_pgd_steps"):
+        for name in ("train_pgd_steps", "eval_pgd_steps", "eval_max_samples"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not (math.isfinite(self.eps0) and self.eps0 >= 0):
@@ -247,8 +249,12 @@ class FLConfig:
                 f"fault_plan must be a FaultPlan (or a dict of its fields), "
                 f"got {type(self.fault_plan).__name__}"
             )
-        if self.client_timeout is not None and self.client_timeout <= 0:
-            raise ValueError("client_timeout must be > 0 (or None)")
+        if self.client_timeout is not None and not (
+            math.isfinite(self.client_timeout) and self.client_timeout > 0
+        ):
+            raise ValueError(
+                f"client_timeout must be finite and > 0 (or None), got {self.client_timeout}"
+            )
         if self.max_client_retries < 0:
             raise ValueError("max_client_retries must be >= 0")
         if self.min_clients_per_round < 1:
@@ -266,8 +272,12 @@ class FLConfig:
             raise ValueError("trim_ratio must be in [0, 0.5)")
         if self.krum_byzantine_f < 0:
             raise ValueError("krum_byzantine_f must be >= 0")
-        if self.clip_norm is not None and self.clip_norm <= 0:
-            raise ValueError("clip_norm must be > 0 (or None for adaptive)")
+        if self.clip_norm is not None and not (
+            math.isfinite(self.clip_norm) and self.clip_norm > 0
+        ):
+            raise ValueError(
+                f"clip_norm must be finite and > 0 (or None for adaptive), got {self.clip_norm}"
+            )
         if self.client_cache_size is not None and self.client_cache_size < 1:
             raise ValueError("client_cache_size must be >= 1 (or None)")
         if self.samples_per_client is not None and self.samples_per_client < 1:

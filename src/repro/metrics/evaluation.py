@@ -158,6 +158,8 @@ class EvalPlan:
             raise ValueError("an EvalPlan needs at least one AttackSpec")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.max_samples is not None and self.max_samples < 0:
+            raise ValueError(f"max_samples must be >= 0 (or None), got {self.max_samples}")
         names = [a.name for a in self.attacks]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate attack names in plan: {names}")

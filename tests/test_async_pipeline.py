@@ -34,6 +34,8 @@ from repro.models import build_cnn
 from repro.nn.normalization import DualBatchNorm2d
 from tests.helpers import record_cohort_widths
 
+pytestmark = pytest.mark.scheduler
+
 
 def _task():
     return make_cifar10_like(image_size=8, train_per_class=20, test_per_class=10, seed=0)

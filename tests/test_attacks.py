@@ -14,6 +14,8 @@ from repro.attacks import (
 from repro.attacks.pgd import gradient_step, project, random_init
 from repro.nn import Linear, ReLU, Sequential
 
+pytestmark = pytest.mark.evaluation
+
 RNG = np.random.default_rng(3)
 
 

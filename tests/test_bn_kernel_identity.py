@@ -26,6 +26,8 @@ from repro.nn.functional import channel_last, channel_sum
 from repro.nn.grad_mode import no_param_grads, param_grads_enabled
 from repro.nn.pooling import GlobalAvgPool2d
 
+pytestmark = pytest.mark.fusion
+
 
 def _same_bits(a, b):
     """Equal dtype, shape and bits, except that any NaN matches any NaN."""

@@ -60,6 +60,7 @@ def _batch():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.scheduler
 class TestGradientLifecycle:
     def test_a_parameter_holds_no_gradient_until_one_is_read(self):
         p = Parameter(np.ones((3, 2), dtype=np.float32))
@@ -144,6 +145,7 @@ def _arrays(value):
             yield from _arrays(item)
 
 
+@pytest.mark.evaluation
 class TestScopeCache:
     def test_a_scope_keeps_two_layouts_and_a_folded_bias_per_conv_not_the_folded_weight(self):
         model = _vgg()
@@ -204,6 +206,7 @@ def _hostile_input(dtype, seed=3):
     return x
 
 
+@pytest.mark.evaluation
 class TestPoolIndex:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("layout", ["nchw", "channel_last"])

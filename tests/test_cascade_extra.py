@@ -11,6 +11,8 @@ from repro.data import ArrayDataset
 from repro.models import build_cnn
 from repro.nn import BatchNorm2d
 
+pytestmark = pytest.mark.round_engine
+
 RNG = np.random.default_rng(0)
 
 

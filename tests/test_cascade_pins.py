@@ -30,6 +30,8 @@ from repro.core.prefix_cache import PrefixCache
 from repro.data import ArrayDataset
 from repro.models import build_cnn
 
+pytestmark = pytest.mark.round_engine
+
 # (start_atom, stop_atom, has head) of each span the cases train.
 SPANS = {"first": (0, 1, True), "middle": (1, 3, True), "last": (3, 4, False)}
 

@@ -71,6 +71,8 @@ _ALTERNATES = dict(
 )
 
 
+@pytest.mark.fault_tolerance
+@pytest.mark.docs
 class TestConfigGroups:
     @pytest.mark.parametrize("cls", [FLConfig, FedProphetConfig])
     def test_every_field_declares_a_group_and_a_meaning(self, cls):

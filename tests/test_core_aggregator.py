@@ -119,6 +119,7 @@ class TestAggregateHeads:
         aggregate_heads([None], [None], [0], [1.0])  # must not raise
 
 
+@pytest.mark.scheduler
 class TestOneSyncEventIsTheBarrierAggregation:
     """One staleness-0 ``merge_async_partial`` event == Eq. 16 + Eq. 17.
 

@@ -15,6 +15,8 @@ from repro.core.heads import AuxHead
 from repro.nn import Linear
 from tests.helpers import numerical_grad
 
+pytestmark = pytest.mark.round_engine
+
 RNG = np.random.default_rng(0)
 
 

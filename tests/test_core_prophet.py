@@ -61,6 +61,8 @@ class TestFedProphetSetup:
 
 
 class TestRoundPlan:
+    @pytest.mark.round_engine
+    @pytest.mark.fault_tolerance
     @pytest.mark.parametrize("faulty", [False, True])
     def test_dma_runs_once_per_planned_cohort(self, monkeypatch, faulty):
         import repro.core.prophet as prophet_module

@@ -164,6 +164,7 @@ SYNTHESIS_DIGESTS = {
 }
 
 
+@pytest.mark.population
 @pytest.mark.parametrize("geometry", sorted(SYNTHESIS_DIGESTS))
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_synthesis_is_pinned_byte_for_byte(geometry, dtype):

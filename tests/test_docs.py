@@ -11,7 +11,8 @@ Two contracts:
 
 Tooling that matches source text is held to the same standard: every
 line text a ``scripts/memory_ledger.py`` category rule names must still
-occur in its file, or that category would silently read zero.
+occur in its file, or that category would silently read zero; and each CI
+suite job selects the ``pytest.ini`` marker that names it, never test ids.
 """
 
 import ast
@@ -28,8 +29,11 @@ from repro.cli import build_parser
 from repro.core import FedProphetConfig
 from repro.flsim import FLConfig
 
+pytestmark = pytest.mark.docs
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DOC = REPO_ROOT / "docs" / "configuration.md"
+CI = REPO_ROOT / ".github" / "workflows" / "ci.yml"
 
 
 def _field_table(cls) -> list:
@@ -208,3 +212,60 @@ class TestMemoryLedgerRules:
             assert (src / where).exists(), f"{category}: no {where} under src/"
             if text:
                 assert text in (src / where).read_text(), f"{category}: {text!r} not in {where}"
+
+
+def _registered_markers() -> dict:
+    """``pytest.ini``'s markers, ``{name: meaning}``, read as text."""
+    lines = (REPO_ROOT / "pytest.ini").read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("markers ="))
+    markers = {}
+    for line in lines[start + 1:]:
+        if not line[:1].isspace():
+            break
+        name, _, meaning = line.strip().partition(":")
+        markers[name] = meaning.strip()
+    return markers
+
+
+def _ci_selections() -> dict:
+    """``{job: [every -m expression its pytest steps pass]}``, read as text
+    (the docs job installs no YAML parser)."""
+    text = CI.read_text()
+    jobs, job = {}, None
+    for line in text[text.index("\njobs:\n"):].splitlines():
+        header = re.fullmatch(r"  ([\w-]+):", line)
+        if header:
+            job = jobs.setdefault(header.group(1), [])
+        elif job is not None and "python -m pytest" in line:
+            args = line.split("python -m pytest", 1)[1]
+            expressions = re.findall(r"""(?:^|\s)-m\s+("[^"]*"|'[^']*'|\S+)""", args)
+            job.extend(e.strip("\"'") for e in expressions)
+    return jobs
+
+
+class TestCISuites:
+    """A test joins a CI suite by carrying its marker; ``ci.yml`` keeps no ids."""
+
+    def test_every_selection_names_only_registered_markers(self):
+        registered = set(_registered_markers())
+        for job, expressions in _ci_selections().items():
+            for expression in expressions:
+                names = set(re.findall(r"[A-Za-z_]\w*", expression)) - {"and", "or", "not"}
+                assert names <= registered, f"{job}: -m {expression!r} names {names - registered}"
+
+    def test_every_suite_marker_is_selected_by_its_job_and_marks_a_test(self):
+        # A suite marker's meaning opens with the CI job that selects it.
+        selections = _ci_selections()
+        tests = "\n".join(path.read_text() for path in (REPO_ROOT / "tests").glob("test_*.py"))
+        suites = _registered_markers()
+        suites.pop("slow", None)  # a cost tag, not a suite
+        assert suites, "pytest.ini registers no suite marker"
+        for name, meaning in suites.items():
+            job = meaning.split(" — ")[0]
+            assert name in selections.get(job, []), f"CI job {job!r} does not select -m {name}"
+            assert re.search(rf"pytest\.mark\.{name}\b", tests), f"no test carries {name}"
+
+    def test_ci_lists_no_test_ids_and_runs_no_inline_programs(self):
+        text = CI.read_text()
+        assert re.findall(r"tests/[A-Za-z0-9_./]+::", text) == []
+        assert "python - <<" not in text

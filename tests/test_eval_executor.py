@@ -17,6 +17,8 @@ from repro.metrics import AttackSpec, EvalPlan, evaluate_model, shard_rng
 from repro.models import build_cnn, build_vgg
 from repro.nn import no_param_grads
 
+pytestmark = pytest.mark.evaluation
+
 def _model(seed=1):
     return build_cnn(2, 4, (3, 8, 8), base_channels=4, rng=np.random.default_rng(seed))
 
@@ -67,6 +69,8 @@ class TestEvalPlan:
             EvalPlan(attacks=())
         with pytest.raises(ValueError):
             EvalPlan(attacks=(AttackSpec.clean(), AttackSpec.clean()))
+        with pytest.raises(ValueError, match="max_samples"):
+            EvalPlan(attacks=(AttackSpec.clean(),), max_samples=-1)
 
     def test_rejects_bad_attacks(self):
         with pytest.raises(ValueError):

@@ -17,6 +17,8 @@ from repro.flsim import executor as executor_module
 from repro.metrics.evaluation import EvalPlan
 from repro.models import build_vgg
 
+pytestmark = pytest.mark.round_engine
+
 
 def _assert_states_equal(a, b, label=""):
     assert set(a) == set(b)

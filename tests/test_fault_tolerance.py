@@ -48,6 +48,8 @@ from repro.hardware import DeviceSampler, device_pool
 from repro.models import build_cnn
 from repro.optim import SGD
 
+pytestmark = [pytest.mark.scheduler, pytest.mark.fault_tolerance]
+
 
 def _task():
     return make_cifar10_like(image_size=8, train_per_class=20, test_per_class=10, seed=0)
@@ -323,6 +325,7 @@ class TestCheckpointResume:
         _assert_runs_equal(ref, resumed)
         resumed.close()
 
+    @pytest.mark.round_engine
     def test_a_resumed_run_tells_the_status_tee_what_it_runs(self, tmp_path):
         # /status names the experiment, its fingerprint and its rounds after
         # a resume exactly as after a fresh run: each sees one run_start.
@@ -1001,7 +1004,10 @@ class TestLifecycleSatellites:
          ("batch_size", 0), ("train_pgd_steps", -1), ("eval_pgd_steps", -1),
          ("eps0", float("nan")), ("eps0", -1.0), ("eps0", float("inf")),
          ("sgd.lr", float("nan")), ("sgd.lr", float("inf")),
-         ("sgd.weight_decay", float("nan")), ("sgd.weight_decay", float("inf"))],
+         ("sgd.weight_decay", float("nan")), ("sgd.weight_decay", float("inf")),
+         ("client_timeout", float("inf")), ("client_timeout", float("nan")),
+         ("clip_norm", float("inf")), ("clip_norm", float("nan")),
+         ("eval_max_samples", -1)],
     )
     def test_optimizer_and_attack_settings_it_cannot_run_are_refused(self, field, value):
         # Each of these trained to NaN weights, or raised inside the first

@@ -30,11 +30,12 @@ from repro.attacks import ModelWithLoss, PGDConfig, apgd_attack, auto_attack_lit
 from repro.attacks.autoattack import _checkpoints
 from repro.attacks.fgsm import fgsm_attack
 from repro.attacks.pgd import gradient_step, pgd_attack, project, random_init
+from repro.baselines import JointFAT
 from repro.core.aggregator import restore_segment, snapshot_segment
 from repro.core.cascade import CascadeBatchSpec, cascade_local_train
 from repro.core.prefix_cache import PrefixCache
-from repro.data import ArrayDataset
-from repro.flsim import EvalExecutor, EvalTarget
+from repro.data import ArrayDataset, make_cifar10_like
+from repro.flsim import EvalExecutor, EvalTarget, FLConfig
 from repro.metrics import EvalPlan
 from repro.models import build_cnn, build_vgg
 from repro.nn import (
@@ -53,6 +54,8 @@ from repro.nn.cohort import clear_cohort, install_cohort
 from repro.nn.grad_mode import scope_cached
 from repro.optim.sgd import SGD
 from tests.test_nn_kernels import _model_layer_shapes
+
+pytestmark = pytest.mark.evaluation
 
 
 def _randomise(module, rng):
@@ -653,6 +656,53 @@ def test_standard_plan_calls_no_batchnorm_and_lays_out_once_per_shard(
     assert counts(lambda key: len(key) == 5 and key[2]) == [2] * 7
     assert counts(lambda key: len(key) == 2) == [3] * 8
     assert conv_calls["forward"] >= 8 * (1 + 21 + 50) and conv_calls["backward"] >= 8 * (20 + 40)
+
+
+def _trained_jfat(monkeypatch, **overrides):
+    """A one-round JointFAT on the tiny CNN; every shard runs in this process."""
+    monkeypatch.setattr(executor_module, "spare_cores", lambda: 0)
+    task = make_cifar10_like(image_size=8, train_per_class=20, test_per_class=10, seed=0)
+    cfg = FLConfig(
+        num_clients=4, clients_per_round=2, local_iters=2, batch_size=8, lr=0.02, rounds=1,
+        train_pgd_steps=2, eval_every=0, seed=0, **overrides,
+    )
+    exp = JointFAT(task, lambda rng: build_cnn(3, 10, (3, 8, 8), base_channels=4, rng=rng), cfg)
+    exp.run()
+    return task, exp
+
+
+def test_a_trained_experiments_evaluation_calls_no_batchnorm(bn_calls, monkeypatch):
+    # A frozen model's BatchNorm is folded into the conv it follows:
+    # evaluating the trained global model must not call the layer at all.
+    _, exp = _trained_jfat(monkeypatch, eval_pgd_steps=3)
+    with exp:
+        bn_calls.clear()
+        exp.evaluate(max_samples=32)
+    assert not bn_calls, bn_calls
+
+
+def test_a_sharded_aa_plan_hands_each_member_the_survivors_of_the_one_before(
+    member_rows, monkeypatch
+):
+    task, exp = _trained_jfat(monkeypatch)
+    member_rows.clear()
+    # eps0/4: weak enough that points survive FGSM and PGD on this 1-round model
+    plan = EvalPlan.standard(exp.config.eps0 / 4, 3, with_autoattack=True, batch_size=16, seed=7)
+    with exp:
+        exp.run_eval(plan)
+    # A shard's members run back to back: every member after FGSM is
+    # handed exactly the rows the one before it left standing.
+    standing = None
+    for member, rows, left in member_rows:
+        if member == "fgsm_attack":
+            assert rows in (16, len(task.test) % 16), (member, rows)
+        else:
+            assert rows == standing > 0, (member, rows, standing)
+        standing = left
+    total = lambda member, col: sum(c[col] for c in member_rows if c[0] == member)  # noqa: E731
+    assert total("fgsm_attack", 1) == len(task.test)
+    assert 0 < total("pgd_attack", 1) == total("fgsm_attack", 2) < len(task.test)
+    assert total("apgd_attack", 1) == total("pgd_attack", 2)
 
 
 # ---------------------------------------------------------------------------

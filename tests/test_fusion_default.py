@@ -34,6 +34,8 @@ from repro.nn import DualBatchNorm2d
 from repro.optim.sgd import SGD
 from tests.helpers import record_cohort_widths
 
+pytestmark = pytest.mark.fusion
+
 
 def _task():
     return make_cifar10_like(image_size=8, train_per_class=20, test_per_class=5, seed=0)
@@ -226,6 +228,7 @@ class TestHostileCohort:
         assert "round" not in kinds_8
         assert _serial_layout(exp._async_workspace())
 
+    @pytest.mark.scheduler
     def test_failed_cohort_raises_once_and_ends_the_group(self):
         done = []
 

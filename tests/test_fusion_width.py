@@ -40,6 +40,8 @@ from repro.nn import DualBatchNorm2d
 from repro.nn.conv import STREAM_SCRATCH_BYTES, _Unfold
 from tests.helpers import empty_workspace, record_cohort_widths, workspace_buffers
 
+pytestmark = pytest.mark.fusion
+
 
 def _cnn(base_channels, depth=2):
     return lambda rng=None: build_cnn(
@@ -73,12 +75,14 @@ def _cfg(**overrides):
 # ---------------------------------------------------------------------------
 
 # (builder, batch size, KiB of activations per client, derived width): the
-# seven points of the PR 22 sweep (docs/benchmarks.md) and CI's smoke CNN.
+# points of the fusion-width sweep (docs/benchmarks.md), the suites' smoke CNN
+# (build_cnn(3, 10, base_channels=4)) and VGG11x0.25 at 16x16 with B=8.
 TABLE = {
     "swarm-cnn-b8": (_cnn(8), 8, 54.3125, 8),
     "ci-smoke-cnn-b8": (_cnn(4, depth=3), 8, 31.8125, 8),
     "vgg.25-8x8-b8": (_vgg(8), 8, 182.3125, 5),
     "vgg.25-8x8-b32": (_vgg(8), 32, 729.25, 1),
+    "vgg.25-16x16-b8": (_vgg(16), 8, 660.3125, 1),
     "vgg.25-16x16-b32": (_vgg(16), 32, 2641.25, 1),
     "vgg.5-16x16-b32": (_vgg(16, 0.5), 32, 5281.25, 1),
     "vgg.5-32x32-b32": (_vgg(32, 0.5), 32, 20961.25, 1),

@@ -20,6 +20,8 @@ from repro.nn import (
     param_grads_enabled,
 )
 
+pytestmark = pytest.mark.evaluation
+
 
 def _grads_all_zero(layer):
     return all(np.all(p.grad == 0) for p in layer.parameters())

@@ -16,6 +16,8 @@ from repro.flsim import JournalError, RunJournal
 from repro.flsim.journal import KNOWN_KINDS
 from repro.flsim.replay import canonical_events
 
+pytestmark = pytest.mark.replay
+
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden_journal.jsonl")
 
 

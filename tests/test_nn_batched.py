@@ -39,6 +39,8 @@ from repro.nn.cohort import (
 from repro.nn.losses import CrossEntropyLoss
 from tests.helpers import record_cohort_widths
 
+pytestmark = pytest.mark.fusion
+
 
 def _assert_states_equal(a, b, label=""):
     assert set(a) == set(b)

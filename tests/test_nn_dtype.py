@@ -167,6 +167,7 @@ def test_aggregation_accumulates_in_policy_dtype():
     assert out64["w"].dtype == np.float64
 
 
+@pytest.mark.scheduler
 def test_aggregation_fold_never_downcasts_a_mixed_cohort():
     """The fold's accumulator takes the first state's dtype: a float32 state
     folds into a float64 accumulator exactly, a float64 state would be

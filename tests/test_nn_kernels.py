@@ -481,6 +481,7 @@ def _scope_pass(layer, x, g, scratch):
         return out, _conv_bn_backward(layer.conv, layer.bn, g).copy()
 
 
+@pytest.mark.fusion
 @settings(max_examples=60, deadline=None)
 @given(stream_cases())
 @example(dict(k=3, s=1, p=1, hw=(8, 8), c_in=1, c_out=9, clients=3, batch=5,
@@ -510,6 +511,7 @@ def test_streamed_columns_equal_materialised_ones_bit_for_bit(case):
         assert out.tobytes() == whole[0].tobytes() and grad.tobytes() == whole[1].tobytes()
 
 
+@pytest.mark.fusion
 def test_a_jfat_dense_final_eval_builds_no_columns_beyond_the_scratch(monkeypatch):
     """After one round at jfat_dense's geometry (VGG11x0.25, 16x16, B=32, two
     clients), a 64-row final evaluation (clean, PGD, AutoAttack), traced with

@@ -68,6 +68,7 @@ def test_sgd_state_size():
     assert without_m.state_size() == 0
 
 
+@pytest.mark.scheduler
 def test_plain_sgd_keeps_no_velocity_and_steps_as_before():
     rng = np.random.default_rng(0)
     params = [Parameter(rng.normal(size=(64, 64)).astype(np.float32)) for _ in range(4)]

@@ -42,6 +42,8 @@ from repro.flsim import (
 from repro.hardware import DEVICE_POOL_CIFAR10, DeviceSampler
 from repro.models import build_cnn
 
+pytestmark = pytest.mark.population
+
 
 TASK = make_cifar10_like(image_size=8, train_per_class=20, test_per_class=10, seed=0)
 

@@ -14,6 +14,8 @@ from repro.data import make_cifar10_like
 from repro.data.dataset import ArrayDataset, DataLoader
 from repro.models import build_cnn, build_vgg
 
+pytestmark = pytest.mark.round_engine
+
 
 class TestPrefixCacheUnit:
     def test_miss_then_hit(self):

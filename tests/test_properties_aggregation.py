@@ -94,6 +94,7 @@ def _median_stacks(draw):
     return np.array(flat, dtype=dtype).reshape((k,) + shape)
 
 
+@pytest.mark.threats
 @given(_median_stacks())
 @settings(max_examples=300, deadline=None)
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -105,6 +106,7 @@ def test_coordinate_median_is_np_median_byte_for_byte(stack):
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.threats
 def test_median_run_never_imports_numpy_ma():
     """``np.median``'s NaN check imports ``numpy.ma``; the median rule must not."""
     script = textwrap.dedent(

@@ -52,6 +52,8 @@ from repro.hardware import Device, DeviceSampler
 from repro.hardware.memory import MemoryModel
 from repro.models import build_vgg
 
+pytestmark = [pytest.mark.scheduler, pytest.mark.fault_tolerance]
+
 DATA = os.path.join(os.path.dirname(__file__), "data")
 DIGESTS = os.path.join(DATA, "prophet_engine_digests.json")
 JOURNAL = os.path.join(DATA, "prophet_sync_faults_median.jsonl")

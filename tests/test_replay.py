@@ -41,6 +41,8 @@ from repro.flsim import (
 from repro.flsim.checkpoint import nonsemantic_fields
 from repro.models import build_cnn
 
+pytestmark = [pytest.mark.scheduler, pytest.mark.replay]
+
 
 def _task():
     return make_cifar10_like(image_size=8, train_per_class=20, test_per_class=10, seed=0)
@@ -201,6 +203,7 @@ class TestReplayRun:
         assert report.rounds == 3
         assert report.merges == 0
 
+    @pytest.mark.round_engine
     def test_the_status_tee_sees_one_run_start(self, tmp_path, monkeypatch):
         # A replay with a status port and no journal of its own tees each
         # re-executed event once, run_start included.

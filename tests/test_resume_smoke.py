@@ -26,6 +26,8 @@ import resume_smoke  # noqa: E402
 from repro.flsim import RunJournal  # noqa: E402
 from repro.flsim.replay import replay_run  # noqa: E402
 
+pytestmark = pytest.mark.fault_tolerance
+
 
 @pytest.fixture(scope="module", params=["jfat", "fedprophet"])
 def killed_run(request, tmp_path_factory):

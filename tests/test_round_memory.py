@@ -35,6 +35,8 @@ from repro.flsim.robust_agg import RobustAggregator
 from repro.models import build_vgg
 from tests.helpers import empty_workspace
 
+pytestmark = pytest.mark.scheduler
+
 
 def _states(n, seed=0):
     rng = np.random.default_rng(seed)

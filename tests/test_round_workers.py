@@ -86,6 +86,7 @@ def workers(forks, monkeypatch):
 # -- the oracle rows: recorded digests, journals and checkpoints ----------------
 
 
+@pytest.mark.round_engine
 @pytest.mark.parametrize(
     "case", [pytest.param(c, id=sync_digests._case_id(c)) for c in sync_digests.CASES]
 )
@@ -95,6 +96,7 @@ def test_sync_round_digest_with_workers(case, workers):
     assert workers
 
 
+@pytest.mark.round_engine
 @pytest.mark.parametrize(
     "case", [pytest.param(c, id=prophet_digests._case_id(c)) for c in prophet_digests.CASES]
 )
@@ -105,6 +107,7 @@ def test_fedprophet_digest_with_workers(case, workers):
     assert workers
 
 
+@pytest.mark.round_engine
 def test_cascade_pins_with_a_replica(workers):
     # The pinned cases as one group split between the caller and a replica
     # that lives for the scope: each result is the pinned one, wherever it ran.
@@ -115,6 +118,7 @@ def test_cascade_pins_with_a_replica(workers):
     assert len(workers) == 1
 
 
+@pytest.mark.round_engine
 def test_recorded_journals_replay_with_workers(workers):
     report = replay_run(sync_digests.JOURNAL, sync_digests._journal_experiment)
     assert (report.rounds, report.merges) == (3, 0)
@@ -127,6 +131,7 @@ def test_recorded_journals_replay_with_workers(workers):
     assert workers
 
 
+@pytest.mark.round_engine
 def test_recorded_checkpoint_resumes_with_workers(tmp_path, workers):
     ft.TestCheckpointResume().test_resume_from_a_checkpoint_written_before_pr23(tmp_path)
     os.makedirs(tmp_path / "feddf")
@@ -144,6 +149,7 @@ def _forks_of(method, workers):
     return recording
 
 
+@pytest.mark.round_engine
 @pytest.mark.parametrize("method", list(sync_digests.METHODS))
 def test_final_eval_with_workers(method, monkeypatch, workers):
     evals = {}
@@ -159,6 +165,7 @@ def test_final_eval_with_workers(method, monkeypatch, workers):
     assert evals["forked"][0] == evals["inline"][0]
 
 
+@pytest.mark.round_engine
 def test_cascade_eval_with_workers(monkeypatch, workers):
     # Validation plans reversed to [PGD, clean] at 8 rows a shard: the
     # replica's run holds the clean shards, so it reads and fills the prefix
@@ -280,6 +287,7 @@ def test_unpicklable_error_carries_its_traceback(workers):
         pickle.dumps(Unpicklable())
 
 
+@pytest.mark.fault_tolerance
 def test_killed_worker_is_a_typed_error_naming_its_cohort(tmp_path, workers):
     path = str(tmp_path / "run.jsonl")
     parent = os.getpid()
@@ -327,6 +335,7 @@ def test_eval_shard_error_keeps_its_type(monkeypatch, workers):
     assert len(workers) == 1
 
 
+@pytest.mark.fault_tolerance
 def test_killed_eval_worker_is_a_typed_error(monkeypatch, workers):
     with pytest.raises(RoundWorkerError, match=r"killed by signal 9 before returning "
                        r"the cohort of items \[1\]"):
@@ -347,6 +356,7 @@ def _group(executor, stop=None):
     return executor.submit_group(unit, range(4))
 
 
+@pytest.mark.fault_tolerance
 @pytest.mark.parametrize("end", ["close", "drop", "keyboard_interrupt", "error"])
 def test_ending_a_group_early_kills_and_reaps_its_worker(workers, end):
     # The group ends early inside a scope, whose exit kills and reaps the
@@ -369,6 +379,7 @@ def test_ending_a_group_early_kills_and_reaps_its_worker(workers, end):
     # the fixture asserts the worker is reaped
 
 
+@pytest.mark.fault_tolerance
 def test_export_state_lands_inflight_rounds_beside_the_replica(tmp_path, monkeypatch, workers):
     # A checkpoint lands every in-flight round's group, the replica landing
     # the same groups beside the caller: it lives on to the run's end.
@@ -414,6 +425,7 @@ def test_a_lone_fused_cohort_is_split_between_caller_and_worker(workers):
     assert len(workers) == 1
 
 
+@pytest.mark.round_engine
 def test_a_group_outside_any_scope_runs_inline(workers):
     # Both floors at 0, yet nothing forks: only a scope forks.
     executor = RoundExecutor(fusion_width=8, client_flops=1.0)
@@ -423,6 +435,7 @@ def test_a_group_outside_any_scope_runs_inline(workers):
     assert not workers and executor_module._Blas.saved is None
 
 
+@pytest.mark.round_engine
 def test_prefix_cache_rows_filled_in_a_worker_are_adopted(monkeypatch, workers):
     runs = {}
     for name, spare in (("inline", 0), ("forked", 1)):
@@ -446,6 +459,7 @@ def test_prefix_cache_rows_filled_in_a_worker_are_adopted(monkeypatch, workers):
 # -- the run-scoped replica -----------------------------------------------------
 
 
+@pytest.mark.round_engine
 @pytest.mark.parametrize("mode", ft.MODES)
 def test_a_run_forks_once(mode, workers):
     with _jfat(rounds=4, **mode) as exp:
@@ -455,6 +469,7 @@ def test_a_run_forks_once(mode, workers):
     assert len(workers) == 2
 
 
+@pytest.mark.round_engine
 def test_journal_and_checkpoint_bytes_equal_an_inline_run(tmp_path, monkeypatch, workers):
     # The replica writes nothing: every journal append and checkpoint write
     # happens in the caller, and the files are an inline run's, byte for byte.
@@ -489,6 +504,7 @@ def test_journal_and_checkpoint_bytes_equal_an_inline_run(tmp_path, monkeypatch,
             assert a.read() == b.read()
 
 
+@pytest.mark.round_engine
 def test_a_recorder_writes_only_in_the_process_that_opened_it(tmp_path):
     # A forked copy of a run's recorder is inert: what the child records,
     # checkpoints, aborts and closes lands in no journal, file or status.
@@ -544,6 +560,7 @@ def _replicas_after(exp, round_idx, action):
     exp.sample_round = sample_round
 
 
+@pytest.mark.fault_tolerance
 def test_a_killed_replica_is_a_typed_error_and_an_abort(tmp_path, workers):
     path = str(tmp_path / "run.jsonl")
     with _jfat(journal_path=path, fusion_width=1) as exp:
@@ -555,6 +572,7 @@ def test_a_killed_replica_is_a_typed_error_and_an_abort(tmp_path, workers):
     assert len(workers) == 1  # reaped: the fixture finds no zombie
 
 
+@pytest.mark.fault_tolerance
 @pytest.mark.parametrize("stop", [KeyboardInterrupt(), Refused("caller refused")],
                          ids=["keyboard_interrupt", "abort"])
 def test_an_interrupted_run_reaps_its_replica(tmp_path, workers, stop):
@@ -571,6 +589,7 @@ def test_an_interrupted_run_reaps_its_replica(tmp_path, workers, stop):
     assert len(workers) == 1 and not executor_module._live_workers
 
 
+@pytest.mark.fault_tolerance
 def test_a_diverged_replica_is_a_typed_error_naming_the_group(tmp_path, monkeypatch, workers):
     # Group 0 forks the replica; from group 1 on it plans other costs.
     parent, submit = os.getpid(), RoundExecutor.submit_group
@@ -589,6 +608,7 @@ def test_a_diverged_replica_is_a_typed_error_naming_the_group(tmp_path, monkeypa
     assert len(workers) == 1
 
 
+@pytest.mark.fault_tolerance
 def test_the_status_port_answers_while_the_replica_lives(monkeypatch, workers):
     # Polls made while the replica runs are answered, and so is a request
     # whose connection the endpoint accepted before the fork: the reply ends
@@ -657,6 +677,7 @@ _BLAS_SCRIPT = textwrap.dedent(
 )
 
 
+@pytest.mark.round_engine
 @pytest.mark.slow
 def test_one_blas_thread_changes_no_bit():
     """jFAT on VGG11x0.25 at 16x16 (multithreaded weight-gradient GEMMs)
@@ -694,6 +715,7 @@ def test_describe_parallelism_states_workers_pin_and_floors(monkeypatch):
     assert "engine: serial, one work unit at a time (a scope (a run, or an evaluation" in text
 
 
+@pytest.mark.round_engine
 @pytest.mark.slow
 def test_prefix_cache_hit_ratio_on_the_prophet_workload():
     """The benchmark's ``prophet_cascade`` at seed 0 forks as shipped, and
@@ -708,6 +730,7 @@ def test_prefix_cache_hit_ratio_on_the_prophet_workload():
         assert exp.prefix_cache.stats()["hit_rate"] == 30 / 41  # 0.7317
 
 
+@pytest.mark.round_engine
 def test_eval_forks_at_the_shipped_floor_only_where_it_pays(tmp_path, monkeypatch, forks):
     """An evaluation outside a run forks iff its plan's modelled work clears
     the floor: ``prophet_cascade``'s standalone validations ([clean, PGD-3]
@@ -779,6 +802,7 @@ def _contiguous(sizes):
 _PLANS = st.lists(st.integers(1, 8), min_size=1, max_size=12).map(_contiguous)
 
 
+@pytest.mark.round_engine
 @settings(max_examples=400, deadline=None)
 @given(plan=_PLANS, share=st.floats(0.01, 3.0))
 @example(plan=[[0], [1, 2]], share=1.0)  # a forced cut

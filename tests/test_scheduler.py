@@ -26,6 +26,8 @@ from repro.flsim import AsyncRoundContext, CrossRoundPipeline, FLConfig, RoundEx
 from repro.flsim.executor import CohortFn
 from repro.models import build_cnn
 
+pytestmark = pytest.mark.scheduler
+
 def _assert_states_equal(a, b, label=""):
     assert set(a) == set(b)
     for k in a:

@@ -38,6 +38,8 @@ from repro.optim.sgd import SGD
 from tests.helpers import empty_workspace
 from tests.test_models_variants import VARIANTS
 
+pytestmark = pytest.mark.shape_first
+
 MB = 1024**2
 
 # name -> (builder taking only ``rng``, one-sample input shape)

@@ -66,6 +66,8 @@ from repro.models import build_cnn, build_vgg
 from repro.nn import DualBatchNorm2d
 from tests.helpers import record_cohort_widths
 
+pytestmark = pytest.mark.scheduler
+
 DATA = os.path.join(os.path.dirname(__file__), "data")
 DIGESTS = os.path.join(DATA, "sync_round_digests.json")
 JOURNAL = os.path.join(DATA, "sync_jfat_faults_median.jsonl")

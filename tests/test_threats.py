@@ -47,6 +47,8 @@ from repro.flsim import (
 from repro.models import build_cnn
 from repro.nn.normalization import DualBatchNorm2d
 
+pytestmark = pytest.mark.threats
+
 
 MATRIX_RULES = ("fedavg", "median", "trimmed_mean", "krum", "norm_clip")
 

@@ -1,5 +1,9 @@
 """Tests for the CLI and the low-bit memory model."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -64,11 +68,14 @@ class TestCLI:
         assert tuple(choices["population_scheme"]) == POPULATION_SCHEMES
         assert tuple(choices["client_materialisation"]) == MATERIALISATIONS
 
+    @pytest.mark.fault_tolerance
+    @pytest.mark.docs
     @pytest.mark.parametrize("flags, field", [
         (["--checkpoint-every", "2"], "checkpoint_every"),
         (["--eval-every-merge", "2"], "eval_every_merge"),
         (["--pipeline-depth", "0"], "pipeline_depth"),
         (["--fault-plan", '{"bogus": 1}'], "bogus"),
+        (["--client-timeout", "inf"], "client_timeout"),
     ])
     def test_a_refused_config_is_an_error_line_before_the_task(
             self, flags, field, capsys, monkeypatch):
@@ -85,6 +92,8 @@ class TestCLI:
         assert len(lines) == 1 and lines[0].startswith("error: ") and field in lines[0]
         assert captured.out == ""
 
+    @pytest.mark.round_engine
+    @pytest.mark.fault_tolerance
     @pytest.mark.parametrize("flags, words", [
         (["--aggregation-mode", "async", "--pipeline-depth", "2"], "pipeline_depth > 1"),
         (["--method", "jfat", "--samples-per-client", "5"], "samples_per_client=5"),
@@ -97,6 +106,8 @@ class TestCLI:
         assert len(lines) == 1 and lines[0].startswith("error: ") and words in lines[0]
         assert captured.out == ""
 
+    @pytest.mark.round_engine
+    @pytest.mark.fault_tolerance
     def test_a_replay_under_another_config_is_an_error_line(self, tmp_path, capsys):
         run = ["train", "--method", "jfat", "--rounds", "1", "--clients", "2",
                "--clients-per-round", "2", "--local-iters", "1", "--batch-size", "8",
@@ -110,6 +121,24 @@ class TestCLI:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and "fingerprint" in lines[0]
         assert captured.out == ""
+
+    @pytest.mark.docs
+    @pytest.mark.parametrize("flags", [
+        ["--checkpoint-every", "2"],
+        ["--aggregation-mode", "async", "--pipeline-depth", "2"],
+    ], ids=["config", "experiment"])
+    def test_a_refusal_ends_the_process_with_one_error_line_and_exit_2(self, flags):
+        # The real entry point, not main(): the exit status, one error
+        # line and no traceback are what a shell sees.
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "train", *flags, "--rounds", "1"],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert sum(line.startswith("error:") for line in proc.stderr.splitlines()) == 1
+        assert "Traceback" not in proc.stdout + proc.stderr
 
 
 class TestLowBitMemoryModel:
