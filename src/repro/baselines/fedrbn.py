@@ -32,6 +32,7 @@ import numpy as np
 from repro.attacks import ModelWithLoss, PGDConfig
 from repro.attacks.pgd import cohort_pgd_attack
 from repro.core.aggregator import blend_into
+from repro.data.dataset import ArrayDataset
 from repro.flsim.aggregation import AggregationError, weighted_average_states
 from repro.flsim.base import AsyncRoundContext, FederatedExperiment, FLClient, FLConfig
 from repro.flsim.executor import CohortFn
@@ -39,6 +40,7 @@ from repro.flsim.local import cohort_batches, cohort_standard_local_train
 from repro.nn.cohort import CohortCrossEntropyLoss, train_cohort
 from repro.hardware.devices import DeviceSampler, DeviceState
 from repro.hardware.latency import LatencyModel, LocalTrainingCost
+from repro.metrics.evaluation import EvalPlan, EvalResult
 from repro.models.atoms import CascadeModel
 from repro.nn.normalization import DualBatchNorm2d, set_dual_bn_mode
 from repro.optim.sgd import SGD
@@ -226,10 +228,10 @@ class FedRBN(FederatedExperiment):
     def _cost(self, state: Optional[DeviceState], is_at: bool) -> LocalTrainingCost:
         return (self._at_cost if is_at else self._st_cost)(state)
 
-    # Test-time robustness uses the propagated adversarial statistics.  The
-    # dual-BN switch is a module *attribute*, not part of the state dict, so
-    # it is set on the global model before every eval plan.
-    # ``evaluate``/``final_eval`` are inherited.
-    @staticmethod
-    def _eval_setup(model) -> None:
-        set_dual_bn_mode(model, adversarial=True)
+    def run_eval(self, plan: EvalPlan, dataset: Optional[ArrayDataset] = None) -> EvalResult:
+        """Evaluate with the propagated *adversarial* BN statistics: the dual-BN
+        switch is a module attribute, not part of the state dict, so it is set
+        on the global model before every plan (``evaluate`` and ``final_eval``
+        submit theirs here)."""
+        set_dual_bn_mode(self.global_model, adversarial=True)
+        return super().run_eval(plan, dataset)

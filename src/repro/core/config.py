@@ -15,7 +15,8 @@ class FedProphetConfig(FLConfig):
     APA's γ and α schedule, the partitioner's R_min, the per-module stage
     (Algorithm 2's outer loop), the Table 3 ablation switches and the
     cascade validation.  Each field declares its meaning (all are
-    semantic)."""
+    semantic).  ``eps0`` must be > 0: every round's cascade validation
+    attacks the raw input at it."""
 
     mu: float = config_field(
         1e-5, "Strong-convexity coefficient of the early-exit loss (Eq. 9; the paper's "
@@ -61,6 +62,11 @@ class FedProphetConfig(FLConfig):
                 "alphas must satisfy 0 < alpha_min <= alpha_init <= alpha_max, got "
                 f"alpha_min={self.alpha_min}, alpha_init={self.alpha_init}, "
                 f"alpha_max={self.alpha_max}"
+            )
+        if not self.eps0 > 0:
+            raise ValueError(
+                f"eps0 must be > 0 for FedProphet (its cascade validation attacks at it), "
+                f"got {self.eps0}"
             )
         if not (0 < self.r_min_fraction <= 1):
             raise ValueError("r_min_fraction must be in (0, 1]")

@@ -418,7 +418,7 @@ class FedProphet(FederatedExperiment):
         self._stale = 0
         self._last_eval = EvalResult(clean_acc=0.0, pgd_acc=0.0)
 
-    def round_eval(self, record: RoundRecord, verbose, server=None):
+    def round_eval(self, record: RoundRecord, server=None):
         """Validate the cascaded prefix — every round: it drives APA and patience."""
         cfg = self.config
         m = self.current_module
@@ -436,13 +436,6 @@ class FedProphet(FederatedExperiment):
                 eps_per_dim=self.eps_feature / np.sqrt(dim) if m > 0 else cfg.eps0,
             )
         )
-        self._journal_eval(record)
-        if verbose:  # pragma: no cover - console reporting
-            print(
-                f"[fedprophet] module {m + 1}/{len(self.partition)} round "
-                f"{record.round}: clean={record.eval.clean_acc:.3f} "
-                f"adv={record.eval.pgd_acc:.3f} eps={self.eps_feature:.3f}"
-            )
         return {"module": m}
 
     def after_round(self, record: RoundRecord) -> None:

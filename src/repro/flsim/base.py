@@ -21,16 +21,7 @@ from repro.attacks import ModelWithLoss
 from repro.data.dataset import ArrayDataset
 from repro.data.synthetic import SyntheticImageTask
 from repro.flsim.eval_executor import EvalExecutor, EvalTarget
-from repro.flsim.executor import (
-    DEFAULT_FUSION_WIDTH,
-    EXCHANGE_FLOOR_FLOPS,
-    FORK_FLOOR_FLOPS,
-    STACKED_ACTIVATION_BUDGET,
-    CohortFn,
-    RoundExecutor,
-    derived_fusion_width,
-    spare_cores,
-)
+from repro.flsim.executor import CohortFn, RoundExecutor, derived_fusion_width
 from repro.flsim.aggregation import AggregationError
 from repro.flsim.checkpoint import CHECKPOINT_FORMAT, config_fingerprint
 from repro.flsim.faults import FaultPlan, RoundFaults
@@ -886,27 +877,12 @@ class FederatedExperiment:
         training results.
         """
         self.global_model.load_state_dict(server)
-        result = self.evaluate()
-        record = MergeEvalRecord(
-            version=version,
-            round=event.round,
-            event=event.event,
-            staleness=event.staleness,
-            sim_time_s=event.sim_time_s,
-            eval=result,
-        )
+        record = MergeEvalRecord(version, event.round, event.event, event.staleness,
+                                 event.sim_time_s, self.evaluate())
         self.merge_evals.append(record)
-        self.recorder.record(
-            "merge_eval",
-            version=version,
-            round=event.round,
-            event=event.event,
-            staleness=event.staleness,
-            sim_time_s=event.sim_time_s,
-            clean_acc=result.clean_acc,
-            pgd_acc=result.pgd_acc,
-            aa_acc=result.aa_acc,
-        )
+        payload = {**vars(record), **record.eval.as_dict()}
+        del payload["eval"]
+        self.recorder.record("merge_eval", **payload)
 
     def _run_rounds(self, rounds: int, verbose: bool = False) -> int:
         """The run loop: every round is a :class:`CrossRoundPipeline` round.
@@ -1122,39 +1098,11 @@ class FederatedExperiment:
         return t
 
     # -- evaluation engine -----------------------------------------------------
-    def eval_plan(
-        self,
-        max_samples: Optional[int] = None,
-        with_autoattack: Optional[bool] = None,
-        seed_offset: int = 99,
-    ) -> EvalPlan:
-        """The standard clean/PGD(/AA) plan under this experiment's config."""
-        cfg = self.config
-        return EvalPlan.standard(
-            eps=cfg.eps0,
-            pgd_steps=cfg.eval_pgd_steps,
-            with_autoattack=(
-                cfg.eval_with_autoattack if with_autoattack is None else with_autoattack
-            ),
-            max_samples=max_samples,
-            seed=cfg.seed + seed_offset,
-        )
-
-    # Eval-time mode applied to the global model before shards run (state
-    # that lives *outside* the state dict, e.g. FedRBN's dual-BN switch).
-    # Subclasses override with a method.
-    _eval_setup: Optional[Callable] = None
-
     def run_eval(
         self, plan: EvalPlan, dataset: Optional[ArrayDataset] = None
     ) -> EvalResult:
-        """Submit an :class:`EvalPlan` to the sharded evaluation engine.
-
-        ``_eval_setup(model)`` first applies any eval-time mode (e.g.
-        FedRBN's dual-BN switch) to the global model.
-        """
-        if self._eval_setup is not None:
-            self._eval_setup(self.global_model)
+        """Submit an :class:`EvalPlan` over the global model (default dataset:
+        the task's test split) to the sharded evaluation engine."""
         return self.eval_executor.run(
             plan,
             dataset if dataset is not None else self.task.test,
@@ -1162,74 +1110,30 @@ class FederatedExperiment:
         )
 
     def evaluate(self, max_samples: Optional[int] = None) -> EvalResult:
-        return self.run_eval(
-            self.eval_plan(
-                max_samples=(
-                    max_samples if max_samples is not None else self.config.eval_max_samples
-                )
-            )
-        )
-
-    def _print_eval(self, record: RoundRecord) -> None:  # pragma: no cover
-        e = record.eval
-        print(
-            f"[{self.name}] round {record.round + 1}: clean={e.clean_acc:.3f} "
-            f"pgd={e.pgd_acc if e.pgd_acc is None else round(e.pgd_acc, 3)} "
-            f"time={record.sim_time_s:.1f}s"
-        )
+        """The periodic clean/PGD(/AutoAttack) evaluation of the global model
+        (default sample cap: ``eval_max_samples``)."""
+        cfg = self.config
+        return self.run_eval(EvalPlan.standard(
+            eps=cfg.eps0,
+            pgd_steps=cfg.eval_pgd_steps,
+            with_autoattack=cfg.eval_with_autoattack,
+            max_samples=max_samples if max_samples is not None else cfg.eval_max_samples,
+            seed=cfg.seed + 99,
+        ))
 
     def describe_parallelism(self) -> str:
         """The resolved execution-engine settings, for verbose reporting."""
         cfg = self.config
-        cause = "configured" if cfg.fusion_width is not None else (
-            f"derived: 4·B·A = {self.client_activation_bytes / 2**10:.4g} KiB "
-            f"per client against a {STACKED_ACTIVATION_BUDGET >> 10} KiB "
-            f"stacked budget, at most {DEFAULT_FUSION_WIDTH}; configured: auto"
+        engine = self.executor.describe(
+            cfg.rounds * cfg.clients_per_round * self.client_flops,
+            None if cfg.fusion_width is not None else self.client_activation_bytes,
         )
-        client = self.client_flops
-        workers = self.executor.replicas_for(cfg.rounds * cfg.clients_per_round * client)
-        floor = (
-            f"a scope (a run, or an evaluation outside one) forks its round workers "
-            f"once, at its first group, when its modelled work (a run's: rounds × "
-            f"cohort × one client's {client / 1e9:.3g} GFLOP) clears "
-            f"{FORK_FLOOR_FLOPS / 1e9:g} GFLOP"
-        )
-        if workers:
-            engine = (
-                f"engine: {workers} run-scoped round worker(s) beside the caller "
-                f"({spare_cores()} spare core(s)), each a replica of the run loop, "
-                f"OpenBLAS pinned to 1 thread while they live; a group (training or "
-                f"eval) splits between the processes when each share clears "
-                f"{EXCHANGE_FLOOR_FLOPS / 1e9:g} GFLOP, else runs whole in each; {floor}"
+        aggregation = f"aggregation: {cfg.aggregation_mode}"
+        if cfg.aggregation_mode == "async":
+            aggregation += (
+                f" (max_staleness={cfg.max_staleness}, pipeline_depth={cfg.pipeline_depth})"
             )
-        else:
-            engine = f"engine: serial, one work unit at a time ({floor})"
-        engine += (
-            f"; fusion width {self.executor.fusion_width} ({cause}) for "
-            f"equal-key clients, others per item, 1 disables fusion"
-        )
-        pop = self.clients
-        cap = pop.cache_capacity
-        stats = pop.stats()
-        population = (
-            f"population: {pop.num_clients} clients ({pop.scheme}, "
-            f"{pop.materialisation}, cache cap "
-            f"{'unbounded' if cap is None else cap}, live {stats['live']}, "
-            f"peak {stats['peak_live']}, hits {stats['hits']}, "
-            f"evictions {stats['evictions']})"
-        )
-        parts = [
-            engine,
-            population,
-            f"aggregation: {cfg.aggregation_mode}"
-            + (
-                f" (max_staleness={cfg.max_staleness}, "
-                f"pipeline_depth={cfg.pipeline_depth})"
-                if cfg.aggregation_mode == "async"
-                else ""
-            ),
-        ]
-        return f"[{self.name}] " + "; ".join(parts)
+        return f"[{self.name}] " + "; ".join([engine, self.clients.describe(), aggregation])
 
     def close(self) -> None:
         """Close the journal and the status service."""
@@ -1246,16 +1150,6 @@ class FederatedExperiment:
     def status_address(self) -> Optional[str]:
         """The live status endpoint's base URL (None when off)."""
         return self.recorder.address
-
-    def _journal_eval(self, record: RoundRecord) -> None:
-        if record.eval is not None:
-            self.recorder.record(
-                "eval",
-                round=record.round,
-                clean_acc=record.eval.clean_acc,
-                pgd_acc=record.eval.pgd_acc,
-                aa_acc=record.eval.aa_acc,
-            )
 
     def _fingerprint(self) -> str:
         return config_fingerprint(self.config, self.name)
@@ -1413,27 +1307,21 @@ class FederatedExperiment:
 
     # -- round hooks: how a round-gated method advances its own state ---------
     def round_eval(
-        self,
-        record: RoundRecord,
-        verbose: bool,
-        server: Optional[Dict[str, np.ndarray]] = None,
+        self, record: RoundRecord, server: Optional[Dict[str, np.ndarray]] = None
     ) -> Dict[str, Any]:
-        """Evaluate a finished round into ``record.eval``.
+        """Evaluate a finished round into ``record.eval`` (or leave it ``None``).
 
         Default: the periodic ``eval_every`` evaluation.  ``server`` is
         the cross-round pipeline's merged state (it never lives in the
         global model until an eval or the end of the run needs it there);
         a barrier round has installed its merged state already.
-        Returns extra fields for the round's journal event.
+        Returns extra fields for the round's journal event and verbose line.
         """
         cfg = self.config
         if cfg.eval_every and (record.round + 1) % cfg.eval_every == 0:
             if server is not None:
                 self.global_model.load_state_dict(server)
             record.eval = self.evaluate()
-            self._journal_eval(record)
-            if verbose:  # pragma: no cover - console reporting
-                self._print_eval(record)
         return {}
 
     def after_round(self, record: RoundRecord) -> None:
@@ -1461,8 +1349,20 @@ class FederatedExperiment:
         server: Optional[Dict[str, np.ndarray]] = None,
     ) -> None:
         """Evaluate a finished round, record and journal it (``server``: the
-        cross-round pipeline's merged state; a barrier round passes none)."""
-        extra = self.round_eval(record, verbose, server=server)
+        cross-round pipeline's merged state; a barrier round passes none).
+        An evaluated round journals its ``eval`` event just before its
+        ``round`` event, and prints one line when ``verbose`` (an unmeasured
+        column as ``-``)."""
+        extra = self.round_eval(record, server=server)
+        if record.eval is not None:
+            accs = record.eval.as_dict()
+            self.recorder.record("eval", round=record.round, **accs)
+            if verbose:
+                cols = [f"{k.removesuffix('_acc')}={'-' if v is None else format(v, '.3f')}"
+                        for k, v in accs.items()]
+                cols.append(f"time={record.sim_time_s:.3g}s")
+                cols += [f"{k}={v}" for k, v in extra.items()]
+                print(f"[{self.name}] round {record.round + 1}: " + " ".join(cols))
         self.history.append(record)
         self.recorder.record(
             "round",
@@ -1478,6 +1378,11 @@ class FederatedExperiment:
     def final_eval(self, max_samples: Optional[int] = None) -> EvalResult:
         """Clean, PGD and AutoAttack accuracy of the final model (the ``aa``
         column is one spec: its members each attack the survivors of the last)."""
-        return self.run_eval(
-            self.eval_plan(max_samples=max_samples, with_autoattack=True, seed_offset=999)
-        )
+        cfg = self.config
+        return self.run_eval(EvalPlan.standard(
+            eps=cfg.eps0,
+            pgd_steps=cfg.eval_pgd_steps,
+            with_autoattack=True,
+            max_samples=max_samples,
+            seed=cfg.seed + 999,
+        ))

@@ -841,6 +841,38 @@ class RoundExecutor:
             return 0
         return spare_cores()
 
+    def describe(self, work_flops: float, activation_bytes: Optional[int] = None) -> str:
+        """The engine clause of a run's verbose report: its round workers for
+        ``work_flops`` of modelled work, the pin, both floors, and the fusion
+        width with its cause (``activation_bytes``: one client's ``4·B·A`` when
+        the width was derived from it; ``None``: configured)."""
+        floor = (
+            f"a scope (a run, or an evaluation outside one) forks its round workers "
+            f"once, at its first group, when its modelled work (a run's: rounds × "
+            f"cohort × one client's {self.client_flops / 1e9:.3g} GFLOP) clears "
+            f"{FORK_FLOOR_FLOPS / 1e9:g} GFLOP"
+        )
+        workers = self.replicas_for(work_flops)
+        if workers:
+            engine = (
+                f"engine: {workers} run-scoped round worker(s) beside the caller "
+                f"({spare_cores()} spare core(s)), each a replica of the run loop, "
+                f"OpenBLAS pinned to 1 thread while they live; a group (training or "
+                f"eval) splits between the processes when each share clears "
+                f"{EXCHANGE_FLOOR_FLOPS / 1e9:g} GFLOP, else runs whole in each; {floor}"
+            )
+        else:
+            engine = f"engine: serial, one work unit at a time ({floor})"
+        cause = "configured" if activation_bytes is None else (
+            f"derived: 4·B·A = {activation_bytes / 2**10:.4g} KiB per client against a "
+            f"{STACKED_ACTIVATION_BUDGET >> 10} KiB stacked budget, at most "
+            f"{DEFAULT_FUSION_WIDTH}; configured: auto"
+        )
+        return (
+            f"{engine}; fusion width {self.fusion_width} ({cause}) for equal-key "
+            f"clients, others per item, 1 disables fusion"
+        )
+
     def scope(self, work_flops: float):
         """A context whose groups share round workers forked once.
 

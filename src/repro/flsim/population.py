@@ -281,7 +281,7 @@ class ClientPopulation:
         return c
 
     def stats(self) -> Dict[str, int]:
-        """Cache counters for the journal / ``describe_parallelism``."""
+        """Cache counters for the journal's ``sample`` events."""
         return {
             "hits": self.hits,
             "misses": self.misses,
@@ -289,6 +289,15 @@ class ClientPopulation:
             "live": len(self._cache),
             "peak_live": self.peak_live,
         }
+
+    def describe(self) -> str:
+        """The population clause of a run's verbose report."""
+        cap = "unbounded" if self.cache_capacity is None else self.cache_capacity
+        return (
+            f"population: {self.num_clients} clients ({self.scheme}, "
+            f"{self.materialisation}, cache cap {cap}, live {len(self._cache)}, "
+            f"peak {self.peak_live}, hits {self.hits}, evictions {self.evictions})"
+        )
 
     # -- availability --------------------------------------------------------
     def available(self, round_idx: int, cid: int) -> bool:

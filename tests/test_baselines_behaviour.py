@@ -8,6 +8,7 @@ from repro.baselines.distill import ensemble_soft_targets
 from repro.data import make_cifar10_like
 from repro.flsim import FLConfig
 from repro.hardware import Device, DeviceState
+from repro.metrics.evaluation import EvalPlan
 from repro.models import build_cnn, build_vgg
 from repro.nn import DualBatchNorm2d
 from repro.nn.normalization import set_dual_bn_mode
@@ -96,11 +97,17 @@ class TestFedRBNMechanism:
         assert exp._adv_stat_keys
         assert all(k.endswith("_adv") for k in exp._adv_stat_keys)
 
-    def test_dual_bn_eval_uses_adversarial_statistics(self):
-        """FedRBN evaluates with *adversarial* BN statistics.
+    @pytest.mark.parametrize("entry", [
+        lambda exp: exp.evaluate(max_samples=16),
+        lambda exp: exp.final_eval(max_samples=16),
+        lambda exp: exp.run_eval(EvalPlan.standard(eps=8 / 255, pgd_steps=1, max_samples=16)),
+    ], ids=["evaluate", "final_eval", "run_eval"])
+    def test_dual_bn_eval_uses_adversarial_statistics(self, entry):
+        """FedRBN evaluates with *adversarial* BN statistics on every eval
+        entry point (``run_eval``, which ``evaluate`` and ``final_eval`` call).
 
         The dual-BN switch is a module attribute, invisible to the state
-        dict — it travels through the ``_eval_setup`` hook.  Verifies (a)
+        dict — FedRBN's ``run_eval`` sets it.  Verifies (a)
         an evaluation flips a model left in clean mode to adversarial mode
         and (b) the switch is load-bearing: clean-statistics evaluation
         differs.
@@ -111,7 +118,7 @@ class TestFedRBNMechanism:
         )
         exp.run()
         set_dual_bn_mode(exp.global_model, adversarial=False)
-        exp.evaluate(max_samples=16)
+        entry(exp)
         flags = [
             m.adversarial_mode
             for m in exp.global_model.modules()

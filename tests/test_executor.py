@@ -110,7 +110,7 @@ class TestStageScopedCache:
     def _run_rounds(self, exp, rounds=3):
         # Training only: the per-round cascade_eval would read the cache too
         # (its validation prefix), and without an eval the stage stays pinned.
-        exp.round_eval = lambda record, verbose, server=None: {}
+        exp.round_eval = lambda record, server=None: {}
         exp.run(rounds=rounds)
         return exp
 

@@ -989,7 +989,7 @@ class TestLifecycleSatellites:
         [("rounds_per_module", 0), ("rounds_per_module", -3), ("val_samples", 0),
          ("val_pgd_steps", 0), ("feature_pgd_steps", 0), ("mu", -1e-5),
          ("mu", float("nan")), ("mu", float("inf")), ("alpha_init", -1.0),
-         ("alpha_min", 3.0), ("alpha_min", 0.0), ("alpha_max", 0.1)],
+         ("alpha_min", 3.0), ("alpha_min", 0.0), ("alpha_max", 0.1), ("eps0", 0.0)],
     )
     def test_fedprophet_settings_it_cannot_run_are_refused(self, field, value):
         # Each of these used to train silently, or fail rounds later.

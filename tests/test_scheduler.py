@@ -375,6 +375,18 @@ class TestPeriodicEvaluation:
         )
         assert [r.sim_time_s for r in quiet.history] == [r.sim_time_s for r in history]
 
+    @pytest.mark.parametrize("samples", [0, 24])
+    def test_verbose_round_line_prints_an_unmeasured_column_as_a_dash(self, samples, capsys):
+        # eval_max_samples=0 is legal and measures nothing: every column is None.
+        history = _jfat(eval_max_samples=samples, rounds=2).run(verbose=True)
+        assert (history[0].eval.clean_acc is None) == (samples == 0)
+        col = lambda v: "-" if v is None else f"{v:.3f}"
+        assert capsys.readouterr().out.splitlines() == [
+            f"[jfat] round {r.round + 1}: clean={col(r.eval.clean_acc)} "
+            f"pgd={col(r.eval.pgd_acc)} aa=- time={r.sim_time_s:.3g}s"
+            for r in history
+        ]
+
     def test_describe_parallelism_carries_no_worker_count(self):
         # One engine runs one work unit at a time: the description names
         # it, the fusion width and the population, and no "xN" worker cap.
